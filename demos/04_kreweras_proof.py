@@ -35,7 +35,7 @@ T = trivial_operator(KREWERAS)
 template = build_template(Bounds(2, 2, 2, 3, 1, 1), "full")
 print(f"ansatz: degrees (2,2,2), shift orders (3,1,1); {len(template)} unknowns")
 candidates = guess_operators(template, oracle)
-print(f"{len(candidates)} candidates (this is the slow step: exact nullspace)")
+print(f"{len(candidates)} candidates (exact kernel: mod-p reduction, lifted and verified over Z)")
 
 print("== 2. certification ==")
 generators = [T]

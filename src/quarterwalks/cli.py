@@ -14,7 +14,9 @@ from __future__ import annotations
 import json
 import os
 import sys
+import traceback
 from dataclasses import asdict, dataclass, field
+from typing import NoReturn
 
 import click
 
@@ -71,7 +73,7 @@ def _progress(msg: str):
     click.echo(msg, err=True)
 
 
-def _fail(msg: str, code: int):
+def _fail(msg: str, code: int) -> NoReturn:
     click.echo(f"error: {msg}", err=True)
     sys.exit(code)
 
@@ -134,7 +136,21 @@ def _oracle(steps_text: str, n_max: int, cache_dir: str | None) -> WalkOracle:
     return WalkOracle(cached_table(step_set, n_max, cache_dir))
 
 
-@click.group()
+class _MainGroup(click.Group):
+    """Routes every uncaught non-click exception to exit code 2, so that
+    exit 1 stays reserved for sound negatives."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except (click.ClickException, click.exceptions.Exit, click.Abort):
+            raise
+        except Exception as e:
+            click.echo(traceback.format_exc(), err=True)
+            _fail(f"{type(e).__name__}: {e}", 2)
+
+
+@click.group(cls=_MainGroup)
 @click.option(
     "--cache-dir",
     envvar="CACHE_DIR",
@@ -241,7 +257,6 @@ def guess(ctx, steps, bounds, shape, margin, n_max, out):
         candidates, _, _ = _run_guess(config, ctx.obj["cache_dir"])
     except (StepSetParseError, TemplateError, ValueError) as e:
         _fail(str(e), 2)
-        return
     os.makedirs(out, exist_ok=True)
     for k, op in enumerate(candidates):
         payload = {"meta": _meta(config), "operator": operator_to_json(op)}
@@ -281,7 +296,6 @@ def certify(ctx, steps, operator_file, margin, out):
         cert = certify_operator(op, trivial_operator(step_set), oracle, margin)
     except (StepSetParseError, ValueError, KeyError, json.JSONDecodeError) as e:
         _fail(str(e), 2)
-        return
     report = {
         "meta": _meta(config),
         "verdict": cert.verdict,
@@ -328,7 +342,6 @@ def eliminate(ctx, steps, operator_files, truncation, multiplier_bound, retry_ca
         diagonal = origin_sequence(step_set, diag_limit)
     except (StepSetParseError, ValueError, KeyError, json.JSONDecodeError) as e:
         _fail(str(e), 2)
-        return
     try:
         p = takayama_pipeline(ops, diagonal, cfg)
     except EliminationFailure as e:
@@ -336,19 +349,29 @@ def eliminate(ctx, steps, operator_files, truncation, multiplier_bound, retry_ca
         sys.exit(1)
     except (EliminationError, VerificationError) as e:
         _fail(str(e), 2)
-        return
     _dump({"meta": _meta(config), "operator": uni_to_json(p)}, out)
 
 
-def _validate_recurrence(op: UniOperator, steps_text: str, n_check: int, cache_dir) -> tuple[bool, int | None]:
+def _validate_recurrence(op: UniOperator, steps_text: str, n_check: int) -> tuple[bool, int | None]:
     """Oracle gate for imported recurrences; returns (ok, first failing n)."""
-    step_set = parse_step_set(steps_text)
-    seq = origin_sequence(step_set, n_check)
-    windows = range(0, n_check - op.order() + 1)
-    for n in windows:
+    seq = origin_sequence(parse_step_set(steps_text), n_check)
+    for n in range(n_check - op.order() + 1):
         if op.apply_to_sequence(seq, n) != 0:
             return False, n
     return True, None
+
+
+def _load_recurrence(path: str, n_check: int) -> UniOperator:
+    """Read a recurrence file; the operator must be nonzero and of order
+    below n_check, so that the sequence check covers at least one window."""
+    with open(path) as fh:
+        data = json.load(fh)
+    op = uni_from_json(data.get("operator", data))
+    if op.is_zero():
+        raise ValueError("recurrence file holds the zero operator")
+    if op.order() >= n_check:
+        raise ValueError("n-check must exceed the recurrence order")
+    return op
 
 
 @main.command("import-recurrence")
@@ -363,21 +386,13 @@ def import_recurrence(ctx, recurrence_file, steps, n_check, out):
     counting oracle, and emit it in normalized form."""
     config = PipelineConfig(steps=steps, diag_limit=n_check, cache_dir=ctx.obj["cache_dir"])
     try:
-        with open(recurrence_file) as fh:
-            data = json.load(fh)
-        op = uni_from_json(data.get("operator", data))
-        if op.is_zero():
-            raise ValueError("recurrence file holds the zero operator")
-        if op.order() >= n_check:
-            raise ValueError("n-check must exceed the recurrence order")
+        op = _load_recurrence(recurrence_file, n_check)
     except (json.JSONDecodeError, ValueError, KeyError, TypeError) as e:
         _fail(str(e), 2)
-        return
     try:
-        ok, bad = _validate_recurrence(op, steps, n_check, ctx.obj["cache_dir"])
+        ok, bad = _validate_recurrence(op, steps, n_check)
     except StepSetParseError as e:
         _fail(str(e), 2)
-        return
     if not ok:
         click.echo(f"rejected: fails sequence check at n={bad}", err=True)
         sys.exit(1)
@@ -398,7 +413,6 @@ def check_closed_form(ctx, which, m_max):
         oracle = _oracle(_CLOSED_FORM_STEPS[which], n_max, ctx.obj["cache_dir"])
     except StepSetParseError as e:
         _fail(str(e), 2)
-        return
     for n in range(n_max + 1):
         expected = rhs(n // term.period) if n % term.period == term.residue else 0
         if oracle.value(n, 0, 0) != expected:
@@ -450,19 +464,13 @@ def prove(ctx, steps, which, import_file, bounds, shape, margin, certify_margin,
         step_set = parse_step_set(steps)
     except StepSetParseError as e:
         _fail(str(e), 2)
-        return
 
     if import_file:
         try:
-            with open(import_file) as fh:
-                data = json.load(fh)
-            p = uni_from_json(data.get("operator", data))
-            if p.is_zero():
-                raise ValueError("imported recurrence is the zero operator")
+            p = _load_recurrence(import_file, diag_limit)
         except (json.JSONDecodeError, ValueError, KeyError, TypeError) as e:
             _fail(str(e), 2)
-            return
-        ok, bad = _validate_recurrence(p, steps, diag_limit, cache_dir)
+        ok, bad = _validate_recurrence(p, steps, diag_limit)
         report["recurrence_source"] = "imported"
         report["oracle_check"] = {"n_checked": diag_limit, "ok": ok, "failing_n": bad}
         if not ok:
@@ -474,7 +482,6 @@ def prove(ctx, steps, which, import_file, bounds, shape, margin, certify_margin,
             candidates, oracle, t = _run_guess(config, cache_dir)
         except (TemplateError, ValueError) as e:
             _fail(str(e), 2)
-            return
         report["candidates"] = len(candidates)
         if not candidates:
             report["status"] = "FAILED(no candidates)"
@@ -505,7 +512,6 @@ def prove(ctx, steps, which, import_file, bounds, shape, margin, certify_margin,
             sys.exit(1)
         except (EliminationError, VerificationError) as e:
             _fail(str(e), 2)
-            return
         report["recurrence_source"] = "pipeline"
         report["reverified_to_n"] = diag_limit
     report["recurrence"] = uni_to_json(p)

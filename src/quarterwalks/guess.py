@@ -8,10 +8,9 @@ coefficients; many points give a linear system whose right kernel holds
 every annihilator with that support.  An empty kernel is a proof that no
 such annihilator exists, because each row is a necessary condition.
 
-The kernel is computed exactly: a modular rank check first (a full-column
-rank modulo a prime already proves the kernel trivial, since the rank can
-only drop under reduction), then fraction-free Bareiss elimination over
-the integers with exact rational back-substitution.
+The kernel is computed multimodularly and checked exactly: row reduction
+modulo word-size primes, rational reconstruction of the kernel vectors
+from their residues, and verification A v = 0 over the integers.
 """
 
 from __future__ import annotations
@@ -27,8 +26,6 @@ from .exactmath import MultiPoly
 from .ore import LEX, MonomialOrder, OreOperator
 
 Tuple6 = tuple[int, int, int, int, int, int]
-
-_MOD_PRIME = 2_147_483_629  # < 2^31, so int64 products cannot overflow
 
 
 class TemplateError(ValueError):
@@ -214,90 +211,64 @@ def assemble_system(
 # ---------------------------------------------------------------------------
 
 
-def _modular_rank(matrix: list[list[int]], p: int = _MOD_PRIME) -> int:
-    """Rank of the matrix over GF(p).  Since reduction mod p can only lower
-    the rank, full column rank here is a proof that the rational kernel is
-    trivial."""
-    if not matrix:
-        return 0
+def _primes():
+    """Primes below 2^31, descending: a product of two residues fits int64."""
+    n = 2**31 - 1
+    while True:
+        if all(n % d for d in range(3, math.isqrt(n) + 1, 2)):
+            yield n
+        n -= 2
+
+
+def _rref_mod(matrix: list[list[int]], p: int) -> tuple[np.ndarray, list[int]]:
+    """Reduced row echelon form over GF(p) and its pivot columns; each
+    pivot is the first nonzero entry of its column among the rows left."""
     a = np.array([[x % p for x in row] for row in matrix], dtype=np.int64)
-    m, n = a.shape
-    rank = 0
-    for col in range(n):
-        if rank == m:
+    pivots: list[int] = []
+    for c in range(a.shape[1]):
+        r = len(pivots)
+        if r == a.shape[0]:
             break
-        nz = np.nonzero(a[rank:, col])[0]
+        nz = np.flatnonzero(a[r:, c])
         if nz.size == 0:
             continue
-        pr = rank + int(nz[0])
-        if pr != rank:
-            a[[rank, pr]] = a[[pr, rank]]
-        inv = pow(int(a[rank, col]), p - 2, p)
-        a[rank] = (a[rank] * inv) % p
-        below = a[rank + 1 :, col]
-        mask = below != 0
-        if mask.any():
-            rows = a[rank + 1 :][mask]
-            a[rank + 1 :][mask] = (rows - np.outer(below[mask], a[rank])) % p
-        rank += 1
-    return rank
-
-
-def _bareiss_echelon(matrix: list[list[int]]) -> tuple[list[list[int]], list[int]]:
-    """Fraction-free forward elimination; returns (echelon rows, pivot cols).
-
-    After step k every entry is a k+1 minor of the original matrix, and the
-    divisions by the previous pivot are exact.
-    """
-    m = [row[:] for row in matrix]
-    if not m:
-        return m, []
-    nrows, ncols = len(m), len(m[0])
-    pivots: list[int] = []
-    prev = 1
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        pr = None
-        for rr in range(r, nrows):
-            if m[rr][c]:
-                pr = rr
-                break
-        if pr is None:
-            continue
-        if pr != r:
-            m[r], m[pr] = m[pr], m[r]
-        piv = m[r][c]
-        for rr in range(r + 1, nrows):
-            f = m[rr][c]
-            row = m[rr]
-            top = m[r]
-            if f:
-                for cc in range(c, ncols):
-                    row[cc] = (piv * row[cc] - f * top[cc]) // prev
-            elif prev != 1 or piv != 1:
-                for cc in range(c, ncols):
-                    row[cc] = piv * row[cc] // prev
+        if nz[0]:
+            a[[r, r + nz[0]]] = a[[r + nz[0], r]]
+        a[r, c:] = a[r, c:] * pow(int(a[r, c]), -1, p) % p
+        f = a[:, c].copy()
+        f[r] = 0
+        rows = np.flatnonzero(f)
+        a[rows, c:] = (a[rows, c:] - np.outer(f[rows], a[r, c:])) % p
         pivots.append(c)
-        prev = piv
-        r += 1
-    return m[: len(pivots)], pivots
+    return a, pivots
+
+
+def _ratrec(u: int, m: int) -> Fraction | None:
+    """The fraction r/t with r ≡ t*u (mod m) and |r|, |t| <= sqrt(m/2), by
+    Wang's half extended Euclid; it is unique when it exists."""
+    bound = math.isqrt(m // 2)
+    r0, r1, t0, t1 = m, u, 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
+    if abs(t1) > bound or math.gcd(r1, t1) != 1:
+        return None
+    return Fraction(r1, t1)
+
+
+def _annihilates(matrix: list[list[int]], vec: Sequence[Fraction]) -> bool:
+    """A v = 0 exactly, for an integer vector v, reading only its support."""
+    support = [(c, int(v)) for c, v in enumerate(vec) if v]
+    return not any(sum(row[c] * v for c, v in support) for row in matrix)
 
 
 def _normalize_vector(vec: list[Fraction]) -> tuple[Fraction, ...]:
-    """Scale to a primitive integer vector whose first nonzero entry is positive."""
-    den = 1
-    for v in vec:
-        den = den * v.denominator // math.gcd(den, v.denominator)
+    """Scale a nonzero vector to a primitive integer vector whose first
+    nonzero entry is positive."""
+    den = math.lcm(*(v.denominator for v in vec))
     ints = [int(v * den) for v in vec]
-    g = 0
-    for v in ints:
-        g = math.gcd(g, v)
-    if g == 0:
-        return tuple(Fraction(0) for _ in vec)
-    first = next(v for v in ints if v)
-    if first < 0:
+    g = math.gcd(*ints)
+    if next(v for v in ints if v) < 0:
         g = -g
     return tuple(Fraction(v, g) for v in ints)
 
@@ -308,6 +279,23 @@ def nullspace(system: LinearSystem | list[list[int]]) -> list[tuple[Fraction, ..
     Vectors are primitive integer-scaled, with a 1 in their free column,
     in free-column order; the empty list means the kernel is trivial.
     Rational rows are scaled to integers first (the kernel is unchanged).
+
+    The matrix is row-reduced modulo primes p < 2^31.  The kernel vector
+    mod p of a free column f has a 1 at f and -R[k, f] at each pivot k;
+    its residues, combined by CRT over the primes so far, are lifted to Q
+    by rational reconstruction and checked exactly, A v = 0 over Z.  Any
+    failure adds a prime.
+
+    Reduction mod p can only lower the rank of each column prefix, so the
+    mod-p pivot set is never better than the rational one (more pivots,
+    or as many lexicographically earlier): full column rank mod p proves
+    the kernel trivial, and residues are combined only across primes
+    sharing the best pivot set seen.  Only finitely many primes are
+    unlucky and reconstruction is exact past a finite modulus, so the
+    loop ends.  Each verified vector lives on {f} and the pivots before
+    f, so no mod-p free column is a rational pivot; with rank_p <= rank_Q
+    the pivot sets agree, and the basis is the unique rational RREF
+    kernel basis in free-column order, as Gauss-Jordan over Q gives it.
     """
     matrix = system.matrix if isinstance(system, LinearSystem) else system
     if not matrix:
@@ -316,33 +304,39 @@ def nullspace(system: LinearSystem | list[list[int]]) -> list[tuple[Fraction, ..
     if ncols == 0:
         return []
     if any(isinstance(x, Fraction) for row in matrix for x in row):
-        cleaned = []
-        for row in matrix:
-            den = 1
-            for x in row:
-                if isinstance(x, Fraction):
-                    den = den * x.denominator // math.gcd(den, x.denominator)
-            cleaned.append([int(x * den) for x in row])
-        matrix = cleaned
-    if _modular_rank(matrix) == ncols:
-        return []
-    echelon, pivots = _bareiss_echelon(matrix)
-    pivot_set = set(pivots)
-    free_cols = [c for c in range(ncols) if c not in pivot_set]
-    basis = []
-    for fc in free_cols:
-        x: list[Fraction] = [Fraction(0)] * ncols
-        x[fc] = Fraction(1)
-        for k in range(len(pivots) - 1, -1, -1):
-            c = pivots[k]
-            row = echelon[k]
-            s = Fraction(0)
-            for cc in range(c + 1, ncols):
-                if row[cc] and x[cc]:
-                    s += Fraction(row[cc]) * x[cc]
-            x[c] = -s / row[c]
-        basis.append(_normalize_vector(x))
-    return basis
+        dens = [math.lcm(*(x.denominator for x in row)) for row in matrix]
+        matrix = [[int(x * d) for x in row] for row, d in zip(matrix, dens)]
+    best = None
+    for p in _primes():
+        a, pivots = _rref_mod(matrix, p)
+        if len(pivots) == ncols:
+            return []
+        key = (-len(pivots), pivots)
+        if best is not None and key > best:
+            continue
+        pivot_set = set(pivots)
+        free = [c for c in range(ncols) if c not in pivot_set]
+        # residues of the kernel vectors at the pivots, free column by free column
+        kernel = (-a[: len(pivots), free] % p).T.ravel().tolist()
+        if key == best:
+            inv = pow(modulus, -1, p)
+            residues = [u + modulus * ((r - u) * inv % p) for u, r in zip(residues, kernel)]
+            modulus *= p
+        else:
+            best, residues, modulus = key, kernel, p
+        basis = []
+        for k, f in enumerate(free):
+            vec = [Fraction(0)] * ncols
+            vec[f] = Fraction(1)
+            for c, u in zip(pivots, residues[k * len(pivots) : (k + 1) * len(pivots)]):
+                vec[c] = _ratrec(u, modulus)
+            if None in vec:
+                break
+            basis.append(_normalize_vector(vec))
+            if not _annihilates(matrix, basis[-1]):
+                break
+        else:
+            return basis
 
 
 def filter_candidates(

@@ -28,7 +28,7 @@ def kreweras_certified(kreweras_oracle):
     """The working Kreweras generator set: the transfer operator plus the
     three guessed low-shift-order annihilators (exact solve, certified).
 
-    Session-scoped because the exact nullspace takes ~half a minute.
+    Session-scoped because guessing and certifying it takes several seconds.
     """
     t = trivial_operator(KREWERAS)
     template = build_template(Bounds(2, 2, 2, 3, 1, 1), "full")

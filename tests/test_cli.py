@@ -235,3 +235,43 @@ def test_prove_gessel_without_import_is_sound_negative(runner, tmp_path):
     assert r.exit_code == 1
     report = json.load(open(report_path))
     assert report["status"].startswith("FAILED")
+
+
+def test_prove_import_order_not_below_diag_limit_exit_2(runner, tmp_path):
+    # an order-12 recurrence leaves no window to check in 10 terms
+    rec = UniOperator({12: RatFunc(poly_from([1])), 0: RatFunc(poly_from([-1]))})
+    path = write_json(tmp_path / "ord12.json", uni_to_json(rec))
+    report_path = tmp_path / "report.json"
+    r = runner.invoke(
+        main,
+        ["prove", "--steps", "E,W,NE,SW", "--closed-form", "gessel",
+         "--import-recurrence", path, "--diag-limit", "10", "--out", str(report_path)],
+    )
+    assert r.exit_code == 2
+    assert "n-check must exceed the recurrence order" in r.output
+    assert not report_path.exists()
+
+
+def test_prove_import_malformed_file_exit_2(runner, tmp_path):
+    path = write_json(tmp_path / "list.json", [1, 2])
+    r = runner.invoke(
+        main,
+        ["prove", "--steps", "E,W,NE,SW", "--closed-form", "gessel",
+         "--import-recurrence", path, "--diag-limit", "40"],
+    )
+    assert r.exit_code == 2
+    assert "error: AttributeError" in r.output
+
+
+def test_unexpected_exception_exits_2(runner, tmp_path, monkeypatch):
+    def broken(system):
+        raise RuntimeError("solver blew up")
+
+    monkeypatch.setattr("quarterwalks.cli.nullspace", broken)
+    r = runner.invoke(
+        main,
+        ["guess", "--steps", "E,W,NE,SW", "--bounds", "ord_sn=1,ord_si=2,ord_sj=2",
+         "--out", str(tmp_path / "cands")],
+    )
+    assert r.exit_code == 2
+    assert "error: RuntimeError: solver blew up" in r.output

@@ -16,7 +16,7 @@ from quarterwalks import (
     template_from_support,
     trivial_operator,
 )
-from quarterwalks.guess import _bareiss_echelon, _modular_rank
+from quarterwalks.guess import _primes
 
 from naive_oracles import fraction_nullspace
 
@@ -107,14 +107,52 @@ def test_nullspace_matches_fraction_oracle():
         assert nullspace(m) == fraction_nullspace(m), (trial, m)
 
 
-def test_bareiss_echelon_rank_matches_modular():
-    rng = random.Random(9)
-    for _ in range(50):
-        rows = rng.randint(1, 8)
-        cols = rng.randint(1, 8)
-        m = [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)]
-        _, pivots = _bareiss_echelon(m)
-        assert len(pivots) == _modular_rank(m)
+def _first_primes(k):
+    gen = _primes()
+    return [next(gen) for _ in range(k)]
+
+
+def test_nullspace_unlucky_prime_lower_rank():
+    # full rank over Q, rank 1 modulo the first prime
+    p1 = _first_primes(1)[0]
+    assert nullspace([[p1, 0], [0, 1]]) == fraction_nullspace([[p1, 0], [0, 1]]) == []
+    m = [[1, 1, 1], [1, 1 + p1, 1]]
+    assert nullspace(m) == fraction_nullspace(m) == [(Fraction(1), Fraction(0), Fraction(-1))]
+
+
+def test_nullspace_unlucky_prime_same_rank():
+    # rank 2 modulo the first prime too, but with the pivots {0, 2} or
+    # {1, 2} there instead of the rational {0, 1}
+    p1 = _first_primes(1)[0]
+    for m in ([[1, 1, 0], [p1, 0, 1]], [[p1, 0, 1], [0, 1, 1]]):
+        assert nullspace(m) == fraction_nullspace(m), m
+    assert nullspace([[1, 1, 0], [p1, 0, 1]]) == [(Fraction(1), Fraction(-1), Fraction(-p1))]
+
+
+def test_nullspace_needs_several_primes():
+    # kernel entries near 2^41 cannot be reconstructed from one 31-bit prime
+    a, b = 2**41 + 15, 2**40 + 3
+    m = [[a, b, 0], [0, 1, 1]]
+    assert nullspace(m) == fraction_nullspace(m)
+    assert nullspace(m) == [(Fraction(b), Fraction(-a), Fraction(a))]
+
+
+def test_nullspace_matches_fraction_oracle_big_entries():
+    rng = random.Random(41)
+    big = 2**40
+    for trial in range(60):
+        rows = rng.randint(1, 6)
+        cols = rng.randint(1, 6)
+        m = [[rng.randint(-big, big) for _ in range(cols)] for _ in range(rows)]
+        if rows > 2 and rng.random() < 0.6:
+            # force a rank drop with an integer combination of two rows
+            s, t = rng.randint(-big, big), rng.randint(1, 9)
+            m[-1] = [s * x + t * y for x, y in zip(m[0], m[1])]
+        if cols > 1 and rng.random() < 0.3:
+            k = rng.randrange(1, cols)
+            for row in m:
+                row[k] = 3 * row[0]
+        assert nullspace(m) == fraction_nullspace(m), (trial, m)
 
 
 def test_oversampling_never_enlarges_kernel(gessel_oracle):
