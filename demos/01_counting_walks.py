@@ -9,8 +9,7 @@ families have closed forms for their origin-return counts.
 from quarterwalks import (
     GESSEL,
     KREWERAS,
-    WalkOracle,
-    build_table,
+    CountTable,
     gessel_rhs,
     kreweras_rhs,
     origin_sequence,
@@ -19,7 +18,7 @@ from quarterwalks import (
 
 # --- a table of exact counts -------------------------------------------------
 
-gessel = WalkOracle(build_table(GESSEL, 20))
+gessel = CountTable(GESSEL, 20)
 print("Gessel steps:", GESSEL.canonical)
 print("f(n; 0, 0) for n = 0..12:", [gessel.value(n, 0, 0) for n in range(13)])
 print("every odd length vanishes; the even subsequence is 1, 2, 11, 85, ...")
@@ -34,7 +33,7 @@ for m in range(8):
     print(f"  m={m}: enumeration {enumerated}, 16^m (5/6)_m (1/2)_m / ((5/3)_m (2)_m) = {formula}")
     assert enumerated == formula
 
-kreweras = WalkOracle(build_table(KREWERAS, 21))
+kreweras = CountTable(KREWERAS, 21)
 print()
 print("Kreweras steps:", KREWERAS.canonical)
 for m in range(8):

@@ -11,8 +11,7 @@ from quarterwalks import (
     GESSEL,
     MultiPoly,
     OreOperator,
-    WalkOracle,
-    build_table,
+    CountTable,
     div_rem,
     trivial_operator,
 )
@@ -36,7 +35,7 @@ print()
 
 T = trivial_operator(GESSEL)
 print("Gessel transfer operator T =", T)
-oracle = WalkOracle(build_table(GESSEL, 13))
+oracle = CountTable(GESSEL, 13)
 print("T annihilates the counts on n,i,j <= 12:", T.is_zero_on(oracle, Box.cube(12)))
 print()
 

@@ -9,8 +9,7 @@ many exact base-case evaluations.
 
 from quarterwalks import (
     GESSEL,
-    WalkOracle,
-    build_table,
+    CountTable,
     build_template,
     Bounds,
     certify_operator,
@@ -18,7 +17,7 @@ from quarterwalks import (
     trivial_operator,
 )
 
-oracle = WalkOracle(build_table(GESSEL, 30))
+oracle = CountTable(GESSEL, 30)
 T = trivial_operator(GESSEL)
 
 # --- rediscover the transfer operator from data ------------------------------

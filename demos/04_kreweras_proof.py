@@ -17,8 +17,7 @@ from quarterwalks import (
     Bounds,
     EliminationConfig,
     KREWERAS,
-    WalkOracle,
-    build_table,
+    CountTable,
     build_template,
     certify_operator,
     guess_operators,
@@ -30,7 +29,7 @@ from quarterwalks import (
 )
 
 print("== 1. guessing ==")
-oracle = WalkOracle(build_table(KREWERAS, 30))
+oracle = CountTable(KREWERAS, 30)
 T = trivial_operator(KREWERAS)
 template = build_template(Bounds(2, 2, 2, 3, 1, 1), "full")
 print(f"ansatz: degrees (2,2,2), shift orders (3,1,1); {len(template)} unknowns")

@@ -21,7 +21,7 @@ from typing import Optional
 
 from . import ore
 from .ore import Box, LEX, MonomialOrder, OreOperator
-from .walks import WalkOracle, trivial_operator
+from .walks import CountTable, trivial_operator
 
 CERTIFIED = "certified"
 REFUTED = "refuted"
@@ -53,7 +53,7 @@ class Certificate:
 
 
 def check_base_cases(
-    w: OreOperator, oracle: WalkOracle, margin: int = 2
+    w: OreOperator, oracle: CountTable, margin: int = 2
 ) -> tuple[bool, Optional[tuple[int, int, int]]]:
     """Evaluate (W f)(0; i, j) for 0 <= i, j <= ord_Sn(W) + margin.
 
@@ -74,7 +74,7 @@ def check_base_cases(
 
 
 def _find_refutation(
-    r: OreOperator, oracle: WalkOracle, t: OreOperator, chain_index: int, seed
+    r: OreOperator, oracle: CountTable, t: OreOperator, chain_index: int, seed
 ) -> tuple[int, int, int]:
     """Locate a concrete point where (R f) != 0.
 
@@ -95,7 +95,7 @@ def _find_refutation(
 def certify_operator(
     r: OreOperator,
     t: OreOperator,
-    oracle: WalkOracle,
+    oracle: CountTable,
     margin: int = 2,
     order: MonomialOrder = LEX,
 ) -> Certificate:
@@ -141,7 +141,7 @@ def certify_operator(
         level += 1
 
 
-def evidence_check(r: OreOperator, oracle: WalkOracle, box: Box) -> bool:
+def evidence_check(r: OreOperator, oracle: CountTable, box: Box) -> bool:
     """Defense-in-depth numeric sweep: (R f) identically zero on the box.
 
     Not part of the certificate logic; certified operators are expected to
@@ -153,7 +153,7 @@ def evidence_check(r: OreOperator, oracle: WalkOracle, box: Box) -> bool:
 def certified_annihilators(
     candidates: list[OreOperator],
     step_set,
-    oracle: WalkOracle,
+    oracle: CountTable,
     margin: int = 2,
     order: MonomialOrder = LEX,
 ) -> list[OreOperator]:

@@ -55,17 +55,18 @@ from .guess import (
 )
 from .ore import operator_from_json, operator_to_json
 from .walks import (
+    GESSEL,
+    KREWERAS,
+    CountTable,
     StepSetParseError,
-    WalkOracle,
     cached_table,
     origin_sequence,
     parse_step_set,
-    save_table,
     table_to_json,
     trivial_operator,
 )
 
-_CLOSED_FORM_STEPS = {GESSEL_NAME: "E,W,NE,SW", KREWERAS_NAME: "W,S,NE"}
+_CLOSED_FORM_STEPS = {GESSEL_NAME: GESSEL, KREWERAS_NAME: KREWERAS}
 _DEFAULT_BOUNDS = "deg_n=2,deg_i=2,deg_j=2,ord_sn=3,ord_si=1,ord_sj=1"
 
 
@@ -114,7 +115,6 @@ class PipelineConfig:
     retry_cap: int = 2
     diag_limit: int = 500
     closed_form: str | None = None
-    cache_dir: str | None = None
 
 
 def _meta(config: PipelineConfig) -> dict:
@@ -129,11 +129,6 @@ def _dump(obj: dict, out: str | None):
         click.echo(out)
     else:
         click.echo(text)
-
-
-def _oracle(steps_text: str, n_max: int, cache_dir: str | None) -> WalkOracle:
-    step_set = parse_step_set(steps_text)
-    return WalkOracle(cached_table(step_set, n_max, cache_dir))
 
 
 class _MainGroup(click.Group):
@@ -151,18 +146,9 @@ class _MainGroup(click.Group):
 
 
 @click.group(cls=_MainGroup)
-@click.option(
-    "--cache-dir",
-    envvar="CACHE_DIR",
-    default=None,
-    help="Directory for count-table caching (env: CACHE_DIR).",
-)
-@click.pass_context
-def main(ctx, cache_dir):
+def main():
     """Quarter-plane walk counting, operator guessing, certification,
     elimination, and closed-form proofs."""
-    ctx.ensure_object(dict)
-    ctx.obj["cache_dir"] = cache_dir
 
 
 @main.command()
@@ -170,15 +156,13 @@ def main(ctx, cache_dir):
 @click.option("--n", type=int, required=True)
 @click.option("--i", type=int, required=True)
 @click.option("--j", type=int, required=True)
-@click.pass_context
-def count(ctx, steps, n, i, j):
+def count(steps, n, i, j):
     """Print the exact number of n-step walks from the origin to (i, j)."""
     try:
         if n < 0 or i < 0 or j < 0:
             click.echo("0")
             return
-        oracle = _oracle(steps, n, ctx.obj["cache_dir"])
-        click.echo(str(oracle.value(n, i, j)))
+        click.echo(str(cached_table(parse_step_set(steps), n).value(n, i, j)))
     except StepSetParseError as e:
         _fail(str(e), 2)
 
@@ -186,30 +170,24 @@ def count(ctx, steps, n, i, j):
 @main.command()
 @click.option("--steps", required=True)
 @click.option("--n-max", type=int, required=True)
-@click.option("--out", default=None, help="Also write the table JSON here.")
-@click.pass_context
-def table(ctx, steps, n_max, out):
-    """Build (or load) the count table and store it in the cache."""
+@click.option("--out", default=None, help="Write the table JSON here instead of stdout.")
+def table(steps, n_max, out):
+    """Export the count table to n = n-max as JSON (decimal-string entries,
+    exact beyond 2^53)."""
     try:
-        step_set = parse_step_set(steps)
-        if n_max < 0:
-            raise ValueError("n-max must be >= 0")
-        cache_dir = ctx.obj["cache_dir"] or os.path.join(
-            os.path.expanduser("~"), ".cache", "quarterwalks"
-        )
-        tbl = cached_table(step_set, n_max, cache_dir)
-        path = save_table(tbl, cache_dir)
-        if out:
-            with open(out, "w") as fh:
-                json.dump(table_to_json(tbl), fh, sort_keys=True)
-            click.echo(out)
-        else:
-            click.echo(path)
+        tbl = CountTable(parse_step_set(steps), n_max)
     except (StepSetParseError, ValueError) as e:
         _fail(str(e), 2)
+    text = json.dumps(table_to_json(tbl), sort_keys=True)
+    if out:
+        with open(out, "w") as fh:
+            fh.write(text)
+        click.echo(out)
+    else:
+        click.echo(text)
 
 
-def _run_guess(config: PipelineConfig, cache_dir):
+def _run_guess(config: PipelineConfig):
     """Shared guessing round; returns (candidates, oracle, trivial op)."""
     step_set = parse_step_set(config.steps)
     candidates = []
@@ -221,9 +199,8 @@ def _run_guess(config: PipelineConfig, cache_dir):
         need = plan.required_n_max
         if config.n_max is not None:
             need = max(need, config.n_max)
-        if oracle is None or oracle.max_level < need:
-            _progress(f"building count table to n = {need}")
-            oracle = WalkOracle(cached_table(step_set, need, cache_dir))
+        _progress(f"count table to n = {need}")
+        oracle = cached_table(step_set, need)
         _progress(
             f"template {btext} ({config.shape}): {len(template)} unknowns, "
             f"{len(plan.points)} points"
@@ -246,15 +223,13 @@ def _run_guess(config: PipelineConfig, cache_dir):
 @click.option("--margin", type=int, default=20, help="Extra sample points beyond the unknown count.")
 @click.option("--n-max", type=int, default=None, help="Force a larger count table.")
 @click.option("--out", required=True, type=click.Path(), help="Directory for candidate JSON files.")
-@click.pass_context
-def guess(ctx, steps, bounds, shape, margin, n_max, out):
+def guess(steps, bounds, shape, margin, n_max, out):
     """Search an ansatz for annihilating operators; write candidates as JSON."""
     config = PipelineConfig(
         steps=steps, n_max=n_max, shape=shape, bounds=list(bounds), margin=margin,
-        cache_dir=ctx.obj["cache_dir"],
     )
     try:
-        candidates, _, _ = _run_guess(config, ctx.obj["cache_dir"])
+        candidates, _, _ = _run_guess(config)
     except (StepSetParseError, TemplateError, ValueError) as e:
         _fail(str(e), 2)
     os.makedirs(out, exist_ok=True)
@@ -281,10 +256,9 @@ def _load_operator_file(path: str):
 @click.argument("operator_file", type=click.Path(exists=True))
 @click.option("--margin", type=int, default=2, show_default=True)
 @click.option("--out", default=None, help="Write the certificate JSON here.")
-@click.pass_context
-def certify(ctx, steps, operator_file, margin, out):
+def certify(steps, operator_file, margin, out):
     """Certify (or refute) that an operator annihilates the walk counts."""
-    config = PipelineConfig(steps=steps, certify_margin=margin, cache_dir=ctx.obj["cache_dir"])
+    config = PipelineConfig(steps=steps, certify_margin=margin)
     try:
         step_set = parse_step_set(steps)
         op = _load_operator_file(operator_file)
@@ -292,7 +266,7 @@ def certify(ctx, steps, operator_file, margin, out):
         if degs.empty:
             raise ValueError("operator file holds the zero operator")
         need = degs.ord_sn + max(degs.total_poly_deg, 0) + margin + 3
-        oracle = WalkOracle(cached_table(step_set, need, ctx.obj["cache_dir"]))
+        oracle = cached_table(step_set, need)
         cert = certify_operator(op, trivial_operator(step_set), oracle, margin)
     except (StepSetParseError, ValueError, KeyError, json.JSONDecodeError) as e:
         _fail(str(e), 2)
@@ -326,13 +300,12 @@ def certify(ctx, steps, operator_file, margin, out):
 @click.option("--retry-cap", type=int, default=2, show_default=True)
 @click.option("--diag-limit", type=int, default=500, show_default=True)
 @click.option("--out", default=None)
-@click.pass_context
-def eliminate(ctx, steps, operator_files, truncation, multiplier_bound, retry_cap, diag_limit, out):
+def eliminate(steps, operator_files, truncation, multiplier_bound, retry_cap, diag_limit, out):
     """Combine certified annihilators into a pure recurrence in n for
     the origin-return counts."""
     config = PipelineConfig(
         steps=steps, truncation=truncation, multiplier_bound=multiplier_bound,
-        retry_cap=retry_cap, diag_limit=diag_limit, cache_dir=ctx.obj["cache_dir"],
+        retry_cap=retry_cap, diag_limit=diag_limit,
     )
     try:
         step_set = parse_step_set(steps)
@@ -352,13 +325,11 @@ def eliminate(ctx, steps, operator_files, truncation, multiplier_bound, retry_ca
     _dump({"meta": _meta(config), "operator": uni_to_json(p)}, out)
 
 
-def _validate_recurrence(op: UniOperator, steps_text: str, n_check: int) -> tuple[bool, int | None]:
-    """Oracle gate for imported recurrences; returns (ok, first failing n)."""
+def _validate_recurrence(op: UniOperator, steps_text: str, n_check: int) -> int | None:
+    """Oracle gate for imported recurrences: the first n in 0..n_check at
+    which the recurrence fails on the origin sequence, or None."""
     seq = origin_sequence(parse_step_set(steps_text), n_check)
-    for n in range(n_check - op.order() + 1):
-        if op.apply_to_sequence(seq, n) != 0:
-            return False, n
-    return True, None
+    return op.first_failure(seq, range(n_check - op.order() + 1))
 
 
 def _load_recurrence(path: str, n_check: int) -> UniOperator:
@@ -380,20 +351,19 @@ def _load_recurrence(path: str, n_check: int) -> UniOperator:
 @click.option("--n-check", type=int, default=200, show_default=True,
               help="Length of the origin sequence the recurrence is checked against.")
 @click.option("--out", default=None)
-@click.pass_context
-def import_recurrence(ctx, recurrence_file, steps, n_check, out):
+def import_recurrence(recurrence_file, steps, n_check, out):
     """Load an externally supplied recurrence, validate it against the
     counting oracle, and emit it in normalized form."""
-    config = PipelineConfig(steps=steps, diag_limit=n_check, cache_dir=ctx.obj["cache_dir"])
+    config = PipelineConfig(steps=steps, diag_limit=n_check)
     try:
         op = _load_recurrence(recurrence_file, n_check)
     except (json.JSONDecodeError, ValueError, KeyError, TypeError) as e:
         _fail(str(e), 2)
     try:
-        ok, bad = _validate_recurrence(op, steps, n_check)
+        bad = _validate_recurrence(op, steps, n_check)
     except StepSetParseError as e:
         _fail(str(e), 2)
-    if not ok:
+    if bad is not None:
         click.echo(f"rejected: fails sequence check at n={bad}", err=True)
         sys.exit(1)
     _dump({"meta": _meta(config), "operator": uni_to_json(op)}, out)
@@ -402,17 +372,13 @@ def import_recurrence(ctx, recurrence_file, steps, n_check, out):
 @main.command("check-closed-form")
 @click.option("--closed-form", "which", type=click.Choice([GESSEL_NAME, KREWERAS_NAME]), required=True)
 @click.option("--m-max", type=int, default=13, show_default=True)
-@click.pass_context
-def check_closed_form(ctx, which, m_max):
+def check_closed_form(which, m_max):
     """Check the built-in closed form against enumeration and its own
     first-order recurrence certificate."""
     term = hypergeom_term(which)
     rhs = gessel_rhs if which == GESSEL_NAME else kreweras_rhs
     n_max = term.period * m_max
-    try:
-        oracle = _oracle(_CLOSED_FORM_STEPS[which], n_max, ctx.obj["cache_dir"])
-    except StepSetParseError as e:
-        _fail(str(e), 2)
+    oracle = cached_table(_CLOSED_FORM_STEPS[which], n_max)
     for n in range(n_max + 1):
         expected = rhs(n // term.period) if n % term.period == term.residue else 0
         if oracle.value(n, 0, 0) != expected:
@@ -446,17 +412,15 @@ def check_closed_form(ctx, which, m_max):
 @click.option("--diag-limit", type=int, default=500, show_default=True)
 @click.option("--n-max", type=int, default=None)
 @click.option("--out", default=None, help="Write the full report JSON here.")
-@click.pass_context
-def prove(ctx, steps, which, import_file, bounds, shape, margin, certify_margin,
+def prove(steps, which, import_file, bounds, shape, margin, certify_margin,
           truncation, multiplier_bound, retry_cap, diag_limit, n_max, out):
     """End-to-end proof: guess, certify, eliminate, and match the closed
     form; or validate an imported recurrence and do the final step only."""
-    cache_dir = ctx.obj["cache_dir"]
     config = PipelineConfig(
         steps=steps, n_max=n_max, shape=shape, bounds=list(bounds), margin=margin,
         certify_margin=certify_margin, truncation=truncation,
         multiplier_bound=multiplier_bound, retry_cap=retry_cap,
-        diag_limit=diag_limit, closed_form=which, cache_dir=cache_dir,
+        diag_limit=diag_limit, closed_form=which,
     )
     term = hypergeom_term(which)
     report: dict = {"meta": _meta(config), "closed_form": which}
@@ -470,16 +434,16 @@ def prove(ctx, steps, which, import_file, bounds, shape, margin, certify_margin,
             p = _load_recurrence(import_file, diag_limit)
         except (json.JSONDecodeError, ValueError, KeyError, TypeError) as e:
             _fail(str(e), 2)
-        ok, bad = _validate_recurrence(p, steps, diag_limit)
+        bad = _validate_recurrence(p, steps, diag_limit)
         report["recurrence_source"] = "imported"
-        report["oracle_check"] = {"n_checked": diag_limit, "ok": ok, "failing_n": bad}
-        if not ok:
+        report["oracle_check"] = {"n_checked": diag_limit, "ok": bad is None, "failing_n": bad}
+        if bad is not None:
             report["status"] = f"REJECTED(import fails sequence check at n={bad})"
             _dump(report, out)
             sys.exit(1)
     else:
         try:
-            candidates, oracle, t = _run_guess(config, cache_dir)
+            candidates, oracle, t = _run_guess(config)
         except (TemplateError, ValueError) as e:
             _fail(str(e), 2)
         report["candidates"] = len(candidates)
@@ -517,7 +481,7 @@ def prove(ctx, steps, which, import_file, bounds, shape, margin, certify_margin,
     report["recurrence"] = uni_to_json(p)
     singular = max_nonneg_root(p.leading_cleared())
     need = p.order() + max(singular, 0) + 1
-    oracle = WalkOracle(cached_table(step_set, need, cache_dir))
+    oracle = cached_table(step_set, need)
     verdict = prove_equality(p, term, oracle)
     report["verdict"] = {
         "status": verdict.status,

@@ -25,7 +25,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .eliminate import UniOperator
 from .exactmath import (
@@ -173,8 +173,18 @@ def _ratio_cleared(r: RatFunc) -> tuple[list[int], list[int]]:
 def nonneg_integer_roots(p: Sequence[int]) -> list[int]:
     """All nonnegative integer roots of an integer polynomial.
 
-    Real roots are bounded by the Cauchy bound 1 + max |a_k| / |a_lead|, so a
-    scan up to that bound is exhaustive; a cheap modular filter keeps the
+    Scale p = a_0 + ... + a_d x^d by -1 if needed so that a_d > 0, and let
+    B be the largest |a_k| over the negative coefficients.  For x > 0,
+
+        p(x) >= a_d x^d - B (x^(d-1) + ... + 1) = a_d x^d - B (x^d - 1)/(x - 1),
+
+    so for x >= 1 + B / a_d (hence B / (x - 1) <= a_d)
+
+        p(x) >= a_d x^d - a_d (x^d - 1) = a_d > 0.
+
+    Every positive root is therefore below 1 + B / a_d, and an integer
+    scan of 1 .. 1 + B // a_d is exhaustive; with no negative coefficient
+    there is no positive root at all.  A cheap modular filter keeps the
     scan fast.  Bounds beyond the scan limit are refused rather than
     silently truncated.
     """
@@ -183,12 +193,15 @@ def nonneg_integer_roots(p: Sequence[int]) -> list[int]:
         p.pop()
     if not p:
         raise ValueError("zero polynomial has every root")
-    if len(p) == 1:
-        return []
+    if p[-1] < 0:
+        p = [-c for c in p]
     roots = []
     if p[0] == 0:
         roots.append(0)
-    bound = 1 + max(abs(c) for c in p) // abs(p[-1])
+    b = max((-c for c in p if c < 0), default=0)
+    if not b:
+        return roots
+    bound = 1 + b // p[-1]
     if bound > _ROOT_SCAN_LIMIT:
         raise ValueError(f"root bound {bound} too large for exhaustive scan")
     # Horner scan with a modular pre-check so candidates are rejected
@@ -212,36 +225,8 @@ def max_nonneg_root(p: Sequence[int]) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Recurrence checks
+# Symbolic recurrence check
 # ---------------------------------------------------------------------------
-
-
-def check_recurrence_on_sequence(
-    p: UniOperator, seq: Sequence, n_range: Iterable[int]
-) -> bool:
-    """Window check: cleared coefficients dotted against the sequence vanish
-    at every n in the range.  Indices where an original denominator
-    vanishes are skipped and reported with a warning, since the rational
-    form does not constrain them."""
-    if p.is_zero():
-        warnings.warn("checking the zero operator: vacuously true")
-        return True
-    cleared = p.cleared()
-    skip = set()
-    for c in p.terms.values():
-        if not c.is_polynomial():
-            for r in nonneg_integer_roots(_clear_int(c.den)):
-                skip.add(r)
-    for n in n_range:
-        if n in skip:
-            warnings.warn(f"skipping n={n}: coefficient denominator vanishes")
-            continue
-        total = 0
-        for k, poly in cleared.items():
-            total += ipoly_eval(poly, n) * seq[n + k]
-        if total:
-            return False
-    return True
 
 
 def symbolic_satisfies(p: UniOperator, term: HypergeomTerm) -> bool:

@@ -213,8 +213,17 @@ class UniOperator:
             total += ipoly_eval(p, n) * seq[n + k]
         return total
 
+    def first_failure(self, seq: Sequence, n_range: Iterable[int]) -> int | None:
+        """The first n in the range where the recurrence does not hold on
+        the sequence, or None when it holds at every n.  The zero operator
+        holds on every sequence, so checking it would prove nothing and
+        raises ValueError instead."""
+        if self.is_zero():
+            raise ValueError("the zero operator annihilates every sequence")
+        return next((n for n in n_range if self.apply_to_sequence(seq, n) != 0), None)
+
     def annihilates(self, seq: Sequence, n_range: Iterable[int]) -> bool:
-        return all(self.apply_to_sequence(seq, n) == 0 for n in n_range)
+        return self.first_failure(seq, n_range) is None
 
     def __repr__(self):
         if not self._terms:
@@ -654,10 +663,9 @@ def takayama_pipeline(
                 raise VerificationError(
                     f"diagonal sequence too short: need at least {order + 1} values"
                 )
-            windows = range(0, len(diagonal) - order)
-            if result.annihilates(diagonal, windows):
+            bad = result.first_failure(diagonal, range(0, len(diagonal) - order))
+            if bad is None:
                 return result
-            bad = next(n for n in windows if result.apply_to_sequence(diagonal, n) != 0)
             if not dropped_any:
                 # nothing was truncated away, so a failing result is a bug,
                 # not an unlucky truncation

@@ -374,10 +374,10 @@ def guess_operators(
 ) -> list[OreOperator]:
     """Full guessing round: plan points, assemble, solve, filter."""
     plan = plan_points(template, margin)
-    if plan.required_n_max > oracle.max_level:
+    if plan.required_n_max > oracle.n_max:
         from .walks import OracleRangeError
 
-        raise OracleRangeError(plan.required_n_max, oracle.max_level)
+        raise OracleRangeError(plan.required_n_max, oracle.n_max)
     system = assemble_system(template, oracle, plan.points)
     basis = nullspace(system)
     return filter_candidates(basis, template, oracle, plan.fresh_points, order)

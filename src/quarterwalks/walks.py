@@ -1,19 +1,19 @@
 """Quarter-plane walk enumeration.
 
-A walk family is given by a set of unit steps.  ``build_table`` runs the
-level-by-level dynamic program for the counts f(n; i, j) of n-step walks
-from the origin to (i, j) that never leave the first quadrant, with exact
-big-integer entries.  ``WalkOracle`` wraps a table with the zero-extension
-rule (0 outside the quadrant, 0 beyond the light cone i > n or j > n), and
-``trivial_operator`` builds the shift operator that encodes the one-step
-transfer recurrence of the family.
+A walk family is given by a set of unit steps.  One level-by-level
+dynamic program, ``_next_level``, gives the counts f(n; i, j) of n-step
+walks from the origin to (i, j) that never leave the first quadrant, with
+exact big-integer entries.  ``CountTable`` keeps every level and answers
+zero-extended queries (0 outside the quadrant, 0 beyond the light cone
+i > n or j > n); ``cached_table`` keeps one such table per step set for
+the life of the process and deepens it on request; ``origin_sequence``
+streams f(n; 0, 0) holding two levels at a time.  ``trivial_operator``
+builds the shift operator that encodes the one-step transfer recurrence
+of the family.
 """
 
 from __future__ import annotations
 
-import json
-import os
-import tempfile
 from dataclasses import dataclass
 
 from .exactmath import MultiPoly
@@ -97,13 +97,48 @@ class OracleRangeError(LookupError):
         self.have = have
 
 
-class CountTable:
-    """Levels 0..n_max of exact counts, level n stored as an (n+1) x (n+1) grid."""
+def _next_level(prev: list[list[int]], steps: list[tuple[int, int]]) -> list[list[int]]:
+    """One step of the dynamic program: level n+1 from the (n+1) x (n+1)
+    grid of level n.  A walk into (i, j) arrives by a step (dx, dy) from
+    (i-dx, j-dy); steps that would leave the quadrant are dropped."""
+    size = len(prev) + 1
+    cur = [[0] * size for _ in range(size)]
+    for pi in range(size - 1):
+        row = prev[pi]
+        for pj in range(size - 1):
+            v = row[pj]
+            if v:
+                for dx, dy in steps:
+                    ti, tj = pi + dx, pj + dy
+                    if 0 <= ti and 0 <= tj:
+                        cur[ti][tj] += v
+    return cur
 
-    def __init__(self, step_set: StepSet, n_max: int, levels: list[list[list[int]]]):
+
+class CountTable:
+    """The walk oracle: levels 0..n_max of exact counts f(n; i, j), level n
+    stored as an (n+1) x (n+1) grid.
+
+    ``value`` zero-extends the counts: 0 outside the quadrant and beyond
+    the light cone i > n or j > n.  Queries past ``n_max`` raise
+    ``OracleRangeError``; ``extend`` builds deeper levels in place.
+    """
+
+    def __init__(self, step_set: StepSet, n_max: int):
+        if n_max < 0:
+            raise ValueError("n_max must be >= 0")
         self.step_set = step_set
-        self.n_max = n_max
-        self.levels = levels
+        self.levels = [[[1]]]
+        self.n_max = 0
+        self.extend(n_max)
+
+    def extend(self, n_max: int) -> "CountTable":
+        """Build the levels up to n_max; levels already built are kept."""
+        steps = self.step_set.sorted_steps()
+        while self.n_max < n_max:
+            self.levels.append(_next_level(self.levels[-1], steps))
+            self.n_max += 1
+        return self
 
     def value(self, n: int, i: int, j: int) -> int:
         if n < 0 or i < 0 or j < 0:
@@ -115,31 +150,6 @@ class CountTable:
         return self.levels[n][i][j]
 
 
-def build_table(step_set: StepSet, n_max: int) -> CountTable:
-    """Dynamic program: level n+1 from level n with zero-extension outside the quadrant."""
-    if n_max < 0:
-        raise ValueError("n_max must be >= 0")
-    steps = step_set.sorted_steps()
-    levels = [[[1]]]
-    prev = levels[0]
-    for n in range(n_max):
-        size = n + 2
-        cur = [[0] * size for _ in range(size)]
-        # walk into (i, j) by step (dx, dy) from (i-dx, j-dy) at level n
-        for pi in range(n + 1):
-            row = prev[pi]
-            for pj in range(n + 1):
-                v = row[pj]
-                if v:
-                    for dx, dy in steps:
-                        ti, tj = pi + dx, pj + dy
-                        if 0 <= ti and 0 <= tj:
-                            cur[ti][tj] += v
-        levels.append(cur)
-        prev = cur
-    return CountTable(step_set, n_max, levels)
-
-
 def origin_sequence(step_set: StepSet, n_max: int) -> list[int]:
     """The sequence f(n; 0, 0) for n = 0..n_max, streamed level by level.
 
@@ -147,47 +157,25 @@ def origin_sequence(step_set: StepSet, n_max: int) -> list[int]:
     hundreds where retaining a full table would not.
     """
     steps = step_set.sorted_steps()
-    prev = [[1]]
+    level = [[1]]
     out = [1]
-    for n in range(n_max):
-        size = n + 2
-        cur = [[0] * size for _ in range(size)]
-        for pi in range(n + 1):
-            row = prev[pi]
-            for pj in range(n + 1):
-                v = row[pj]
-                if v:
-                    for dx, dy in steps:
-                        ti, tj = pi + dx, pj + dy
-                        if 0 <= ti and 0 <= tj:
-                            cur[ti][tj] += v
-        out.append(cur[0][0])
-        prev = cur
+    for _ in range(n_max):
+        level = _next_level(level, steps)
+        out.append(level[0][0])
     return out
 
 
-class WalkOracle:
-    """Zero-extended view of a count table: 0 for any coordinate < 0."""
-
-    def __init__(self, table: CountTable):
-        self.table = table
-
-    @property
-    def step_set(self) -> StepSet:
-        return self.table.step_set
-
-    @property
-    def max_level(self) -> int:
-        return self.table.n_max
-
-    def value(self, n: int, i: int, j: int) -> int:
-        if n < 0 or i < 0 or j < 0:
-            return 0
-        return self.table.value(n, i, j)
+_TABLES: dict[StepSet, CountTable] = {}
 
 
-def oracle_for(step_set: StepSet, n_max: int) -> WalkOracle:
-    return WalkOracle(build_table(step_set, n_max))
+def cached_table(step_set: StepSet, n_max: int) -> CountTable:
+    """The process-wide table of the step set, extended in place to at
+    least n_max.  A table deeper than asked for is returned as it is;
+    tables only grow, so a caller never sees a value change."""
+    table = _TABLES.get(step_set)
+    if table is None:
+        table = _TABLES[step_set] = CountTable(step_set, n_max)
+    return table.extend(n_max)
 
 
 def trivial_operator(step_set: StepSet) -> "ore.OreOperator":
@@ -211,12 +199,8 @@ def trivial_operator(step_set: StepSet) -> "ore.OreOperator":
     return ore.OreOperator(terms)
 
 
-# ---------------------------------------------------------------------------
-# On-disk table cache (JSON with decimal-string entries, exact over 2^53).
-# ---------------------------------------------------------------------------
-
-
 def table_to_json(table: CountTable) -> dict:
+    """The table as JSON with decimal-string entries, exact beyond 2^53."""
     return {
         "steps": table.step_set.canonical,
         "nMax": table.n_max,
@@ -224,56 +208,3 @@ def table_to_json(table: CountTable) -> dict:
             [[str(v) for v in row] for row in level] for level in table.levels
         ],
     }
-
-
-def table_from_json(data: dict) -> CountTable:
-    step_set = parse_step_set(data["steps"])
-    n_max = int(data["nMax"])
-    levels = [
-        [[int(v) for v in row] for row in level] for level in data["levels"]
-    ]
-    if len(levels) != n_max + 1:
-        raise ValueError("level count does not match nMax")
-    for n, level in enumerate(levels):
-        if len(level) != n + 1 or any(len(row) != n + 1 for row in level):
-            raise ValueError(f"level {n} grid is not ({n + 1})x({n + 1})")
-    return CountTable(step_set, n_max, levels)
-
-
-def _cache_filename(step_set: StepSet, n_max: int) -> str:
-    return f"{step_set.canonical.replace(',', '-')}_n{n_max}.json"
-
-
-def save_table(table: CountTable, cache_dir: str) -> str:
-    """Atomically write the table into the cache directory; returns the path."""
-    os.makedirs(cache_dir, exist_ok=True)
-    path = os.path.join(cache_dir, _cache_filename(table.step_set, table.n_max))
-    fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            json.dump(table_to_json(table), fh, sort_keys=True)
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-    return path
-
-
-def load_table(step_set: StepSet, n_max: int, cache_dir: str) -> CountTable | None:
-    path = os.path.join(cache_dir, _cache_filename(step_set, n_max))
-    if not os.path.exists(path):
-        return None
-    with open(path) as fh:
-        return table_from_json(json.load(fh))
-
-
-def cached_table(step_set: StepSet, n_max: int, cache_dir: str | None) -> CountTable:
-    """Load the table from the cache if present, else build and store it."""
-    if cache_dir:
-        hit = load_table(step_set, n_max, cache_dir)
-        if hit is not None:
-            return hit
-    table = build_table(step_set, n_max)
-    if cache_dir:
-        save_table(table, cache_dir)
-    return table

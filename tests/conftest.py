@@ -2,25 +2,27 @@ import pytest
 
 from quarterwalks import (
     Bounds,
+    CountTable,
+    EliminationConfig,
     GESSEL,
     KREWERAS,
-    WalkOracle,
-    build_table,
     build_template,
     certify_operator,
     guess_operators,
+    origin_sequence,
+    takayama_pipeline,
     trivial_operator,
 )
 
 
 @pytest.fixture(scope="session")
 def gessel_oracle():
-    return WalkOracle(build_table(GESSEL, 45))
+    return CountTable(GESSEL, 45)
 
 
 @pytest.fixture(scope="session")
 def kreweras_oracle():
-    return WalkOracle(build_table(KREWERAS, 45))
+    return CountTable(KREWERAS, 45)
 
 
 @pytest.fixture(scope="session")
@@ -36,3 +38,16 @@ def kreweras_certified(kreweras_oracle):
     certified = [c for c in candidates if certify_operator(c, t, kreweras_oracle).certified]
     assert certified, "expected guessed Kreweras annihilators"
     return [t] + certified
+
+
+@pytest.fixture(scope="session")
+def kreweras_diagonal_500():
+    return origin_sequence(KREWERAS, 500)
+
+
+@pytest.fixture(scope="session")
+def kreweras_p_500(kreweras_certified, kreweras_diagonal_500):
+    """The recurrence eliminated from the full Kreweras generator set and
+    re-verified on 500 terms; session-scoped because the echelon takes
+    about half a minute."""
+    return takayama_pipeline(kreweras_certified, kreweras_diagonal_500, EliminationConfig())

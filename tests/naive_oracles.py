@@ -86,3 +86,20 @@ def fraction_nullspace(matrix):
             g = -g
         basis.append(tuple(Fraction(x, g) for x in ints) if g else tuple(map(Fraction, ints)))
     return basis
+
+
+def cauchy_nonneg_integer_roots(p):
+    """Nonnegative integer roots by evaluating p at every integer up to the
+    Cauchy bound 1 + max |a_k| / |a_lead|, which bounds every real root."""
+    p = list(p)
+    while p and p[-1] == 0:
+        p.pop()
+    bound = 1 + max(abs(c) for c in p) // abs(p[-1])
+    roots = []
+    for x in range(bound + 1):
+        acc = 0
+        for c in reversed(p):
+            acc = acc * x + c
+        if acc == 0:
+            roots.append(x)
+    return roots

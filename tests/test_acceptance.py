@@ -20,8 +20,7 @@ from quarterwalks import (
     OreOperator,
     RatFunc,
     UniOperator,
-    WalkOracle,
-    build_table,
+    CountTable,
     build_template,
     certify_operator,
     div_rem,
@@ -70,7 +69,7 @@ class criterion:
 
 def test_criterion_1_gessel_closed_form_vs_enumeration():
     with criterion(1, "Gessel closed form equals enumeration; odd lengths vanish", 10):
-        oracle = WalkOracle(build_table(GESSEL, 42))
+        oracle = CountTable(GESSEL, 42)
         for m in range(21):
             assert oracle.value(2 * m, 0, 0) == gessel_rhs(m)
         for n in range(1, 42, 2):
@@ -79,7 +78,7 @@ def test_criterion_1_gessel_closed_form_vs_enumeration():
 
 def test_criterion_2_kreweras_closed_form():
     with criterion(2, "Kreweras closed form equals enumeration; off-support vanishes", 10):
-        oracle = WalkOracle(build_table(KREWERAS, 40))
+        oracle = CountTable(KREWERAS, 40)
         for m in range(14):
             assert oracle.value(3 * m, 0, 0) == kreweras_rhs(m)
         for n in range(40):
@@ -90,7 +89,7 @@ def test_criterion_2_kreweras_closed_form():
 def test_criterion_3_brute_force_equivalence():
     with criterion(3, "dynamic program equals all-sequences enumeration, n <= 8", 60):
         for step_set in (GESSEL, KREWERAS):
-            table = build_table(step_set, 8)
+            table = CountTable(step_set, 8)
             steps = step_set.sorted_steps()
             for n in range(9):
                 expected = brute_force_counts(steps, n)
@@ -108,7 +107,7 @@ def test_criterion_4_certification_soundness():
         sn = OreOperator.shift("Sn")
         box = Box((1, 15), (0, 10), (0, 10))
         for step_set in (GESSEL, KREWERAS):
-            oracle = WalkOracle(build_table(step_set, 20))
+            oracle = CountTable(step_set, 20)
             t = trivial_operator(step_set)
             certified_ops = [t, OreOperator.from_poly(n_poly) * t, sn * t]
             for op in certified_ops:
@@ -122,7 +121,7 @@ def test_criterion_4_certification_soundness():
 
 def test_criterion_5_guessing_recovers_trivial_operator():
     with criterion(5, "kernel over >= 30 points contains T's vector; filter keeps it", 60):
-        oracle = WalkOracle(build_table(GESSEL, 30))
+        oracle = CountTable(GESSEL, 30)
         t = trivial_operator(GESSEL)
         support = tuple((0, 0, 0, e4, e5, e6) for (e4, e5, e6) in sorted(t.terms))
         t_vector = tuple(t.terms[(s[3], s[4], s[5])].constant_value() for s in support)
@@ -155,7 +154,7 @@ def test_criterion_6_scaled_negative_result(tmp_path):
         )
         assert result.exit_code == 1, result.output
         # belt and braces: the library path agrees, and nothing certifies
-        oracle = WalkOracle(build_table(GESSEL, 45))
+        oracle = CountTable(GESSEL, 45)
         template = build_template(
             Bounds(2, 2, 2, 2, 2, 2, total_poly_deg=2), "quasiholonomic"
         )
@@ -223,7 +222,7 @@ def test_criterion_8_gessel_import_path(tmp_path):
             }
         )
         assert symbolic_satisfies(first_order, base)
-        oracle = WalkOracle(build_table(GESSEL, 8))
+        oracle = CountTable(GESSEL, 8)
         verdict = prove_equality(GESSEL_DIAGONAL_RECURRENCE, term, oracle)
         assert verdict.proved
 

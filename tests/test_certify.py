@@ -120,7 +120,7 @@ def test_evidence_check_examples(gessel_oracle):
     assert not evidence_check(T + 1, gessel_oracle, Box.cube(12))
 
     class ZeroOracle:
-        max_level = 10**9
+        n_max = 10**9
 
         def value(self, n, i, j):
             return 0

@@ -61,20 +61,26 @@ def test_count_bad_steps_exits_2(runner):
     assert r.exit_code == 2
 
 
-def test_table_writes_cache(runner, tmp_path):
-    r = invoke(runner, ["--cache-dir", str(tmp_path), "table", "--steps", "W,S,NE", "--n-max", "6"])
+def test_table_prints_json(runner):
+    r = invoke(runner, ["table", "--steps", "W,S,NE", "--n-max", "6"])
     assert r.exit_code == 0
-    path = r.output.strip()
-    assert os.path.exists(path)
-    data = json.load(open(path))
+    data = json.loads(r.output)
     assert data["steps"] == "W,S,NE" and data["nMax"] == 6
+    assert data["levels"][6][0][0] == "16"
+
+
+def test_removed_cache_option_exit_2(runner, tmp_path):
+    r = runner.invoke(main, ["--cache-dir", str(tmp_path), "count", "--steps", "W,S,NE",
+                             "--n", "3", "--i", "0", "--j", "0"])
+    assert r.exit_code == 2
+    assert "No such option" in r.output
 
 
 def test_guess_trivial_support_recovers_t(runner, tmp_path):
     out = tmp_path / "cands"
     r = invoke(
         runner,
-        ["--cache-dir", str(tmp_path / "cache"), "guess", "--steps", "E,W,NE,SW",
+        ["guess", "--steps", "E,W,NE,SW",
          "--bounds", "ord_sn=1,ord_si=2,ord_sj=2", "--out", str(out)],
     )
     assert r.exit_code == 0

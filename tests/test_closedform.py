@@ -1,6 +1,5 @@
 import math
 import random
-import warnings
 from fractions import Fraction
 
 import pytest
@@ -9,7 +8,6 @@ from quarterwalks import (
     HypergeomTerm,
     RatFunc,
     UniOperator,
-    check_recurrence_on_sequence,
     closed_form_value,
     gessel_rhs,
     hypergeom_term,
@@ -20,7 +18,9 @@ from quarterwalks import (
     prove_equality,
     symbolic_satisfies,
 )
-from quarterwalks.exactmath import poly_from, poly_mul, poly_scale
+from quarterwalks.exactmath import ipoly_mul, poly_from, poly_mul, poly_scale
+
+from naive_oracles import cauchy_nonneg_integer_roots
 
 # order-3 recurrence of the interlaced Kreweras origin counts
 P0 = UniOperator({3: RatFunc(poly_from([54, 21, 2])), 0: RatFunc(poly_from([-108, -162, -54]))})
@@ -109,16 +109,30 @@ def test_check_recurrence_first_order_on_base_sequence():
     num = poly_scale(poly_mul(poly_from([1, 3]), poly_from([2, 3])), 6)
     p = UniOperator({1: RatFunc(den), 0: -RatFunc(num)})
     seq = [kreweras_rhs(m) for m in range(202)]
-    assert check_recurrence_on_sequence(p, seq, range(201))
+    assert p.annihilates(seq, range(201))
     shifted = seq[1:]
-    assert not check_recurrence_on_sequence(p, shifted, range(195))
+    assert not p.annihilates(shifted, range(195))
+
+
+def test_first_failure_names_first_failing_n():
+    den = poly_mul(poly_from([2, 1]), poly_from([3, 2]))
+    num = poly_scale(poly_mul(poly_from([1, 3]), poly_from([2, 3])), 6)
+    p = UniOperator({1: RatFunc(den), 0: -RatFunc(num)})
+    seq = [kreweras_rhs(m) for m in range(40)]
+    assert p.first_failure(seq, range(39)) is None
+    seq[17] += 1
+    # the window at n = 16 is the first to read seq[17]
+    assert p.first_failure(seq, range(39)) == 16
+    assert p.first_failure(seq, range(17, 39)) == 17
+    assert p.first_failure(seq, range(18, 39)) is None
 
 
 def test_check_recurrence_zero_operator_warns():
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        assert check_recurrence_on_sequence(UniOperator.zero(), [1, 2, 3], range(2))
-    assert any("vacuous" in str(w.message) for w in caught)
+    # a check of the zero operator would pass on any sequence, so it is refused
+    with pytest.raises(ValueError, match="zero operator"):
+        UniOperator.zero().first_failure([1, 2, 3], range(2))
+    with pytest.raises(ValueError, match="zero operator"):
+        UniOperator.zero().annihilates([1, 2, 3], range(2))
 
 
 def test_symbolic_satisfies_builtins():
@@ -158,7 +172,7 @@ def test_symbolic_agrees_with_numeric_windows():
                 }
             )
         symbolic = symbolic_satisfies(p, k)
-        numeric = check_recurrence_on_sequence(p, seq, range(250 - p.order()))
+        numeric = p.annihilates(seq, range(250 - p.order()))
         if symbolic:
             true_count += 1
             assert numeric
@@ -173,6 +187,21 @@ def test_nonneg_integer_roots():
     assert nonneg_integer_roots([0, 0, 1]) == [0]
     assert max_nonneg_root([1, 1]) == -1
     assert max_nonneg_root([0, -7, 1]) == 7
+    assert nonneg_integer_roots([-6, 5, -1]) == [2, 3]  # negative leading coefficient
+    assert nonneg_integer_roots([3, 0, 2]) == []  # no negative coefficient
+    assert nonneg_integer_roots([-5]) == []
+    # (2n+1)(n-2): the root 2 sits exactly at the scan end 1 + B // a_d = 1 + 3 // 2
+    assert nonneg_integer_roots([-2, -3, 2]) == [2]
+
+
+def test_nonneg_integer_roots_match_cauchy_scan():
+    rng = random.Random(97)
+    for _ in range(300):
+        p = [rng.choice([-1, 1]) * rng.randint(1, 5)]
+        for _ in range(rng.randint(1, 2)):
+            p = ipoly_mul(p, [-rng.randint(-30, 60), 1])  # plant a root
+        p = ipoly_mul(p, [rng.randint(-6, 6) for _ in range(rng.randint(0, 2))] + [1])
+        assert nonneg_integer_roots(p) == cauchy_nonneg_integer_roots(p), p
 
 
 def test_prove_equality_builtins(gessel_oracle, kreweras_oracle):

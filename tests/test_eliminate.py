@@ -187,9 +187,8 @@ def test_retry_cap_zero_undersized_reports_failure():
     assert exc.value.attempts[0]["truncation"] == 0
 
 
-def test_kreweras_pipeline_end_to_end(kreweras_certified):
-    diagonal = origin_sequence(KREWERAS, 500)
-    p = takayama_pipeline(kreweras_certified, diagonal, EliminationConfig())
+def test_kreweras_pipeline_end_to_end(kreweras_diagonal_500, kreweras_p_500):
+    diagonal, p = kreweras_diagonal_500, kreweras_p_500
     assert p.order() >= 3
     assert p.annihilates(diagonal, range(0, 501 - p.order()))
     # independent check against the closed-form recurrence's solutions:
@@ -197,11 +196,10 @@ def test_kreweras_pipeline_end_to_end(kreweras_certified):
     assert P0.annihilates(diagonal, range(0, 498))
 
 
-def test_generator_monotonicity(kreweras_certified):
+def test_generator_monotonicity(kreweras_certified, kreweras_p_500):
     diagonal = origin_sequence(KREWERAS, 200)
     p_small = takayama_pipeline(kreweras_certified[:3], diagonal, EliminationConfig())
-    p_full = takayama_pipeline(kreweras_certified, diagonal, EliminationConfig())
-    assert p_full.order() <= p_small.order()
+    assert kreweras_p_500.order() <= p_small.order()
 
 
 def test_uni_operator_arithmetic():

@@ -151,7 +151,7 @@ def test_apply_beyond_table_raises(gessel_oracle):
     from quarterwalks import OracleRangeError
 
     with pytest.raises(OracleRangeError):
-        T.apply_at(gessel_oracle, gessel_oracle.max_level, 0, 0)
+        T.apply_at(gessel_oracle, gessel_oracle.n_max, 0, 0)
 
 
 def test_left_ideal_closure(gessel_oracle):

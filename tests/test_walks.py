@@ -1,26 +1,22 @@
 import json
 
 import pytest
+from click.testing import CliRunner
 
 from quarterwalks import (
     GESSEL,
     KREWERAS,
     Box,
+    CountTable,
     OracleRangeError,
     StepSetParseError,
-    WalkOracle,
-    build_table,
+    cached_table,
     origin_sequence,
     parse_step_set,
     trivial_operator,
 )
+from quarterwalks.cli import main
 from quarterwalks.ore import OreOperator
-from quarterwalks.walks import (
-    load_table,
-    save_table,
-    table_from_json,
-    table_to_json,
-)
 
 from naive_oracles import brute_force_counts, brute_force_value
 
@@ -43,7 +39,7 @@ def test_parse_errors_name_the_token():
 
 def test_table_matches_brute_force_small():
     for step_set in (GESSEL, KREWERAS):
-        table = build_table(step_set, 6)
+        table = CountTable(step_set, 6)
         steps = step_set.sorted_steps()
         for n in range(7):
             expected = brute_force_counts(steps, n)
@@ -57,14 +53,14 @@ def test_frozen_origin_counts():
     assert brute_force_value(GESSEL.sorted_steps(), 2, 0, 0) == 2
     assert brute_force_value(GESSEL.sorted_steps(), 4, 0, 0) == 11
     assert brute_force_value(KREWERAS.sorted_steps(), 3, 0, 0) == 2
-    table = build_table(GESSEL, 4)
+    table = CountTable(GESSEL, 4)
     assert table.value(2, 0, 0) == 2
     assert table.value(4, 0, 0) == 11
-    assert build_table(KREWERAS, 3).value(3, 0, 0) == 2
+    assert CountTable(KREWERAS, 3).value(3, 0, 0) == 2
 
 
 def test_oracle_zero_extension_and_range():
-    oracle = WalkOracle(build_table(GESSEL, 10))
+    oracle = CountTable(GESSEL, 10)
     assert oracle.value(0, 0, 0) == 1
     assert oracle.value(5, -1, 2) == 0
     assert oracle.value(-1, 0, 0) == 0
@@ -85,7 +81,7 @@ def test_trivial_operator_gessel_display():
 def test_trivial_operator_kreweras_annihilates():
     t = trivial_operator(KREWERAS)
     assert t.support() == [(0, 0, 0), (0, 1, 2), (0, 2, 1), (1, 1, 1)]
-    oracle = WalkOracle(build_table(KREWERAS, 13))
+    oracle = CountTable(KREWERAS, 13)
     assert t.is_zero_on(oracle, Box.cube(12))
 
 
@@ -98,44 +94,62 @@ def test_trivial_operator_single_step():
 
 def test_trivial_operator_annihilates_gessel():
     t = trivial_operator(GESSEL)
-    oracle = WalkOracle(build_table(GESSEL, 13))
+    oracle = CountTable(GESSEL, 13)
     assert t.is_zero_on(oracle, Box.cube(12))
 
 
 def test_row_sums_without_boundary():
     step_set = parse_step_set("E,N,NE")
-    table = build_table(step_set, 7)
+    table = CountTable(step_set, 7)
     for n in range(8):
         total = sum(sum(row) for row in table.levels[n])
         assert total == 3**n
 
 
 def test_parity_invariants():
-    g = build_table(GESSEL, 25)
+    g = CountTable(GESSEL, 25)
     assert all(g.value(n, 0, 0) == 0 for n in range(1, 26, 2))
-    k = build_table(KREWERAS, 24)
+    k = CountTable(KREWERAS, 24)
     assert all(k.value(n, 0, 0) == 0 for n in range(25) if n % 3 != 0)
 
 
 def test_origin_sequence_streams_match_table():
-    table = build_table(KREWERAS, 20)
-    assert origin_sequence(KREWERAS, 20) == [table.value(n, 0, 0) for n in range(21)]
+    for step_set in (GESSEL, KREWERAS):
+        table = CountTable(step_set, 60)
+        assert origin_sequence(step_set, 60) == [table.value(n, 0, 0) for n in range(61)]
+
+
+def test_extend_matches_direct_build():
+    for step_set in (GESSEL, KREWERAS):
+        table = CountTable(step_set, 10)
+        assert table.extend(40) is table
+        assert table.n_max == 40
+        assert table.levels == CountTable(step_set, 40).levels
+
+
+def test_cached_table_reuses_and_extends():
+    step_set = parse_step_set("N,E,SW")
+    table = cached_table(step_set, 6)
+    depth = table.n_max
+    assert cached_table(step_set, 3) is table
+    assert table.n_max == depth
+    assert cached_table(step_set, depth + 5) is table
+    assert table.n_max == depth + 5
+    assert table.levels == CountTable(step_set, depth + 5).levels
 
 
 def test_table_json_round_trip_exact_over_2_53(tmp_path):
-    table = build_table(GESSEL, 40)
+    # the table command's export, read back: decimal strings keep every
+    # count exact where a JSON float would round
+    out = tmp_path / "table.json"
+    r = CliRunner().invoke(
+        main, ["table", "--steps", "E,W,NE,SW", "--n-max", "40", "--out", str(out)],
+        catch_exceptions=False,
+    )
+    assert r.exit_code == 0 and r.output.strip() == str(out)
+    data = json.loads(out.read_text())
+    table = CountTable(GESSEL, 40)
     assert any(v > 2**53 for row in table.levels[40] for v in row)
-    data = table_to_json(table)
     assert isinstance(data["levels"][40][0][0], str)
-    back = table_from_json(json.loads(json.dumps(data)))
-    assert back.levels == table.levels
-    assert back.step_set == GESSEL
-
-
-def test_cache_save_load(tmp_path):
-    table = build_table(KREWERAS, 8)
-    path = save_table(table, str(tmp_path))
-    assert path.endswith("W-S-NE_n8.json")
-    loaded = load_table(KREWERAS, 8, str(tmp_path))
-    assert loaded.levels == table.levels
-    assert load_table(KREWERAS, 9, str(tmp_path)) is None
+    assert data["steps"] == "E,W,NE,SW" and data["nMax"] == 40
+    assert [[[int(v) for v in row] for row in level] for level in data["levels"]] == table.levels
