@@ -29,9 +29,9 @@ from typing import Sequence
 
 from .eliminate import UniOperator
 from .exactmath import (
-    FPoly,
     RatFunc,
     ipoly_add,
+    ipoly_compose_affine,
     ipoly_eval,
     ipoly_mul,
     ipoly_shift_arg,
@@ -98,7 +98,8 @@ class HypergeomTerm:
     def __post_init__(self):
         if self.period < 1 or not (0 <= self.residue < self.period):
             raise ValueError("support pattern must have period >= 1, 0 <= residue < period")
-        roots = nonneg_integer_roots([int(c) for c in _clear_int(self.ratio.den)])
+        # N/D share one scaling constant, so D has the roots of ratio.den
+        roots = nonneg_integer_roots(_ratio_cleared(self.ratio)[1])
         if roots:
             raise ValueError(f"ratio denominator vanishes at m = {min(roots)}")
 
@@ -151,13 +152,6 @@ def closed_form_value(which: str, n: int) -> int:
 # ---------------------------------------------------------------------------
 
 _ROOT_SCAN_LIMIT = 2_000_000
-
-
-def _clear_int(p: FPoly) -> list[int]:
-    den = 1
-    for c in p:
-        den = den * c.denominator // math.gcd(den, c.denominator)
-    return [int(c * den) for c in p]
 
 
 def _ratio_cleared(r: RatFunc) -> tuple[list[int], list[int]]:
@@ -259,7 +253,7 @@ def symbolic_satisfies(p: UniOperator, term: HypergeomTerm) -> bool:
         #                                              * prod_{e_k<=s<e_max} rden(m+s)
         total: list[int] = []
         for k, e, poly in surviving:
-            part = _ipoly_compose_affine(poly, period, c)
+            part = ipoly_compose_affine(poly, period, c)
             for s in range(e):
                 part = ipoly_mul(part, ipoly_shift_arg(list(rnum), s))
             for s in range(e, e_max):
@@ -268,24 +262,6 @@ def symbolic_satisfies(p: UniOperator, term: HypergeomTerm) -> bool:
         if total:
             return False
     return True
-
-
-def _ipoly_compose_affine(p: Sequence[int], scale: int, shift: int) -> list[int]:
-    acc: list[int] = []
-    for c in reversed(list(p)):
-        # acc = acc*(scale*x + shift) + c
-        up = [0] + [v * scale for v in acc]
-        for t, v in enumerate(acc):
-            up[t] += v * shift
-        if c:
-            if up:
-                up[0] += c
-            else:
-                up = [c]
-        while up and up[-1] == 0:
-            up.pop()
-        acc = up
-    return acc
 
 
 # ---------------------------------------------------------------------------

@@ -78,9 +78,12 @@ class VerificationError(RuntimeError):
 class UniOperator:
     """An element of Q(n)[S_n]: a map from S_n powers to rational-function
     coefficients, with a denominator-cleared primitive integer form
-    available for serialization and sequence checks."""
+    available for serialization and sequence checks.
 
-    __slots__ = ("_terms",)
+    Instances are immutable, so the cleared form is computed once, on
+    first use, and kept."""
+
+    __slots__ = ("_terms", "_cleared")
 
     def __init__(self, terms: dict[int, RatFunc] | None = None):
         clean: dict[int, RatFunc] = {}
@@ -93,6 +96,7 @@ class UniOperator:
                         raise ValueError("negative shift power")
                     clean[int(k)] = c
         self._terms = clean
+        self._cleared: dict[int, list[int]] | None = None
 
     @classmethod
     def zero(cls) -> "UniOperator":
@@ -171,7 +175,17 @@ class UniOperator:
 
     def cleared(self) -> dict[int, list[int]]:
         """Denominator-cleared primitive integer coefficients, with the
-        leading coefficient's leading integer positive."""
+        leading coefficient's leading integer positive.  The caller owns
+        the returned dict and lists."""
+        return {k: list(p) for k, p in self._cleared_form().items()}
+
+    def _cleared_form(self) -> dict[int, list[int]]:
+        """The cached cleared form, shared; never mutate it."""
+        if self._cleared is None:
+            self._cleared = self._clear()
+        return self._cleared
+
+    def _clear(self) -> dict[int, list[int]]:
         if not self._terms:
             return {}
         den = poly_from([1])
@@ -202,14 +216,13 @@ class UniOperator:
         return out
 
     def leading_cleared(self) -> list[int]:
-        c = self.cleared()
-        return c[max(c)] if c else []
+        c = self._cleared_form()
+        return list(c[max(c)]) if c else []
 
     def apply_to_sequence(self, seq: Sequence, n: int) -> Fraction:
         """Sum of cleared coefficients times sequence values at one index."""
-        c = self.cleared()
         total = 0
-        for k, p in c.items():
+        for k, p in self._cleared_form().items():
             total += ipoly_eval(p, n) * seq[n + k]
         return total
 
@@ -549,7 +562,6 @@ class EliminationConfig:
     truncation: Optional[int] = None
     multiplier_bound: Optional[int] = None
     retry_cap: int = 2
-    order: str = "pot"
 
     def __post_init__(self):
         if self.truncation is not None and self.truncation < 0:
@@ -651,7 +663,6 @@ def takayama_pipeline(
             truncation=d + round_,
             multiplier_bound=cfg.multiplier_bound,
             retry_cap=0,
-            order=cfg.order,
         )
         vectors, dropped_any = generate_module(ops, trial_cfg)
         result, diag = eliminate_shifts(vectors, trial_cfg)

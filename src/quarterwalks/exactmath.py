@@ -12,7 +12,10 @@ Univariate polynomials appear in two flavours:
 * tuples of ``Fraction`` coefficients (low degree first), used by
   ``RatFunc`` -- see the ``poly_*`` helpers;
 * plain ``int`` coefficient lists, used by the elimination engine where
-  fraction-free arithmetic matters -- see the ``ipoly_*`` helpers.
+  fraction-free arithmetic matters -- see the ``ipoly_*`` helpers.  Their
+  exact division and gcd stay in Z[x] (integer long division, and a
+  heuristic gcd with the primitive PRS as fallback); no ``IPoly``
+  operation goes through ``Fraction``.
 """
 
 from __future__ import annotations
@@ -462,32 +465,28 @@ def ipoly_scale(a: IPoly, s: int) -> IPoly:
     return [c * s for c in a]
 
 
+def ipoly_compose_affine(a: IPoly, scale: int, shift: int) -> IPoly:
+    """Compose ``a(scale * x + shift)`` with integer arithmetic."""
+    acc: IPoly = []
+    for c in reversed(a):
+        # acc = acc*(scale*x + shift) + c
+        up = [0] + (acc if scale == 1 else [v * scale for v in acc])
+        for k, v in enumerate(acc):
+            up[k] += v * shift
+        up[0] += c
+        acc = ipoly_trim(up)
+    return acc
+
+
 def ipoly_shift_arg(a: IPoly, offset: int) -> IPoly:
     """Compose ``a(x + offset)`` with integer arithmetic."""
     if offset == 0 or not a:
         return list(a)
-    acc: IPoly = []
-    for c in reversed(a):
-        # acc = acc*(x+offset) + c
-        shifted = [0] + acc
-        for k, v in enumerate(acc):
-            shifted[k] += v * offset
-        if c:
-            if shifted:
-                shifted[0] += c
-            else:
-                shifted = [c]
-        acc = ipoly_trim(shifted)
-    return acc
+    return ipoly_compose_affine(a, 1, offset)
 
 
 def ipoly_content(a: IPoly) -> int:
-    g = 0
-    for c in a:
-        g = math.gcd(g, c)
-        if g == 1:
-            break
-    return g
+    return math.gcd(*a)
 
 
 def ipoly_divexact(a: IPoly, d: int) -> IPoly:
@@ -519,8 +518,81 @@ def ipoly_pseudo_rem(a: IPoly, b: IPoly) -> IPoly:
     return r
 
 
+_GCDHEU_TRIES = 6
+
+
+def _gcdheu(a: IPoly, b: IPoly) -> IPoly | None:
+    """Heuristic gcd of two nonzero primitive polynomials, or None.
+
+    The gcd is read off one integer gcd (Char, Geddes and Gonnet, "GCDHEU:
+    heuristic polynomial GCD algorithm based on integer GCD computation",
+    J. Symbolic Comput. 7, 1989).  Let M = min(|a|_inf, |b|_inf) and take
+    an integer xi >= 2M + 2.  Let G be the polynomial whose coefficients are
+    the symmetric base-xi digits (each in (-xi/2, xi/2]) of
+    gamma = gcd(a(xi), b(xi)), so that G(xi) = gamma, and let P = pp(G).
+
+    Claim (CGG): if P divides both a and b, then P = gcd(a, b) up to sign.
+    Proof.  Let g = gcd(a, b), primitive.  P is a common divisor, so
+    g = P H with H in Z[x] (Gauss's lemma).  Also g(xi) divides a(xi) and
+    b(xi), hence gamma = c P(xi), where c is the content of G; gamma != 0,
+    because a root of a (or b) has modulus below 1 + M < xi (Cauchy), and
+    the input of smaller norm does not vanish at xi.  So P(xi) H(xi)
+    divides c P(xi), that is, H(xi) divides c, and |c| <= |lc(G)| <= xi/2.
+    Every root alpha of H is a common root of a and b, so |alpha| < 1 + M
+    and |xi - alpha| > xi - 1 - M >= xi/2.  If H had degree d >= 1, then
+    |H(xi)| > (xi/2)^d >= xi/2 >= |c| > 0, which cannot divide c.  Hence
+    H is a constant, and since g and P are both primitive, H = +-1.
+
+    A wrong digit expansion (gamma may carry extra integer factors) shows
+    up as P failing to divide a or b; then xi grows and the evaluation is
+    retried.  No result is accepted without both exact divisions passing,
+    and after ``_GCDHEU_TRIES`` failures the caller falls back to the
+    primitive PRS.
+    """
+    m = min(max(abs(c) for c in a), max(abs(c) for c in b))
+    # xi = 2^bits, so that evaluation and digit extraction are shifts; the
+    # 16 spare bits make an extra integer factor in gamma much less likely
+    # to spoil the digits (on the full Kreweras echelon: 2 retries in 7,469
+    # gcds, against 322 without them)
+    bits = (2 * m + 2).bit_length() + 16
+    for _ in range(_GCDHEU_TRIES):
+        gamma = math.gcd(_eval_pow2(a, bits), _eval_pow2(b, bits))
+        mask = (1 << bits) - 1
+        half = 1 << (bits - 1)
+        h: IPoly = []
+        while gamma:
+            d = gamma & mask
+            if d > half:
+                d -= 1 << bits
+            h.append(d)
+            gamma = (gamma - d) >> bits
+        h = ipoly_divexact(h, ipoly_content(h))
+        if h[-1] < 0:
+            h = [-c for c in h]
+        if _ipoly_quotient(a, h) is not None and _ipoly_quotient(b, h) is not None:
+            return h
+        bits += bits // 4 + 2
+    return None
+
+
+def _eval_pow2(a: IPoly, bits: int) -> int:
+    """a(2^bits) by Horner's rule with shifts."""
+    acc = 0
+    for c in reversed(a):
+        acc = (acc << bits) + c
+    return acc
+
+
 def ipoly_gcd(a: IPoly, b: IPoly) -> IPoly:
-    """Primitive gcd over Z with positive leading coefficient."""
+    """gcd over Z: the primitive gcd times the gcd of the contents, with a
+    positive leading coefficient.
+
+    The primitive gcd comes from the heuristic ``_gcdheu``, whose result
+    is the gcd by the Char-Geddes-Gonnet theorem once it has passed an
+    exact division of both primitive inputs (see its docstring).  When the
+    heuristic gives up, the primitive pseudo-remainder sequence computes
+    it instead.
+    """
     a, b = list(a), list(b)
     if not a:
         g = b
@@ -530,32 +602,58 @@ def ipoly_gcd(a: IPoly, b: IPoly) -> IPoly:
         ca, cb = ipoly_content(a), ipoly_content(b)
         a = ipoly_divexact(a, ca)
         b = ipoly_divexact(b, cb)
-        while b:
-            r = ipoly_pseudo_rem(a, b)
-            cr = ipoly_content(r)
-            if cr:
-                r = ipoly_divexact(r, cr)
-            a, b = b, r
-        g = ipoly_scale(a, math.gcd(ca, cb))
+        prim = _gcdheu(a, b)
+        if prim is None:
+            while b:
+                r = ipoly_pseudo_rem(a, b)
+                cr = ipoly_content(r)
+                if cr:
+                    r = ipoly_divexact(r, cr)
+                a, b = b, r
+            prim = a
+        g = ipoly_scale(prim, math.gcd(ca, cb))
     g = list(g)
     if g and g[-1] < 0:
         g = ipoly_scale(g, -1)
     return g
 
 
+def _ipoly_quotient(a: IPoly, g: IPoly) -> IPoly | None:
+    """The quotient a / g when it exists in Z[x], else None (g nonzero).
+
+    Integer long division: each step divides the current top coefficient
+    by lc(g).  When a / g lies in Z[x] every such step is exact, so a
+    nonzero remainder at any step, or a nonzero remainder of degree below
+    deg g at the end, means a / g is not in Z[x].
+    """
+    dg = len(g) - 1
+    if len(a) <= dg:
+        return None if a else []
+    r = list(a)
+    lg = g[-1]
+    low = g[:-1]
+    q = [0] * (len(a) - dg)
+    for k in range(len(q) - 1, -1, -1):
+        c, rem = divmod(r[k + dg], lg)
+        if rem:
+            return None
+        if c:
+            q[k] = c
+            r[k : k + dg] = [x - c * v for x, v in zip(r[k : k + dg], low)]
+    if any(r[:dg]):
+        return None
+    return ipoly_trim(q)
+
+
 def ipoly_divexact_poly(a: IPoly, g: IPoly) -> IPoly:
-    """Exact division of a by g over Q, asserting integer result."""
-    fa = poly_from(a)
-    fg = poly_from(g)
-    q, r = poly_divmod(fa, fg)
-    if r:
+    """Exact division of a by g over Z; ArithmeticError unless a / g lies
+    in Z[x] (an inexact division or a non-integral quotient)."""
+    if not g:
+        raise ZeroDivisionError("polynomial division by zero")
+    q = _ipoly_quotient(a, g)
+    if q is None:
         raise ArithmeticError("inexact polynomial division")
-    out = []
-    for c in q:
-        if c.denominator != 1:
-            raise ArithmeticError("quotient not integral")
-        out.append(c.numerator)
-    return ipoly_trim(out)
+    return q
 
 
 def ipoly_eval(a: IPoly, x: int) -> int:

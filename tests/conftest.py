@@ -49,5 +49,5 @@ def kreweras_diagonal_500():
 def kreweras_p_500(kreweras_certified, kreweras_diagonal_500):
     """The recurrence eliminated from the full Kreweras generator set and
     re-verified on 500 terms; session-scoped because the echelon takes
-    about half a minute."""
+    several seconds."""
     return takayama_pipeline(kreweras_certified, kreweras_diagonal_500, EliminationConfig())

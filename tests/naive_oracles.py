@@ -1,9 +1,10 @@
 """Deliberately naive reference implementations used as test oracles.
 
 These stay independent of the library's production code paths: the walk
-counter enumerates every step sequence, and the nullspace oracle is plain
-Gaussian elimination over Fraction.  Slow on purpose; used only at small
-sizes.
+counter enumerates every step sequence, the nullspace oracle is plain
+Gaussian elimination over Fraction, and polynomial division and gcd are
+schoolbook division and Euclid over Fraction.  Slow on purpose; used only
+at small sizes.
 """
 
 from fractions import Fraction
@@ -103,3 +104,39 @@ def cauchy_nonneg_integer_roots(p):
         if acc == 0:
             roots.append(x)
     return roots
+
+
+def _fraction_divmod(a, b):
+    """Schoolbook division of Fraction coefficient lists (low degree first)."""
+    r = [Fraction(c) for c in a]
+    q = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
+    for k in range(len(q) - 1, -1, -1):
+        f = r[k + len(b) - 1] / b[-1]
+        q[k] = f
+        for t, c in enumerate(b):
+            r[k + t] -= f * c
+    while r and not r[-1]:
+        r.pop()
+    return q, r
+
+
+def fraction_divexact(a, g):
+    """a / g for integer coefficient lists, divided over Q: the integer
+    quotient list, or None when the remainder is nonzero or a quotient
+    coefficient is not an integer."""
+    q, r = _fraction_divmod(a, [Fraction(c) for c in g])
+    if r or any(c.denominator != 1 for c in q):
+        return None
+    q = [c.numerator for c in q]
+    while q and not q[-1]:
+        q.pop()
+    return q
+
+
+def fraction_monic_gcd(a, b):
+    """Monic gcd over Q of two integer coefficient lists by the Euclidean
+    algorithm on Fraction coefficients; [] when both are zero."""
+    a, b = [Fraction(c) for c in a], [Fraction(c) for c in b]
+    while b:
+        a, b = b, _fraction_divmod(a, b)[1]
+    return [c / a[-1] for c in a] if a else []

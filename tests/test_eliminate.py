@@ -196,6 +196,16 @@ def test_kreweras_pipeline_end_to_end(kreweras_diagonal_500, kreweras_p_500):
     assert P0.annihilates(diagonal, range(0, 498))
 
 
+def test_kreweras_p_500_coefficients_pinned(kreweras_p_500):
+    """The eliminated P, coefficient for coefficient, as the Fraction-based
+    echelon (before the integer division and heuristic gcd) produced it."""
+    assert kreweras_p_500.cleared() == {
+        0: [463644, 928746, 607986, 156006, 13122],
+        3: [-400302, -369009, -124092, -18117, -972],
+        6: [21060, 15948, 4167, 457, 18],
+    }
+
+
 def test_generator_monotonicity(kreweras_certified, kreweras_p_500):
     diagonal = origin_sequence(KREWERAS, 200)
     p_small = takayama_pipeline(kreweras_certified[:3], diagonal, EliminationConfig())
@@ -214,6 +224,23 @@ def test_uni_cleared_primitive():
     p = UniOperator({1: RatFunc(poly_from([Fraction(1, 2), 1])), 0: RatFunc(poly_from([2]))})
     cleared = p.cleared()
     assert cleared == {1: [1, 2], 0: [4]}
+
+
+def test_uni_cleared_computed_once_and_copied(monkeypatch):
+    p = UniOperator(P0.terms)
+    calls = []
+    clear = UniOperator._clear
+    monkeypatch.setattr(UniOperator, "_clear", lambda self: calls.append(1) or clear(self))
+    seq = [1, 1, 2, 5, 14, 42, 132]
+    for n in range(4):
+        p.apply_to_sequence(seq, n)
+    assert p.leading_cleared() == [54, 21, 2]
+    first = p.cleared()
+    first[3].append(99)
+    first.pop(0)
+    p.leading_cleared().append(99)
+    assert p.cleared() == {3: [54, 21, 2], 0: [-108, -162, -54]}
+    assert len(calls) == 1
 
 
 def test_uni_json_round_trip():

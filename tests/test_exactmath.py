@@ -1,12 +1,23 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
+from naive_oracles import fraction_divexact, fraction_monic_gcd
+from quarterwalks import exactmath
 from quarterwalks.exactmath import (
     MultiPoly,
     RatFunc,
     ZeroDenominatorError,
+    ipoly_add,
+    ipoly_compose_affine,
+    ipoly_content,
+    ipoly_divexact_poly,
+    ipoly_eval,
+    ipoly_gcd,
+    ipoly_mul,
+    ipoly_shift_arg,
     poly_from,
     rat_normalize,
 )
@@ -137,3 +148,157 @@ def test_ratfunc_shift_arg():
     s = r.shift_arg(2)
     for x in range(0, 10):
         assert s.eval(x) == Fraction(x + 2, x + 3)
+
+
+# ---------------------------------------------------------------------------
+# Integer polynomials: exact division and gcd against the Fraction oracles
+# ---------------------------------------------------------------------------
+
+
+def random_ipoly(rng, max_deg=5, max_coeff=20):
+    """Nonzero, trimmed, either sign of leading coefficient."""
+    p = [rng.randint(-max_coeff, max_coeff) for _ in range(rng.randint(0, max_deg))]
+    return p + [rng.choice((-1, 1)) * rng.randint(1, max_coeff)]
+
+
+def expected_gcd(a, b):
+    """The ipoly_gcd contract from the oracle: primitive gcd times the gcd
+    of the contents, positive leading coefficient."""
+    monic = fraction_monic_gcd(a, b)
+    if not monic:
+        return []
+    den = math.lcm(*(c.denominator for c in monic))
+    prim = [int(c * den) for c in monic]
+    g = math.gcd(*prim)
+    scale = math.gcd(ipoly_content(a), ipoly_content(b))
+    return [c // g * scale for c in prim]
+
+
+def gcd_cases(seed, count):
+    """Pairs with a planted common factor, integer contents, either sign,
+    now and then a zero input, and some coefficients far above 2^53."""
+    rng = random.Random(seed)
+    for t in range(count):
+        big = 2**70 if t % 5 == 0 else 20
+        f = random_ipoly(rng, max_deg=4, max_coeff=big)
+        u = random_ipoly(rng, max_coeff=big)
+        v = random_ipoly(rng, max_coeff=big)
+        ka, kb = rng.choice((1, 2, 6, -3)), rng.choice((1, 4, 9, -1))
+        a = [c * ka for c in ipoly_mul(f, u)]
+        b = [c * kb for c in ipoly_mul(f, v)]
+        if t % 17 == 0:
+            a = []
+        if t % 23 == 0:
+            b = []
+        yield a, b
+
+
+def test_ipoly_gcd_matches_fraction_oracle():
+    for a, b in gcd_cases(101, 300):
+        want = expected_gcd(a, b)
+        assert ipoly_gcd(a, b) == want, (a, b)
+        assert ipoly_gcd(b, a) == want, (a, b)
+
+
+def test_ipoly_gcd_zero_inputs():
+    assert ipoly_gcd([], []) == []
+    assert ipoly_gcd([], [6, -4]) == [-6, 4]
+    assert ipoly_gcd([0, -2, -4], []) == [0, 2, 4]
+    assert ipoly_gcd([6], [4, 2]) == [2]
+
+
+def test_gcdheu_alone_matches_fraction_oracle():
+    """The heuristic, when it answers, answers the gcd of the primitive parts."""
+    answered = 0
+    for a, b in gcd_cases(102, 200):
+        if len(a) < 2 or len(b) < 2:
+            continue
+        pa = [c // ipoly_content(a) for c in a]
+        pb = [c // ipoly_content(b) for c in b]
+        h = exactmath._gcdheu(pa, pb)
+        if h is not None:
+            answered += 1
+            assert h == expected_gcd(pa, pb), (a, b)
+    assert answered > 150
+
+
+def test_ipoly_gcd_prs_fallback_gives_same_gcd(monkeypatch):
+    cases = list(gcd_cases(103, 200))
+    heuristic = [ipoly_gcd(a, b) for a, b in cases]
+    monkeypatch.setattr(exactmath, "_gcdheu", lambda a, b: None)
+    assert [ipoly_gcd(a, b) for a, b in cases] == heuristic
+
+
+def test_gcdheu_retries_and_gives_up():
+    """a = x (x+1) has norm 1, so xi = 2^19 at first; b = (x+1)(x - 2^K)
+    makes gamma = gcd(a(xi), b(xi)) carry the extra factor xi whenever
+    K > log2(xi), and the digits then read x (x+1), which does not divide b."""
+    a = [0, 1, 1]
+
+    def b(k):
+        return ipoly_mul([1, 1], [-(2**k), 1])
+
+    assert exactmath._gcdheu(a, b(20)) == [1, 1]  # second point, 2^25, works
+    assert exactmath._gcdheu(a, b(100)) is None  # every point is below 2^100
+    assert ipoly_gcd(a, b(100)) == [1, 1]  # from the PRS
+
+
+def test_gcdheu_retry_is_needed(monkeypatch):
+    monkeypatch.setattr(exactmath, "_GCDHEU_TRIES", 1)
+    assert exactmath._gcdheu([0, 1, 1], ipoly_mul([1, 1], [-(2**20), 1])) is None
+
+
+def test_ipoly_divexact_poly_matches_fraction_oracle():
+    rng = random.Random(104)
+    raised = 0
+    for t in range(300):
+        big = 2**70 if t % 4 == 0 else 30
+        g = random_ipoly(rng, max_deg=4, max_coeff=big)
+        q = random_ipoly(rng, max_deg=6, max_coeff=big)
+        a = ipoly_mul(q, g)
+        assert ipoly_divexact_poly(a, g) == q
+        assert fraction_divexact(a, g) == q
+        kind = t % 3
+        if kind == 0:  # plus a nonzero remainder of degree below deg g
+            if len(g) == 1:
+                continue
+            bad, d = ipoly_add(a, random_ipoly(rng, max_deg=len(g) - 2, max_coeff=big)), g
+        elif kind == 1:  # exact over Q, but the quotient q / k is not integral
+            k = rng.choice((2, 3, 5, 7))
+            if ipoly_content(q) % k == 0:
+                continue
+            bad, d = a, [c * k for c in g]
+        else:  # an unrelated pair
+            bad, d = random_ipoly(rng, max_deg=8, max_coeff=big), g
+        want = fraction_divexact(bad, d)
+        if want is None:
+            raised += 1
+            with pytest.raises(ArithmeticError):
+                ipoly_divexact_poly(bad, d)
+        else:
+            assert ipoly_divexact_poly(bad, d) == want
+    assert raised > 150
+
+
+def test_ipoly_divexact_poly_edges():
+    assert ipoly_divexact_poly([], [3, 1]) == []
+    assert ipoly_divexact_poly([-6, -2], [-3, -1]) == [2]
+    with pytest.raises(ArithmeticError):
+        ipoly_divexact_poly([1], [3, 1])  # degree below the divisor's
+    with pytest.raises(ArithmeticError):
+        ipoly_divexact_poly([1, 1], [2, 2])  # quotient 1/2
+    with pytest.raises(ZeroDivisionError):
+        ipoly_divexact_poly([1, 1], [])
+
+
+def test_ipoly_compose_affine_matches_evaluation():
+    rng = random.Random(105)
+    for _ in range(100):
+        p = random_ipoly(rng)
+        scale, shift = rng.randint(-4, 4), rng.randint(-9, 9)
+        c = ipoly_compose_affine(p, scale, shift)
+        s = ipoly_shift_arg(p, shift)
+        for x in range(-5, 6):
+            assert ipoly_eval(c, x) == ipoly_eval(p, scale * x + shift)
+            assert ipoly_eval(s, x) == ipoly_eval(p, x + shift)
+        assert not c or c[-1] != 0
