@@ -34,9 +34,8 @@ from .exactmath import (
     RatFunc,
     ipoly_content,
     ipoly_divexact,
-    ipoly_divexact_poly,
     ipoly_eval,
-    ipoly_gcd,
+    ipoly_gcd_cofactors,
     ipoly_mul,
     ipoly_shift_arg,
     ipoly_sub,
@@ -415,50 +414,15 @@ def _row_lead(row: dict) -> tuple[Pos, int, list[int]]:
 
 
 def _row_normalize(row: dict) -> dict:
-    """Divide out the integer content and any common polynomial factor;
-    make the leading polynomial's leading coefficient positive."""
+    """Divide the row by the gcd over Z of all its polynomials (integer
+    content and any common polynomial factor, one ``ipoly_gcd_cofactors``
+    call); make the leading polynomial's leading coefficient positive."""
     row = _row_clean(row)
     if not row:
         return row
-    g = 0
-    for comp in row.values():
-        for p in comp.values():
-            g = math.gcd(g, ipoly_content(p))
-            if g == 1:
-                break
-        if g == 1:
-            break
-    if g > 1:
-        row = {
-            pos: {k: ipoly_divexact(p, g) for k, p in comp.items()}
-            for pos, comp in row.items()
-        }
-    pg: list[int] | None = None
-    for comp in row.values():
-        for p in comp.values():
-            pg = list(p) if pg is None else ipoly_gcd(pg, p)
-            if len(pg) == 1:
-                break
-        if pg is not None and len(pg) == 1:
-            break
-    if pg is not None and len(pg) > 1:
-        row = {
-            pos: {k: ipoly_divexact_poly(p, pg) for k, p in comp.items()}
-            for pos, comp in row.items()
-        }
-        g2 = 0
-        for comp in row.values():
-            for p in comp.values():
-                g2 = math.gcd(g2, ipoly_content(p))
-                if g2 == 1:
-                    break
-            if g2 == 1:
-                break
-        if g2 > 1:
-            row = {
-                pos: {k: ipoly_divexact(p, g2) for k, p in comp.items()}
-                for pos, comp in row.items()
-            }
+    _, quotients = ipoly_gcd_cofactors([p for comp in row.values() for p in comp.values()])
+    rest = iter(quotients)
+    row = {pos: {k: next(rest) for k in comp} for pos, comp in row.items()}
     _, _, lead = _row_lead(row)
     if lead[-1] < 0:
         row = {

@@ -521,42 +521,54 @@ def ipoly_pseudo_rem(a: IPoly, b: IPoly) -> IPoly:
 _GCDHEU_TRIES = 6
 
 
-def _gcdheu(a: IPoly, b: IPoly) -> IPoly | None:
-    """Heuristic gcd of two nonzero primitive polynomials, or None.
+def _gcdheu(polys: list[IPoly]) -> tuple[IPoly, list[IPoly]] | None:
+    """Heuristic gcd of nonzero primitive polynomials, or None.
 
-    The gcd is read off one integer gcd (Char, Geddes and Gonnet, "GCDHEU:
-    heuristic polynomial GCD algorithm based on integer GCD computation",
-    J. Symbolic Comput. 7, 1989).  Let M = min(|a|_inf, |b|_inf) and take
-    an integer xi >= 2M + 2.  Let G be the polynomial whose coefficients are
-    the symmetric base-xi digits (each in (-xi/2, xi/2]) of
-    gamma = gcd(a(xi), b(xi)), so that G(xi) = gamma, and let P = pp(G).
+    Returns the gcd, primitive with a positive leading coefficient, and the
+    quotient of each input by it; the quotients are the ones the exact
+    divisions of the acceptance check produce.  The gcd is read off one
+    integer gcd (Char, Geddes and Gonnet, "GCDHEU: heuristic polynomial GCD
+    algorithm based on integer GCD computation", J. Symbolic Comput. 7,
+    1989).  Let M = min |a|_inf over the inputs a and take an integer
+    xi >= 2M + 2.  Let G be the polynomial whose coefficients are the
+    symmetric base-xi digits (each in (-xi/2, xi/2]) of gamma, the gcd of
+    all the a(xi), so that G(xi) = gamma, and let P = pp(G).
 
-    Claim (CGG): if P divides both a and b, then P = gcd(a, b) up to sign.
-    Proof.  Let g = gcd(a, b), primitive.  P is a common divisor, so
-    g = P H with H in Z[x] (Gauss's lemma).  Also g(xi) divides a(xi) and
-    b(xi), hence gamma = c P(xi), where c is the content of G; gamma != 0,
-    because a root of a (or b) has modulus below 1 + M < xi (Cauchy), and
-    the input of smaller norm does not vanish at xi.  So P(xi) H(xi)
-    divides c P(xi), that is, H(xi) divides c, and |c| <= |lc(G)| <= xi/2.
-    Every root alpha of H is a common root of a and b, so |alpha| < 1 + M
-    and |xi - alpha| > xi - 1 - M >= xi/2.  If H had degree d >= 1, then
-    |H(xi)| > (xi/2)^d >= xi/2 >= |c| > 0, which cannot divide c.  Hence
-    H is a constant, and since g and P are both primitive, H = +-1.
+    Claim (CGG): if P divides every input, then P = gcd of the inputs up to
+    sign.  The proof does not depend on the number of inputs.
+    Proof.  Let g be the primitive gcd of the inputs.  P is a common
+    divisor, so g = P H with H in Z[x] (Gauss's lemma).  Also g(xi) divides
+    every a(xi), hence gamma = c P(xi), where c is the content of G;
+    gamma != 0, because a root of an input a has modulus below
+    1 + |a|_inf (Cauchy), and the input of smallest norm does not vanish at
+    xi.  So P(xi) H(xi) divides c P(xi), that is, H(xi) divides c, and
+    |c| <= |lc(G)| <= xi/2.  Every root alpha of H is a common root of all
+    inputs, so |alpha| < 1 + M and |xi - alpha| > xi - 1 - M >= xi/2.  If H
+    had degree d >= 1, then |H(xi)| > (xi/2)^d >= xi/2 >= |c| > 0, which
+    cannot divide c.  Hence H is a constant, and since g and P are both
+    primitive, H = +-1.
 
     A wrong digit expansion (gamma may carry extra integer factors) shows
-    up as P failing to divide a or b; then xi grows and the evaluation is
-    retried.  No result is accepted without both exact divisions passing,
-    and after ``_GCDHEU_TRIES`` failures the caller falls back to the
-    primitive PRS.
+    up as P failing to divide some input; then xi grows and the evaluation
+    is retried.  No result is accepted without every exact division
+    passing, and after ``_GCDHEU_TRIES`` failures the caller falls back:
+    ``ipoly_gcd`` to the primitive PRS, ``ipoly_gcd_cofactors`` to folding
+    ``ipoly_gcd``.  When gamma is 1, or its digits make a constant, the gcd
+    is 1 and the inputs are their own quotients.
     """
-    m = min(max(abs(c) for c in a), max(abs(c) for c in b))
+    m = min(max(abs(c) for c in a) for a in polys)
     # xi = 2^bits, so that evaluation and digit extraction are shifts; the
     # 16 spare bits make an extra integer factor in gamma much less likely
-    # to spoil the digits (on the full Kreweras echelon: 2 retries in 7,469
-    # gcds, against 322 without them)
+    # to spoil the digits (on the full Kreweras echelon, 0 retries in 577
+    # per-row calls; pairwise, 2 retries in 7,469 gcds against 322 without
+    # the spare bits)
     bits = (2 * m + 2).bit_length() + 16
     for _ in range(_GCDHEU_TRIES):
-        gamma = math.gcd(_eval_pow2(a, bits), _eval_pow2(b, bits))
+        gamma = 0
+        for a in polys:
+            gamma = math.gcd(gamma, _eval_pow2(a, bits))
+            if gamma == 1:
+                return [1], [list(a) for a in polys]
         mask = (1 << bits) - 1
         half = 1 << (bits - 1)
         h: IPoly = []
@@ -566,11 +578,19 @@ def _gcdheu(a: IPoly, b: IPoly) -> IPoly | None:
                 d -= 1 << bits
             h.append(d)
             gamma = (gamma - d) >> bits
+        if len(h) == 1:
+            return [1], [list(a) for a in polys]
         h = ipoly_divexact(h, ipoly_content(h))
         if h[-1] < 0:
             h = [-c for c in h]
-        if _ipoly_quotient(a, h) is not None and _ipoly_quotient(b, h) is not None:
-            return h
+        quotients = []
+        for a in polys:
+            q = _ipoly_quotient(a, h)
+            if q is None:
+                break
+            quotients.append(q)
+        else:
+            return h, quotients
         bits += bits // 4 + 2
     return None
 
@@ -602,8 +622,10 @@ def ipoly_gcd(a: IPoly, b: IPoly) -> IPoly:
         ca, cb = ipoly_content(a), ipoly_content(b)
         a = ipoly_divexact(a, ca)
         b = ipoly_divexact(b, cb)
-        prim = _gcdheu(a, b)
-        if prim is None:
+        heu = _gcdheu([a, b])
+        if heu is not None:
+            prim = heu[0]
+        else:
             while b:
                 r = ipoly_pseudo_rem(a, b)
                 cr = ipoly_content(r)
@@ -616,6 +638,38 @@ def ipoly_gcd(a: IPoly, b: IPoly) -> IPoly:
     if g and g[-1] < 0:
         g = ipoly_scale(g, -1)
     return g
+
+
+def ipoly_gcd_cofactors(polys: list[IPoly]) -> tuple[IPoly, list[IPoly]]:
+    """The gcd over Z of nonzero polynomials, as ``ipoly_gcd`` would fold
+    it, and the quotient of each polynomial by it.
+
+    One ``_gcdheu`` call on the primitive parts gives their gcd and every
+    quotient, each from a single long division; a quotient is then
+    multiplied back by its polynomial's content over the common content.
+    When the heuristic gives up, ``ipoly_gcd`` is folded over the primitive
+    parts and each is divided by the result.
+    """
+    contents = [ipoly_content(p) for p in polys]
+    common = math.gcd(*contents)
+    prims = [ipoly_divexact(p, c) for p, c in zip(polys, contents)]
+    heu = _gcdheu(prims)
+    if heu is not None:
+        prim, quotients = heu
+    else:
+        prim = prims[0]
+        for p in prims[1:]:
+            if len(prim) == 1:
+                break
+            prim = ipoly_gcd(prim, p)
+        if prim[-1] < 0:
+            prim = [-c for c in prim]
+        quotients = [ipoly_divexact_poly(p, prim) for p in prims]
+    quotients = [
+        q if c == common else ipoly_scale(q, c // common)
+        for q, c in zip(quotients, contents)
+    ]
+    return ipoly_scale(prim, common), quotients
 
 
 def _ipoly_quotient(a: IPoly, g: IPoly) -> IPoly | None:

@@ -6,8 +6,10 @@ walks from the origin to (i, j) that never leave the first quadrant, with
 exact big-integer entries.  ``CountTable`` keeps every level and answers
 zero-extended queries (0 outside the quadrant, 0 beyond the light cone
 i > n or j > n); ``cached_table`` keeps one such table per step set for
-the life of the process and deepens it on request; ``origin_sequence``
-streams f(n; 0, 0) holding two levels at a time.  ``trivial_operator``
+the life of the process and deepens it on request.  ``origin_sequence``
+computes f(n; 0, 0) for n <= N with the same kernel, but at level n it
+sweeps only the cells that can still return to the origin in the N - n
+steps left, and holds two levels at a time.  ``trivial_operator``
 builds the shift operator that encodes the one-step transfer recurrence
 of the family.
 """
@@ -15,6 +17,7 @@ of the family.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add
 
 from .exactmath import MultiPoly
 from . import ore
@@ -97,21 +100,35 @@ class OracleRangeError(LookupError):
         self.have = have
 
 
-def _next_level(prev: list[list[int]], steps: list[tuple[int, int]]) -> list[list[int]]:
-    """One step of the dynamic program: level n+1 from the (n+1) x (n+1)
-    grid of level n.  A walk into (i, j) arrives by a step (dx, dy) from
-    (i-dx, j-dy); steps that would leave the quadrant are dropped."""
-    size = len(prev) + 1
-    cur = [[0] * size for _ in range(size)]
-    for pi in range(size - 1):
-        row = prev[pi]
-        for pj in range(size - 1):
-            v = row[pj]
-            if v:
-                for dx, dy in steps:
-                    ti, tj = pi + dx, pj + dy
-                    if 0 <= ti and 0 <= tj:
-                        cur[ti][tj] += v
+def _next_level(
+    prev: list[list[int]], steps: list[tuple[int, int]], widths: list[int]
+) -> list[list[int]]:
+    """One step of the dynamic program: level n+1 from level n.
+
+    Row ti of the new level holds the columns 0..widths[ti]-1.  A walk into
+    (ti, tj) arrives by a step (dx, dy) from (ti-dx, tj-dy), so row ti is
+    the sum of the rows ti-dx of ``prev`` shifted by dy along j, each added
+    as one list slice; source cells outside the quadrant or beyond the kept
+    part of a row count as zero, and all-zero source rows are skipped.
+    """
+    live = [any(row) for row in prev]
+    cur = []
+    for ti, width in enumerate(widths):
+        row = [0] * width
+        fresh = True
+        for dx, dy in steps:
+            pi = ti - dx
+            if 0 <= pi < len(prev) and live[pi]:
+                src = prev[pi]
+                lo = dy if dy > 0 else 0
+                hi = min(width, len(src) + dy)
+                if lo < hi:
+                    if fresh:
+                        row[lo:hi] = src[lo - dy : hi - dy]
+                        fresh = False
+                    else:
+                        row[lo:hi] = map(add, row[lo:hi], src[lo - dy : hi - dy])
+        cur.append(row)
     return cur
 
 
@@ -136,7 +153,8 @@ class CountTable:
         """Build the levels up to n_max; levels already built are kept."""
         steps = self.step_set.sorted_steps()
         while self.n_max < n_max:
-            self.levels.append(_next_level(self.levels[-1], steps))
+            size = self.n_max + 2
+            self.levels.append(_next_level(self.levels[-1], steps, [size] * size))
             self.n_max += 1
         return self
 
@@ -150,17 +168,64 @@ class CountTable:
         return self.levels[n][i][j]
 
 
-def origin_sequence(step_set: StepSet, n_max: int) -> list[int]:
-    """The sequence f(n; 0, 0) for n = 0..n_max, streamed level by level.
+def _origin_widths(steps: list[tuple[int, int]], n_max: int) -> list[list[int]]:
+    """The kept row widths of levels 0..n_max in ``origin_sequence``.
 
-    Only two levels are held at once, so this scales to n_max in the
-    hundreds where retaining a full table would not.
+    Entry [n][i] is min(n + 1, 1 + the largest j such that (i, j) can walk
+    back to the origin in at most r = n_max - n steps without leaving the
+    quadrant), or 0 if no such j, for the rows i <= min(n, r); trailing
+    empty rows are dropped.  Row i of the reach set R_r is a bit mask over
+    j, and R_(r+1) adds every quadrant cell c with c + s in R_r for some
+    step s.  Each step lowers a coordinate by at most one, so R_r lies in
+    the box [0..r]^2, and a sweep of rows 0..r computes it exactly.
+    """
+    reach = [1]
+    by_r = [[1]]
+    for r in range(1, n_max + 1):
+        grown = []
+        for i in range(r + 1):
+            mask = reach[i] if i < r else 0
+            for dx, dy in steps:
+                k = i + dx
+                if 0 <= k < r:
+                    mask |= reach[k] >> dy if dy >= 0 else reach[k] << -dy
+            grown.append(mask)
+        reach = grown
+        by_r.append([mask.bit_length() for mask in reach])
+    out = []
+    for n in range(n_max + 1):
+        keep = [min(w, n + 1) for w in by_r[n_max - n][: n + 1]]
+        while keep and not keep[-1]:
+            keep.pop()
+        out.append(keep)
+    return out
+
+
+def origin_sequence(step_set: StepSet, n_max: int) -> list[int]:
+    """The sequence f(n; 0, 0) for n = 0..n_max, by a reach-pruned sweep.
+
+    Level n keeps only a prefix of each row: the cells inside the light
+    cone from which the origin can still be reached in the n_max - n steps
+    that are left (``_origin_widths``).  Two levels are held at once.  Why
+    the counts that matter are exact, with d(c) the fewest quadrant steps
+    from a cell c back to the origin:
+
+    - a cell at level n with d > n_max - n lies on no walk that is back at
+      the origin by level n_max, so it feeds no f(m; 0, 0) with m <= n_max;
+    - a predecessor c - s of a cell c at level n+1 with d(c) <= n_max-n-1
+      has d(c - s) <= d(c) + 1 <= n_max - n, so it is kept at level n, or
+      lies beyond the light cone, where the count is 0; by induction on n,
+      every cell with d <= n_max - n is kept and exact, the origin among
+      them at every level;
+    - a kept prefix is a superset of the cells with d <= n_max - n; the
+      extra cells may hold partial sums, but by the previous point they
+      never feed a cell with d <= n_max - n - 1.
     """
     steps = step_set.sorted_steps()
     level = [[1]]
     out = [1]
-    for _ in range(n_max):
-        level = _next_level(level, steps)
+    for keep in _origin_widths(steps, n_max)[1:]:
+        level = _next_level(level, steps, keep)
         out.append(level[0][0])
     return out
 
@@ -184,9 +249,12 @@ def trivial_operator(step_set: StepSet) -> "ore.OreOperator":
     With a = max(0, max dx) and b = max(0, max dy) over the steps, the
     operator is  S_n S_i^a S_j^b - sum over steps of S_i^(a-dx) S_j^(b-dy);
     all exponents are nonnegative by the choice of a and b.  Applied to the
-    zero-extended counts it vanishes on the whole quadrant, because every
-    walk into a target cell arrives by one of the steps and contributions
-    from outside the quadrant are zero on both sides.
+    zero-extended counts it vanishes for n >= 0 on
+    Omega = {i >= -a, j >= -b}, the set where its leading term
+    f(n+1; i+a, j+b) reads a cell of the quadrant: every walk into that
+    cell arrives by one of the steps, and contributions from outside the
+    quadrant are zero on both sides.  Omega contains the quadrant; off
+    Omega, T f = 0 is not claimed.
     """
     steps = step_set.sorted_steps()
     a = max(0, max(dx for dx, _ in steps))

@@ -1,7 +1,9 @@
 """Deliberately naive reference implementations used as test oracles.
 
 These stay independent of the library's production code paths: the walk
-counter enumerates every step sequence, the nullspace oracle is plain
+counter enumerates every step sequence, the level oracle moves every cell
+of the full grid one step at a time, the distance oracle is a plain
+breadth-first search over cells, the nullspace oracle is plain
 Gaussian elimination over Fraction, and polynomial division and gcd are
 schoolbook division and Euclid over Fraction.  Slow on purpose; used only
 at small sizes.
@@ -36,6 +38,45 @@ def brute_force_value(steps, n, i, j):
     if n < 0 or i < 0 or j < 0:
         return 0
     return brute_force_counts(steps, n).get((i, j), 0)
+
+
+def scalar_levels(steps, n_max):
+    """Levels 0..n_max of the counts as full (n+1) x (n+1) grids: each
+    nonzero cell of level n is pushed along every step, and steps that
+    leave the quadrant are dropped."""
+    levels = [[[1]]]
+    for _ in range(n_max):
+        prev = levels[-1]
+        size = len(prev) + 1
+        cur = [[0] * size for _ in range(size)]
+        for pi in range(size - 1):
+            for pj in range(size - 1):
+                v = prev[pi][pj]
+                if v:
+                    for dx, dy in steps:
+                        ti, tj = pi + dx, pj + dy
+                        if 0 <= ti and 0 <= tj:
+                            cur[ti][tj] += v
+        levels.append(cur)
+    return levels
+
+
+def return_distances(steps, size):
+    """{(i, j): fewest steps from (i, j) back to the origin without leaving
+    the quadrant} for the cells of [0, size)^2 whose shortest return stays
+    in that box, by a breadth-first search backwards from the origin."""
+    from collections import deque
+
+    dist = {(0, 0): 0}
+    queue = deque([(0, 0)])
+    while queue:
+        i, j = queue.popleft()
+        for dx, dy in steps:
+            c = (i - dx, j - dy)
+            if 0 <= c[0] < size and 0 <= c[1] < size and c not in dist:
+                dist[c] = dist[(i, j)] + 1
+                queue.append(c)
+    return dist
 
 
 def fraction_nullspace(matrix):

@@ -1,4 +1,5 @@
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -24,7 +25,11 @@ from quarterwalks import (
     uni_from_json,
     uni_to_json,
 )
-from quarterwalks.exactmath import poly_from
+from quarterwalks import exactmath
+from quarterwalks.eliminate import _row_normalize, pos_key
+from quarterwalks.exactmath import ipoly_content, ipoly_gcd_cofactors, ipoly_mul, poly_from
+from naive_oracles import fraction_divexact, fraction_monic_gcd
+from test_exactmath import random_ipoly
 from test_ore import random_operator
 
 N = MultiPoly.variable("n")
@@ -194,6 +199,79 @@ def test_kreweras_pipeline_end_to_end(kreweras_diagonal_500, kreweras_p_500):
     # independent check against the closed-form recurrence's solutions:
     # P0 annihilates the same sequence
     assert P0.annihilates(diagonal, range(0, 498))
+
+
+def random_rows(seed, count):
+    """Echelon-shaped rows {pos: {k: poly}}: a planted common factor (now
+    and then a constant), a row-wide integer factor, per-polynomial
+    integer contents of either sign, coefficients far above 2^53 in every
+    fifth row, a zero polynomial now and then, and single-polynomial rows."""
+    rng = random.Random(seed)
+    positions = [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1)]
+    for t in range(count):
+        big = 2**70 if t % 5 == 0 else 20
+        factor = random_ipoly(rng, max_deg=rng.choice((0, 1, 2, 3)), max_coeff=big)
+        factor = [c * rng.choice((1, 1, 2, 12)) for c in factor]
+        cells = 1 if t % 6 == 0 else rng.randint(2, 7)
+        row = {}
+        for _ in range(cells):
+            pos, k = rng.choice(positions), rng.randint(0, 4)
+            poly = ipoly_mul(factor, random_ipoly(rng, max_deg=4, max_coeff=big))
+            scale = rng.choice((1, 1, -1, 3, -4, 10))
+            row.setdefault(pos, {})[k] = [c * scale for c in poly]
+        if t % 11 == 0 and cells > 1:
+            pos, k = next((pos, k) for pos in row for k in row[pos])
+            row[pos][k] = []
+        yield row
+
+
+def oracle_row_gcd(polys):
+    """The gcd over Z of the polynomials: the Euclidean gcd over Q made
+    primitive, times the gcd of the integer contents."""
+    monic = []
+    for p in polys:
+        monic = fraction_monic_gcd(monic, p)
+    den = math.lcm(*(c.denominator for c in monic))
+    prim = [int(c * den) for c in monic]
+    g = math.gcd(*prim)
+    scale = math.gcd(*(ipoly_content(p) for p in polys))
+    return [c // g * scale for c in prim]
+
+
+def oracle_row_normalize(row):
+    """Fold the gcd, divide every polynomial over Q, and give the leading
+    polynomial a positive leading coefficient."""
+    row = {pos: {k: p for k, p in comp.items() if p} for pos, comp in row.items()}
+    row = {pos: comp for pos, comp in row.items() if comp}
+    g = oracle_row_gcd([p for comp in row.values() for p in comp.values()])
+    out = {pos: {k: fraction_divexact(p, g) for k, p in comp.items()} for pos, comp in row.items()}
+    lead_pos = max(out, key=pos_key)
+    if out[lead_pos][max(out[lead_pos])][-1] < 0:
+        out = {pos: {k: [-c for c in p] for k, p in comp.items()} for pos, comp in out.items()}
+    return out
+
+
+def test_row_normalize_matches_fraction_oracle():
+    nontrivial = 0
+    for row in random_rows(106, 300):
+        want = oracle_row_normalize(row)
+        assert _row_normalize(row) == want, row
+        polys = [p for comp in row.values() for p in comp.values() if p]
+        g, quotients = ipoly_gcd_cofactors(polys)
+        assert g == oracle_row_gcd(polys) and g[-1] > 0, row
+        assert [ipoly_mul(g, q) for q in quotients] == polys, row
+        nontrivial += len(g) > 1
+    assert nontrivial > 150
+
+
+def test_row_normalize_fallback_gives_same_rows(monkeypatch):
+    rows = list(random_rows(107, 150))
+    polys = [[p for comp in row.values() for p in comp.values() if p] for row in rows]
+    heuristic = [_row_normalize(row) for row in rows]
+    cofactors = [ipoly_gcd_cofactors(ps) for ps in polys]
+    monkeypatch.setattr(exactmath, "_gcdheu", lambda polys: None)
+    assert [_row_normalize(row) for row in rows] == heuristic
+    assert [ipoly_gcd_cofactors(ps) for ps in polys] == cofactors
 
 
 def test_kreweras_p_500_coefficients_pinned(kreweras_p_500):

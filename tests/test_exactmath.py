@@ -215,17 +215,19 @@ def test_gcdheu_alone_matches_fraction_oracle():
             continue
         pa = [c // ipoly_content(a) for c in a]
         pb = [c // ipoly_content(b) for c in b]
-        h = exactmath._gcdheu(pa, pb)
-        if h is not None:
+        heu = exactmath._gcdheu([pa, pb])
+        if heu is not None:
             answered += 1
+            h, (qa, qb) = heu
             assert h == expected_gcd(pa, pb), (a, b)
+            assert ipoly_mul(h, qa) == pa and ipoly_mul(h, qb) == pb, (a, b)
     assert answered > 150
 
 
 def test_ipoly_gcd_prs_fallback_gives_same_gcd(monkeypatch):
     cases = list(gcd_cases(103, 200))
     heuristic = [ipoly_gcd(a, b) for a, b in cases]
-    monkeypatch.setattr(exactmath, "_gcdheu", lambda a, b: None)
+    monkeypatch.setattr(exactmath, "_gcdheu", lambda polys: None)
     assert [ipoly_gcd(a, b) for a, b in cases] == heuristic
 
 
@@ -238,14 +240,14 @@ def test_gcdheu_retries_and_gives_up():
     def b(k):
         return ipoly_mul([1, 1], [-(2**k), 1])
 
-    assert exactmath._gcdheu(a, b(20)) == [1, 1]  # second point, 2^25, works
-    assert exactmath._gcdheu(a, b(100)) is None  # every point is below 2^100
+    assert exactmath._gcdheu([a, b(20)])[0] == [1, 1]  # second point, 2^25, works
+    assert exactmath._gcdheu([a, b(100)]) is None  # every point is below 2^100
     assert ipoly_gcd(a, b(100)) == [1, 1]  # from the PRS
 
 
 def test_gcdheu_retry_is_needed(monkeypatch):
     monkeypatch.setattr(exactmath, "_GCDHEU_TRIES", 1)
-    assert exactmath._gcdheu([0, 1, 1], ipoly_mul([1, 1], [-(2**20), 1])) is None
+    assert exactmath._gcdheu([[0, 1, 1], ipoly_mul([1, 1], [-(2**20), 1])]) is None
 
 
 def test_ipoly_divexact_poly_matches_fraction_oracle():

@@ -1,4 +1,5 @@
 import json
+from itertools import combinations
 
 import pytest
 from click.testing import CliRunner
@@ -16,9 +17,23 @@ from quarterwalks import (
     trivial_operator,
 )
 from quarterwalks.cli import main
+from quarterwalks.closedform import gessel_rhs, kreweras_rhs
 from quarterwalks.ore import OreOperator
+from quarterwalks.walks import DIRECTIONS, StepSet, _origin_widths
 
-from naive_oracles import brute_force_counts, brute_force_value
+from naive_oracles import (
+    brute_force_counts,
+    brute_force_value,
+    return_distances,
+    scalar_levels,
+)
+
+# all 255 nonempty sets of unit steps
+ALL_STEP_SETS = [
+    StepSet(frozenset(chosen))
+    for k in range(1, 9)
+    for chosen in combinations(DIRECTIONS.values(), k)
+]
 
 
 def test_parse_gessel_and_kreweras():
@@ -117,6 +132,53 @@ def test_origin_sequence_streams_match_table():
     for step_set in (GESSEL, KREWERAS):
         table = CountTable(step_set, 60)
         assert origin_sequence(step_set, 60) == [table.value(n, 0, 0) for n in range(61)]
+
+
+def test_origin_sequence_matches_scalar_oracle_all_step_sets():
+    # the pruning depends on n_max, so the prefix is checked at several depths
+    assert len(ALL_STEP_SETS) == 255
+    for step_set in ALL_STEP_SETS:
+        want = [level[0][0] for level in scalar_levels(step_set.sorted_steps(), 30)]
+        for n_max in (0, 1, 2, 3, 7, 30):
+            assert origin_sequence(step_set, n_max) == want[: n_max + 1], (step_set, n_max)
+
+
+def test_table_levels_match_scalar_oracle_all_step_sets():
+    for step_set in ALL_STEP_SETS:
+        assert CountTable(step_set, 12).levels == scalar_levels(step_set.sorted_steps(), 12), step_set
+
+
+def test_origin_sequence_closed_forms(kreweras_diagonal_500):
+    gessel = origin_sequence(GESSEL, 300)
+    assert gessel == [gessel_rhs(n // 2) if n % 2 == 0 else 0 for n in range(301)]
+    assert kreweras_diagonal_500 == [
+        kreweras_rhs(n // 3) if n % 3 == 0 else 0 for n in range(501)
+    ]
+
+
+def test_origin_widths_keep_every_returning_cell():
+    """The kept widths of level n are, row by row, 1 + the largest j whose
+    cell can return to the origin within n_max - n steps, capped at the
+    light cone; so every such cell is kept.  A return of at most n_max
+    steps from a cell of [0, n_max]^2 stays in [0, 2 n_max]^2, where the
+    search's distances are exact."""
+    for step_set in ALL_STEP_SETS:
+        steps = step_set.sorted_steps()
+        for n_max in (0, 1, 6, 14):
+            dist = return_distances(steps, 2 * n_max + 1)
+            widths = _origin_widths(steps, n_max)
+            assert len(widths) == n_max + 1
+            for n in range(n_max + 1):
+                want = [0] * (n + 1)
+                for (i, j), d in dist.items():
+                    if i <= n and d <= n_max - n:
+                        want[i] = max(want[i], min(j + 1, n + 1))
+                while want and not want[-1]:
+                    want.pop()
+                assert widths[n] == want, (step_set, n_max, n)
+                for (i, j), d in dist.items():
+                    if i <= n and j <= n and d <= n_max - n:
+                        assert i < len(widths[n]) and j < widths[n][i]
 
 
 def test_extend_matches_direct_build():
