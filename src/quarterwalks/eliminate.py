@@ -458,14 +458,28 @@ def _row_sub(a: dict, b: dict) -> dict:
 
 
 def _reduce_leading(u: dict, w: dict) -> dict:
-    """One fraction-free cancellation of u's leading term by pivot w
-    (same leading position, u's S_n degree >= w's)."""
+    """One gcd-reduced fraction-free cancellation of u's leading term by
+    pivot w (same leading position, u's S_n degree >= w's).
+
+    With delta the difference of the S_n degrees, aw' = aw(n + delta) and
+    g = gcd(aw', au) over Z, the result is
+    (aw'/g) u - (au/g) S_n^delta w (Geddes, Czapor and Labahn, *Algorithms
+    for Computer Algebra*, 1992, ch. 9).  The leading terms cancel, since
+    S_n^delta aw = aw' S_n^delta.  The step is left multiplication of u by
+    the nonzero element aw'/g of Q(n), plus a Q(n)[S_n]-multiple of w, so
+    the span is unchanged.  It is the full-multiplier step
+    aw' u - au S_n^delta w divided by g, so once ``_row_normalize`` has made
+    each row primitive with a positive leading coefficient the two give the
+    same row: only the polynomial factor that it would divide back out is
+    never multiplied in.
+    """
     pos_u, ku, au = _row_lead(u)
     pos_w, kw, aw = _row_lead(w)
     assert pos_u == pos_w and ku >= kw
     delta = ku - kw
-    left = _row_scale_poly(u, ipoly_shift_arg(aw, delta))
-    right = _row_scale_poly(_row_shift_sn(w, delta), au)
+    _, (cu, cw) = ipoly_gcd_cofactors([ipoly_shift_arg(aw, delta), au])
+    left = _row_scale_poly(u, cu)
+    right = _row_scale_poly(_row_shift_sn(w, delta), cw)
     return _row_sub(left, right)
 
 
@@ -478,7 +492,12 @@ def _echelonize(rows: list[dict]) -> dict[Pos, dict]:
     """Euclidean echelon under the position-over-term order.
 
     Every operation replaces a row by an invertible Q(n)[S_n]-combination,
-    so the module span is preserved exactly.  The returned pivots have
+    so the module span is preserved exactly.  A reduction step
+    (``_reduce_leading``) multiplies the row only by the cofactor aw'/g of
+    the leading polynomials' gcd, never by the whole of aw'; the
+    normalized result, and so every pivot, is the one the full-multiplier
+    step gives, because the two differ by the factor g that the
+    normalization removes.  The returned pivots have
     pairwise distinct leading positions; a pivot led by (0,0) is therefore
     supported on (0,0) only, and by the Euclidean reduction it has minimal
     S_n-order among all such elements of the span.

@@ -47,10 +47,12 @@ class MultiPoly:
 
     The term map never stores a zero coefficient; the zero polynomial has
     an empty map.  Instances are immutable and hashable, so equality of
-    canonical forms is plain map equality.
+    canonical forms is plain map equality.  Because they are immutable,
+    the integer form that evaluation uses is computed once and cached; it
+    is derived from the term map, so equality and hashing never read it.
     """
 
-    __slots__ = ("_terms", "_hash")
+    __slots__ = ("_terms", "_hash", "_ints")
 
     def __init__(self, terms: Mapping[Exponent, Fraction] | None = None):
         clean: dict[Exponent, Fraction] = {}
@@ -64,6 +66,7 @@ class MultiPoly:
                     clean[e] = c
         self._terms = clean
         self._hash: int | None = None
+        self._ints: tuple[int, tuple[tuple[int, int, int, int], ...]] | None = None
 
     # -- constructors -------------------------------------------------
 
@@ -196,10 +199,21 @@ class MultiPoly:
 
     def eval(self, n: int, i: int, j: int) -> Fraction:
         """Exact value at an integer (or rational) point."""
-        total = Fraction(0)
-        for (dn, di, dj), c in self._terms.items():
-            total += c * n**dn * i**di * j**dj
-        return total
+        num, den = self.eval_parts(n, i, j)
+        return Fraction(num, den)
+
+    def eval_parts(self, n: int, i: int, j: int) -> tuple[int, int]:
+        """The value at a point as an unreduced pair (num, den): den is the
+        lcm of the coefficient denominators, and num is the sum of the
+        integer numerators over it, an int at an integer point."""
+        if self._ints is None:
+            den = math.lcm(*(c.denominator for c in self._terms.values()))
+            self._ints = den, tuple(
+                (dn, di, dj, c.numerator * (den // c.denominator))
+                for (dn, di, dj), c in self._terms.items()
+            )
+        den, terms = self._ints
+        return sum(a * n**dn * i**di * j**dj for dn, di, dj, a in terms), den
 
     def substitute_shift(self, var: str, offset: int) -> "MultiPoly":
         """Replace ``var`` by ``var + offset`` and expand to canonical form.

@@ -18,12 +18,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from .exactmath import MultiPoly
 from .ore import LEX, MonomialOrder, OreOperator
+
+if TYPE_CHECKING:
+    import numpy as np
 
 Tuple6 = tuple[int, int, int, int, int, int]
 
@@ -222,7 +223,12 @@ def _primes():
 
 def _rref_mod(matrix: list[list[int]], p: int) -> tuple[np.ndarray, list[int]]:
     """Reduced row echelon form over GF(p) and its pivot columns; each
-    pivot is the first nonzero entry of its column among the rows left."""
+    pivot is the first nonzero entry of its column among the rows left.
+
+    numpy is imported here, on the first solve, so that the commands that
+    never solve a system do not pay for loading it."""
+    import numpy as np
+
     a = np.array([[x % p for x in row] for row in matrix], dtype=np.int64)
     pivots: list[int] = []
     for c in range(a.shape[1]):
@@ -303,7 +309,8 @@ def nullspace(system: LinearSystem | list[list[int]]) -> list[tuple[Fraction, ..
     ncols = len(matrix[0])
     if ncols == 0:
         return []
-    if any(isinstance(x, Fraction) for row in matrix for x in row):
+    if any(type(x) is not int for row in matrix for x in row):
+        matrix = [[Fraction(x) for x in row] for row in matrix]
         dens = [math.lcm(*(x.denominator for x in row)) for row in matrix]
         matrix = [[int(x * d) for x in row] for row, d in zip(matrix, dens)]
     best = None

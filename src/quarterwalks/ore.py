@@ -280,13 +280,18 @@ class OreOperator:
     # -- action on the counting oracle ---------------------------------------
 
     def apply_at(self, oracle, n: int, i: int, j: int) -> Fraction:
-        """Value of (this operator applied to the oracle) at one point."""
-        total = Fraction(0)
+        """Value of (this operator applied to the oracle) at one point.
+
+        The sum is kept as an integer numerator over the lcm of the
+        coefficients' denominators and divided once at the end."""
+        total, den = 0, 1
         for (e4, e5, e6), c in self._terms.items():
-            cv = c.eval(n, i, j)
-            if cv:
-                total += cv * oracle.value(n + e4, i + e5, j + e6)
-        return total
+            num, d = c.eval_parts(n, i, j)
+            if num:
+                m = math.lcm(den, d)
+                total = total * (m // den) + num * oracle.value(n + e4, i + e5, j + e6) * (m // d)
+                den = m
+        return Fraction(total, den)
 
     def apply(self, oracle, box: "Box") -> dict[tuple[int, int, int], Fraction]:
         """Grid of values over a box of points (inclusive ranges)."""

@@ -4,9 +4,10 @@ These stay independent of the library's production code paths: the walk
 counter enumerates every step sequence, the level oracle moves every cell
 of the full grid one step at a time, the distance oracle is a plain
 breadth-first search over cells, the nullspace oracle is plain
-Gaussian elimination over Fraction, and polynomial division and gcd are
-schoolbook division and Euclid over Fraction.  Slow on purpose; used only
-at small sizes.
+Gaussian elimination over Fraction, polynomial division and gcd are
+schoolbook division and Euclid over Fraction, the echelon row step
+multiplies by the whole leading polynomials, and operator evaluation sums
+Fraction terms.  Slow on purpose; used only at small sizes.
 """
 
 from fractions import Fraction
@@ -181,3 +182,76 @@ def fraction_monic_gcd(a, b):
     while b:
         a, b = b, _fraction_divmod(a, b)[1]
     return [c / a[-1] for c in a] if a else []
+
+
+def fraction_eval(terms, n, i, j):
+    """Value of a polynomial given as {(dn, di, dj): coefficient} at a
+    point, by summing Fraction terms one at a time."""
+    total = Fraction(0)
+    for (dn, di, dj), c in terms.items():
+        total += c * n**dn * i**di * j**dj
+    return total
+
+
+def fraction_apply_at(op, oracle, n, i, j):
+    """(op f)(n; i, j) with f read from ``oracle.value``, summed over
+    Fraction, for an operator given as {shift exponent: MultiPoly}."""
+    total = Fraction(0)
+    for (e4, e5, e6), c in op.items():
+        cv = fraction_eval(c.terms, n, i, j)
+        if cv:
+            total += cv * oracle.value(n + e4, i + e5, j + e6)
+    return total
+
+
+def _schoolbook_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1) if a and b else []
+    for ka, ca in enumerate(a):
+        for kb, cb in enumerate(b):
+            out[ka + kb] += ca * cb
+    return out
+
+
+def _shift_arg(a, delta):
+    """a(x + delta) by Horner's rule on coefficient lists."""
+    acc = []
+    for c in reversed(a):
+        acc = [0] + acc
+        for k in range(len(acc) - 1):
+            acc[k] += delta * acc[k + 1]
+        acc[0] += c
+    return acc
+
+
+def full_multiplier_reduce(u, w, pos_key):
+    """One fraction-free cancellation of u's leading term by w, multiplying
+    by the whole leading polynomials: aw(n + delta) u - au S_n^delta w.
+
+    Rows are {position: {S_n power: integer coefficient list}}; the leading
+    term is the highest S_n power at the position that ``pos_key`` ranks
+    highest, and both rows must share that position with u's power at
+    least w's.  Zero polynomials and empty components are dropped."""
+    pos = max(u, key=pos_key)
+    ku, kw = max(u[pos]), max(w[pos])
+    delta = ku - kw
+    aw = _shift_arg(w[pos][kw], delta)
+    au = u[pos][ku]
+    out = {}
+    for p, comp in u.items():
+        for k, c in comp.items():
+            out.setdefault(p, {})[k] = _schoolbook_mul(c, aw)
+    for p, comp in w.items():
+        for k, c in comp.items():
+            prod = _schoolbook_mul(_shift_arg(c, delta), au)
+            cur = out.setdefault(p, {}).get(k + delta, [])
+            size = max(len(cur), len(prod))
+            cur, prod = cur + [0] * (size - len(cur)), prod + [0] * (size - len(prod))
+            out[p][k + delta] = [x - y for x, y in zip(cur, prod)]
+    clean = {}
+    for p, comp in out.items():
+        for k, c in comp.items():
+            while c and not c[-1]:
+                c.pop()
+            if c:
+                clean.setdefault(p, {})[k] = c
+    return clean

@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 from click.testing import CliRunner
@@ -281,3 +283,20 @@ def test_unexpected_exception_exits_2(runner, tmp_path, monkeypatch):
     )
     assert r.exit_code == 2
     assert "error: RuntimeError: solver blew up" in r.output
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    """numpy is loaded by the first kernel solve, not by importing the CLI."""
+    import quarterwalks
+
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(quarterwalks.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    code = (
+        "import sys, quarterwalks.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"

@@ -26,9 +26,16 @@ from quarterwalks import (
     uni_to_json,
 )
 from quarterwalks import exactmath
-from quarterwalks.eliminate import _row_normalize, pos_key
-from quarterwalks.exactmath import ipoly_content, ipoly_gcd_cofactors, ipoly_mul, poly_from
-from naive_oracles import fraction_divexact, fraction_monic_gcd
+from quarterwalks.eliminate import _reduce_leading, _row_normalize, pos_key
+from quarterwalks.exactmath import (
+    ipoly_content,
+    ipoly_gcd,
+    ipoly_gcd_cofactors,
+    ipoly_mul,
+    ipoly_shift_arg,
+    poly_from,
+)
+from naive_oracles import fraction_divexact, fraction_monic_gcd, full_multiplier_reduce
 from test_exactmath import random_ipoly
 from test_ore import random_operator
 
@@ -272,6 +279,59 @@ def test_row_normalize_fallback_gives_same_rows(monkeypatch):
     monkeypatch.setattr(exactmath, "_gcdheu", lambda polys: None)
     assert [_row_normalize(row) for row in rows] == heuristic
     assert [ipoly_gcd_cofactors(ps) for ps in polys] == cofactors
+
+
+def random_row_pairs(seed, count):
+    """Pairs (u, w) sharing a leading position, u's S_n power at least w's:
+    the leading polynomials au and aw(n + delta) share a planted factor
+    (now and then a constant), every polynomial has an integer content of
+    either sign, coefficients reach 2^70 in every fifth pair, and delta is
+    0 in about one pair in five."""
+    rng = random.Random(seed)
+    positions = sorted([(0, 0), (1, 0), (0, 1), (2, 0), (1, 1)], key=pos_key)
+    for t in range(count):
+        big = 2**70 if t % 5 == 0 else 20
+        lead = rng.randrange(len(positions))
+        pos = positions[lead]
+        kw = rng.randint(0, 3)
+        delta = rng.choice((0, 1, 1, 2, 3))
+        ku = kw + delta
+        factor = random_ipoly(rng, max_deg=rng.choice((0, 1, 2, 3)), max_coeff=big)
+        factor = [c * rng.choice((1, 2, -3, 12)) for c in factor]
+        au = ipoly_mul(factor, random_ipoly(rng, max_deg=3, max_coeff=big))
+        aw = ipoly_shift_arg(ipoly_mul(factor, random_ipoly(rng, max_deg=3, max_coeff=big)), -delta)
+        u, w = {pos: {ku: au}}, {pos: {kw: aw}}
+        for row, k in ((u, ku), (w, kw)):
+            for _ in range(rng.randint(0, 5)):
+                p = positions[rng.randrange(lead + 1)]
+                top = k - 1 if p == pos else 5
+                if top < 0:
+                    continue
+                poly = random_ipoly(rng, max_deg=4, max_coeff=big)
+                row.setdefault(p, {})[rng.randint(0, top)] = [
+                    c * rng.choice((1, -1, 3, -4, 10)) for c in poly
+                ]
+        yield u, w
+
+
+def test_reduce_leading_matches_full_multiplier_oracle():
+    """The gcd-reduced step and the full-multiplier step give the same row
+    once normalized, and the reduced step never multiplies in the gcd of
+    the leading polynomials."""
+    reduced = 0
+    for u, w in random_row_pairs(108, 300):
+        step = _reduce_leading(u, w)
+        full = full_multiplier_reduce(u, w, pos_key)
+        assert _row_normalize(step) == _row_normalize(full), (u, w)
+        pos = max(u, key=pos_key)
+        ku, kw = max(u[pos]), max(w[pos])
+        assert step.get(pos, {}).get(ku) is None, (u, w)
+        g = ipoly_gcd(ipoly_shift_arg(w[pos][kw], ku - kw), u[pos][ku])
+        assert step == {
+            p: {k: fraction_divexact(c, g) for k, c in comp.items()} for p, comp in full.items()
+        }, (u, w)
+        reduced += len(g) > 1
+    assert reduced > 120
 
 
 def test_kreweras_p_500_coefficients_pinned(kreweras_p_500):

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from naive_oracles import fraction_divexact, fraction_monic_gcd
+from naive_oracles import fraction_divexact, fraction_eval, fraction_monic_gcd
 from quarterwalks import exactmath
 from quarterwalks.exactmath import (
     MultiPoly,
@@ -87,6 +87,43 @@ def test_eval_commutes_with_arithmetic():
         pt = (rng.randint(-5, 5), rng.randint(-5, 5), rng.randint(-5, 5))
         assert (a * b).eval(*pt) == a.eval(*pt) * b.eval(*pt)
         assert (a + b).eval(*pt) == a.eval(*pt) + b.eval(*pt)
+
+
+def random_rational_poly(rng, max_terms=5, max_exp=3):
+    """Coefficients with denominators up to 12, numerators up to 2^40."""
+    terms = {}
+    for _ in range(rng.randint(0, max_terms)):
+        exp = (rng.randint(0, max_exp), rng.randint(0, max_exp), rng.randint(0, max_exp))
+        c = Fraction(rng.randint(-(2**40), 2**40), rng.randint(1, 12))
+        terms[exp] = terms.get(exp, Fraction(0)) + c
+    return MultiPoly(terms)
+
+
+def test_eval_matches_fraction_sum():
+    rng = random.Random(17)
+    for _ in range(300):
+        p = random_rational_poly(rng)
+        pts = [tuple(rng.randint(-6, 9) for _ in range(3))]
+        pts.append(tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(3)))
+        for pt in pts:
+            value = p.eval(*pt)
+            assert type(value) is Fraction and value == fraction_eval(p.terms, *pt), (p, pt)
+            num, den = p.eval_parts(*pt)
+            assert Fraction(num) / den == value
+
+
+def test_evaluated_poly_equals_and_hashes_like_fresh_copy():
+    rng = random.Random(19)
+    for _ in range(50):
+        p = random_rational_poly(rng)
+        fresh = MultiPoly(p.terms)
+        hashed = MultiPoly(p.terms)
+        hash(hashed)
+        p.eval(2, 3, 5)
+        assert p == fresh and hash(p) == hash(fresh)
+        assert hashed.eval(1, -2, 3) == fresh.eval(1, -2, 3)
+        assert hashed == p and hash(hashed) == hash(p)
+        assert len({p, fresh, hashed}) == 1
 
 
 def test_canonical_no_zero_coefficients():

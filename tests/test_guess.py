@@ -107,6 +107,28 @@ def test_nullspace_matches_fraction_oracle():
         assert nullspace(m) == fraction_nullspace(m), (trial, m)
 
 
+def test_nullspace_rational_rows_match_fraction_oracle():
+    rng = random.Random(5)
+    for trial in range(80):
+        rows = rng.randint(1, 6)
+        cols = rng.randint(1, 6)
+        m = [
+            [
+                Fraction(rng.randint(-40, 40), rng.randint(1, 9)) if rng.random() < 0.6
+                else rng.randint(-6, 6)
+                for _ in range(cols)
+            ]
+            for _ in range(rows)
+        ]
+        if rows > 1 and rng.random() < 0.5:
+            m[-1] = [Fraction(2, 3) * x for x in m[0]]
+        if trial % 4 == 0:
+            # one rational entry in a matrix of integers
+            m = [[int(x) for x in row] for row in m]
+            m[-1][-1] = Fraction(1, 7)
+        assert nullspace(m) == fraction_nullspace(m), (trial, m)
+
+
 def _first_primes(k):
     gen = _primes()
     return [next(gen) for _ in range(k)]

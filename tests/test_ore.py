@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from naive_oracles import fraction_apply_at
 from quarterwalks import (
     GESSEL,
     Box,
@@ -118,6 +119,34 @@ def test_apply_linearity(gessel_oracle):
                 gessel_oracle, *pt
             )
             assert lhs == rhs
+
+
+class PolynomialOracle:
+    """f(n; i, j) = (3n - 5i + 7j)^2 + n i j + 1, defined at rational points."""
+
+    def value(self, n, i, j):
+        return (3 * n - 5 * i + 7 * j) ** 2 + n * i * j + 1
+
+
+def test_apply_at_matches_fraction_sum(gessel_oracle):
+    from test_exactmath import random_rational_poly
+
+    rng = random.Random(37)
+    for _ in range(60):
+        op = OreOperator(
+            {
+                tuple(rng.randint(0, 2) for _ in range(3)): random_rational_poly(rng, max_exp=2)
+                for _ in range(rng.randint(1, 4))
+            }
+        )
+        for _ in range(3):
+            pt = tuple(rng.randint(0, 8) for _ in range(3))
+            value = op.apply_at(gessel_oracle, *pt)
+            assert type(value) is Fraction
+            assert value == fraction_apply_at(op.terms, gessel_oracle, *pt), (op, pt)
+            pt = tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(3))
+            want = fraction_apply_at(op.terms, PolynomialOracle(), *pt)
+            assert op.apply_at(PolynomialOracle(), *pt) == want, (op, pt)
 
 
 def test_div_rem_examples():
