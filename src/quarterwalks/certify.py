@@ -21,7 +21,7 @@ from typing import Optional
 
 from . import ore
 from .ore import Box, LEX, MonomialOrder, OreOperator
-from .walks import CountTable, trivial_operator
+from .walks import CountTable
 
 CERTIFIED = "certified"
 REFUTED = "refuted"
@@ -149,18 +149,3 @@ def evidence_check(r: OreOperator, oracle: CountTable, box: Box) -> bool:
     """
     return r.is_zero_on(oracle, box)
 
-
-def certified_annihilators(
-    candidates: list[OreOperator],
-    step_set,
-    oracle: CountTable,
-    margin: int = 2,
-    order: MonomialOrder = LEX,
-) -> list[OreOperator]:
-    """Keep the candidates whose certification succeeds."""
-    t = trivial_operator(step_set)
-    kept = []
-    for op in candidates:
-        if certify_operator(op, t, oracle, margin, order).certified:
-            kept.append(op)
-    return kept

@@ -43,7 +43,6 @@ from .eliminate import (
     uni_from_json,
     uni_to_json,
 )
-from .exactmath import RatFunc
 from .guess import (
     Bounds,
     TemplateError,
@@ -385,12 +384,12 @@ def check_closed_form(which, m_max):
             click.echo(f"mismatch at n={n}", err=True)
             sys.exit(1)
     for m in range(200):
-        if term.ratio.eval(m) * rhs(m) != rhs(m + 1):
+        if term.ratio_at(m) * rhs(m) != rhs(m + 1):
             click.echo(f"ratio certificate fails at m={m}", err=True)
             sys.exit(1)
     base = HypergeomTerm(term.ratio, term.initial, 1, 0)
-    num, den = term.ratio.num, term.ratio.den
-    first_order = UniOperator({1: RatFunc(den), 0: -RatFunc(num)})
+    num, den = term.ratio
+    first_order = UniOperator({1: den, 0: [-c for c in num]})
     if not symbolic_satisfies(first_order, base):
         click.echo("first-order certificate fails symbolically", err=True)
         sys.exit(1)

@@ -9,14 +9,15 @@ and the Kreweras counts vanish off multiples of three with
 
     k(3m; 0, 0) = 4^m / ((m+1)(2m+1)) * binomial(3m, m).
 
-Both are represented by a first-order ratio certificate b(m+1) = r(m) b(m)
-together with the support pattern (period, residue).  ``symbolic_satisfies``
-turns "the closed form obeys a recurrence P" into one rational-function
-identity per residue class and checks each identity by exact normalization,
-so a passing check is a proof, not a sampled plausibility.  ``prove_equality``
-combines that with enough initial values to pin the sequence past every
-nonnegative root of the leading coefficient, where the recurrence alone
-would not propagate uniqueness.
+Both are represented by a first-order ratio certificate b(m+1) = r(m) b(m),
+with r = N/D for integer polynomials N and D, together with the support
+pattern (period, residue).  ``symbolic_satisfies`` turns "the closed form
+obeys a recurrence P" into one rational-function identity per residue
+class and checks each one exactly, as a polynomial identity over Z once
+the denominators are cleared, so a passing check is a proof, not a sampled
+plausibility.  ``prove_equality`` combines that with enough initial values
+to pin the sequence past every nonnegative root of the leading
+coefficient, where the recurrence alone would not propagate uniqueness.
 """
 
 from __future__ import annotations
@@ -29,15 +30,11 @@ from typing import Sequence
 
 from .eliminate import UniOperator
 from .exactmath import (
-    RatFunc,
     ipoly_add,
     ipoly_compose_affine,
     ipoly_eval,
     ipoly_mul,
     ipoly_shift_arg,
-    poly_from,
-    poly_mul,
-    poly_scale,
 )
 
 GESSEL_NAME = "gessel"
@@ -84,13 +81,14 @@ def kreweras_rhs(m: int) -> int:
 class HypergeomTerm:
     """An interlaced hypergeometric sequence.
 
-    ``ratio`` is r with b(m+1) = r(m) b(m) and ``initial`` is b(0); the full
-    sequence is g(n) = b((n - residue) / period) on the residue class and 0
-    elsewhere.  The denominator of r must have no nonnegative integer root,
-    so b is defined for every m >= 0.
+    ``ratio`` is the pair (N, D) of integer coefficient tuples (low degree
+    first) of r = N/D with b(m+1) = r(m) b(m), and ``initial`` is b(0); the
+    full sequence is g(n) = b((n - residue) / period) on the residue class
+    and 0 elsewhere.  D must have no nonnegative integer root, so b is
+    defined for every m >= 0.
     """
 
-    ratio: RatFunc
+    ratio: tuple[tuple[int, ...], tuple[int, ...]]
     initial: Fraction
     period: int
     residue: int
@@ -98,16 +96,20 @@ class HypergeomTerm:
     def __post_init__(self):
         if self.period < 1 or not (0 <= self.residue < self.period):
             raise ValueError("support pattern must have period >= 1, 0 <= residue < period")
-        # N/D share one scaling constant, so D has the roots of ratio.den
-        roots = nonneg_integer_roots(_ratio_cleared(self.ratio)[1])
+        roots = nonneg_integer_roots(self.ratio[1])
         if roots:
             raise ValueError(f"ratio denominator vanishes at m = {min(roots)}")
+
+    def ratio_at(self, m: int) -> Fraction:
+        """r(m) = N(m) / D(m)."""
+        num, den = self.ratio
+        return Fraction(ipoly_eval(num, m), ipoly_eval(den, m))
 
     def base_values(self, count: int) -> list[Fraction]:
         """b(0), ..., b(count-1) by iterating the ratio certificate."""
         out = [Fraction(self.initial)]
         for m in range(count - 1):
-            out.append(out[-1] * self.ratio.eval(m))
+            out.append(out[-1] * self.ratio_at(m))
         return out
 
     def sequence(self, n_max: int) -> list[Fraction]:
@@ -127,14 +129,10 @@ def hypergeom_term(which: str) -> HypergeomTerm:
     of the closed forms and are re-checked against them in the test suite."""
     if which == GESSEL_NAME:
         # b(m+1)/b(m) = 4 (6m+5)(2m+1) / ((3m+5)(m+2)), support = even n
-        num = poly_mul(poly_from([5, 6]), poly_from([1, 2]))
-        den = poly_mul(poly_from([5, 3]), poly_from([2, 1]))
-        return HypergeomTerm(RatFunc(poly_scale(num, 4), den), Fraction(1), 2, 0)
+        return HypergeomTerm(((20, 64, 48), (10, 11, 3)), Fraction(1), 2, 0)
     if which == KREWERAS_NAME:
         # b(m+1)/b(m) = 6 (3m+1)(3m+2) / ((m+2)(2m+3)), support = multiples of 3
-        num = poly_mul(poly_from([1, 3]), poly_from([2, 3]))
-        den = poly_mul(poly_from([2, 1]), poly_from([3, 2]))
-        return HypergeomTerm(RatFunc(poly_scale(num, 6), den), Fraction(1), 3, 0)
+        return HypergeomTerm(((12, 54, 54), (6, 7, 2)), Fraction(1), 3, 0)
     raise ValueError(f"unknown closed form {which!r}")
 
 
@@ -152,16 +150,6 @@ def closed_form_value(which: str, n: int) -> int:
 # ---------------------------------------------------------------------------
 
 _ROOT_SCAN_LIMIT = 2_000_000
-
-
-def _ratio_cleared(r: RatFunc) -> tuple[list[int], list[int]]:
-    """Integer polynomials (N, D) with r = N/D exactly: both sides are
-    scaled by the same constant, so products of N's and D's stay
-    consistent with powers of r."""
-    den = 1
-    for c in list(r.num) + list(r.den):
-        den = den * c.denominator // math.gcd(den, c.denominator)
-    return [int(c * den) for c in r.num], [int(c * den) for c in r.den]
 
 
 def nonneg_integer_roots(p: Sequence[int]) -> list[int]:
@@ -237,7 +225,7 @@ def symbolic_satisfies(p: UniOperator, term: HypergeomTerm) -> bool:
         return True
     cleared = p.cleared()
     period, residue = term.period, term.residue
-    rnum, rden = _ratio_cleared(term.ratio)
+    rnum, rden = term.ratio
     for c in range(period):
         # n = period*m + c with m >= 0 covers every n >= 0 in the class;
         # since c + k >= 0 and c + k = residue (mod period), the b-index

@@ -7,7 +7,9 @@ ring Q(n)[S_n], indexed by the shift monomials S_i^e5 S_j^e6.  Because a
 coefficient left-divisible by i or j reduces to zero, useful multiples of
 a generator are taken by shift monomials S_i^a S_j^b *before* reducing;
 multiplication by i or j from the left is exactly the operation that is
-no longer available after reduction.
+no longer available after reduction.  Every vector is stored after
+clearing its denominators, with components in Z[n][S_n]; the span over
+Q(n)[S_n] is the same.
 
 A combination of these vectors, with coefficients in Q(n)[S_n], that is
 concentrated in the component (0,0) corresponds to an annihilator of the
@@ -31,18 +33,16 @@ from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from .exactmath import (
-    RatFunc,
     ipoly_content,
     ipoly_divexact,
+    ipoly_divexact_poly,
     ipoly_eval,
+    ipoly_gcd,
     ipoly_gcd_cofactors,
     ipoly_mul,
     ipoly_shift_arg,
     ipoly_sub,
-    poly_divmod,
-    poly_from,
-    poly_gcd,
-    poly_mul,
+    ipoly_trim,
 )
 from .ore import OreOperator
 
@@ -70,30 +70,33 @@ class VerificationError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# Univariate shift operators over Q(n)
+# Univariate shift operators over Z[n]
 # ---------------------------------------------------------------------------
 
 
 class UniOperator:
-    """An element of Q(n)[S_n]: a map from S_n powers to rational-function
-    coefficients, with a denominator-cleared primitive integer form
-    available for serialization and sequence checks.
+    """An element of Z[n][S_n]: a map from S_n powers to integer
+    polynomials in n (``IPoly`` lists, low degree first).
+
+    The terms are stored exactly as given, with zero polynomials dropped;
+    equality compares them.  An element of Q(n)[S_n] is represented after
+    clearing its denominators, and ``cleared()`` gives the form shared by
+    all its nonzero multiples in Q: primitive, with the leading
+    coefficient's leading integer positive.
 
     Instances are immutable, so the cleared form is computed once, on
     first use, and kept."""
 
     __slots__ = ("_terms", "_cleared")
 
-    def __init__(self, terms: dict[int, RatFunc] | None = None):
-        clean: dict[int, RatFunc] = {}
-        if terms:
-            for k, c in terms.items():
-                if not isinstance(c, RatFunc):
-                    c = RatFunc(c)
-                if c:
-                    if k < 0:
-                        raise ValueError("negative shift power")
-                    clean[int(k)] = c
+    def __init__(self, terms: dict[int, list[int]] | None = None):
+        clean: dict[int, list[int]] = {}
+        for k, p in (terms or {}).items():
+            p = ipoly_trim(list(p))
+            if p:
+                if k < 0:
+                    raise ValueError("negative shift power")
+                clean[int(k)] = p
         self._terms = clean
         self._cleared: dict[int, list[int]] | None = None
 
@@ -101,13 +104,9 @@ class UniOperator:
     def zero(cls) -> "UniOperator":
         return cls()
 
-    @classmethod
-    def from_cleared(cls, cleared: dict[int, list[int]]) -> "UniOperator":
-        return cls({k: RatFunc(poly_from(p)) for k, p in cleared.items() if p})
-
     @property
-    def terms(self) -> dict[int, RatFunc]:
-        return dict(self._terms)
+    def terms(self) -> dict[int, list[int]]:
+        return {k: list(p) for k, p in self._terms.items()}
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -121,104 +120,32 @@ class UniOperator:
         return NotImplemented
 
     def __hash__(self):
-        return hash(frozenset(self._terms.items()))
+        return hash(frozenset((k, tuple(p)) for k, p in self._terms.items()))
 
     def order(self) -> int:
         """Largest S_n power; -1 for the zero operator."""
         return max(self._terms) if self._terms else -1
 
-    def trailing(self) -> int:
-        return min(self._terms) if self._terms else -1
-
-    def __add__(self, other) -> "UniOperator":
-        if not isinstance(other, UniOperator):
-            return NotImplemented
-        out = dict(self._terms)
-        for k, c in other._terms.items():
-            s = out.get(k, RatFunc(0)) + c
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
-        return UniOperator(out)
-
-    def __neg__(self) -> "UniOperator":
-        return UniOperator({k: -c for k, c in self._terms.items()})
-
-    def __sub__(self, other) -> "UniOperator":
-        if not isinstance(other, UniOperator):
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, other) -> "UniOperator":
-        """Ore product: S_n^a c(n) = c(n + a) S_n^a."""
-        if isinstance(other, (int, Fraction, RatFunc)):
-            other = UniOperator({0: RatFunc(other)})
-        if not isinstance(other, UniOperator):
-            return NotImplemented
-        out: dict[int, RatFunc] = {}
-        for a, ca in self._terms.items():
-            for b, cb in other._terms.items():
-                k = a + b
-                s = out.get(k, RatFunc(0)) + ca * cb.shift_arg(a)
-                if s:
-                    out[k] = s
-                else:
-                    out.pop(k, None)
-        return UniOperator(out)
-
-    def __rmul__(self, other) -> "UniOperator":
-        if isinstance(other, (int, Fraction, RatFunc)):
-            return UniOperator({0: RatFunc(other)}) * self
-        return NotImplemented
-
     def cleared(self) -> dict[int, list[int]]:
-        """Denominator-cleared primitive integer coefficients, with the
-        leading coefficient's leading integer positive.  The caller owns
+        """The terms divided by their integer content, signed so that the
+        leading coefficient's leading integer is positive.  The caller owns
         the returned dict and lists."""
         return {k: list(p) for k, p in self._cleared_form().items()}
 
     def _cleared_form(self) -> dict[int, list[int]]:
         """The cached cleared form, shared; never mutate it."""
         if self._cleared is None:
-            self._cleared = self._clear()
+            g = math.gcd(*(ipoly_content(p) for p in self._terms.values()))
+            if self._terms and self._terms[self.order()][-1] < 0:
+                g = -g
+            self._cleared = {k: ipoly_divexact(p, g) for k, p in self._terms.items()}
         return self._cleared
-
-    def _clear(self) -> dict[int, list[int]]:
-        if not self._terms:
-            return {}
-        den = poly_from([1])
-        for c in self._terms.values():
-            g = poly_gcd(den, c.den)
-            den = poly_mul(den, poly_divmod(c.den, g)[0])
-        out: dict[int, list[int]] = {}
-        den_int = 1
-        numerators = {}
-        for k, c in self._terms.items():
-            q = poly_divmod(den, c.den)[0]
-            numerators[k] = poly_mul(c.num, q)
-        for p in numerators.values():
-            for coeff in p:
-                den_int = den_int * coeff.denominator // math.gcd(
-                    den_int, coeff.denominator
-                )
-        for k, p in numerators.items():
-            out[k] = [int(coeff * den_int) for coeff in p]
-        g = 0
-        for p in out.values():
-            g = math.gcd(g, ipoly_content(p))
-        if g > 1:
-            out = {k: ipoly_divexact(p, g) for k, p in out.items()}
-        lead = out[max(out)]
-        if lead[-1] < 0:
-            out = {k: [-c for c in p] for k, p in out.items()}
-        return out
 
     def leading_cleared(self) -> list[int]:
         c = self._cleared_form()
         return list(c[max(c)]) if c else []
 
-    def apply_to_sequence(self, seq: Sequence, n: int) -> Fraction:
+    def apply_to_sequence(self, seq: Sequence, n: int) -> int:
         """Sum of cleared coefficients times sequence values at one index."""
         total = 0
         for k, p in self._cleared_form().items():
@@ -242,32 +169,36 @@ class UniOperator:
             return "0"
         parts = []
         for k in sorted(self._terms, reverse=True):
-            c = self._terms[k]
+            cs = _ipoly_str(self._terms[k])
             mono = f"Sn^{k}" if k > 1 else ("Sn" if k == 1 else "")
-            cs = repr(c)
             if "+" in cs or "- " in cs:
                 cs = f"({cs})"
             parts.append(f"{cs}*{mono}" if mono else cs)
         return " + ".join(parts)
 
 
-def _fraction_str(q: Fraction) -> str:
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+def _ipoly_str(p: list[int]) -> str:
+    parts = []
+    for k in range(len(p) - 1, -1, -1):
+        c = p[k]
+        if not c:
+            continue
+        if k == 0:
+            parts.append(f"{c}")
+        elif k == 1:
+            parts.append(f"{c}*n" if c != 1 else "n")
+        else:
+            parts.append(f"{c}*n^{k}" if c != 1 else f"n^{k}")
+    return " + ".join(parts).replace("+ -", "- ")
 
 
 def uni_to_json(op: UniOperator) -> dict:
-    """Serialize with both the rational-function terms and the cleared
-    polynomial variant; round-trips bit-exactly."""
-    terms = []
-    for k in sorted(op.terms):
-        c = op.terms[k]
-        terms.append(
-            {
-                "power": k,
-                "num": [_fraction_str(x) for x in c.num],
-                "den": [_fraction_str(x) for x in c.den],
-            }
-        )
+    """Serialize the stored integer terms (written as fractions over the
+    denominator 1) together with the cleared form."""
+    terms = [
+        {"power": k, "num": [str(c) for c in p], "den": ["1"]}
+        for k, p in sorted(op.terms.items())
+    ]
     cleared = [
         {"power": k, "coeffs": [str(c) for c in poly]}
         for k, poly in sorted(op.cleared().items())
@@ -275,35 +206,60 @@ def uni_to_json(op: UniOperator) -> dict:
     return {"var": "n", "shift": "Sn", "terms": terms, "cleared": cleared}
 
 
+def _json_term(entry: dict, k: int) -> tuple[list[int], list[int]]:
+    """One term num/den of an operator file as integer polynomials in
+    lowest terms over Z; (num, den) = ([], [1]) for a zero term."""
+    try:
+        num, den = ([Fraction(x) for x in entry[key]] for key in ("num", "den"))
+    except (ValueError, ZeroDivisionError) as e:
+        raise ValueError(f"term of power {k}: bad number ({e})") from None
+    scale = math.lcm(*(c.denominator for c in num + den))
+    num, den = ([c.numerator * (scale // c.denominator) for c in p] for p in (num, den))
+    num, den = ipoly_trim(num), ipoly_trim(den)
+    if not den:
+        raise ValueError(f"term of power {k}: zero denominator")
+    if not num:
+        return [], [1]
+    g = ipoly_gcd(num, den)
+    return ipoly_divexact_poly(num, g), ipoly_divexact_poly(den, g)
+
+
 def uni_from_json(data: dict) -> UniOperator:
+    """Read an operator file; the result is in its cleared form.
+
+    A term is a rational function num/den in n with rational
+    coefficients.  Each one is scaled to integer coefficients and reduced
+    to lowest terms, and then every term is multiplied by the lcm L of the
+    denominators over Z[n], so term k becomes num_k (L / den_k).  That is
+    left multiplication of the whole operator by L, a nonzero element of
+    Q(n), so the recurrence is unchanged.  A stated ``"cleared"`` form
+    must match the one computed.  A malformed number or a zero
+    denominator raises ValueError naming the term's power.
+    """
     if data.get("var") != "n" or data.get("shift") != "Sn":
         raise ValueError("unrecognized operator header")
-    terms: dict[int, RatFunc] = {}
+    reduced: dict[int, tuple[list[int], list[int]]] = {}
+    den_lcm = [1]
     for entry in data["terms"]:
         k = int(entry["power"])
-        if k in terms:
+        if k in reduced:
             raise ValueError(f"duplicate power {k}")
-        num = poly_from([Fraction(x) for x in entry["num"]])
-        den = poly_from([Fraction(x) for x in entry["den"]])
-        terms[k] = RatFunc(num, den)
-    op = UniOperator(terms)
+        reduced[k] = num, den = _json_term(entry, k)
+        den_lcm = ipoly_mul(den_lcm, ipoly_divexact_poly(den, ipoly_gcd(den_lcm, den)))
+    op = UniOperator(
+        {
+            k: ipoly_mul(num, ipoly_divexact_poly(den_lcm, den))
+            for k, (num, den) in reduced.items()
+        }
+    )
+    cleared = op.cleared()
     if "cleared" in data:
         stated = {
             int(e["power"]): [int(c) for c in e["coeffs"]] for e in data["cleared"]
         }
-        if stated != op.cleared():
+        if stated != cleared:
             raise ValueError("cleared form does not match the rational terms")
-    return op
-
-
-def uni_from_ore(op: OreOperator) -> UniOperator:
-    """Read an operator free of i, j, S_i, S_j as an element of Q(n)[S_n]."""
-    terms: dict[int, RatFunc] = {}
-    for (e4, e5, e6), c in op.terms.items():
-        if e5 or e6:
-            raise ValueError("operator still involves S_i or S_j")
-        terms[e4] = RatFunc(poly_from(c.coefficients_in_n()))
-    return UniOperator(terms)
+    return UniOperator(cleared)
 
 
 # ---------------------------------------------------------------------------
@@ -339,9 +295,6 @@ class ModuleVector:
         kept = {p: u for p, u in self.components.items() if p[0] + p[1] <= d}
         return ModuleVector(kept), len(kept) != len(self.components)
 
-    def left_mul(self, u: UniOperator) -> "ModuleVector":
-        return ModuleVector({p: u * c for p, c in self.components.items()})
-
     def __eq__(self, other):
         if isinstance(other, ModuleVector):
             return self.components == other.components
@@ -350,14 +303,18 @@ class ModuleVector:
 
 def reduce_mod_ij(op: OreOperator) -> ModuleVector:
     """Reduction modulo the right ideal i*A + j*A: substitute i = j = 0 in
-    the left coefficients and regroup by the S_i, S_j exponents."""
-    reduced = op.substitute_zero(("i", "j"))
-    comps: dict[Pos, dict[int, RatFunc]] = {}
-    for (e4, e5, e6), c in reduced.terms.items():
-        coeffs = poly_from(c.coefficients_in_n())
-        cur = comps.setdefault((e5, e6), {})
-        cur[e4] = RatFunc(coeffs)
-    return ModuleVector({p: UniOperator(t) for p, t in comps.items()})
+    the left coefficients and regroup by the S_i, S_j exponents.
+
+    The vector is scaled by the lcm of its coefficient denominators, so
+    that its components lie in Z[n][S_n]; that is left multiplication by
+    a nonzero constant, which keeps the components' relative scale and
+    the span of any set of vectors."""
+    coeffs = {e: c.coefficients_in_n() for e, c in op.substitute_zero(("i", "j")).terms.items()}
+    scale = math.lcm(*(x.denominator for p in coeffs.values() for x in p))
+    comps: dict[Pos, dict[int, list[int]]] = {}
+    for (e4, e5, e6), p in coeffs.items():
+        comps.setdefault((e5, e6), {})[e4] = [x.numerator * (scale // x.denominator) for x in p]
+    return ModuleVector({pos: UniOperator(t) for pos, t in comps.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -369,29 +326,7 @@ def reduce_mod_ij(op: OreOperator) -> ModuleVector:
 
 
 def _row_from_vector(v: ModuleVector) -> dict:
-    # scaling the whole vector by the least common denominator is left
-    # multiplication by an element of Q(n), so the span is unchanged
-    den_lcm = poly_from([1])
-    for u in v.components.values():
-        for c in u.terms.values():
-            g = poly_gcd(den_lcm, c.den)
-            den_lcm = poly_mul(den_lcm, poly_divmod(c.den, g)[0])
-    fr_comps = {}
-    for pos, u in v.components.items():
-        cleared = {}
-        for k, c in u.terms.items():
-            cleared[k] = poly_mul(c.num, poly_divmod(den_lcm, c.den)[0])
-        fr_comps[pos] = cleared
-    den = 1
-    for comp in fr_comps.values():
-        for p in comp.values():
-            for coeff in p:
-                den = den * coeff.denominator // math.gcd(den, coeff.denominator)
-    row = {
-        pos: {k: [int(c * den) for c in p] for k, p in comp.items()}
-        for pos, comp in fr_comps.items()
-    }
-    return _row_normalize(row)
+    return _row_normalize({pos: u.terms for pos, u in v.components.items()})
 
 
 def _row_is_zero(row: dict) -> bool:
@@ -483,6 +418,11 @@ def _reduce_leading(u: dict, w: dict) -> dict:
     return _row_sub(left, right)
 
 
+def _lead_rank(row: dict):
+    pos, k, _ = _row_lead(row)
+    return pos_key(pos), k
+
+
 def _row_sort_key(row: dict):
     pos, k, lead = _row_lead(row)
     return (pos_key(pos), k, len(lead))
@@ -497,7 +437,9 @@ def _echelonize(rows: list[dict]) -> dict[Pos, dict]:
     the leading polynomials' gcd, never by the whole of aw'; the
     normalized result, and so every pivot, is the one the full-multiplier
     step gives, because the two differ by the factor g that the
-    normalization removes.  The returned pivots have
+    normalization removes.  Each step must lower the row's leading
+    (position, S_n power) strictly, so the loop ends; a step that does
+    not raises EliminationError.  The returned pivots have
     pairwise distinct leading positions; a pivot led by (0,0) is therefore
     supported on (0,0) only, and by the Euclidean reduction it has minimal
     S_n-order among all such elements of the span.
@@ -514,6 +456,11 @@ def _echelonize(rows: list[dict]) -> dict[Pos, dict]:
             _, kw, _ = _row_lead(w)
             if k >= kw:
                 row = _row_normalize(_reduce_leading(row, w))
+                if row and _lead_rank(row) >= (pos_key(pos), k):
+                    raise EliminationError(
+                        f"a reduction step did not lower the leading term "
+                        f"(position {pos}, S_n power {k})"
+                    )
             else:
                 pivots[pos] = _row_normalize(row)
                 row = w
@@ -521,8 +468,7 @@ def _echelonize(rows: list[dict]) -> dict[Pos, dict]:
 
 
 def _row_to_uni(row: dict, pos: Pos) -> UniOperator:
-    comp = row.get(pos, {})
-    return UniOperator.from_cleared({k: list(p) for k, p in comp.items()})
+    return UniOperator(row.get(pos, {}))
 
 
 # ---------------------------------------------------------------------------

@@ -1,21 +1,19 @@
-"""Exact arithmetic foundation: rationals, trivariate polynomials, and
-univariate rational functions.
+"""Exact arithmetic foundation: trivariate polynomials over Q and
+univariate polynomials over Z.
 
 Everything here is exact; there is no floating point anywhere in the
 pipeline.  ``MultiPoly`` is a polynomial in the three commuting variables
 n, i, j with rational coefficients, stored as a canonical sparse map from
-exponent triples to nonzero coefficients.  ``RatFunc`` is a univariate
-rational function in n, kept normalized (coprime, monic denominator).
+exponent triples to nonzero coefficients; guessing and certification work
+with it.
 
-Univariate polynomials appear in two flavours:
-
-* tuples of ``Fraction`` coefficients (low degree first), used by
-  ``RatFunc`` -- see the ``poly_*`` helpers;
-* plain ``int`` coefficient lists, used by the elimination engine where
-  fraction-free arithmetic matters -- see the ``ipoly_*`` helpers.  Their
-  exact division and gcd stay in Z[x] (integer long division, and a
-  heuristic gcd with the primitive PRS as fallback); no ``IPoly``
-  operation goes through ``Fraction``.
+Univariate polynomials in n are plain ``int`` coefficient lists (``IPoly``,
+low degree first) -- see the ``ipoly_*`` helpers.  They are the
+coefficients of every element of Z[n][S_n]: the elimination rows, the
+eliminated recurrence and the closed-form ratios.  Their exact division
+and gcd stay in Z[x] (integer long division, and a heuristic gcd with the
+primitive PRS as fallback); no ``IPoly`` operation goes through
+``Fraction``.
 """
 
 from __future__ import annotations
@@ -28,10 +26,6 @@ VARS = ("n", "i", "j")
 _VAR_INDEX = {"n": 0, "i": 1, "j": 2}
 
 Exponent = tuple[int, int, int]
-
-
-class ZeroDenominatorError(ZeroDivisionError):
-    """Raised when a rational function would have a zero denominator."""
 
 
 def _as_fraction(x) -> Fraction:
@@ -308,125 +302,6 @@ def _coerce_poly(x):
     if isinstance(x, (int, Fraction)):
         return MultiPoly.const(x)
     return NotImplemented
-
-
-# ---------------------------------------------------------------------------
-# Univariate polynomials over Fraction, low degree first, as tuples.
-# ---------------------------------------------------------------------------
-
-FPoly = tuple[Fraction, ...]
-
-
-def poly_from(coeffs: Iterable) -> FPoly:
-    """Build a normalized (trailing-zero-trimmed) coefficient tuple."""
-    cs = [_as_fraction(c) for c in coeffs]
-    while cs and not cs[-1]:
-        cs.pop()
-    return tuple(cs)
-
-
-POLY_ZERO: FPoly = ()
-POLY_ONE: FPoly = (Fraction(1),)
-
-
-def poly_deg(p: FPoly) -> int:
-    return len(p) - 1
-
-
-def poly_add(a: FPoly, b: FPoly) -> FPoly:
-    n = max(len(a), len(b))
-    out = [Fraction(0)] * n
-    for k, c in enumerate(a):
-        out[k] += c
-    for k, c in enumerate(b):
-        out[k] += c
-    return poly_from(out)
-
-
-def poly_neg(a: FPoly) -> FPoly:
-    return tuple(-c for c in a)
-
-
-def poly_sub(a: FPoly, b: FPoly) -> FPoly:
-    return poly_add(a, poly_neg(b))
-
-
-def poly_mul(a: FPoly, b: FPoly) -> FPoly:
-    if not a or not b:
-        return POLY_ZERO
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for ka, ca in enumerate(a):
-        if not ca:
-            continue
-        for kb, cb in enumerate(b):
-            out[ka + kb] += ca * cb
-    return poly_from(out)
-
-
-def poly_scale(a: FPoly, s) -> FPoly:
-    s = _as_fraction(s)
-    if not s:
-        return POLY_ZERO
-    return tuple(c * s for c in a)
-
-
-def poly_eval(a: FPoly, x) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(a):
-        acc = acc * x + c
-    return acc
-
-
-def poly_compose_affine(a: FPoly, scale: int, shift: int) -> FPoly:
-    """Compose ``a(scale * x + shift)`` exactly."""
-    acc: FPoly = POLY_ZERO
-    lin = poly_from([shift, scale])
-    for c in reversed(a):
-        acc = poly_add(poly_mul(acc, lin), (Fraction(c),) if c else POLY_ZERO)
-    return acc
-
-
-def poly_shift_arg(a: FPoly, offset: int) -> FPoly:
-    """Compose ``a(x + offset)``."""
-    if offset == 0:
-        return a
-    return poly_compose_affine(a, 1, offset)
-
-
-def poly_divmod(a: FPoly, b: FPoly) -> tuple[FPoly, FPoly]:
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    q = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
-    r = list(a)
-    db = poly_deg(b)
-    lb = b[-1]
-    while len(r) - 1 >= db and r:
-        while r and not r[-1]:
-            r.pop()
-        if len(r) - 1 < db or not r:
-            break
-        k = len(r) - 1 - db
-        f = r[-1] / lb
-        q[k] = f
-        for t, c in enumerate(b):
-            r[k + t] -= f * c
-        r.pop()
-    return poly_from(q), poly_from(r)
-
-
-def poly_gcd(a: FPoly, b: FPoly) -> FPoly:
-    """Monic gcd over Q."""
-    while b:
-        a, b = b, poly_divmod(a, b)[1]
-    if not a:
-        return POLY_ZERO
-    return poly_scale(a, 1 / a[-1])
-
-
-def poly_monic(a: FPoly) -> FPoly:
-    if not a:
-        return a
-    return poly_scale(a, 1 / a[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -729,142 +604,3 @@ def ipoly_eval(a: IPoly, x: int) -> int:
     for c in reversed(a):
         acc = acc * x + c
     return acc
-
-
-# ---------------------------------------------------------------------------
-# Univariate rational functions in n.
-# ---------------------------------------------------------------------------
-
-
-class RatFunc:
-    """A rational function num/den in n, normalized so that
-    gcd(num, den) = 1 and den is monic (den = 1 for polynomials)."""
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num, den=1):
-        if isinstance(num, (int, Fraction)):
-            num = (Fraction(num),) if num else POLY_ZERO
-        if isinstance(den, (int, Fraction)):
-            den = (Fraction(den),) if den else POLY_ZERO
-        num = poly_from(num)
-        den = poly_from(den)
-        if not den:
-            raise ZeroDenominatorError("zero denominator")
-        if not num:
-            self.num, self.den = POLY_ZERO, POLY_ONE
-            return
-        g = poly_gcd(num, den)
-        if poly_deg(g) > 0:
-            num = poly_divmod(num, g)[0]
-            den = poly_divmod(den, g)[0]
-        lead = den[-1]
-        if lead != 1:
-            num = poly_scale(num, 1 / lead)
-            den = poly_scale(den, 1 / lead)
-        self.num = num
-        self.den = den
-
-    @classmethod
-    def from_fraction(cls, q) -> "RatFunc":
-        return cls(_as_fraction(q))
-
-    def is_zero(self) -> bool:
-        return not self.num
-
-    def is_polynomial(self) -> bool:
-        return self.den == POLY_ONE
-
-    def __bool__(self) -> bool:
-        return bool(self.num)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, RatFunc):
-            return self.num == other.num and self.den == other.den
-        if isinstance(other, (int, Fraction)):
-            return self == RatFunc(other)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.num, self.den))
-
-    def __add__(self, other) -> "RatFunc":
-        other = _coerce_rat(other)
-        if other is NotImplemented:
-            return NotImplemented
-        num = poly_add(poly_mul(self.num, other.den), poly_mul(other.num, self.den))
-        return RatFunc(num, poly_mul(self.den, other.den))
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "RatFunc":
-        return RatFunc(poly_neg(self.num), self.den)
-
-    def __sub__(self, other) -> "RatFunc":
-        other = _coerce_rat(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other) -> "RatFunc":
-        return _coerce_rat(other) + (-self)
-
-    def __mul__(self, other) -> "RatFunc":
-        other = _coerce_rat(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return RatFunc(poly_mul(self.num, other.num), poly_mul(self.den, other.den))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other) -> "RatFunc":
-        other = _coerce_rat(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if not other.num:
-            raise ZeroDenominatorError("division by the zero rational function")
-        return RatFunc(poly_mul(self.num, other.den), poly_mul(self.den, other.num))
-
-    def shift_arg(self, offset: int) -> "RatFunc":
-        """The function n |-> self(n + offset)."""
-        return RatFunc(poly_shift_arg(self.num, offset), poly_shift_arg(self.den, offset))
-
-    def eval(self, x) -> Fraction:
-        d = poly_eval(self.den, x)
-        if not d:
-            raise ZeroDenominatorError(f"denominator vanishes at {x}")
-        return poly_eval(self.num, x) / d
-
-    def __repr__(self) -> str:
-        def fmt(p: FPoly) -> str:
-            if not p:
-                return "0"
-            parts = []
-            for k in range(len(p) - 1, -1, -1):
-                c = p[k]
-                if not c:
-                    continue
-                if k == 0:
-                    parts.append(f"{c}")
-                elif k == 1:
-                    parts.append(f"{c}*n" if c != 1 else "n")
-                else:
-                    parts.append(f"{c}*n^{k}" if c != 1 else f"n^{k}")
-            return " + ".join(parts).replace("+ -", "- ")
-
-        if self.den == POLY_ONE:
-            return fmt(self.num)
-        return f"({fmt(self.num)})/({fmt(self.den)})"
-
-
-def _coerce_rat(x):
-    if isinstance(x, RatFunc):
-        return x
-    if isinstance(x, (int, Fraction)):
-        return RatFunc(x)
-    return NotImplemented
-
-
-def rat_normalize(num, den) -> RatFunc:
-    """Normalize a numerator/denominator pair into a canonical RatFunc."""
-    return RatFunc(num, den)

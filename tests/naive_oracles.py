@@ -6,12 +6,13 @@ of the full grid one step at a time, the distance oracle is a plain
 breadth-first search over cells, the nullspace oracle is plain
 Gaussian elimination over Fraction, polynomial division and gcd are
 schoolbook division and Euclid over Fraction, the echelon row step
-multiplies by the whole leading polynomials, and operator evaluation sums
-Fraction terms.  Slow on purpose; used only at small sizes.
+multiplies by the whole leading polynomials, and operator and
+rational-function evaluation sum Fraction terms.  Slow on purpose; used only at small sizes.
 """
 
 from fractions import Fraction
 from itertools import product
+from math import gcd
 
 
 def brute_force_counts(steps, n):
@@ -255,3 +256,55 @@ def full_multiplier_reduce(u, w, pos_key):
             if c:
                 clean.setdefault(p, {})[k] = c
     return clean
+
+
+def fraction_ratio_at(num, den, x):
+    """num(x) / den(x) for coefficient lists of Fractions (low degree
+    first), by Horner's rule over Fraction; None where den(x) = 0."""
+    values = []
+    for p in (num, den):
+        acc = Fraction(0)
+        for c in reversed(p):
+            acc = acc * x + c
+        values.append(acc)
+    return values[0] / values[1] if values[1] else None
+
+
+def fraction_cleared(terms):
+    """The cleared form of an operator {power: (num, den)} given by
+    Fraction coefficient lists, computed in Q(n): each nonzero term reduced
+    by the monic Euclidean gcd of num and den, all terms multiplied by the
+    monic lcm of the reduced denominators, and the result scaled to
+    coprime integers with the leading coefficient's leading integer
+    positive."""
+    reduced = {}
+    lcm = [Fraction(1)]
+    for k, (num, den) in terms.items():
+        if not any(num):
+            continue
+        g = fraction_monic_gcd(num, den)
+        reduced[k] = _fraction_divmod(num, g)[0], _fraction_divmod(den, g)[0]
+        den = reduced[k][1]
+        lcm = _fraction_divmod(_schoolbook_mul(lcm, den), fraction_monic_gcd(lcm, den))[0]
+    out = {
+        k: _schoolbook_mul(num, _fraction_divmod(lcm, den)[0])
+        for k, (num, den) in reduced.items()
+    }
+    if not out:
+        return {}
+    scale = 1
+    for p in out.values():
+        for c in p:
+            scale = scale * c.denominator // gcd(scale, c.denominator)
+    ints = {}
+    for k, p in out.items():
+        ints[k] = [int(c * scale) for c in p]
+        while not ints[k][-1]:
+            ints[k].pop()
+    content = 0
+    for p in ints.values():
+        for c in p:
+            content = gcd(content, c)
+    if ints[max(ints)][-1] < 0:
+        content = -content
+    return {k: [c // content for c in p] for k, p in ints.items()}

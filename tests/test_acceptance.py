@@ -18,7 +18,6 @@ from quarterwalks import (
     HypergeomTerm,
     MultiPoly,
     OreOperator,
-    RatFunc,
     UniOperator,
     CountTable,
     build_template,
@@ -42,9 +41,10 @@ from quarterwalks import (
 )
 from quarterwalks.certify import REFUTED
 from quarterwalks.cli import main as cli_main
-from quarterwalks.exactmath import poly_from, poly_mul, poly_scale
+from quarterwalks.exactmath import ipoly_mul, ipoly_scale
 
 from naive_oracles import brute_force_counts
+from test_eliminate import vector_as_ore
 from test_ore import random_operator
 
 
@@ -184,8 +184,8 @@ def test_criterion_7_kreweras_end_to_end_proof(tmp_path):
 
 GESSEL_DIAGONAL_RECURRENCE = UniOperator(
     {
-        2: RatFunc(poly_mul(poly_from([10, 3]), poly_from([4, 1]))),
-        0: RatFunc(poly_scale(poly_mul(poly_from([5, 3]), poly_from([1, 1])), -16)),
+        2: ipoly_mul([10, 3], [4, 1]),
+        0: ipoly_scale(ipoly_mul([5, 3], [1, 1]), -16),
     }
 )
 
@@ -217,8 +217,8 @@ def test_criterion_8_gessel_import_path(tmp_path):
         base = HypergeomTerm(term.ratio, term.initial, 1, 0)
         first_order = UniOperator(
             {
-                1: RatFunc(poly_mul(poly_from([5, 3]), poly_from([2, 1]))),
-                0: RatFunc(poly_scale(poly_mul(poly_from([5, 6]), poly_from([1, 2])), -4)),
+                1: ipoly_mul([5, 3], [2, 1]),
+                0: ipoly_scale(ipoly_mul([5, 6], [1, 2]), -4),
             }
         )
         assert symbolic_satisfies(first_order, base)
@@ -258,7 +258,8 @@ def test_criterion_9_property_suites():
                 p.substitute_shift(var, e)
             ) * s
 
-        # reduction is a module map over Q(n)[S_n]
+        # reduction is a module map over Q(n)[S_n] (integer coefficients,
+        # so reduce_mod_ij scales nothing)
         for _ in range(100):
             r = random_operator(rng, max_terms=4)
             e = rng.randint(0, 2)
@@ -268,8 +269,9 @@ def test_criterion_9_property_suites():
             as_ore = OreOperator(
                 {(e, 0, 0): MultiPoly({(k, 0, 0): Fraction(v) for k, v in enumerate(coeffs) if v})}
             )
-            as_uni = UniOperator({e: RatFunc(poly_from(coeffs))})
-            assert reduce_mod_ij(as_ore * r) == reduce_mod_ij(r).left_mul(as_uni)
+            assert reduce_mod_ij(as_ore * r) == reduce_mod_ij(
+                as_ore * vector_as_ore(reduce_mod_ij(r))
+            )
 
         # left-multiple degeneracy
         i_poly = MultiPoly.variable("i")

@@ -8,14 +8,13 @@ from click.testing import CliRunner
 
 from quarterwalks import (
     GESSEL,
-    RatFunc,
     UniOperator,
     operator_to_json,
     trivial_operator,
     uni_to_json,
 )
 from quarterwalks.cli import main, parse_bounds
-from quarterwalks.exactmath import poly_from, poly_mul, poly_scale
+from quarterwalks.exactmath import ipoly_mul, ipoly_scale
 from quarterwalks.guess import Bounds
 
 
@@ -36,8 +35,8 @@ def write_json(path, payload):
 
 PG = UniOperator(
     {
-        2: RatFunc(poly_mul(poly_from([10, 3]), poly_from([4, 1]))),
-        0: RatFunc(poly_scale(poly_mul(poly_from([5, 3]), poly_from([1, 1])), -16)),
+        2: ipoly_mul([10, 3], [4, 1]),
+        0: ipoly_scale(ipoly_mul([5, 3], [1, 1]), -16),
     }
 )
 
@@ -192,11 +191,50 @@ def test_import_recurrence_valid(runner, tmp_path):
 
 
 def test_import_recurrence_rejected_exit_1(runner, tmp_path):
-    wrong = UniOperator({2: RatFunc(poly_from([40, 22, 3])), 0: RatFunc(poly_from([-80, -128, -47]))})
+    wrong = UniOperator({2: [40, 22, 3], 0: [-80, -128, -47]})
     path = write_json(tmp_path / "wrong.json", uni_to_json(wrong))
     r = runner.invoke(main, ["import-recurrence", path, "--steps", "E,W,NE,SW", "--n-check", "60"])
     assert r.exit_code == 1
     assert "rejected: fails sequence check at n=" in r.output
+
+
+def test_import_recurrence_clears_rational_terms(runner, tmp_path):
+    # (3n+10)(n+4) / (2 (n+1)(3n+5)) Sn^2 - 8 is the Gessel recurrence
+    # divided by 2 (n+1)(3n+5); it loads, validates and is written cleared
+    rational = {
+        "var": "n",
+        "shift": "Sn",
+        "terms": [
+            {"power": 2, "num": ["20", "11", "3/2"], "den": ["5", "8", "3"]},
+            {"power": 0, "num": ["-8"], "den": ["1"]},
+        ],
+        "cleared": uni_to_json(PG)["cleared"],
+    }
+    path = write_json(tmp_path / "rational.json", rational)
+    r = invoke(runner, ["import-recurrence", path, "--steps", "E,W,NE,SW", "--n-check", "60"])
+    assert r.exit_code == 0
+    assert json.loads(r.output)["operator"] == uni_to_json(PG)
+
+
+@pytest.mark.parametrize(
+    "num, den",
+    [(["1"], ["0"]), (["1/0"], ["1"]), (["one"], ["1"])],
+    ids=["zero-den", "div-by-zero", "not-a-number"],
+)
+def test_recurrence_with_bad_numbers_exit_2_one_line(runner, tmp_path, num, den):
+    data = uni_to_json(PG)
+    data["terms"][1].update(num=num, den=den)
+    path = write_json(tmp_path / "bad.json", data)
+    for args in (
+        ["import-recurrence", path, "--steps", "E,W,NE,SW"],
+        ["prove", "--steps", "E,W,NE,SW", "--closed-form", "gessel",
+         "--import-recurrence", path, "--diag-limit", "40"],
+    ):
+        r = runner.invoke(main, args)
+        assert r.exit_code == 2
+        assert "Traceback" not in r.output
+        lines = r.output.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: term of power 2"), r.output
 
 
 def test_import_recurrence_truncated_json_exit_2(runner, tmp_path):
@@ -247,7 +285,7 @@ def test_prove_gessel_without_import_is_sound_negative(runner, tmp_path):
 
 def test_prove_import_order_not_below_diag_limit_exit_2(runner, tmp_path):
     # an order-12 recurrence leaves no window to check in 10 terms
-    rec = UniOperator({12: RatFunc(poly_from([1])), 0: RatFunc(poly_from([-1]))})
+    rec = UniOperator({12: [1], 0: [-1]})
     path = write_json(tmp_path / "ord12.json", uni_to_json(rec))
     report_path = tmp_path / "report.json"
     r = runner.invoke(

@@ -6,7 +6,6 @@ import pytest
 
 from quarterwalks import (
     HypergeomTerm,
-    RatFunc,
     UniOperator,
     closed_form_value,
     gessel_rhs,
@@ -18,19 +17,25 @@ from quarterwalks import (
     prove_equality,
     symbolic_satisfies,
 )
-from quarterwalks.exactmath import ipoly_mul, poly_from, poly_mul, poly_scale
+from quarterwalks.exactmath import ipoly_mul, ipoly_scale
 
 from naive_oracles import cauchy_nonneg_integer_roots
+from test_eliminate import ore_as_uni, uni_as_ore
 
 # order-3 recurrence of the interlaced Kreweras origin counts
-P0 = UniOperator({3: RatFunc(poly_from([54, 21, 2])), 0: RatFunc(poly_from([-108, -162, -54]))})
+P0 = UniOperator({3: [54, 21, 2], 0: [-108, -162, -54]})
 # order-2 recurrence of the interlaced Gessel origin counts
 PG = UniOperator(
     {
-        2: RatFunc(poly_mul(poly_from([10, 3]), poly_from([4, 1]))),
-        0: RatFunc(poly_scale(poly_mul(poly_from([5, 3]), poly_from([1, 1])), -16)),
+        2: ipoly_mul([10, 3], [4, 1]),
+        0: ipoly_scale(ipoly_mul([5, 3], [1, 1]), -16),
     }
 )
+
+
+def left_multiple(u, p):
+    """The Ore product u p of two elements of Z[n][S_n]."""
+    return ore_as_uni(uni_as_ore(u) * uni_as_ore(p))
 
 
 def test_pochhammer_examples():
@@ -65,11 +70,14 @@ def test_rhs_match_enumeration(gessel_oracle, kreweras_oracle):
 def test_ratio_certificates():
     g = hypergeom_term("gessel")
     k = hypergeom_term("kreweras")
-    assert g.ratio.eval(0) == 2 and g.initial == 1
-    assert k.ratio.eval(0) == 2 and k.initial == 1
+    # 4 (6m+5)(2m+1) / ((3m+5)(m+2)) and 6 (3m+1)(3m+2) / ((m+2)(2m+3))
+    assert g.ratio == ((20, 64, 48), (10, 11, 3))
+    assert k.ratio == ((12, 54, 54), (6, 7, 2))
+    assert g.ratio_at(0) == 2 and g.initial == 1
+    assert k.ratio_at(0) == 2 and k.initial == 1
     for m in range(100):
-        assert g.ratio.eval(m) * gessel_rhs(m) == gessel_rhs(m + 1)
-        assert k.ratio.eval(m) * kreweras_rhs(m) == kreweras_rhs(m + 1)
+        assert g.ratio_at(m) * gessel_rhs(m) == gessel_rhs(m + 1)
+        assert k.ratio_at(m) * kreweras_rhs(m) == kreweras_rhs(m + 1)
 
 
 def test_ratio_denominators_root_free():
@@ -77,12 +85,12 @@ def test_ratio_denominators_root_free():
     for which in ("gessel", "kreweras"):
         term = hypergeom_term(which)
         for m in range(50):
-            term.ratio.eval(m)
+            term.ratio_at(m)
 
 
 def test_term_with_vanishing_denominator_rejected():
     with pytest.raises(ValueError, match="vanishes"):
-        HypergeomTerm(RatFunc(poly_from([1]), poly_from([-3, 1])), Fraction(1), 1, 0)
+        HypergeomTerm(((1,), (-3, 1)), Fraction(1), 1, 0)
 
 
 def test_product_and_ratio_iteration_agree():
@@ -105,9 +113,9 @@ def test_interlaced_sequence_pattern():
 
 
 def test_check_recurrence_first_order_on_base_sequence():
-    den = poly_mul(poly_from([2, 1]), poly_from([3, 2]))  # (m+2)(2m+3)
-    num = poly_scale(poly_mul(poly_from([1, 3]), poly_from([2, 3])), 6)
-    p = UniOperator({1: RatFunc(den), 0: -RatFunc(num)})
+    den = ipoly_mul([2, 1], [3, 2])  # (m+2)(2m+3)
+    num = ipoly_scale(ipoly_mul([1, 3], [2, 3]), -6)
+    p = UniOperator({1: den, 0: num})
     seq = [kreweras_rhs(m) for m in range(202)]
     assert p.annihilates(seq, range(201))
     shifted = seq[1:]
@@ -115,9 +123,9 @@ def test_check_recurrence_first_order_on_base_sequence():
 
 
 def test_first_failure_names_first_failing_n():
-    den = poly_mul(poly_from([2, 1]), poly_from([3, 2]))
-    num = poly_scale(poly_mul(poly_from([1, 3]), poly_from([2, 3])), 6)
-    p = UniOperator({1: RatFunc(den), 0: -RatFunc(num)})
+    den = ipoly_mul([2, 1], [3, 2])
+    num = ipoly_scale(ipoly_mul([1, 3], [2, 3]), -6)
+    p = UniOperator({1: den, 0: num})
     seq = [kreweras_rhs(m) for m in range(40)]
     assert p.first_failure(seq, range(39)) is None
     seq[17] += 1
@@ -140,14 +148,15 @@ def test_symbolic_satisfies_builtins():
     g = hypergeom_term("gessel")
     assert symbolic_satisfies(P0, k)
     assert symbolic_satisfies(PG, g)
-    assert not symbolic_satisfies(UniOperator({1: RatFunc(1), 0: RatFunc(-1)}), g)
+    assert not symbolic_satisfies(UniOperator({1: [1], 0: [-1]}), g)
 
 
 def test_symbolic_satisfies_first_order_base_terms():
     for which in ("gessel", "kreweras"):
         term = hypergeom_term(which)
         base = HypergeomTerm(term.ratio, term.initial, 1, 0)
-        p = UniOperator({1: RatFunc(term.ratio.den), 0: -RatFunc(term.ratio.num)})
+        num, den = term.ratio
+        p = UniOperator({1: den, 0: [-c for c in num]})
         assert symbolic_satisfies(p, base)
 
 
@@ -160,15 +169,15 @@ def test_symbolic_agrees_with_numeric_windows():
         if rng.random() < 0.5:
             # a left multiple of P0 stays an annihilator
             e = rng.randint(0, 2)
-            c = poly_from([rng.randint(-4, 4) for _ in range(rng.randint(1, 3))])
+            c = [rng.randint(-4, 4) for _ in range(rng.randint(1, 3))]
             if not any(c):
-                c = poly_from([1])
-            p = UniOperator({e: RatFunc(c)}) * P0
+                c = [1]
+            p = left_multiple(UniOperator({e: c}), P0)
         else:
             p = UniOperator(
                 {
-                    rng.randint(0, 3): RatFunc(poly_from([rng.randint(-4, 4), 1])),
-                    rng.randint(4, 6): RatFunc(poly_from([rng.randint(1, 4)])),
+                    rng.randint(0, 3): [rng.randint(-4, 4), 1],
+                    rng.randint(4, 6): [rng.randint(1, 4)],
                 }
             )
         symbolic = symbolic_satisfies(p, k)
@@ -217,7 +226,7 @@ def test_prove_equality_extends_past_singular_indices(kreweras_oracle):
     # scale the recurrence so its leading coefficient vanishes at n = 4:
     # uniqueness needs initial values through order + 4
     k = hypergeom_term("kreweras")
-    scaled = UniOperator({0: RatFunc(poly_from([-4, 1]))}) * P0
+    scaled = left_multiple(UniOperator({0: [-4, 1]}), P0)
     v = prove_equality(scaled, k, kreweras_oracle)
     assert v.proved
     assert v.singular_bound == 4
@@ -234,6 +243,6 @@ def test_prove_equality_failure_modes(kreweras_oracle):
     v = prove_equality(P0, k, Tweaked())
     assert v.status == "FAILED(initial-values)"
     assert v.failing_index == 1
-    wrong = UniOperator({3: RatFunc(1), 0: RatFunc(-1)})
+    wrong = UniOperator({3: [1], 0: [-1]})
     v = prove_equality(wrong, k, kreweras_oracle)
     assert v.status == "FAILED(symbolic-recurrence)"

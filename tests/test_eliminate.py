@@ -14,7 +14,6 @@ from quarterwalks import (
     ModuleVector,
     MultiPoly,
     OreOperator,
-    RatFunc,
     UniOperator,
     eliminate_shifts,
     generate_module,
@@ -25,7 +24,7 @@ from quarterwalks import (
     uni_from_json,
     uni_to_json,
 )
-from quarterwalks import exactmath
+from quarterwalks import eliminate, exactmath
 from quarterwalks.eliminate import _reduce_leading, _row_normalize, pos_key
 from quarterwalks.exactmath import (
     ipoly_content,
@@ -33,9 +32,15 @@ from quarterwalks.exactmath import (
     ipoly_gcd_cofactors,
     ipoly_mul,
     ipoly_shift_arg,
-    poly_from,
 )
-from naive_oracles import fraction_divexact, fraction_monic_gcd, full_multiplier_reduce
+from naive_oracles import (
+    _schoolbook_mul,
+    fraction_cleared,
+    fraction_divexact,
+    fraction_monic_gcd,
+    fraction_ratio_at,
+    full_multiplier_reduce,
+)
 from test_exactmath import random_ipoly
 from test_ore import random_operator
 
@@ -46,23 +51,50 @@ SN = OreOperator.shift("Sn")
 SI = OreOperator.shift("Si")
 
 # the closed-form recurrence of the Kreweras origin counts, order 3
-P0 = UniOperator({3: RatFunc(poly_from([54, 21, 2])), 0: RatFunc(poly_from([-108, -162, -54]))})
+P0 = UniOperator({3: [54, 21, 2], 0: [-108, -162, -54]})
+
+
+def vector_as_ore(v: ModuleVector) -> OreOperator:
+    """The operator sum of u(n, S_n) S_i^e5 S_j^e6 over the components u
+    of a module vector at the positions (e5, e6)."""
+    return OreOperator(
+        {
+            (k, e5, e6): MultiPoly({(d, 0, 0): Fraction(c) for d, c in enumerate(p) if c})
+            for (e5, e6), u in v.components.items()
+            for k, p in u.terms.items()
+        }
+    )
+
+
+def uni_as_ore(u: UniOperator) -> OreOperator:
+    return vector_as_ore(ModuleVector({(0, 0): u}))
+
+
+def ore_as_uni(op: OreOperator) -> UniOperator:
+    """The element of Z[n][S_n] of an operator with integer coefficients
+    that is free of i, j, S_i and S_j."""
+    terms = {}
+    for (e4, e5, e6), c in op.terms.items():
+        coeffs = c.coefficients_in_n()
+        assert e5 == e6 == 0 and all(x.denominator == 1 for x in coeffs)
+        terms[e4] = [int(x) for x in coeffs]
+    return UniOperator(terms)
 
 
 def test_reduce_examples():
     r = OreOperator.from_poly(N) * SN + OreOperator.from_poly(I) * SI
     v = reduce_mod_ij(r)
     assert set(v.components) == {(0, 0)}
-    assert v.components[(0, 0)].terms[1] == RatFunc(poly_from([0, 1]))
+    assert v.components[(0, 0)].terms[1] == [0, 1]
 
     t = trivial_operator(GESSEL)
     v = reduce_mod_ij(t)
     expected = {
-        (1, 1): UniOperator({1: RatFunc(1)}),
-        (2, 1): UniOperator({0: RatFunc(-1)}),
-        (0, 1): UniOperator({0: RatFunc(-1)}),
-        (2, 2): UniOperator({0: RatFunc(-1)}),
-        (0, 0): UniOperator({0: RatFunc(-1)}),
+        (1, 1): UniOperator({1: [1]}),
+        (2, 1): UniOperator({0: [-1]}),
+        (0, 1): UniOperator({0: [-1]}),
+        (2, 2): UniOperator({0: [-1]}),
+        (0, 0): UniOperator({0: [-1]}),
     }
     assert v.components == expected
 
@@ -71,7 +103,8 @@ def test_reduce_examples():
 
 
 def test_reduce_is_module_map():
-    # c(n) S_n^e commutes with the i = j = 0 substitution
+    # c(n) S_n^e commutes with the i = j = 0 substitution; the operators
+    # have integer coefficients, so reduce_mod_ij scales nothing
     rng = random.Random(71)
     for _ in range(100):
         r = random_operator(rng, max_terms=4)
@@ -82,8 +115,7 @@ def test_reduce_is_module_map():
         as_ore = OreOperator(
             {(e, 0, 0): MultiPoly({(k, 0, 0): Fraction(v) for k, v in enumerate(coeffs) if v})}
         )
-        as_uni = UniOperator({e: RatFunc(poly_from(coeffs))})
-        assert reduce_mod_ij(as_ore * r) == reduce_mod_ij(r).left_mul(as_uni)
+        assert reduce_mod_ij(as_ore * r) == reduce_mod_ij(as_ore * vector_as_ore(reduce_mod_ij(r)))
 
 
 def test_left_multiple_degeneracy():
@@ -115,7 +147,7 @@ def test_generate_module_multiples_differ():
     # substitution, so the two reductions differ
     assert len(vectors) == 2
     assert vectors[0] != vectors[1]
-    assert vectors[0].components == {(0, 0): UniOperator({0: RatFunc(poly_from([0, 1]))})}
+    assert vectors[0].components == {(0, 0): UniOperator({0: [0, 1]})}
     assert (2, 0) in vectors[1].components
 
 
@@ -144,33 +176,48 @@ def test_eliminate_concentrated_vector_returned():
 
 
 def test_eliminate_duplicate_vectors_no_change():
-    a = UniOperator({1: RatFunc(poly_from([1, 1])), 0: RatFunc(3)})
+    a = UniOperator({1: [1, 1], 0: [3]})
     v1 = ModuleVector({(1, 0): a, (0, 0): P0})
     res1, _ = eliminate_shifts([v1, v1], EliminationConfig())
     res2, _ = eliminate_shifts([v1], EliminationConfig())
     assert (res1 is None) == (res2 is None)
-    v2 = ModuleVector({(1, 0): a, (0, 0): UniOperator({0: RatFunc(5)})})
+    v2 = ModuleVector({(1, 0): a, (0, 0): UniOperator({0: [5]})})
     got_pair, _ = eliminate_shifts([v1, v2], EliminationConfig())
     got_dup, _ = eliminate_shifts([v1, v2, v2, v1], EliminationConfig())
     assert got_pair is not None and got_dup is not None
     assert got_pair.cleared() == got_dup.cleared()
 
 
+def synthetic_vectors():
+    """Two vectors whose difference is P0 at (0,0): the echelon has to
+    cancel their shared leading term at (1,0)."""
+    a = UniOperator({1: [1, 1], 0: [3]})
+    b = UniOperator({2: [0, 2], 0: [5]})
+    b_minus_p0 = ore_as_uni(uni_as_ore(b) - uni_as_ore(P0))
+    return [ModuleVector({(1, 0): a, (0, 0): b}), ModuleVector({(1, 0): a, (0, 0): b_minus_p0})]
+
+
 def test_eliminate_synthetic_combination():
-    a = UniOperator({1: RatFunc(poly_from([1, 1])), 0: RatFunc(3)})
-    b = UniOperator({2: RatFunc(poly_from([0, 2])), 0: RatFunc(5)})
-    v1 = ModuleVector({(1, 0): a, (0, 0): b})
-    v2 = ModuleVector({(1, 0): a, (0, 0): b - P0})
-    res, _ = eliminate_shifts([v1, v2], EliminationConfig())
+    res, _ = eliminate_shifts(synthetic_vectors(), EliminationConfig())
     assert res is not None and res.cleared() == P0.cleared()
 
 
+def test_echelon_step_that_keeps_the_lead_raises(monkeypatch):
+    # a reduction step that cancels nothing would loop forever
+    monkeypatch.setattr(eliminate, "_reduce_leading", lambda u, w: u)
+    with pytest.raises(EliminationError, match="did not lower the leading term"):
+        eliminate_shifts(synthetic_vectors(), EliminationConfig())
+
+
 def test_eliminate_accepts_rational_coefficients():
-    # the module is over Q(n)[S_n]; denominators are cleared internally
-    half = RatFunc(poly_from([1]), poly_from([0, 2]))  # 1/(2n)
-    a = UniOperator({1: half, 0: RatFunc(Fraction(3, 7))})
-    v1 = ModuleVector({(1, 0): a, (0, 0): UniOperator({0: half}) * P0})
-    v2 = ModuleVector({(1, 0): a})
+    # generators with rational coefficients: reduce_mod_ij clears each
+    # vector's denominators, a left multiplication by a nonzero constant
+    a = OreOperator({(1, 1, 0): MultiPoly.const(Fraction(1, 2)) * (N + 1),
+                     (0, 1, 0): MultiPoly.const(Fraction(3, 7))})  # ((n+1)/2 Sn + 3/7) Si
+    half_p0 = OreOperator.from_poly(MultiPoly.const(Fraction(1, 2))) * uni_as_ore(P0)
+    v1, v2 = reduce_mod_ij(a + half_p0), reduce_mod_ij(a)
+    assert v1.components[(1, 0)] == UniOperator({1: [7, 7], 0: [6]})
+    assert v2.components[(1, 0)] == UniOperator({1: [7, 7], 0: [6]})
     res, _ = eliminate_shifts([v1, v2], EliminationConfig())
     assert res is not None and res.cleared() == P0.cleared()
 
@@ -350,25 +397,19 @@ def test_generator_monotonicity(kreweras_certified, kreweras_p_500):
     assert kreweras_p_500.order() <= p_small.order()
 
 
-def test_uni_operator_arithmetic():
-    a = UniOperator({1: RatFunc(poly_from([0, 1]))})  # n Sn
-    b = UniOperator({1: RatFunc(1)})
-    # Ore product: (n Sn)(Sn) = n Sn^2, (Sn)(n Sn) = (n+1) Sn^2
-    assert (a * b).terms == {2: RatFunc(poly_from([0, 1]))}
-    assert (b * a).terms == {2: RatFunc(poly_from([1, 1]))}
-
-
 def test_uni_cleared_primitive():
-    p = UniOperator({1: RatFunc(poly_from([Fraction(1, 2), 1])), 0: RatFunc(poly_from([2]))})
-    cleared = p.cleared()
-    assert cleared == {1: [1, 2], 0: [4]}
+    p = UniOperator({1: [2, 4], 0: [8]})
+    assert p.cleared() == {1: [1, 2], 0: [4]}
+    # the terms are kept as given; only the cleared form is normalized
+    assert p.terms == {1: [2, 4], 0: [8]}
+    assert p != UniOperator({1: [1, 2], 0: [4]})
+    assert UniOperator({1: [-2, -4], 0: [-8]}).cleared() == {1: [1, 2], 0: [4]}
+    assert UniOperator({1: [0, 0], 0: [3, 0]}).terms == {0: [3]}
 
 
-def test_uni_cleared_computed_once_and_copied(monkeypatch):
+def test_uni_cleared_computed_once_and_copied():
     p = UniOperator(P0.terms)
-    calls = []
-    clear = UniOperator._clear
-    monkeypatch.setattr(UniOperator, "_clear", lambda self: calls.append(1) or clear(self))
+    shared = p._cleared_form()
     seq = [1, 1, 2, 5, 14, 42, 132]
     for n in range(4):
         p.apply_to_sequence(seq, n)
@@ -378,7 +419,7 @@ def test_uni_cleared_computed_once_and_copied(monkeypatch):
     first.pop(0)
     p.leading_cleared().append(99)
     assert p.cleared() == {3: [54, 21, 2], 0: [-108, -162, -54]}
-    assert len(calls) == 1
+    assert p._cleared_form() is shared
 
 
 def test_uni_json_round_trip():
@@ -387,8 +428,9 @@ def test_uni_json_round_trip():
     back = uni_from_json(json.loads(text))
     assert back == P0
     assert json.dumps(uni_to_json(back), sort_keys=True) == text
-    # rational coefficients round-trip too
-    q = UniOperator({2: RatFunc(poly_from([Fraction(2, 3)]), poly_from([1, 1])), 0: RatFunc(5)})
+    # rational terms, (2/3)/(n+1) Sn^2 + 5, load multiplied by 3(n+1)
+    q = uni_from_json(json_operator({2: (["2/3"], ["1", "1"]), 0: (["5"], ["1"])}))
+    assert q == UniOperator({2: [2], 0: [15, 15]})
     assert uni_from_json(uni_to_json(q)) == q
 
 
@@ -397,3 +439,96 @@ def test_uni_json_rejects_inconsistent_cleared():
     data["cleared"][0]["coeffs"][0] = "999"
     with pytest.raises(ValueError, match="cleared"):
         uni_from_json(data)
+
+
+def json_operator(terms):
+    """An operator file from {power: (num, den)} lists of number strings."""
+    return {
+        "var": "n",
+        "shift": "Sn",
+        "terms": [{"power": k, "num": num, "den": den} for k, (num, den) in terms.items()],
+    }
+
+
+def test_uni_from_json_clears_rational_terms():
+    # (n^2-1)/(n-1) Sn + 2n/4 + 0/(n+3) Sn^2: each term is reduced, the
+    # zero term dropped, and the rest multiplied by the lcm 2
+    op = uni_from_json(
+        json_operator(
+            {1: (["-1", "0", "1"], ["-1", "1"]), 0: (["0", "2"], ["4"]), 2: (["0"], ["3", "1"])}
+        )
+    )
+    assert op == UniOperator({1: [2, 2], 0: [0, 1]})
+    assert op.terms == op.cleared()
+
+
+@pytest.mark.parametrize(
+    "num, den, message",
+    [
+        (["1"], ["0"], "power 2: zero denominator"),
+        (["1"], ["0", "0"], "power 2: zero denominator"),
+        (["1/0"], ["1"], "power 2: bad number"),
+        (["1"], ["x"], "power 2: bad number"),
+    ],
+    ids=["zero-den", "zero-den-poly", "div-by-zero", "not-a-number"],
+)
+def test_uni_from_json_rejects_bad_numbers(num, den, message):
+    data = json_operator({0: (["1"], ["1"]), 2: (num, den)})
+    with pytest.raises(ValueError, match=message):
+        uni_from_json(data)
+
+
+def random_fraction_poly(rng, max_deg, zero_ok=False):
+    """A coefficient list of Fractions, low degree first, either sign of
+    leading coefficient; all zero only when zero_ok."""
+    p = [
+        Fraction(rng.randint(-9, 9), rng.choice((1, 1, 2, 3, 6)))
+        for _ in range(rng.randint(0, max_deg))
+    ]
+    if zero_ok and rng.random() < 0.1:
+        return [Fraction(0)] * len(p)
+    return p + [Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.choice((1, 2, 5)))]
+
+
+def test_uni_from_json_clearing_matches_pointwise_ratios():
+    """Random num/den terms with polynomial denominators, some sharing a
+    planted factor with the numerator or with other terms: the loaded
+    operator is in cleared form (primitive, positive lead), holds exactly
+    the nonzero terms, equals the form that Q(n) arithmetic gives, and its
+    coefficients are pointwise proportional to the rational terms:
+    cleared[k](x) r_j(x) = cleared[j](x) r_k(x)."""
+    rng = random.Random(109)
+    for _ in range(300):
+        shared = random_fraction_poly(rng, 1)
+        terms = {}
+        for k in rng.sample(range(6), rng.randint(1, 4)):
+            num = random_fraction_poly(rng, 3, zero_ok=True)
+            den = random_fraction_poly(rng, 2)
+            if rng.random() < 0.5:
+                den = _schoolbook_mul(den, shared)
+            if rng.random() < 0.3:
+                num = _schoolbook_mul(num, shared)
+            terms[k] = (num, den)
+        data = json_operator(
+            {k: ([str(c) for c in num], [str(c) for c in den]) for k, (num, den) in terms.items()}
+        )
+        op = uni_from_json(data)
+        cleared = op.cleared()
+        assert op.terms == cleared == fraction_cleared(terms), terms
+        nonzero = {k for k, (num, _) in terms.items() if any(num)}
+        assert set(cleared) == nonzero
+        if not cleared:
+            continue
+        assert math.gcd(*(c for p in cleared.values() for c in p)) == 1
+        assert cleared[max(cleared)][-1] > 0
+        points = 0
+        for x in range(-12, 30):
+            ratios = {k: fraction_ratio_at(num, den, x) for k, (num, den) in terms.items()}
+            if None in ratios.values():
+                continue
+            values = {k: exactmath.ipoly_eval(cleared.get(k, []), x) for k in terms}
+            for j in terms:
+                for k in terms:
+                    assert values[k] * ratios[j] == values[j] * ratios[k], (terms, x)
+            points += 1
+        assert points >= 10

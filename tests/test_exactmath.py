@@ -8,8 +8,6 @@ from naive_oracles import fraction_divexact, fraction_eval, fraction_monic_gcd
 from quarterwalks import exactmath
 from quarterwalks.exactmath import (
     MultiPoly,
-    RatFunc,
-    ZeroDenominatorError,
     ipoly_add,
     ipoly_compose_affine,
     ipoly_content,
@@ -18,8 +16,6 @@ from quarterwalks.exactmath import (
     ipoly_gcd,
     ipoly_mul,
     ipoly_shift_arg,
-    poly_from,
-    rat_normalize,
 )
 
 N = MultiPoly.variable("n")
@@ -131,60 +127,6 @@ def test_canonical_no_zero_coefficients():
     assert (0, 1, 0) not in p.terms
     q = p - 2 * N
     assert q.terms == {}
-
-
-def test_rat_normalize_cancels_gcd():
-    r = rat_normalize(poly_from([-1, 0, 1]), poly_from([-1, 1]))  # (n^2-1)/(n-1)
-    assert r.num == poly_from([1, 1])
-    assert r.den == poly_from([1])
-
-
-def test_rat_normalize_monic_denominator():
-    r = rat_normalize(poly_from([0, 2]), poly_from([4]))  # 2n/4
-    assert r.num == poly_from([0, Fraction(1, 2)])
-    assert r.den == poly_from([1])
-
-
-def test_rat_normalize_zero_numerator():
-    r = rat_normalize(poly_from([0]), poly_from([3, 1]))
-    assert r.is_zero()
-    assert r.den == poly_from([1])
-
-
-def test_rat_zero_denominator_raises():
-    with pytest.raises(ZeroDenominatorError):
-        RatFunc(poly_from([1]), poly_from([]))
-
-
-def random_ratfunc(rng):
-    num = poly_from([rng.randint(-6, 6) for _ in range(rng.randint(1, 4))])
-    den = poly_from([rng.randint(-6, 6) for _ in range(rng.randint(0, 3))] + [rng.randint(1, 6)])
-    return RatFunc(num, den)
-
-
-def test_ratfunc_arithmetic_matches_pointwise_evaluation():
-    rng = random.Random(17)
-    for _ in range(30):
-        a, b = random_ratfunc(rng), random_ratfunc(rng)
-        results = 0
-        x = -15
-        while results < 20:
-            x += 1
-            try:
-                av, bv = a.eval(x), b.eval(x)
-            except ZeroDenominatorError:
-                continue
-            assert (a + b).eval(x) == av + bv
-            assert (a * b).eval(x) == av * bv
-            assert (a - b).eval(x) == av - bv
-            results += 1
-
-
-def test_ratfunc_shift_arg():
-    r = RatFunc(poly_from([0, 1]), poly_from([1, 1]))  # n/(n+1)
-    s = r.shift_arg(2)
-    for x in range(0, 10):
-        assert s.eval(x) == Fraction(x + 2, x + 3)
 
 
 # ---------------------------------------------------------------------------
