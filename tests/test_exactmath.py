@@ -6,6 +6,7 @@ import pytest
 
 from naive_oracles import fraction_divexact, fraction_eval, fraction_monic_gcd
 from quarterwalks import exactmath
+from quarterwalks.eliminate import _json_term
 from quarterwalks.exactmath import (
     MultiPoly,
     ipoly_add,
@@ -127,6 +128,37 @@ def test_canonical_no_zero_coefficients():
     assert (0, 1, 0) not in p.terms
     q = p - 2 * N
     assert q.terms == {}
+
+
+# ---------------------------------------------------------------------------
+# A rational term num/den in lowest terms over Z[n]: divide both by their gcd
+# (what an operator file's terms go through on load, see _json_term)
+# ---------------------------------------------------------------------------
+
+
+def lowest_terms(num, den):
+    g = ipoly_gcd(num, den)
+    return ipoly_divexact_poly(num, g), ipoly_divexact_poly(den, g)
+
+
+def test_rat_normalize_cancels_gcd():
+    # (n^2-1)/(n-1) = (n+1)/1
+    assert lowest_terms([-1, 0, 1], [-1, 1]) == ([1, 1], [1])
+    assert _json_term({"num": ["-1", "0", "1"], "den": ["-1", "1"]}, 1) == ([1, 1], [1])
+
+
+def test_rat_normalize_monic_denominator():
+    # 2n/4 = n/2: the integer content is cancelled too, so the
+    # denominator is the smallest integer one, as a monic one is over Q
+    assert lowest_terms([0, 2], [4]) == ([0, 1], [2])
+    assert _json_term({"num": ["0", "2"], "den": ["4"]}, 0) == ([0, 1], [2])
+    assert _json_term({"num": ["0", "1/2"], "den": ["1"]}, 0) == ([0, 1], [2])
+
+
+def test_rat_normalize_zero_numerator():
+    # 0/(n+3) = 0/1
+    assert lowest_terms([], [3, 1]) == ([], [1])
+    assert _json_term({"num": ["0"], "den": ["3", "1"]}, 2) == ([], [1])
 
 
 # ---------------------------------------------------------------------------
