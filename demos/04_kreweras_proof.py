@@ -15,7 +15,6 @@ produces it is far beyond desk scale.
 
 from quarterwalks import (
     Bounds,
-    EliminationConfig,
     KREWERAS,
     CountTable,
     build_template,
@@ -46,7 +45,7 @@ for op in candidates:
 
 print("== 3. elimination ==")
 diagonal = origin_sequence(KREWERAS, 500)
-P = takayama_pipeline(generators, diagonal, EliminationConfig())
+P = takayama_pipeline(generators, diagonal)
 print("eliminated recurrence, order", P.order(), "(re-verified on n <= 500):")
 print(" ", P)
 

@@ -12,9 +12,6 @@ from .exactmath import MultiPoly
 from .ore import (
     Box,
     Degrees,
-    GRLEX,
-    LEX,
-    MonomialOrder,
     OreOperator,
     UnsupportedDivisorError,
     div_rem,
@@ -25,7 +22,6 @@ from .walks import (
     CountTable,
     GESSEL,
     KREWERAS,
-    OracleRangeError,
     StepSet,
     StepSetParseError,
     cached_table,
@@ -53,7 +49,6 @@ from .certify import (
     evidence_check,
 )
 from .eliminate import (
-    EliminationConfig,
     EliminationError,
     EliminationFailure,
     ModuleVector,
@@ -89,20 +84,15 @@ __all__ = [
     "Certificate",
     "CountTable",
     "Degrees",
-    "EliminationConfig",
     "EliminationError",
     "EliminationFailure",
     "EqualityVerdict",
     "GESSEL",
-    "GRLEX",
     "HypergeomTerm",
     "KREWERAS",
-    "LEX",
     "LinearSystem",
     "ModuleVector",
-    "MonomialOrder",
     "MultiPoly",
-    "OracleRangeError",
     "OreOperator",
     "StepSet",
     "StepSetParseError",

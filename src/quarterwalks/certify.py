@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from . import ore
-from .ore import Box, LEX, MonomialOrder, OreOperator
+from .ore import Box, OreOperator
 from .walks import CountTable
 
 CERTIFIED = "certified"
@@ -93,11 +93,7 @@ def _find_refutation(
 
 
 def certify_operator(
-    r: OreOperator,
-    t: OreOperator,
-    oracle: CountTable,
-    margin: int = 2,
-    order: MonomialOrder = LEX,
+    r: OreOperator, t: OreOperator, oracle: CountTable, margin: int = 2
 ) -> Certificate:
     """Run the reduction-chain decision procedure for (R f) = 0.
 
@@ -125,7 +121,7 @@ def certify_operator(
                 f"(R f) != 0 at {cert.counterexample}"
             )
             return cert
-        u, v = ore.div_rem(t * w, t, order)
+        u, v = ore.div_rem(t * w, t)
         cert.chain.append(v)
         if v.is_zero():
             cert.verdict = CERTIFIED

@@ -34,7 +34,6 @@ from .closedform import (
     symbolic_satisfies,
 )
 from .eliminate import (
-    EliminationConfig,
     EliminationError,
     EliminationFailure,
     UniOperator,
@@ -67,6 +66,7 @@ from .walks import (
 
 _CLOSED_FORM_STEPS = {GESSEL_NAME: GESSEL, KREWERAS_NAME: KREWERAS}
 _DEFAULT_BOUNDS = "deg_n=2,deg_i=2,deg_j=2,ord_sn=3,ord_si=1,ord_sj=1"
+_COUNT = click.IntRange(min=0)
 
 
 def _progress(msg: str):
@@ -104,14 +104,11 @@ class PipelineConfig:
     """Effective options of a run; embedded verbatim in every artifact."""
 
     steps: str
-    n_max: int | None = None
     shape: str = "full"
     bounds: list[str] = field(default_factory=list)
     margin: int = 20
     certify_margin: int = 2
-    truncation: int | None = None
     multiplier_bound: int | None = None
-    retry_cap: int = 2
     diag_limit: int = 500
     closed_form: str | None = None
 
@@ -156,19 +153,17 @@ def main():
 @click.option("--i", type=int, required=True)
 @click.option("--j", type=int, required=True)
 def count(steps, n, i, j):
-    """Print the exact number of n-step walks from the origin to (i, j)."""
+    """Print the exact number of n-step walks from the origin to (i, j);
+    0 for a negative coordinate or a point beyond the light cone."""
     try:
-        if n < 0 or i < 0 or j < 0:
-            click.echo("0")
-            return
-        click.echo(str(cached_table(parse_step_set(steps), n).value(n, i, j)))
+        click.echo(str(cached_table(parse_step_set(steps)).value(n, i, j)))
     except StepSetParseError as e:
         _fail(str(e), 2)
 
 
 @main.command()
 @click.option("--steps", required=True)
-@click.option("--n-max", type=int, required=True)
+@click.option("--n-max", type=_COUNT, required=True)
 @click.option("--out", default=None, help="Write the table JSON here instead of stdout.")
 def table(steps, n_max, out):
     """Export the count table to n = n-max as JSON (decimal-string entries,
@@ -190,16 +185,11 @@ def _run_guess(config: PipelineConfig):
     """Shared guessing round; returns (candidates, oracle, trivial op)."""
     step_set = parse_step_set(config.steps)
     candidates = []
-    oracle = None
+    oracle = cached_table(step_set)
     for btext in config.bounds:
         bounds = parse_bounds(btext)
         template = build_template(bounds, config.shape)
         plan = plan_points(template, config.margin)
-        need = plan.required_n_max
-        if config.n_max is not None:
-            need = max(need, config.n_max)
-        _progress(f"count table to n = {need}")
-        oracle = cached_table(step_set, need)
         _progress(
             f"template {btext} ({config.shape}): {len(template)} unknowns, "
             f"{len(plan.points)} points"
@@ -219,14 +209,11 @@ def _run_guess(config: PipelineConfig):
 @click.option("--steps", required=True)
 @click.option("--bounds", multiple=True, default=[_DEFAULT_BOUNDS], show_default=True)
 @click.option("--shape", type=click.Choice(["full", "quasiholonomic"]), default="full")
-@click.option("--margin", type=int, default=20, help="Extra sample points beyond the unknown count.")
-@click.option("--n-max", type=int, default=None, help="Force a larger count table.")
+@click.option("--margin", type=_COUNT, default=20, help="Extra sample points beyond the unknown count.")
 @click.option("--out", required=True, type=click.Path(), help="Directory for candidate JSON files.")
-def guess(steps, bounds, shape, margin, n_max, out):
+def guess(steps, bounds, shape, margin, out):
     """Search an ansatz for annihilating operators; write candidates as JSON."""
-    config = PipelineConfig(
-        steps=steps, n_max=n_max, shape=shape, bounds=list(bounds), margin=margin,
-    )
+    config = PipelineConfig(steps=steps, shape=shape, bounds=list(bounds), margin=margin)
     try:
         candidates, _, _ = _run_guess(config)
     except (StepSetParseError, TemplateError, ValueError) as e:
@@ -253,7 +240,7 @@ def _load_operator_file(path: str):
 @main.command()
 @click.option("--steps", required=True)
 @click.argument("operator_file", type=click.Path(exists=True))
-@click.option("--margin", type=int, default=2, show_default=True)
+@click.option("--margin", type=_COUNT, default=2, show_default=True)
 @click.option("--out", default=None, help="Write the certificate JSON here.")
 def certify(steps, operator_file, margin, out):
     """Certify (or refute) that an operator annihilates the walk counts."""
@@ -261,11 +248,9 @@ def certify(steps, operator_file, margin, out):
     try:
         step_set = parse_step_set(steps)
         op = _load_operator_file(operator_file)
-        degs = op.degrees()
-        if degs.empty:
+        if op.is_zero():
             raise ValueError("operator file holds the zero operator")
-        need = degs.ord_sn + max(degs.total_poly_deg, 0) + margin + 3
-        oracle = cached_table(step_set, need)
+        oracle = cached_table(step_set)
         cert = certify_operator(op, trivial_operator(step_set), oracle, margin)
     except (StepSetParseError, ValueError, KeyError, json.JSONDecodeError) as e:
         _fail(str(e), 2)
@@ -294,28 +279,24 @@ def certify(steps, operator_file, margin, out):
 @main.command()
 @click.option("--steps", required=True)
 @click.argument("operator_files", nargs=-1, required=True, type=click.Path(exists=True))
-@click.option("--truncation", type=int, default=None)
-@click.option("--multiplier-bound", type=int, default=None)
-@click.option("--retry-cap", type=int, default=2, show_default=True)
-@click.option("--diag-limit", type=int, default=500, show_default=True)
+@click.option("--multiplier-bound", type=_COUNT, default=None)
+@click.option("--diag-limit", type=_COUNT, default=500, show_default=True)
 @click.option("--out", default=None)
-def eliminate(steps, operator_files, truncation, multiplier_bound, retry_cap, diag_limit, out):
+def eliminate(steps, operator_files, multiplier_bound, diag_limit, out):
     """Combine certified annihilators into a pure recurrence in n for
     the origin-return counts."""
     config = PipelineConfig(
-        steps=steps, truncation=truncation, multiplier_bound=multiplier_bound,
-        retry_cap=retry_cap, diag_limit=diag_limit,
+        steps=steps, multiplier_bound=multiplier_bound, diag_limit=diag_limit,
     )
     try:
         step_set = parse_step_set(steps)
         ops = [_load_operator_file(p) for p in operator_files]
-        cfg = EliminationConfig(truncation, multiplier_bound, retry_cap)
         _progress(f"streaming origin sequence to n = {diag_limit}")
         diagonal = origin_sequence(step_set, diag_limit)
     except (StepSetParseError, ValueError, KeyError, json.JSONDecodeError) as e:
         _fail(str(e), 2)
     try:
-        p = takayama_pipeline(ops, diagonal, cfg)
+        p = takayama_pipeline(ops, diagonal, multiplier_bound)
     except EliminationFailure as e:
         click.echo(str(e), err=True)
         sys.exit(1)
@@ -347,7 +328,7 @@ def _load_recurrence(path: str, n_check: int) -> UniOperator:
 @main.command("import-recurrence")
 @click.argument("recurrence_file", type=click.Path(exists=True))
 @click.option("--steps", required=True)
-@click.option("--n-check", type=int, default=200, show_default=True,
+@click.option("--n-check", type=_COUNT, default=200, show_default=True,
               help="Length of the origin sequence the recurrence is checked against.")
 @click.option("--out", default=None)
 def import_recurrence(recurrence_file, steps, n_check, out):
@@ -370,7 +351,7 @@ def import_recurrence(recurrence_file, steps, n_check, out):
 
 @main.command("check-closed-form")
 @click.option("--closed-form", "which", type=click.Choice([GESSEL_NAME, KREWERAS_NAME]), required=True)
-@click.option("--m-max", type=int, default=13, show_default=True)
+@click.option("--m-max", type=_COUNT, default=13, show_default=True)
 def check_closed_form(which, m_max):
     """Check the built-in closed form against enumeration and its own
     first-order recurrence certificate."""
@@ -403,22 +384,18 @@ def check_closed_form(which, m_max):
               help="Skip guessing/elimination and use this recurrence for the proof.")
 @click.option("--bounds", multiple=True, default=[_DEFAULT_BOUNDS], show_default=True)
 @click.option("--shape", type=click.Choice(["full", "quasiholonomic"]), default="full")
-@click.option("--margin", type=int, default=20)
-@click.option("--certify-margin", type=int, default=2)
-@click.option("--truncation", type=int, default=None)
-@click.option("--multiplier-bound", type=int, default=None)
-@click.option("--retry-cap", type=int, default=2, show_default=True)
-@click.option("--diag-limit", type=int, default=500, show_default=True)
-@click.option("--n-max", type=int, default=None)
+@click.option("--margin", type=_COUNT, default=20)
+@click.option("--certify-margin", type=_COUNT, default=2)
+@click.option("--multiplier-bound", type=_COUNT, default=None)
+@click.option("--diag-limit", type=_COUNT, default=500, show_default=True)
 @click.option("--out", default=None, help="Write the full report JSON here.")
 def prove(steps, which, import_file, bounds, shape, margin, certify_margin,
-          truncation, multiplier_bound, retry_cap, diag_limit, n_max, out):
+          multiplier_bound, diag_limit, out):
     """End-to-end proof: guess, certify, eliminate, and match the closed
     form; or validate an imported recurrence and do the final step only."""
     config = PipelineConfig(
-        steps=steps, n_max=n_max, shape=shape, bounds=list(bounds), margin=margin,
-        certify_margin=certify_margin, truncation=truncation,
-        multiplier_bound=multiplier_bound, retry_cap=retry_cap,
+        steps=steps, shape=shape, bounds=list(bounds), margin=margin,
+        certify_margin=certify_margin, multiplier_bound=multiplier_bound,
         diag_limit=diag_limit, closed_form=which,
     )
     term = hypergeom_term(which)
@@ -465,9 +442,8 @@ def prove(steps, which, import_file, bounds, shape, margin, certify_margin,
             certified.insert(0, t)
         _progress(f"streaming origin sequence to n = {diag_limit}")
         diagonal = origin_sequence(step_set, diag_limit)
-        cfg = EliminationConfig(truncation, multiplier_bound, retry_cap)
         try:
-            p = takayama_pipeline(certified, diagonal, cfg)
+            p = takayama_pipeline(certified, diagonal, multiplier_bound)
         except EliminationFailure as e:
             report["status"] = "FAILED(elimination)"
             report["attempts"] = e.attempts

@@ -54,15 +54,15 @@ class EliminationError(RuntimeError):
 
 
 class EliminationFailure(RuntimeError):
-    """No shift-free combination found within the retry budget."""
+    """No combination of the module vectors is concentrated on (0,0).
+    ``attempts`` holds the echelon's diagnostics, one entry."""
 
-    def __init__(self, attempts: list[dict]):
-        self.attempts = attempts
-        dims = "; ".join(
-            f"d={a['truncation']}, vectors={a['vectors']}, positions={a['positions']}"
-            for a in attempts
+    def __init__(self, diag: dict):
+        self.attempts = [diag]
+        super().__init__(
+            f"elimination failed: no shift-free combination "
+            f"(vectors={diag['vectors']}, positions={diag['positions']})"
         )
-        super().__init__(f"elimination failed after {len(attempts)} attempt(s): {dims}")
 
 
 class VerificationError(RuntimeError):
@@ -291,10 +291,6 @@ class ModuleVector:
     def positions(self) -> list[Pos]:
         return sorted(self.components, key=pos_key, reverse=True)
 
-    def truncate(self, d: int) -> tuple["ModuleVector", bool]:
-        kept = {p: u for p, u in self.components.items() if p[0] + p[1] <= d}
-        return ModuleVector(kept), len(kept) != len(self.components)
-
     def __eq__(self, other):
         if isinstance(other, ModuleVector):
             return self.components == other.components
@@ -476,29 +472,6 @@ def _row_to_uni(row: dict, pos: Pos) -> UniOperator:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class EliminationConfig:
-    """Knobs for the elimination.
-
-    truncation: largest e5+e6 kept in module components (None = keep all
-    components any generated vector can reach, which drops nothing).
-    multiplier_bound: cap on the shift-monomial multiple degree per
-    generator; the effective per-generator bound is min with that
-    generator's polynomial degree in i and j.  retry_cap: extra rounds
-    with truncation+1 after a failed elimination.
-    """
-
-    truncation: Optional[int] = None
-    multiplier_bound: Optional[int] = None
-    retry_cap: int = 2
-
-    def __post_init__(self):
-        if self.truncation is not None and self.truncation < 0:
-            raise ValueError("truncation must be >= 0")
-        if self.retry_cap < 0:
-            raise ValueError("retry_cap must be >= 0")
-
-
 def _multiple_bounds(op: OreOperator, bound: Optional[int]) -> tuple[int, int]:
     degs = op.degrees()
     a = degs.deg_i
@@ -509,50 +482,39 @@ def _multiple_bounds(op: OreOperator, bound: Optional[int]) -> tuple[int, int]:
     return a, b
 
 
-def natural_truncation(ops: Sequence[OreOperator], multiplier_bound: Optional[int]) -> int:
-    """Largest component index any generated vector can occupy."""
-    best = 0
-    for op in ops:
-        degs = op.degrees()
-        a, b = _multiple_bounds(op, multiplier_bound)
-        best = max(best, degs.ord_si + a + degs.ord_sj + b)
-    return best
-
-
 def generate_module(
-    ops: Sequence[OreOperator], cfg: EliminationConfig
+    ops: Sequence[OreOperator], multiplier_bound: Optional[int] = None
 ) -> tuple[list[ModuleVector], bool]:
-    """Reduce each generator and its shift-monomial multiples into module
-    vectors; returns (vectors, whether truncation dropped any component)."""
+    """Reduce each generator and its shift-monomial multiples
+    S_i^a S_j^b into module vectors, every component kept.  The multiples
+    of a generator run over a <= deg_i and b <= deg_j, each capped by
+    ``multiplier_bound`` when one is given.
+
+    Returns (vectors, False).  Nothing is ever dropped; the constant
+    second entry keeps the pair that ``bench/tracing.py`` unpacks.
+    """
     if not ops:
         raise EliminationError("no generators given")
-    d = cfg.truncation
-    if d is None:
-        d = natural_truncation(ops, cfg.multiplier_bound)
+    if multiplier_bound is not None and multiplier_bound < 0:
+        raise ValueError("multiplier_bound must be >= 0")
     vectors: list[ModuleVector] = []
-    dropped_any = False
     for op in ops:
-        a_max, b_max = _multiple_bounds(op, cfg.multiplier_bound)
+        a_max, b_max = _multiple_bounds(op, multiplier_bound)
         for a in range(a_max + 1):
             for b in range(b_max + 1):
-                mult = OreOperator.monomial((0, a, b)) * op
-                vec = reduce_mod_ij(mult)
-                vec, dropped = vec.truncate(d)
-                dropped_any = dropped_any or dropped
+                vec = reduce_mod_ij(OreOperator.monomial((0, a, b)) * op)
                 if not vec.is_zero():
                     vectors.append(vec)
     if not vectors:
         raise EliminationError("all generators reduce to zero")
-    return vectors, dropped_any
+    return vectors, False
 
 
-def eliminate_shifts(
-    vectors: Sequence[ModuleVector], cfg: EliminationConfig
-) -> tuple[Optional[UniOperator], dict]:
+def eliminate_shifts(vectors: Sequence[ModuleVector]) -> tuple[Optional[UniOperator], dict]:
     """Echelonize and extract the pivot concentrated on component (0,0).
 
     Returns (operator, diagnostics); the operator is None when no
-    shift-free combination exists in the span at this truncation.
+    shift-free combination exists in the span.
     """
     if not vectors:
         raise EliminationError("empty vector list")
@@ -573,49 +535,28 @@ def eliminate_shifts(
 def takayama_pipeline(
     ops: Sequence[OreOperator],
     diagonal: Sequence[int],
-    cfg: EliminationConfig | None = None,
+    multiplier_bound: Optional[int] = None,
 ) -> UniOperator:
-    """generate_module + eliminate_shifts with retries, then the mandatory
+    """generate_module + eliminate_shifts, then the mandatory
     re-verification of the result against the origin-return sequence.
 
     ``diagonal`` must hold f(n; 0, 0) for n = 0..N with N at least the
     order of the result; the operator is checked on every window the
-    sequence covers before being returned.
+    sequence covers before being returned.  No pivot on (0,0) raises
+    EliminationFailure.  Every component was kept, so a P found is an
+    element of the module the generators span, and one that fails the
+    check is a fault, raised as VerificationError.
     """
-    cfg = cfg or EliminationConfig()
-    attempts: list[dict] = []
-    d = cfg.truncation
-    if d is None:
-        d = natural_truncation(ops, cfg.multiplier_bound)
-    for round_ in range(cfg.retry_cap + 1):
-        trial_cfg = EliminationConfig(
-            truncation=d + round_,
-            multiplier_bound=cfg.multiplier_bound,
-            retry_cap=0,
+    vectors, _ = generate_module(ops, multiplier_bound)
+    result, diag = eliminate_shifts(vectors)
+    if result is None:
+        raise EliminationFailure(diag)
+    order = result.order()
+    if order >= len(diagonal):
+        raise VerificationError(
+            f"diagonal sequence too short: need at least {order + 1} values"
         )
-        vectors, dropped_any = generate_module(ops, trial_cfg)
-        result, diag = eliminate_shifts(vectors, trial_cfg)
-        diag["truncation"] = d + round_
-        attempts.append(diag)
-        if result is not None:
-            order = result.order()
-            if order >= len(diagonal):
-                raise VerificationError(
-                    f"diagonal sequence too short: need at least {order + 1} values"
-                )
-            bad = result.first_failure(diagonal, range(0, len(diagonal) - order))
-            if bad is None:
-                return result
-            if not dropped_any:
-                # nothing was truncated away, so a failing result is a bug,
-                # not an unlucky truncation
-                raise VerificationError(
-                    f"eliminated operator fails the origin sequence at n={bad}"
-                )
-            # the truncation was lossy and produced a spurious combination;
-            # count this round as "nothing found" and widen
-            diag["rejected_at_n"] = bad
-        elif not dropped_any:
-            # raising the truncation cannot add vectors or components
-            break
-    raise EliminationFailure(attempts)
+    bad = result.first_failure(diagonal, range(0, len(diagonal) - order))
+    if bad is not None:
+        raise VerificationError(f"eliminated operator fails the origin sequence at n={bad}")
+    return result

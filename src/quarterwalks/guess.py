@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Sequence
 
 from .exactmath import MultiPoly
-from .ore import LEX, MonomialOrder, OreOperator
+from .ore import OreOperator
 
 if TYPE_CHECKING:
     import numpy as np
@@ -145,7 +145,6 @@ class PointPlan:
 
     points: tuple[tuple[int, int, int], ...]
     fresh_points: tuple[tuple[int, int, int], ...]
-    required_n_max: int
 
 
 def plan_points(template: AnsatzTemplate, margin: int = 20) -> PointPlan:
@@ -153,7 +152,7 @@ def plan_points(template: AnsatzTemplate, margin: int = 20) -> PointPlan:
     points whose n is not below i and j (rows sampled at i > n or j > n are
     mostly forced zeros and carry little information, so they are not
     counted against the quota)."""
-    sn, si, sj = template.max_shift()
+    _, si, sj = template.max_shift()
     dn, di, dj = template.max_degrees()
     J = max(si, sj, di, dj) + 2
     need = len(template) + margin
@@ -171,7 +170,7 @@ def plan_points(template: AnsatzTemplate, margin: int = 20) -> PointPlan:
         for i in range(J + 1)
         for j in range(J + 1)
     ]
-    return PointPlan(tuple(points), tuple(fresh), N + 2 + sn)
+    return PointPlan(tuple(points), tuple(fresh))
 
 
 # ---------------------------------------------------------------------------
@@ -351,7 +350,6 @@ def filter_candidates(
     template: AnsatzTemplate,
     oracle,
     fresh_points: Sequence[tuple[int, int, int]],
-    order: MonomialOrder = LEX,
 ) -> list[OreOperator]:
     """Materialize kernel vectors and keep those with zero residual on the
     fresh points, normalized.
@@ -369,22 +367,15 @@ def filter_candidates(
         if template.shape == "quasiholonomic" and op.substitute_zero(("i", "j")).is_zero():
             continue
         if all(op.apply_at(oracle, *pt) == 0 for pt in fresh_points):
-            kept.append(op.normalized(order))
+            kept.append(op.normalized())
     return kept
 
 
 def guess_operators(
-    template: AnsatzTemplate,
-    oracle,
-    margin: int = 20,
-    order: MonomialOrder = LEX,
+    template: AnsatzTemplate, oracle, margin: int = 20
 ) -> list[OreOperator]:
     """Full guessing round: plan points, assemble, solve, filter."""
     plan = plan_points(template, margin)
-    if plan.required_n_max > oracle.n_max:
-        from .walks import OracleRangeError
-
-        raise OracleRangeError(plan.required_n_max, oracle.n_max)
     system = assemble_system(template, oracle, plan.points)
     basis = nullspace(system)
-    return filter_candidates(basis, template, oracle, plan.fresh_points, order)
+    return filter_candidates(basis, template, oracle, plan.fresh_points)

@@ -31,32 +31,6 @@ class UnsupportedDivisorError(ValueError):
 
 
 @dataclass(frozen=True)
-class MonomialOrder:
-    """A total order on shift monomials.
-
-    ``lex`` compares exponents of S_n, then S_i, then S_j; ``grlex``
-    compares total shift degree first.  Both are compatible with monomial
-    multiplication, which is what the division argument needs.
-    """
-
-    kind: str = "lex"
-
-    def key(self, exp: ShiftExp):
-        if self.kind == "lex":
-            return exp
-        if self.kind == "grlex":
-            return (sum(exp), exp[0], exp[1], exp[2])
-        raise ValueError(f"unknown monomial order {self.kind!r}")
-
-    def max(self, exps: Iterable[ShiftExp]) -> ShiftExp:
-        return max(exps, key=self.key)
-
-
-LEX = MonomialOrder("lex")
-GRLEX = MonomialOrder("grlex")
-
-
-@dataclass(frozen=True)
 class Degrees:
     """Per-symbol maxima of an operator; ``empty`` marks the zero operator."""
 
@@ -138,10 +112,12 @@ class OreOperator:
     def support(self) -> list[ShiftExp]:
         return sorted(self._terms)
 
-    def leading_monomial(self, order: MonomialOrder = LEX) -> ShiftExp:
+    def leading_monomial(self) -> ShiftExp:
+        """The lex-largest shift monomial: S_n exponent first, then S_i,
+        then S_j."""
         if not self._terms:
             raise ValueError("zero operator has no leading monomial")
-        return order.max(self._terms)
+        return max(self._terms)
 
     def has_constant_coefficients(self) -> bool:
         return all(c.is_constant() for c in self._terms.values())
@@ -244,7 +220,7 @@ class OreOperator:
                 out[exp] = c0
         return OreOperator(out)
 
-    def normalized(self, order: MonomialOrder = LEX) -> "OreOperator":
+    def normalized(self) -> "OreOperator":
         """Canonical scaling: common rational content and common monomial
         factor removed, leading rational of the leading coefficient positive.
 
@@ -262,7 +238,7 @@ class OreOperator:
             num_gcd = math.gcd(num_gcd, cc.numerator)
             den_lcm = den_lcm * cc.denominator // math.gcd(den_lcm, cc.denominator)
         content = Fraction(num_gcd, den_lcm) if num_gcd else Fraction(1)
-        lead = self._terms[order.max(self._terms)]
+        lead = self._terms[max(self._terms)]
         lead_coeff = lead.terms[max(lead.terms)]
         sign = -1 if lead_coeff < 0 else 1
         scale = Fraction(sign) / content
@@ -354,22 +330,25 @@ class Box:
                     yield (n, i, j)
 
 
-def div_rem(
-    x: OreOperator, t: OreOperator, order: MonomialOrder = LEX
-) -> tuple[OreOperator, OreOperator]:
+def div_rem(x: OreOperator, t: OreOperator) -> tuple[OreOperator, OreOperator]:
     """Division with remainder by a constant-coefficient operator.
 
     Returns (u, v) with  x = u*t + v  exactly and no shift monomial of v
     divisible, componentwise in exponents, by the leading monomial of t.
-    Each round cancels the order-largest divisible monomial of the running
-    remainder; the replacement monomials are strictly smaller, so the loop
-    terminates.
+    Shift monomials are ordered lex (S_n exponent first, then S_i, then
+    S_j).  Lex is compatible with monomial multiplication, which is what
+    the argument needs: each round cancels the lex-largest divisible
+    monomial m of the running remainder by subtracting q S^(m - lm) t, and
+    every other monomial of that product is S^(m - lm) times a monomial of
+    t below lm, so it lies strictly below m.  The cancelled monomial thus
+    falls strictly from round to round, and lex is a well-order on N^3, so
+    the loop terminates.
     """
     if t.is_zero():
         raise UnsupportedDivisorError("division by the zero operator")
     if not t.has_constant_coefficients():
         raise UnsupportedDivisorError("divisor must have constant coefficients")
-    lm = t.leading_monomial(order)
+    lm = t.leading_monomial()
     lc = t.terms[lm].constant_value()
     u_terms: dict[ShiftExp, MultiPoly] = {}
     v = x
@@ -381,7 +360,7 @@ def div_rem(
         ]
         if not divisible:
             break
-        m = order.max(divisible)
+        m = max(divisible)
         q_coeff = v._terms[m] * (Fraction(1) / lc)
         q_exp = (m[0] - lm[0], m[1] - lm[1], m[2] - lm[2])
         cur = u_terms.get(q_exp, MultiPoly.zero()) + q_coeff

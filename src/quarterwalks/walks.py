@@ -5,13 +5,13 @@ dynamic program, ``_next_level``, gives the counts f(n; i, j) of n-step
 walks from the origin to (i, j) that never leave the first quadrant, with
 exact big-integer entries.  ``CountTable`` keeps every level and answers
 zero-extended queries (0 outside the quadrant, 0 beyond the light cone
-i > n or j > n); ``cached_table`` keeps one such table per step set for
-the life of the process and deepens it on request.  ``origin_sequence``
-computes f(n; 0, 0) for n <= N with the same kernel, but at level n it
-sweeps only the cells that can still return to the origin in the N - n
-steps left, and holds two levels at a time.  ``trivial_operator``
-builds the shift operator that encodes the one-step transfer recurrence
-of the family.
+i > n or j > n), building deeper levels when a query reaches past them;
+``cached_table`` keeps one such table per step set for the life of the
+process.  ``origin_sequence`` computes f(n; 0, 0) for n <= N with the
+same kernel, but at level n it sweeps only the cells that can still
+return to the origin in the N - n steps left, and holds two levels at a
+time.  ``trivial_operator`` builds the shift operator that encodes the
+one-step transfer recurrence of the family.
 """
 
 from __future__ import annotations
@@ -91,15 +91,6 @@ GESSEL = parse_step_set("E,W,NE,SW")
 KREWERAS = parse_step_set("W,S,NE")
 
 
-class OracleRangeError(LookupError):
-    """A query needs table levels that have not been built."""
-
-    def __init__(self, needed: int, have: int):
-        super().__init__(f"oracle covers n <= {have}, query needs n = {needed}")
-        self.needed = needed
-        self.have = have
-
-
 def _next_level(
     prev: list[list[int]], steps: list[tuple[int, int]], widths: list[int]
 ) -> list[list[int]]:
@@ -137,8 +128,9 @@ class CountTable:
     stored as an (n+1) x (n+1) grid.
 
     ``value`` zero-extends the counts: 0 outside the quadrant and beyond
-    the light cone i > n or j > n.  Queries past ``n_max`` raise
-    ``OracleRangeError``; ``extend`` builds deeper levels in place.
+    the light cone i > n or j > n.  A query inside the cone but past
+    ``n_max`` deepens the table in place to its level first, so the table
+    sizes itself to what its callers read; ``extend`` pre-builds levels.
     """
 
     def __init__(self, step_set: StepSet, n_max: int):
@@ -164,7 +156,7 @@ class CountTable:
         if i > n or j > n:
             return 0
         if n > self.n_max:
-            raise OracleRangeError(n, self.n_max)
+            self.extend(n)
         return self.levels[n][i][j]
 
 
@@ -221,6 +213,8 @@ def origin_sequence(step_set: StepSet, n_max: int) -> list[int]:
       extra cells may hold partial sums, but by the previous point they
       never feed a cell with d <= n_max - n - 1.
     """
+    if n_max < 0:
+        raise ValueError("n_max must be >= 0")
     steps = step_set.sorted_steps()
     level = [[1]]
     out = [1]
@@ -233,10 +227,11 @@ def origin_sequence(step_set: StepSet, n_max: int) -> list[int]:
 _TABLES: dict[StepSet, CountTable] = {}
 
 
-def cached_table(step_set: StepSet, n_max: int) -> CountTable:
-    """The process-wide table of the step set, extended in place to at
-    least n_max.  A table deeper than asked for is returned as it is;
-    tables only grow, so a caller never sees a value change."""
+def cached_table(step_set: StepSet, n_max: int = 0) -> CountTable:
+    """The process-wide table of the step set, pre-built to at least
+    n_max; reads deepen it further as they need.  A table deeper than
+    asked for is returned as it is; tables only grow, so a caller never
+    sees a value change."""
     table = _TABLES.get(step_set)
     if table is None:
         table = _TABLES[step_set] = CountTable(step_set, n_max)

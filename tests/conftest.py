@@ -3,7 +3,6 @@ import pytest
 from quarterwalks import (
     Bounds,
     CountTable,
-    EliminationConfig,
     GESSEL,
     KREWERAS,
     build_template,
@@ -50,4 +49,4 @@ def kreweras_p_500(kreweras_certified, kreweras_diagonal_500):
     """The recurrence eliminated from the full Kreweras generator set and
     re-verified on 500 terms; session-scoped because the echelon takes
     several seconds."""
-    return takayama_pipeline(kreweras_certified, kreweras_diagonal_500, EliminationConfig())
+    return takayama_pipeline(kreweras_certified, kreweras_diagonal_500)

@@ -4,6 +4,7 @@ import pytest
 
 from quarterwalks import (
     Box,
+    CountTable,
     GESSEL,
     KREWERAS,
     MultiPoly,
@@ -113,6 +114,24 @@ def test_certified_pass_evidence_on_disjoint_box(gessel_oracle, kreweras_certifi
         assert evidence_check(op, gessel_oracle, box)
     for op in kreweras_certified:
         assert evidence_check(op, kreweras_oracle, box)
+
+
+def test_certificates_independent_of_table_depth(kreweras_certified):
+    """A table that starts at depth 0 and deepens on read certifies and
+    refutes exactly as a pre-built 45-level one does."""
+    tk = trivial_operator(KREWERAS)
+    perturbed = [r + OreOperator.from_poly(N) * SN for r in kreweras_certified]
+    perturbed += [tk + 1, OreOperator.from_poly(I) * (tk + 1)]
+    shallow, deep = CountTable(KREWERAS, 0), CountTable(KREWERAS, 45)
+    verdicts = set()
+    for op in kreweras_certified + perturbed:
+        want = certify_operator(op, tk, deep)
+        got = certify_operator(op, tk, shallow)
+        assert (got.verdict, got.chain, got.base_checks, got.counterexample) == (
+            want.verdict, want.chain, want.base_checks, want.counterexample
+        ), op
+        verdicts.add(want.verdict)
+    assert verdicts == {CERTIFIED, REFUTED}
 
 
 def test_evidence_check_examples(gessel_oracle):

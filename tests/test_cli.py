@@ -55,6 +55,11 @@ def test_count_values(runner):
     assert r.exit_code == 0 and r.output.strip() == "16"
     r = invoke(runner, ["count", "--steps", "E,W,NE,SW", "--n", "3", "--i", "0", "--j", "0"])
     assert r.exit_code == 0 and r.output.strip() == "0"
+    # negative coordinates stay legal and count no walks
+    for n, i, j in ((-1, 0, 0), (4, -2, 0), (4, 0, -1)):
+        coords = ["--n", str(n), "--i", str(i), "--j", str(j)]
+        r = invoke(runner, ["count", "--steps", "W,S,NE", *coords])
+        assert r.exit_code == 0 and r.output.strip() == "0"
 
 
 def test_count_bad_steps_exits_2(runner):
@@ -75,6 +80,53 @@ def test_removed_cache_option_exit_2(runner, tmp_path):
                              "--n", "3", "--i", "0", "--j", "0"])
     assert r.exit_code == 2
     assert "No such option" in r.output
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["guess", "--steps", "W,S,NE", "--n-max", "5", "--out", "{tmp}"],
+        ["eliminate", "--steps", "W,S,NE", "{op}", "--truncation", "1"],
+        ["prove", "--steps", "W,S,NE", "--closed-form", "kreweras", "--retry-cap", "0"],
+    ],
+    ids=["guess-n-max", "eliminate-truncation", "prove-retry-cap"],
+)
+def test_removed_sizing_options_exit_2(runner, tmp_path, args):
+    # the count table sizes itself on read, and elimination keeps every component
+    op = write_json(tmp_path / "t.json", operator_to_json(trivial_operator(GESSEL)))
+    r = runner.invoke(main, [a.format(tmp=tmp_path, op=op) for a in args])
+    assert r.exit_code == 2
+    assert "No such option" in r.output
+
+
+_PROVE_K = ["prove", "--steps", "W,S,NE", "--closed-form", "kreweras"]
+
+
+@pytest.mark.parametrize(
+    "args, option",
+    [
+        (["guess", "--steps", "W,S,NE", "--margin", "-500", "--out", "{tmp}"], "--margin"),
+        (_PROVE_K + ["--margin", "-1"], "--margin"),
+        (_PROVE_K + ["--certify-margin", "-1"], "--certify-margin"),
+        (["certify", "--steps", "W,S,NE", "{op}", "--margin", "-1"], "--margin"),
+        (["eliminate", "--steps", "W,S,NE", "{op}", "--multiplier-bound", "-1"],
+         "--multiplier-bound"),
+        (_PROVE_K + ["--multiplier-bound", "-1"], "--multiplier-bound"),
+        (["eliminate", "--steps", "W,S,NE", "{op}", "--diag-limit", "-1"], "--diag-limit"),
+        (_PROVE_K + ["--diag-limit", "-1"], "--diag-limit"),
+        (["import-recurrence", "{rec}", "--steps", "W,S,NE", "--n-check", "-1"], "--n-check"),
+        (["check-closed-form", "--closed-form", "kreweras", "--m-max", "-1"], "--m-max"),
+        (["table", "--steps", "W,S,NE", "--n-max", "-1"], "--n-max"),
+    ],
+    ids=lambda v: v if isinstance(v, str) else v[0],
+)
+def test_negative_counts_are_usage_errors(runner, tmp_path, args, option):
+    op = write_json(tmp_path / "t.json", operator_to_json(trivial_operator(GESSEL)))
+    rec = write_json(tmp_path / "rec.json", uni_to_json(PG))
+    r = runner.invoke(main, [a.format(tmp=tmp_path, op=op, rec=rec) for a in args])
+    assert r.exit_code == 2
+    assert "Traceback" not in r.output
+    assert option in r.output
 
 
 def test_guess_trivial_support_recovers_t(runner, tmp_path):

@@ -6,7 +6,6 @@ from fractions import Fraction
 import pytest
 
 from quarterwalks import (
-    EliminationConfig,
     EliminationError,
     EliminationFailure,
     GESSEL,
@@ -15,6 +14,7 @@ from quarterwalks import (
     MultiPoly,
     OreOperator,
     UniOperator,
+    VerificationError,
     eliminate_shifts,
     generate_module,
     origin_sequence,
@@ -128,21 +128,21 @@ def test_left_multiple_degeneracy():
 
 def test_generate_module_pure_generator():
     r = OreOperator({(2, 0, 0): N + 1, (0, 0, 0): MultiPoly.const(3)})
-    vectors, dropped = generate_module([r], EliminationConfig())
+    vectors, dropped = generate_module([r])
     assert len(vectors) == 1 and not dropped
     assert set(vectors[0].components) == {(0, 0)}
 
 
 def test_generate_module_trivial_operator_single_vector():
     t = trivial_operator(GESSEL)
-    vectors, _ = generate_module([t], EliminationConfig(multiplier_bound=0))
+    vectors, _ = generate_module([t], multiplier_bound=0)
     assert len(vectors) == 1
     assert vectors[0] == reduce_mod_ij(t)
 
 
 def test_generate_module_multiples_differ():
     r = OreOperator({(0, 1, 0): I, (0, 0, 0): N})
-    vectors, _ = generate_module([r], EliminationConfig())
+    vectors, _ = generate_module([r])
     # multiples 1 and S_i: S_i shifts the coefficient i to i+1 before the
     # substitution, so the two reductions differ
     assert len(vectors) == 2
@@ -156,21 +156,16 @@ def test_generate_module_all_zero_errors():
     # with multiples allowed S_i recovers a nonzero vector from it
     r = OreOperator.from_poly(I)
     with pytest.raises(EliminationError, match="reduce to zero"):
-        generate_module([r], EliminationConfig(multiplier_bound=0))
-    vectors, _ = generate_module([r], EliminationConfig())
+        generate_module([r], multiplier_bound=0)
+    vectors, _ = generate_module([r])
     assert vectors
-
-
-def test_truncation_drops_components():
-    t = trivial_operator(GESSEL)
-    vectors, dropped = generate_module([t], EliminationConfig(truncation=1))
-    assert dropped
-    assert all(p[0] + p[1] <= 1 for v in vectors for p in v.components)
+    with pytest.raises(ValueError, match="multiplier_bound must be >= 0"):
+        generate_module([r], multiplier_bound=-1)
 
 
 def test_eliminate_concentrated_vector_returned():
     v = ModuleVector({(0, 0): P0})
-    res, diag = eliminate_shifts([v], EliminationConfig())
+    res, diag = eliminate_shifts([v])
     assert res is not None
     assert res.cleared() == P0.cleared()
 
@@ -178,12 +173,12 @@ def test_eliminate_concentrated_vector_returned():
 def test_eliminate_duplicate_vectors_no_change():
     a = UniOperator({1: [1, 1], 0: [3]})
     v1 = ModuleVector({(1, 0): a, (0, 0): P0})
-    res1, _ = eliminate_shifts([v1, v1], EliminationConfig())
-    res2, _ = eliminate_shifts([v1], EliminationConfig())
+    res1, _ = eliminate_shifts([v1, v1])
+    res2, _ = eliminate_shifts([v1])
     assert (res1 is None) == (res2 is None)
     v2 = ModuleVector({(1, 0): a, (0, 0): UniOperator({0: [5]})})
-    got_pair, _ = eliminate_shifts([v1, v2], EliminationConfig())
-    got_dup, _ = eliminate_shifts([v1, v2, v2, v1], EliminationConfig())
+    got_pair, _ = eliminate_shifts([v1, v2])
+    got_dup, _ = eliminate_shifts([v1, v2, v2, v1])
     assert got_pair is not None and got_dup is not None
     assert got_pair.cleared() == got_dup.cleared()
 
@@ -198,7 +193,7 @@ def synthetic_vectors():
 
 
 def test_eliminate_synthetic_combination():
-    res, _ = eliminate_shifts(synthetic_vectors(), EliminationConfig())
+    res, _ = eliminate_shifts(synthetic_vectors())
     assert res is not None and res.cleared() == P0.cleared()
 
 
@@ -206,7 +201,7 @@ def test_echelon_step_that_keeps_the_lead_raises(monkeypatch):
     # a reduction step that cancels nothing would loop forever
     monkeypatch.setattr(eliminate, "_reduce_leading", lambda u, w: u)
     with pytest.raises(EliminationError, match="did not lower the leading term"):
-        eliminate_shifts(synthetic_vectors(), EliminationConfig())
+        eliminate_shifts(synthetic_vectors())
 
 
 def test_eliminate_accepts_rational_coefficients():
@@ -218,13 +213,13 @@ def test_eliminate_accepts_rational_coefficients():
     v1, v2 = reduce_mod_ij(a + half_p0), reduce_mod_ij(a)
     assert v1.components[(1, 0)] == UniOperator({1: [7, 7], 0: [6]})
     assert v2.components[(1, 0)] == UniOperator({1: [7, 7], 0: [6]})
-    res, _ = eliminate_shifts([v1, v2], EliminationConfig())
+    res, _ = eliminate_shifts([v1, v2])
     assert res is not None and res.cleared() == P0.cleared()
 
 
 def test_eliminate_failure_returns_none():
     v = ModuleVector({(1, 0): P0})
-    res, diag = eliminate_shifts([v], EliminationConfig())
+    res, diag = eliminate_shifts([v])
     assert res is None
     assert diag["pivot_positions"] == [(1, 0)]
 
@@ -233,17 +228,20 @@ def test_trivial_operator_alone_fails():
     t = trivial_operator(GESSEL)
     diagonal = origin_sequence(GESSEL, 40)
     with pytest.raises(EliminationFailure) as exc:
-        takayama_pipeline([t], diagonal, EliminationConfig(retry_cap=2))
-    assert exc.value.attempts  # dimensions attempted are reported
+        takayama_pipeline([t], diagonal)
+    # the one echelon's sizes are reported
+    assert [a["vectors"] for a in exc.value.attempts] == [1]
 
 
-def test_retry_cap_zero_undersized_reports_failure():
-    t = trivial_operator(GESSEL)
-    diagonal = origin_sequence(GESSEL, 20)
-    with pytest.raises(EliminationFailure) as exc:
-        takayama_pipeline([t], diagonal, EliminationConfig(truncation=0, retry_cap=0))
-    assert len(exc.value.attempts) == 1
-    assert exc.value.attempts[0]["truncation"] == 0
+def test_pipeline_reverifies_the_eliminated_operator():
+    # S_n - 2: every component is kept, so a P that fails the sequence is
+    # an error, never a reason to retry
+    r = OreOperator({(1, 0, 0): 1, (0, 0, 0): -2})
+    assert takayama_pipeline([r], [1, 2, 4, 8]).cleared() == {1: [1], 0: [-2]}
+    with pytest.raises(VerificationError, match="fails the origin sequence at n=2"):
+        takayama_pipeline([r], [1, 2, 4, 9])
+    with pytest.raises(VerificationError, match="too short"):
+        takayama_pipeline([r], [1])
 
 
 def test_kreweras_pipeline_end_to_end(kreweras_diagonal_500, kreweras_p_500):
@@ -393,7 +391,7 @@ def test_kreweras_p_500_coefficients_pinned(kreweras_p_500):
 
 def test_generator_monotonicity(kreweras_certified, kreweras_p_500):
     diagonal = origin_sequence(KREWERAS, 200)
-    p_small = takayama_pipeline(kreweras_certified[:3], diagonal, EliminationConfig())
+    p_small = takayama_pipeline(kreweras_certified[:3], diagonal)
     assert kreweras_p_500.order() <= p_small.order()
 
 

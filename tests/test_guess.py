@@ -5,6 +5,7 @@ import pytest
 
 from quarterwalks import (
     Bounds,
+    CountTable,
     GESSEL,
     TemplateError,
     build_template,
@@ -223,6 +224,16 @@ def test_guessed_candidates_annihilate_on_disjoint_box(gessel_oracle):
     assert ops
     for op in ops:
         assert op.is_zero_on(gessel_oracle, Box((16, 22), (0, 6), (0, 6)))
+
+
+def test_guess_from_depth_zero_table_matches_prebuilt(gessel_oracle, kreweras_oracle):
+    # the table deepens on read, so no caller has to size it first
+    for oracle, bounds in ((gessel_oracle, Bounds(0, 0, 0, 1, 2, 2)),
+                           (kreweras_oracle, Bounds(2, 2, 2, 3, 1, 1))):
+        tpl = build_template(bounds, "full")
+        shallow = CountTable(oracle.step_set, 0)
+        ops = guess_operators(tpl, shallow)
+        assert ops and ops == guess_operators(tpl, oracle)
 
 
 def test_quasiholonomic_gessel_small_bounds_empty(gessel_oracle):

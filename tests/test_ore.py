@@ -8,8 +8,7 @@ from naive_oracles import fraction_apply_at
 from quarterwalks import (
     GESSEL,
     Box,
-    GRLEX,
-    LEX,
+    CountTable,
     MultiPoly,
     OreOperator,
     UnsupportedDivisorError,
@@ -160,10 +159,10 @@ def test_div_rem_examples():
 
 def test_div_rem_round_trip_random():
     rng = random.Random(41)
-    lm = T.leading_monomial(LEX)
+    lm = T.leading_monomial()
     for _ in range(100):
         x = random_operator(rng, max_terms=4, max_shift=3)
-        u, v = div_rem(x, T, LEX)
+        u, v = div_rem(x, T)
         assert u * T + v == x
         for exp in v.support():
             assert not all(exp[k] >= lm[k] for k in range(3))
@@ -176,11 +175,16 @@ def test_div_rem_rejects_nonconstant_divisor():
         div_rem(T, OreOperator.zero())
 
 
-def test_apply_beyond_table_raises(gessel_oracle):
-    from quarterwalks import OracleRangeError
-
-    with pytest.raises(OracleRangeError):
-        T.apply_at(gessel_oracle, gessel_oracle.n_max, 0, 0)
+def test_apply_beyond_table_deepens_it():
+    # T reads level n + 1; a fresh table, since the fixture is shared
+    oracle = CountTable(GESSEL, 10)
+    deep = CountTable(GESSEL, 12)
+    for i in range(4):
+        assert T.apply_at(oracle, 10, i, 0) == T.apply_at(deep, 10, i, 0) == 0
+    assert oracle.n_max == 11
+    x = OreOperator({(2, 0, 0): N + 1, (0, 1, 1): I})
+    assert x.apply_at(oracle, 10, 1, 1) == x.apply_at(deep, 10, 1, 1) != 0
+    assert oracle.n_max == 12
 
 
 def test_left_ideal_closure(gessel_oracle):
@@ -209,9 +213,8 @@ def test_degrees_examples():
 
 
 def test_monomial_orders():
-    assert T.leading_monomial(LEX) == (1, 1, 1)
-    assert T.leading_monomial(GRLEX) == (0, 2, 2)  # total degree 4 beats 3
-    assert LEX.max([(0, 5, 5), (1, 0, 0)]) == (1, 0, 0)
+    assert T.leading_monomial() == (1, 1, 1)
+    assert OreOperator({(0, 5, 5): 1, (1, 0, 0): 1}).leading_monomial() == (1, 0, 0)
 
 
 def test_normalized_form():

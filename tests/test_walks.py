@@ -9,7 +9,6 @@ from quarterwalks import (
     KREWERAS,
     Box,
     CountTable,
-    OracleRangeError,
     StepSetParseError,
     cached_table,
     origin_sequence,
@@ -81,8 +80,14 @@ def test_oracle_zero_extension_and_range():
     assert oracle.value(-1, 0, 0) == 0
     assert oracle.value(1, 0, 0) == 0  # odd length cannot return
     assert oracle.value(3, 7, 7) == 0  # beyond the light cone
-    with pytest.raises(OracleRangeError):
-        oracle.value(11, 0, 0)
+    # reads that are zero by extension build nothing, however deep
+    for n, i, j in ((-3, 0, 0), (40, -1, 0), (40, 0, -2), (40, 41, 0), (40, 3, 41)):
+        assert oracle.value(n, i, j) == 0
+    assert oracle.n_max == 10
+    # a read past n_max deepens the table to the level it reads
+    assert oracle.value(16, 2, 4) == CountTable(GESSEL, 16).value(16, 2, 4)
+    assert oracle.n_max == 16
+    assert oracle.levels == CountTable(GESSEL, 16).levels
 
 
 def test_trivial_operator_gessel_display():
@@ -179,6 +184,14 @@ def test_origin_widths_keep_every_returning_cell():
                 for (i, j), d in dist.items():
                     if i <= n and j <= n and d <= n_max - n:
                         assert i < len(widths[n]) and j < widths[n][i]
+
+
+def test_origin_sequence_rejects_negative_n_max():
+    assert origin_sequence(GESSEL, 0) == [1]
+    with pytest.raises(ValueError, match="n_max must be >= 0"):
+        origin_sequence(GESSEL, -1)
+    with pytest.raises(ValueError, match="n_max must be >= 0"):
+        CountTable(GESSEL, -1)
 
 
 def test_extend_matches_direct_build():
