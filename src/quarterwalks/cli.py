@@ -5,8 +5,11 @@ check-closed-form, import-recurrence.  Results go to stdout (or --out
 files) in machine-readable form; progress and diagnostics go to stderr.
 
 Exit codes: 0 = proved / found / valid, 1 = sound negative (refuted,
-nothing found, rejected import, failed elimination), 2 = operational
-error (bad input, malformed file, unsupported request).
+nothing found, rejected import, failed elimination), 2 = error.  An
+operational error (bad input, malformed file, unsupported request, an
+elimination that cannot finish) prints one ``error: <message>`` line;
+only an unexpected exception adds its traceback, and both exit 2.
+Commands raise, and ``_MainGroup`` alone decides how an error is reported.
 """
 
 from __future__ import annotations
@@ -16,7 +19,6 @@ import os
 import sys
 import traceback
 from dataclasses import asdict, dataclass, field
-from typing import NoReturn
 
 import click
 
@@ -56,7 +58,7 @@ from .walks import (
     GESSEL,
     KREWERAS,
     CountTable,
-    StepSetParseError,
+    StepSet,
     cached_table,
     origin_sequence,
     parse_step_set,
@@ -71,11 +73,6 @@ _COUNT = click.IntRange(min=0)
 
 def _progress(msg: str):
     click.echo(msg, err=True)
-
-
-def _fail(msg: str, code: int) -> NoReturn:
-    click.echo(f"error: {msg}", err=True)
-    sys.exit(code)
 
 
 def parse_bounds(text: str) -> Bounds:
@@ -128,17 +125,26 @@ def _dump(obj: dict, out: str | None):
 
 
 class _MainGroup(click.Group):
-    """Routes every uncaught non-click exception to exit code 2, so that
-    exit 1 stays reserved for sound negatives."""
+    """The CLI's one error boundary: every uncaught non-click exception
+    exits 2, so that exit 1 stays reserved for sound negatives.
+
+    A ValueError (bad steps, bounds or template, a malformed file, an
+    unsupported divisor), an EliminationError or a VerificationError is an
+    operational error and prints one ``error: <message>`` line; any other
+    exception is unexpected and prints its traceback first."""
 
     def invoke(self, ctx):
         try:
             return super().invoke(ctx)
         except (click.ClickException, click.exceptions.Exit, click.Abort):
             raise
+        except (ValueError, EliminationError, VerificationError) as e:
+            msg = str(e)
         except Exception as e:
             click.echo(traceback.format_exc(), err=True)
-            _fail(f"{type(e).__name__}: {e}", 2)
+            msg = f"{type(e).__name__}: {e}"
+        click.echo(f"error: {msg}", err=True)
+        sys.exit(2)
 
 
 @click.group(cls=_MainGroup)
@@ -155,10 +161,7 @@ def main():
 def count(steps, n, i, j):
     """Print the exact number of n-step walks from the origin to (i, j);
     0 for a negative coordinate or a point beyond the light cone."""
-    try:
-        click.echo(str(cached_table(parse_step_set(steps)).value(n, i, j)))
-    except StepSetParseError as e:
-        _fail(str(e), 2)
+    click.echo(str(cached_table(parse_step_set(steps)).value(n, i, j)))
 
 
 @main.command()
@@ -168,10 +171,7 @@ def count(steps, n, i, j):
 def table(steps, n_max, out):
     """Export the count table to n = n-max as JSON (decimal-string entries,
     exact beyond 2^53)."""
-    try:
-        tbl = CountTable(parse_step_set(steps), n_max)
-    except (StepSetParseError, ValueError) as e:
-        _fail(str(e), 2)
+    tbl = CountTable(parse_step_set(steps), n_max)
     text = json.dumps(table_to_json(tbl), sort_keys=True)
     if out:
         with open(out, "w") as fh:
@@ -214,10 +214,7 @@ def _run_guess(config: PipelineConfig):
 def guess(steps, bounds, shape, margin, out):
     """Search an ansatz for annihilating operators; write candidates as JSON."""
     config = PipelineConfig(steps=steps, shape=shape, bounds=list(bounds), margin=margin)
-    try:
-        candidates, _, _ = _run_guess(config)
-    except (StepSetParseError, TemplateError, ValueError) as e:
-        _fail(str(e), 2)
+    candidates, _, _ = _run_guess(config)
     os.makedirs(out, exist_ok=True)
     for k, op in enumerate(candidates):
         payload = {"meta": _meta(config), "operator": operator_to_json(op)}
@@ -230,11 +227,21 @@ def guess(steps, bounds, shape, margin, out):
         sys.exit(1)
 
 
-def _load_operator_file(path: str):
+def _load(path: str, parse):
+    """Read an operator file with ``parse`` (``operator_from_json`` or
+    ``uni_from_json``), unwrapping an ``"operator"`` key.  A file that is
+    not a JSON object, or whose object lacks a field or holds one of the
+    wrong type, raises ValueError naming the file."""
     with open(path) as fh:
         data = json.load(fh)
-    payload = data.get("operator", data)
-    return operator_from_json(payload)
+    if isinstance(data, dict):
+        data = data.get("operator", data)
+    if not isinstance(data, dict):
+        raise ValueError(f"{path}: expected a JSON object, not {type(data).__name__}")
+    try:
+        return parse(data)
+    except (KeyError, TypeError) as e:
+        raise ValueError(f"{path}: malformed operator ({type(e).__name__}: {e})") from e
 
 
 @main.command()
@@ -245,15 +252,12 @@ def _load_operator_file(path: str):
 def certify(steps, operator_file, margin, out):
     """Certify (or refute) that an operator annihilates the walk counts."""
     config = PipelineConfig(steps=steps, certify_margin=margin)
-    try:
-        step_set = parse_step_set(steps)
-        op = _load_operator_file(operator_file)
-        if op.is_zero():
-            raise ValueError("operator file holds the zero operator")
-        oracle = cached_table(step_set)
-        cert = certify_operator(op, trivial_operator(step_set), oracle, margin)
-    except (StepSetParseError, ValueError, KeyError, json.JSONDecodeError) as e:
-        _fail(str(e), 2)
+    step_set = parse_step_set(steps)
+    op = _load(operator_file, operator_from_json)
+    if op.is_zero():
+        raise ValueError("operator file holds the zero operator")
+    oracle = cached_table(step_set)
+    cert = certify_operator(op, trivial_operator(step_set), oracle, margin)
     report = {
         "meta": _meta(config),
         "verdict": cert.verdict,
@@ -288,36 +292,29 @@ def eliminate(steps, operator_files, multiplier_bound, diag_limit, out):
     config = PipelineConfig(
         steps=steps, multiplier_bound=multiplier_bound, diag_limit=diag_limit,
     )
-    try:
-        step_set = parse_step_set(steps)
-        ops = [_load_operator_file(p) for p in operator_files]
-        _progress(f"streaming origin sequence to n = {diag_limit}")
-        diagonal = origin_sequence(step_set, diag_limit)
-    except (StepSetParseError, ValueError, KeyError, json.JSONDecodeError) as e:
-        _fail(str(e), 2)
+    step_set = parse_step_set(steps)
+    ops = [_load(p, operator_from_json) for p in operator_files]
+    _progress(f"streaming origin sequence to n = {diag_limit}")
+    diagonal = origin_sequence(step_set, diag_limit)
     try:
         p = takayama_pipeline(ops, diagonal, multiplier_bound)
     except EliminationFailure as e:
         click.echo(str(e), err=True)
         sys.exit(1)
-    except (EliminationError, VerificationError) as e:
-        _fail(str(e), 2)
     _dump({"meta": _meta(config), "operator": uni_to_json(p)}, out)
 
 
-def _validate_recurrence(op: UniOperator, steps_text: str, n_check: int) -> int | None:
+def _validate_recurrence(op: UniOperator, step_set: StepSet, n_check: int) -> int | None:
     """Oracle gate for imported recurrences: the first n in 0..n_check at
     which the recurrence fails on the origin sequence, or None."""
-    seq = origin_sequence(parse_step_set(steps_text), n_check)
+    seq = origin_sequence(step_set, n_check)
     return op.first_failure(seq, range(n_check - op.order() + 1))
 
 
 def _load_recurrence(path: str, n_check: int) -> UniOperator:
     """Read a recurrence file; the operator must be nonzero and of order
     below n_check, so that the sequence check covers at least one window."""
-    with open(path) as fh:
-        data = json.load(fh)
-    op = uni_from_json(data.get("operator", data))
+    op = _load(path, uni_from_json)
     if op.is_zero():
         raise ValueError("recurrence file holds the zero operator")
     if op.order() >= n_check:
@@ -335,14 +332,8 @@ def import_recurrence(recurrence_file, steps, n_check, out):
     """Load an externally supplied recurrence, validate it against the
     counting oracle, and emit it in normalized form."""
     config = PipelineConfig(steps=steps, diag_limit=n_check)
-    try:
-        op = _load_recurrence(recurrence_file, n_check)
-    except (json.JSONDecodeError, ValueError, KeyError, TypeError) as e:
-        _fail(str(e), 2)
-    try:
-        bad = _validate_recurrence(op, steps, n_check)
-    except StepSetParseError as e:
-        _fail(str(e), 2)
+    op = _load_recurrence(recurrence_file, n_check)
+    bad = _validate_recurrence(op, parse_step_set(steps), n_check)
     if bad is not None:
         click.echo(f"rejected: fails sequence check at n={bad}", err=True)
         sys.exit(1)
@@ -400,17 +391,11 @@ def prove(steps, which, import_file, bounds, shape, margin, certify_margin,
     )
     term = hypergeom_term(which)
     report: dict = {"meta": _meta(config), "closed_form": which}
-    try:
-        step_set = parse_step_set(steps)
-    except StepSetParseError as e:
-        _fail(str(e), 2)
+    step_set = parse_step_set(steps)
 
     if import_file:
-        try:
-            p = _load_recurrence(import_file, diag_limit)
-        except (json.JSONDecodeError, ValueError, KeyError, TypeError) as e:
-            _fail(str(e), 2)
-        bad = _validate_recurrence(p, steps, diag_limit)
+        p = _load_recurrence(import_file, diag_limit)
+        bad = _validate_recurrence(p, step_set, diag_limit)
         report["recurrence_source"] = "imported"
         report["oracle_check"] = {"n_checked": diag_limit, "ok": bad is None, "failing_n": bad}
         if bad is not None:
@@ -418,10 +403,7 @@ def prove(steps, which, import_file, bounds, shape, margin, certify_margin,
             _dump(report, out)
             sys.exit(1)
     else:
-        try:
-            candidates, oracle, t = _run_guess(config)
-        except (TemplateError, ValueError) as e:
-            _fail(str(e), 2)
+        candidates, oracle, t = _run_guess(config)
         report["candidates"] = len(candidates)
         if not candidates:
             report["status"] = "FAILED(no candidates)"
@@ -449,8 +431,6 @@ def prove(steps, which, import_file, bounds, shape, margin, certify_margin,
             report["attempts"] = e.attempts
             _dump(report, out)
             sys.exit(1)
-        except (EliminationError, VerificationError) as e:
-            _fail(str(e), 2)
         report["recurrence_source"] = "pipeline"
         report["reverified_to_n"] = diag_limit
     report["recurrence"] = uni_to_json(p)

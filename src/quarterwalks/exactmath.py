@@ -440,10 +440,10 @@ def _gcdheu(polys: list[IPoly]) -> tuple[IPoly, list[IPoly]] | None:
     A wrong digit expansion (gamma may carry extra integer factors) shows
     up as P failing to divide some input; then xi grows and the evaluation
     is retried.  No result is accepted without every exact division
-    passing, and after ``_GCDHEU_TRIES`` failures the caller falls back:
-    ``ipoly_gcd`` to the primitive PRS, ``ipoly_gcd_cofactors`` to folding
-    ``ipoly_gcd``.  When gamma is 1, or its digits make a constant, the gcd
-    is 1 and the inputs are their own quotients.
+    passing, and after ``_GCDHEU_TRIES`` failures ``ipoly_gcd_cofactors``
+    falls back to folding the primitive PRS (``_prs_gcd``) over its
+    inputs.  When gamma is 1, or its digits make a constant, the gcd is 1
+    and the inputs are their own quotients.
     """
     m = min(max(abs(c) for c in a) for a in polys)
     # xi = 2^bits, so that evaluation and digit extraction are shifts; the
@@ -492,52 +492,40 @@ def _eval_pow2(a: IPoly, bits: int) -> int:
     return acc
 
 
+def _prs_gcd(a: IPoly, b: IPoly) -> IPoly:
+    """gcd of two nonzero primitive polynomials by the primitive
+    pseudo-remainder sequence; primitive, of either sign."""
+    while b:
+        r = ipoly_pseudo_rem(a, b)
+        cr = ipoly_content(r)
+        if cr:
+            r = ipoly_divexact(r, cr)
+        a, b = b, r
+    return a
+
+
 def ipoly_gcd(a: IPoly, b: IPoly) -> IPoly:
     """gcd over Z: the primitive gcd times the gcd of the contents, with a
-    positive leading coefficient.
-
-    The primitive gcd comes from the heuristic ``_gcdheu``, whose result
-    is the gcd by the Char-Geddes-Gonnet theorem once it has passed an
-    exact division of both primitive inputs (see its docstring).  When the
-    heuristic gives up, the primitive pseudo-remainder sequence computes
-    it instead.
-    """
-    a, b = list(a), list(b)
-    if not a:
-        g = b
-    elif not b:
-        g = a
-    else:
-        ca, cb = ipoly_content(a), ipoly_content(b)
-        a = ipoly_divexact(a, ca)
-        b = ipoly_divexact(b, cb)
-        heu = _gcdheu([a, b])
-        if heu is not None:
-            prim = heu[0]
-        else:
-            while b:
-                r = ipoly_pseudo_rem(a, b)
-                cr = ipoly_content(r)
-                if cr:
-                    r = ipoly_divexact(r, cr)
-                a, b = b, r
-            prim = a
-        g = ipoly_scale(prim, math.gcd(ca, cb))
-    g = list(g)
-    if g and g[-1] < 0:
-        g = ipoly_scale(g, -1)
-    return g
+    positive leading coefficient (``ipoly_gcd_cofactors`` of the pair when
+    both are nonzero, else the other input up to sign)."""
+    if a and b:
+        return ipoly_gcd_cofactors([a, b])[0]
+    g = list(a or b)
+    return ipoly_scale(g, -1) if g and g[-1] < 0 else g
 
 
 def ipoly_gcd_cofactors(polys: list[IPoly]) -> tuple[IPoly, list[IPoly]]:
-    """The gcd over Z of nonzero polynomials, as ``ipoly_gcd`` would fold
-    it, and the quotient of each polynomial by it.
+    """The gcd over Z of nonzero polynomials (the primitive gcd times the
+    gcd of the contents, with a positive leading coefficient), and the
+    quotient of each polynomial by it.
 
-    One ``_gcdheu`` call on the primitive parts gives their gcd and every
-    quotient, each from a single long division; a quotient is then
-    multiplied back by its polynomial's content over the common content.
-    When the heuristic gives up, ``ipoly_gcd`` is folded over the primitive
-    parts and each is divided by the result.
+    The primitive gcd comes from the heuristic ``_gcdheu`` on the primitive
+    parts, whose result is the gcd by the Char-Geddes-Gonnet theorem once it
+    has passed an exact division of every part (see its docstring); that
+    gives every quotient too, each from a single long division.  When the
+    heuristic gives up, ``_prs_gcd`` is folded over the primitive parts and
+    each is divided by the result.  A quotient is then multiplied back by
+    its polynomial's content over the common content.
     """
     contents = [ipoly_content(p) for p in polys]
     common = math.gcd(*contents)
@@ -550,7 +538,7 @@ def ipoly_gcd_cofactors(polys: list[IPoly]) -> tuple[IPoly, list[IPoly]]:
         for p in prims[1:]:
             if len(prim) == 1:
                 break
-            prim = ipoly_gcd(prim, p)
+            prim = _prs_gcd(prim, p)
         if prim[-1] < 0:
             prim = [-c for c in prim]
         quotients = [ipoly_divexact_poly(p, prim) for p in prims]

@@ -1,7 +1,7 @@
 """The benchmark's span tracer wraps CLI names by lookup; a refactor that
 renames or stops calling one of them would silently empty its layer.
-This runs the tracer on a small Gessel import proof and checks that the
-spans it relies on still appear."""
+This runs the tracer on small proofs and checks that the spans it relies
+on still appear."""
 
 import json
 import os
@@ -14,9 +14,8 @@ sys.path.insert(0, os.path.join(ROOT, "bench"))
 from workloads import gessel_recurrence_json  # noqa: E402
 
 
-def test_tracer_sees_every_prove_layer(tmp_path):
-    rec = tmp_path / "gessel_rec.json"
-    rec.write_text(json.dumps(gessel_recurrence_json()))
+def _trace(tmp_path, args):
+    """Run the CLI under the tracer; the set of span names it recorded."""
     spans = tmp_path / "spans.json"
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -24,12 +23,41 @@ def test_tracer_sees_every_prove_layer(tmp_path):
     )
     proc = subprocess.run(
         [sys.executable, os.path.join(ROOT, "bench", "tracing.py"), "--spans", str(spans), "--",
-         "prove", "--steps", "E,W,NE,SW", "--closed-form", "gessel",
-         "--import-recurrence", str(rec), "--diag-limit", "30"],
+         *args],
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    names = {s["name"] for s in json.loads(spans.read_text())["spans"]}
+    return {s["name"] for s in json.loads(spans.read_text())["spans"]}
+
+
+def test_tracer_sees_every_prove_layer(tmp_path):
+    rec = tmp_path / "gessel_rec.json"
+    rec.write_text(json.dumps(gessel_recurrence_json()))
+    names = _trace(
+        tmp_path,
+        ["prove", "--steps", "E,W,NE,SW", "--closed-form", "gessel",
+         "--import-recurrence", str(rec), "--diag-limit", "30"],
+    )
     for name in ("walks.cached_table", "walks.origin_sequence",
                  "closedform.max_nonneg_root", "closedform.prove_equality"):
         assert name in names
+
+
+def test_tracer_sees_every_layer_of_a_pipeline_proof(tmp_path):
+    # a small Kreweras proof runs every layer, so every row of the
+    # per-layer table has a span behind it
+    names = _trace(
+        tmp_path,
+        ["prove", "--steps", "W,S,NE", "--closed-form", "kreweras",
+         "--bounds", "deg_n=2,deg_i=2,deg_j=2,ord_sn=4,ord_si=1,ord_sj=1,total=2",
+         "--multiplier-bound", "1", "--diag-limit", "40"],
+    )
+    layers = {
+        "walks.cached_table", "walks.origin_sequence",
+        "guess.assemble_system", "guess.nullspace", "guess.filter_candidates",
+        "certify.certify_operator",
+        "eliminate.takayama_pipeline", "eliminate.generate_module",
+        "eliminate.eliminate_shifts", "eliminate.apply_to_sequence",
+        "closedform.max_nonneg_root", "closedform.prove_equality",
+    }
+    assert layers <= names, sorted(layers - names)

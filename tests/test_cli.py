@@ -14,6 +14,7 @@ from quarterwalks import (
     uni_to_json,
 )
 from quarterwalks.cli import main, parse_bounds
+from quarterwalks.eliminate import EliminationError, VerificationError
 from quarterwalks.exactmath import ipoly_mul, ipoly_scale
 from quarterwalks.guess import Bounds
 
@@ -350,15 +351,103 @@ def test_prove_import_order_not_below_diag_limit_exit_2(runner, tmp_path):
     assert not report_path.exists()
 
 
-def test_prove_import_malformed_file_exit_2(runner, tmp_path):
-    path = write_json(tmp_path / "list.json", [1, 2])
-    r = runner.invoke(
-        main,
+_GESSEL_IMPORT = ["prove", "--steps", "E,W,NE,SW", "--closed-form", "gessel",
+                  "--import-recurrence"]
+
+# every command that reads an operator file, and which reader it uses
+_FILE_COMMANDS = {
+    "certify": (["certify", "--steps", "E,W,NE,SW", "{f}"], "ore"),
+    "eliminate": (["eliminate", "--steps", "E,W,NE,SW", "{f}", "--diag-limit", "40"], "ore"),
+    "import-recurrence": (["import-recurrence", "{f}", "--steps", "E,W,NE,SW"], "uni"),
+    "prove-import": (_GESSEL_IMPORT + ["{f}", "--diag-limit", "40"], "uni"),
+}
+
+
+def _without_terms(kind):
+    data = operator_to_json(trivial_operator(GESSEL)) if kind == "ore" else uni_to_json(PG)
+    del data["terms"]
+    return data
+
+
+def _one_error_line(r):
+    """The CLI's report of an operational error: exit 2 and one `error:`
+    line, with no traceback."""
+    assert r.exit_code == 2, r.output
+    assert "Traceback" not in r.output, r.output
+    errors = [line for line in r.output.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1, r.output
+    return errors[0]
+
+
+@pytest.mark.parametrize("payload", ["list", "operator-list", "no-terms"])
+@pytest.mark.parametrize("command", list(_FILE_COMMANDS))
+def test_malformed_operator_file_exit_2_one_line(runner, tmp_path, command, payload):
+    # the file reader rejects what is not an operator object, so every
+    # command that reads one gives the same one-line error
+    args, kind = _FILE_COMMANDS[command]
+    data = {"list": [1, 2], "operator-list": {"operator": [1]}}.get(payload)
+    path = write_json(tmp_path / "bad.json", data if data is not None else _without_terms(kind))
+    r = runner.invoke(main, [a.format(f=path) for a in args])
+    assert path in _one_error_line(r)
+
+
+def _raise(exc):
+    def raiser(*args, **kwargs):
+        raise exc("pipeline stopped")
+
+    return raiser
+
+
+_OPERATIONAL_ERRORS = {
+    "count": (["count", "--steps", "X", "--n", "1", "--i", "0", "--j", "0"], None),
+    "table": (["table", "--steps", "X", "--n-max", "3"], None),
+    "guess": (["guess", "--steps", "X", "--out", "{tmp}/cands"], None),
+    "certify": (["certify", "--steps", "X", "{op}"], None),
+    "eliminate": (["eliminate", "--steps", "X", "{op}"], None),
+    "import-recurrence": (["import-recurrence", "{rec}", "--steps", "X"], None),
+    "prove": (["prove", "--steps", "X", "--closed-form", "gessel"], None),
+    "eliminate-verification": (
+        ["eliminate", "--steps", "E,W,NE,SW", "{op}", "--diag-limit", "40",
+         "--out", "{tmp}/report.json"],
+        VerificationError,
+    ),
+    "eliminate-elimination": (
+        ["eliminate", "--steps", "E,W,NE,SW", "{op}", "--diag-limit", "40",
+         "--out", "{tmp}/report.json"],
+        EliminationError,
+    ),
+    "prove-verification": (
         ["prove", "--steps", "E,W,NE,SW", "--closed-form", "gessel",
-         "--import-recurrence", path, "--diag-limit", "40"],
-    )
-    assert r.exit_code == 2
-    assert "error: AttributeError" in r.output
+         "--bounds", "ord_sn=1,ord_si=2,ord_sj=2", "--diag-limit", "40",
+         "--out", "{tmp}/report.json"],
+        VerificationError,
+    ),
+    "prove-elimination": (
+        ["prove", "--steps", "E,W,NE,SW", "--closed-form", "gessel",
+         "--bounds", "ord_sn=1,ord_si=2,ord_sj=2", "--diag-limit", "40",
+         "--out", "{tmp}/report.json"],
+        EliminationError,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(_OPERATIONAL_ERRORS))
+def test_operational_errors_exit_2_one_line(runner, tmp_path, monkeypatch, case):
+    # bad steps reach the error boundary from every command, and so do the
+    # elimination's own errors, without a traceback or a report
+    args, pipeline_error = _OPERATIONAL_ERRORS[case]
+    if pipeline_error is not None:
+        monkeypatch.setattr("quarterwalks.cli.takayama_pipeline", _raise(pipeline_error))
+    op = write_json(tmp_path / "t.json", operator_to_json(trivial_operator(GESSEL)))
+    rec = write_json(tmp_path / "rec.json", uni_to_json(PG))
+    r = runner.invoke(main, [a.format(tmp=tmp_path, op=op, rec=rec) for a in args])
+    line = _one_error_line(r)
+    if pipeline_error is None:
+        assert "X" in line
+    else:
+        assert line == "error: pipeline stopped"
+    assert r.stdout == ""
+    assert not (tmp_path / "report.json").exists()
 
 
 def test_unexpected_exception_exits_2(runner, tmp_path, monkeypatch):
