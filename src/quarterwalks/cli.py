@@ -129,16 +129,17 @@ class _MainGroup(click.Group):
     exits 2, so that exit 1 stays reserved for sound negatives.
 
     A ValueError (bad steps, bounds or template, a malformed file, an
-    unsupported divisor), an EliminationError or a VerificationError is an
-    operational error and prints one ``error: <message>`` line; any other
-    exception is unexpected and prints its traceback first."""
+    unsupported divisor), an OSError (a path that cannot be read or
+    written), an EliminationError or a VerificationError is an operational
+    error and prints one ``error: <message>`` line; any other exception is
+    unexpected and prints its traceback first."""
 
     def invoke(self, ctx):
         try:
             return super().invoke(ctx)
         except (click.ClickException, click.exceptions.Exit, click.Abort):
             raise
-        except (ValueError, EliminationError, VerificationError) as e:
+        except (ValueError, OSError, EliminationError, VerificationError) as e:
             msg = str(e)
         except Exception as e:
             click.echo(traceback.format_exc(), err=True)

@@ -8,23 +8,24 @@ coefficients; many points give a linear system whose right kernel holds
 every annihilator with that support.  An empty kernel is a proof that no
 such annihilator exists, because each row is a necessary condition.
 
-The kernel is computed multimodularly and checked exactly: row reduction
-modulo word-size primes, rational reconstruction of the kernel vectors
-from their residues, and verification A v = 0 over the integers.
+The kernel is computed multimodularly and checked exactly: the matrix is
+split into the blocks of its nonzero pattern, each block is row-reduced
+modulo primes below 2^32 with every row packed into one Python int of
+64-bit slots, the kernel vectors are lifted from their residues by CRT
+and rational reconstruction, and A v = 0 is verified over the integers.
 """
 
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import TYPE_CHECKING, Sequence
+from itertools import compress
+from typing import Sequence
 
 from .exactmath import MultiPoly
 from .ore import OreOperator
-
-if TYPE_CHECKING:
-    import numpy as np
 
 Tuple6 = tuple[int, int, int, int, int, int]
 
@@ -211,41 +212,120 @@ def assemble_system(
 # ---------------------------------------------------------------------------
 
 
-def _primes():
-    """Primes below 2^31, descending: a product of two residues fits int64."""
-    n = 2**31 - 1
+_SLOT = 2**64
+_MASK = _SLOT - 1
+
+
+def _primes(width: int):
+    """Primes p with p + width * (p - 1)^2 < 2^64, descending from the
+    largest: a packed row of `width` slots then never carries (see
+    `_echelon_mod`)."""
+    n = math.isqrt(_SLOT // width) + 1
+    while n + width * (n - 1) ** 2 >= _SLOT:
+        n -= 1
+    if n % 2 == 0:
+        n -= 1
     while True:
         if all(n % d for d in range(3, math.isqrt(n) + 1, 2)):
             yield n
         n -= 2
 
 
-def _rref_mod(matrix: list[list[int]], p: int) -> tuple[np.ndarray, list[int]]:
-    """Reduced row echelon form over GF(p) and its pivot columns; each
-    pivot is the first nonzero entry of its column among the rows left.
+def _pack(values: Sequence[int]) -> int:
+    """Residues as one int, value k in bits 64k .. 64k + 63."""
+    return int.from_bytes(struct.pack(f"<{len(values)}Q", *values), "little")
 
-    numpy is imported here, on the first solve, so that the commands that
-    never solve a system do not pay for loading it."""
-    import numpy as np
 
-    a = np.array([[x % p for x in row] for row in matrix], dtype=np.int64)
+def _unpack(row: int, width: int) -> tuple[int, ...]:
+    return struct.unpack(f"<{width}Q", row.to_bytes(8 * width, "little"))
+
+
+def _blocks(matrix: list[list[int]], ncols: int) -> list[tuple[list[int], list[int]]]:
+    """The connected components of the bipartite graph whose nodes are the
+    rows and columns and whose edges are the nonzero entries, as (rows,
+    columns) in ascending order, ordered by first column.  A zero column
+    is a block with no rows; a zero row is in no block."""
+    parent = list(range(ncols))
+
+    def root(c):
+        while parent[c] != c:
+            parent[c] = parent[parent[c]]
+            c = parent[c]
+        return c
+
+    supports = [list(compress(range(ncols), row)) for row in matrix]
+    for cols in supports:
+        if cols:
+            r0 = root(cols[0])
+            for c in cols[1:]:
+                parent[root(c)] = r0
+    blocks: dict[int, tuple[list[int], list[int]]] = {}
+    for c in range(ncols):
+        blocks.setdefault(root(c), ([], []))[1].append(c)
+    for r, cols in enumerate(supports):
+        if cols:
+            blocks[root(cols[0])][0].append(r)
+    return list(blocks.values())
+
+
+def _echelon_mod(rows: list[list[int]], p: int) -> tuple[list[int], list[tuple[int, ...]]]:
+    """Forward elimination over GF(p): the pivot columns, and each pivot
+    row scaled to 1 at its pivot, as its entries from the pivot column on.
+
+    Each row is one int of 64-bit slots (`_pack`), shifted down one slot
+    per column done, so its lowest slot is always the current column.
+    A pivot row is reduced below p once, when it is chosen, and a row
+    update r + (p - f) * pivot adds at most (p - 1)^2 to a slot, once per
+    pivot.  A slot therefore stays below p + width * (p - 1)^2 < 2^64
+    (`_primes`) and never carries into the next, with no reduction in
+    between."""
+    width = len(rows[0])
+    packed = [_pack([x % p for x in row]) for row in rows]
     pivots: list[int] = []
-    for c in range(a.shape[1]):
-        r = len(pivots)
-        if r == a.shape[0]:
+    urows: list[tuple[int, ...]] = []
+    for c in range(width):
+        if not packed:
             break
-        nz = np.flatnonzero(a[r:, c])
-        if nz.size == 0:
-            continue
-        if nz[0]:
-            a[[r, r + nz[0]]] = a[[r + nz[0], r]]
-        a[r, c:] = a[r, c:] * pow(int(a[r, c]), -1, p) % p
-        f = a[:, c].copy()
-        f[r] = 0
-        rows = np.flatnonzero(f)
-        a[rows, c:] = (a[rows, c:] - np.outer(f[rows], a[r, c:])) % p
-        pivots.append(c)
-    return a, pivots
+        heads = [(r & _MASK) % p for r in packed]
+        k = next((k for k, f in enumerate(heads) if f), None)
+        if k is not None:
+            lazy = _unpack(packed[k], width - c)
+            inv = pow(lazy[0] % p, -1, p)
+            urows.append(tuple(v * inv % p for v in lazy))
+            pivots.append(c)
+            del packed[k], heads[k]
+            pivot = _pack(urows[-1])
+            packed = [(r + (p - f) * pivot if f else r) >> 64 for r, f in zip(packed, heads)]
+        else:
+            packed = [r >> 64 for r in packed]
+    return pivots, urows
+
+
+def _kernel_mod(
+    rows: list[list[int]], width: int, p: int
+) -> tuple[list[int], list[int], list[list[int]]]:
+    """Pivot columns, free columns and, per free column f, the residues
+    -R[k, f] mod p at each pivot k of the reduced row echelon form R.
+
+    Only the free columns are back-substituted: with U the forward
+    echelon rows and c_j the pivot columns, R[k, f] = U[k, f] -
+    sum_{j > k} U[k, c_j] R[j, f].  The R[j, f] of one row are packed
+    like `_echelon_mod`'s rows, under the same slot bound (at most one
+    update per pivot)."""
+    pivots, urows = _echelon_mod(rows, p) if rows else ([], [])
+    free = sorted(set(range(width)) - set(pivots))
+    if not free:
+        return pivots, free, []
+    solved = [0] * len(pivots)
+    for k in reversed(range(len(pivots))):
+        c, u = pivots[k], urows[k]
+        acc = _pack([u[f - c] if f > c else 0 for f in free])
+        for j in range(k + 1, len(pivots)):
+            if u[pivots[j] - c]:
+                acc += (p - u[pivots[j] - c]) * solved[j]
+        solved[k] = _pack([v % p for v in _unpack(acc, len(free))])
+    solved = [_unpack(r, len(free)) for r in solved]
+    return pivots, free, [[-r[t] % p for r in solved] for t in range(len(free))]
 
 
 def _ratrec(u: int, m: int) -> Fraction | None:
@@ -285,11 +365,23 @@ def nullspace(system: LinearSystem | list[list[int]]) -> list[tuple[Fraction, ..
     in free-column order; the empty list means the kernel is trivial.
     Rational rows are scaled to integers first (the kernel is unchanged).
 
-    The matrix is row-reduced modulo primes p < 2^31.  The kernel vector
-    mod p of a free column f has a 1 at f and -R[k, f] at each pivot k;
-    its residues, combined by CRT over the primes so far, are lifted to Q
-    by rational reconstruction and checked exactly, A v = 0 over Z.  Any
-    failure adds a prime.
+    The matrix is first split into blocks, the connected components of
+    its nonzero pattern (`_blocks`); up to a permutation of rows and
+    columns it is block diagonal.  A column c of block b is in the span
+    of the columns before it exactly when it is in the span of block b's
+    columns before it, since the other columns vanish on b's rows and
+    b's columns vanish on all other rows.  So the pivot set of the whole
+    matrix, over Q or over GF(p), is the union of the blocks' pivot sets,
+    and each RREF kernel vector lives on one block: its free column and
+    the pivots of that block.  Everything below holds for the whole
+    matrix with these pivots and residues.
+
+    Each block is row-reduced modulo primes p (`_primes`, sized for the
+    widest block).  The kernel vector mod p of a free column f has a 1
+    at f and -R[k, f] at each pivot k; its residues, combined by CRT over
+    the primes so far, are lifted to Q by rational reconstruction and
+    checked exactly, A v = 0 over Z on every row.  Any failure adds a
+    prime.
 
     Reduction mod p can only lower the rank of each column prefix, so the
     mod-p pivot set is never better than the rational one (more pivots,
@@ -312,29 +404,40 @@ def nullspace(system: LinearSystem | list[list[int]]) -> list[tuple[Fraction, ..
         matrix = [[Fraction(x) for x in row] for row in matrix]
         dens = [math.lcm(*(x.denominator for x in row)) for row in matrix]
         matrix = [[int(x * d) for x in row] for row, d in zip(matrix, dens)]
+    blocks = [
+        (cols, [[matrix[r][c] for c in cols] for r in rows])
+        for rows, cols in _blocks(matrix, ncols)
+    ]
+    width = max((len(cols) for cols, rows in blocks if rows), default=1)
     best = None
-    for p in _primes():
-        a, pivots = _rref_mod(matrix, p)
+    for p in _primes(width):
+        pivots, kernel = [], []
+        for cols, rows in blocks:
+            piv, free, res = _kernel_mod(rows, len(cols), p)
+            piv = [cols[k] for k in piv]
+            pivots += piv
+            kernel += [(cols[f], piv, r) for f, r in zip(free, res)]
         if len(pivots) == ncols:
             return []
+        pivots.sort()
+        kernel.sort()
         key = (-len(pivots), pivots)
         if best is not None and key > best:
             continue
-        pivot_set = set(pivots)
-        free = [c for c in range(ncols) if c not in pivot_set]
-        # residues of the kernel vectors at the pivots, free column by free column
-        kernel = (-a[: len(pivots), free] % p).T.ravel().tolist()
         if key == best:
             inv = pow(modulus, -1, p)
-            residues = [u + modulus * ((r - u) * inv % p) for u, r in zip(residues, kernel)]
+            residues = [
+                [u + modulus * ((r - u) * inv % p) for u, r in zip(us, rs)]
+                for us, (_, _, rs) in zip(residues, kernel)
+            ]
             modulus *= p
         else:
-            best, residues, modulus = key, kernel, p
+            best, residues, modulus = key, [rs for _, _, rs in kernel], p
         basis = []
-        for k, f in enumerate(free):
+        for (f, cols, _), us in zip(kernel, residues):
             vec = [Fraction(0)] * ncols
             vec[f] = Fraction(1)
-            for c, u in zip(pivots, residues[k * len(pivots) : (k + 1) * len(pivots)]):
+            for c, u in zip(cols, us):
                 vec[c] = _ratrec(u, modulus)
             if None in vec:
                 break

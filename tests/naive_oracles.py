@@ -132,6 +132,30 @@ def fraction_nullspace(matrix):
     return basis
 
 
+def modp_kernel(matrix, p):
+    """Textbook Gauss-Jordan over GF(p) on unpacked rows: the pivot
+    columns, the free columns and, per free column f, -R[k, f] mod p at
+    each pivot k of the reduced row echelon form R."""
+    m = [[x % p for x in row] for row in matrix]
+    ncols = len(m[0])
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        pr = next((rr for rr in range(r, len(m)) if m[rr][c]), None)
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        inv = pow(m[r][c], -1, p)
+        m[r] = [x * inv % p for x in m[r]]
+        for rr in range(len(m)):
+            if rr != r and m[rr][c]:
+                f = m[rr][c]
+                m[rr] = [(a - f * b) % p for a, b in zip(m[rr], m[r])]
+        pivots.append(c)
+    free = [c for c in range(ncols) if c not in pivots]
+    return pivots, free, [[-m[k][f] % p for k in range(len(pivots))] for f in free]
+
+
 def cauchy_nonneg_integer_roots(p):
     """Nonnegative integer roots by evaluating p at every integer up to the
     Cauchy bound 1 + max |a_k| / |a_lead|, which bounds every real root."""

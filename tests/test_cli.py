@@ -398,53 +398,46 @@ def _raise(exc):
     return raiser
 
 
+_ELIMINATE_40 = ["eliminate", "--steps", "E,W,NE,SW", "{op}", "--diag-limit", "40",
+                 "--out", "{tmp}/report.json"]
+_PROVE_40 = ["prove", "--steps", "E,W,NE,SW", "--closed-form", "gessel",
+             "--bounds", "ord_sn=1,ord_si=2,ord_sj=2", "--diag-limit", "40",
+             "--out", "{tmp}/report.json"]
+
+# command line, error raised inside the pipeline (or None), text the error line holds
 _OPERATIONAL_ERRORS = {
-    "count": (["count", "--steps", "X", "--n", "1", "--i", "0", "--j", "0"], None),
-    "table": (["table", "--steps", "X", "--n-max", "3"], None),
-    "guess": (["guess", "--steps", "X", "--out", "{tmp}/cands"], None),
-    "certify": (["certify", "--steps", "X", "{op}"], None),
-    "eliminate": (["eliminate", "--steps", "X", "{op}"], None),
-    "import-recurrence": (["import-recurrence", "{rec}", "--steps", "X"], None),
-    "prove": (["prove", "--steps", "X", "--closed-form", "gessel"], None),
-    "eliminate-verification": (
-        ["eliminate", "--steps", "E,W,NE,SW", "{op}", "--diag-limit", "40",
-         "--out", "{tmp}/report.json"],
-        VerificationError,
+    "count": (["count", "--steps", "X", "--n", "1", "--i", "0", "--j", "0"], None, "X"),
+    "table": (["table", "--steps", "X", "--n-max", "3"], None, "X"),
+    "guess": (["guess", "--steps", "X", "--out", "{tmp}/cands"], None, "X"),
+    "certify": (["certify", "--steps", "X", "{op}"], None, "X"),
+    "eliminate": (["eliminate", "--steps", "X", "{op}"], None, "X"),
+    "import-recurrence": (["import-recurrence", "{rec}", "--steps", "X"], None, "X"),
+    "prove": (["prove", "--steps", "X", "--closed-form", "gessel"], None, "X"),
+    "certify-directory": (["certify", "--steps", "W,S,NE", "{tmp}"], None, "{tmp}"),
+    "table-out-directory": (
+        ["table", "--steps", "W,S,NE", "--n-max", "2", "--out", "{tmp}"], None, "{tmp}"
     ),
-    "eliminate-elimination": (
-        ["eliminate", "--steps", "E,W,NE,SW", "{op}", "--diag-limit", "40",
-         "--out", "{tmp}/report.json"],
-        EliminationError,
-    ),
-    "prove-verification": (
-        ["prove", "--steps", "E,W,NE,SW", "--closed-form", "gessel",
-         "--bounds", "ord_sn=1,ord_si=2,ord_sj=2", "--diag-limit", "40",
-         "--out", "{tmp}/report.json"],
-        VerificationError,
-    ),
-    "prove-elimination": (
-        ["prove", "--steps", "E,W,NE,SW", "--closed-form", "gessel",
-         "--bounds", "ord_sn=1,ord_si=2,ord_sj=2", "--diag-limit", "40",
-         "--out", "{tmp}/report.json"],
-        EliminationError,
-    ),
+    "eliminate-verification": (_ELIMINATE_40, VerificationError, "pipeline stopped"),
+    "eliminate-elimination": (_ELIMINATE_40, EliminationError, "pipeline stopped"),
+    "prove-verification": (_PROVE_40, VerificationError, "pipeline stopped"),
+    "prove-elimination": (_PROVE_40, EliminationError, "pipeline stopped"),
 }
 
 
 @pytest.mark.parametrize("case", list(_OPERATIONAL_ERRORS))
 def test_operational_errors_exit_2_one_line(runner, tmp_path, monkeypatch, case):
-    # bad steps reach the error boundary from every command, and so do the
-    # elimination's own errors, without a traceback or a report
-    args, pipeline_error = _OPERATIONAL_ERRORS[case]
+    # bad steps and paths that cannot be opened reach the error boundary
+    # from every command, and so do the elimination's own errors, without
+    # a traceback or a report
+    args, pipeline_error, expected = _OPERATIONAL_ERRORS[case]
     if pipeline_error is not None:
         monkeypatch.setattr("quarterwalks.cli.takayama_pipeline", _raise(pipeline_error))
     op = write_json(tmp_path / "t.json", operator_to_json(trivial_operator(GESSEL)))
     rec = write_json(tmp_path / "rec.json", uni_to_json(PG))
     r = runner.invoke(main, [a.format(tmp=tmp_path, op=op, rec=rec) for a in args])
     line = _one_error_line(r)
-    if pipeline_error is None:
-        assert "X" in line
-    else:
+    assert expected.format(tmp=tmp_path) in line
+    if pipeline_error is not None:
         assert line == "error: pipeline stopped"
     assert r.stdout == ""
     assert not (tmp_path / "report.json").exists()
@@ -464,18 +457,25 @@ def test_unexpected_exception_exits_2(runner, tmp_path, monkeypatch):
     assert "error: RuntimeError: solver blew up" in r.output
 
 
-def test_cli_import_leaves_numpy_unloaded():
-    """numpy is loaded by the first kernel solve, not by importing the CLI."""
+def test_kernel_solve_leaves_numpy_unloaded(tmp_path):
+    """The kernel solver is pure Python: a guess that solves a nonempty
+    system and finds candidates loads no numpy module."""
     import quarterwalks
 
     env = dict(os.environ)
     src = os.path.dirname(os.path.dirname(quarterwalks.__file__))
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    out = tmp_path / "cands"
     code = (
-        "import sys, quarterwalks.cli; "
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))"
+        "import sys\n"
+        "from quarterwalks.cli import main\n"
+        "try:\n"
+        "    main(['guess', '--steps', 'E,W,NE,SW', '--bounds', 'ord_sn=1,ord_si=2,ord_sj=2',\n"
+        f"          '--out', {str(out)!r}])\n"
+        "finally:\n"
+        "    print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))\n"
     )
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-    )
-    assert out.stdout.strip() == "[]"
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip().splitlines()[-1] == "[]"
+    assert sorted(os.listdir(out)) == ["candidate_000.json"]

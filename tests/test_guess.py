@@ -17,9 +17,9 @@ from quarterwalks import (
     template_from_support,
     trivial_operator,
 )
-from quarterwalks.guess import _primes
+from quarterwalks.guess import _blocks, _kernel_mod, _primes
 
-from naive_oracles import fraction_nullspace
+from naive_oracles import fraction_nullspace, modp_kernel
 
 T = trivial_operator(GESSEL)
 T_SUPPORT = tuple((0, 0, 0, e4, e5, e6) for (e4, e5, e6) in sorted(T.terms))
@@ -130,15 +130,17 @@ def test_nullspace_rational_rows_match_fraction_oracle():
         assert nullspace(m) == fraction_nullspace(m), (trial, m)
 
 
-def _first_primes(k):
-    gen = _primes()
-    return [next(gen) for _ in range(k)]
+def _first_prime(width):
+    """The first prime the solver uses when the widest block of the
+    matrix has `width` columns."""
+    return next(_primes(width))
 
 
 def test_nullspace_unlucky_prime_lower_rank():
     # full rank over Q, rank 1 modulo the first prime
-    p1 = _first_primes(1)[0]
+    p1 = _first_prime(1)  # two 1x1 blocks
     assert nullspace([[p1, 0], [0, 1]]) == fraction_nullspace([[p1, 0], [0, 1]]) == []
+    p1 = _first_prime(3)
     m = [[1, 1, 1], [1, 1 + p1, 1]]
     assert nullspace(m) == fraction_nullspace(m) == [(Fraction(1), Fraction(0), Fraction(-1))]
 
@@ -146,14 +148,15 @@ def test_nullspace_unlucky_prime_lower_rank():
 def test_nullspace_unlucky_prime_same_rank():
     # rank 2 modulo the first prime too, but with the pivots {0, 2} or
     # {1, 2} there instead of the rational {0, 1}
-    p1 = _first_primes(1)[0]
+    p1 = _first_prime(3)
     for m in ([[1, 1, 0], [p1, 0, 1]], [[p1, 0, 1], [0, 1, 1]]):
         assert nullspace(m) == fraction_nullspace(m), m
     assert nullspace([[1, 1, 0], [p1, 0, 1]]) == [(Fraction(1), Fraction(-1), Fraction(-p1))]
 
 
 def test_nullspace_needs_several_primes():
-    # kernel entries near 2^41 cannot be reconstructed from one 31-bit prime
+    # the kernel entry b/a, near 2^40 / 2^41, cannot be reconstructed from
+    # one or two primes below 2^32 (reconstruction reaches sqrt(m / 2))
     a, b = 2**41 + 15, 2**40 + 3
     m = [[a, b, 0], [0, 1, 1]]
     assert nullspace(m) == fraction_nullspace(m)
@@ -176,6 +179,72 @@ def test_nullspace_matches_fraction_oracle_big_entries():
             for row in m:
                 row[k] = 3 * row[0]
         assert nullspace(m) == fraction_nullspace(m), (trial, m)
+
+
+def _scatter(rng, blocks, zero_rows, zero_cols):
+    """A matrix made of `blocks` on the diagonal, with zero rows and zero
+    columns added and its rows and columns permuted at random, and the
+    column set each block landed on."""
+    nrows = sum(len(b) for b in blocks) + zero_rows
+    ncols = sum(len(b[0]) for b in blocks) + zero_cols
+    row_at, col_at = rng.sample(range(nrows), nrows), rng.sample(range(ncols), ncols)
+    m = [[0] * ncols for _ in range(nrows)]
+    groups, r0, c0 = [], 0, 0
+    for b in blocks:
+        for r, row in enumerate(b):
+            for c, x in enumerate(row):
+                m[row_at[r0 + r]][col_at[c0 + c]] = x
+        groups.append(sorted(col_at[c0 : c0 + len(b[0])]))
+        r0, c0 = r0 + len(b), c0 + len(b[0])
+    return m, groups
+
+
+def test_nullspace_block_split_matches_fraction_oracle():
+    rng = random.Random(17)
+    nonzero = [x for x in range(-6, 7) if x]
+    for trial in range(80):
+        blocks = []
+        for _ in range(rng.randint(1, 4)):
+            rows, cols = rng.randint(1, 4), rng.randint(1, 5)
+            b = [[rng.choice(nonzero) for _ in range(cols)] for _ in range(rows)]
+            if rows > 1 and rng.random() < 0.4:
+                b[-1] = [3 * x for x in b[0]]
+            if rng.random() < 0.3:
+                b[0] = [Fraction(x, rng.randint(1, 9)) for x in b[0]]
+            blocks.append(b)
+        m, groups = _scatter(rng, blocks, rng.randint(0, 2), rng.randint(0, 2))
+        # blocks without zero entries are connected, so the split finds them exactly
+        found = [cols for rows, cols in _blocks(m, len(m[0])) if rows]
+        assert sorted(found) == sorted(groups), (trial, m)
+        assert nullspace(m) == fraction_nullspace(m), (trial, m)
+
+
+def test_nullspace_unlucky_prime_in_one_block():
+    # the first prime lowers the rank, or moves the pivots, of one block
+    # only; the other block's residues from it must not be kept
+    p1 = _first_prime(3)
+    rng = random.Random(23)
+    for unlucky in ([[1, 1, 1], [1, 1 + p1, 1]], [[1, 1, 0], [p1, 0, 1]], [[p1, 0, 1], [0, 1, 1]]):
+        for lucky in ([[2, 3], [4, 5], [6, 8]], [[1, 2, 3], [2, 4, 7]], [[5, -7]]):
+            m, _ = _scatter(rng, [unlucky, lucky], 1, 1)
+            assert nullspace(m) == fraction_nullspace(m), m
+
+
+def test_packed_rows_never_carry_at_the_widest_block():
+    # Lazy reduction keeps a slot below p + width * (p - 1)^2.  Here every
+    # head is 1 and every reduced pivot entry past its pivot is p - 1, so
+    # each forward update adds the most it can, (p - 1)^2, to every slot;
+    # the block is the widest the first prime for 40 columns admits, and
+    # the last slot of the last rows ends within 2 (p - 1)^2 of 2^64.  A
+    # carry between slots would change the residues.
+    p = _first_prime(40)
+    width = (2**64 - 1 - p) // (p - 1) ** 2
+    assert width >= 40
+    u = [[0] * k + [1] + [p - 1] * (width - k - 1) for k in range(width - 1)]
+    rows = [[sum(col) % p for col in zip(*u[: k + 1])] for k in range(width - 1)]
+    rows += [[sum(col) % p for col in zip(*u)]] * 2
+    assert (width - 1) * (p - 1) ** 2 + p > 2**64 - 2 * (p - 1) ** 2
+    assert _kernel_mod(rows, width, p) == modp_kernel(rows, p)
 
 
 def test_oversampling_never_enlarges_kernel(gessel_oracle):
