@@ -1,6 +1,6 @@
 """The shift-operator algebra and division with remainder.
 
-Operators live in Q[n,i,j]<S_n,S_i,S_j> with the commutation rule
+Operators live in Z[n,i,j]<S_n,S_i,S_j> with the commutation rule
 S_x p(x) = p(x+1) S_x.  The transfer operator T of a step set encodes the
 one-step recurrence of the counts and annihilates them by construction;
 division with remainder by T is the engine of the certification algorithm.

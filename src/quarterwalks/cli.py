@@ -231,8 +231,9 @@ def guess(steps, bounds, shape, margin, out):
 def _load(path: str, parse):
     """Read an operator file with ``parse`` (``operator_from_json`` or
     ``uni_from_json``), unwrapping an ``"operator"`` key.  A file that is
-    not a JSON object, or whose object lacks a field or holds one of the
-    wrong type, raises ValueError naming the file."""
+    not a JSON object, whose object lacks a field or holds one of the
+    wrong type, or that the reader rejects, raises ValueError naming the
+    file."""
     with open(path) as fh:
         data = json.load(fh)
     if isinstance(data, dict):
@@ -243,6 +244,8 @@ def _load(path: str, parse):
         return parse(data)
     except (KeyError, TypeError) as e:
         raise ValueError(f"{path}: malformed operator ({type(e).__name__}: {e})") from e
+    except ValueError as e:
+        raise ValueError(f"{e} (in {path})") from e
 
 
 @main.command()

@@ -7,9 +7,9 @@ ring Q(n)[S_n], indexed by the shift monomials S_i^e5 S_j^e6.  Because a
 coefficient left-divisible by i or j reduces to zero, useful multiples of
 a generator are taken by shift monomials S_i^a S_j^b *before* reducing;
 multiplication by i or j from the left is exactly the operation that is
-no longer available after reduction.  Every vector is stored after
-clearing its denominators, with components in Z[n][S_n]; the span over
-Q(n)[S_n] is the same.
+no longer available after reduction.  The operators have integer
+coefficients, so every vector has its components in Z[n][S_n]; its span
+is taken over Q(n)[S_n].
 
 A combination of these vectors, with coefficients in Q(n)[S_n], that is
 concentrated in the component (0,0) corresponds to an annihilator of the
@@ -44,7 +44,7 @@ from .exactmath import (
     ipoly_sub,
     ipoly_trim,
 )
-from .ore import OreOperator
+from .ore import OreOperator, json_int
 
 Pos = tuple[int, int]
 
@@ -206,11 +206,20 @@ def uni_to_json(op: UniOperator) -> dict:
     return {"var": "n", "shift": "Sn", "terms": terms, "cleared": cleared}
 
 
+def _json_fraction(x) -> Fraction:
+    """A coefficient of a term: a JSON integer or a string such as "3/2";
+    a float or a bool raises ValueError instead of being read as its
+    binary value."""
+    if type(x) not in (int, str):
+        raise ValueError(f"expected an integer or a fraction string, not {x!r}")
+    return Fraction(x)
+
+
 def _json_term(entry: dict, k: int) -> tuple[list[int], list[int]]:
     """One term num/den of an operator file as integer polynomials in
     lowest terms over Z; (num, den) = ([], [1]) for a zero term."""
     try:
-        num, den = ([Fraction(x) for x in entry[key]] for key in ("num", "den"))
+        num, den = ([_json_fraction(x) for x in entry[key]] for key in ("num", "den"))
     except (ValueError, ZeroDivisionError) as e:
         raise ValueError(f"term of power {k}: bad number ({e})") from None
     scale = math.lcm(*(c.denominator for c in num + den))
@@ -234,14 +243,15 @@ def uni_from_json(data: dict) -> UniOperator:
     left multiplication of the whole operator by L, a nonzero element of
     Q(n), so the recurrence is unchanged.  A stated ``"cleared"`` form
     must match the one computed.  A malformed number or a zero
-    denominator raises ValueError naming the term's power.
+    denominator raises ValueError naming the term's power; the powers and
+    the cleared coefficients are integer fields, read by ``json_int``.
     """
     if data.get("var") != "n" or data.get("shift") != "Sn":
         raise ValueError("unrecognized operator header")
     reduced: dict[int, tuple[list[int], list[int]]] = {}
     den_lcm = [1]
     for entry in data["terms"]:
-        k = int(entry["power"])
+        k = json_int(entry["power"])
         if k in reduced:
             raise ValueError(f"duplicate power {k}")
         reduced[k] = num, den = _json_term(entry, k)
@@ -255,7 +265,7 @@ def uni_from_json(data: dict) -> UniOperator:
     cleared = op.cleared()
     if "cleared" in data:
         stated = {
-            int(e["power"]): [int(c) for c in e["coeffs"]] for e in data["cleared"]
+            json_int(e["power"]): [json_int(c) for c in e["coeffs"]] for e in data["cleared"]
         }
         if stated != cleared:
             raise ValueError("cleared form does not match the rational terms")
@@ -299,17 +309,11 @@ class ModuleVector:
 
 def reduce_mod_ij(op: OreOperator) -> ModuleVector:
     """Reduction modulo the right ideal i*A + j*A: substitute i = j = 0 in
-    the left coefficients and regroup by the S_i, S_j exponents.
-
-    The vector is scaled by the lcm of its coefficient denominators, so
-    that its components lie in Z[n][S_n]; that is left multiplication by
-    a nonzero constant, which keeps the components' relative scale and
-    the span of any set of vectors."""
-    coeffs = {e: c.coefficients_in_n() for e, c in op.substitute_zero(("i", "j")).terms.items()}
-    scale = math.lcm(*(x.denominator for p in coeffs.values() for x in p))
+    the left coefficients and regroup by the S_i, S_j exponents; the
+    components lie in Z[n][S_n] as the operator's coefficients do."""
     comps: dict[Pos, dict[int, list[int]]] = {}
-    for (e4, e5, e6), p in coeffs.items():
-        comps.setdefault((e5, e6), {})[e4] = [x.numerator * (scale // x.denominator) for x in p]
+    for (e4, e5, e6), c in op.substitute_zero(("i", "j")).terms.items():
+        comps.setdefault((e5, e6), {})[e4] = c.coefficients_in_n()
     return ModuleVector({pos: UniOperator(t) for pos, t in comps.items()})
 
 

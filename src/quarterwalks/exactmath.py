@@ -1,25 +1,22 @@
-"""Exact arithmetic foundation: trivariate polynomials over Q and
-univariate polynomials over Z.
+"""Exact arithmetic foundation: polynomials over Z in n, i, j and in n alone.
 
 Everything here is exact; there is no floating point anywhere in the
 pipeline.  ``MultiPoly`` is a polynomial in the three commuting variables
-n, i, j with rational coefficients, stored as a canonical sparse map from
-exponent triples to nonzero coefficients; guessing and certification work
-with it.
+n, i, j with integer coefficients, stored as a canonical sparse map from
+exponent triples to nonzero ints; guessing and certification work with
+it, as the coefficients of the shift operators in ``ore``.
 
 Univariate polynomials in n are plain ``int`` coefficient lists (``IPoly``,
 low degree first) -- see the ``ipoly_*`` helpers.  They are the
 coefficients of every element of Z[n][S_n]: the elimination rows, the
 eliminated recurrence and the closed-form ratios.  Their exact division
 and gcd stay in Z[x] (integer long division, and a heuristic gcd with the
-primitive PRS as fallback); no ``IPoly`` operation goes through
-``Fraction``.
+primitive PRS as fallback).  Nothing in this module uses ``Fraction``.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from typing import Iterable, Mapping
 
 VARS = ("n", "i", "j")
@@ -28,31 +25,23 @@ _VAR_INDEX = {"n": 0, "i": 1, "j": 2}
 Exponent = tuple[int, int, int]
 
 
-def _as_fraction(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    raise TypeError(f"expected an exact rational, got {type(x).__name__}")
-
-
 class MultiPoly:
-    """A polynomial in Q[n, i, j] in canonical sparse form.
+    """A polynomial in Z[n, i, j] in canonical sparse form.
 
     The term map never stores a zero coefficient; the zero polynomial has
-    an empty map.  Instances are immutable and hashable, so equality of
-    canonical forms is plain map equality.  Because they are immutable,
-    the integer form that evaluation uses is computed once and cached; it
-    is derived from the term map, so equality and hashing never read it.
+    an empty map.  A coefficient that is not an int (a ``Fraction``, a
+    float) raises TypeError.  Instances are immutable and hashable, so
+    equality of canonical forms is plain map equality.
     """
 
-    __slots__ = ("_terms", "_hash", "_ints")
+    __slots__ = ("_terms", "_hash")
 
-    def __init__(self, terms: Mapping[Exponent, Fraction] | None = None):
-        clean: dict[Exponent, Fraction] = {}
+    def __init__(self, terms: Mapping[Exponent, int] | None = None):
+        clean: dict[Exponent, int] = {}
         if terms:
-            for exp, coeff in terms.items():
-                c = _as_fraction(coeff)
+            for exp, c in terms.items():
+                if type(c) is not int:
+                    raise TypeError(f"expected an int coefficient, got {type(c).__name__}")
                 if c:
                     e = (int(exp[0]), int(exp[1]), int(exp[2]))
                     if any(x < 0 for x in e):
@@ -60,7 +49,6 @@ class MultiPoly:
                     clean[e] = c
         self._terms = clean
         self._hash: int | None = None
-        self._ints: tuple[int, tuple[tuple[int, int, int, int], ...]] | None = None
 
     # -- constructors -------------------------------------------------
 
@@ -69,8 +57,8 @@ class MultiPoly:
         return cls()
 
     @classmethod
-    def const(cls, value) -> "MultiPoly":
-        return cls({(0, 0, 0): _as_fraction(value)})
+    def const(cls, value: int) -> "MultiPoly":
+        return cls({(0, 0, 0): value})
 
     @classmethod
     def variable(cls, name: str) -> "MultiPoly":
@@ -78,16 +66,16 @@ class MultiPoly:
             raise ValueError(f"unknown variable {name!r}")
         exp = [0, 0, 0]
         exp[_VAR_INDEX[name]] = 1
-        return cls({tuple(exp): Fraction(1)})
+        return cls({tuple(exp): 1})
 
     @classmethod
-    def monomial(cls, exp: Exponent, coeff=1) -> "MultiPoly":
-        return cls({exp: _as_fraction(coeff)})
+    def monomial(cls, exp: Exponent, coeff: int = 1) -> "MultiPoly":
+        return cls({exp: coeff})
 
     # -- inspection ----------------------------------------------------
 
     @property
-    def terms(self) -> dict[Exponent, Fraction]:
+    def terms(self) -> dict[Exponent, int]:
         return dict(self._terms)
 
     def is_zero(self) -> bool:
@@ -96,9 +84,9 @@ class MultiPoly:
     def is_constant(self) -> bool:
         return all(e == (0, 0, 0) for e in self._terms)
 
-    def constant_value(self) -> Fraction:
+    def constant_value(self) -> int:
         if self.is_zero():
-            return Fraction(0)
+            return 0
         if not self.is_constant():
             raise ValueError("not a constant polynomial")
         return self._terms[(0, 0, 0)]
@@ -122,7 +110,7 @@ class MultiPoly:
     def __eq__(self, other) -> bool:
         if isinstance(other, MultiPoly):
             return self._terms == other._terms
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             return self == MultiPoly.const(other)
         return NotImplemented
 
@@ -139,7 +127,7 @@ class MultiPoly:
             return NotImplemented
         out = dict(self._terms)
         for exp, c in other._terms.items():
-            s = out.get(exp, Fraction(0)) + c
+            s = out.get(exp, 0) + c
             if s:
                 out[exp] = s
             else:
@@ -164,11 +152,11 @@ class MultiPoly:
         other = _coerce_poly(other)
         if other is NotImplemented:
             return NotImplemented
-        out: dict[Exponent, Fraction] = {}
+        out: dict[Exponent, int] = {}
         for e1, c1 in self._terms.items():
             for e2, c2 in other._terms.items():
                 e = (e1[0] + e2[0], e1[1] + e2[1], e1[2] + e2[2])
-                s = out.get(e, Fraction(0)) + c1 * c2
+                s = out.get(e, 0) + c1 * c2
                 if s:
                     out[e] = s
                 else:
@@ -177,37 +165,12 @@ class MultiPoly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, k: int) -> "MultiPoly":
-        if k < 0:
-            raise ValueError("negative power of a polynomial")
-        result = MultiPoly.const(1)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
-
     # -- evaluation and substitution -------------------------------------
 
-    def eval(self, n: int, i: int, j: int) -> Fraction:
-        """Exact value at an integer (or rational) point."""
-        num, den = self.eval_parts(n, i, j)
-        return Fraction(num, den)
-
-    def eval_parts(self, n: int, i: int, j: int) -> tuple[int, int]:
-        """The value at a point as an unreduced pair (num, den): den is the
-        lcm of the coefficient denominators, and num is the sum of the
-        integer numerators over it, an int at an integer point."""
-        if self._ints is None:
-            den = math.lcm(*(c.denominator for c in self._terms.values()))
-            self._ints = den, tuple(
-                (dn, di, dj, c.numerator * (den // c.denominator))
-                for (dn, di, dj), c in self._terms.items()
-            )
-        den, terms = self._ints
-        return sum(a * n**dn * i**di * j**dj for dn, di, dj, a in terms), den
+    def eval(self, n: int, i: int, j: int) -> int:
+        """Exact value at a point: an int at an integer point (and a
+        Fraction at a point with Fraction coordinates)."""
+        return sum(c * n**dn * i**di * j**dj for (dn, di, dj), c in self._terms.items())
 
     def substitute_shift(self, var: str, offset: int) -> "MultiPoly":
         """Replace ``var`` by ``var + offset`` and expand to canonical form.
@@ -218,7 +181,7 @@ class MultiPoly:
         if offset == 0:
             return self
         k = _VAR_INDEX[var]
-        out: dict[Exponent, Fraction] = {}
+        out: dict[Exponent, int] = {}
         for exp, c in self._terms.items():
             d = exp[k]
             # (x + offset)^d expanded binomially onto powers of x
@@ -227,7 +190,7 @@ class MultiPoly:
                 e = list(exp)
                 e[k] = t
                 e2 = tuple(e)
-                s = out.get(e2, Fraction(0)) + coeff
+                s = out.get(e2, 0) + coeff
                 if s:
                     out[e2] = s
                 else:
@@ -237,34 +200,26 @@ class MultiPoly:
     def substitute_zero(self, names: Iterable[str]) -> "MultiPoly":
         """Set the named variables to 0, dropping every term they divide."""
         ks = [_VAR_INDEX[v] for v in names]
-        out: dict[Exponent, Fraction] = {}
+        out: dict[Exponent, int] = {}
         for exp, c in self._terms.items():
             if all(exp[k] == 0 for k in ks):
                 out[exp] = c
         return MultiPoly(out)
 
-    def coefficients_in_n(self) -> tuple[Fraction, ...]:
-        """Coefficient tuple of a polynomial free of i and j, low degree first."""
+    def coefficients_in_n(self) -> IPoly:
+        """The ``IPoly`` of a polynomial free of i and j, low degree first."""
         if self.degree("i") > 0 or self.degree("j") > 0:
             raise ValueError("polynomial still involves i or j")
-        d = self.degree("n")
-        coeffs = [Fraction(0)] * (d + 1)
+        coeffs = [0] * (self.degree("n") + 1)
         for (dn, _, _), c in self._terms.items():
             coeffs[dn] = c
-        return tuple(coeffs)
+        return coeffs
 
     # -- normalization helpers -------------------------------------------
 
-    def content(self) -> Fraction:
-        """Positive rational content (gcd of numerators / lcm of denominators)."""
-        if not self._terms:
-            return Fraction(0)
-        num_gcd = 0
-        den_lcm = 1
-        for c in self._terms.values():
-            num_gcd = math.gcd(num_gcd, c.numerator)
-            den_lcm = den_lcm * c.denominator // math.gcd(den_lcm, c.denominator)
-        return Fraction(num_gcd, den_lcm)
+    def content(self) -> int:
+        """The gcd of the coefficients, positive; 0 for the zero polynomial."""
+        return math.gcd(*self._terms.values())
 
     def monomial_min_exponents(self) -> Exponent:
         """Componentwise minimum exponent over all terms (zero poly: (0,0,0))."""
@@ -299,7 +254,7 @@ class MultiPoly:
 def _coerce_poly(x):
     if isinstance(x, MultiPoly):
         return x
-    if isinstance(x, (int, Fraction)):
+    if isinstance(x, int):
         return MultiPoly.const(x)
     return NotImplemented
 

@@ -85,17 +85,15 @@ class AnsatzTemplate:
             max(t[2] for t in self.support),
         )
 
-    def materialize(self, vector: Sequence[Fraction]) -> OreOperator:
-        """Turn a coefficient vector over the support into an operator."""
+    def materialize(self, vector: Sequence[int]) -> OreOperator:
+        """Turn an integer coefficient vector over the support into an
+        operator."""
         if len(vector) != len(self.support):
             raise ValueError("vector length does not match support")
         by_shift: dict[tuple[int, int, int], dict] = {}
         for (e1, e2, e3, e4, e5, e6), c in zip(self.support, vector):
-            if not c:
-                continue
-            mono = by_shift.setdefault((e4, e5, e6), {})
-            exp = (e1, e2, e3)
-            mono[exp] = mono.get(exp, Fraction(0)) + Fraction(c)
+            if c:
+                by_shift.setdefault((e4, e5, e6), {})[(e1, e2, e3)] = c
         terms = {s: MultiPoly(m) for s, m in by_shift.items()}
         return OreOperator(terms)
 
@@ -341,29 +339,31 @@ def _ratrec(u: int, m: int) -> Fraction | None:
     return Fraction(r1, t1)
 
 
-def _annihilates(matrix: list[list[int]], vec: Sequence[Fraction]) -> bool:
+def _annihilates(matrix: list[list[int]], vec: Sequence[int]) -> bool:
     """A v = 0 exactly, for an integer vector v, reading only its support."""
-    support = [(c, int(v)) for c, v in enumerate(vec) if v]
+    support = [(c, v) for c, v in enumerate(vec) if v]
     return not any(sum(row[c] * v for c, v in support) for row in matrix)
 
 
-def _normalize_vector(vec: list[Fraction]) -> tuple[Fraction, ...]:
-    """Scale a nonzero vector to a primitive integer vector whose first
-    nonzero entry is positive."""
+def _normalize_vector(vec: list[Fraction | int]) -> tuple[int, ...]:
+    """Scale a nonzero rational vector to a primitive integer vector whose
+    first nonzero entry is positive."""
     den = math.lcm(*(v.denominator for v in vec))
-    ints = [int(v * den) for v in vec]
+    ints = [v.numerator * (den // v.denominator) for v in vec]
     g = math.gcd(*ints)
     if next(v for v in ints if v) < 0:
         g = -g
-    return tuple(Fraction(v, g) for v in ints)
+    return tuple(v // g for v in ints)
 
 
-def nullspace(system: LinearSystem | list[list[int]]) -> list[tuple[Fraction, ...]]:
+def nullspace(system: LinearSystem | list[list[int]]) -> list[tuple[int, ...]]:
     """Exact basis of the right kernel, one vector per free column.
 
-    Vectors are primitive integer-scaled, with a 1 in their free column,
-    in free-column order; the empty list means the kernel is trivial.
-    Rational rows are scaled to integers first (the kernel is unchanged).
+    Each vector is a tuple of ints: the RREF kernel vector with a 1 in
+    its free column, scaled to be primitive with its first nonzero entry
+    positive.  They come in free-column order; the empty list means the
+    kernel is trivial.  Rational rows are scaled to integers first (the
+    kernel is unchanged).
 
     The matrix is first split into blocks, the connected components of
     its nonzero pattern (`_blocks`); up to a permutation of rows and
@@ -435,8 +435,8 @@ def nullspace(system: LinearSystem | list[list[int]]) -> list[tuple[Fraction, ..
             best, residues, modulus = key, [rs for _, _, rs in kernel], p
         basis = []
         for (f, cols, _), us in zip(kernel, residues):
-            vec = [Fraction(0)] * ncols
-            vec[f] = Fraction(1)
+            vec = [0] * ncols
+            vec[f] = 1
             for c, u in zip(cols, us):
                 vec[c] = _ratrec(u, modulus)
             if None in vec:
@@ -449,7 +449,7 @@ def nullspace(system: LinearSystem | list[list[int]]) -> list[tuple[Fraction, ..
 
 
 def filter_candidates(
-    basis: Sequence[Sequence[Fraction]],
+    basis: Sequence[Sequence[int]],
     template: AnsatzTemplate,
     oracle,
     fresh_points: Sequence[tuple[int, int, int]],

@@ -1,22 +1,26 @@
-"""The shift-operator algebra Q[n, i, j]<S_n, S_i, S_j>.
+"""The shift-operator algebra Z[n, i, j]<S_n, S_i, S_j>.
 
 Operators are kept in left-normal form: every power of n, i, j stands to
 the left of every shift symbol, so an operator is a map from shift
 monomials S_n^e4 S_i^e5 S_j^e6 to polynomial left coefficients.  The shift
 symbols commute with each other; moving a shift S_x leftward past a
 coefficient substitutes x -> x + 1 in it, which is the only source of
-noncommutativity.
+noncommutativity.  The coefficients are ``MultiPoly`` polynomials with
+integer coefficients; an operator with rational coefficients has a
+nonzero integer multiple with the same annihilation claims, and that is
+the form in which an operator file is read.
 
-``div_rem`` divides by an operator with constant coefficients (such as the
-transfer-recurrence operator of a walk family) and is the workhorse of the
+``div_rem`` divides by an operator with constant coefficients and a unit
+leading coefficient (such as the transfer-recurrence operator of a walk
+family), so that the quotient stays integral; it is the workhorse of the
 certification algorithm.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Mapping
 
 from .exactmath import MultiPoly
@@ -27,7 +31,8 @@ SHIFTS = ("Sn", "Si", "Sj")
 
 
 class UnsupportedDivisorError(ValueError):
-    """Division is only implemented for constant-coefficient divisors."""
+    """Division is only implemented for constant-coefficient divisors
+    whose leading coefficient is 1 or -1."""
 
 
 @dataclass(frozen=True)
@@ -45,7 +50,7 @@ class Degrees:
 
 
 class OreOperator:
-    """An element of Q[n,i,j]<S_n,S_i,S_j> in left-normal form."""
+    """An element of Z[n,i,j]<S_n,S_i,S_j> in left-normal form."""
 
     __slots__ = ("_terms",)
 
@@ -221,8 +226,8 @@ class OreOperator:
         return OreOperator(out)
 
     def normalized(self) -> "OreOperator":
-        """Canonical scaling: common rational content and common monomial
-        factor removed, leading rational of the leading coefficient positive.
+        """Canonical scaling: integer content and common monomial factor
+        removed, leading integer of the leading coefficient positive.
 
         Common polynomial factors beyond monomials are not cancelled.
         """
@@ -232,49 +237,31 @@ class OreOperator:
         for c in self._terms.values():
             m = c.monomial_min_exponents()
             mins = [min(a, b) for a, b in zip(mins, m)]
-        num_gcd, den_lcm = 0, 1
-        for c in self._terms.values():
-            cc = c.content()
-            num_gcd = math.gcd(num_gcd, cc.numerator)
-            den_lcm = den_lcm * cc.denominator // math.gcd(den_lcm, cc.denominator)
-        content = Fraction(num_gcd, den_lcm) if num_gcd else Fraction(1)
+        content = math.gcd(*(c.content() for c in self._terms.values()))
         lead = self._terms[max(self._terms)]
-        lead_coeff = lead.terms[max(lead.terms)]
-        sign = -1 if lead_coeff < 0 else 1
-        scale = Fraction(sign) / content
-        shift_down = tuple(-m for m in mins)
+        if lead.terms[max(lead.terms)] < 0:
+            content = -content
         out: dict[ShiftExp, MultiPoly] = {}
         for exp, c in self._terms.items():
-            new_terms = {}
-            for pexp, q in c.terms.items():
-                new_terms[
-                    (pexp[0] + shift_down[0], pexp[1] + shift_down[1], pexp[2] + shift_down[2])
-                ] = q * scale
-            out[exp] = MultiPoly(new_terms)
+            out[exp] = MultiPoly(
+                {
+                    (pexp[0] - mins[0], pexp[1] - mins[1], pexp[2] - mins[2]): q // content
+                    for pexp, q in c.terms.items()
+                }
+            )
         return OreOperator(out)
 
     # -- action on the counting oracle ---------------------------------------
 
-    def apply_at(self, oracle, n: int, i: int, j: int) -> Fraction:
-        """Value of (this operator applied to the oracle) at one point.
-
-        The sum is kept as an integer numerator over the lcm of the
-        coefficients' denominators and divided once at the end."""
-        total, den = 0, 1
+    def apply_at(self, oracle, n: int, i: int, j: int) -> int:
+        """Value of (this operator applied to the oracle) at one point; the
+        oracle is read only where a coefficient does not vanish."""
+        total = 0
         for (e4, e5, e6), c in self._terms.items():
-            num, d = c.eval_parts(n, i, j)
-            if num:
-                m = math.lcm(den, d)
-                total = total * (m // den) + num * oracle.value(n + e4, i + e5, j + e6) * (m // d)
-                den = m
-        return Fraction(total, den)
-
-    def apply(self, oracle, box: "Box") -> dict[tuple[int, int, int], Fraction]:
-        """Grid of values over a box of points (inclusive ranges)."""
-        out = {}
-        for n, i, j in box.points():
-            out[(n, i, j)] = self.apply_at(oracle, n, i, j)
-        return out
+            v = c.eval(n, i, j)
+            if v:
+                total += v * oracle.value(n + e4, i + e5, j + e6)
+        return total
 
     def is_zero_on(self, oracle, box: "Box") -> bool:
         for n, i, j in box.points():
@@ -304,7 +291,7 @@ def _coerce_op(x):
         return x
     if isinstance(x, MultiPoly):
         return OreOperator.from_poly(x)
-    if isinstance(x, (int, Fraction)):
+    if isinstance(x, int):
         return OreOperator({(0, 0, 0): MultiPoly.const(x)})
     return NotImplemented
 
@@ -331,10 +318,14 @@ class Box:
 
 
 def div_rem(x: OreOperator, t: OreOperator) -> tuple[OreOperator, OreOperator]:
-    """Division with remainder by a constant-coefficient operator.
+    """Division with remainder by a constant-coefficient operator whose
+    leading coefficient is 1 or -1 (every transfer operator has leading
+    coefficient 1); any other divisor raises UnsupportedDivisorError.
 
     Returns (u, v) with  x = u*t + v  exactly and no shift monomial of v
     divisible, componentwise in exponents, by the leading monomial of t.
+    Each quotient term is a coefficient of the running remainder divided
+    by the unit lc(t), so u and v have integer coefficients.
     Shift monomials are ordered lex (S_n exponent first, then S_i, then
     S_j).  Lex is compatible with monomial multiplication, which is what
     the argument needs: each round cancels the lex-largest divisible
@@ -350,6 +341,8 @@ def div_rem(x: OreOperator, t: OreOperator) -> tuple[OreOperator, OreOperator]:
         raise UnsupportedDivisorError("divisor must have constant coefficients")
     lm = t.leading_monomial()
     lc = t.terms[lm].constant_value()
+    if lc not in (1, -1):
+        raise UnsupportedDivisorError(f"divisor's leading coefficient {lc} is not 1 or -1")
     u_terms: dict[ShiftExp, MultiPoly] = {}
     v = x
     while True:
@@ -361,7 +354,7 @@ def div_rem(x: OreOperator, t: OreOperator) -> tuple[OreOperator, OreOperator]:
         if not divisible:
             break
         m = max(divisible)
-        q_coeff = v._terms[m] * (Fraction(1) / lc)
+        q_coeff = v._terms[m] * lc  # = v_m / lc, as lc = +-1
         q_exp = (m[0] - lm[0], m[1] - lm[1], m[2] - lm[2])
         cur = u_terms.get(q_exp, MultiPoly.zero()) + q_coeff
         if cur:
@@ -377,35 +370,55 @@ def div_rem(x: OreOperator, t: OreOperator) -> tuple[OreOperator, OreOperator]:
 # ---------------------------------------------------------------------------
 
 
+def json_int(x) -> int:
+    """An integer field of an operator file: a JSON integer, or a string of
+    decimal digits with an optional sign.  Anything else (a float, a bool,
+    "1.5", "1/2") raises ValueError instead of being truncated."""
+    if type(x) is int or (isinstance(x, str) and re.fullmatch(r"[+-]?[0-9]+", x)):
+        return int(x)
+    raise ValueError(f"expected an integer, not {x!r}")
+
+
 def operator_to_json(op: OreOperator) -> dict:
     terms = []
     for exp in sorted(op.terms):
-        coeff = op.terms[exp]
-        monos = []
-        for pexp in sorted(coeff.terms):
-            q = coeff.terms[pexp]
-            monos.append(
-                {"exp": list(pexp), "num": str(q.numerator), "den": str(q.denominator)}
-            )
+        coeff = op.terms[exp].terms
+        monos = [{"exp": list(pexp), "num": str(coeff[pexp]), "den": "1"} for pexp in sorted(coeff)]
         terms.append({"shift": list(exp), "coeff": monos})
     return {"vars": ["n", "i", "j"], "shifts": ["Sn", "Si", "Sj"], "terms": terms}
 
 
 def operator_from_json(data: dict) -> OreOperator:
+    """Read an operator file.  Each coefficient is a fraction num/den of
+    integer fields (``json_int``).  When some den is not 1, every
+    coefficient is multiplied by the lcm L of the denominators in lowest
+    terms: that is left multiplication of the whole operator by the
+    nonzero constant L, which annihilates exactly what the file's operator
+    annihilates, and the result has integer coefficients.  A zero
+    denominator raises ValueError naming its shift monomial."""
     if data.get("vars") != ["n", "i", "j"] or data.get("shifts") != ["Sn", "Si", "Sj"]:
         raise ValueError("unrecognized operator header")
-    terms: dict[ShiftExp, MultiPoly] = {}
+    fracs: dict[ShiftExp, dict[ShiftExp, tuple[int, int]]] = {}
     for entry in data["terms"]:
-        exp = tuple(int(x) for x in entry["shift"])
+        exp = tuple(json_int(x) for x in entry["shift"])
         if len(exp) != 3:
             raise ValueError(f"bad shift triple {entry['shift']}")
-        coeff_terms = {}
+        if exp in fracs:
+            raise ValueError(f"duplicate shift monomial {exp}")
+        coeff = fracs[exp] = {}
         for mono in entry["coeff"]:
-            pexp = tuple(int(x) for x in mono["exp"])
+            pexp = tuple(json_int(x) for x in mono["exp"])
             if len(pexp) != 3:
                 raise ValueError(f"bad exponent triple {mono['exp']}")
-            coeff_terms[pexp] = Fraction(int(mono["num"]), int(mono["den"]))
-        if exp in terms:
-            raise ValueError(f"duplicate shift monomial {exp}")
-        terms[exp] = MultiPoly(coeff_terms)
-    return OreOperator(terms)
+            num, den = json_int(mono["num"]), json_int(mono["den"])
+            if not den:
+                raise ValueError(f"zero denominator in the coefficient of shift {exp}")
+            g = math.gcd(num, den) if den > 0 else -math.gcd(num, den)
+            coeff[pexp] = num // g, den // g
+    scale = math.lcm(*(den for coeff in fracs.values() for _, den in coeff.values()))
+    return OreOperator(
+        {
+            exp: MultiPoly({pexp: num * (scale // den) for pexp, (num, den) in coeff.items()})
+            for exp, coeff in fracs.items()
+        }
+    )

@@ -6,7 +6,6 @@ Run with  pytest -s tests/test_acceptance.py  to see the lines live.
 import json
 import random
 import time
-from fractions import Fraction
 
 from click.testing import CliRunner
 
@@ -267,7 +266,7 @@ def test_criterion_9_property_suites():
             if not any(coeffs):
                 coeffs = [1]
             as_ore = OreOperator(
-                {(e, 0, 0): MultiPoly({(k, 0, 0): Fraction(v) for k, v in enumerate(coeffs) if v})}
+                {(e, 0, 0): MultiPoly({(k, 0, 0): v for k, v in enumerate(coeffs) if v})}
             )
             assert reduce_mod_ij(as_ore * r) == reduce_mod_ij(
                 as_ore * vector_as_ore(reduce_mod_ij(r))

@@ -363,9 +363,16 @@ _FILE_COMMANDS = {
 }
 
 
-def _without_terms(kind):
+def _malformed(kind, payload):
+    """A valid operator file of the reader's kind with its terms removed,
+    or with the denominator of its first coefficient set to zero."""
     data = operator_to_json(trivial_operator(GESSEL)) if kind == "ore" else uni_to_json(PG)
-    del data["terms"]
+    if payload == "no-terms":
+        del data["terms"]
+    elif kind == "ore":
+        data["terms"][0]["coeff"][0]["den"] = "0"
+    else:
+        data["terms"][0]["den"] = ["0"]
     return data
 
 
@@ -379,16 +386,22 @@ def _one_error_line(r):
     return errors[0]
 
 
-@pytest.mark.parametrize("payload", ["list", "operator-list", "no-terms"])
+@pytest.mark.parametrize("payload", ["list", "operator-list", "no-terms", "zero-den"])
 @pytest.mark.parametrize("command", list(_FILE_COMMANDS))
 def test_malformed_operator_file_exit_2_one_line(runner, tmp_path, command, payload):
-    # the file reader rejects what is not an operator object, so every
-    # command that reads one gives the same one-line error
+    # the file reader rejects what is not an operator object, or holds a
+    # zero denominator, so every command that reads one gives the same
+    # one-line error
     args, kind = _FILE_COMMANDS[command]
     data = {"list": [1, 2], "operator-list": {"operator": [1]}}.get(payload)
-    path = write_json(tmp_path / "bad.json", data if data is not None else _without_terms(kind))
+    path = write_json(tmp_path / "bad.json", data if data is not None else _malformed(kind, payload))
     r = runner.invoke(main, [a.format(f=path) for a in args])
-    assert path in _one_error_line(r)
+    line = _one_error_line(r)
+    assert path in line
+    if payload == "zero-den":
+        assert "zero denominator" in line
+        if kind == "ore":
+            assert "shift (0, 0, 0)" in line
 
 
 def _raise(exc):

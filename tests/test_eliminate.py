@@ -17,6 +17,7 @@ from quarterwalks import (
     VerificationError,
     eliminate_shifts,
     generate_module,
+    operator_from_json,
     origin_sequence,
     reduce_mod_ij,
     takayama_pipeline,
@@ -42,7 +43,7 @@ from naive_oracles import (
     full_multiplier_reduce,
 )
 from test_exactmath import random_ipoly
-from test_ore import random_operator
+from test_ore import random_operator, rational_operator_json
 
 N = MultiPoly.variable("n")
 I = MultiPoly.variable("i")
@@ -59,7 +60,7 @@ def vector_as_ore(v: ModuleVector) -> OreOperator:
     of a module vector at the positions (e5, e6)."""
     return OreOperator(
         {
-            (k, e5, e6): MultiPoly({(d, 0, 0): Fraction(c) for d, c in enumerate(p) if c})
+            (k, e5, e6): MultiPoly({(d, 0, 0): c for d, c in enumerate(p) if c})
             for (e5, e6), u in v.components.items()
             for k, p in u.terms.items()
         }
@@ -75,9 +76,8 @@ def ore_as_uni(op: OreOperator) -> UniOperator:
     that is free of i, j, S_i and S_j."""
     terms = {}
     for (e4, e5, e6), c in op.terms.items():
-        coeffs = c.coefficients_in_n()
-        assert e5 == e6 == 0 and all(x.denominator == 1 for x in coeffs)
-        terms[e4] = [int(x) for x in coeffs]
+        assert e5 == e6 == 0
+        terms[e4] = c.coefficients_in_n()
     return UniOperator(terms)
 
 
@@ -113,7 +113,7 @@ def test_reduce_is_module_map():
         if not any(coeffs):
             coeffs = [1]
         as_ore = OreOperator(
-            {(e, 0, 0): MultiPoly({(k, 0, 0): Fraction(v) for k, v in enumerate(coeffs) if v})}
+            {(e, 0, 0): MultiPoly({(k, 0, 0): v for k, v in enumerate(coeffs) if v})}
         )
         assert reduce_mod_ij(as_ore * r) == reduce_mod_ij(as_ore * vector_as_ore(reduce_mod_ij(r)))
 
@@ -205,12 +205,19 @@ def test_echelon_step_that_keeps_the_lead_raises(monkeypatch):
 
 
 def test_eliminate_accepts_rational_coefficients():
-    # generators with rational coefficients: reduce_mod_ij clears each
-    # vector's denominators, a left multiplication by a nonzero constant
-    a = OreOperator({(1, 1, 0): MultiPoly.const(Fraction(1, 2)) * (N + 1),
-                     (0, 1, 0): MultiPoly.const(Fraction(3, 7))})  # ((n+1)/2 Sn + 3/7) Si
-    half_p0 = OreOperator.from_poly(MultiPoly.const(Fraction(1, 2))) * uni_as_ore(P0)
-    v1, v2 = reduce_mod_ij(a + half_p0), reduce_mod_ij(a)
+    # operator files with rational coefficients, ((n+1)/2 Sn + 3/7) Si and
+    # that plus P0/2, are read as their multiples by lcm(2, 7) = 14
+    a = {(1, 1, 0): {(1, 0, 0): Fraction(1, 2), (0, 0, 0): Fraction(1, 2)},
+         (0, 1, 0): {(0, 0, 0): Fraction(3, 7)}}
+    half_p0 = {
+        (k, 0, 0): {(d, 0, 0): Fraction(c, 2) for d, c in enumerate(p) if c}
+        for k, p in P0.terms.items()
+    }
+    a_op = operator_from_json(rational_operator_json(a))
+    sum_op = operator_from_json(rational_operator_json({**a, **half_p0}))
+    assert a_op == OreOperator({(1, 1, 0): 7 * N + 7, (0, 1, 0): 6})
+    assert sum_op == a_op + 7 * uni_as_ore(P0)
+    v1, v2 = reduce_mod_ij(sum_op), reduce_mod_ij(a_op)
     assert v1.components[(1, 0)] == UniOperator({1: [7, 7], 0: [6]})
     assert v2.components[(1, 0)] == UniOperator({1: [7, 7], 0: [6]})
     res, _ = eliminate_shifts([v1, v2])
@@ -439,6 +446,28 @@ def test_uni_json_rejects_inconsistent_cleared():
         uni_from_json(data)
 
 
+@pytest.mark.parametrize(
+    "where, value",
+    [("power", 3.9), ("power", "3.0"), ("power", True), ("cleared-power", 3.5),
+     ("cleared-coeff", -108.0), ("cleared-coeff", "-108.5"), ("cleared-coeff", "1_0")],
+)
+def test_uni_json_integer_fields_are_not_truncated(where, value):
+    # "power": 3.9 once loaded as 3, and a cleared coefficient -108.0 as -108
+    data = uni_to_json(P0)
+    if where == "power":
+        target, key = data["terms"][1], "power"
+    elif where == "cleared-power":
+        target, key = data["cleared"][1], "power"
+    else:
+        target, key = data["cleared"][0]["coeffs"], 0
+    target[key] = value
+    with pytest.raises(ValueError, match="expected an integer"):
+        uni_from_json(data)
+    # ints and decimal strings are read
+    target[key] = {"power": "3", "cleared-power": 3, "cleared-coeff": -108}[where]
+    assert uni_from_json(data) == P0
+
+
 def json_operator(terms):
     """An operator file from {power: (num, den)} lists of number strings."""
     return {
@@ -467,8 +496,10 @@ def test_uni_from_json_clears_rational_terms():
         (["1"], ["0", "0"], "power 2: zero denominator"),
         (["1/0"], ["1"], "power 2: bad number"),
         (["1"], ["x"], "power 2: bad number"),
+        ([0.1], ["1"], "power 2: bad number"),
+        (["1"], [True], "power 2: bad number"),
     ],
-    ids=["zero-den", "zero-den-poly", "div-by-zero", "not-a-number"],
+    ids=["zero-den", "zero-den-poly", "div-by-zero", "not-a-number", "float", "bool"],
 )
 def test_uni_from_json_rejects_bad_numbers(num, den, message):
     data = json_operator({0: (["1"], ["1"]), 2: (num, den)})

@@ -1,4 +1,6 @@
+import ast
 import math
+import os
 import random
 from fractions import Fraction
 
@@ -30,7 +32,7 @@ def random_poly(rng, max_terms=4, max_exp=3, max_coeff=9):
         exp = (rng.randint(0, max_exp), rng.randint(0, max_exp), rng.randint(0, max_exp))
         c = rng.randint(-max_coeff, max_coeff)
         if c:
-            terms[exp] = terms.get(exp, Fraction(0)) + c
+            terms[exp] = terms.get(exp, 0) + c
     return MultiPoly(terms)
 
 
@@ -45,7 +47,7 @@ def test_difference_of_squares():
 
 def test_mixed_product_single_term():
     p = I * J
-    assert p.terms == {(0, 1, 1): Fraction(1)}
+    assert p.terms == {(0, 1, 1): 1}
 
 
 def test_eval_examples():
@@ -86,33 +88,32 @@ def test_eval_commutes_with_arithmetic():
         assert (a + b).eval(*pt) == a.eval(*pt) + b.eval(*pt)
 
 
-def random_rational_poly(rng, max_terms=5, max_exp=3):
-    """Coefficients with denominators up to 12, numerators up to 2^40."""
+def random_wide_poly(rng, max_terms=5, max_exp=3):
+    """Integer coefficients up to 2^40 in absolute value."""
     terms = {}
     for _ in range(rng.randint(0, max_terms)):
         exp = (rng.randint(0, max_exp), rng.randint(0, max_exp), rng.randint(0, max_exp))
-        c = Fraction(rng.randint(-(2**40), 2**40), rng.randint(1, 12))
-        terms[exp] = terms.get(exp, Fraction(0)) + c
+        terms[exp] = terms.get(exp, 0) + rng.randint(-(2**40), 2**40)
     return MultiPoly(terms)
 
 
 def test_eval_matches_fraction_sum():
+    # an int at an integer point; at a rational point the same sum gives
+    # the Fraction the oracle sums term by term
     rng = random.Random(17)
     for _ in range(300):
-        p = random_rational_poly(rng)
-        pts = [tuple(rng.randint(-6, 9) for _ in range(3))]
-        pts.append(tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(3)))
-        for pt in pts:
-            value = p.eval(*pt)
-            assert type(value) is Fraction and value == fraction_eval(p.terms, *pt), (p, pt)
-            num, den = p.eval_parts(*pt)
-            assert Fraction(num) / den == value
+        p = random_wide_poly(rng)
+        pt = tuple(rng.randint(-6, 9) for _ in range(3))
+        value = p.eval(*pt)
+        assert type(value) is int and value == fraction_eval(p.terms, *pt), (p, pt)
+        pt = tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(3))
+        assert p.eval(*pt) == fraction_eval(p.terms, *pt), (p, pt)
 
 
 def test_evaluated_poly_equals_and_hashes_like_fresh_copy():
     rng = random.Random(19)
     for _ in range(50):
-        p = random_rational_poly(rng)
+        p = random_wide_poly(rng)
         fresh = MultiPoly(p.terms)
         hashed = MultiPoly(p.terms)
         hash(hashed)
@@ -124,10 +125,41 @@ def test_evaluated_poly_equals_and_hashes_like_fresh_copy():
 
 
 def test_canonical_no_zero_coefficients():
-    p = MultiPoly({(1, 0, 0): Fraction(2), (0, 1, 0): Fraction(0)})
+    p = MultiPoly({(1, 0, 0): 2, (0, 1, 0): 0})
     assert (0, 1, 0) not in p.terms
     q = p - 2 * N
     assert q.terms == {}
+
+
+def test_coefficients_are_ints():
+    # a Fraction coefficient is refused, even an integral one
+    for bad in (Fraction(1, 2), Fraction(3), 1.0, True):
+        with pytest.raises(TypeError, match="int coefficient"):
+            MultiPoly({(0, 0, 0): bad})
+        with pytest.raises(TypeError, match="int coefficient"):
+            MultiPoly.const(bad)
+    p = MultiPoly({(2, 0, 0): -6, (0, 0, 0): 4})
+    assert p.content() == 2 and type(p.content()) is int
+    assert MultiPoly.zero().content() == 0
+    assert p.coefficients_in_n() == [4, 0, -6]
+
+
+def test_integer_modules_do_not_import_fractions():
+    """The Ore algebra and certification work over Z: their modules import
+    nothing from ``fractions``, so a rational path cannot come back
+    unnoticed."""
+    src = os.path.dirname(exactmath.__file__)
+    for name in ("exactmath", "ore", "certify"):
+        with open(os.path.join(src, f"{name}.py")) as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            assert not any(m.split(".")[0] == "fractions" for m in modules), (name, node.lineno)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import json
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -96,11 +97,9 @@ def test_associativity_random():
 
 def test_apply_examples(gessel_oracle):
     assert T.is_zero_on(gessel_oracle, Box.cube(10))
-    box = Box((0, 3), (0, 3), (0, 3))
     identity = OreOperator.one()
-    grid = identity.apply(gessel_oracle, box)
-    for (n, i, j), v in grid.items():
-        assert v == gessel_oracle.value(n, i, j)
+    for pt in Box((0, 3), (0, 3), (0, 3)).points():
+        assert identity.apply_at(gessel_oracle, *pt) == gessel_oracle.value(*pt)
     assert SN.apply_at(gessel_oracle, 1, 0, 0) == 2  # f(2;0,0)
 
 
@@ -128,20 +127,20 @@ class PolynomialOracle:
 
 
 def test_apply_at_matches_fraction_sum(gessel_oracle):
-    from test_exactmath import random_rational_poly
+    from test_exactmath import random_wide_poly
 
     rng = random.Random(37)
     for _ in range(60):
         op = OreOperator(
             {
-                tuple(rng.randint(0, 2) for _ in range(3)): random_rational_poly(rng, max_exp=2)
+                tuple(rng.randint(0, 2) for _ in range(3)): random_wide_poly(rng, max_exp=2)
                 for _ in range(rng.randint(1, 4))
             }
         )
         for _ in range(3):
             pt = tuple(rng.randint(0, 8) for _ in range(3))
             value = op.apply_at(gessel_oracle, *pt)
-            assert type(value) is Fraction
+            assert type(value) is int
             assert value == fraction_apply_at(op.terms, gessel_oracle, *pt), (op, pt)
             pt = tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(3))
             want = fraction_apply_at(op.terms, PolynomialOracle(), *pt)
@@ -155,6 +154,9 @@ def test_div_rem_examples():
     assert u == OreOperator.from_poly(N) and v.is_zero()
     u, v = div_rem(SJ, T)
     assert u.is_zero() and v == SJ
+    # a leading coefficient of -1 is a unit of Z too
+    u, v = div_rem(T, -T)
+    assert u == -OreOperator.one() and v.is_zero()
 
 
 def test_div_rem_round_trip_random():
@@ -173,6 +175,9 @@ def test_div_rem_rejects_nonconstant_divisor():
         div_rem(T, OreOperator.from_poly(N) * T)
     with pytest.raises(UnsupportedDivisorError):
         div_rem(T, OreOperator.zero())
+    # over Z the quotient by 2 T is not integral: refused, not rounded
+    with pytest.raises(UnsupportedDivisorError, match="leading coefficient 2"):
+        div_rem(T, 2 * T)
 
 
 def test_apply_beyond_table_deepens_it():
@@ -224,22 +229,70 @@ def test_normalized_form():
     assert norm == OreOperator({(1, 0, 0): N, (0, 0, 0): MultiPoly.const(2)})
 
 
+def rational_operator_json(terms):
+    """An operator file from {shift exponent: {exponent: Fraction}}."""
+    return {
+        "vars": ["n", "i", "j"],
+        "shifts": ["Sn", "Si", "Sj"],
+        "terms": [
+            {
+                "shift": list(shift),
+                "coeff": [
+                    {"exp": list(e), "num": str(q.numerator), "den": str(q.denominator)}
+                    for e, q in coeff.items()
+                ],
+            }
+            for shift, coeff in terms.items()
+        ],
+    }
+
+
 def test_json_round_trip_bit_exact():
     rng = random.Random(47)
     for _ in range(50):
         op = random_operator(rng)
-        frac_coeff = MultiPoly.const(Fraction(3, 7))
-        op = op + OreOperator({(0, 0, 0): frac_coeff})
         data = operator_to_json(op)
         text = json.dumps(data, sort_keys=True)
         assert operator_from_json(json.loads(text)) == op
         assert json.dumps(operator_to_json(operator_from_json(data)), sort_keys=True) == text
+        assert all(m["den"] == "1" for t in data["terms"] for m in t["coeff"])
+    # a file with den != 1 is read as its multiple by the lcm of the
+    # denominators in lowest terms: 2/4 n Sn + 3/7 - 5/-3 i, times 42
+    data = rational_operator_json(
+        {(1, 0, 0): {(1, 0, 0): Fraction(1, 2)},
+         (0, 0, 0): {(0, 0, 0): Fraction(3, 7), (0, 1, 0): Fraction(5, 3)}}
+    )
+    data["terms"][0]["coeff"][0].update(num="2", den="4")
+    data["terms"][1]["coeff"][1].update(num="-5", den="-3")
+    op = operator_from_json(data)
+    assert op == OreOperator({(1, 0, 0): 21 * N, (0, 0, 0): 18 + 70 * I})
+    assert json.dumps(operator_to_json(op)).count('"den": "1"') == 3
 
 
 def test_json_rejects_malformed():
     with pytest.raises((ValueError, KeyError)):
         operator_from_json({"vars": ["x"], "shifts": ["Sx"], "terms": []})
     data = operator_to_json(T)
-    data["terms"][0]["coeff"][0]["den"] = "0"
-    with pytest.raises((ValueError, ZeroDivisionError)):
+    data["terms"][1]["coeff"][0]["den"] = "0"
+    message = f"zero denominator in the coefficient of shift {tuple(data['terms'][1]['shift'])}"
+    with pytest.raises(ValueError, match=re.escape(message)):
         operator_from_json(data)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("num", 1.5), ("num", "1.5"), ("num", True), ("num", "1/2"), ("num", " 7"),
+        ("den", 2.0), ("exp", [1.9, 0, 0]), ("exp", [False, 0, 0]), ("shift", [0, "x", 0]),
+    ],
+)
+def test_json_integer_fields_are_not_truncated(field, value):
+    # "num": 1.5 and "exp": [1.9, 0, 0] once loaded as 1 and n
+    data = operator_to_json(OreOperator({(1, 0, 0): 1, (0, 0, 0): -N}))
+    target = data["terms"][0] if field == "shift" else data["terms"][0]["coeff"][0]
+    target[field] = value
+    with pytest.raises(ValueError, match="expected an integer"):
+        operator_from_json(data)
+    # ints and decimal strings with a sign are read
+    target[field] = {"num": "-1", "den": 1, "exp": [1, 0, 0], "shift": [0, 0, 0]}[field]
+    assert operator_from_json(data) == OreOperator({(1, 0, 0): 1, (0, 0, 0): -N})
