@@ -9,26 +9,25 @@ division with remainder by T is the engine of the certification algorithm.
 from quarterwalks import (
     Box,
     GESSEL,
-    MultiPoly,
     OreOperator,
     CountTable,
     div_rem,
     trivial_operator,
 )
 
-n = MultiPoly.variable("n")
-i = MultiPoly.variable("i")
+n = OreOperator.variable("n")
+i = OreOperator.variable("i")
 Sn = OreOperator.shift("Sn")
 Si = OreOperator.shift("Si")
 
 # --- noncommutativity ---------------------------------------------------------
 
 print("S_n * n        =", Sn * n)
-print("n * S_n        =", OreOperator.from_poly(n) * Sn)
-print("difference     =", Sn * n - OreOperator.from_poly(n) * Sn)
+print("n * S_n        =", n * Sn)
+print("difference     =", Sn * n - n * Sn)
 print()
-print("i (S_i - 1)            =", OreOperator.from_poly(i) * (Si - 1))
-print("(S_i - 1)(i - 1) - 1   =", (Si - 1) * OreOperator.from_poly(i - 1) - 1)
+print("i (S_i - 1)            =", i * (Si - 1))
+print("(S_i - 1)(i - 1) - 1   =", (Si - 1) * (i - 1) - 1)
 print()
 
 # --- the transfer operator -----------------------------------------------------
@@ -41,7 +40,7 @@ print()
 
 # --- division with remainder ----------------------------------------------------
 
-X = OreOperator.from_poly(n * n) * T + OreOperator.from_poly(i) * Sn + 3
+X = n * n * T + i * Sn + 3
 U, V = div_rem(X, T)
 print("X        =", X)
 print("quotient =", U)

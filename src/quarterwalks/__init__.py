@@ -8,7 +8,6 @@ forms (built in: the Gessel and Kreweras families) by the shared-recurrence
 plus initial-values argument.
 """
 
-from .exactmath import MultiPoly
 from .ore import (
     Box,
     Degrees,
@@ -92,7 +91,6 @@ __all__ = [
     "KREWERAS",
     "LinearSystem",
     "ModuleVector",
-    "MultiPoly",
     "OreOperator",
     "StepSet",
     "StepSetParseError",

@@ -76,7 +76,9 @@ def _progress(msg: str):
 
 
 def parse_bounds(text: str) -> Bounds:
-    """Parse 'deg_n=2,deg_i=2,...,ord_sj=1[,total=4]' into Bounds."""
+    """Parse 'deg_n=2,deg_i=2,...,ord_sj=1[,total=4]' into Bounds; a key
+    given twice (``total`` and ``total_poly_deg`` are one key) raises
+    TemplateError."""
     fields = {}
     for item in text.split(","):
         item = item.strip()
@@ -92,6 +94,8 @@ def parse_bounds(text: str) -> Bounds:
             "deg_n", "deg_i", "deg_j", "ord_sn", "ord_si", "ord_sj", "total_poly_deg",
         ):
             raise TemplateError(f"unknown bounds key {key!r}")
+        if key in fields:
+            raise TemplateError(f"bounds key {key!r} given twice")
         fields[key] = int(value)
     return Bounds(**fields)
 
@@ -315,14 +319,13 @@ def _validate_recurrence(op: UniOperator, step_set: StepSet, n_check: int) -> in
     return op.first_failure(seq, range(n_check - op.order() + 1))
 
 
-def _load_recurrence(path: str, n_check: int) -> UniOperator:
-    """Read a recurrence file; the operator must be nonzero and of order
-    below n_check, so that the sequence check covers at least one window."""
+def _load_recurrence(path: str) -> UniOperator:
+    """Read a recurrence file; the operator must be nonzero.  Each caller
+    requires an order below the length it checks, so that the sequence
+    check covers at least one window, and names its own option."""
     op = _load(path, uni_from_json)
     if op.is_zero():
         raise ValueError("recurrence file holds the zero operator")
-    if op.order() >= n_check:
-        raise ValueError("n-check must exceed the recurrence order")
     return op
 
 
@@ -336,7 +339,9 @@ def import_recurrence(recurrence_file, steps, n_check, out):
     """Load an externally supplied recurrence, validate it against the
     counting oracle, and emit it in normalized form."""
     config = PipelineConfig(steps=steps, diag_limit=n_check)
-    op = _load_recurrence(recurrence_file, n_check)
+    op = _load_recurrence(recurrence_file)
+    if op.order() >= n_check:
+        raise ValueError("--n-check must exceed the recurrence order")
     bad = _validate_recurrence(op, parse_step_set(steps), n_check)
     if bad is not None:
         click.echo(f"rejected: fails sequence check at n={bad}", err=True)
@@ -398,7 +403,9 @@ def prove(steps, which, import_file, bounds, shape, margin, certify_margin,
     step_set = parse_step_set(steps)
 
     if import_file:
-        p = _load_recurrence(import_file, diag_limit)
+        p = _load_recurrence(import_file)
+        if p.order() >= diag_limit:
+            raise ValueError("--diag-limit must exceed the recurrence order")
         bad = _validate_recurrence(p, step_set, diag_limit)
         report["recurrence_source"] = "imported"
         report["oracle_check"] = {"n_checked": diag_limit, "ok": bad is None, "failing_n": bad}

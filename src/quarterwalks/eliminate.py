@@ -242,9 +242,10 @@ def uni_from_json(data: dict) -> UniOperator:
     denominators over Z[n], so term k becomes num_k (L / den_k).  That is
     left multiplication of the whole operator by L, a nonzero element of
     Q(n), so the recurrence is unchanged.  A stated ``"cleared"`` form
-    must match the one computed.  A malformed number or a zero
-    denominator raises ValueError naming the term's power; the powers and
-    the cleared coefficients are integer fields, read by ``json_int``.
+    must match the one computed and state each power once.  A malformed
+    number or a zero denominator raises ValueError naming the term's
+    power; the powers and the cleared coefficients are integer fields,
+    read by ``json_int``.
     """
     if data.get("var") != "n" or data.get("shift") != "Sn":
         raise ValueError("unrecognized operator header")
@@ -264,9 +265,12 @@ def uni_from_json(data: dict) -> UniOperator:
     )
     cleared = op.cleared()
     if "cleared" in data:
-        stated = {
-            json_int(e["power"]): [json_int(c) for c in e["coeffs"]] for e in data["cleared"]
-        }
+        stated: dict[int, list[int]] = {}
+        for entry in data["cleared"]:
+            k = json_int(entry["power"])
+            if k in stated:
+                raise ValueError(f"duplicate cleared power {k}")
+            stated[k] = [json_int(c) for c in entry["coeffs"]]
         if stated != cleared:
             raise ValueError("cleared form does not match the rational terms")
     return UniOperator(cleared)
@@ -309,11 +313,15 @@ class ModuleVector:
 
 def reduce_mod_ij(op: OreOperator) -> ModuleVector:
     """Reduction modulo the right ideal i*A + j*A: substitute i = j = 0 in
-    the left coefficients and regroup by the S_i, S_j exponents; the
-    components lie in Z[n][S_n] as the operator's coefficients do."""
+    the left coefficients, that is keep the terms free of i and j, and
+    regroup them by the S_i, S_j exponents; the components lie in
+    Z[n][S_n] as the operator's coefficients do."""
     comps: dict[Pos, dict[int, list[int]]] = {}
-    for (e4, e5, e6), c in op.substitute_zero(("i", "j")).terms.items():
-        comps.setdefault((e5, e6), {})[e4] = c.coefficients_in_n()
+    for (dn, di, dj, e4, e5, e6), c in op.terms.items():
+        if di == dj == 0:
+            poly = comps.setdefault((e5, e6), {}).setdefault(e4, [])
+            poly.extend([0] * (dn + 1 - len(poly)))
+            poly[dn] = c
     return ModuleVector({pos: UniOperator(t) for pos, t in comps.items()})
 
 
@@ -506,7 +514,7 @@ def generate_module(
         a_max, b_max = _multiple_bounds(op, multiplier_bound)
         for a in range(a_max + 1):
             for b in range(b_max + 1):
-                vec = reduce_mod_ij(OreOperator.monomial((0, a, b)) * op)
+                vec = reduce_mod_ij(OreOperator({(0, 0, 0, 0, a, b): 1}) * op)
                 if not vec.is_zero():
                     vectors.append(vec)
     if not vectors:

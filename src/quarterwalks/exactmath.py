@@ -1,263 +1,19 @@
-"""Exact arithmetic foundation: polynomials over Z in n, i, j and in n alone.
+"""Exact arithmetic foundation: univariate polynomials over Z in n.
 
 Everything here is exact; there is no floating point anywhere in the
-pipeline.  ``MultiPoly`` is a polynomial in the three commuting variables
-n, i, j with integer coefficients, stored as a canonical sparse map from
-exponent triples to nonzero ints; guessing and certification work with
-it, as the coefficients of the shift operators in ``ore``.
-
-Univariate polynomials in n are plain ``int`` coefficient lists (``IPoly``,
-low degree first) -- see the ``ipoly_*`` helpers.  They are the
-coefficients of every element of Z[n][S_n]: the elimination rows, the
-eliminated recurrence and the closed-form ratios.  Their exact division
-and gcd stay in Z[x] (integer long division, and a heuristic gcd with the
-primitive PRS as fallback).  Nothing in this module uses ``Fraction``.
+pipeline.  A polynomial in n is a plain ``int`` coefficient list
+(``IPoly``, low degree first) -- see the ``ipoly_*`` helpers.  They are
+the coefficients of every element of Z[n][S_n]: the elimination rows,
+the eliminated recurrence and the closed-form ratios.  Their exact
+division and gcd stay in Z[x] (integer long division, and a heuristic gcd
+with the primitive PRS as fallback).  Nothing in this module uses
+``Fraction``.  Polynomials in n, i, j are the shift-free elements of the
+operator algebra in ``ore``.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterable, Mapping
-
-VARS = ("n", "i", "j")
-_VAR_INDEX = {"n": 0, "i": 1, "j": 2}
-
-Exponent = tuple[int, int, int]
-
-
-class MultiPoly:
-    """A polynomial in Z[n, i, j] in canonical sparse form.
-
-    The term map never stores a zero coefficient; the zero polynomial has
-    an empty map.  A coefficient that is not an int (a ``Fraction``, a
-    float) raises TypeError.  Instances are immutable and hashable, so
-    equality of canonical forms is plain map equality.
-    """
-
-    __slots__ = ("_terms", "_hash")
-
-    def __init__(self, terms: Mapping[Exponent, int] | None = None):
-        clean: dict[Exponent, int] = {}
-        if terms:
-            for exp, c in terms.items():
-                if type(c) is not int:
-                    raise TypeError(f"expected an int coefficient, got {type(c).__name__}")
-                if c:
-                    e = (int(exp[0]), int(exp[1]), int(exp[2]))
-                    if any(x < 0 for x in e):
-                        raise ValueError(f"negative exponent in {exp}")
-                    clean[e] = c
-        self._terms = clean
-        self._hash: int | None = None
-
-    # -- constructors -------------------------------------------------
-
-    @classmethod
-    def zero(cls) -> "MultiPoly":
-        return cls()
-
-    @classmethod
-    def const(cls, value: int) -> "MultiPoly":
-        return cls({(0, 0, 0): value})
-
-    @classmethod
-    def variable(cls, name: str) -> "MultiPoly":
-        if name not in _VAR_INDEX:
-            raise ValueError(f"unknown variable {name!r}")
-        exp = [0, 0, 0]
-        exp[_VAR_INDEX[name]] = 1
-        return cls({tuple(exp): 1})
-
-    @classmethod
-    def monomial(cls, exp: Exponent, coeff: int = 1) -> "MultiPoly":
-        return cls({exp: coeff})
-
-    # -- inspection ----------------------------------------------------
-
-    @property
-    def terms(self) -> dict[Exponent, int]:
-        return dict(self._terms)
-
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def is_constant(self) -> bool:
-        return all(e == (0, 0, 0) for e in self._terms)
-
-    def constant_value(self) -> int:
-        if self.is_zero():
-            return 0
-        if not self.is_constant():
-            raise ValueError("not a constant polynomial")
-        return self._terms[(0, 0, 0)]
-
-    def degree(self, var: str) -> int:
-        """Degree in one variable; -1 for the zero polynomial."""
-        if not self._terms:
-            return -1
-        k = _VAR_INDEX[var]
-        return max(e[k] for e in self._terms)
-
-    def total_degree(self) -> int:
-        """Total degree in n, i, j; -1 for the zero polynomial."""
-        if not self._terms:
-            return -1
-        return max(sum(e) for e in self._terms)
-
-    def __bool__(self) -> bool:
-        return bool(self._terms)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, MultiPoly):
-            return self._terms == other._terms
-        if isinstance(other, int):
-            return self == MultiPoly.const(other)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash(frozenset(self._terms.items()))
-        return self._hash
-
-    # -- ring operations -----------------------------------------------
-
-    def __add__(self, other) -> "MultiPoly":
-        other = _coerce_poly(other)
-        if other is NotImplemented:
-            return NotImplemented
-        out = dict(self._terms)
-        for exp, c in other._terms.items():
-            s = out.get(exp, 0) + c
-            if s:
-                out[exp] = s
-            else:
-                out.pop(exp, None)
-        return MultiPoly(out)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "MultiPoly":
-        return MultiPoly({e: -c for e, c in self._terms.items()})
-
-    def __sub__(self, other) -> "MultiPoly":
-        other = _coerce_poly(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other) -> "MultiPoly":
-        return _coerce_poly(other) + (-self)
-
-    def __mul__(self, other) -> "MultiPoly":
-        other = _coerce_poly(other)
-        if other is NotImplemented:
-            return NotImplemented
-        out: dict[Exponent, int] = {}
-        for e1, c1 in self._terms.items():
-            for e2, c2 in other._terms.items():
-                e = (e1[0] + e2[0], e1[1] + e2[1], e1[2] + e2[2])
-                s = out.get(e, 0) + c1 * c2
-                if s:
-                    out[e] = s
-                else:
-                    out.pop(e, None)
-        return MultiPoly(out)
-
-    __rmul__ = __mul__
-
-    # -- evaluation and substitution -------------------------------------
-
-    def eval(self, n: int, i: int, j: int) -> int:
-        """Exact value at a point: an int at an integer point (and a
-        Fraction at a point with Fraction coordinates)."""
-        return sum(c * n**dn * i**di * j**dj for (dn, di, dj), c in self._terms.items())
-
-    def substitute_shift(self, var: str, offset: int) -> "MultiPoly":
-        """Replace ``var`` by ``var + offset`` and expand to canonical form.
-
-        This is the coefficient side of the shift commutation rule
-        ``S_x p(x) = p(x + 1) S_x``.
-        """
-        if offset == 0:
-            return self
-        k = _VAR_INDEX[var]
-        out: dict[Exponent, int] = {}
-        for exp, c in self._terms.items():
-            d = exp[k]
-            # (x + offset)^d expanded binomially onto powers of x
-            for t in range(d + 1):
-                coeff = c * math.comb(d, t) * offset ** (d - t)
-                e = list(exp)
-                e[k] = t
-                e2 = tuple(e)
-                s = out.get(e2, 0) + coeff
-                if s:
-                    out[e2] = s
-                else:
-                    out.pop(e2, None)
-        return MultiPoly(out)
-
-    def substitute_zero(self, names: Iterable[str]) -> "MultiPoly":
-        """Set the named variables to 0, dropping every term they divide."""
-        ks = [_VAR_INDEX[v] for v in names]
-        out: dict[Exponent, int] = {}
-        for exp, c in self._terms.items():
-            if all(exp[k] == 0 for k in ks):
-                out[exp] = c
-        return MultiPoly(out)
-
-    def coefficients_in_n(self) -> IPoly:
-        """The ``IPoly`` of a polynomial free of i and j, low degree first."""
-        if self.degree("i") > 0 or self.degree("j") > 0:
-            raise ValueError("polynomial still involves i or j")
-        coeffs = [0] * (self.degree("n") + 1)
-        for (dn, _, _), c in self._terms.items():
-            coeffs[dn] = c
-        return coeffs
-
-    # -- normalization helpers -------------------------------------------
-
-    def content(self) -> int:
-        """The gcd of the coefficients, positive; 0 for the zero polynomial."""
-        return math.gcd(*self._terms.values())
-
-    def monomial_min_exponents(self) -> Exponent:
-        """Componentwise minimum exponent over all terms (zero poly: (0,0,0))."""
-        if not self._terms:
-            return (0, 0, 0)
-        exps = list(self._terms)
-        return (
-            min(e[0] for e in exps),
-            min(e[1] for e in exps),
-            min(e[2] for e in exps),
-        )
-
-    def __repr__(self) -> str:
-        if not self._terms:
-            return "0"
-        parts = []
-        for exp in sorted(self._terms, reverse=True):
-            c = self._terms[exp]
-            mono = "".join(
-                f"{v}^{e}" if e > 1 else (v if e == 1 else "")
-                for v, e in zip(VARS, exp)
-            )
-            if mono:
-                cs = "" if c == 1 else ("-" if c == -1 else f"{c}*")
-                parts.append(f"{cs}{mono}")
-            else:
-                parts.append(f"{c}")
-        s = " + ".join(parts).replace("+ -", "- ")
-        return s
-
-
-def _coerce_poly(x):
-    if isinstance(x, MultiPoly):
-        return x
-    if isinstance(x, int):
-        return MultiPoly.const(x)
-    return NotImplemented
-
 
 # ---------------------------------------------------------------------------
 # Integer-coefficient univariate polynomials as lists, for fraction-free work.

@@ -24,7 +24,6 @@ from fractions import Fraction
 from itertools import compress
 from typing import Sequence
 
-from .exactmath import MultiPoly
 from .ore import OreOperator
 
 Tuple6 = tuple[int, int, int, int, int, int]
@@ -87,15 +86,10 @@ class AnsatzTemplate:
 
     def materialize(self, vector: Sequence[int]) -> OreOperator:
         """Turn an integer coefficient vector over the support into an
-        operator."""
+        operator; the support tuples are its term keys."""
         if len(vector) != len(self.support):
             raise ValueError("vector length does not match support")
-        by_shift: dict[tuple[int, int, int], dict] = {}
-        for (e1, e2, e3, e4, e5, e6), c in zip(self.support, vector):
-            if c:
-                by_shift.setdefault((e4, e5, e6), {})[(e1, e2, e3)] = c
-        terms = {s: MultiPoly(m) for s, m in by_shift.items()}
-        return OreOperator(terms)
+        return OreOperator(dict(zip(self.support, vector)))
 
 
 def quasiholonomic_ok(t: Tuple6) -> bool:

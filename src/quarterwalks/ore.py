@@ -1,14 +1,20 @@
 """The shift-operator algebra Z[n, i, j]<S_n, S_i, S_j>.
 
-Operators are kept in left-normal form: every power of n, i, j stands to
-the left of every shift symbol, so an operator is a map from shift
-monomials S_n^e4 S_i^e5 S_j^e6 to polynomial left coefficients.  The shift
-symbols commute with each other; moving a shift S_x leftward past a
-coefficient substitutes x -> x + 1 in it, which is the only source of
-noncommutativity.  The coefficients are ``MultiPoly`` polynomials with
-integer coefficients; an operator with rational coefficients has a
-nonzero integer multiple with the same annihilation claims, and that is
-the form in which an operator file is read.
+An operator is a polynomial in all six generators, kept in left-normal
+form: every power of n, i, j stands to the left of every shift symbol.
+It is stored as one map from the exponents (dn, di, dj, e4, e5, e6) of a
+term n^dn i^di j^dj S_n^e4 S_i^e5 S_j^e6 to its nonzero integer
+coefficient; the key order is that of the ansatz index ``guess.Tuple6``.
+A polynomial of Z[n, i, j] is an operator without shifts, built from
+``variable`` and ``const``.
+
+The variables commute with each other and so do the shift symbols; the
+product is the only noncommutative step.  Moving S_x leftward past a
+monomial substitutes x -> x + 1 in it, S_x x^d = (x + 1)^d S_x, so a
+product of two terms expands the right term's monomial binomially.  An
+operator with rational coefficients has a nonzero integer multiple with
+the same annihilation claims, and that is the form in which an operator
+file is read.
 
 ``div_rem`` divides by an operator with constant coefficients and a unit
 leading coefficient (such as the transfer-recurrence operator of a walk
@@ -23,10 +29,10 @@ import re
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .exactmath import MultiPoly
-
+Term = tuple[int, int, int, int, int, int]
 ShiftExp = tuple[int, int, int]
 
+VARS = ("n", "i", "j")
 SHIFTS = ("Sn", "Si", "Sj")
 
 
@@ -49,55 +55,113 @@ class Degrees:
     total_poly_deg: int | None = None
 
 
+def _shift_first(key: Term) -> tuple[int, ...]:
+    """Order terms by shift monomial, then by the monomial in n, i, j."""
+    return key[3:] + key[:3]
+
+
+def _add_into(out: dict[Term, int], terms: Iterable[tuple[Term, int]]) -> dict[Term, int]:
+    """Add the (key, coefficient) pairs into ``out``, dropping every key
+    whose coefficient cancels to zero."""
+    for key, c in terms:
+        s = out.get(key, 0) + c
+        if s:
+            out[key] = s
+        else:
+            out.pop(key, None)
+    return out
+
+
+def _binomial(d: int, a: int) -> list[tuple[int, int]]:
+    """(x + a)^d as (power of x, integer coefficient) pairs."""
+    if not a:
+        return [(d, 1)]
+    return [(t, math.comb(d, t) * a ** (d - t)) for t in range(d + 1)]
+
+
+def _moved_past(terms: dict[Term, int], shift: ShiftExp) -> Iterable[tuple[Term, int]]:
+    """The terms of S^shift * op with S^shift written on the right:
+    n, i, j are replaced by n + shift[0], i + shift[1], j + shift[2] and
+    each monomial is expanded binomially (the shifts of ``terms`` are
+    kept; S^shift itself is not added)."""
+    if not any(shift):
+        return terms.items()
+    out: dict[Term, int] = {}
+    for (dn, di, dj, e4, e5, e6), c in terms.items():
+        for tn, cn in _binomial(dn, shift[0]):
+            for ti, ci in _binomial(di, shift[1]):
+                for tj, cj in _binomial(dj, shift[2]):
+                    key = (tn, ti, tj, e4, e5, e6)
+                    out[key] = out.get(key, 0) + c * cn * ci * cj
+    return [(key, c) for key, c in out.items() if c]
+
+
+def _power_product(names: tuple[str, ...], exps: Iterable[int]) -> str:
+    return "".join(f"{s}^{e}" if e > 1 else (s if e == 1 else "") for s, e in zip(names, exps))
+
+
 class OreOperator:
-    """An element of Z[n,i,j]<S_n,S_i,S_j> in left-normal form."""
+    """An element of Z[n,i,j]<S_n,S_i,S_j> in left-normal form: a map from
+    term exponents (dn, di, dj, e4, e5, e6) to nonzero ints."""
 
     __slots__ = ("_terms",)
 
-    def __init__(self, terms: Mapping[ShiftExp, MultiPoly] | None = None):
-        clean: dict[ShiftExp, MultiPoly] = {}
-        if terms:
-            for exp, coeff in terms.items():
-                if not isinstance(coeff, MultiPoly):
-                    coeff = MultiPoly.const(coeff)
-                if coeff:
-                    e = (int(exp[0]), int(exp[1]), int(exp[2]))
-                    if any(x < 0 for x in e):
-                        raise ValueError(f"negative shift exponent in {exp}")
-                    clean[e] = coeff
+    def __init__(self, terms: Mapping[Term, int] | None = None):
+        """Check an outside term map: every coefficient is an int (a
+        Fraction, a float or a bool raises TypeError), zero coefficients
+        are dropped, and the key of every other one is six nonnegative int
+        exponents (ValueError otherwise).  Results the class computes
+        itself skip this check."""
+        clean: dict[Term, int] = {}
+        for key, c in (terms or {}).items():
+            if type(c) is not int:
+                raise TypeError(f"expected an int coefficient, got {type(c).__name__}")
+            if c:
+                key = tuple(key)
+                if len(key) != 6 or any(type(e) is not int or e < 0 for e in key):
+                    raise ValueError(f"term exponents must be six nonnegative ints, not {key}")
+                clean[key] = c
         self._terms = clean
+
+    @classmethod
+    def _of(cls, terms: dict[Term, int]) -> "OreOperator":
+        """Wrap a term map built by this module: valid keys and nonzero
+        int coefficients, owned by the new operator."""
+        op = object.__new__(cls)
+        op._terms = terms
+        return op
 
     # -- constructors ----------------------------------------------------
 
     @classmethod
     def zero(cls) -> "OreOperator":
-        return cls()
+        return cls._of({})
 
     @classmethod
-    def one(cls) -> "OreOperator":
-        return cls({(0, 0, 0): MultiPoly.const(1)})
+    def const(cls, c: int) -> "OreOperator":
+        return cls({(0, 0, 0, 0, 0, 0): c})
+
+    @classmethod
+    def variable(cls, name: str) -> "OreOperator":
+        """The polynomial n, i or j."""
+        if name not in VARS:
+            raise ValueError(f"unknown variable {name!r}")
+        key = [0] * 6
+        key[VARS.index(name)] = 1
+        return cls._of({tuple(key): 1})
 
     @classmethod
     def shift(cls, name: str, power: int = 1) -> "OreOperator":
         if name not in SHIFTS:
             raise ValueError(f"unknown shift symbol {name!r}")
-        exp = [0, 0, 0]
-        exp[SHIFTS.index(name)] = power
-        return cls({tuple(exp): MultiPoly.const(1)})
-
-    @classmethod
-    def from_poly(cls, p: MultiPoly) -> "OreOperator":
-        return cls({(0, 0, 0): p})
-
-    @classmethod
-    def monomial(cls, shift_exp: ShiftExp, coeff=1) -> "OreOperator":
-        c = coeff if isinstance(coeff, MultiPoly) else MultiPoly.const(coeff)
-        return cls({shift_exp: c})
+        key = [0] * 6
+        key[3 + SHIFTS.index(name)] = power
+        return cls({tuple(key): 1})
 
     # -- inspection -------------------------------------------------------
 
     @property
-    def terms(self) -> dict[ShiftExp, MultiPoly]:
+    def terms(self) -> dict[Term, int]:
         return dict(self._terms)
 
     def is_zero(self) -> bool:
@@ -115,37 +179,25 @@ class OreOperator:
         return hash(frozenset(self._terms.items()))
 
     def support(self) -> list[ShiftExp]:
-        return sorted(self._terms)
+        """The shift monomials that carry a term, sorted."""
+        return sorted({key[3:] for key in self._terms})
 
     def leading_monomial(self) -> ShiftExp:
         """The lex-largest shift monomial: S_n exponent first, then S_i,
         then S_j."""
         if not self._terms:
             raise ValueError("zero operator has no leading monomial")
-        return max(self._terms)
-
-    def has_constant_coefficients(self) -> bool:
-        return all(c.is_constant() for c in self._terms.values())
+        return max(key[3:] for key in self._terms)
 
     def degrees(self) -> Degrees:
         if not self._terms:
             return Degrees(empty=True)
-        return Degrees(
-            empty=False,
-            deg_n=max(c.degree("n") for c in self._terms.values()),
-            deg_i=max(c.degree("i") for c in self._terms.values()),
-            deg_j=max(c.degree("j") for c in self._terms.values()),
-            ord_sn=max(e[0] for e in self._terms),
-            ord_si=max(e[1] for e in self._terms),
-            ord_sj=max(e[2] for e in self._terms),
-            total_poly_deg=max(c.total_degree() for c in self._terms.values()),
-        )
+        maxima = (max(key[k] for key in self._terms) for k in range(6))
+        return Degrees(False, *maxima, total_poly_deg=self.total_poly_deg())
 
     def total_poly_deg(self) -> int:
-        """Max total degree in n, i, j over the coefficients; -1 for zero."""
-        if not self._terms:
-            return -1
-        return max(c.total_degree() for c in self._terms.values())
+        """Max total degree in n, i, j over the terms; -1 for zero."""
+        return max((key[0] + key[1] + key[2] for key in self._terms), default=-1)
 
     # -- algebra ----------------------------------------------------------
 
@@ -153,19 +205,12 @@ class OreOperator:
         other = _coerce_op(other)
         if other is NotImplemented:
             return NotImplemented
-        out = dict(self._terms)
-        for exp, c in other._terms.items():
-            s = out.get(exp, MultiPoly.zero()) + c
-            if s:
-                out[exp] = s
-            else:
-                out.pop(exp, None)
-        return OreOperator(out)
+        return OreOperator._of(_add_into(dict(self._terms), other._terms.items()))
 
     __radd__ = __add__
 
     def __neg__(self) -> "OreOperator":
-        return OreOperator({e: -c for e, c in self._terms.items()})
+        return OreOperator._of({key: -c for key, c in self._terms.items()})
 
     def __sub__(self, other) -> "OreOperator":
         other = _coerce_op(other)
@@ -177,32 +222,26 @@ class OreOperator:
         return _coerce_op(other) + (-self)
 
     def __mul__(self, other) -> "OreOperator":
-        """Product in left-normal form.
-
-        For single terms, (a(n,i,j) S^A)(b(n,i,j) S^B) = a * b', with b'
-        the coefficient b shifted by the offsets in A, on the monomial
-        S^(A+B).
-        """
+        """Product in left-normal form, term by term:
+        (a x^P S^A)(b x^Q S^B) = a b x^P (x + A)^Q S^(A+B), with x^Q
+        standing for n^dn i^di j^dj and (x + A)^Q expanded binomially."""
         other = _coerce_op(other)
         if other is NotImplemented:
             return NotImplemented
-        out: dict[ShiftExp, MultiPoly] = {}
-        for ea, ca in self._terms.items():
-            for eb, cb in other._terms.items():
-                shifted = cb
-                if ea[0]:
-                    shifted = shifted.substitute_shift("n", ea[0])
-                if ea[1]:
-                    shifted = shifted.substitute_shift("i", ea[1])
-                if ea[2]:
-                    shifted = shifted.substitute_shift("j", ea[2])
-                e = (ea[0] + eb[0], ea[1] + eb[1], ea[2] + eb[2])
-                s = out.get(e, MultiPoly.zero()) + ca * shifted
-                if s:
-                    out[e] = s
-                else:
-                    out.pop(e, None)
-        return OreOperator(out)
+        out: dict[Term, int] = {}
+        moved: dict[ShiftExp, Iterable[tuple[Term, int]]] = {}
+        for (an, ai, aj, a4, a5, a6), ca in self._terms.items():
+            shift = (a4, a5, a6)
+            if shift not in moved:
+                moved[shift] = _moved_past(other._terms, shift)
+            _add_into(
+                out,
+                (
+                    ((an + bn, ai + bi, aj + bj, a4 + b4, a5 + b5, a6 + b6), ca * cb)
+                    for (bn, bi, bj, b4, b5, b6), cb in moved[shift]
+                ),
+            )
+        return OreOperator._of(out)
 
     def __rmul__(self, other) -> "OreOperator":
         other = _coerce_op(other)
@@ -218,12 +257,10 @@ class OreOperator:
         for v in names:
             if v not in ("i", "j"):
                 raise ValueError(f"can only substitute i or j to zero, not {v!r}")
-        out: dict[ShiftExp, MultiPoly] = {}
-        for exp, c in self._terms.items():
-            c0 = c.substitute_zero(names)
-            if c0:
-                out[exp] = c0
-        return OreOperator(out)
+        ks = [VARS.index(v) for v in names]
+        return OreOperator._of(
+            {key: c for key, c in self._terms.items() if not any(key[k] for k in ks)}
+        )
 
     def normalized(self) -> "OreOperator":
         """Canonical scaling: integer content and common monomial factor
@@ -233,35 +270,30 @@ class OreOperator:
         """
         if not self._terms:
             return self
-        mins = [10**9, 10**9, 10**9]
-        for c in self._terms.values():
-            m = c.monomial_min_exponents()
-            mins = [min(a, b) for a, b in zip(mins, m)]
-        content = math.gcd(*(c.content() for c in self._terms.values()))
-        lead = self._terms[max(self._terms)]
-        if lead.terms[max(lead.terms)] < 0:
+        mn, mi, mj = (min(key[k] for key in self._terms) for k in range(3))
+        content = math.gcd(*self._terms.values())
+        if self._terms[max(self._terms, key=_shift_first)] < 0:
             content = -content
-        out: dict[ShiftExp, MultiPoly] = {}
-        for exp, c in self._terms.items():
-            out[exp] = MultiPoly(
-                {
-                    (pexp[0] - mins[0], pexp[1] - mins[1], pexp[2] - mins[2]): q // content
-                    for pexp, q in c.terms.items()
-                }
-            )
-        return OreOperator(out)
+        return OreOperator._of(
+            {
+                (dn - mn, di - mi, dj - mj, e4, e5, e6): c // content
+                for (dn, di, dj, e4, e5, e6), c in self._terms.items()
+            }
+        )
 
     # -- action on the counting oracle ---------------------------------------
 
     def apply_at(self, oracle, n: int, i: int, j: int) -> int:
         """Value of (this operator applied to the oracle) at one point; the
-        oracle is read only where a coefficient does not vanish."""
-        total = 0
-        for (e4, e5, e6), c in self._terms.items():
-            v = c.eval(n, i, j)
-            if v:
-                total += v * oracle.value(n + e4, i + e5, j + e6)
-        return total
+        oracle is read only at shifts whose coefficient does not vanish
+        there."""
+        coeffs: dict[ShiftExp, int] = {}
+        for (dn, di, dj, e4, e5, e6), c in self._terms.items():
+            shift = (e4, e5, e6)
+            coeffs[shift] = coeffs.get(shift, 0) + c * n**dn * i**di * j**dj
+        return sum(
+            v * oracle.value(n + e4, i + e5, j + e6) for (e4, e5, e6), v in coeffs.items() if v
+        )
 
     def is_zero_on(self, oracle, box: "Box") -> bool:
         for n, i, j in box.points():
@@ -272,16 +304,20 @@ class OreOperator:
     def __repr__(self) -> str:
         if not self._terms:
             return "0"
+        by_shift: dict[ShiftExp, list[str]] = {}
+        for key in sorted(self._terms, key=_shift_first, reverse=True):
+            c, mono = self._terms[key], _power_product(VARS, key[:3])
+            if not mono:
+                text = f"{c}"
+            else:
+                text = ("" if c == 1 else "-" if c == -1 else f"{c}*") + mono
+            by_shift.setdefault(key[3:], []).append(text)
         parts = []
-        for exp in sorted(self._terms, reverse=True):
-            c = self._terms[exp]
-            mono = "".join(
-                f"{s}^{e}" if e > 1 else (s if e == 1 else "")
-                for s, e in zip(("Sn", "Si", "Sj"), exp)
-            )
-            cs = repr(c)
-            if len(c.terms) > 1:
+        for shift, monos in by_shift.items():
+            cs = " + ".join(monos)
+            if len(monos) > 1:
                 cs = f"({cs})"
+            mono = _power_product(SHIFTS, shift)
             parts.append(f"{cs}*{mono}" if mono else cs)
         return " + ".join(parts).replace("+ -", "- ")
 
@@ -289,10 +325,8 @@ class OreOperator:
 def _coerce_op(x):
     if isinstance(x, OreOperator):
         return x
-    if isinstance(x, MultiPoly):
-        return OreOperator.from_poly(x)
     if isinstance(x, int):
-        return OreOperator({(0, 0, 0): MultiPoly.const(x)})
+        return OreOperator.const(x)
     return NotImplemented
 
 
@@ -337,32 +371,24 @@ def div_rem(x: OreOperator, t: OreOperator) -> tuple[OreOperator, OreOperator]:
     """
     if t.is_zero():
         raise UnsupportedDivisorError("division by the zero operator")
-    if not t.has_constant_coefficients():
+    if t.total_poly_deg() > 0:
         raise UnsupportedDivisorError("divisor must have constant coefficients")
     lm = t.leading_monomial()
-    lc = t.terms[lm].constant_value()
+    lc = t._terms[(0, 0, 0) + lm]
     if lc not in (1, -1):
         raise UnsupportedDivisorError(f"divisor's leading coefficient {lc} is not 1 or -1")
-    u_terms: dict[ShiftExp, MultiPoly] = {}
-    v = x
+    u, v = OreOperator.zero(), x
     while True:
         divisible = [
-            e
-            for e in v._terms
-            if e[0] >= lm[0] and e[1] >= lm[1] and e[2] >= lm[2]
+            key[3:] for key in v._terms if key[3] >= lm[0] and key[4] >= lm[1] and key[5] >= lm[2]
         ]
         if not divisible:
-            break
+            return u, v
         m = max(divisible)
-        q_coeff = v._terms[m] * lc  # = v_m / lc, as lc = +-1
-        q_exp = (m[0] - lm[0], m[1] - lm[1], m[2] - lm[2])
-        cur = u_terms.get(q_exp, MultiPoly.zero()) + q_coeff
-        if cur:
-            u_terms[q_exp] = cur
-        else:
-            u_terms.pop(q_exp, None)
-        v = v - OreOperator({q_exp: q_coeff}) * t
-    return OreOperator(u_terms), v
+        d = (m[0] - lm[0], m[1] - lm[1], m[2] - lm[2])
+        # q = v_m / lc on S^d, as lc = +-1
+        q = OreOperator._of({key[:3] + d: c * lc for key, c in v._terms.items() if key[3:] == m})
+        u, v = u + q, v - q * t
 
 
 # ---------------------------------------------------------------------------
@@ -380,11 +406,13 @@ def json_int(x) -> int:
 
 
 def operator_to_json(op: OreOperator) -> dict:
-    terms = []
-    for exp in sorted(op.terms):
-        coeff = op.terms[exp].terms
-        monos = [{"exp": list(pexp), "num": str(coeff[pexp]), "den": "1"} for pexp in sorted(coeff)]
-        terms.append({"shift": list(exp), "coeff": monos})
+    """The file form groups the terms by shift monomial: each shift lists
+    its coefficient's monomials, both in ascending order."""
+    by_shift: dict[ShiftExp, list[dict]] = {}
+    for key, c in sorted(op.terms.items(), key=lambda kc: _shift_first(kc[0])):
+        mono = {"exp": list(key[:3]), "num": str(c), "den": "1"}
+        by_shift.setdefault(key[3:], []).append(mono)
+    terms = [{"shift": list(shift), "coeff": monos} for shift, monos in by_shift.items()]
     return {"vars": ["n", "i", "j"], "shifts": ["Sn", "Si", "Sj"], "terms": terms}
 
 
@@ -395,30 +423,29 @@ def operator_from_json(data: dict) -> OreOperator:
     terms: that is left multiplication of the whole operator by the
     nonzero constant L, which annihilates exactly what the file's operator
     annihilates, and the result has integer coefficients.  A zero
-    denominator raises ValueError naming its shift monomial."""
+    denominator, a repeated shift monomial, or a monomial repeated in one
+    coefficient raises ValueError naming its shift monomial."""
     if data.get("vars") != ["n", "i", "j"] or data.get("shifts") != ["Sn", "Si", "Sj"]:
         raise ValueError("unrecognized operator header")
-    fracs: dict[ShiftExp, dict[ShiftExp, tuple[int, int]]] = {}
+    fracs: dict[Term, tuple[int, int]] = {}
+    shifts: set[ShiftExp] = set()
     for entry in data["terms"]:
-        exp = tuple(json_int(x) for x in entry["shift"])
-        if len(exp) != 3:
+        shift = tuple(json_int(x) for x in entry["shift"])
+        if len(shift) != 3:
             raise ValueError(f"bad shift triple {entry['shift']}")
-        if exp in fracs:
-            raise ValueError(f"duplicate shift monomial {exp}")
-        coeff = fracs[exp] = {}
+        if shift in shifts:
+            raise ValueError(f"duplicate shift monomial {shift}")
+        shifts.add(shift)
         for mono in entry["coeff"]:
             pexp = tuple(json_int(x) for x in mono["exp"])
             if len(pexp) != 3:
                 raise ValueError(f"bad exponent triple {mono['exp']}")
+            if pexp + shift in fracs:
+                raise ValueError(f"duplicate exponent {pexp} in the coefficient of shift {shift}")
             num, den = json_int(mono["num"]), json_int(mono["den"])
             if not den:
-                raise ValueError(f"zero denominator in the coefficient of shift {exp}")
+                raise ValueError(f"zero denominator in the coefficient of shift {shift}")
             g = math.gcd(num, den) if den > 0 else -math.gcd(num, den)
-            coeff[pexp] = num // g, den // g
-    scale = math.lcm(*(den for coeff in fracs.values() for _, den in coeff.values()))
-    return OreOperator(
-        {
-            exp: MultiPoly({pexp: num * (scale // den) for pexp, (num, den) in coeff.items()})
-            for exp, coeff in fracs.items()
-        }
-    )
+            fracs[pexp + shift] = num // g, den // g
+    scale = math.lcm(*(den for _, den in fracs.values()))
+    return OreOperator({key: num * (scale // den) for key, (num, den) in fracs.items()})

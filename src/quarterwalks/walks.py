@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import add
 
-from .exactmath import MultiPoly
 from . import ore
 
 # The eight unit directions, in canonical listing order.
@@ -254,11 +253,10 @@ def trivial_operator(step_set: StepSet) -> "ore.OreOperator":
     steps = step_set.sorted_steps()
     a = max(0, max(dx for dx, _ in steps))
     b = max(0, max(dy for _, dy in steps))
-    terms = {(1, a, b): MultiPoly.const(1)}
+    terms = {(0, 0, 0, 1, a, b): 1}
     for dx, dy in steps:
-        key = (0, a - dx, b - dy)
-        cur = terms.get(key, MultiPoly.zero())
-        terms[key] = cur - MultiPoly.const(1)
+        key = (0, 0, 0, 0, a - dx, b - dy)
+        terms[key] = terms.get(key, 0) - 1
     return ore.OreOperator(terms)
 
 

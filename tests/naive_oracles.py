@@ -209,24 +209,36 @@ def fraction_monic_gcd(a, b):
     return [c / a[-1] for c in a] if a else []
 
 
-def fraction_eval(terms, n, i, j):
-    """Value of a polynomial given as {(dn, di, dj): coefficient} at a
-    point, by summing Fraction terms one at a time."""
-    total = Fraction(0)
-    for (dn, di, dj), c in terms.items():
-        total += c * n**dn * i**di * j**dj
-    return total
-
-
 def fraction_apply_at(op, oracle, n, i, j):
-    """(op f)(n; i, j) with f read from ``oracle.value``, summed over
-    Fraction, for an operator given as {shift exponent: MultiPoly}."""
+    """(op f)(n; i, j) with f read from ``oracle.value``, for an operator
+    given as its term map {(dn, di, dj, e4, e5, e6): coefficient}: each
+    term c n^dn i^di j^dj f(n+e4, i+e5, j+e6) is one Fraction product, and
+    the products are summed one at a time."""
     total = Fraction(0)
-    for (e4, e5, e6), c in op.items():
-        cv = fraction_eval(c.terms, n, i, j)
-        if cv:
-            total += cv * oracle.value(n + e4, i + e5, j + e6)
+    for (dn, di, dj, e4, e5, e6), c in op.items():
+        x = c * Fraction(n) ** dn * Fraction(i) ** di * Fraction(j) ** dj
+        total += x * oracle.value(n + e4, i + e5, j + e6)
     return total
+
+
+class Ones:
+    """f = 1 everywhere: a shift-free operator applied to it gives the
+    value of its polynomial."""
+
+    def value(self, n, i, j):
+        return 1
+
+
+class Applied:
+    """The function op f, for f read from ``oracle``, as an oracle of
+    Fraction values: ``fraction_apply_at(a, Applied(b, f), *pt)`` is
+    a (b f) at pt, with no operator product involved."""
+
+    def __init__(self, op, oracle):
+        self.op, self.oracle = op, oracle
+
+    def value(self, n, i, j):
+        return fraction_apply_at(self.op, self.oracle, n, i, j)
 
 
 def _schoolbook_mul(a, b):

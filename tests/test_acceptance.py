@@ -15,7 +15,6 @@ from quarterwalks import (
     GESSEL,
     KREWERAS,
     HypergeomTerm,
-    MultiPoly,
     OreOperator,
     UniOperator,
     CountTable,
@@ -42,9 +41,9 @@ from quarterwalks.certify import REFUTED
 from quarterwalks.cli import main as cli_main
 from quarterwalks.exactmath import ipoly_mul, ipoly_scale
 
-from naive_oracles import brute_force_counts
+from naive_oracles import Applied, brute_force_counts, fraction_apply_at
 from test_eliminate import vector_as_ore
-from test_ore import random_operator
+from test_ore import PolynomialOracle, random_operator, random_point
 
 
 class criterion:
@@ -102,13 +101,13 @@ def test_criterion_3_brute_force_equivalence():
 
 def test_criterion_4_certification_soundness():
     with criterion(4, "certify T, n*T, Sn*T; refute T+1 at (0,0,0); evidence sweeps", 60):
-        n_poly = MultiPoly.variable("n")
+        n_poly = OreOperator.variable("n")
         sn = OreOperator.shift("Sn")
         box = Box((1, 15), (0, 10), (0, 10))
         for step_set in (GESSEL, KREWERAS):
             oracle = CountTable(step_set, 20)
             t = trivial_operator(step_set)
-            certified_ops = [t, OreOperator.from_poly(n_poly) * t, sn * t]
+            certified_ops = [t, n_poly * t, sn * t]
             for op in certified_ops:
                 cert = certify_operator(op, t, oracle)
                 assert cert.certified
@@ -122,8 +121,8 @@ def test_criterion_5_guessing_recovers_trivial_operator():
     with criterion(5, "kernel over >= 30 points contains T's vector; filter keeps it", 60):
         oracle = CountTable(GESSEL, 30)
         t = trivial_operator(GESSEL)
-        support = tuple((0, 0, 0, e4, e5, e6) for (e4, e5, e6) in sorted(t.terms))
-        t_vector = tuple(t.terms[(s[3], s[4], s[5])].constant_value() for s in support)
+        support = tuple(sorted(t.terms))
+        t_vector = tuple(t.terms[s] for s in support)
         template = template_from_support(support)
         plan = plan_points(template, margin=25)
         assert len(plan.points) >= 30
@@ -245,17 +244,17 @@ def test_criterion_9_property_suites():
 
         names = (("n", "Sn"), ("i", "Si"), ("j", "Sj"))
         for var, shift in names:
-            x = MultiPoly.variable(var)
+            x = OreOperator.variable(var)
             s = OreOperator.shift(shift)
-            assert OreOperator.from_poly(x) * (s - 1) == (s - 1) * OreOperator.from_poly(x - 1) - 1
+            assert x * (s - 1) == (s - 1) * (x - 1) - 1
+        # S_x^e p against the reference application S_x^e (p f)
+        oracle = PolynomialOracle()
         for _ in range(100):
             p = random_poly(rng)
-            var, shift = names[rng.randrange(3)]
-            e = rng.randint(0, 3)
-            s = OreOperator.shift(shift, e)
-            assert s * OreOperator.from_poly(p) == OreOperator.from_poly(
-                p.substitute_shift(var, e)
-            ) * s
+            s = OreOperator.shift(names[rng.randrange(3)][1], rng.randint(0, 3))
+            pt = random_point(rng)
+            want = fraction_apply_at(s.terms, Applied(p.terms, oracle), *pt)
+            assert (s * p).apply_at(oracle, *pt) == want
 
         # reduction is a module map over Q(n)[S_n] (integer coefficients,
         # so reduce_mod_ij scales nothing)
@@ -265,17 +264,15 @@ def test_criterion_9_property_suites():
             coeffs = [rng.randint(-5, 5) for _ in range(rng.randint(1, 3))]
             if not any(coeffs):
                 coeffs = [1]
-            as_ore = OreOperator(
-                {(e, 0, 0): MultiPoly({(k, 0, 0): v for k, v in enumerate(coeffs) if v})}
-            )
+            as_ore = OreOperator({(k, 0, 0, e, 0, 0): v for k, v in enumerate(coeffs)})
             assert reduce_mod_ij(as_ore * r) == reduce_mod_ij(
                 as_ore * vector_as_ore(reduce_mod_ij(r))
             )
 
         # left-multiple degeneracy
-        i_poly = MultiPoly.variable("i")
-        j_poly = MultiPoly.variable("j")
+        i_poly = OreOperator.variable("i")
+        j_poly = OreOperator.variable("j")
         for _ in range(100):
             r = random_operator(rng, max_terms=4)
-            assert reduce_mod_ij(OreOperator.from_poly(i_poly) * r).is_zero()
-            assert reduce_mod_ij(OreOperator.from_poly(j_poly) * r).is_zero()
+            assert reduce_mod_ij(i_poly * r).is_zero()
+            assert reduce_mod_ij(j_poly * r).is_zero()

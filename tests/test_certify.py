@@ -7,7 +7,6 @@ from quarterwalks import (
     CountTable,
     GESSEL,
     KREWERAS,
-    MultiPoly,
     OreOperator,
     certify_operator,
     check_base_cases,
@@ -16,9 +15,9 @@ from quarterwalks import (
 )
 from quarterwalks.certify import CERTIFIED, REFUTED
 
-N = MultiPoly.variable("n")
-I = MultiPoly.variable("i")
-J = MultiPoly.variable("j")
+N = OreOperator.variable("n")
+I = OreOperator.variable("i")
+J = OreOperator.variable("j")
 T = trivial_operator(GESSEL)
 SN = OreOperator.shift("Sn")
 
@@ -31,7 +30,7 @@ def test_certify_trivial_operator(gessel_oracle):
 
 
 def test_certify_left_multiples(gessel_oracle):
-    for x in (SN, OreOperator.from_poly(N)):
+    for x in (SN, N):
         cert = certify_operator(x * T, T, gessel_oracle)
         assert cert.certified
 
@@ -58,12 +57,12 @@ def test_zero_operator_rejected(gessel_oracle):
 def test_base_cases_examples(gessel_oracle):
     ok, point = check_base_cases(T, gessel_oracle)
     assert ok and point is None
-    ok, point = check_base_cases(OreOperator.one(), gessel_oracle)
+    ok, point = check_base_cases(OreOperator.const(1), gessel_oracle)
     assert not ok and point == (0, 0, 0)
 
 
 def test_base_cases_axis_factor(gessel_oracle):
-    w = OreOperator({(1, 0, 0): I * J})
+    w = I * J * SN
     # the factor i*j kills the axes ...
     for k in range(4):
         assert w.apply_at(gessel_oracle, 0, k, 0) == 0
@@ -80,10 +79,8 @@ def test_constant_coefficient_remainder_is_zero(gessel_oracle):
     for _ in range(100):
         terms = {}
         for _ in range(rng.randint(1, 4)):
-            shift = tuple(rng.randint(0, 2) for _ in range(3))
-            c = rng.randint(-5, 5)
-            if c:
-                terms[shift] = terms.get(shift, MultiPoly.zero()) + MultiPoly.const(c)
+            key = (0, 0, 0) + tuple(rng.randint(0, 2) for _ in range(3))
+            terms[key] = terms.get(key, 0) + rng.randint(-5, 5)
         w = OreOperator(terms)
         if w.is_zero():
             continue
@@ -95,7 +92,7 @@ def test_chain_degree_strictly_decreases(kreweras_certified, kreweras_oracle):
     # left multiples reduce in one round, so scaled copies n^k * W are
     # thrown in to force genuinely recursive chains
     tk = trivial_operator(KREWERAS)
-    scaled = [OreOperator.from_poly(N * N) * op for op in kreweras_certified]
+    scaled = [N * N * op for op in kreweras_certified]
     saw_long_chain = False
     for op in kreweras_certified + scaled:
         cert = certify_operator(op, tk, kreweras_oracle)
@@ -109,7 +106,7 @@ def test_chain_degree_strictly_decreases(kreweras_certified, kreweras_oracle):
 
 def test_certified_pass_evidence_on_disjoint_box(gessel_oracle, kreweras_certified, kreweras_oracle):
     box = Box((1, 15), (0, 8), (0, 8))
-    for op in (T, SN * T, OreOperator.from_poly(N) * T):
+    for op in (T, SN * T, N * T):
         assert certify_operator(op, T, gessel_oracle).certified
         assert evidence_check(op, gessel_oracle, box)
     for op in kreweras_certified:
@@ -120,8 +117,8 @@ def test_certificates_independent_of_table_depth(kreweras_certified):
     """A table that starts at depth 0 and deepens on read certifies and
     refutes exactly as a pre-built 45-level one does."""
     tk = trivial_operator(KREWERAS)
-    perturbed = [r + OreOperator.from_poly(N) * SN for r in kreweras_certified]
-    perturbed += [tk + 1, OreOperator.from_poly(I) * (tk + 1)]
+    perturbed = [r + N * SN for r in kreweras_certified]
+    perturbed += [tk + 1, I * (tk + 1)]
     shallow, deep = CountTable(KREWERAS, 0), CountTable(KREWERAS, 45)
     verdicts = set()
     for op in kreweras_certified + perturbed:
@@ -151,7 +148,7 @@ def test_refutation_from_deeper_chain_level(gessel_oracle):
     # i*(T+1) passes level-0 base cases on the i = 0 line but still fails:
     # its chain exposes the defect and the reported counterexample is a
     # genuine point where the operator itself does not vanish.
-    bad = OreOperator.from_poly(I) * (T + 1)
+    bad = I * (T + 1)
     cert = certify_operator(bad, T, gessel_oracle)
     assert cert.verdict == REFUTED
     assert bad.apply_at(gessel_oracle, *cert.counterexample) != 0

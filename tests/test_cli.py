@@ -16,7 +16,7 @@ from quarterwalks import (
 from quarterwalks.cli import main, parse_bounds
 from quarterwalks.eliminate import EliminationError, VerificationError
 from quarterwalks.exactmath import ipoly_mul, ipoly_scale
-from quarterwalks.guess import Bounds
+from quarterwalks.guess import Bounds, TemplateError
 
 
 @pytest.fixture()
@@ -47,6 +47,11 @@ def test_parse_bounds_round_trip():
     assert b == Bounds(deg_n=1, deg_i=2, ord_sn=3, total_poly_deg=4)
     with pytest.raises(Exception):
         parse_bounds("bogus=1")
+    # a repeated key is an error, not a silent last-one-wins
+    with pytest.raises(TemplateError, match="'deg_n' given twice"):
+        parse_bounds("deg_n=0,deg_n=1")
+    with pytest.raises(TemplateError, match="'total_poly_deg' given twice"):
+        parse_bounds("total=1,total_poly_deg=2")
 
 
 def test_count_values(runner):
@@ -347,8 +352,22 @@ def test_prove_import_order_not_below_diag_limit_exit_2(runner, tmp_path):
          "--import-recurrence", path, "--diag-limit", "10", "--out", str(report_path)],
     )
     assert r.exit_code == 2
-    assert "n-check must exceed the recurrence order" in r.output
+    # the message names prove's own option
+    assert "error: --diag-limit must exceed the recurrence order" in r.output
     assert not report_path.exists()
+
+
+def test_import_recurrence_order_not_below_n_check_exit_2(runner, tmp_path):
+    rec = UniOperator({12: [1], 0: [-1]})
+    path = write_json(tmp_path / "ord12.json", uni_to_json(rec))
+    out_path = tmp_path / "out.json"
+    r = runner.invoke(
+        main,
+        ["import-recurrence", path, "--steps", "E,W,NE,SW", "--n-check", "12",
+         "--out", str(out_path)],
+    )
+    assert _one_error_line(r) == "error: --n-check must exceed the recurrence order"
+    assert not out_path.exists()
 
 
 _GESSEL_IMPORT = ["prove", "--steps", "E,W,NE,SW", "--closed-form", "gessel",
@@ -365,10 +384,16 @@ _FILE_COMMANDS = {
 
 def _malformed(kind, payload):
     """A valid operator file of the reader's kind with its terms removed,
-    or with the denominator of its first coefficient set to zero."""
+    with the denominator of its first coefficient set to zero, or with a
+    monomial (ore) or a cleared power (uni) stated twice with different
+    values."""
     data = operator_to_json(trivial_operator(GESSEL)) if kind == "ore" else uni_to_json(PG)
     if payload == "no-terms":
         del data["terms"]
+    elif payload == "duplicate" and kind == "ore":
+        data["terms"][1]["coeff"].append({"exp": [0, 0, 0], "num": "2", "den": "1"})
+    elif payload == "duplicate":
+        data["cleared"].append({"power": 0, "coeffs": ["1"]})
     elif kind == "ore":
         data["terms"][0]["coeff"][0]["den"] = "0"
     else:
@@ -386,7 +411,7 @@ def _one_error_line(r):
     return errors[0]
 
 
-@pytest.mark.parametrize("payload", ["list", "operator-list", "no-terms", "zero-den"])
+@pytest.mark.parametrize("payload", ["list", "operator-list", "no-terms", "zero-den", "duplicate"])
 @pytest.mark.parametrize("command", list(_FILE_COMMANDS))
 def test_malformed_operator_file_exit_2_one_line(runner, tmp_path, command, payload):
     # the file reader rejects what is not an operator object, or holds a
@@ -402,6 +427,11 @@ def test_malformed_operator_file_exit_2_one_line(runner, tmp_path, command, payl
         assert "zero denominator" in line
         if kind == "ore":
             assert "shift (0, 0, 0)" in line
+    if payload == "duplicate":
+        if kind == "ore":
+            assert "duplicate exponent (0, 0, 0) in the coefficient of shift (0, 0, 1)" in line
+        else:
+            assert "duplicate cleared power 0" in line
 
 
 def _raise(exc):
@@ -426,6 +456,15 @@ _OPERATIONAL_ERRORS = {
     "eliminate": (["eliminate", "--steps", "X", "{op}"], None, "X"),
     "import-recurrence": (["import-recurrence", "{rec}", "--steps", "X"], None, "X"),
     "prove": (["prove", "--steps", "X", "--closed-form", "gessel"], None, "X"),
+    "guess-repeated-bounds": (
+        ["guess", "--steps", "W,S,NE", "--bounds", "deg_n=0,deg_n=1", "--out", "{tmp}/cands"],
+        None, "'deg_n' given twice",
+    ),
+    "prove-repeated-bounds": (
+        ["prove", "--steps", "W,S,NE", "--closed-form", "kreweras",
+         "--bounds", "total=1,total_poly_deg=2", "--out", "{tmp}/report.json"],
+        None, "'total_poly_deg' given twice",
+    ),
     "certify-directory": (["certify", "--steps", "W,S,NE", "{tmp}"], None, "{tmp}"),
     "table-out-directory": (
         ["table", "--steps", "W,S,NE", "--n-max", "2", "--out", "{tmp}"], None, "{tmp}"

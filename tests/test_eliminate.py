@@ -11,7 +11,6 @@ from quarterwalks import (
     GESSEL,
     KREWERAS,
     ModuleVector,
-    MultiPoly,
     OreOperator,
     UniOperator,
     VerificationError,
@@ -45,9 +44,9 @@ from naive_oracles import (
 from test_exactmath import random_ipoly
 from test_ore import random_operator, rational_operator_json
 
-N = MultiPoly.variable("n")
-I = MultiPoly.variable("i")
-J = MultiPoly.variable("j")
+N = OreOperator.variable("n")
+I = OreOperator.variable("i")
+J = OreOperator.variable("j")
 SN = OreOperator.shift("Sn")
 SI = OreOperator.shift("Si")
 
@@ -60,9 +59,10 @@ def vector_as_ore(v: ModuleVector) -> OreOperator:
     of a module vector at the positions (e5, e6)."""
     return OreOperator(
         {
-            (k, e5, e6): MultiPoly({(d, 0, 0): c for d, c in enumerate(p) if c})
+            (d, 0, 0, k, e5, e6): c
             for (e5, e6), u in v.components.items()
             for k, p in u.terms.items()
+            for d, c in enumerate(p)
         }
     )
 
@@ -75,14 +75,16 @@ def ore_as_uni(op: OreOperator) -> UniOperator:
     """The element of Z[n][S_n] of an operator with integer coefficients
     that is free of i, j, S_i and S_j."""
     terms = {}
-    for (e4, e5, e6), c in op.terms.items():
-        assert e5 == e6 == 0
-        terms[e4] = c.coefficients_in_n()
+    for (dn, di, dj, e4, e5, e6), c in op.terms.items():
+        assert di == dj == e5 == e6 == 0
+        poly = terms.setdefault(e4, [])
+        poly.extend([0] * (dn + 1 - len(poly)))
+        poly[dn] = c
     return UniOperator(terms)
 
 
 def test_reduce_examples():
-    r = OreOperator.from_poly(N) * SN + OreOperator.from_poly(I) * SI
+    r = N * SN + I * SI
     v = reduce_mod_ij(r)
     assert set(v.components) == {(0, 0)}
     assert v.components[(0, 0)].terms[1] == [0, 1]
@@ -98,7 +100,7 @@ def test_reduce_examples():
     }
     assert v.components == expected
 
-    all_i = OreOperator.from_poly(I) * random_operator(random.Random(1), max_terms=4)
+    all_i = I * random_operator(random.Random(1), max_terms=4)
     assert reduce_mod_ij(all_i).is_zero()
 
 
@@ -112,9 +114,7 @@ def test_reduce_is_module_map():
         coeffs = [rng.randint(-5, 5) for _ in range(rng.randint(1, 3))]
         if not any(coeffs):
             coeffs = [1]
-        as_ore = OreOperator(
-            {(e, 0, 0): MultiPoly({(k, 0, 0): v for k, v in enumerate(coeffs) if v})}
-        )
+        as_ore = OreOperator({(k, 0, 0, e, 0, 0): v for k, v in enumerate(coeffs)})
         assert reduce_mod_ij(as_ore * r) == reduce_mod_ij(as_ore * vector_as_ore(reduce_mod_ij(r)))
 
 
@@ -122,12 +122,12 @@ def test_left_multiple_degeneracy():
     rng = random.Random(73)
     for _ in range(100):
         r = random_operator(rng, max_terms=4)
-        assert reduce_mod_ij(OreOperator.from_poly(I) * r).is_zero()
-        assert reduce_mod_ij(OreOperator.from_poly(J) * r).is_zero()
+        assert reduce_mod_ij(I * r).is_zero()
+        assert reduce_mod_ij(J * r).is_zero()
 
 
 def test_generate_module_pure_generator():
-    r = OreOperator({(2, 0, 0): N + 1, (0, 0, 0): MultiPoly.const(3)})
+    r = (N + 1) * OreOperator.shift("Sn", 2) + 3
     vectors, dropped = generate_module([r])
     assert len(vectors) == 1 and not dropped
     assert set(vectors[0].components) == {(0, 0)}
@@ -141,7 +141,7 @@ def test_generate_module_trivial_operator_single_vector():
 
 
 def test_generate_module_multiples_differ():
-    r = OreOperator({(0, 1, 0): I, (0, 0, 0): N})
+    r = I * SI + N
     vectors, _ = generate_module([r])
     # multiples 1 and S_i: S_i shifts the coefficient i to i+1 before the
     # substitution, so the two reductions differ
@@ -154,7 +154,7 @@ def test_generate_module_multiples_differ():
 def test_generate_module_all_zero_errors():
     # with multiples suppressed the i-divisible generator has nothing left;
     # with multiples allowed S_i recovers a nonzero vector from it
-    r = OreOperator.from_poly(I)
+    r = I
     with pytest.raises(EliminationError, match="reduce to zero"):
         generate_module([r], multiplier_bound=0)
     vectors, _ = generate_module([r])
@@ -215,7 +215,7 @@ def test_eliminate_accepts_rational_coefficients():
     }
     a_op = operator_from_json(rational_operator_json(a))
     sum_op = operator_from_json(rational_operator_json({**a, **half_p0}))
-    assert a_op == OreOperator({(1, 1, 0): 7 * N + 7, (0, 1, 0): 6})
+    assert a_op == (7 * N + 7) * SN * SI + 6 * SI
     assert sum_op == a_op + 7 * uni_as_ore(P0)
     v1, v2 = reduce_mod_ij(sum_op), reduce_mod_ij(a_op)
     assert v1.components[(1, 0)] == UniOperator({1: [7, 7], 0: [6]})
@@ -243,7 +243,7 @@ def test_trivial_operator_alone_fails():
 def test_pipeline_reverifies_the_eliminated_operator():
     # S_n - 2: every component is kept, so a P that fails the sequence is
     # an error, never a reason to retry
-    r = OreOperator({(1, 0, 0): 1, (0, 0, 0): -2})
+    r = SN - 2
     assert takayama_pipeline([r], [1, 2, 4, 8]).cleared() == {1: [1], 0: [-2]}
     with pytest.raises(VerificationError, match="fails the origin sequence at n=2"):
         takayama_pipeline([r], [1, 2, 4, 9])
@@ -444,6 +444,16 @@ def test_uni_json_rejects_inconsistent_cleared():
     data["cleared"][0]["coeffs"][0] = "999"
     with pytest.raises(ValueError, match="cleared"):
         uni_from_json(data)
+    # Sn - 1 with power 1 stated as both 5 and 1: the file contradicts
+    # itself, whichever copy a reader would keep
+    data = uni_to_json(UniOperator({1: [1], 0: [-1]}))
+    data["cleared"] = [
+        {"power": 1, "coeffs": ["5"]}, {"power": 1, "coeffs": ["1"]}, {"power": 0, "coeffs": ["-1"]}
+    ]
+    with pytest.raises(ValueError, match="duplicate cleared power 1"):
+        uni_from_json(data)
+    del data["cleared"][0]
+    assert uni_from_json(data) == UniOperator({1: [1], 0: [-1]})
 
 
 @pytest.mark.parametrize(

@@ -6,11 +6,10 @@ from fractions import Fraction
 
 import pytest
 
-from naive_oracles import fraction_divexact, fraction_eval, fraction_monic_gcd
-from quarterwalks import exactmath
+from naive_oracles import Ones, fraction_apply_at, fraction_divexact, fraction_monic_gcd
+from quarterwalks import OreOperator, exactmath, reduce_mod_ij
 from quarterwalks.eliminate import _json_term
 from quarterwalks.exactmath import (
-    MultiPoly,
     ipoly_add,
     ipoly_compose_affine,
     ipoly_content,
@@ -21,9 +20,16 @@ from quarterwalks.exactmath import (
     ipoly_shift_arg,
 )
 
-N = MultiPoly.variable("n")
-I = MultiPoly.variable("i")
-J = MultiPoly.variable("j")
+# Polynomials in n, i, j are the shift-free operators of ``ore``; their
+# ring, evaluation and canonical-form tests live here beside Z[n]'s.
+N = OreOperator.variable("n")
+I = OreOperator.variable("i")
+J = OreOperator.variable("j")
+
+
+def value(p, n, i, j):
+    """The value of a shift-free operator's polynomial at a point."""
+    return p.apply_at(Ones(), n, i, j)
 
 
 def random_poly(rng, max_terms=4, max_exp=3, max_coeff=9):
@@ -31,13 +37,12 @@ def random_poly(rng, max_terms=4, max_exp=3, max_coeff=9):
     for _ in range(rng.randint(0, max_terms)):
         exp = (rng.randint(0, max_exp), rng.randint(0, max_exp), rng.randint(0, max_exp))
         c = rng.randint(-max_coeff, max_coeff)
-        if c:
-            terms[exp] = terms.get(exp, 0) + c
-    return MultiPoly(terms)
+        terms[exp + (0, 0, 0)] = terms.get(exp + (0, 0, 0), 0) + c
+    return OreOperator(terms)
 
 
 def test_add_inverse_cancels():
-    assert N + (-N) == MultiPoly.zero()
+    assert N + (-N) == OreOperator.zero()
     assert (N + (-N)).is_zero()
 
 
@@ -47,27 +52,35 @@ def test_difference_of_squares():
 
 def test_mixed_product_single_term():
     p = I * J
-    assert p.terms == {(0, 1, 1): 1}
+    assert p.terms == {(0, 1, 1, 0, 0, 0): 1}
 
 
 def test_eval_examples():
-    assert (N * N + 2 * N + 1).eval(2, 0, 0) == 9
-    assert (I * J).eval(0, 0, 5) == 0
-    assert (N + I + J).eval(3, 1, 2) == 6
+    assert value(N * N + 2 * N + 1, 2, 0, 0) == 9
+    assert value(I * J, 0, 0, 5) == 0
+    assert value(N + I + J, 3, 1, 2) == 6
 
 
 def test_substitute_shift_examples():
-    assert (N * N).substitute_shift("n", 1) == N * N + 2 * N + 1
-    assert (I * J).substitute_shift("n", 1) == I * J
-    assert I.substitute_shift("i", -1) == I - 1
+    # moving S_x leftward past a polynomial substitutes x -> x + 1 in it
+    assert OreOperator.shift("Sn") * (N * N) == (N * N + 2 * N + 1) * OreOperator.shift("Sn")
+    assert OreOperator.shift("Sn") * (I * J) == I * J * OreOperator.shift("Sn")
+    assert OreOperator.shift("Si") * (I - 1) == I * OreOperator.shift("Si")
 
 
 def test_substitute_shift_round_trip():
+    # S_x p = q S_x with q(x) = p(x + 1): q read back one step lower is p
     rng = random.Random(7)
     for _ in range(100):
         p = random_poly(rng)
-        for v in ("n", "i", "j"):
-            assert p.substitute_shift(v, 1).substitute_shift(v, -1) == p
+        for k, name in enumerate(("Sn", "Si", "Sj")):
+            s = OreOperator.shift(name)
+            q = OreOperator({key[:3] + (0, 0, 0): c for key, c in (s * p).terms.items()})
+            assert s * p == q * s
+            pt = [rng.randint(-5, 5) for _ in range(3)]
+            lower = list(pt)
+            lower[k] -= 1
+            assert value(q, *lower) == value(p, *pt)
 
 
 def test_ring_axioms_random():
@@ -84,8 +97,8 @@ def test_eval_commutes_with_arithmetic():
     for _ in range(100):
         a, b = random_poly(rng), random_poly(rng)
         pt = (rng.randint(-5, 5), rng.randint(-5, 5), rng.randint(-5, 5))
-        assert (a * b).eval(*pt) == a.eval(*pt) * b.eval(*pt)
-        assert (a + b).eval(*pt) == a.eval(*pt) + b.eval(*pt)
+        assert value(a * b, *pt) == value(a, *pt) * value(b, *pt)
+        assert value(a + b, *pt) == value(a, *pt) + value(b, *pt)
 
 
 def random_wide_poly(rng, max_terms=5, max_exp=3):
@@ -93,8 +106,8 @@ def random_wide_poly(rng, max_terms=5, max_exp=3):
     terms = {}
     for _ in range(rng.randint(0, max_terms)):
         exp = (rng.randint(0, max_exp), rng.randint(0, max_exp), rng.randint(0, max_exp))
-        terms[exp] = terms.get(exp, 0) + rng.randint(-(2**40), 2**40)
-    return MultiPoly(terms)
+        terms[exp + (0, 0, 0)] = terms.get(exp + (0, 0, 0), 0) + rng.randint(-(2**40), 2**40)
+    return OreOperator(terms)
 
 
 def test_eval_matches_fraction_sum():
@@ -104,29 +117,29 @@ def test_eval_matches_fraction_sum():
     for _ in range(300):
         p = random_wide_poly(rng)
         pt = tuple(rng.randint(-6, 9) for _ in range(3))
-        value = p.eval(*pt)
-        assert type(value) is int and value == fraction_eval(p.terms, *pt), (p, pt)
+        got = value(p, *pt)
+        assert type(got) is int and got == fraction_apply_at(p.terms, Ones(), *pt), (p, pt)
         pt = tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(3))
-        assert p.eval(*pt) == fraction_eval(p.terms, *pt), (p, pt)
+        assert value(p, *pt) == fraction_apply_at(p.terms, Ones(), *pt), (p, pt)
 
 
 def test_evaluated_poly_equals_and_hashes_like_fresh_copy():
     rng = random.Random(19)
     for _ in range(50):
         p = random_wide_poly(rng)
-        fresh = MultiPoly(p.terms)
-        hashed = MultiPoly(p.terms)
+        fresh = OreOperator(p.terms)
+        hashed = OreOperator(p.terms)
         hash(hashed)
-        p.eval(2, 3, 5)
+        value(p, 2, 3, 5)
         assert p == fresh and hash(p) == hash(fresh)
-        assert hashed.eval(1, -2, 3) == fresh.eval(1, -2, 3)
+        assert value(hashed, 1, -2, 3) == value(fresh, 1, -2, 3)
         assert hashed == p and hash(hashed) == hash(p)
         assert len({p, fresh, hashed}) == 1
 
 
 def test_canonical_no_zero_coefficients():
-    p = MultiPoly({(1, 0, 0): 2, (0, 1, 0): 0})
-    assert (0, 1, 0) not in p.terms
+    p = OreOperator({(1, 0, 0, 0, 0, 0): 2, (0, 1, 0, 0, 0, 0): 0})
+    assert (0, 1, 0, 0, 0, 0) not in p.terms
     q = p - 2 * N
     assert q.terms == {}
 
@@ -135,13 +148,18 @@ def test_coefficients_are_ints():
     # a Fraction coefficient is refused, even an integral one
     for bad in (Fraction(1, 2), Fraction(3), 1.0, True):
         with pytest.raises(TypeError, match="int coefficient"):
-            MultiPoly({(0, 0, 0): bad})
+            OreOperator({(0, 0, 0, 0, 0, 0): bad})
         with pytest.raises(TypeError, match="int coefficient"):
-            MultiPoly.const(bad)
-    p = MultiPoly({(2, 0, 0): -6, (0, 0, 0): 4})
-    assert p.content() == 2 and type(p.content()) is int
-    assert MultiPoly.zero().content() == 0
-    assert p.coefficients_in_n() == [4, 0, -6]
+            OreOperator.const(bad)
+        with pytest.raises(TypeError):
+            N + bad
+    # the content 2 divides out exactly, and the leading sign turns
+    p = OreOperator({(2, 0, 0, 0, 0, 0): -6, (0, 0, 0, 0, 0, 0): 4})
+    assert p.normalized() == 3 * N * N - 2
+    assert all(type(c) is int for c in p.normalized().terms.values())
+    assert OreOperator.zero().normalized().is_zero()
+    # a polynomial in n alone is the IPoly its reduction carries
+    assert reduce_mod_ij(p).components[(0, 0)].terms == {0: [4, 0, -6]}
 
 
 def test_integer_modules_do_not_import_fractions():

@@ -22,8 +22,8 @@ from quarterwalks.guess import _blocks, _kernel_mod, _primes
 from naive_oracles import fraction_nullspace, modp_kernel
 
 T = trivial_operator(GESSEL)
-T_SUPPORT = tuple((0, 0, 0, e4, e5, e6) for (e4, e5, e6) in sorted(T.terms))
-T_VECTOR = tuple(T.terms[(t[3], t[4], t[5])].constant_value() for t in T_SUPPORT)
+T_SUPPORT = tuple(sorted(T.terms))
+T_VECTOR = tuple(T.terms[t] for t in T_SUPPORT)
 
 
 def test_template_full_box_counts():

@@ -5,12 +5,11 @@ from fractions import Fraction
 
 import pytest
 
-from naive_oracles import fraction_apply_at
+from naive_oracles import Applied, Ones, fraction_apply_at
 from quarterwalks import (
     GESSEL,
     Box,
     CountTable,
-    MultiPoly,
     OreOperator,
     UnsupportedDivisorError,
     div_rem,
@@ -19,9 +18,9 @@ from quarterwalks import (
     trivial_operator,
 )
 
-N = MultiPoly.variable("n")
-I = MultiPoly.variable("i")
-J = MultiPoly.variable("j")
+N = OreOperator.variable("n")
+I = OreOperator.variable("i")
+J = OreOperator.variable("j")
 SN = OreOperator.shift("Sn")
 SI = OreOperator.shift("Si")
 SJ = OreOperator.shift("Sj")
@@ -34,58 +33,79 @@ def random_operator(rng, max_terms=3, max_shift=2, max_exp=2, max_coeff=5):
         shift = tuple(rng.randint(0, max_shift) for _ in range(3))
         exp = tuple(rng.randint(0, max_exp) for _ in range(3))
         c = rng.randint(-max_coeff, max_coeff)
-        if c:
-            cur = terms.get(shift, MultiPoly.zero())
-            terms[shift] = cur + MultiPoly.monomial(exp, c)
+        terms[exp + shift] = terms.get(exp + shift, 0) + c
     return OreOperator(terms)
+
+
+def random_point(rng):
+    return tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(3))
 
 
 def test_add_examples():
     assert (T + (-T)).is_zero()
-    assert SN + OreOperator.from_poly(N) * SN == OreOperator({(1, 0, 0): N + 1})
+    assert SN + N * SN == OreOperator({(1, 0, 0, 1, 0, 0): 1, (0, 0, 0, 1, 0, 0): 1})
     assert OreOperator.zero() + T == T
 
 
 def test_commutation_sn_times_n():
-    assert SN * N == OreOperator({(1, 0, 0): N + 1})
+    assert SN * N == OreOperator({(1, 0, 0, 1, 0, 0): 1, (0, 0, 0, 1, 0, 0): 1})
 
 
 def test_rewrite_identity_two_ways():
-    lhs = OreOperator.from_poly(I) * (SI - 1)
-    rhs = (SI - 1) * OreOperator.from_poly(I - 1) - 1
+    lhs = I * (SI - 1)
+    rhs = (SI - 1) * (I - 1) - 1
     assert lhs == rhs
-    assert lhs == OreOperator({(0, 1, 0): I, (0, 0, 0): -I})
+    assert lhs == OreOperator({(0, 1, 0, 0, 1, 0): 1, (0, 1, 0, 0, 0, 0): -1})
 
 
 def test_randomized_rewrite_identity():
     # x (S_x - 1) = (S_x - 1)(x - 1) - 1 generalizes to every variable
     pairs = [("i", SI, I), ("j", SJ, J), ("n", SN, N)]
     for _, s, x in pairs:
-        assert OreOperator.from_poly(x) * (s - 1) == (s - 1) * OreOperator.from_poly(x - 1) - 1
+        assert x * (s - 1) == (s - 1) * (x - 1) - 1
 
 
 def test_one_is_identity():
-    assert OreOperator.one() * T == T
-    assert T * OreOperator.one() == T
+    assert OreOperator.const(1) * T == T
+    assert T * OreOperator.const(1) == T
 
 
 def test_noncommutativity_witness():
-    assert SN * N != OreOperator.from_poly(N) * SN
-    assert SN * N - OreOperator.from_poly(N) * SN == SN
+    assert SN * N != N * SN
+    assert SN * N - N * SN == SN
 
 
 def test_commutation_general_shift_powers():
+    # S_x^e p = p(x + e) S_x^e, checked against the reference application
+    # S_x^e (p f) at rational points, and the product stays a polynomial
+    # times S_x^e
     rng = random.Random(5)
     from test_exactmath import random_poly
 
+    oracle = PolynomialOracle()
     for _ in range(100):
         p = random_poly(rng)
         e = rng.randint(0, 3)
-        var = rng.choice(["n", "i", "j"])
-        s = OreOperator.shift({"n": "Sn", "i": "Si", "j": "Sj"}[var], e)
-        lhs = s * OreOperator.from_poly(p)
-        rhs = OreOperator.from_poly(p.substitute_shift(var, e)) * s
-        assert lhs == rhs
+        s = OreOperator.shift(rng.choice(["Sn", "Si", "Sj"]), e)
+        product = s * p
+        assert all(key[3:] == s.leading_monomial() for key in product.terms)
+        pt = random_point(rng)
+        want = fraction_apply_at(s.terms, Applied(p.terms, oracle), *pt)
+        assert product.apply_at(oracle, *pt) == want
+
+
+def test_product_matches_composition_reference():
+    # (a b) f = a (b f): the left side applies the computed product, the
+    # right side applies b and then a by Fraction sums, with no product
+    rng = random.Random(29)
+    oracle = PolynomialOracle()
+    for _ in range(150):
+        a = random_operator(rng, max_terms=4, max_shift=3, max_exp=3)
+        b = random_operator(rng, max_terms=4, max_shift=3, max_exp=3)
+        for _ in range(3):
+            pt = random_point(rng)
+            want = fraction_apply_at(a.terms, Applied(b.terms, oracle), *pt)
+            assert fraction_apply_at((a * b).terms, oracle, *pt) == want, (a, b, pt)
 
 
 def test_associativity_random():
@@ -97,7 +117,7 @@ def test_associativity_random():
 
 def test_apply_examples(gessel_oracle):
     assert T.is_zero_on(gessel_oracle, Box.cube(10))
-    identity = OreOperator.one()
+    identity = OreOperator.const(1)
     for pt in Box((0, 3), (0, 3), (0, 3)).points():
         assert identity.apply_at(gessel_oracle, *pt) == gessel_oracle.value(*pt)
     assert SN.apply_at(gessel_oracle, 1, 0, 0) == 2  # f(2;0,0)
@@ -110,10 +130,11 @@ def test_apply_linearity(gessel_oracle):
     for _ in range(20):
         r1, r2 = random_operator(rng), random_operator(rng)
         a, b = random_poly(rng), random_poly(rng)
-        combo = OreOperator.from_poly(a) * r1 + OreOperator.from_poly(b) * r2
+        combo = a * r1 + b * r2
         for pt in [(2, 1, 1), (4, 0, 2), (6, 3, 0)]:
             lhs = combo.apply_at(gessel_oracle, *pt)
-            rhs = a.eval(*pt) * r1.apply_at(gessel_oracle, *pt) + b.eval(*pt) * r2.apply_at(
+            a_value, b_value = a.apply_at(Ones(), *pt), b.apply_at(Ones(), *pt)
+            rhs = a_value * r1.apply_at(gessel_oracle, *pt) + b_value * r2.apply_at(
                 gessel_oracle, *pt
             )
             assert lhs == rhs
@@ -131,32 +152,30 @@ def test_apply_at_matches_fraction_sum(gessel_oracle):
 
     rng = random.Random(37)
     for _ in range(60):
-        op = OreOperator(
-            {
-                tuple(rng.randint(0, 2) for _ in range(3)): random_wide_poly(rng, max_exp=2)
-                for _ in range(rng.randint(1, 4))
-            }
-        )
+        op = OreOperator.zero()
+        for _ in range(rng.randint(1, 4)):
+            shift = OreOperator({(0, 0, 0) + tuple(rng.randint(0, 2) for _ in range(3)): 1})
+            op += random_wide_poly(rng, max_exp=2) * shift
         for _ in range(3):
             pt = tuple(rng.randint(0, 8) for _ in range(3))
             value = op.apply_at(gessel_oracle, *pt)
             assert type(value) is int
             assert value == fraction_apply_at(op.terms, gessel_oracle, *pt), (op, pt)
-            pt = tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(3))
+            pt = random_point(rng)
             want = fraction_apply_at(op.terms, PolynomialOracle(), *pt)
             assert op.apply_at(PolynomialOracle(), *pt) == want, (op, pt)
 
 
 def test_div_rem_examples():
     u, v = div_rem(T, T)
-    assert u == OreOperator.one() and v.is_zero()
-    u, v = div_rem(OreOperator.from_poly(N) * T, T)
-    assert u == OreOperator.from_poly(N) and v.is_zero()
+    assert u == OreOperator.const(1) and v.is_zero()
+    u, v = div_rem(N * T, T)
+    assert u == N and v.is_zero()
     u, v = div_rem(SJ, T)
     assert u.is_zero() and v == SJ
     # a leading coefficient of -1 is a unit of Z too
     u, v = div_rem(T, -T)
-    assert u == -OreOperator.one() and v.is_zero()
+    assert u == OreOperator.const(-1) and v.is_zero()
 
 
 def test_div_rem_round_trip_random():
@@ -172,7 +191,7 @@ def test_div_rem_round_trip_random():
 
 def test_div_rem_rejects_nonconstant_divisor():
     with pytest.raises(UnsupportedDivisorError):
-        div_rem(T, OreOperator.from_poly(N) * T)
+        div_rem(T, N * T)
     with pytest.raises(UnsupportedDivisorError):
         div_rem(T, OreOperator.zero())
     # over Z the quotient by 2 T is not integral: refused, not rounded
@@ -187,7 +206,7 @@ def test_apply_beyond_table_deepens_it():
     for i in range(4):
         assert T.apply_at(oracle, 10, i, 0) == T.apply_at(deep, 10, i, 0) == 0
     assert oracle.n_max == 11
-    x = OreOperator({(2, 0, 0): N + 1, (0, 1, 1): I})
+    x = (N + 1) * OreOperator.shift("Sn", 2) + I * SI * SJ
     assert x.apply_at(oracle, 10, 1, 1) == x.apply_at(deep, 10, 1, 1) != 0
     assert oracle.n_max == 12
 
@@ -201,17 +220,17 @@ def test_left_ideal_closure(gessel_oracle):
 
 
 def test_substitute_zero_examples():
-    op = OreOperator({(0, 1, 0): I, (1, 0, 0): N})
-    assert op.substitute_zero(("i", "j")) == OreOperator({(1, 0, 0): N})
+    op = I * SI + N * SN
+    assert op.substitute_zero(("i", "j")) == N * SN
     assert T.substitute_zero(("i", "j")) == T
-    assert OreOperator({(0, 1, 0): I + 1}).substitute_zero(("i",)) == SI
+    assert ((I + 1) * SI).substitute_zero(("i",)) == SI
 
 
 def test_degrees_examples():
     d = T.degrees()
     assert (d.ord_sn, d.ord_si, d.ord_sj) == (1, 2, 2)
     assert d.total_poly_deg == 0
-    op = OreOperator({(3, 0, 0): N * N * I})
+    op = N * N * I * OreOperator.shift("Sn", 3)
     d = op.degrees()
     assert (d.deg_n, d.deg_i, d.ord_sn) == (2, 1, 3)
     assert OreOperator.zero().degrees().empty
@@ -219,14 +238,16 @@ def test_degrees_examples():
 
 def test_monomial_orders():
     assert T.leading_monomial() == (1, 1, 1)
-    assert OreOperator({(0, 5, 5): 1, (1, 0, 0): 1}).leading_monomial() == (1, 0, 0)
+    op = OreOperator({(0, 0, 0, 0, 5, 5): 1, (0, 0, 0, 1, 0, 0): 1})
+    assert op.leading_monomial() == (1, 0, 0)
+    assert (N * N * SI + SN).leading_monomial() == (1, 0, 0)
 
 
 def test_normalized_form():
-    op = OreOperator({(1, 0, 0): -2 * N * I, (0, 0, 0): -4 * I})
+    op = -2 * N * I * SN - 4 * I
     norm = op.normalized()
     # content 2 and the common monomial factor i removed; leading positive
-    assert norm == OreOperator({(1, 0, 0): N, (0, 0, 0): MultiPoly.const(2)})
+    assert norm == N * SN + 2
 
 
 def rational_operator_json(terms):
@@ -265,7 +286,7 @@ def test_json_round_trip_bit_exact():
     data["terms"][0]["coeff"][0].update(num="2", den="4")
     data["terms"][1]["coeff"][1].update(num="-5", den="-3")
     op = operator_from_json(data)
-    assert op == OreOperator({(1, 0, 0): 21 * N, (0, 0, 0): 18 + 70 * I})
+    assert op == 21 * N * SN + 18 + 70 * I
     assert json.dumps(operator_to_json(op)).count('"den": "1"') == 3
 
 
@@ -275,6 +296,12 @@ def test_json_rejects_malformed():
     data = operator_to_json(T)
     data["terms"][1]["coeff"][0]["den"] = "0"
     message = f"zero denominator in the coefficient of shift {tuple(data['terms'][1]['shift'])}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        operator_from_json(data)
+    # a monomial repeated in one coefficient is an error, not the last copy
+    data = operator_to_json(SN)
+    data["terms"][0]["coeff"] += [{"exp": [0, 0, 0], "num": "2", "den": "1"}]
+    message = "duplicate exponent (0, 0, 0) in the coefficient of shift (1, 0, 0)"
     with pytest.raises(ValueError, match=re.escape(message)):
         operator_from_json(data)
 
@@ -288,11 +315,11 @@ def test_json_rejects_malformed():
 )
 def test_json_integer_fields_are_not_truncated(field, value):
     # "num": 1.5 and "exp": [1.9, 0, 0] once loaded as 1 and n
-    data = operator_to_json(OreOperator({(1, 0, 0): 1, (0, 0, 0): -N}))
+    data = operator_to_json(SN - N)
     target = data["terms"][0] if field == "shift" else data["terms"][0]["coeff"][0]
     target[field] = value
     with pytest.raises(ValueError, match="expected an integer"):
         operator_from_json(data)
     # ints and decimal strings with a sign are read
     target[field] = {"num": "-1", "den": 1, "exp": [1, 0, 0], "shift": [0, 0, 0]}[field]
-    assert operator_from_json(data) == OreOperator({(1, 0, 0): 1, (0, 0, 0): -N})
+    assert operator_from_json(data) == SN - N

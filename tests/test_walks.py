@@ -93,9 +93,9 @@ def test_oracle_zero_extension_and_range():
 def test_trivial_operator_gessel_display():
     t = trivial_operator(GESSEL)
     assert t.support() == [(0, 0, 0), (0, 0, 1), (0, 2, 1), (0, 2, 2), (1, 1, 1)]
-    assert t.terms[(1, 1, 1)].constant_value() == 1
+    assert t.terms[(0, 0, 0, 1, 1, 1)] == 1
     for exp in [(0, 0, 0), (0, 0, 1), (0, 2, 1), (0, 2, 2)]:
-        assert t.terms[exp].constant_value() == -1
+        assert t.terms[(0, 0, 0) + exp] == -1
 
 
 def test_trivial_operator_kreweras_annihilates():
@@ -107,9 +107,7 @@ def test_trivial_operator_kreweras_annihilates():
 
 def test_trivial_operator_single_step():
     t = trivial_operator(parse_step_set("E"))
-    assert t == OreOperator(
-        {(1, 1, 0): 1, (0, 0, 0): -1}
-    )
+    assert t == OreOperator({(0, 0, 0, 1, 1, 0): 1, (0, 0, 0, 0, 0, 0): -1})
 
 
 def test_trivial_operator_annihilates_gessel():
