@@ -50,7 +50,6 @@ from .certify import (
 from .eliminate import (
     EliminationError,
     EliminationFailure,
-    ModuleVector,
     UniOperator,
     VerificationError,
     eliminate_shifts,
@@ -90,7 +89,6 @@ __all__ = [
     "HypergeomTerm",
     "KREWERAS",
     "LinearSystem",
-    "ModuleVector",
     "OreOperator",
     "StepSet",
     "StepSetParseError",

@@ -53,7 +53,7 @@ from .guess import (
     nullspace,
     plan_points,
 )
-from .ore import operator_from_json, operator_to_json
+from .ore import json_int, operator_from_json, operator_to_json
 from .walks import (
     GESSEL,
     KREWERAS,
@@ -77,8 +77,8 @@ def _progress(msg: str):
 
 def parse_bounds(text: str) -> Bounds:
     """Parse 'deg_n=2,deg_i=2,...,ord_sj=1[,total=4]' into Bounds; a key
-    given twice (``total`` and ``total_poly_deg`` are one key) raises
-    TemplateError."""
+    given twice (``total`` and ``total_poly_deg`` are one key) or a value
+    that is not a decimal integer (``json_int``) raises TemplateError."""
     fields = {}
     for item in text.split(","):
         item = item.strip()
@@ -96,7 +96,10 @@ def parse_bounds(text: str) -> Bounds:
             raise TemplateError(f"unknown bounds key {key!r}")
         if key in fields:
             raise TemplateError(f"bounds key {key!r} given twice")
-        fields[key] = int(value)
+        try:
+            fields[key] = json_int(value.strip())
+        except ValueError:
+            raise TemplateError(f"bounds key {key!r}: {value!r} is not an integer") from None
     return Bounds(**fields)
 
 
@@ -236,8 +239,8 @@ def _load(path: str, parse):
     """Read an operator file with ``parse`` (``operator_from_json`` or
     ``uni_from_json``), unwrapping an ``"operator"`` key.  A file that is
     not a JSON object, whose object lacks a field or holds one of the
-    wrong type, or that the reader rejects, raises ValueError naming the
-    file."""
+    wrong type, that the reader rejects, or that holds the zero operator
+    (which every sequence satisfies) raises ValueError naming the file."""
     with open(path) as fh:
         data = json.load(fh)
     if isinstance(data, dict):
@@ -245,11 +248,14 @@ def _load(path: str, parse):
     if not isinstance(data, dict):
         raise ValueError(f"{path}: expected a JSON object, not {type(data).__name__}")
     try:
-        return parse(data)
+        op = parse(data)
     except (KeyError, TypeError) as e:
         raise ValueError(f"{path}: malformed operator ({type(e).__name__}: {e})") from e
     except ValueError as e:
         raise ValueError(f"{e} (in {path})") from e
+    if op.is_zero():
+        raise ValueError(f"{path}: the file holds the zero operator")
+    return op
 
 
 @main.command()
@@ -262,8 +268,6 @@ def certify(steps, operator_file, margin, out):
     config = PipelineConfig(steps=steps, certify_margin=margin)
     step_set = parse_step_set(steps)
     op = _load(operator_file, operator_from_json)
-    if op.is_zero():
-        raise ValueError("operator file holds the zero operator")
     oracle = cached_table(step_set)
     cert = certify_operator(op, trivial_operator(step_set), oracle, margin)
     report = {
@@ -314,19 +318,11 @@ def eliminate(steps, operator_files, multiplier_bound, diag_limit, out):
 
 def _validate_recurrence(op: UniOperator, step_set: StepSet, n_check: int) -> int | None:
     """Oracle gate for imported recurrences: the first n in 0..n_check at
-    which the recurrence fails on the origin sequence, or None."""
+    which the recurrence fails on the origin sequence, or None.  Each
+    caller first requires an order below n_check, so that the check covers
+    at least one window, and names its own option when it is not."""
     seq = origin_sequence(step_set, n_check)
     return op.first_failure(seq, range(n_check - op.order() + 1))
-
-
-def _load_recurrence(path: str) -> UniOperator:
-    """Read a recurrence file; the operator must be nonzero.  Each caller
-    requires an order below the length it checks, so that the sequence
-    check covers at least one window, and names its own option."""
-    op = _load(path, uni_from_json)
-    if op.is_zero():
-        raise ValueError("recurrence file holds the zero operator")
-    return op
 
 
 @main.command("import-recurrence")
@@ -339,7 +335,7 @@ def import_recurrence(recurrence_file, steps, n_check, out):
     """Load an externally supplied recurrence, validate it against the
     counting oracle, and emit it in normalized form."""
     config = PipelineConfig(steps=steps, diag_limit=n_check)
-    op = _load_recurrence(recurrence_file)
+    op = _load(recurrence_file, uni_from_json)
     if op.order() >= n_check:
         raise ValueError("--n-check must exceed the recurrence order")
     bad = _validate_recurrence(op, parse_step_set(steps), n_check)
@@ -403,7 +399,7 @@ def prove(steps, which, import_file, bounds, shape, margin, certify_margin,
     step_set = parse_step_set(steps)
 
     if import_file:
-        p = _load_recurrence(import_file)
+        p = _load(import_file, uni_from_json)
         if p.order() >= diag_limit:
             raise ValueError("--diag-limit must exceed the recurrence order")
         bad = _validate_recurrence(p, step_set, diag_limit)

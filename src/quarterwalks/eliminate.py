@@ -8,8 +8,9 @@ coefficient left-divisible by i or j reduces to zero, useful multiples of
 a generator are taken by shift monomials S_i^a S_j^b *before* reducing;
 multiplication by i or j from the left is exactly the operation that is
 no longer available after reduction.  The operators have integer
-coefficients, so every vector has its components in Z[n][S_n]; its span
-is taken over Q(n)[S_n].
+coefficients, so every component lies in Z[n][S_n]; the span is taken
+over Q(n)[S_n].  A module vector is the plain dict {(e5, e6): {k: IPoly}}
+(``Vector``), and that dict is also the echelon's row.
 
 A combination of these vectors, with coefficients in Q(n)[S_n], that is
 concentrated in the component (0,0) corresponds to an annihilator of the
@@ -28,11 +29,11 @@ position makes it the minimal-order such element of the module span.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from .exactmath import (
+    IPoly,
     ipoly_content,
     ipoly_divexact,
     ipoly_divexact_poly,
@@ -47,6 +48,11 @@ from .exactmath import (
 from .ore import OreOperator, json_int
 
 Pos = tuple[int, int]
+# A module vector, which is also a row of the echelon: each position
+# (e5, e6) maps to its component in Z[n][S_n] as {S_n power: IPoly}.  A
+# vector holds no empty component and no zero polynomial; ``_row_clean``
+# restores that after each echelon step.
+Vector = dict[Pos, dict[int, IPoly]]
 
 
 class EliminationError(RuntimeError):
@@ -75,38 +81,31 @@ class VerificationError(RuntimeError):
 
 
 class UniOperator:
-    """An element of Z[n][S_n]: a map from S_n powers to integer
-    polynomials in n (``IPoly`` lists, low degree first).
+    """An element of Z[n][S_n] that stands for the recurrence it defines: a
+    map from S_n powers to integer polynomials in n (``IPoly`` lists, low
+    degree first).
 
-    The terms are stored exactly as given, with zero polynomials dropped;
-    equality compares them.  An element of Q(n)[S_n] is represented after
-    clearing its denominators, and ``cleared()`` gives the form shared by
-    all its nonzero multiples in Q: primitive, with the leading
-    coefficient's leading integer positive.
+    A nonzero factor in Q leaves a recurrence unchanged, so the terms are
+    stored in one form, the cleared one: zero polynomials dropped, divided
+    by their integer content, and signed so that the leading coefficient's
+    leading integer is positive.  An element of Q(n)[S_n] is represented
+    after clearing its denominators.  Equality therefore holds up to a
+    nonzero rational factor.  Instances are immutable."""
 
-    Instances are immutable, so the cleared form is computed once, on
-    first use, and kept."""
+    __slots__ = ("_terms",)
 
-    __slots__ = ("_terms", "_cleared")
-
-    def __init__(self, terms: dict[int, list[int]] | None = None):
-        clean: dict[int, list[int]] = {}
+    def __init__(self, terms: dict[int, IPoly] | None = None):
+        clean: dict[int, IPoly] = {}
         for k, p in (terms or {}).items():
             p = ipoly_trim(list(p))
             if p:
                 if k < 0:
                     raise ValueError("negative shift power")
                 clean[int(k)] = p
-        self._terms = clean
-        self._cleared: dict[int, list[int]] | None = None
-
-    @classmethod
-    def zero(cls) -> "UniOperator":
-        return cls()
-
-    @property
-    def terms(self) -> dict[int, list[int]]:
-        return {k: list(p) for k, p in self._terms.items()}
+        g = math.gcd(*(ipoly_content(p) for p in clean.values()))
+        if clean and clean[max(clean)][-1] < 0:
+            g = -g
+        self._terms = {k: ipoly_divexact(p, g) for k, p in clean.items()}
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -126,29 +125,17 @@ class UniOperator:
         """Largest S_n power; -1 for the zero operator."""
         return max(self._terms) if self._terms else -1
 
-    def cleared(self) -> dict[int, list[int]]:
-        """The terms divided by their integer content, signed so that the
-        leading coefficient's leading integer is positive.  The caller owns
-        the returned dict and lists."""
-        return {k: list(p) for k, p in self._cleared_form().items()}
+    def cleared(self) -> dict[int, IPoly]:
+        """A copy of the terms, which the caller owns."""
+        return {k: list(p) for k, p in self._terms.items()}
 
-    def _cleared_form(self) -> dict[int, list[int]]:
-        """The cached cleared form, shared; never mutate it."""
-        if self._cleared is None:
-            g = math.gcd(*(ipoly_content(p) for p in self._terms.values()))
-            if self._terms and self._terms[self.order()][-1] < 0:
-                g = -g
-            self._cleared = {k: ipoly_divexact(p, g) for k, p in self._terms.items()}
-        return self._cleared
-
-    def leading_cleared(self) -> list[int]:
-        c = self._cleared_form()
-        return list(c[max(c)]) if c else []
+    def leading_cleared(self) -> IPoly:
+        return list(self._terms[self.order()]) if self._terms else []
 
     def apply_to_sequence(self, seq: Sequence, n: int) -> int:
         """Sum of cleared coefficients times sequence values at one index."""
         total = 0
-        for k, p in self._cleared_form().items():
+        for k, p in self._terms.items():
             total += ipoly_eval(p, n) * seq[n + k]
         return total
 
@@ -160,9 +147,6 @@ class UniOperator:
         if self.is_zero():
             raise ValueError("the zero operator annihilates every sequence")
         return next((n for n in n_range if self.apply_to_sequence(seq, n) != 0), None)
-
-    def annihilates(self, seq: Sequence, n_range: Iterable[int]) -> bool:
-        return self.first_failure(seq, n_range) is None
 
     def __repr__(self):
         if not self._terms:
@@ -193,16 +177,11 @@ def _ipoly_str(p: list[int]) -> str:
 
 
 def uni_to_json(op: UniOperator) -> dict:
-    """Serialize the stored integer terms (written as fractions over the
-    denominator 1) together with the cleared form."""
-    terms = [
-        {"power": k, "num": [str(c) for c in p], "den": ["1"]}
-        for k, p in sorted(op.terms.items())
-    ]
-    cleared = [
-        {"power": k, "coeffs": [str(c) for c in poly]}
-        for k, poly in sorted(op.cleared().items())
-    ]
+    """Serialize the terms twice: as fractions over the denominator 1, and
+    as the ``"cleared"`` integer form that readers check them against."""
+    items = sorted(op.cleared().items())
+    terms = [{"power": k, "num": [str(c) for c in p], "den": ["1"]} for k, p in items]
+    cleared = [{"power": k, "coeffs": [str(c) for c in p]} for k, p in items]
     return {"var": "n", "shift": "Sn", "terms": terms, "cleared": cleared}
 
 
@@ -263,7 +242,6 @@ def uni_from_json(data: dict) -> UniOperator:
             for k, (num, den) in reduced.items()
         }
     )
-    cleared = op.cleared()
     if "cleared" in data:
         stated: dict[int, list[int]] = {}
         for entry in data["cleared"]:
@@ -271,9 +249,9 @@ def uni_from_json(data: dict) -> UniOperator:
             if k in stated:
                 raise ValueError(f"duplicate cleared power {k}")
             stated[k] = [json_int(c) for c in entry["coeffs"]]
-        if stated != cleared:
+        if stated != op.cleared():
             raise ValueError("cleared form does not match the rational terms")
-    return UniOperator(cleared)
+    return op
 
 
 # ---------------------------------------------------------------------------
@@ -288,60 +266,29 @@ def pos_key(pos: Pos):
     return (1, pos[0] + pos[1], pos[0])
 
 
-@dataclass
-class ModuleVector:
-    """Components over the shift-monomial index set."""
-
-    components: dict[Pos, UniOperator]
-
-    def __post_init__(self):
-        self.components = {
-            p: u for p, u in self.components.items() if not u.is_zero()
-        }
-
-    def is_zero(self) -> bool:
-        return not self.components
-
-    def positions(self) -> list[Pos]:
-        return sorted(self.components, key=pos_key, reverse=True)
-
-    def __eq__(self, other):
-        if isinstance(other, ModuleVector):
-            return self.components == other.components
-        return NotImplemented
-
-
-def reduce_mod_ij(op: OreOperator) -> ModuleVector:
+def reduce_mod_ij(op: OreOperator) -> Vector:
     """Reduction modulo the right ideal i*A + j*A: substitute i = j = 0 in
     the left coefficients, that is keep the terms free of i and j, and
     regroup them by the S_i, S_j exponents; the components lie in
-    Z[n][S_n] as the operator's coefficients do."""
-    comps: dict[Pos, dict[int, list[int]]] = {}
+    Z[n][S_n] as the operator's coefficients do.  Every polynomial gets
+    its top coefficient from a nonzero term, so none is zero."""
+    comps: Vector = {}
     for (dn, di, dj, e4, e5, e6), c in op.terms.items():
         if di == dj == 0:
             poly = comps.setdefault((e5, e6), {}).setdefault(e4, [])
             poly.extend([0] * (dn + 1 - len(poly)))
             poly[dn] = c
-    return ModuleVector({pos: UniOperator(t) for pos, t in comps.items()})
+    return comps
 
 
 # ---------------------------------------------------------------------------
 # Fraction-free echelon over Q(n)[S_n]
 # ---------------------------------------------------------------------------
 
-# Internal row form: dict[Pos -> dict[int -> list[int]]] with integer
-# polynomial coefficients, globally primitive.
+# A row is a ``Vector``; the echelon keeps each one globally primitive.
 
 
-def _row_from_vector(v: ModuleVector) -> dict:
-    return _row_normalize({pos: u.terms for pos, u in v.components.items()})
-
-
-def _row_is_zero(row: dict) -> bool:
-    return not row
-
-
-def _row_clean(row: dict) -> dict:
+def _row_clean(row: Vector) -> Vector:
     out = {}
     for pos, comp in row.items():
         comp2 = {k: p for k, p in comp.items() if p}
@@ -350,13 +297,13 @@ def _row_clean(row: dict) -> dict:
     return out
 
 
-def _row_lead(row: dict) -> tuple[Pos, int, list[int]]:
+def _row_lead(row: Vector) -> tuple[Pos, int, list[int]]:
     pos = max(row, key=pos_key)
     k = max(row[pos])
     return pos, k, row[pos][k]
 
 
-def _row_normalize(row: dict) -> dict:
+def _row_normalize(row: Vector) -> Vector:
     """Divide the row by the gcd over Z of all its polynomials (integer
     content and any common polynomial factor, one ``ipoly_gcd_cofactors``
     call); make the leading polynomial's leading coefficient positive."""
@@ -375,14 +322,14 @@ def _row_normalize(row: dict) -> dict:
     return row
 
 
-def _row_scale_poly(row: dict, q: list[int]) -> dict:
+def _row_scale_poly(row: Vector, q: list[int]) -> Vector:
     return {
         pos: {k: ipoly_mul(p, q) for k, p in comp.items()}
         for pos, comp in row.items()
     }
 
 
-def _row_shift_sn(row: dict, delta: int) -> dict:
+def _row_shift_sn(row: Vector, delta: int) -> Vector:
     if delta == 0:
         return row
     return {
@@ -391,7 +338,7 @@ def _row_shift_sn(row: dict, delta: int) -> dict:
     }
 
 
-def _row_sub(a: dict, b: dict) -> dict:
+def _row_sub(a: Vector, b: Vector) -> Vector:
     out = {pos: dict(comp) for pos, comp in a.items()}
     for pos, comp in b.items():
         tgt = out.setdefault(pos, {})
@@ -400,7 +347,7 @@ def _row_sub(a: dict, b: dict) -> dict:
     return _row_clean(out)
 
 
-def _reduce_leading(u: dict, w: dict) -> dict:
+def _reduce_leading(u: Vector, w: Vector) -> Vector:
     """One gcd-reduced fraction-free cancellation of u's leading term by
     pivot w (same leading position, u's S_n degree >= w's).
 
@@ -426,17 +373,17 @@ def _reduce_leading(u: dict, w: dict) -> dict:
     return _row_sub(left, right)
 
 
-def _lead_rank(row: dict):
+def _lead_rank(row: Vector):
     pos, k, _ = _row_lead(row)
     return pos_key(pos), k
 
 
-def _row_sort_key(row: dict):
+def _row_sort_key(row: Vector):
     pos, k, lead = _row_lead(row)
     return (pos_key(pos), k, len(lead))
 
 
-def _echelonize(rows: list[dict]) -> dict[Pos, dict]:
+def _echelonize(rows: list[Vector]) -> dict[Pos, Vector]:
     """Euclidean echelon under the position-over-term order.
 
     Every operation replaces a row by an invertible Q(n)[S_n]-combination,
@@ -452,10 +399,9 @@ def _echelonize(rows: list[dict]) -> dict[Pos, dict]:
     supported on (0,0) only, and by the Euclidean reduction it has minimal
     S_n-order among all such elements of the span.
     """
-    pivots: dict[Pos, dict] = {}
-    queue = sorted((r for r in rows if not _row_is_zero(r)), key=_row_sort_key)
-    for row in queue:
-        while not _row_is_zero(row):
+    pivots: dict[Pos, Vector] = {}
+    for row in sorted(rows, key=_row_sort_key):
+        while row:
             pos, k, _ = _row_lead(row)
             w = pivots.get(pos)
             if w is None:
@@ -475,10 +421,6 @@ def _echelonize(rows: list[dict]) -> dict[Pos, dict]:
     return pivots
 
 
-def _row_to_uni(row: dict, pos: Pos) -> UniOperator:
-    return UniOperator(row.get(pos, {}))
-
-
 # ---------------------------------------------------------------------------
 # The pipeline
 # ---------------------------------------------------------------------------
@@ -496,11 +438,11 @@ def _multiple_bounds(op: OreOperator, bound: Optional[int]) -> tuple[int, int]:
 
 def generate_module(
     ops: Sequence[OreOperator], multiplier_bound: Optional[int] = None
-) -> tuple[list[ModuleVector], bool]:
-    """Reduce each generator and its shift-monomial multiples
-    S_i^a S_j^b into module vectors, every component kept.  The multiples
-    of a generator run over a <= deg_i and b <= deg_j, each capped by
-    ``multiplier_bound`` when one is given.
+) -> tuple[list[Vector], bool]:
+    """Reduce each nonzero generator and its shift-monomial multiples
+    S_i^a S_j^b into module vectors, every component kept; zero vectors are
+    left out.  The multiples of a generator run over a <= deg_i and
+    b <= deg_j, each capped by ``multiplier_bound`` when one is given.
 
     Returns (vectors, False).  Nothing is ever dropped; the constant
     second entry keeps the pair that ``bench/tracing.py`` unpacks.
@@ -509,28 +451,31 @@ def generate_module(
         raise EliminationError("no generators given")
     if multiplier_bound is not None and multiplier_bound < 0:
         raise ValueError("multiplier_bound must be >= 0")
-    vectors: list[ModuleVector] = []
+    vectors: list[Vector] = []
     for op in ops:
+        if op.is_zero():
+            continue
         a_max, b_max = _multiple_bounds(op, multiplier_bound)
         for a in range(a_max + 1):
             for b in range(b_max + 1):
                 vec = reduce_mod_ij(OreOperator({(0, 0, 0, 0, a, b): 1}) * op)
-                if not vec.is_zero():
+                if vec:
                     vectors.append(vec)
     if not vectors:
         raise EliminationError("all generators reduce to zero")
     return vectors, False
 
 
-def eliminate_shifts(vectors: Sequence[ModuleVector]) -> tuple[Optional[UniOperator], dict]:
+def eliminate_shifts(vectors: Sequence[Vector]) -> tuple[Optional[UniOperator], dict]:
     """Echelonize and extract the pivot concentrated on component (0,0).
+    The vectors are read, never changed; zero vectors are skipped.
 
     Returns (operator, diagnostics); the operator is None when no
     shift-free combination exists in the span.
     """
     if not vectors:
         raise EliminationError("empty vector list")
-    rows = [_row_from_vector(v) for v in vectors if not v.is_zero()]
+    rows = [row for row in map(_row_normalize, vectors) if row]
     positions = sorted({p for r in rows for p in r}, key=pos_key)
     pivots = _echelonize(rows)
     diag = {
@@ -541,7 +486,7 @@ def eliminate_shifts(vectors: Sequence[ModuleVector]) -> tuple[Optional[UniOpera
     hit = pivots.get((0, 0))
     if hit is None:
         return None, diag
-    return _row_to_uni(hit, (0, 0)), diag
+    return UniOperator(hit[(0, 0)]), diag
 
 
 def takayama_pipeline(

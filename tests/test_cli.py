@@ -52,6 +52,11 @@ def test_parse_bounds_round_trip():
         parse_bounds("deg_n=0,deg_n=1")
     with pytest.raises(TemplateError, match="'total_poly_deg' given twice"):
         parse_bounds("total=1,total_poly_deg=2")
+    # a value is a decimal integer, read as strictly as the file readers do
+    assert parse_bounds("deg_n=+1, deg_i= 2") == Bounds(deg_n=1, deg_i=2)
+    for value in ("x", "1_0", "1.5", "", "0x3"):
+        with pytest.raises(TemplateError, match=f"bounds key 'deg_n': {value!r} is not an integer"):
+            parse_bounds(f"deg_n={value}")
 
 
 def test_count_values(runner):
@@ -384,12 +389,15 @@ _FILE_COMMANDS = {
 
 def _malformed(kind, payload):
     """A valid operator file of the reader's kind with its terms removed,
-    with the denominator of its first coefficient set to zero, or with a
-    monomial (ore) or a cleared power (uni) stated twice with different
-    values."""
+    with an empty term list (the zero operator), with the denominator of
+    its first coefficient set to zero, or with a monomial (ore) or a
+    cleared power (uni) stated twice with different values."""
     data = operator_to_json(trivial_operator(GESSEL)) if kind == "ore" else uni_to_json(PG)
     if payload == "no-terms":
         del data["terms"]
+    elif payload == "zero":
+        data["terms"] = []
+        data.pop("cleared", None)
     elif payload == "duplicate" and kind == "ore":
         data["terms"][1]["coeff"].append({"exp": [0, 0, 0], "num": "2", "den": "1"})
     elif payload == "duplicate":
@@ -411,18 +419,22 @@ def _one_error_line(r):
     return errors[0]
 
 
-@pytest.mark.parametrize("payload", ["list", "operator-list", "no-terms", "zero-den", "duplicate"])
+@pytest.mark.parametrize(
+    "payload", ["list", "operator-list", "no-terms", "zero", "zero-den", "duplicate"]
+)
 @pytest.mark.parametrize("command", list(_FILE_COMMANDS))
 def test_malformed_operator_file_exit_2_one_line(runner, tmp_path, command, payload):
     # the file reader rejects what is not an operator object, or holds a
-    # zero denominator, so every command that reads one gives the same
-    # one-line error
+    # zero denominator or the zero operator, so every command that reads
+    # one gives the same one-line error
     args, kind = _FILE_COMMANDS[command]
     data = {"list": [1, 2], "operator-list": {"operator": [1]}}.get(payload)
     path = write_json(tmp_path / "bad.json", data if data is not None else _malformed(kind, payload))
     r = runner.invoke(main, [a.format(f=path) for a in args])
     line = _one_error_line(r)
     assert path in line
+    if payload == "zero":
+        assert line == f"error: {path}: the file holds the zero operator"
     if payload == "zero-den":
         assert "zero denominator" in line
         if kind == "ore":
@@ -459,6 +471,15 @@ _OPERATIONAL_ERRORS = {
     "guess-repeated-bounds": (
         ["guess", "--steps", "W,S,NE", "--bounds", "deg_n=0,deg_n=1", "--out", "{tmp}/cands"],
         None, "'deg_n' given twice",
+    ),
+    "guess-bounds-not-integer": (
+        ["guess", "--steps", "W,S,NE", "--bounds", "deg_n=x", "--out", "{tmp}/cands"],
+        None, "bounds key 'deg_n': 'x' is not an integer",
+    ),
+    "prove-bounds-digit-separator": (
+        ["prove", "--steps", "W,S,NE", "--closed-form", "kreweras",
+         "--bounds", "deg_n=1_0", "--out", "{tmp}/report.json"],
+        None, "bounds key 'deg_n': '1_0' is not an integer",
     ),
     "prove-repeated-bounds": (
         ["prove", "--steps", "W,S,NE", "--closed-form", "kreweras",

@@ -1,3 +1,4 @@
+import copy
 import json
 import math
 import random
@@ -10,7 +11,6 @@ from quarterwalks import (
     EliminationFailure,
     GESSEL,
     KREWERAS,
-    ModuleVector,
     OreOperator,
     UniOperator,
     VerificationError,
@@ -54,54 +54,63 @@ SI = OreOperator.shift("Si")
 P0 = UniOperator({3: [54, 21, 2], 0: [-108, -162, -54]})
 
 
-def vector_as_ore(v: ModuleVector) -> OreOperator:
+def vector_as_ore(v: dict) -> OreOperator:
     """The operator sum of u(n, S_n) S_i^e5 S_j^e6 over the components u
     of a module vector at the positions (e5, e6)."""
     return OreOperator(
         {
             (d, 0, 0, k, e5, e6): c
-            for (e5, e6), u in v.components.items()
-            for k, p in u.terms.items()
+            for (e5, e6), comp in v.items()
+            for k, p in comp.items()
             for d, c in enumerate(p)
         }
     )
 
 
 def uni_as_ore(u: UniOperator) -> OreOperator:
-    return vector_as_ore(ModuleVector({(0, 0): u}))
+    return vector_as_ore({(0, 0): u.cleared()})
 
 
-def ore_as_uni(op: OreOperator) -> UniOperator:
-    """The element of Z[n][S_n] of an operator with integer coefficients
-    that is free of i, j, S_i and S_j."""
+def ore_as_comp(op: OreOperator) -> dict:
+    """The component {S_n power: IPoly} in Z[n][S_n] of an operator with
+    integer coefficients that is free of i, j, S_i and S_j."""
     terms = {}
     for (dn, di, dj, e4, e5, e6), c in op.terms.items():
         assert di == dj == e5 == e6 == 0
         poly = terms.setdefault(e4, [])
         poly.extend([0] * (dn + 1 - len(poly)))
         poly[dn] = c
-    return UniOperator(terms)
+    return terms
+
+
+def ore_as_uni(op: OreOperator) -> UniOperator:
+    return UniOperator(ore_as_comp(op))
 
 
 def test_reduce_examples():
     r = N * SN + I * SI
-    v = reduce_mod_ij(r)
-    assert set(v.components) == {(0, 0)}
-    assert v.components[(0, 0)].terms[1] == [0, 1]
+    assert reduce_mod_ij(r) == {(0, 0): {1: [0, 1]}}
 
     t = trivial_operator(GESSEL)
-    v = reduce_mod_ij(t)
-    expected = {
-        (1, 1): UniOperator({1: [1]}),
-        (2, 1): UniOperator({0: [-1]}),
-        (0, 1): UniOperator({0: [-1]}),
-        (2, 2): UniOperator({0: [-1]}),
-        (0, 0): UniOperator({0: [-1]}),
+    assert reduce_mod_ij(t) == {
+        (1, 1): {1: [1]},
+        (2, 1): {0: [-1]},
+        (0, 1): {0: [-1]},
+        (2, 2): {0: [-1]},
+        (0, 0): {0: [-1]},
     }
-    assert v.components == expected
 
     all_i = I * random_operator(random.Random(1), max_terms=4)
-    assert reduce_mod_ij(all_i).is_zero()
+    assert reduce_mod_ij(all_i) == {}
+
+
+def test_reduce_emits_no_empty_component_or_zero_polynomial():
+    rng = random.Random(72)
+    for _ in range(300):
+        r = random_operator(rng, max_terms=6)
+        shift = OreOperator({(0, 0, 0, 0, rng.randint(0, 2), rng.randint(0, 2)): 1})
+        for comp in reduce_mod_ij(shift * r).values():
+            assert comp and all(p and p[-1] for p in comp.values()), r
 
 
 def test_reduce_is_module_map():
@@ -122,15 +131,15 @@ def test_left_multiple_degeneracy():
     rng = random.Random(73)
     for _ in range(100):
         r = random_operator(rng, max_terms=4)
-        assert reduce_mod_ij(I * r).is_zero()
-        assert reduce_mod_ij(J * r).is_zero()
+        assert reduce_mod_ij(I * r) == {}
+        assert reduce_mod_ij(J * r) == {}
 
 
 def test_generate_module_pure_generator():
     r = (N + 1) * OreOperator.shift("Sn", 2) + 3
     vectors, dropped = generate_module([r])
     assert len(vectors) == 1 and not dropped
-    assert set(vectors[0].components) == {(0, 0)}
+    assert set(vectors[0]) == {(0, 0)}
 
 
 def test_generate_module_trivial_operator_single_vector():
@@ -147,8 +156,8 @@ def test_generate_module_multiples_differ():
     # substitution, so the two reductions differ
     assert len(vectors) == 2
     assert vectors[0] != vectors[1]
-    assert vectors[0].components == {(0, 0): UniOperator({0: [0, 1]})}
-    assert (2, 0) in vectors[1].components
+    assert vectors[0] == {(0, 0): {0: [0, 1]}}
+    assert (2, 0) in vectors[1]
 
 
 def test_generate_module_all_zero_errors():
@@ -161,22 +170,25 @@ def test_generate_module_all_zero_errors():
     assert vectors
     with pytest.raises(ValueError, match="multiplier_bound must be >= 0"):
         generate_module([r], multiplier_bound=-1)
+    # a zero generator is skipped, and alone it leaves nothing to reduce
+    assert generate_module([OreOperator.zero(), r]) == (vectors, False)
+    with pytest.raises(EliminationError, match="reduce to zero"):
+        generate_module([OreOperator.zero()])
 
 
 def test_eliminate_concentrated_vector_returned():
-    v = ModuleVector({(0, 0): P0})
-    res, diag = eliminate_shifts([v])
+    res, diag = eliminate_shifts([{(0, 0): P0.cleared()}])
     assert res is not None
     assert res.cleared() == P0.cleared()
 
 
 def test_eliminate_duplicate_vectors_no_change():
-    a = UniOperator({1: [1, 1], 0: [3]})
-    v1 = ModuleVector({(1, 0): a, (0, 0): P0})
+    a = {1: [1, 1], 0: [3]}
+    v1 = {(1, 0): a, (0, 0): P0.cleared()}
     res1, _ = eliminate_shifts([v1, v1])
     res2, _ = eliminate_shifts([v1])
     assert (res1 is None) == (res2 is None)
-    v2 = ModuleVector({(1, 0): a, (0, 0): UniOperator({0: [5]})})
+    v2 = {(1, 0): a, (0, 0): {0: [5]}}
     got_pair, _ = eliminate_shifts([v1, v2])
     got_dup, _ = eliminate_shifts([v1, v2, v2, v1])
     assert got_pair is not None and got_dup is not None
@@ -186,10 +198,10 @@ def test_eliminate_duplicate_vectors_no_change():
 def synthetic_vectors():
     """Two vectors whose difference is P0 at (0,0): the echelon has to
     cancel their shared leading term at (1,0)."""
-    a = UniOperator({1: [1, 1], 0: [3]})
-    b = UniOperator({2: [0, 2], 0: [5]})
-    b_minus_p0 = ore_as_uni(uni_as_ore(b) - uni_as_ore(P0))
-    return [ModuleVector({(1, 0): a, (0, 0): b}), ModuleVector({(1, 0): a, (0, 0): b_minus_p0})]
+    a = {1: [1, 1], 0: [3]}
+    b = {2: [0, 2], 0: [5]}
+    b_minus_p0 = ore_as_comp(vector_as_ore({(0, 0): b}) - uni_as_ore(P0))
+    return [{(1, 0): a, (0, 0): b}, {(1, 0): a, (0, 0): b_minus_p0}]
 
 
 def test_eliminate_synthetic_combination():
@@ -211,22 +223,21 @@ def test_eliminate_accepts_rational_coefficients():
          (0, 1, 0): {(0, 0, 0): Fraction(3, 7)}}
     half_p0 = {
         (k, 0, 0): {(d, 0, 0): Fraction(c, 2) for d, c in enumerate(p) if c}
-        for k, p in P0.terms.items()
+        for k, p in P0.cleared().items()
     }
     a_op = operator_from_json(rational_operator_json(a))
     sum_op = operator_from_json(rational_operator_json({**a, **half_p0}))
     assert a_op == (7 * N + 7) * SN * SI + 6 * SI
     assert sum_op == a_op + 7 * uni_as_ore(P0)
     v1, v2 = reduce_mod_ij(sum_op), reduce_mod_ij(a_op)
-    assert v1.components[(1, 0)] == UniOperator({1: [7, 7], 0: [6]})
-    assert v2.components[(1, 0)] == UniOperator({1: [7, 7], 0: [6]})
+    assert v1[(1, 0)] == {1: [7, 7], 0: [6]}
+    assert v2[(1, 0)] == {1: [7, 7], 0: [6]}
     res, _ = eliminate_shifts([v1, v2])
     assert res is not None and res.cleared() == P0.cleared()
 
 
 def test_eliminate_failure_returns_none():
-    v = ModuleVector({(1, 0): P0})
-    res, diag = eliminate_shifts([v])
+    res, diag = eliminate_shifts([{(1, 0): P0.cleared()}])
     assert res is None
     assert diag["pivot_positions"] == [(1, 0)]
 
@@ -254,10 +265,18 @@ def test_pipeline_reverifies_the_eliminated_operator():
 def test_kreweras_pipeline_end_to_end(kreweras_diagonal_500, kreweras_p_500):
     diagonal, p = kreweras_diagonal_500, kreweras_p_500
     assert p.order() >= 3
-    assert p.annihilates(diagonal, range(0, 501 - p.order()))
+    assert p.first_failure(diagonal, range(0, 501 - p.order())) is None
     # independent check against the closed-form recurrence's solutions:
     # P0 annihilates the same sequence
-    assert P0.annihilates(diagonal, range(0, 498))
+    assert P0.first_failure(diagonal, range(0, 498)) is None
+
+
+def test_eliminate_shifts_leaves_its_vectors_unchanged(kreweras_certified):
+    vectors, _ = generate_module(kreweras_certified, multiplier_bound=1)
+    before = copy.deepcopy(vectors)
+    p, _ = eliminate_shifts(vectors)
+    assert p is not None
+    assert vectors == before
 
 
 def random_rows(seed, count):
@@ -403,18 +422,31 @@ def test_generator_monotonicity(kreweras_certified, kreweras_p_500):
 
 
 def test_uni_cleared_primitive():
+    # the one stored form is the cleared one, so a recurrence equals its
+    # nonzero rational multiples
     p = UniOperator({1: [2, 4], 0: [8]})
     assert p.cleared() == {1: [1, 2], 0: [4]}
-    # the terms are kept as given; only the cleared form is normalized
-    assert p.terms == {1: [2, 4], 0: [8]}
-    assert p != UniOperator({1: [1, 2], 0: [4]})
-    assert UniOperator({1: [-2, -4], 0: [-8]}).cleared() == {1: [1, 2], 0: [4]}
-    assert UniOperator({1: [0, 0], 0: [3, 0]}).terms == {0: [3]}
+    assert p == UniOperator({1: [1, 2], 0: [4]}) == UniOperator({1: [-2, -4], 0: [-8]})
+    assert hash(p) == hash(UniOperator({1: [-1, -2], 0: [-4]}))
+    assert UniOperator({1: [0, 0], 0: [3, 0]}).cleared() == {0: [1]}
+    assert UniOperator.__slots__ == ("_terms",)
 
 
-def test_uni_cleared_computed_once_and_copied():
-    p = UniOperator(P0.terms)
-    shared = p._cleared_form()
+def test_uni_equal_to_its_rational_multiples():
+    rng = random.Random(110)
+    for _ in range(200):
+        terms = {k: random_ipoly(rng, max_deg=3, max_coeff=50) for k in rng.sample(range(5), 3)}
+        u = UniOperator(terms)
+        c = rng.choice((-1, 1)) * rng.randint(1, 10**6)
+        scaled = UniOperator({k: [c * x for x in p] for k, p in terms.items()})
+        assert scaled == u and hash(scaled) == hash(u), (terms, c)
+        cleared = u.cleared()
+        assert cleared[u.order()][-1] > 0
+        assert math.gcd(*(x for p in cleared.values() for x in p)) == 1
+
+
+def test_uni_cleared_is_copied():
+    p = UniOperator(P0.cleared())
     seq = [1, 1, 2, 5, 14, 42, 132]
     for n in range(4):
         p.apply_to_sequence(seq, n)
@@ -424,7 +456,6 @@ def test_uni_cleared_computed_once_and_copied():
     first.pop(0)
     p.leading_cleared().append(99)
     assert p.cleared() == {3: [54, 21, 2], 0: [-108, -162, -54]}
-    assert p._cleared_form() is shared
 
 
 def test_uni_json_round_trip():
@@ -495,8 +526,7 @@ def test_uni_from_json_clears_rational_terms():
             {1: (["-1", "0", "1"], ["-1", "1"]), 0: (["0", "2"], ["4"]), 2: (["0"], ["3", "1"])}
         )
     )
-    assert op == UniOperator({1: [2, 2], 0: [0, 1]})
-    assert op.terms == op.cleared()
+    assert op.cleared() == {1: [2, 2], 0: [0, 1]}
 
 
 @pytest.mark.parametrize(
@@ -553,7 +583,7 @@ def test_uni_from_json_clearing_matches_pointwise_ratios():
         )
         op = uni_from_json(data)
         cleared = op.cleared()
-        assert op.terms == cleared == fraction_cleared(terms), terms
+        assert cleared == fraction_cleared(terms), terms
         nonzero = {k for k, (num, _) in terms.items() if any(num)}
         assert set(cleared) == nonzero
         if not cleared:
