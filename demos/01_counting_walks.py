@@ -7,11 +7,10 @@ families have closed forms for their origin-return counts.
 """
 
 from quarterwalks import (
+    CLOSED_FORMS,
     GESSEL,
     KREWERAS,
     CountTable,
-    gessel_rhs,
-    kreweras_rhs,
     origin_sequence,
     parse_step_set,
 )
@@ -26,19 +25,25 @@ print()
 
 # --- closed forms ------------------------------------------------------------
 
+# each built-in closed form is a step set with a term held by its
+# Pochhammer parameters; the term's sequence interlaces the zeros
+_, gessel_term = CLOSED_FORMS["gessel"]
+gessel_closed = gessel_term.sequence(14)
 print("closed form agreement (Gessel, 2m steps):")
 for m in range(8):
     enumerated = gessel.value(2 * m, 0, 0)
-    formula = gessel_rhs(m)
+    formula = gessel_closed[2 * m]
     print(f"  m={m}: enumeration {enumerated}, 16^m (5/6)_m (1/2)_m / ((5/3)_m (2)_m) = {formula}")
     assert enumerated == formula
 
 kreweras = CountTable(KREWERAS, 21)
+_, kreweras_term = CLOSED_FORMS["kreweras"]
+kreweras_closed = [int(v) for v in kreweras_term.sequence(21)[::3]]
 print()
 print("Kreweras steps:", KREWERAS.canonical)
 for m in range(8):
-    assert kreweras.value(3 * m, 0, 0) == kreweras_rhs(m)
-print("k(3m; 0, 0) for m = 0..7:", [kreweras_rhs(m) for m in range(8)])
+    assert kreweras.value(3 * m, 0, 0) == kreweras_closed[m]
+print("k(3m; 0, 0) for m = 0..7:", kreweras_closed)
 print()
 
 # --- arbitrary step sets and streaming --------------------------------------

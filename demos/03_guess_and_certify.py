@@ -16,6 +16,7 @@ from quarterwalks import (
     guess_operators,
     trivial_operator,
 )
+from quarterwalks.certify import REFUTED
 
 oracle = CountTable(GESSEL, 30)
 T = trivial_operator(GESSEL)
@@ -29,6 +30,7 @@ print(f"{len(candidates)} candidate(s) found")
 for op in candidates:
     print("  candidate:", op)
 print("the transfer operator is rediscovered:", T.normalized() in candidates)
+assert T.normalized() in candidates
 print()
 
 # --- certification ------------------------------------------------------------
@@ -42,5 +44,6 @@ for op in candidates:
 bad = T + 1
 cert = certify_operator(bad, T, oracle)
 print()
-print("T + 1 ->", cert.verdict, "at", cert.counterexample,
-      "where the residual is", bad.apply_at(oracle, *cert.counterexample))
+residual = bad.apply_at(oracle, *cert.counterexample)
+print("T + 1 ->", cert.verdict, "at", cert.counterexample, "where the residual is", residual)
+assert cert.verdict == REFUTED and residual != 0

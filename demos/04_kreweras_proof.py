@@ -14,22 +14,25 @@ produces it is far beyond desk scale.
 """
 
 from quarterwalks import (
+    CLOSED_FORMS,
     Bounds,
-    KREWERAS,
     CountTable,
     build_template,
     certify_operator,
     guess_operators,
-    hypergeom_term,
     origin_sequence,
     prove_equality,
     takayama_pipeline,
     trivial_operator,
 )
 
+# the family's step set and its closed form in Pochhammer form,
+# 27^m (1/3)_m (2/3)_m / ((2)_m (3/2)_m) at n = 3m
+steps, term = CLOSED_FORMS["kreweras"]
+
 print("== 1. guessing ==")
-oracle = CountTable(KREWERAS, 30)
-T = trivial_operator(KREWERAS)
+oracle = CountTable(steps, 30)
+T = trivial_operator(steps)
 template = build_template(Bounds(2, 2, 2, 3, 1, 1), "full")
 print(f"ansatz: degrees (2,2,2), shift orders (3,1,1); {len(template)} unknowns")
 candidates = guess_operators(template, oracle)
@@ -44,14 +47,14 @@ for op in candidates:
         generators.append(op)
 
 print("== 3. elimination ==")
-diagonal = origin_sequence(KREWERAS, 500)
+diagonal = origin_sequence(steps, 500)
 P = takayama_pipeline(generators, diagonal)
 print("eliminated recurrence, order", P.order(), "(re-verified on n <= 500):")
 print(" ", P)
 
 print("== 4. closed form ==")
-term = hypergeom_term("kreweras")
 verdict = prove_equality(P, term, oracle)
 print("symbolic recurrence check + initial values ->", verdict.status)
 print(f"(initial values checked: {verdict.checked_initial_values};",
       f"singular bound: {verdict.singular_bound})")
+assert verdict.proved

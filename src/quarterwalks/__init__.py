@@ -60,15 +60,12 @@ from .eliminate import (
     uni_to_json,
 )
 from .closedform import (
+    CLOSED_FORMS,
     EqualityVerdict,
     HypergeomTerm,
-    closed_form_value,
-    gessel_rhs,
     hypergeom_term,
-    kreweras_rhs,
     max_nonneg_root,
     nonneg_integer_roots,
-    pochhammer,
     prove_equality,
     symbolic_satisfies,
 )
@@ -79,6 +76,7 @@ __all__ = [
     "AnsatzTemplate",
     "Bounds",
     "Box",
+    "CLOSED_FORMS",
     "Certificate",
     "CountTable",
     "Degrees",
@@ -101,16 +99,13 @@ __all__ = [
     "cached_table",
     "certify_operator",
     "check_base_cases",
-    "closed_form_value",
     "div_rem",
     "eliminate_shifts",
     "evidence_check",
     "filter_candidates",
     "generate_module",
-    "gessel_rhs",
     "guess_operators",
     "hypergeom_term",
-    "kreweras_rhs",
     "max_nonneg_root",
     "nonneg_integer_roots",
     "nullspace",
@@ -119,7 +114,6 @@ __all__ = [
     "origin_sequence",
     "parse_step_set",
     "plan_points",
-    "pochhammer",
     "prove_equality",
     "reduce_mod_ij",
     "symbolic_satisfies",

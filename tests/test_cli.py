@@ -2,15 +2,21 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 from click.testing import CliRunner
 
 from quarterwalks import (
+    CLOSED_FORMS,
     GESSEL,
+    KREWERAS,
+    HypergeomTerm,
     UniOperator,
     operator_to_json,
+    origin_sequence,
     trivial_operator,
+    uni_from_json,
     uni_to_json,
 )
 from quarterwalks.cli import main, parse_bounds
@@ -307,11 +313,37 @@ def test_import_recurrence_truncated_json_exit_2(runner, tmp_path):
     assert r.exit_code == 2
 
 
+def test_eliminate_writes_recurrence_of_origin_counts(runner, tmp_path, kreweras_certified):
+    paths = [
+        write_json(tmp_path / f"op{k}.json", operator_to_json(op))
+        for k, op in enumerate(kreweras_certified)
+    ]
+    out = tmp_path / "p.json"
+    r = invoke(runner, ["eliminate", "--steps", "W,S,NE", *paths, "--multiplier-bound", "1",
+                        "--diag-limit", "200", "--out", str(out)])
+    assert r.exit_code == 0, r.output
+    p = uni_from_json(json.load(open(out))["operator"])
+    assert p.order() >= 1
+    assert p.first_failure(origin_sequence(KREWERAS, 200), range(201 - p.order())) is None
+
+
 def test_check_closed_form(runner):
     for which in ("gessel", "kreweras"):
         r = invoke(runner, ["check-closed-form", "--closed-form", which, "--m-max", "8"])
         assert r.exit_code == 0
-        assert "OK" in r.output
+        n_max = CLOSED_FORMS[which][1].period * 8
+        assert r.output == f"closed form {which}: OK (values to n={n_max})\n"
+
+
+def test_check_closed_form_wrong_term_exit_1(runner, monkeypatch):
+    # (2)_m replaced by (3)_m: b(1) = 4/3, not the 2 walks of length 2
+    wrong = HypergeomTerm(
+        Fraction(16), (Fraction(5, 6), Fraction(1, 2)), (Fraction(5, 3), Fraction(3)), 2, 0
+    )
+    monkeypatch.setitem(CLOSED_FORMS, "gessel", (GESSEL, wrong))
+    r = runner.invoke(main, ["check-closed-form", "--closed-form", "gessel", "--m-max", "8"])
+    assert r.exit_code == 1
+    assert r.output == "mismatch at n=2\n"
 
 
 def test_prove_gessel_with_import(runner, tmp_path):
@@ -344,6 +376,34 @@ def test_prove_gessel_without_import_is_sound_negative(runner, tmp_path):
     assert r.exit_code == 1
     report = json.load(open(report_path))
     assert report["status"].startswith("FAILED")
+
+
+def test_prove_import_of_wrong_recurrence_rejected(runner, tmp_path):
+    # PG with 15 for 16: (n+4)(3n+10) f(n+2) = 15 (3n+5)(n+1) f(n) fails at n = 0
+    wrong = UniOperator({2: PG.cleared()[2], 0: ipoly_scale(ipoly_mul([5, 3], [1, 1]), -15)})
+    path = write_json(tmp_path / "wrong.json", uni_to_json(wrong))
+    report_path = tmp_path / "report.json"
+    r = runner.invoke(main, _GESSEL_IMPORT + [path, "--diag-limit", "40",
+                                              "--out", str(report_path)])
+    assert r.exit_code == 1
+    report = json.load(open(report_path))
+    assert report["status"] == "REJECTED(import fails sequence check at n=0)"
+    assert report["oracle_check"] == {"n_checked": 40, "ok": False, "failing_n": 0}
+    assert "verdict" not in report
+
+
+def test_prove_quasiholonomic_without_candidates_exit_1(runner, tmp_path):
+    report_path = tmp_path / "report.json"
+    r = runner.invoke(
+        main,
+        ["prove", "--steps", "E,W,NE,SW", "--closed-form", "gessel",
+         "--shape", "quasiholonomic", "--bounds", "deg_n=1,ord_sn=2", "--diag-limit", "40",
+         "--out", str(report_path)],
+    )
+    assert r.exit_code == 1
+    report = json.load(open(report_path))
+    assert report["status"] == "FAILED(no candidates)"
+    assert report["candidates"] == 0
 
 
 def test_prove_import_order_not_below_diag_limit_exit_2(runner, tmp_path):

@@ -5,21 +5,20 @@ from fractions import Fraction
 import pytest
 
 from quarterwalks import (
+    CLOSED_FORMS,
+    GESSEL,
+    KREWERAS,
     HypergeomTerm,
     UniOperator,
-    closed_form_value,
-    gessel_rhs,
     hypergeom_term,
-    kreweras_rhs,
     max_nonneg_root,
     nonneg_integer_roots,
-    pochhammer,
     prove_equality,
     symbolic_satisfies,
 )
 from quarterwalks.exactmath import ipoly_mul, ipoly_scale
 
-from naive_oracles import cauchy_nonneg_integer_roots
+from naive_oracles import cauchy_nonneg_integer_roots, pochhammer, product_form
 from test_eliminate import ore_as_uni, uni_as_ore
 
 # order-3 recurrence of the interlaced Kreweras origin counts
@@ -38,6 +37,19 @@ def left_multiple(u, p):
     return ore_as_uni(uni_as_ore(u) * uni_as_ore(p))
 
 
+def kreweras_comb(m):
+    """4^m C(3m, m) / ((m+1)(2m+1)), the binomial form of the Kreweras counts."""
+    q, r = divmod(4**m * math.comb(3 * m, m), (m + 1) * (2 * m + 1))
+    assert r == 0
+    return q
+
+
+def base_values(which, count):
+    """b(0), ..., b(count-1) of a built-in term, read off its sequence."""
+    term = hypergeom_term(which)
+    return term.sequence(term.period * (count - 1))[term.residue :: term.period]
+
+
 def test_pochhammer_examples():
     assert pochhammer(Fraction(7, 3), 0) == 1
     assert pochhammer(0, 0) == 1
@@ -46,25 +58,32 @@ def test_pochhammer_examples():
         assert pochhammer(1, k) == math.factorial(k)
 
 
+def test_closed_form_table():
+    assert sorted(CLOSED_FORMS) == ["gessel", "kreweras"]
+    assert CLOSED_FORMS["gessel"] == (GESSEL, hypergeom_term("gessel"))
+    assert CLOSED_FORMS["kreweras"] == (KREWERAS, hypergeom_term("kreweras"))
+    with pytest.raises(ValueError, match="unknown closed form 'catalan'"):
+        hypergeom_term("catalan")
+
+
 def test_gessel_rhs_values():
-    assert [gessel_rhs(m) for m in range(6)] == [1, 2, 11, 85, 782, 8004]
+    assert base_values("gessel", 6) == [1, 2, 11, 85, 782, 8004]
 
 
 def test_kreweras_rhs_values():
-    assert [kreweras_rhs(m) for m in range(5)] == [1, 2, 16, 192, 2816]
+    assert base_values("kreweras", 5) == [1, 2, 16, 192, 2816]
 
 
 def test_rhs_integrality_holds_far_out():
-    for m in range(0, 60):
-        gessel_rhs(m)
-        kreweras_rhs(m)
+    for which in CLOSED_FORMS:
+        assert all(v.denominator == 1 for v in base_values(which, 60))
 
 
 def test_rhs_match_enumeration(gessel_oracle, kreweras_oracle):
-    for m in range(21):
-        assert gessel_rhs(m) == gessel_oracle.value(2 * m, 0, 0)
-    for m in range(14):
-        assert kreweras_rhs(m) == kreweras_oracle.value(3 * m, 0, 0)
+    for m, value in enumerate(base_values("gessel", 21)):
+        assert value == gessel_oracle.value(2 * m, 0, 0)
+    for m, value in enumerate(base_values("kreweras", 14)):
+        assert value == kreweras_oracle.value(3 * m, 0, 0)
 
 
 def test_ratio_certificates():
@@ -73,50 +92,67 @@ def test_ratio_certificates():
     # 4 (6m+5)(2m+1) / ((3m+5)(m+2)) and 6 (3m+1)(3m+2) / ((m+2)(2m+3))
     assert g.ratio == ((20, 64, 48), (10, 11, 3))
     assert k.ratio == ((12, 54, 54), (6, 7, 2))
-    assert g.ratio_at(0) == 2 and g.initial == 1
-    assert k.ratio_at(0) == 2 and k.initial == 1
-    for m in range(100):
-        assert g.ratio_at(m) * gessel_rhs(m) == gessel_rhs(m + 1)
-        assert k.ratio_at(m) * kreweras_rhs(m) == kreweras_rhs(m + 1)
+    # the ratio is the quotient of consecutive product-form values
+    for term in (g, k):
+        num, den = term.ratio
+        for m in range(100):
+            ratio = Fraction(sum(c * m**e for e, c in enumerate(num)),
+                             sum(c * m**e for e, c in enumerate(den)))
+            assert ratio * product_form(term, m) == product_form(term, m + 1)
+
+
+def test_ratio_derived_from_parameters():
+    # c (m + a) / (m + b) over Z, with the shared integer content removed
+    assert HypergeomTerm(Fraction(4), (Fraction(1, 2),), (Fraction(2),), 1, 0).ratio == (
+        (2, 4), (2, 1)
+    )
+    assert HypergeomTerm(Fraction(-3, 2), (), (Fraction(1, 3),), 1, 0).ratio == ((-9,), (2, 6))
+    assert HypergeomTerm(Fraction(6), (Fraction(0),), (), 1, 0).ratio == ((0, 6), (1,))
 
 
 def test_ratio_denominators_root_free():
-    # construction would have raised; also evaluate directly on a window
-    for which in ("gessel", "kreweras"):
-        term = hypergeom_term(which)
-        for m in range(50):
-            term.ratio_at(m)
+    # construction would have raised; the derived denominator has no
+    # nonnegative integer root either
+    for which in CLOSED_FORMS:
+        assert nonneg_integer_roots(hypergeom_term(which).ratio[1]) == []
 
 
 def test_term_with_vanishing_denominator_rejected():
-    with pytest.raises(ValueError, match="vanishes"):
-        HypergeomTerm(((1,), (-3, 1)), Fraction(1), 1, 0)
+    for lower in ((Fraction(-3),), (Fraction(1, 2), Fraction(0))):
+        with pytest.raises(ValueError, match="vanishes"):
+            HypergeomTerm(Fraction(1), (), lower, 1, 0)
+    with pytest.raises(ValueError, match="vanishes at m = 3"):
+        HypergeomTerm(Fraction(1), (), (Fraction(-3), Fraction(-7)), 1, 0)
+    # a negative non-integer lower parameter never meets a pole
+    term = HypergeomTerm(Fraction(1), (), (Fraction(-5, 2),), 1, 0)
+    assert term.sequence(2) == [1, Fraction(-2, 5), Fraction(4, 15)]
 
 
 def test_product_and_ratio_iteration_agree():
-    g = hypergeom_term("gessel")
-    base = g.base_values(201)
+    for which in CLOSED_FORMS:
+        term = hypergeom_term(which)
+        base = base_values(which, 201)
+        for m in range(201):
+            assert base[m] == product_form(term, m)
+    base = base_values("kreweras", 201)
     for m in range(201):
-        assert base[m] == gessel_rhs(m)
-    k = hypergeom_term("kreweras")
-    base = k.base_values(201)
-    for m in range(201):
-        assert base[m] == kreweras_rhs(m)
+        assert base[m] == kreweras_comb(m)
 
 
 def test_interlaced_sequence_pattern():
     g = hypergeom_term("gessel")
     seq = g.sequence(10)
     assert seq == [1, 0, 2, 0, 11, 0, 85, 0, 782, 0, 8004]
-    assert closed_form_value("kreweras", 6) == 16
-    assert closed_form_value("kreweras", 7) == 0
+    k = hypergeom_term("kreweras").sequence(7)
+    assert k[6] == 16 and k[7] == 0
+    assert HypergeomTerm(Fraction(2), (), (), 3, 1).sequence(7) == [0, 1, 0, 0, 2, 0, 0, 4]
 
 
 def test_check_recurrence_first_order_on_base_sequence():
     den = ipoly_mul([2, 1], [3, 2])  # (m+2)(2m+3)
     num = ipoly_scale(ipoly_mul([1, 3], [2, 3]), -6)
     p = UniOperator({1: den, 0: num})
-    seq = [kreweras_rhs(m) for m in range(202)]
+    seq = [kreweras_comb(m) for m in range(202)]
     assert p.first_failure(seq, range(201)) is None
     shifted = seq[1:]
     assert p.first_failure(shifted, range(195)) is not None
@@ -126,7 +162,7 @@ def test_first_failure_names_first_failing_n():
     den = ipoly_mul([2, 1], [3, 2])
     num = ipoly_scale(ipoly_mul([1, 3], [2, 3]), -6)
     p = UniOperator({1: den, 0: num})
-    seq = [kreweras_rhs(m) for m in range(40)]
+    seq = [kreweras_comb(m) for m in range(40)]
     assert p.first_failure(seq, range(39)) is None
     seq[17] += 1
     # the window at n = 16 is the first to read seq[17]
@@ -149,13 +185,31 @@ def test_symbolic_satisfies_builtins():
     assert not symbolic_satisfies(UniOperator({1: [1], 0: [-1]}), g)
 
 
+def test_symbolic_satisfies_zero_operator_raises():
+    # every sequence satisfies the zero operator, so the check is refused
+    with pytest.raises(ValueError, match="zero operator"):
+        symbolic_satisfies(UniOperator(), hypergeom_term("gessel"))
+
+
 def test_symbolic_satisfies_first_order_base_terms():
-    for which in ("gessel", "kreweras"):
-        term = hypergeom_term(which)
-        base = HypergeomTerm(term.ratio, term.initial, 1, 0)
-        num, den = term.ratio
-        p = UniOperator({1: den, 0: [-c for c in num]})
+    # the first-order operators are written from the factored ratios by
+    # hand, so they check the ratio derived from the parameters
+    first_order = {
+        # (3m+5)(m+2) S - 4 (6m+5)(2m+1)
+        "gessel": UniOperator(
+            {1: ipoly_mul([5, 3], [2, 1]), 0: ipoly_scale(ipoly_mul([5, 6], [1, 2]), -4)}
+        ),
+        # (m+2)(2m+3) S - 6 (3m+1)(3m+2)
+        "kreweras": UniOperator(
+            {1: ipoly_mul([2, 1], [3, 2]), 0: ipoly_scale(ipoly_mul([1, 3], [2, 3]), -6)}
+        ),
+    }
+    for which, p in first_order.items():
+        t = hypergeom_term(which)
+        base = HypergeomTerm(t.factor, t.upper, t.lower, 1, 0)
         assert symbolic_satisfies(p, base)
+        other = first_order["kreweras" if which == "gessel" else "gessel"]
+        assert not symbolic_satisfies(other, base)
 
 
 def test_symbolic_agrees_with_numeric_windows():

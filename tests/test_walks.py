@@ -16,7 +16,7 @@ from quarterwalks import (
     trivial_operator,
 )
 from quarterwalks.cli import main
-from quarterwalks.closedform import gessel_rhs, kreweras_rhs
+from quarterwalks.closedform import hypergeom_term
 from quarterwalks.ore import OreOperator
 from quarterwalks.walks import DIRECTIONS, StepSet, _origin_widths
 
@@ -153,10 +153,8 @@ def test_table_levels_match_scalar_oracle_all_step_sets():
 
 def test_origin_sequence_closed_forms(kreweras_diagonal_500):
     gessel = origin_sequence(GESSEL, 300)
-    assert gessel == [gessel_rhs(n // 2) if n % 2 == 0 else 0 for n in range(301)]
-    assert kreweras_diagonal_500 == [
-        kreweras_rhs(n // 3) if n % 3 == 0 else 0 for n in range(501)
-    ]
+    assert gessel == hypergeom_term("gessel").sequence(300)
+    assert kreweras_diagonal_500 == hypergeom_term("kreweras").sequence(500)
 
 
 def test_origin_widths_keep_every_returning_cell():
