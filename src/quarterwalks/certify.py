@@ -52,20 +52,18 @@ class Certificate:
         return self.verdict == CERTIFIED
 
 
-def check_base_cases(
-    w: OreOperator, oracle: CountTable, margin: int = 2, chain_index: int = 0
-) -> BaseCheck:
-    """Evaluate (W f)(0; i, j) for 0 <= i, j <= ord_Sn(W) + margin and
-    report the box swept with its first nonzero point, if any.
+def check_base_cases(w: OreOperator, oracle: CountTable, chain_index: int = 0) -> BaseCheck:
+    """Evaluate (W f)(0; i, j) for 0 <= i, j <= ord_Sn(W) and report the
+    box swept with its first nonzero point, if any.
 
-    Beyond ord_Sn(W) the values vanish automatically because f(n; i, j) = 0
-    once i > n or j > n; the margin only widens the sweep.
+    No other point of level 0 can be nonzero, by the light cone: a term
+    of W with shift S_n^e4 S_i^e5 S_j^e6 reads f(e4; i + e5, j + e6) at
+    (0; i, j), with e4 <= ord_Sn(W), and f(n; i, j) = 0 once i > n or
+    j > n, so every term vanishes when i or j exceeds ord_Sn(W).
     """
-    if margin < 0:
-        raise ValueError("margin must be >= 0")
     if w.is_zero():
         raise ValueError("the zero operator has no base cases to check")
-    bound = w.degrees().ord_sn + margin
+    bound = w.degrees().ord_sn
     box = Box((0, 0), (0, bound), (0, bound))
     point = next((p for p in box.points() if w.apply_at(oracle, *p)), None)
     return BaseCheck(chain_index, box, point is None, point)
@@ -90,16 +88,17 @@ def _find_refutation(
     raise AssertionError("refutation seed did not propagate to the original operator")
 
 
-def certify_operator(
-    r: OreOperator, t: OreOperator, oracle: CountTable, margin: int = 2
-) -> Certificate:
+def certify_operator(r: OreOperator, t: OreOperator, oracle: CountTable) -> Certificate:
     """Run the reduction-chain decision procedure for (R f) = 0.
 
     Verdicts:  certified when the remainder chain reached 0 and every base
     sweep was all-zero;  refuted, with a concrete counterexample point for
     R itself, when a base value is nonzero;  inconclusive-error when the
     expected total-degree decrease of the chain fails (never silently
-    accepted).
+    accepted).  Each chain element W is swept at level 0 on the box
+    0 <= i, j <= ord_Sn(W) only: ``check_base_cases`` shows by the light
+    cone that (W f)(0; i, j) vanishes everywhere else, so no wider sweep
+    could change the verdict or the first counterexample.
     """
     if r.is_zero():
         raise ValueError("candidate operator is zero; nothing to certify")
@@ -107,7 +106,7 @@ def certify_operator(
     w = r
     level = 0
     while True:
-        check = check_base_cases(w, oracle, margin, level)
+        check = check_base_cases(w, oracle, level)
         cert.base_checks.append(check)
         if not check.all_zero:
             cert.verdict = REFUTED

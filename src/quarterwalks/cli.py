@@ -99,7 +99,6 @@ class PipelineConfig:
     shape: str = "full"
     bounds: list[str] = field(default_factory=list)
     margin: int = 20
-    certify_margin: int = 2
     multiplier_bound: int | None = None
     diag_limit: int = 500
     closed_form: str | None = None
@@ -226,16 +225,17 @@ def guess(steps, bounds, shape, margin, out):
 def _load(path: str, parse):
     """Read an operator file with ``parse`` (``operator_from_json`` or
     ``uni_from_json``), unwrapping an ``"operator"`` key.  A file that is
-    not a JSON object, whose object lacks a field or holds one of the
-    wrong type, that the reader rejects, or that holds the zero operator
-    (which every sequence satisfies) raises ValueError naming the file."""
-    with open(path) as fh:
-        data = json.load(fh)
-    if isinstance(data, dict):
-        data = data.get("operator", data)
-    if not isinstance(data, dict):
-        raise ValueError(f"{path}: expected a JSON object, not {type(data).__name__}")
+    not text or not JSON, that is not a JSON object, whose object lacks a
+    field or holds one of the wrong type, that the reader rejects, or that
+    holds the zero operator (which every sequence satisfies) raises
+    ValueError naming the file."""
     try:
+        with open(path) as fh:
+            data = json.load(fh)
+        if isinstance(data, dict):
+            data = data.get("operator", data)
+        if not isinstance(data, dict):
+            raise ValueError(f"expected a JSON object, not {type(data).__name__}")
         op = parse(data)
     except (KeyError, TypeError) as e:
         raise ValueError(f"{path}: malformed operator ({type(e).__name__}: {e})") from e
@@ -249,15 +249,14 @@ def _load(path: str, parse):
 @main.command()
 @click.option("--steps", required=True)
 @click.argument("operator_file", type=click.Path(exists=True))
-@click.option("--margin", type=_COUNT, default=2, show_default=True)
 @click.option("--out", default=None, help="Write the certificate JSON here.")
-def certify(steps, operator_file, margin, out):
+def certify(steps, operator_file, out):
     """Certify (or refute) that an operator annihilates the walk counts."""
-    config = PipelineConfig(steps=steps, certify_margin=margin)
+    config = PipelineConfig(steps=steps)
     step_set = parse_step_set(steps)
     op = _load(operator_file, operator_from_json)
     oracle = cached_table(step_set)
-    cert = certify_operator(op, trivial_operator(step_set), oracle, margin)
+    cert = certify_operator(op, trivial_operator(step_set), oracle)
     report = {
         "meta": _meta(config),
         "verdict": cert.verdict,
@@ -357,18 +356,15 @@ def check_closed_form(which, m_max):
 @click.option("--bounds", multiple=True, default=[_DEFAULT_BOUNDS], show_default=True)
 @click.option("--shape", type=click.Choice(["full", "quasiholonomic"]), default="full")
 @click.option("--margin", type=_COUNT, default=20)
-@click.option("--certify-margin", type=_COUNT, default=2)
 @click.option("--multiplier-bound", type=_COUNT, default=None)
 @click.option("--diag-limit", type=_COUNT, default=500, show_default=True)
 @click.option("--out", default=None, help="Write the full report JSON here.")
-def prove(steps, which, import_file, bounds, shape, margin, certify_margin,
-          multiplier_bound, diag_limit, out):
+def prove(steps, which, import_file, bounds, shape, margin, multiplier_bound, diag_limit, out):
     """End-to-end proof: guess, certify, eliminate, and match the closed
     form; or validate an imported recurrence and do the final step only."""
     config = PipelineConfig(
         steps=steps, shape=shape, bounds=list(bounds), margin=margin,
-        certify_margin=certify_margin, multiplier_bound=multiplier_bound,
-        diag_limit=diag_limit, closed_form=which,
+        multiplier_bound=multiplier_bound, diag_limit=diag_limit, closed_form=which,
     )
     term = hypergeom_term(which)
     report: dict = {"meta": _meta(config), "closed_form": which}
@@ -394,7 +390,7 @@ def prove(steps, which, import_file, bounds, shape, margin, certify_margin,
             sys.exit(1)
         certified = []
         for op in candidates:
-            cert = certify_operator(op, t, oracle, certify_margin)
+            cert = certify_operator(op, t, oracle)
             if cert.certified:
                 certified.append(op)
         _progress(f"{len(certified)} of {len(candidates)} candidates certified")

@@ -38,7 +38,6 @@ from .exactmath import (
     ipoly_divexact,
     ipoly_divexact_poly,
     ipoly_eval,
-    ipoly_gcd,
     ipoly_gcd_cofactors,
     ipoly_mul,
     ipoly_shift_arg,
@@ -208,8 +207,8 @@ def _json_term(entry: dict, k: int) -> tuple[list[int], list[int]]:
         raise ValueError(f"term of power {k}: zero denominator")
     if not num:
         return [], [1]
-    g = ipoly_gcd(num, den)
-    return ipoly_divexact_poly(num, g), ipoly_divexact_poly(den, g)
+    _, (num, den) = ipoly_gcd_cofactors([num, den])
+    return num, den
 
 
 def uni_from_json(data: dict) -> UniOperator:
@@ -235,7 +234,8 @@ def uni_from_json(data: dict) -> UniOperator:
         if k in reduced:
             raise ValueError(f"duplicate power {k}")
         reduced[k] = num, den = _json_term(entry, k)
-        den_lcm = ipoly_mul(den_lcm, ipoly_divexact_poly(den, ipoly_gcd(den_lcm, den)))
+        _, (_, den_new) = ipoly_gcd_cofactors([den_lcm, den])  # den / gcd(den_lcm, den)
+        den_lcm = ipoly_mul(den_lcm, den_new)
     op = UniOperator(
         {
             k: ipoly_mul(num, ipoly_divexact_poly(den_lcm, den))

@@ -5,10 +5,10 @@ pipeline.  A polynomial in n is a plain ``int`` coefficient list
 (``IPoly``, low degree first) -- see the ``ipoly_*`` helpers.  They are
 the coefficients of every element of Z[n][S_n]: the elimination rows,
 the eliminated recurrence and the closed-form ratios.  Their exact
-division and gcd stay in Z[x] (integer long division, and a heuristic gcd
-with the primitive PRS as fallback).  Nothing in this module uses
-``Fraction``.  Polynomials in n, i, j are the shift-free elements of the
-operator algebra in ``ore``.
+division and gcd stay in Z[x] (integer long division, and the heuristic
+gcd GCDHEU, whose evaluation point grows until its candidate divides
+every input).  Nothing in this module uses ``Fraction``.  Polynomials in
+n, i, j are the shift-free elements of the operator algebra in ``ore``.
 """
 
 from __future__ import annotations
@@ -101,28 +101,8 @@ def ipoly_divexact(a: IPoly, d: int) -> IPoly:
     return out
 
 
-def ipoly_pseudo_rem(a: IPoly, b: IPoly) -> IPoly:
-    """Pseudo-remainder of a by b (b nonzero), over Z."""
-    if not b:
-        raise ZeroDivisionError("pseudo-division by zero polynomial")
-    r = list(a)
-    db = len(b) - 1
-    lb = b[-1]
-    while len(r) - 1 >= db and r:
-        lead = r[-1]
-        k = len(r) - 1 - db
-        r = ipoly_scale(r, lb)
-        for t, c in enumerate(b):
-            r[k + t] -= lead * c
-        r = ipoly_trim(r)
-    return r
-
-
-_GCDHEU_TRIES = 6
-
-
-def _gcdheu(polys: list[IPoly]) -> tuple[IPoly, list[IPoly]] | None:
-    """Heuristic gcd of nonzero primitive polynomials, or None.
+def _gcdheu(polys: list[IPoly]) -> tuple[IPoly, list[IPoly]]:
+    """The gcd of nonzero primitive polynomials, and their quotients by it.
 
     Returns the gcd, primitive with a positive leading coefficient, and the
     quotient of each input by it; the quotients are the ones the exact
@@ -146,15 +126,21 @@ def _gcdheu(polys: list[IPoly]) -> tuple[IPoly, list[IPoly]] | None:
     inputs, so |alpha| < 1 + M and |xi - alpha| > xi - 1 - M >= xi/2.  If H
     had degree d >= 1, then |H(xi)| > (xi/2)^d >= xi/2 >= |c| > 0, which
     cannot divide c.  Hence H is a constant, and since g and P are both
-    primitive, H = +-1.
+    primitive, H = +-1.  When gamma is 1, or its digits make a constant,
+    the same bound shows that g is constant, so the gcd is 1 and the
+    inputs are their own quotients.
 
     A wrong digit expansion (gamma may carry extra integer factors) shows
     up as P failing to divide some input; then xi grows and the evaluation
-    is retried.  No result is accepted without every exact division
-    passing, and after ``_GCDHEU_TRIES`` failures ``ipoly_gcd_cofactors``
-    falls back to folding the primitive PRS (``_prs_gcd``) over its
-    inputs.  When gamma is 1, or its digits make a constant, the gcd is 1
-    and the inputs are their own quotients.
+    is repeated, until P divides every input.
+    Termination.  Let h_t = a_t / g.  The h_t have no common factor, so a
+    Bezout identity over Q cleared over Z gives sum_t u_t h_t = D with
+    u_t in Z[x] and D a fixed nonzero integer.  Then c = gcd_t h_t(xi)
+    divides D at every xi, and gamma = c |g(xi)|.  Once
+    xi > 2 |D| |g|_inf, every coefficient of c g lies in (-xi/2, xi/2), so
+    the symmetric base-xi digits of gamma are exactly the coefficients of
+    +-c g, and P = g divides every input and is accepted.  xi grows every
+    round, so the loop ends.
     """
     m = min(max(abs(c) for c in a) for a in polys)
     # xi = 2^bits, so that evaluation and digit extraction are shifts; the
@@ -163,7 +149,7 @@ def _gcdheu(polys: list[IPoly]) -> tuple[IPoly, list[IPoly]] | None:
     # per-row calls; pairwise, 2 retries in 7,469 gcds against 322 without
     # the spare bits)
     bits = (2 * m + 2).bit_length() + 16
-    for _ in range(_GCDHEU_TRIES):
+    while True:
         gamma = 0
         for a in polys:
             gamma = math.gcd(gamma, _eval_pow2(a, bits))
@@ -192,7 +178,6 @@ def _gcdheu(polys: list[IPoly]) -> tuple[IPoly, list[IPoly]] | None:
         else:
             return h, quotients
         bits += bits // 4 + 2
-    return None
 
 
 def _eval_pow2(a: IPoly, bits: int) -> int:
@@ -203,56 +188,21 @@ def _eval_pow2(a: IPoly, bits: int) -> int:
     return acc
 
 
-def _prs_gcd(a: IPoly, b: IPoly) -> IPoly:
-    """gcd of two nonzero primitive polynomials by the primitive
-    pseudo-remainder sequence; primitive, of either sign."""
-    while b:
-        r = ipoly_pseudo_rem(a, b)
-        cr = ipoly_content(r)
-        if cr:
-            r = ipoly_divexact(r, cr)
-        a, b = b, r
-    return a
-
-
-def ipoly_gcd(a: IPoly, b: IPoly) -> IPoly:
-    """gcd over Z: the primitive gcd times the gcd of the contents, with a
-    positive leading coefficient (``ipoly_gcd_cofactors`` of the pair when
-    both are nonzero, else the other input up to sign)."""
-    if a and b:
-        return ipoly_gcd_cofactors([a, b])[0]
-    g = list(a or b)
-    return ipoly_scale(g, -1) if g and g[-1] < 0 else g
-
-
 def ipoly_gcd_cofactors(polys: list[IPoly]) -> tuple[IPoly, list[IPoly]]:
     """The gcd over Z of nonzero polynomials (the primitive gcd times the
     gcd of the contents, with a positive leading coefficient), and the
     quotient of each polynomial by it.
 
-    The primitive gcd comes from the heuristic ``_gcdheu`` on the primitive
-    parts, whose result is the gcd by the Char-Geddes-Gonnet theorem once it
-    has passed an exact division of every part (see its docstring); that
-    gives every quotient too, each from a single long division.  When the
-    heuristic gives up, ``_prs_gcd`` is folded over the primitive parts and
-    each is divided by the result.  A quotient is then multiplied back by
-    its polynomial's content over the common content.
+    The primitive gcd and the quotients of the primitive parts come from
+    ``_gcdheu``, whose candidate is the gcd by the Char-Geddes-Gonnet
+    theorem once it has passed an exact division of every part, and which
+    raises its evaluation point until one does (see its docstring).  A
+    quotient is then multiplied back by its polynomial's content over the
+    common content.
     """
     contents = [ipoly_content(p) for p in polys]
     common = math.gcd(*contents)
-    prims = [ipoly_divexact(p, c) for p, c in zip(polys, contents)]
-    heu = _gcdheu(prims)
-    if heu is not None:
-        prim, quotients = heu
-    else:
-        prim = prims[0]
-        for p in prims[1:]:
-            if len(prim) == 1:
-                break
-            prim = _prs_gcd(prim, p)
-        if prim[-1] < 0:
-            prim = [-c for c in prim]
-        quotients = [ipoly_divexact_poly(p, prim) for p in prims]
+    prim, quotients = _gcdheu([ipoly_divexact(p, c) for p, c in zip(polys, contents)])
     quotients = [
         q if c == common else ipoly_scale(q, c // common)
         for q, c in zip(quotients, contents)

@@ -356,8 +356,7 @@ def nullspace(system: LinearSystem | list[list[int]]) -> list[tuple[int, ...]]:
     Each vector is a tuple of ints: the RREF kernel vector with a 1 in
     its free column, scaled to be primitive with its first nonzero entry
     positive.  They come in free-column order; the empty list means the
-    kernel is trivial.  Rational rows are scaled to integers first (the
-    kernel is unchanged).
+    kernel is trivial.
 
     The matrix is first split into blocks, the connected components of
     its nonzero pattern (`_blocks`); up to a permutation of rows and
@@ -394,10 +393,6 @@ def nullspace(system: LinearSystem | list[list[int]]) -> list[tuple[int, ...]]:
     ncols = len(matrix[0])
     if ncols == 0:
         return []
-    if any(type(x) is not int for row in matrix for x in row):
-        matrix = [[Fraction(x) for x in row] for row in matrix]
-        dens = [math.lcm(*(x.denominator for x in row)) for row in matrix]
-        matrix = [[int(x * d) for x in row] for row, d in zip(matrix, dens)]
     blocks = [
         (cols, [[matrix[r][c] for c in cols] for r in rows])
         for rows, cols in _blocks(matrix, ncols)

@@ -11,6 +11,7 @@ from quarterwalks import (
     certify_operator,
     check_base_cases,
     evidence_check,
+    parse_step_set,
     trivial_operator,
 )
 from quarterwalks.certify import CERTIFIED, REFUTED
@@ -27,8 +28,8 @@ def test_certify_trivial_operator(gessel_oracle):
     assert cert.verdict == CERTIFIED
     assert cert.chain == [OreOperator.zero()]
     assert all(b.all_zero for b in cert.base_checks)
-    # the certificate lists the box swept: ord_Sn(T) + margin = 1 + 2
-    assert [b.box for b in cert.base_checks] == [Box((0, 0), (0, 3), (0, 3))]
+    # the certificate lists the box swept: i, j <= ord_Sn(T) = 1
+    assert [b.box for b in cert.base_checks] == [Box((0, 0), (0, 1), (0, 1))]
 
 
 def test_certify_left_multiples(gessel_oracle):
@@ -59,8 +60,8 @@ def test_zero_operator_rejected(gessel_oracle):
 def test_base_cases_examples(gessel_oracle):
     check = check_base_cases(T, gessel_oracle)
     assert check.all_zero and check.counterexample is None
-    assert check.box == Box((0, 0), (0, 3), (0, 3))
-    check = check_base_cases(OreOperator.const(1), gessel_oracle, margin=0, chain_index=4)
+    assert check.box == Box((0, 0), (0, 1), (0, 1))
+    check = check_base_cases(OreOperator.const(1), gessel_oracle, chain_index=4)
     assert not check.all_zero and check.counterexample == (0, 0, 0)
     assert (check.chain_index, check.box) == (4, Box((0, 0), (0, 0), (0, 0)))
     with pytest.raises(ValueError, match="zero operator"):
@@ -76,6 +77,34 @@ def test_base_cases_axis_factor(gessel_oracle):
     # ... but f(1; 1, 1) = 1 shows up off the axes
     check = check_base_cases(w, gessel_oracle)
     assert not check.all_zero and check.counterexample == (0, 1, 1)
+    assert check.box == Box((0, 0), (0, 1), (0, 1))
+
+
+@pytest.mark.parametrize("steps", ["E,W,NE,SW", "W,S,NE", "E,W,N,S", "NE,NW,SE,SW"])
+def test_level_zero_vanishes_off_the_base_box(steps):
+    """The light cone: (W f)(0; i, j) = 0 once i or j exceeds ord_Sn(W), so
+    a sweep wider than the base box finds the same first nonzero point."""
+    oracle = CountTable(parse_step_set(steps), 0)
+    rng = random.Random(steps)
+    nonzero = 0
+    for _ in range(150):
+        terms = {}
+        for _ in range(rng.randint(1, 5)):
+            # a power of n would vanish at n = 0 anyway
+            key = (0,) + tuple(rng.randint(0, 2) for _ in range(5))
+            terms[key] = terms.get(key, 0) + rng.randint(-5, 5)
+        w = OreOperator(terms)
+        if w.is_zero():
+            continue
+        bound = w.degrees().ord_sn
+        check = check_base_cases(w, oracle)
+        assert check.box == Box((0, 0), (0, bound), (0, bound)), w
+        wide = Box((0, 0), (0, bound + 3), (0, bound + 3))
+        values = {p: w.apply_at(oracle, *p) for p in wide.points()}
+        assert all(v == 0 for (_, i, j), v in values.items() if max(i, j) > bound), w
+        assert check.counterexample == next((p for p, v in values.items() if v), None), w
+        nonzero += not check.all_zero
+    assert nonzero > 40
 
 
 def test_constant_coefficient_remainder_is_zero(gessel_oracle):

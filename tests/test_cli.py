@@ -105,11 +105,15 @@ def test_removed_cache_option_exit_2(runner, tmp_path):
         ["guess", "--steps", "W,S,NE", "--n-max", "5", "--out", "{tmp}"],
         ["eliminate", "--steps", "W,S,NE", "{op}", "--truncation", "1"],
         ["prove", "--steps", "W,S,NE", "--closed-form", "kreweras", "--retry-cap", "0"],
+        ["certify", "--steps", "W,S,NE", "{op}", "--margin", "2"],
+        ["prove", "--steps", "W,S,NE", "--closed-form", "kreweras", "--certify-margin", "2"],
     ],
-    ids=["guess-n-max", "eliminate-truncation", "prove-retry-cap"],
+    ids=["guess-n-max", "eliminate-truncation", "prove-retry-cap", "certify-margin",
+         "prove-certify-margin"],
 )
 def test_removed_sizing_options_exit_2(runner, tmp_path, args):
-    # the count table sizes itself on read, and elimination keeps every component
+    # the count table sizes itself on read, elimination keeps every
+    # component, and the base-case box is fixed by the light cone
     op = write_json(tmp_path / "t.json", operator_to_json(trivial_operator(GESSEL)))
     r = runner.invoke(main, [a.format(tmp=tmp_path, op=op) for a in args])
     assert r.exit_code == 2
@@ -124,8 +128,6 @@ _PROVE_K = ["prove", "--steps", "W,S,NE", "--closed-form", "kreweras"]
     [
         (["guess", "--steps", "W,S,NE", "--margin", "-500", "--out", "{tmp}"], "--margin"),
         (_PROVE_K + ["--margin", "-1"], "--margin"),
-        (_PROVE_K + ["--certify-margin", "-1"], "--certify-margin"),
-        (["certify", "--steps", "W,S,NE", "{op}", "--margin", "-1"], "--margin"),
         (["eliminate", "--steps", "W,S,NE", "{op}", "--multiplier-bound", "-1"],
          "--multiplier-bound"),
         (_PROVE_K + ["--multiplier-bound", "-1"], "--multiplier-bound"),
@@ -231,7 +233,8 @@ def test_certify_writes_certificate_file(runner, tmp_path):
     assert cert["verdict"] == "certified"
     assert cert["chain"] == [{"vars": ["n", "i", "j"], "shifts": ["Sn", "Si", "Sj"], "terms": []}]
     assert cert["base_checks"][0]["all_zero"] is True
-    assert cert["meta"]["config"]["certify_margin"] == 2
+    assert cert["base_checks"][0]["box"] == {"n": [0, 0], "i": [0, 1], "j": [0, 1]}
+    assert "certify_margin" not in cert["meta"]["config"]
 
 
 def test_certify_malformed_rational_exit_2(runner, tmp_path):
@@ -480,19 +483,27 @@ def _one_error_line(r):
 
 
 @pytest.mark.parametrize(
-    "payload", ["list", "operator-list", "no-terms", "zero", "zero-den", "duplicate"]
+    "payload", ["not-json", "list", "operator-list", "no-terms", "zero", "zero-den", "duplicate"]
 )
 @pytest.mark.parametrize("command", list(_FILE_COMMANDS))
 def test_malformed_operator_file_exit_2_one_line(runner, tmp_path, command, payload):
-    # the file reader rejects what is not an operator object, or holds a
-    # zero denominator or the zero operator, so every command that reads
-    # one gives the same one-line error
+    # the file reader rejects what is not JSON or not an operator object,
+    # or holds a zero denominator or the zero operator, so every command
+    # that reads one gives the same one-line error
     args, kind = _FILE_COMMANDS[command]
-    data = {"list": [1, 2], "operator-list": {"operator": [1]}}.get(payload)
-    path = write_json(tmp_path / "bad.json", data if data is not None else _malformed(kind, payload))
+    if payload == "not-json":
+        path = str(tmp_path / "bad.json")
+        (tmp_path / "bad.json").write_text("not json\n")
+    else:
+        data = {"list": [1, 2], "operator-list": {"operator": [1]}}.get(payload)
+        path = write_json(tmp_path / "bad.json", data if data is not None else _malformed(kind, payload))
     r = runner.invoke(main, [a.format(f=path) for a in args])
     line = _one_error_line(r)
     assert path in line
+    if payload == "not-json":
+        assert line == f"error: Expecting value: line 1 column 1 (char 0) (in {path})"
+    if payload == "list":
+        assert line == f"error: expected a JSON object, not list (in {path})"
     if payload == "zero":
         assert line == f"error: {path}: the file holds the zero operator"
     if payload == "zero-den":

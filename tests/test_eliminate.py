@@ -28,7 +28,6 @@ from quarterwalks import eliminate, exactmath
 from quarterwalks.eliminate import _reduce_leading, _row_normalize, pos_key
 from quarterwalks.exactmath import (
     ipoly_content,
-    ipoly_gcd,
     ipoly_gcd_cofactors,
     ipoly_mul,
     ipoly_shift_arg,
@@ -342,16 +341,6 @@ def test_row_normalize_matches_fraction_oracle():
     assert nontrivial > 150
 
 
-def test_row_normalize_fallback_gives_same_rows(monkeypatch):
-    rows = list(random_rows(107, 150))
-    polys = [[p for comp in row.values() for p in comp.values() if p] for row in rows]
-    heuristic = [_row_normalize(row) for row in rows]
-    cofactors = [ipoly_gcd_cofactors(ps) for ps in polys]
-    monkeypatch.setattr(exactmath, "_gcdheu", lambda polys: None)
-    assert [_row_normalize(row) for row in rows] == heuristic
-    assert [ipoly_gcd_cofactors(ps) for ps in polys] == cofactors
-
-
 def random_row_pairs(seed, count):
     """Pairs (u, w) sharing a leading position, u's S_n power at least w's:
     the leading polynomials au and aw(n + delta) share a planted factor
@@ -397,7 +386,7 @@ def test_reduce_leading_matches_full_multiplier_oracle():
         pos = max(u, key=pos_key)
         ku, kw = max(u[pos]), max(w[pos])
         assert step.get(pos, {}).get(ku) is None, (u, w)
-        g = ipoly_gcd(ipoly_shift_arg(w[pos][kw], ku - kw), u[pos][ku])
+        g, _ = ipoly_gcd_cofactors([ipoly_shift_arg(w[pos][kw], ku - kw), u[pos][ku]])
         assert step == {
             p: {k: fraction_divexact(c, g) for k, c in comp.items()} for p, comp in full.items()
         }, (u, w)

@@ -15,7 +15,7 @@ from quarterwalks.exactmath import (
     ipoly_content,
     ipoly_divexact_poly,
     ipoly_eval,
-    ipoly_gcd,
+    ipoly_gcd_cofactors,
     ipoly_mul,
     ipoly_shift_arg,
 )
@@ -187,8 +187,11 @@ def test_integer_modules_do_not_import_fractions():
 
 
 def lowest_terms(num, den):
-    g = ipoly_gcd(num, den)
-    return ipoly_divexact_poly(num, g), ipoly_divexact_poly(den, g)
+    if not num:
+        return [], [1]
+    g, (q_num, q_den) = ipoly_gcd_cofactors([num, den])
+    assert (ipoly_mul(g, q_num), ipoly_mul(g, q_den)) == (num, den)
+    return q_num, q_den
 
 
 def test_rat_normalize_cancels_gcd():
@@ -223,11 +226,9 @@ def random_ipoly(rng, max_deg=5, max_coeff=20):
 
 
 def expected_gcd(a, b):
-    """The ipoly_gcd contract from the oracle: primitive gcd times the gcd
-    of the contents, positive leading coefficient."""
+    """The ipoly_gcd_cofactors contract from the oracle: primitive gcd
+    times the gcd of the contents, positive leading coefficient."""
     monic = fraction_monic_gcd(a, b)
-    if not monic:
-        return []
     den = math.lcm(*(c.denominator for c in monic))
     prim = [int(c * den) for c in monic]
     g = math.gcd(*prim)
@@ -236,8 +237,8 @@ def expected_gcd(a, b):
 
 
 def gcd_cases(seed, count):
-    """Pairs with a planted common factor, integer contents, either sign,
-    now and then a zero input, and some coefficients far above 2^53."""
+    """Nonzero pairs with a planted common factor, integer contents,
+    either sign, and some coefficients far above 2^53."""
     rng = random.Random(seed)
     for t in range(count):
         big = 2**70 if t % 5 == 0 else 20
@@ -247,68 +248,47 @@ def gcd_cases(seed, count):
         ka, kb = rng.choice((1, 2, 6, -3)), rng.choice((1, 4, 9, -1))
         a = [c * ka for c in ipoly_mul(f, u)]
         b = [c * kb for c in ipoly_mul(f, v)]
-        if t % 17 == 0:
-            a = []
-        if t % 23 == 0:
-            b = []
         yield a, b
 
 
 def test_ipoly_gcd_matches_fraction_oracle():
     for a, b in gcd_cases(101, 300):
         want = expected_gcd(a, b)
-        assert ipoly_gcd(a, b) == want, (a, b)
-        assert ipoly_gcd(b, a) == want, (a, b)
-
-
-def test_ipoly_gcd_zero_inputs():
-    assert ipoly_gcd([], []) == []
-    assert ipoly_gcd([], [6, -4]) == [-6, 4]
-    assert ipoly_gcd([0, -2, -4], []) == [0, 2, 4]
-    assert ipoly_gcd([6], [4, 2]) == [2]
+        for pair in ([a, b], [b, a]):
+            g, quotients = ipoly_gcd_cofactors(pair)
+            assert g == want, (a, b)
+            assert [ipoly_mul(g, q) for q in quotients] == pair, (a, b)
+    assert ipoly_gcd_cofactors([[6], [4, 2]]) == ([2], [[3], [2, 1]])
 
 
 def test_gcdheu_alone_matches_fraction_oracle():
-    """The heuristic, when it answers, answers the gcd of the primitive parts."""
-    answered = 0
+    """The heuristic answers the gcd of the primitive parts, every time."""
     for a, b in gcd_cases(102, 200):
-        if len(a) < 2 or len(b) < 2:
-            continue
         pa = [c // ipoly_content(a) for c in a]
         pb = [c // ipoly_content(b) for c in b]
-        heu = exactmath._gcdheu([pa, pb])
-        if heu is not None:
-            answered += 1
-            h, (qa, qb) = heu
-            assert h == expected_gcd(pa, pb), (a, b)
-            assert ipoly_mul(h, qa) == pa and ipoly_mul(h, qb) == pb, (a, b)
-    assert answered > 150
+        h, (qa, qb) = exactmath._gcdheu([pa, pb])
+        assert h == expected_gcd(pa, pb), (a, b)
+        assert ipoly_mul(h, qa) == pa and ipoly_mul(h, qb) == pb, (a, b)
 
 
-def test_ipoly_gcd_prs_fallback_gives_same_gcd(monkeypatch):
-    cases = list(gcd_cases(103, 200))
-    heuristic = [ipoly_gcd(a, b) for a, b in cases]
-    monkeypatch.setattr(exactmath, "_gcdheu", lambda polys: None)
-    assert [ipoly_gcd(a, b) for a, b in cases] == heuristic
-
-
-def test_gcdheu_retries_and_gives_up():
+@pytest.mark.parametrize("k", [20, 100, 1000])
+def test_gcdheu_retries_until_exact(monkeypatch, k):
     """a = x (x+1) has norm 1, so xi = 2^19 at first; b = (x+1)(x - 2^K)
     makes gamma = gcd(a(xi), b(xi)) carry the extra factor xi whenever
-    K > log2(xi), and the digits then read x (x+1), which does not divide b."""
-    a = [0, 1, 1]
+    K >= log2(xi), and the digits then read x (x+1), which does not divide
+    b.  So xi must grow past 2^K before the gcd x + 1 is accepted."""
+    tried = []
+    eval_pow2 = exactmath._eval_pow2
 
-    def b(k):
-        return ipoly_mul([1, 1], [-(2**k), 1])
+    def recording(a, bits):
+        tried.append(bits)
+        return eval_pow2(a, bits)
 
-    assert exactmath._gcdheu([a, b(20)])[0] == [1, 1]  # second point, 2^25, works
-    assert exactmath._gcdheu([a, b(100)]) is None  # every point is below 2^100
-    assert ipoly_gcd(a, b(100)) == [1, 1]  # from the PRS
-
-
-def test_gcdheu_retry_is_needed(monkeypatch):
-    monkeypatch.setattr(exactmath, "_GCDHEU_TRIES", 1)
-    assert exactmath._gcdheu([[0, 1, 1], ipoly_mul([1, 1], [-(2**20), 1])]) is None
+    monkeypatch.setattr(exactmath, "_eval_pow2", recording)
+    a, b = [0, 1, 1], ipoly_mul([1, 1], [-(2**k), 1])
+    assert exactmath._gcdheu([a, b]) == ([1, 1], [[0, 1], [-(2**k), 1]])
+    assert tried[0] == 19 and tried[0] < k < tried[-1]
+    assert ipoly_gcd_cofactors([a, b])[0] == [1, 1]
 
 
 def test_ipoly_divexact_poly_matches_fraction_oracle():

