@@ -3,11 +3,17 @@
 A walk family is given by a set of unit steps.  One level-by-level
 dynamic program, ``_next_level``, gives the counts f(n; i, j) of n-step
 walks from the origin to (i, j) that never leave the first quadrant, with
-exact big-integer entries.  ``CountTable`` keeps every level and answers
-zero-extended queries (0 outside the quadrant, 0 beyond the light cone
-i > n or j > n), building deeper levels when a query reaches past them;
-``cached_table`` keeps one such table per step set for the life of the
-process.  ``origin_sequence`` computes f(n; 0, 0) for n <= N with the
+exact big-integer entries.  The kernel holds a level as padded rows,
+[0, f(i, 0), ..., f(i, w-1), 0, 0], so every step reads an equal-length
+slice of a source row and a new row is summed in one pass.  It builds
+only the cells of the step set's residue lattice (``step_lattice``):
+each step keeps n + alpha*i + beta*j fixed mod d, so every nonzero count
+lies on the coset of the origin, and the cells off it stay 0 unbuilt.
+``CountTable`` keeps every level as a plain (n+1) x (n+1) grid and
+answers zero-extended queries (0 outside the quadrant, 0 beyond the light
+cone i > n or j > n), building deeper levels when a query reaches past
+them; ``cached_table`` keeps one such table per step set for the life of
+the process.  ``origin_sequence`` computes f(n; 0, 0) for n <= N with the
 same kernel, but at level n it sweeps only the cells that can still
 return to the origin in the N - n steps left, and holds two levels at a
 time.  ``trivial_operator`` builds the shift operator that encodes the
@@ -17,6 +23,7 @@ one-step transfer recurrence of the family.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 from operator import add
 
 from . import ore
@@ -90,34 +97,74 @@ GESSEL = parse_step_set("E,W,NE,SW")
 KREWERAS = parse_step_set("W,S,NE")
 
 
-def _next_level(
-    prev: list[list[int]], steps: list[tuple[int, int]], widths: list[int]
-) -> list[list[int]]:
-    """One step of the dynamic program: level n+1 from level n.
+def step_lattice(steps) -> tuple[int, int, int]:
+    """The residue lattice (alpha, beta, d) of a step set: every nonzero
+    count f(n; i, j) has n + alpha*i + beta*j = 0 (mod d).
 
-    Row ti of the new level holds the columns 0..widths[ti]-1.  A walk into
-    (ti, tj) arrives by a step (dx, dy) from (ti-dx, tj-dy), so row ti is
-    the sum of the rows ti-dx of ``prev`` shifted by dy along j, each added
-    as one list slice; source cells outside the quadrant or beyond the kept
-    part of a row count as zero, and all-zero source rows are skipped.
+    Each step (dx, dy) is required to satisfy 1 + alpha*dx + beta*dy = 0
+    (mod d), so it keeps n + alpha*i + beta*j fixed mod d.  The origin at
+    n = 0 lies on the coset, so by induction on n every reached cell does;
+    a cell off it is 0, and is never a nonzero source.  Any triple with
+    that property is exact, d = 1 trivially.
+
+    The rule: the largest d <= 4 that admits one, then the least alpha,
+    then the least beta, both in 0..d-1.  No larger d is lost on a step
+    set whose vectors (1, dx, dy) span Z^3: for three independent ones,
+    with M the matrix of their rows, M (1, alpha, beta) = 0 (mod d), so
+    det M = 0 (mod d) after multiplying by adj M, and |det M| is twice
+    the area of a triangle in [-1, 1]^2, at most 4.  When the steps lie on
+    one line the bound merely stops the search.
     """
-    live = [any(row) for row in prev]
+    for d in (4, 3, 2):
+        for alpha in range(d):
+            for beta in range(d):
+                if all((1 + alpha * dx + beta * dy) % d == 0 for dx, dy in steps):
+                    return alpha, beta, d
+    return 0, 0, 1
+
+
+def _next_level(
+    prev: list[list[int]],
+    steps: list[tuple[int, int]],
+    widths: list[int],
+    lattice: tuple[int, int, int],
+    n: int,
+) -> list[list[int]]:
+    """One step of the dynamic program: level n from level n-1.
+
+    Both levels are held as padded rows: a row with w kept columns is the
+    list [0, f(i, 0), ..., f(i, w-1), 0, 0], so column j sits at index
+    j + 1 and a read one column left of 0, or two past the kept part, is
+    a zero.  Row ti of the new level keeps widths[ti] columns.  A walk into
+    (ti, tj) arrives by a step (dx, dy) from (ti-dx, tj-dy), so the row is
+    the sum over steps of rows ti-dx of ``prev`` shifted by dy; the sources
+    are equal-length slices, added in one pass.  Only the cells of the
+    coset of ``lattice`` (``step_lattice``) are built: with
+    g = gcd(beta, d), row ti is all zero unless g divides
+    c = n + alpha*ti mod d, and then its cells are the columns
+    tj = j0 (mod d/g) where beta*j0 = -c (mod d).  Source rows past the
+    end of ``prev`` count as zero.  A slice is full length when every row
+    is at most one column wider than the rows it reads.
+    """
+    alpha, beta, d = lattice
+    g = gcd(beta, d)
+    stride = d // g
+    inverse = pow(beta // g, -1, stride)
+    rows = len(prev)
     cur = []
     for ti, width in enumerate(widths):
-        row = [0] * width
-        fresh = True
-        for dx, dy in steps:
-            pi = ti - dx
-            if 0 <= pi < len(prev) and live[pi]:
-                src = prev[pi]
-                lo = dy if dy > 0 else 0
-                hi = min(width, len(src) + dy)
-                if lo < hi:
-                    if fresh:
-                        row[lo:hi] = src[lo - dy : hi - dy]
-                        fresh = False
-                    else:
-                        row[lo:hi] = map(add, row[lo:hi], src[lo - dy : hi - dy])
+        row = [0] * (width + 3)
+        c = (n + alpha * ti) % d
+        if c % g == 0:
+            j0 = -(c // g) * inverse % stride
+            total = None
+            for dx, dy in steps:
+                pi = ti - dx
+                if 0 <= pi < rows:
+                    src = prev[pi][j0 + 1 - dy : width + 1 - dy : stride]
+                    total = src if total is None else map(add, total, src)
+            if total is not None:
+                row[j0 + 1 : width + 1 : stride] = total
         cur.append(row)
     return cur
 
@@ -136,6 +183,7 @@ class CountTable:
         if n_max < 0:
             raise ValueError("n_max must be >= 0")
         self.step_set = step_set
+        self._lattice = step_lattice(step_set.sorted_steps())
         self.levels = [[[1]]]
         self.n_max = 0
         self.extend(n_max)
@@ -145,7 +193,9 @@ class CountTable:
         steps = self.step_set.sorted_steps()
         while self.n_max < n_max:
             size = self.n_max + 2
-            self.levels.append(_next_level(self.levels[-1], steps, [size] * size))
+            padded = [[0, *row, 0, 0] for row in self.levels[-1]]
+            level = _next_level(padded, steps, [size] * size, self._lattice, size - 1)
+            self.levels.append([row[1:-2] for row in level])
             self.n_max += 1
         return self
 
@@ -168,17 +218,21 @@ def _origin_widths(steps: list[tuple[int, int]], n_max: int) -> list[list[int]]:
     empty rows are dropped.  Row i of the reach set R_r is a bit mask over
     j, and R_(r+1) adds every quadrant cell c with c + s in R_r for some
     step s.  Each step lowers a coordinate by at most one, so R_r lies in
-    the box [0..r]^2, and a sweep of rows 0..r computes it exactly.
+    the box [0..r]^2.  Level n_max - r keeps the rows i <= min(r, n_max - r)
+    of R_r, and those are all that stage r computes: row i of R_(r+1)
+    reads rows i-1..i+1 of R_r, and stage r+1 computes rows up to
+    n_max - r - 1 only, so it reads no row past n_max - r.
     """
     reach = [1]
     by_r = [[1]]
     for r in range(1, n_max + 1):
+        size = len(reach)
         grown = []
-        for i in range(r + 1):
-            mask = reach[i] if i < r else 0
+        for i in range(min(r, n_max - r) + 1):
+            mask = reach[i] if i < size else 0
             for dx, dy in steps:
                 k = i + dx
-                if 0 <= k < r:
+                if 0 <= k < size:
                     mask |= reach[k] >> dy if dy >= 0 else reach[k] << -dy
             grown.append(mask)
         reach = grown
@@ -197,9 +251,12 @@ def origin_sequence(step_set: StepSet, n_max: int) -> list[int]:
 
     Level n keeps only a prefix of each row: the cells inside the light
     cone from which the origin can still be reached in the n_max - n steps
-    that are left (``_origin_widths``).  Two levels are held at once.  Why
-    the counts that matter are exact, with d(c) the fewest quadrant steps
-    from a cell c back to the origin:
+    that are left (``_origin_widths``).  Two levels are held at once, each
+    row of w kept cells as the padded list [0, f(i, 0), ..., f(i, w-1),
+    0, 0] of ``_next_level``, and of each row only the cells on the coset
+    of ``step_lattice`` are computed.  Why the counts that matter
+    are exact, with d(c) the fewest quadrant steps from a cell c back to
+    the origin:
 
     - a cell at level n with d > n_max - n lies on no walk that is back at
       the origin by level n_max, so it feeds no f(m; 0, 0) with m <= n_max;
@@ -210,16 +267,26 @@ def origin_sequence(step_set: StepSet, n_max: int) -> list[int]:
       them at every level;
     - a kept prefix is a superset of the cells with d <= n_max - n; the
       extra cells may hold partial sums, but by the previous point they
-      never feed a cell with d <= n_max - n - 1.
+      never feed a cell with d <= n_max - n - 1;
+    - each step keeps the coset, so a cell on it reads only cells on it,
+      and a cell off it is 0 in the full table; leaving the cells off it
+      at 0 unbuilt changes no cell on it.
+
+    The widths also keep the slices full: the last kept cell (i, w-1) of
+    a row at level n+1 is in the reach set, or lies at the light cone, and
+    each predecessor (i-dx, w-1-dy) in the quadrant is then kept at level
+    n or at its light cone, so a row is at most one column wider than the
+    rows it reads.
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     steps = step_set.sorted_steps()
-    level = [[1]]
+    lattice = step_lattice(steps)
+    level = [[0, 1, 0, 0]]
     out = [1]
-    for keep in _origin_widths(steps, n_max)[1:]:
-        level = _next_level(level, steps, keep)
-        out.append(level[0][0])
+    for n, keep in enumerate(_origin_widths(steps, n_max)[1:], 1):
+        level = _next_level(level, steps, keep, lattice, n)
+        out.append(level[0][1])
     return out
 
 

@@ -17,6 +17,7 @@ from quarterwalks import (
     symbolic_satisfies,
 )
 from quarterwalks.exactmath import ipoly_mul, ipoly_scale
+from quarterwalks.walks import step_lattice
 
 from naive_oracles import cauchy_nonneg_integer_roots, pochhammer, product_form
 from test_eliminate import ore_as_uni, uni_as_ore
@@ -64,6 +65,14 @@ def test_closed_form_table():
     assert CLOSED_FORMS["kreweras"] == (KREWERAS, hypergeom_term("kreweras"))
     with pytest.raises(ValueError, match="unknown closed form 'catalan'"):
         hypergeom_term("catalan")
+
+
+def test_closed_form_support_is_the_step_lattice():
+    # f(n; 0, 0) can be nonzero only where n = 0 (mod d) for the lattice d
+    for which in ("kreweras", "gessel"):
+        steps, term = CLOSED_FORMS[which]
+        assert term.period == step_lattice(steps)[2]
+        assert term.residue == 0
 
 
 def test_gessel_rhs_values():

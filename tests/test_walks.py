@@ -18,7 +18,7 @@ from quarterwalks import (
 from quarterwalks.cli import main
 from quarterwalks.closedform import hypergeom_term
 from quarterwalks.ore import OreOperator
-from quarterwalks.walks import DIRECTIONS, StepSet, _origin_widths
+from quarterwalks.walks import DIRECTIONS, StepSet, _origin_widths, step_lattice
 
 from naive_oracles import (
     brute_force_counts,
@@ -132,9 +132,45 @@ def test_parity_invariants():
 
 
 def test_origin_sequence_streams_match_table():
-    for step_set in (GESSEL, KREWERAS):
+    # every step set whose walk DP skips a coset, checked past n = 30
+    strided = [s for s in ALL_STEP_SETS if step_lattice(s)[2] > 1]
+    assert len(strided) == 124 and GESSEL in strided and KREWERAS in strided
+    for step_set in strided:
         table = CountTable(step_set, 60)
-        assert origin_sequence(step_set, 60) == [table.value(n, 0, 0) for n in range(61)]
+        want = [table.value(n, 0, 0) for n in range(61)]
+        for n_max in (0, 1, 2, 60):
+            assert origin_sequence(step_set, n_max) == want[: n_max + 1], (step_set, n_max)
+
+
+def _lattice_pairs(steps, d):
+    return [
+        (alpha, beta)
+        for alpha in range(d)
+        for beta in range(d)
+        if all((1 + alpha * dx + beta * dy) % d == 0 for dx, dy in steps)
+    ]
+
+
+def test_step_lattice_holds_on_every_nonzero_cell():
+    for step_set in ALL_STEP_SETS:
+        steps = step_set.sorted_steps()
+        alpha, beta, d = step_lattice(steps)
+        # the rule: largest d <= 4 with a pair, then the least pair
+        assert (alpha, beta) == min(_lattice_pairs(steps, d)), step_set
+        assert not any(_lattice_pairs(steps, e) for e in range(d + 1, 5)), step_set
+        for n, level in enumerate(scalar_levels(steps, 12)):
+            for i, row in enumerate(level):
+                for j, v in enumerate(row):
+                    if v:
+                        assert (n + alpha * i + beta * j) % d == 0, (step_set, n, i, j)
+
+
+def test_step_lattice_of_gessel_and_kreweras_is_unique():
+    assert step_lattice(KREWERAS) == (1, 1, 3)
+    assert step_lattice(GESSEL) == (1, 0, 2)
+    for d in range(2, 13):
+        assert _lattice_pairs(KREWERAS, d) == ([(1, 1)] if d == 3 else [])
+        assert _lattice_pairs(GESSEL, d) == ([(1, 0)] if d == 2 else [])
 
 
 def test_origin_sequence_matches_scalar_oracle_all_step_sets():
@@ -180,6 +216,22 @@ def test_origin_widths_keep_every_returning_cell():
                 for (i, j), d in dist.items():
                     if i <= n and j <= n and d <= n_max - n:
                         assert i < len(widths[n]) and j < widths[n][i]
+
+
+def test_origin_widths_keep_kernel_slices_full():
+    """A padded row of kept width w has w + 3 entries, so it reads up to
+    column w + 1, and a row of width tw reads the columns up to
+    tw - 1 - dy <= tw of each source row; so the kernel's slices are full
+    when every row is at most one column wider than the rows it reads."""
+    for step_set in ALL_STEP_SETS:
+        steps = step_set.sorted_steps()
+        for n_max in (1, 6, 30):
+            widths = _origin_widths(steps, n_max)
+            for n in range(1, n_max + 1):
+                for ti, width in enumerate(widths[n]):
+                    for dx, dy in steps:
+                        if 0 <= ti - dx < len(widths[n - 1]):
+                            assert width <= widths[n - 1][ti - dx] + 1, (step_set, n_max, n)
 
 
 def test_origin_sequence_rejects_negative_n_max():
