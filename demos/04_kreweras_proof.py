@@ -1,4 +1,4 @@
-"""The whole pipeline on the Kreweras family (runs in about 4 seconds).
+"""The whole pipeline on the Kreweras family (runs in about 2 seconds).
 
 1. guess annihilating operators of f(n; i, j) from exact data,
 2. certify each one rigorously,

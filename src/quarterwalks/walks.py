@@ -3,13 +3,14 @@
 A walk family is given by a set of unit steps.  One level-by-level
 dynamic program, ``_next_level``, gives the counts f(n; i, j) of n-step
 walks from the origin to (i, j) that never leave the first quadrant, with
-exact big-integer entries.  The kernel holds a level as padded rows,
-[0, f(i, 0), ..., f(i, w-1), 0, 0], so every step reads an equal-length
-slice of a source row and a new row is summed in one pass.  It builds
-only the cells of the step set's residue lattice (``step_lattice``):
-each step keeps n + alpha*i + beta*j fixed mod d, so every nonzero count
-lies on the coset of the origin, and the cells off it stay 0 unbuilt.
-``CountTable`` keeps every level as a plain (n+1) x (n+1) grid and
+exact big-integer entries.  It builds only the cells of the step set's
+residue lattice (``step_lattice``): each step keeps n + alpha*i + beta*j
+fixed mod d, so every nonzero count lies on the coset of the origin, and
+the cells off it stay 0 unbuilt.  The kernel packs each row's coset cells
+into one integer, a fixed-width slot per cell (Kronecker substitution), so
+a step adds a whole shifted source row in one big-integer operation; the
+slots are sized so that no sum carries out of its slot (``_slot_bytes``).
+``CountTable`` unpacks every level into a plain (n+1) x (n+1) grid and
 answers zero-extended queries (0 outside the quadrant, 0 beyond the light
 cone i > n or j > n), building deeper levels when a query reaches past
 them; ``cached_table`` keeps one such table per step set for the life of
@@ -23,8 +24,9 @@ one-step transfer recurrence of the family.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from math import gcd
-from operator import add
+from struct import unpack
 
 from . import ore
 
@@ -123,50 +125,127 @@ def step_lattice(steps) -> tuple[int, int, int]:
     return 0, 0, 1
 
 
-def _next_level(
-    prev: list[list[int]],
-    steps: list[tuple[int, int]],
-    widths: list[int],
-    lattice: tuple[int, int, int],
-    n: int,
-) -> list[list[int]]:
-    """One step of the dynamic program: level n from level n-1.
-
-    Both levels are held as padded rows: a row with w kept columns is the
-    list [0, f(i, 0), ..., f(i, w-1), 0, 0], so column j sits at index
-    j + 1 and a read one column left of 0, or two past the kept part, is
-    a zero.  Row ti of the new level keeps widths[ti] columns.  A walk into
-    (ti, tj) arrives by a step (dx, dy) from (ti-dx, tj-dy), so the row is
-    the sum over steps of rows ti-dx of ``prev`` shifted by dy; the sources
-    are equal-length slices, added in one pass.  Only the cells of the
-    coset of ``lattice`` (``step_lattice``) are built: with
-    g = gcd(beta, d), row ti is all zero unless g divides
-    c = n + alpha*ti mod d, and then its cells are the columns
-    tj = j0 (mod d/g) where beta*j0 = -c (mod d).  Source rows past the
-    end of ``prev`` count as zero.  A slice is full length when every row
-    is at most one column wider than the rows it reads.
-    """
+def _coset_offsets(lattice: tuple[int, int, int]) -> tuple[int, list[int | None]]:
+    """(stride, offsets) of the coset of ``lattice``: with
+    g = gcd(beta, d), a row i of level n holds cells on the coset only if
+    g divides c = n + alpha*i mod d, and then they are the columns
+    offsets[c] + k*stride, stride = d/g, where beta*offsets[c] = -c
+    (mod d); offsets[c] is None for the other c."""
     alpha, beta, d = lattice
     g = gcd(beta, d)
     stride = d // g
     inverse = pow(beta // g, -1, stride)
+    return stride, [-(c // g) * inverse % stride if c % g == 0 else None for c in range(d)]
+
+
+def _slot_bytes(size: int, n: int) -> int:
+    """Bytes per slot that hold every cell of level n of a walk with
+    ``size`` steps.  A cell of level n is the sum of at most ``size`` cells
+    of level n-1, so by induction it is at most size**n, the partial sums
+    in pruned cells included, and a sum of shifted rows never carries."""
+    return ((size**n).bit_length() + 7) // 8
+
+
+def _reslot(row: int, old: int, new: int) -> int:
+    """A packed row with each slot widened from ``old`` to ``new`` bytes."""
+    data = row.to_bytes(-(-row.bit_length() // (8 * old)) * old, "little")
+    pad = bytes(new - old)
+    return int.from_bytes(pad.join(data[k : k + old] for k in range(0, len(data), old)), "little")
+
+
+def _next_level(
+    prev: list[int],
+    steps: list[tuple[int, int]],
+    widths: list[int],
+    lattice: tuple[int, int, int],
+    n: int,
+    bits: int,
+) -> list[int]:
+    """One step of the dynamic program: level n from level n-1.
+
+    Both levels are held as packed rows: row i is one integer whose slot k,
+    ``bits`` wide, holds f(i, j0 + k*stride), the k-th cell of the row on
+    the coset of ``lattice`` (``_coset_offsets``, j0 = offsets[c]); a row
+    off the coset is 0.  Row ti of the new level keeps widths[ti] columns.
+    A walk into (ti, tj) arrives by a step (dx, dy) from (ti-dx, tj-dy),
+    which lies on the coset of level n-1 (each step keeps it), in a row
+    with offset j0'.  So slot k of the new row reads slot k + s of source
+    row ti-dx, s = (j0 - dy - j0') / stride, an integer in -1..1: the new
+    row is the sum over steps of the source rows shifted by s slots, and a
+    read left of column 0 is a zero shifted in.  Source rows past the end
+    of ``prev`` count as zero.  The slots never carry (``_slot_bytes``),
+    so the sum is exact cell by cell; it is masked to the kept slots only
+    when its bit length overflows them.
+    """
+    alpha, _, d = lattice
+    stride, offsets = _coset_offsets(lattice)
+    moves = [
+        [(dx, (j0 - dy - offsets[(c - 1 - alpha * dx) % d]) // stride * bits) for dx, dy in steps]
+        if j0 is not None
+        else None
+        for c, j0 in enumerate(offsets)
+    ]
     rows = len(prev)
     cur = []
     for ti, width in enumerate(widths):
-        row = [0] * (width + 3)
         c = (n + alpha * ti) % d
-        if c % g == 0:
-            j0 = -(c // g) * inverse % stride
-            total = None
-            for dx, dy in steps:
+        total = 0
+        if moves[c] is not None:
+            for dx, shift in moves[c]:
                 pi = ti - dx
                 if 0 <= pi < rows:
-                    src = prev[pi][j0 + 1 - dy : width + 1 - dy : stride]
-                    total = src if total is None else map(add, total, src)
-            if total is not None:
-                row[j0 + 1 : width + 1 : stride] = total
-        cur.append(row)
+                    # a shift by 0, or an add to 0, would copy the whole row
+                    src = prev[pi]
+                    if shift:
+                        src = src >> shift if shift > 0 else src << -shift
+                    total = total + src if total else src
+            kept = max(0, (width - offsets[c] + stride - 1) // stride) * bits
+            if total.bit_length() > kept:
+                # clears the bits from ``kept`` up, in fewer passes than a mask
+                total ^= total >> kept << kept
+        cur.append(total)
     return cur
+
+
+def _sweep(
+    steps: list[tuple[int, int]],
+    lattice: tuple[int, int, int],
+    level: list[int],
+    slot: int,
+    n: int,
+    widths: list[list[int]],
+):
+    """Run the kernel from packed level n, held in ``slot``-byte slots, to
+    level n + len(widths), level n+k keeping the row widths widths[k-1];
+    yield each new level with its slot bytes.  When level m needs more than
+    the held slot (``_slot_bytes``), the held level is re-slotted once to
+    the size of level min(2m, last), so the slots grow O(log last) times
+    and are never more than about twice as wide as a level needs."""
+    size = len(steps)
+    last = n + len(widths)
+    for n, keep in enumerate(widths, n + 1):
+        if _slot_bytes(size, n) > slot:
+            wider = _slot_bytes(size, min(2 * n, last))
+            level = [_reslot(row, slot, wider) for row in level]
+            slot = wider
+        level = _next_level(level, steps, keep, lattice, n, 8 * slot)
+        yield level, slot
+
+
+def _unpack(level: list[int], slot: int, lattice: tuple[int, int, int], n: int) -> list[list[int]]:
+    """Packed level n, full width, as an (n+1) x (n+1) grid."""
+    alpha, _, d = lattice
+    stride, offsets = _coset_offsets(lattice)
+    grid = []
+    for i, row in enumerate(level):
+        cells = [0] * (n + 1)
+        j0 = offsets[(n + alpha * i) % d]
+        if j0 is not None:
+            count = len(range(j0, n + 1, stride))
+            data = row.to_bytes(count * slot, "little")
+            cells[j0::stride] = map(int.from_bytes, unpack(f"{slot}s" * count, data), repeat("little"))
+        grid.append(cells)
+    return grid
 
 
 class CountTable:
@@ -177,6 +256,7 @@ class CountTable:
     the light cone i > n or j > n.  A query inside the cone but past
     ``n_max`` deepens the table in place to its level first, so the table
     sizes itself to what its callers read; ``extend`` pre-builds levels.
+    The last level is also held packed, so the kernel extends it directly.
     """
 
     def __init__(self, step_set: StepSet, n_max: int):
@@ -186,17 +266,20 @@ class CountTable:
         self._lattice = step_lattice(step_set.sorted_steps())
         self.levels = [[[1]]]
         self.n_max = 0
+        self._packed = [1]
+        self._slot = 1
         self.extend(n_max)
 
     def extend(self, n_max: int) -> "CountTable":
         """Build the levels up to n_max; levels already built are kept."""
-        steps = self.step_set.sorted_steps()
-        while self.n_max < n_max:
-            size = self.n_max + 2
-            padded = [[0, *row, 0, 0] for row in self.levels[-1]]
-            level = _next_level(padded, steps, [size] * size, self._lattice, size - 1)
-            self.levels.append([row[1:-2] for row in level])
+        widths = [[size] * size for size in range(self.n_max + 2, n_max + 2)]
+        sweep = _sweep(
+            self.step_set.sorted_steps(), self._lattice, self._packed, self._slot, self.n_max, widths
+        )
+        for level, slot in sweep:
             self.n_max += 1
+            self.levels.append(_unpack(level, slot, self._lattice, self.n_max))
+            self._packed, self._slot = level, slot
         return self
 
     def value(self, n: int, i: int, j: int) -> int:
@@ -251,10 +334,10 @@ def origin_sequence(step_set: StepSet, n_max: int) -> list[int]:
 
     Level n keeps only a prefix of each row: the cells inside the light
     cone from which the origin can still be reached in the n_max - n steps
-    that are left (``_origin_widths``).  Two levels are held at once, each
-    row of w kept cells as the padded list [0, f(i, 0), ..., f(i, w-1),
-    0, 0] of ``_next_level``, and of each row only the cells on the coset
-    of ``step_lattice`` are computed.  Why the counts that matter
+    that are left (``_origin_widths``).  Levels are held as the packed rows
+    of ``_next_level``, only the cells on the coset of ``step_lattice``,
+    and f(n; 0, 0) is slot 0 of row 0 when the origin is on the coset of
+    level n, n = 0 (mod d), and 0 otherwise.  Why the counts that matter
     are exact, with d(c) the fewest quadrant steps from a cell c back to
     the origin:
 
@@ -271,22 +354,16 @@ def origin_sequence(step_set: StepSet, n_max: int) -> list[int]:
     - each step keeps the coset, so a cell on it reads only cells on it,
       and a cell off it is 0 in the full table; leaving the cells off it
       at 0 unbuilt changes no cell on it.
-
-    The widths also keep the slices full: the last kept cell (i, w-1) of
-    a row at level n+1 is in the reach set, or lies at the light cone, and
-    each predecessor (i-dx, w-1-dy) in the quadrant is then kept at level
-    n or at its light cone, so a row is at most one column wider than the
-    rows it reads.
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     steps = step_set.sorted_steps()
     lattice = step_lattice(steps)
-    level = [[0, 1, 0, 0]]
+    d = lattice[2]
     out = [1]
-    for n, keep in enumerate(_origin_widths(steps, n_max)[1:], 1):
-        level = _next_level(level, steps, keep, lattice, n)
-        out.append(level[0][1])
+    sweep = _sweep(steps, lattice, [1], 1, 0, _origin_widths(steps, n_max)[1:])
+    for n, (level, slot) in enumerate(sweep, 1):
+        out.append(level[0] & ((1 << 8 * slot) - 1) if n % d == 0 else 0)
     return out
 
 

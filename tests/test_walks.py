@@ -18,7 +18,14 @@ from quarterwalks import (
 from quarterwalks.cli import main
 from quarterwalks.closedform import hypergeom_term
 from quarterwalks.ore import OreOperator
-from quarterwalks.walks import DIRECTIONS, StepSet, _origin_widths, step_lattice
+from quarterwalks.walks import (
+    DIRECTIONS,
+    StepSet,
+    _origin_widths,
+    _slot_bytes,
+    _sweep,
+    step_lattice,
+)
 
 from naive_oracles import (
     brute_force_counts,
@@ -219,10 +226,9 @@ def test_origin_widths_keep_every_returning_cell():
 
 
 def test_origin_widths_keep_kernel_slices_full():
-    """A padded row of kept width w has w + 3 entries, so it reads up to
-    column w + 1, and a row of width tw reads the columns up to
-    tw - 1 - dy <= tw of each source row; so the kernel's slices are full
-    when every row is at most one column wider than the rows it reads."""
+    """Every kept row is at most one column wider than each row it reads
+    at the level before: a cell's predecessors are kept (or lie at the
+    light cone), so the kept widths grow by at most one column a step."""
     for step_set in ALL_STEP_SETS:
         steps = step_set.sorted_steps()
         for n_max in (1, 6, 30):
@@ -243,11 +249,74 @@ def test_origin_sequence_rejects_negative_n_max():
 
 
 def test_extend_matches_direct_build():
+    # from n = 10 up to and across the first re-slot past it (n = 12 for
+    # Gessel, n = 16 for Kreweras) and the next ones
     for step_set in (GESSEL, KREWERAS):
-        table = CountTable(step_set, 10)
-        assert table.extend(40) is table
-        assert table.n_max == 40
-        assert table.levels == CountTable(step_set, 40).levels
+        for n_max in (11, 12, 13, 16, 28, 36, 40):
+            table = CountTable(step_set, 10)
+            slot = table._slot
+            assert table.extend(n_max) is table
+            assert table.n_max == n_max
+            assert table.levels == CountTable(step_set, n_max).levels
+            assert table._slot > slot or n_max < 16, (step_set, n_max)
+
+
+# one step set of each kind, checked to n = 60, past at least three re-slots
+PAST_RESLOTS = [GESSEL, KREWERAS, parse_step_set("E,W,N,S,NE,NW,SE,SW"), parse_step_set("NE,SW")]
+
+
+def _slots_seen(steps, n_max):
+    """The slot bytes of levels 0..n_max of the packed sweep (widths do not
+    enter the slot rule, so one cell a level is enough)."""
+    sweep = _sweep(steps, step_lattice(steps), [1], 1, 0, [[1]] * n_max)
+    return [1] + [slot for _, slot in sweep]
+
+
+def test_packed_kernel_matches_scalar_oracle_past_reslots():
+    for step_set in PAST_RESLOTS:
+        steps = step_set.sorted_steps()
+        slots = _slots_seen(steps, 60)
+        assert sum(a != b for a, b in zip(slots, slots[1:])) >= 3, step_set
+        levels = scalar_levels(steps, 60)
+        assert origin_sequence(step_set, 60) == [level[0][0] for level in levels], step_set
+        assert CountTable(step_set, 60).levels == levels, step_set
+
+
+def test_origin_levels_hold_returning_cells_in_kept_slots():
+    """Each packed row of the origin sweep holds, in slot k, the scalar
+    oracle's count at the k-th coset column of the row wherever that cell
+    can still return to the origin, and nothing past its kept width."""
+    for step_set in PAST_RESLOTS:
+        steps = step_set.sorted_steps()
+        alpha, beta, d = lattice = step_lattice(steps)
+        n_max = 60
+        dist = return_distances(steps, 2 * n_max + 1)
+        levels = scalar_levels(steps, n_max)
+        widths = _origin_widths(steps, n_max)
+        sweep = _sweep(steps, lattice, [1], 1, 0, widths[1:])
+        for n, (level, slot) in enumerate(sweep, 1):
+            bits = 8 * slot
+            assert len(level) == len(widths[n])
+            for i, row in enumerate(level):
+                cols = [j for j in range(widths[n][i]) if (n + alpha * i + beta * j) % d == 0]
+                assert row >> (len(cols) * bits) == 0, (step_set, n, i)
+                for k, j in enumerate(cols):
+                    if dist.get((i, j), n_max + 1) <= n_max - n:
+                        assert row >> (k * bits) & ((1 << bits) - 1) == levels[n][i][j]
+
+
+def test_slot_bytes_hold_every_count_and_reslot_logarithmically():
+    """A slot of b bytes holds every count of level n, which is at most
+    |S|^n, with no byte to spare; the sweep to n = 500 re-slots at most
+    log2(500) times for every step-set size."""
+    directions = list(DIRECTIONS.values())
+    for size in range(1, 9):
+        for n in range(601):
+            need = (size**n).bit_length()
+            assert 8 * _slot_bytes(size, n) >= need > 8 * (_slot_bytes(size, n) - 1), (size, n)
+        slots = _slots_seen(directions[:size], 500)
+        assert all(slot >= _slot_bytes(size, n) for n, slot in enumerate(slots)), size
+        assert sum(a != b for a, b in zip(slots, slots[1:])) <= (500).bit_length(), size
 
 
 def test_cached_table_reuses_and_extends():
