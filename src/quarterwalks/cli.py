@@ -14,6 +14,7 @@ Commands raise, and ``_MainGroup`` alone decides how an error is reported.
 
 from __future__ import annotations
 
+import glob
 import json
 import os
 import sys
@@ -207,7 +208,16 @@ def _run_guess(config: PipelineConfig):
 @click.option("--margin", type=_COUNT, default=20, help="Extra sample points beyond the unknown count.")
 @click.option("--out", required=True, type=click.Path(), help="Directory for candidate JSON files.")
 def guess(steps, bounds, shape, margin, out):
-    """Search an ansatz for annihilating operators; write candidates as JSON."""
+    """Search an ansatz for annihilating operators; write candidates as JSON.
+
+    An --out that already holds candidate files is refused before any
+    guessing, so that the directory never mixes candidates of two runs."""
+    stale = glob.glob(os.path.join(glob.escape(out), "candidate_*.json"))
+    if stale:
+        raise ValueError(
+            f"{out} already holds candidate files ({len(stale)} candidate_*.json); "
+            "remove them or choose another --out"
+        )
     config = PipelineConfig(steps=steps, shape=shape, bounds=list(bounds), margin=margin)
     candidates, _, _ = _run_guess(config)
     os.makedirs(out, exist_ok=True)

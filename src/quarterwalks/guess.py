@@ -8,11 +8,16 @@ coefficients; many points give a linear system whose right kernel holds
 every annihilator with that support.  An empty kernel is a proof that no
 such annihilator exists, because each row is a necessary condition.
 
-The kernel is computed multimodularly and checked exactly: the matrix is
-split into the blocks of its nonzero pattern, each block is row-reduced
-modulo primes below 2^32 with every row packed into one Python int of
-64-bit slots, the kernel vectors are lifted from their residues by CRT
-and rational reconstruction, and A v = 0 is verified over the integers.
+A row is assembled from one oracle read per distinct shift and one power
+product per distinct monomial, gathered into support order.  The kernel
+is computed multimodularly and checked exactly: the matrix is split into
+the blocks of its nonzero pattern, each block is row-reduced on its last
+min(rows, cols) rows modulo primes below 2^32 with every row packed into
+one Python int of 64-bit slots, the kernel vectors are lifted from their
+residues by CRT and rational reconstruction to integer (numerator,
+denominator) pairs, and A v = 0 is verified over the integers, first on
+those rows and then on the rest; a block whose last rows fall short is
+solved again on all its rows.
 """
 
 from __future__ import annotations
@@ -20,9 +25,9 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass, field
-from fractions import Fraction
-from itertools import compress
-from typing import Sequence
+from itertools import compress, tee
+from operator import itemgetter, mul
+from typing import Iterator, Sequence
 
 from .ore import OreOperator
 
@@ -180,22 +185,33 @@ class LinearSystem:
     template: AnsatzTemplate = field(repr=False)
 
 
+def _gather(indices: Sequence[int]):
+    """``itemgetter`` over `indices` that returns a tuple even for one index."""
+    if len(indices) == 1:
+        k = indices[0]
+        return lambda seq: (seq[k],)
+    return itemgetter(*indices)
+
+
 def assemble_system(
     template: AnsatzTemplate, oracle, points: Sequence[tuple[int, int, int]]
 ) -> LinearSystem:
+    """The entry at point (n, i, j) and tuple (e1, ..., e6) is
+    n^e1 i^e2 j^e3 f(n + e4, i + e5, j + e6).  Per point, each distinct
+    shift is read from the oracle once and each distinct monomial is
+    computed once; the row is their products gathered in support order
+    (0^0 = 1 and 0^k = 0 give the zeros at i = 0 and j = 0)."""
+    support = template.support
+    shifts = sorted({t[3:] for t in support})
+    monomials = sorted({t[:3] for t in support})
+    shift_of = _gather([shifts.index(t[3:]) for t in support])
+    monomial_of = _gather([monomials.index(t[:3]) for t in support])
+    value = oracle.value
     rows = []
     for (n, i, j) in points:
-        row = []
-        for (e1, e2, e3, e4, e5, e6) in template.support:
-            if (i == 0 and e2) or (j == 0 and e3):
-                row.append(0)
-                continue
-            v = oracle.value(n + e4, i + e5, j + e6)
-            if v:
-                row.append(n**e1 * i**e2 * j**e3 * v)
-            else:
-                row.append(0)
-        rows.append(row)
+        values = [value(n + e4, i + e5, j + e6) for e4, e5, e6 in shifts]
+        powers = [n**e1 * i**e2 * j**e3 for e1, e2, e3 in monomials]
+        rows.append(list(map(mul, monomial_of(powers), shift_of(values))))
     return LinearSystem(rows, list(points), template)
 
 
@@ -218,7 +234,7 @@ def _primes(width: int):
     if n % 2 == 0:
         n -= 1
     while True:
-        if all(n % d for d in range(3, math.isqrt(n) + 1, 2)):
+        if 0 not in map(n.__mod__, range(3, math.isqrt(n) + 1, 2)):
             yield n
         n -= 2
 
@@ -236,28 +252,35 @@ def _blocks(matrix: list[list[int]], ncols: int) -> list[tuple[list[int], list[i
     """The connected components of the bipartite graph whose nodes are the
     rows and columns and whose edges are the nonzero entries, as (rows,
     columns) in ascending order, ordered by first column.  A zero column
-    is a block with no rows; a zero row is in no block."""
-    parent = list(range(ncols))
+    is a block with no rows; a zero row is in no block.
 
-    def root(c):
-        while parent[c] != c:
-            parent[c] = parent[parent[c]]
-            c = parent[c]
-        return c
-
-    supports = [list(compress(range(ncols), row)) for row in matrix]
-    for cols in supports:
-        if cols:
-            r0 = root(cols[0])
-            for c in cols[1:]:
-                parent[root(c)] = r0
-    blocks: dict[int, tuple[list[int], list[int]]] = {}
-    for c in range(ncols):
-        blocks.setdefault(root(c), ([], []))[1].append(c)
-    for r, cols in enumerate(supports):
-        if cols:
-            blocks[root(cols[0])][0].append(r)
-    return list(blocks.values())
+    Each row's nonzero pattern is one int with a byte per column
+    (``bytes(map(bool, row))``); a component is the union of the masks
+    of its rows, and a new row mask is merged with every component it
+    intersects."""
+    by_mask: dict[int, list[int]] = {}
+    for r, row in enumerate(matrix):
+        by_mask.setdefault(int.from_bytes(bytes(map(bool, row)), "little"), []).append(r)
+    by_mask.pop(0, None)
+    components: list[tuple[int, list[int]]] = []
+    for mask, rows in by_mask.items():
+        apart = []
+        for other, other_rows in components:
+            if other & mask:
+                mask |= other
+                rows = rows + other_rows
+            else:
+                apart.append((other, other_rows))
+        components = apart + [(mask, rows)]
+    columns = range(ncols)
+    unused = int.from_bytes(b"\x01" * ncols, "little")
+    blocks = []
+    for mask, rows in components:
+        unused ^= mask
+        blocks.append((sorted(rows), list(compress(columns, mask.to_bytes(ncols, "little")))))
+    blocks += [([], [c]) for c in compress(columns, unused.to_bytes(ncols, "little"))]
+    blocks.sort(key=lambda block: block[1][0])
+    return blocks
 
 
 def _echelon_mod(rows: list[list[int]], p: int) -> tuple[list[int], list[tuple[int, ...]]]:
@@ -320,9 +343,10 @@ def _kernel_mod(
     return pivots, free, [[-r[t] % p for r in solved] for t in range(len(free))]
 
 
-def _ratrec(u: int, m: int) -> Fraction | None:
+def _ratrec(u: int, m: int) -> tuple[int, int] | None:
     """The fraction r/t with r ≡ t*u (mod m) and |r|, |t| <= sqrt(m/2), by
-    Wang's half extended Euclid; it is unique when it exists."""
+    Wang's half extended Euclid, as (r, t) in lowest terms with t > 0;
+    it is unique when it exists, and None when it does not."""
     bound = math.isqrt(m // 2)
     r0, r1, t0, t1 = m, u, 0, 1
     while r1 > bound:
@@ -330,24 +354,91 @@ def _ratrec(u: int, m: int) -> Fraction | None:
         r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
     if abs(t1) > bound or math.gcd(r1, t1) != 1:
         return None
-    return Fraction(r1, t1)
+    return (r1, t1) if t1 > 0 else (-r1, -t1)
 
 
-def _annihilates(matrix: list[list[int]], vec: Sequence[int]) -> bool:
+def _annihilates(rows: Sequence[Sequence[int]], vec: Sequence[int]) -> bool:
     """A v = 0 exactly, for an integer vector v, reading only its support."""
-    support = [(c, v) for c, v in enumerate(vec) if v]
-    return not any(sum(row[c] * v for c, v in support) for row in matrix)
+    support = _gather([c for c, v in enumerate(vec) if v])
+    values = support(vec)
+    return not any(sum(map(mul, support(row), values)) for row in rows)
 
 
-def _normalize_vector(vec: list[Fraction | int]) -> tuple[int, ...]:
-    """Scale a nonzero rational vector to a primitive integer vector whose
+def _normalize_vector(pairs: Sequence[tuple[int, int]]) -> tuple[int, ...]:
+    """Clear a nonzero rational vector, given as (numerator, denominator)
+    pairs with positive denominators, to a primitive integer vector whose
     first nonzero entry is positive."""
-    den = math.lcm(*(v.denominator for v in vec))
-    ints = [v.numerator * (den // v.denominator) for v in vec]
+    den = math.lcm(*(d for _, d in pairs))
+    ints = [a * (den // d) for a, d in pairs]
     g = math.gcd(*ints)
     if next(v for v in ints if v) < 0:
         g = -g
     return tuple(v // g for v in ints)
+
+
+def _vanishes_mod(
+    rows: Sequence[Sequence[int]], width: int, pivots: list[int], free: list[int],
+    res: list[list[int]], p: int,
+) -> bool:
+    """Whether every row annihilates, mod p, the combination sum_t t v_t
+    (t = 1, 2, ...) of the mod-p kernel vectors `_kernel_mod` gives: v_t
+    has a 1 at free[t] and res[t][k] at pivots[k]."""
+    weights = range(1, len(free) + 1)
+    combo = [0] * width
+    for f, w in zip(free, weights):
+        combo[f] = w
+    for k, column in zip(pivots, zip(*res)):
+        combo[k] = sum(map(mul, column, weights))
+    return not any(sum(map(mul, row, combo)) % p for row in rows)
+
+
+def _block_kernel(
+    rows: list[Sequence[int]], width: int, primes: Iterator[int]
+) -> list[tuple[int, tuple[int, ...]]]:
+    """The RREF kernel basis of one block with `width` columns, as (free
+    column, vector) pairs, solved modulo `primes` on its last `width`
+    rows first and on all its rows when those fall short (see
+    `nullspace`)."""
+    system, rest = rows[-width:], rows[:-width]
+    best = None
+    for p in primes:
+        pivots, free, res = _kernel_mod(system, width, p)
+        if not free:
+            return []
+        if rest and not _vanishes_mod(rest, width, pivots, free, res, p):
+            system, rest, best = rows, [], None
+            continue
+        key = (-len(pivots), pivots)
+        if best is not None and key > best:
+            continue
+        if key == best:
+            inv = pow(modulus, -1, p)
+            residues = [
+                [u + modulus * ((r - u) * inv % p) for u, r in zip(us, rs)]
+                for us, rs in zip(residues, res)
+            ]
+            modulus *= p
+        else:
+            best, residues, modulus = key, res, p
+        basis = []
+        for f, us in zip(free, residues):
+            pairs = [(0, 1)] * width
+            pairs[f] = (1, 1)
+            for c, u in zip(pivots, us):
+                pairs[c] = _ratrec(u, modulus)
+            if None in pairs:
+                break
+            vec = _normalize_vector(pairs)
+            if not _annihilates(system, vec):
+                break
+            if rest and not _annihilates(rest, vec):
+                # vec is in the kernel of the last rows but not of the
+                # block: solve the block again on all its rows
+                system, rest, best = rows, [], None
+                break
+            basis.append((f, vec))
+        else:
+            return basis
 
 
 def nullspace(system: LinearSystem | list[list[int]]) -> list[tuple[int, ...]]:
@@ -366,26 +457,50 @@ def nullspace(system: LinearSystem | list[list[int]]) -> list[tuple[int, ...]]:
     b's columns vanish on all other rows.  So the pivot set of the whole
     matrix, over Q or over GF(p), is the union of the blocks' pivot sets,
     and each RREF kernel vector lives on one block: its free column and
-    the pivots of that block.  Everything below holds for the whole
-    matrix with these pivots and residues.
+    the pivots of that block.  Each block is solved on its own
+    (`_block_kernel`), and a vector on block b satisfies a row of A
+    exactly when it satisfies it restricted to b's columns, which is
+    zero off b's rows.  Everything below is said of one block, A.
 
-    Each block is row-reduced modulo primes p (`_primes`, sized for the
+    A is first row-reduced on its square subsystem A_S, its last
+    min(rows, cols) rows: `plan_points` lists points by ascending n, so
+    these are the highest-n points, which have the fewest forced zeros.
+    The elimination runs modulo primes p (`_primes`, sized for the
     widest block).  The kernel vector mod p of a free column f has a 1
-    at f and -R[k, f] at each pivot k; its residues, combined by CRT over
-    the primes so far, are lifted to Q by rational reconstruction and
-    checked exactly, A v = 0 over Z on every row.  Any failure adds a
-    prime.
+    at f and -R[k, f] at each pivot k of the reduced row echelon form R;
+    its residues, combined by CRT over the primes so far, are lifted to
+    Q by rational reconstruction and checked exactly over Z, first on
+    the rows of A_S, then on the other rows of A.  A vector that fails a
+    row of A_S is a wrong reconstruction, and another prime is added.  A
+    vector that satisfies A_S exactly but fails another row proves
+    ker A_S ⊋ ker A; then A is solved again on all its rows, so the
+    worst case is twice one elimination.  Reconstructing A_S's own
+    kernel can take many primes when it is larger than A's, so each
+    prime first screens the other rows mod p (`_vanishes_mod`): they
+    must annihilate one fixed combination of the mod-p kernel vectors.
+    If ker A_S = ker A and p keeps A_S's pivot set, the mod-p vectors
+    are the reductions of rational vectors in ker A and pass; so a
+    failed screen means ker A_S ⊋ ker A or an unlucky p, and A is solved
+    again on all its rows.  Solving on all rows is always sound, so the
+    screen only decides when that happens.
 
     Reduction mod p can only lower the rank of each column prefix, so the
     mod-p pivot set is never better than the rational one (more pivots,
-    or as many lexicographically earlier): full column rank mod p proves
-    the kernel trivial, and residues are combined only across primes
-    sharing the best pivot set seen.  Only finitely many primes are
-    unlucky and reconstruction is exact past a finite modulus, so the
-    loop ends.  Each verified vector lives on {f} and the pivots before
-    f, so no mod-p free column is a rational pivot; with rank_p <= rank_Q
-    the pivot sets agree, and the basis is the unique rational RREF
-    kernel basis in free-column order, as Gauss-Jordan over Q gives it.
+    or as many lexicographically earlier): full column rank of A_S mod p
+    proves ker A_S, and so ker A, trivial, and residues are combined
+    only across primes sharing the best pivot set seen.  Only finitely
+    many primes are unlucky and reconstruction is exact past a finite
+    modulus, so the loop ends: it switches to all rows at most once, and
+    on A_S it either accepts A_S's RREF kernel vectors, when they pass
+    every row, or one of them fails a row off A_S and forces the switch.
+    The accepted vectors lie in ker A and are independent (each has a 1 at
+    its own free column and 0 at the others), and there are
+    ncols - rank_p(A_S) >= ncols - rank_Q(A_S) >= ncols - rank_Q(A) of
+    them, so all three ranks agree.  Each verified vector lives on {f}
+    and the pivots before f, so no mod-p free column is a rational pivot
+    of A; with equal ranks the pivot sets agree, and the basis is the
+    unique rational RREF kernel basis in free-column order, as
+    Gauss-Jordan over Q gives it.
     """
     matrix = system.matrix if isinstance(system, LinearSystem) else system
     if not matrix:
@@ -393,48 +508,18 @@ def nullspace(system: LinearSystem | list[list[int]]) -> list[tuple[int, ...]]:
     ncols = len(matrix[0])
     if ncols == 0:
         return []
-    blocks = [
-        (cols, [[matrix[r][c] for c in cols] for r in rows])
-        for rows, cols in _blocks(matrix, ncols)
-    ]
-    width = max((len(cols) for cols, rows in blocks if rows), default=1)
-    best = None
-    for p in _primes(width):
-        pivots, kernel = [], []
-        for cols, rows in blocks:
-            piv, free, res = _kernel_mod(rows, len(cols), p)
-            piv = [cols[k] for k in piv]
-            pivots += piv
-            kernel += [(cols[f], piv, r) for f, r in zip(free, res)]
-        if len(pivots) == ncols:
-            return []
-        pivots.sort()
-        kernel.sort()
-        key = (-len(pivots), pivots)
-        if best is not None and key > best:
-            continue
-        if key == best:
-            inv = pow(modulus, -1, p)
-            residues = [
-                [u + modulus * ((r - u) * inv % p) for u, r in zip(us, rs)]
-                for us, (_, _, rs) in zip(residues, kernel)
-            ]
-            modulus *= p
-        else:
-            best, residues, modulus = key, [rs for _, _, rs in kernel], p
-        basis = []
-        for (f, cols, _), us in zip(kernel, residues):
-            vec = [0] * ncols
-            vec[f] = 1
-            for c, u in zip(cols, us):
-                vec[c] = _ratrec(u, modulus)
-            if None in vec:
-                break
-            basis.append(_normalize_vector(vec))
-            if not _annihilates(matrix, basis[-1]):
-                break
-        else:
-            return basis
+    blocks = _blocks(matrix, ncols)
+    widest = max((len(cols) for rows, cols in blocks if rows), default=1)
+    basis = []
+    for (rows, cols), primes in zip(blocks, tee(_primes(widest), len(blocks))):
+        gather = _gather(cols)
+        for f, vec in _block_kernel([gather(matrix[r]) for r in rows], len(cols), primes):
+            full = [0] * ncols
+            for c, v in zip(cols, vec):
+                full[c] = v
+            basis.append((cols[f], tuple(full)))
+    basis.sort()
+    return [vec for _, vec in basis]
 
 
 def filter_candidates(

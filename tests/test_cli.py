@@ -208,6 +208,33 @@ def test_guess_malformed_steps_exit_2(runner, tmp_path):
     assert r.exit_code == 2
 
 
+def test_guess_refuses_out_holding_candidates(runner, tmp_path):
+    # an empty existing directory is accepted
+    out = tmp_path / "cands"
+    out.mkdir()
+    r = invoke(
+        runner,
+        ["guess", "--steps", "E,W,NE,SW", "--bounds", "ord_sn=1,ord_si=2,ord_sj=2",
+         "--out", str(out)],
+    )
+    assert r.exit_code == 0
+    before = {f: (out / f).read_bytes() for f in sorted(os.listdir(out))}
+    assert list(before) == ["candidate_000.json"]
+    # a second run into it is refused before guessing, even one of
+    # another step set that would find nothing, and deletes nothing
+    r = runner.invoke(
+        main,
+        ["guess", "--steps", "W,S,NE", "--shape", "quasiholonomic",
+         "--bounds", "deg_n=1,ord_sn=2", "--out", str(out)],
+    )
+    assert r.exit_code == 2
+    assert r.output.splitlines() == [
+        f"error: {out} already holds candidate files (1 candidate_*.json); "
+        "remove them or choose another --out"
+    ]
+    assert {f: (out / f).read_bytes() for f in sorted(os.listdir(out))} == before
+
+
 def test_certify_trivial_and_refuted(runner, tmp_path):
     t = trivial_operator(GESSEL)
     t_file = write_json(tmp_path / "t.json", operator_to_json(t))

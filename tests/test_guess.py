@@ -1,3 +1,4 @@
+import functools
 import math
 import random
 from fractions import Fraction
@@ -16,11 +17,14 @@ from quarterwalks import (
     nullspace,
     plan_points,
     template_from_support,
+    parse_step_set,
     trivial_operator,
 )
-from quarterwalks.guess import _blocks, _kernel_mod, _primes
+from quarterwalks import guess as guess_module
+from quarterwalks.cli import parse_bounds
+from quarterwalks.guess import _blocks, _kernel_mod, _primes, _ratrec, _vanishes_mod
 
-from naive_oracles import fraction_nullspace, modp_kernel
+from naive_oracles import brute_force_counts, fraction_nullspace, modp_kernel
 
 T = trivial_operator(GESSEL)
 T_SUPPORT = tuple(sorted(T.terms))
@@ -78,6 +82,81 @@ def test_assemble_single_entry_value(gessel_oracle):
     system = assemble_system(tpl, gessel_oracle, [(2, 0, 0)])
     assert system.matrix == [[2 * gessel_oracle.value(3, 0, 0)]]
     assert system.matrix == [[0]]
+
+
+@pytest.mark.parametrize("steps", ["E,W,NE,SW", "W,S,NE", "E,W,N,S"])
+@pytest.mark.parametrize("shape", ["full", "quasiholonomic"])
+def test_assemble_matches_definition_entrywise(steps, shape):
+    # entry (n, i, j) x (e1, ..., e6) is n^e1 i^e2 j^e3 f(n + e4, i + e5, j + e6),
+    # with f the enumerated counts, zero off the quadrant and past the
+    # light cone; the points include n = 0, i = 0, j = 0 and i, j > n
+    step_set = parse_step_set(steps)
+    counts = functools.cache(lambda n: brute_force_counts(step_set.sorted_steps(), n))
+
+    def f(n, i, j):
+        return counts(n).get((i, j), 0) if min(n, i, j) >= 0 else 0
+
+    rng = random.Random(f"{steps} {shape}")
+    points = [(n, i, j) for n in range(5) for i in range(7) for j in range(7)]
+    for _ in range(3):
+        caps = [rng.randint(0, 2) for _ in range(3)] + [rng.randint(0, 2) for _ in range(3)]
+        tpl = build_template(Bounds(*caps), shape)
+        table = CountTable(step_set, 0)
+        matrix = assemble_system(tpl, table, points).matrix
+        assert len(matrix) == len(points)
+        for (n, i, j), row in zip(points, matrix):
+            want = [
+                n**e1 * i**e2 * j**e3 * f(n + e4, i + e5, j + e6)
+                for e1, e2, e3, e4, e5, e6 in tpl.support
+            ]
+            assert row == want, (caps, (n, i, j))
+            assert all(type(x) is int for x in row)
+
+
+def _count_kernel_mod(monkeypatch):
+    """Record (rows, width) of every `_kernel_mod` call the solver makes."""
+    calls = []
+
+    def counting(rows, width, p):
+        calls.append((len(rows), width))
+        return _kernel_mod(rows, width, p)
+
+    monkeypatch.setattr(guess_module, "_kernel_mod", counting)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "steps, shape, bounds, rows, cols, blocks, kernel, kept",
+    [
+        pytest.param(
+            "E,W,NE,SW", "quasiholonomic",
+            "deg_n=2,deg_i=2,deg_j=2,ord_sn=3,ord_si=2,ord_sj=2,total=2",
+            425, 264, [(208, 132), (214, 132)], 21, 0, id="gessel-qh-guess",
+        ),
+        pytest.param(
+            "W,S,NE", "full",
+            "deg_n=2,deg_i=2,deg_j=2,ord_sn=4,ord_si=1,ord_sj=1,total=2",
+            350, 200, [(113, 60), (115, 70), (116, 70)], 6, 6, id="kreweras-prove",
+        ),
+    ],
+)
+def test_benchmark_guessing_systems(
+    monkeypatch, steps, shape, bounds, rows, cols, blocks, kernel, kept
+):
+    # the two guessing systems the benchmark solves: their sizes, block
+    # split and kernel, solved on the square subsystems alone
+    calls = _count_kernel_mod(monkeypatch)
+    tpl = build_template(parse_bounds(bounds), shape)
+    plan = plan_points(tpl)
+    oracle = CountTable(parse_step_set(steps), 0)
+    system = assemble_system(tpl, oracle, plan.points)
+    basis = nullspace(system)
+    assert (len(system.matrix), len(tpl)) == (rows, cols)
+    found = [(len(r), len(c)) for r, c in _blocks(system.matrix, cols) if r]
+    assert found == blocks
+    assert len(basis) == kernel
+    assert len(filter_candidates(basis, tpl, oracle, plan.fresh_points)) == kept
+    assert calls and all(n <= width for n, width in calls)
 
 
 def test_nullspace_trivial_cases():
@@ -141,6 +220,19 @@ def test_nullspace_rational_rows_match_fraction_oracle():
         assert all(type(x) is int for v in basis for x in v)
 
 
+def test_ratrec_returns_lowest_terms_with_positive_denominator():
+    p, q = _first_prime(1), _first_prime(2)
+    m = p * q
+    rng = random.Random(43)
+    for _ in range(200):
+        x = Fraction(rng.randint(-2**20, 2**20), rng.randint(1, 2**20))
+        u = x.numerator * pow(x.denominator, -1, m) % m
+        assert _ratrec(u, m) == (x.numerator, x.denominator)
+    # b/a is past sqrt(m / 2), and no smaller fraction is congruent to it
+    a, b = 2**41 + 15, 2**40 + 3
+    assert _ratrec(b * pow(a, -1, m) % m, m) is None
+
+
 def _first_prime(width):
     """The first prime the solver uses when the widest block of the
     matrix has `width` columns."""
@@ -192,13 +284,19 @@ def test_nullspace_matches_fraction_oracle_big_entries():
         assert nullspace(m) == fraction_nullspace(m), (trial, m)
 
 
-def _scatter(rng, blocks, zero_rows, zero_cols):
+def _scatter(rng, blocks, zero_rows, zero_cols, keep_row_order=False):
     """A matrix made of `blocks` on the diagonal, with zero rows and zero
     columns added and its rows and columns permuted at random, and the
-    column set each block landed on."""
+    column set each block landed on.  With `keep_row_order` the rows of
+    each block keep their order, interleaved with the others."""
     nrows = sum(len(b) for b in blocks) + zero_rows
     ncols = sum(len(b[0]) for b in blocks) + zero_cols
     row_at, col_at = rng.sample(range(nrows), nrows), rng.sample(range(ncols), ncols)
+    if keep_row_order:
+        r0 = 0
+        for b in blocks:
+            row_at[r0 : r0 + len(b)] = sorted(row_at[r0 : r0 + len(b)])
+            r0 += len(b)
     m = [[0] * ncols for _ in range(nrows)]
     groups, r0, c0 = [], 0, 0
     for b in blocks:
@@ -229,6 +327,78 @@ def test_nullspace_block_split_matches_fraction_oracle():
         found = [cols for rows, cols in _blocks(ints, len(m[0])) if rows]
         assert sorted(found) == sorted(groups), (trial, m)
         assert nullspace(ints) == fraction_nullspace(m), (trial, m)
+
+
+def _square_block(rng, cols, extra, bottom_rank, spanned_top=False):
+    """A block of cols + extra rows whose last `cols` rows have rank at
+    most `bottom_rank`: combinations of `bottom_rank` random rows.  The
+    first `extra` rows are random, or with `spanned_top` combinations of
+    the same rows, so that the whole block has the rank of its last rows."""
+    nonzero = [x for x in range(-6, 7) if x]
+    base = [[rng.choice(nonzero) for _ in range(cols)] for _ in range(bottom_rank)]
+
+    def combination():
+        coef = [rng.choice((1, 2, 3)) for _ in base]
+        return [sum(a * b[c] for a, b in zip(coef, base)) for c in range(cols)]
+
+    top = [
+        combination() if spanned_top else [rng.choice(nonzero) for _ in range(cols)]
+        for _ in range(extra)
+    ]
+    return top + [combination() for _ in range(cols)]
+
+
+def _rank(m):
+    return len(m[0]) - len(fraction_nullspace(m))
+
+
+@pytest.mark.parametrize("screen", [True, False], ids=["mod-p-screen", "exact-check"])
+def test_nullspace_falls_back_when_last_rows_fall_short(monkeypatch, screen):
+    # the last `cols` rows of a block have a larger kernel than the block:
+    # the solver must notice it and solve the block again on all its rows,
+    # from the mod-p screen or, with the screen passing everything, from
+    # the exact check of a reconstructed vector
+    verdicts = []
+
+    def screened(*args):
+        verdicts.append(_vanishes_mod(*args))
+        return verdicts[-1] or not screen
+
+    monkeypatch.setattr(guess_module, "_vanishes_mod", screened)
+    rng = random.Random(31)
+    trials = 0
+    while trials < 25:
+        cols, extra = rng.randint(2, 5), rng.randint(1, 3)
+        block = _square_block(rng, cols, extra, rng.randint(1, cols - 1))
+        if any(0 in row for row in block) or _rank(block) <= _rank(block[extra:]):
+            continue
+        trials += 1
+        other = [[rng.choice((1, -2, 3, 5)) for _ in range(3)] for _ in range(2)]
+        m, _ = _scatter(rng, [block, other], rng.randint(0, 1), rng.randint(0, 1), True)
+        calls = _count_kernel_mod(monkeypatch)
+        verdicts.clear()
+        assert nullspace(m) == fraction_nullspace(m), m
+        assert (cols + extra, cols) in calls, (calls, m)
+        assert False in verdicts, m
+
+
+def test_nullspace_square_subsystem_suffices(monkeypatch):
+    # the last `cols` rows already have the block's kernel, full or not:
+    # no block is solved on all its rows
+    rng = random.Random(37)
+    trials, kernels = 0, 0
+    while trials < 25:
+        cols, extra = rng.randint(2, 5), rng.randint(1, 3)
+        block = _square_block(rng, cols, extra, rng.randint(1, cols), rng.random() < 0.6)
+        if any(0 in row for row in block) or _rank(block[extra:]) != _rank(block):
+            continue
+        trials += 1
+        kernels += _rank(block) < cols
+        m, _ = _scatter(rng, [block], rng.randint(0, 1), rng.randint(0, 1), True)
+        calls = _count_kernel_mod(monkeypatch)
+        assert nullspace(m) == fraction_nullspace(m), m
+        assert calls and all(n <= width for n, width in calls), (calls, m)
+    assert kernels >= 5
 
 
 def test_nullspace_unlucky_prime_in_one_block():
