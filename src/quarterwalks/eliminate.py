@@ -285,7 +285,8 @@ def reduce_mod_ij(op: OreOperator) -> Vector:
 # Fraction-free echelon over Q(n)[S_n]
 # ---------------------------------------------------------------------------
 
-# A row is a ``Vector``; the echelon keeps each one globally primitive.
+# A row is a ``Vector``.  The input rows and the pivots are primitive; the
+# rows between reduction steps are not (see ``_echelonize``).
 
 
 def _row_clean(row: Vector) -> Vector:
@@ -358,10 +359,14 @@ def _reduce_leading(u: Vector, w: Vector) -> Vector:
     S_n^delta aw = aw' S_n^delta.  The step is left multiplication of u by
     the nonzero element aw'/g of Q(n), plus a Q(n)[S_n]-multiple of w, so
     the span is unchanged.  It is the full-multiplier step
-    aw' u - au S_n^delta w divided by g, so once ``_row_normalize`` has made
-    each row primitive with a positive leading coefficient the two give the
-    same row: only the polynomial factor that it would divide back out is
-    never multiplied in.
+    aw' u - au S_n^delta w divided by g: only the polynomial factor that
+    a normalization would divide back out is never multiplied in.
+
+    The step is homogeneous in u.  For nonzero h in Z[n], h*u has the
+    leading polynomial h*au, and with g' = gcd(aw', h*au)
+    reduce(h*u, w) = (h*g/g') * reduce(u, w), a nonzero Q(n)-multiple.
+    So u need not be primitive: ``_row_normalize`` gives the same row
+    either way (see ``_echelonize``).
     """
     pos_u, ku, au = _row_lead(u)
     pos_w, kw, aw = _row_lead(w)
@@ -383,42 +388,70 @@ def _row_sort_key(row: Vector):
     return (pos_key(pos), k, len(lead))
 
 
-def _echelonize(rows: list[Vector]) -> dict[Pos, Vector]:
+def _echelonize(rows: list[Vector]) -> tuple[dict[Pos, Vector], int, int]:
     """Euclidean echelon under the position-over-term order.
 
     Every operation replaces a row by an invertible Q(n)[S_n]-combination,
     so the module span is preserved exactly.  A reduction step
     (``_reduce_leading``) multiplies the row only by the cofactor aw'/g of
-    the leading polynomials' gcd, never by the whole of aw'; the
-    normalized result, and so every pivot, is the one the full-multiplier
-    step gives, because the two differ by the factor g that the
-    normalization removes.  Each step must lower the row's leading
-    (position, S_n power) strictly, so the loop ends; a step that does
-    not raises EliminationError.  The returned pivots have
-    pairwise distinct leading positions; a pivot led by (0,0) is therefore
-    supported on (0,0) only, and by the Euclidean reduction it has minimal
-    S_n-order among all such elements of the span.
+    the leading polynomials' gcd, never by the whole of aw'.  Each step
+    must lower the row's leading (position, S_n power) strictly, so the
+    loop ends; a step that does not raises EliminationError.  The
+    returned pivots have pairwise distinct leading positions; a pivot led
+    by (0,0) is therefore supported on (0,0) only, and by the Euclidean
+    reduction it has minimal S_n-order among all such elements of the
+    span.
+
+    A row is normalized (``_row_normalize``, one row-wide gcd) only when
+    it is stored as a pivot, not after each step.  Every pivot is still
+    the one that normalizing after each step would store:
+
+    1. The step is homogeneous in u: for nonzero h in Z[n],
+       reduce(h*u, w) = (h*g/g') * reduce(u, w) (``_reduce_leading``).
+       By induction the unnormalized row is a nonzero Q(n)-multiple of
+       the per-step normalized one, at every step.
+    2. Multiplying by a nonzero element of Q(n) keeps every support, so
+       the sequence of leading (position, power) pairs, and with it the
+       "did not lower" check and every branch taken, is unchanged.
+    3. ``_row_normalize`` gives the same result for every nonzero
+       Q(n)-multiple of a row that lies in Z[n]: by Gauss's lemma a
+       primitive row times a/b, with a, b coprime in Z[n], lies in Z[n]
+       only if b = +-1, and the positive leading coefficient fixes the
+       sign.
+
+    The S_n-shifted copies S_n^delta w of each pivot are kept in a dict
+    per pivot and reduce in place of w; a pivot's copies are dropped when
+    it is replaced.  Returns (pivots, reductions, normalized): the reduction
+    steps taken and the ``_row_normalize`` calls made.
     """
     pivots: dict[Pos, Vector] = {}
+    shifted: dict[Pos, dict[int, Vector]] = {}
+    reductions = normalized = 0
     for row in sorted(rows, key=_row_sort_key):
         while row:
             pos, k, _ = _row_lead(row)
             w = pivots.get(pos)
             if w is None:
-                pivots[pos] = _row_normalize(row)
+                pivots[pos], shifted[pos] = _row_normalize(row), {}
+                normalized += 1
                 break
             _, kw, _ = _row_lead(w)
             if k >= kw:
-                row = _row_normalize(_reduce_leading(row, w))
+                copies, delta = shifted[pos], k - kw
+                if delta not in copies:
+                    copies[delta] = _row_shift_sn(w, delta)
+                row = _reduce_leading(row, copies[delta])
+                reductions += 1
                 if row and _lead_rank(row) >= (pos_key(pos), k):
                     raise EliminationError(
                         f"a reduction step did not lower the leading term "
                         f"(position {pos}, S_n power {k})"
                     )
             else:
-                pivots[pos] = _row_normalize(row)
+                pivots[pos], shifted[pos] = _row_normalize(row), {}
+                normalized += 1
                 row = w
-    return pivots
+    return pivots, reductions, normalized
 
 
 # ---------------------------------------------------------------------------
@@ -477,11 +510,13 @@ def eliminate_shifts(vectors: Sequence[Vector]) -> tuple[Optional[UniOperator], 
         raise EliminationError("empty vector list")
     rows = [row for row in map(_row_normalize, vectors) if row]
     positions = sorted({p for r in rows for p in r}, key=pos_key)
-    pivots = _echelonize(rows)
+    pivots, reductions, normalized = _echelonize(rows)
     diag = {
         "vectors": len(rows),
         "positions": len(positions),
         "pivot_positions": sorted(pivots, key=pos_key),
+        "reductions": reductions,
+        "row_gcds": len(rows) + normalized,
     }
     hit = pivots.get((0, 0))
     if hit is None:

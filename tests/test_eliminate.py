@@ -394,6 +394,120 @@ def test_reduce_leading_matches_full_multiplier_oracle():
     assert reduced > 120
 
 
+def scale_row(row, h):
+    return {pos: {k: ipoly_mul(p, h) for k, p in comp.items()} for pos, comp in row.items()}
+
+
+def test_reduce_leading_is_homogeneous_in_the_row():
+    """reduce(h u, w) = (h g / g') reduce(u, w) for nonzero h in Z[n], with
+    g = gcd(aw', au) and g' = gcd(aw', h au); so both normalize to the same
+    row.  h runs over constants of either sign, polynomials of degree up to
+    3, and multiples of a factor of aw'."""
+    rng = random.Random(121)
+    shares = 0
+    for t, (u, w) in enumerate(random_row_pairs(109, 300)):
+        pos = max(u, key=pos_key)
+        ku, kw = max(u[pos]), max(w[pos])
+        aw_shift, au = ipoly_shift_arg(w[pos][kw], ku - kw), u[pos][ku]
+        g, _ = ipoly_gcd_cofactors([aw_shift, au])
+        kind = t % 4
+        if kind == 0:
+            h = [rng.choice((-1, 1)) * rng.randint(1, 30)]
+        elif kind == 1:
+            h = random_ipoly(rng, max_deg=3, max_coeff=50)
+        else:
+            # a factor of aw': the planted gcd with au, or aw' itself
+            h = ipoly_mul(g if kind == 2 else aw_shift, random_ipoly(rng, max_deg=1, max_coeff=5))
+        step, h_step = _reduce_leading(u, w), _reduce_leading(scale_row(u, h), w)
+        assert _row_normalize(h_step) == _row_normalize(step), (u, w, h)
+        g2, _ = ipoly_gcd_cofactors([aw_shift, ipoly_mul(h, au)])
+        assert scale_row(h_step, g2) == scale_row(step, ipoly_mul(h, g)), (u, w, h)
+        shares += len(ipoly_gcd_cofactors([h, aw_shift])[0]) > 1
+    assert shares > 80
+
+
+def reference_echelon(rows):
+    """The echelon that normalizes the row after every reduction step:
+    returns (pivots, reduction steps)."""
+    pivots, steps = {}, 0
+    for row in sorted(rows, key=eliminate._row_sort_key):
+        while row:
+            pos, k, _ = eliminate._row_lead(row)
+            w = pivots.get(pos)
+            if w is None:
+                pivots[pos] = _row_normalize(row)
+                break
+            _, kw, _ = eliminate._row_lead(w)
+            if k >= kw:
+                row = _row_normalize(_reduce_leading(row, w))
+                steps += 1
+            else:
+                pivots[pos] = _row_normalize(row)
+                row = w
+    return pivots, steps
+
+
+def assert_pivots_match_reference(vectors):
+    rows = [row for row in map(_row_normalize, vectors) if row]
+    pivots, reductions, _ = eliminate._echelonize(rows)
+    want, steps = reference_echelon(rows)
+    assert sorted(pivots, key=pos_key) == sorted(want, key=pos_key)
+    for pos, pivot in want.items():
+        assert pivots[pos] == pivot, pos
+    assert reductions == steps
+    return pivots, steps
+
+
+@pytest.mark.parametrize("bound, count", [(None, 16), (1, 9)])
+def test_echelon_pivots_match_per_step_normalization(kreweras_certified, bound, count):
+    """Normalizing a row only when it becomes a pivot stores every pivot
+    that normalizing after each step stores, not only the one on (0,0)."""
+    vectors, _ = generate_module(kreweras_certified, multiplier_bound=bound)
+    pivots, _ = assert_pivots_match_reference(vectors)
+    assert len(pivots) == count and (0, 0) in pivots
+
+
+def random_module(rng):
+    """A few integer vectors over four positions, S_n powers 0..2, with
+    shared leading positions so that the echelon has to reduce."""
+    positions = [(0, 0), (1, 0), (0, 1), (1, 1)]
+    vectors = []
+    for _ in range(rng.randint(2, 6)):
+        vec = {}
+        for _ in range(rng.randint(1, 4)):
+            pos, k = rng.choice(positions), rng.randint(0, 2)
+            poly = random_ipoly(rng, max_deg=2, max_coeff=9)
+            vec.setdefault(pos, {})[k] = [c * rng.choice((1, -2, 6)) for c in poly]
+        vectors.append(vec)
+    return vectors
+
+
+def test_echelon_pivots_match_per_step_normalization_random():
+    rng = random.Random(122)
+    steps = 0
+    for _ in range(80):
+        steps += assert_pivots_match_reference(random_module(rng))[1]
+    assert steps > 500
+
+
+def test_eliminate_shifts_counts_reductions_and_row_gcds(kreweras_certified, monkeypatch):
+    """The full Kreweras module: 28 vectors, 524 reduction steps, and one
+    row gcd per vector and per stored pivot (65), not one per step; the
+    reported count is the number of ``_row_normalize`` calls made."""
+    calls = []
+
+    def counting(row):
+        calls.append(row)
+        return _row_normalize(row)
+
+    monkeypatch.setattr(eliminate, "_row_normalize", counting)
+    vectors, _ = generate_module(kreweras_certified)
+    _, diag = eliminate_shifts(vectors)
+    assert (diag["vectors"], diag["positions"]) == (28, 16)
+    assert (diag["reductions"], diag["row_gcds"]) == (524, 65)
+    assert len(calls) == 65
+
+
 def test_kreweras_p_500_coefficients_pinned(kreweras_p_500):
     """The eliminated P, coefficient for coefficient, as the Fraction-based
     echelon (before the integer division and heuristic gcd) produced it."""
