@@ -49,3 +49,17 @@ print("round-trip U*T + V == X:", U * T + V == X)
 lm = T.leading_monomial()
 print("no remainder monomial is divisible by the leading monomial", lm, ":",
       all(not all(e[k] >= lm[k] for k in range(3)) for e in V.support()))
+print()
+
+# --- the certification step ------------------------------------------------------
+
+# T has constant coefficients, so T*X - X*T is a finite difference of X's
+# coefficients, and X*T is a left multiple of T: both sides leave the
+# same remainder, of lower total degree in n, i, j than X.
+_, by_product = div_rem(T * X, T)
+_, by_commutator = div_rem(T * X - X * T, T)
+print("rem(T*X, T)       =", by_product)
+print("rem(T*X - X*T, T) == rem(T*X, T):", by_commutator == by_product)
+print("total degree", X.total_poly_deg(), "->", by_product.total_poly_deg())
+assert by_commutator == by_product
+assert by_product.total_poly_deg() < X.total_poly_deg()

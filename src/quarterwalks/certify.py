@@ -5,27 +5,31 @@ annihilates the counts by construction.  To decide whether a candidate R
 annihilates them too, it is enough to know that (T R) f = 0 together with
 finitely many base cases at n = 0: T propagates the vanishing of R f from
 one level to the next.  Checking (T R) f = 0 reduces, by division with
-remainder T R = U T + V, to checking V f = 0, and the total degree of V
-in n, i, j drops strictly at every round, so the chain of remainders
-reaches 0 after finitely many steps.  What remains is a finite set of
-exact evaluations.
+remainder T R = U T + V, to checking V f = 0, and so on down a chain of
+remainders that ends at 0.  What remains is a finite set of exact
+evaluations.
 
-The degree drop is asserted at runtime rather than trusted; a violation
-aborts with an inconclusive verdict instead of certifying.
+The chain ends by a theorem.  T has constant coefficients and leading
+coefficient 1 or -1 (``ore.div_rem`` refuses any other divisor).  So
+T W = W T + [T, W] with W T a left multiple of T, and as the remainder
+modulo T is unique (the leading monomial of U T is lm(U) lm(T)),
+rem(T W, T) = rem([T, W], T).  For W = sum_m c_m S^m and T = sum_k t_k S^k,
+[T, W] = sum_k sum_m t_k (c_m(x + k) - c_m(x)) S^(k+m) is a finite
+difference: each coefficient has lower total degree in n, i, j than W, or
+is 0.  Division by T only rewrites S^lm(T) with T's constant tail, which
+raises no degree.  So the remainder V is 0 or deg V < deg W, and the chain
+of R has at most total_poly_deg(R) + 1 elements.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
-from . import ore
-from .ore import Box, OreOperator
+from .ore import Box, OreOperator, div_rem
 from .walks import CountTable
 
 CERTIFIED = "certified"
 REFUTED = "refuted"
-INCONCLUSIVE = "inconclusive-error"
 
 
 @dataclass
@@ -35,16 +39,16 @@ class BaseCheck:
     chain_index: int
     box: Box
     all_zero: bool
-    counterexample: Optional[tuple[int, int, int]] = None
+    counterexample: tuple[int, int, int] | None = None
 
 
 @dataclass
 class Certificate:
     operator: OreOperator
-    chain: list[OreOperator] = field(default_factory=list)
-    base_checks: list[BaseCheck] = field(default_factory=list)
-    verdict: str = INCONCLUSIVE
-    counterexample: Optional[tuple[int, int, int]] = None
+    verdict: str
+    chain: list[OreOperator]
+    base_checks: list[BaseCheck]
+    counterexample: tuple[int, int, int] | None = None
     detail: str = ""
 
     @property
@@ -91,45 +95,36 @@ def _find_refutation(
 def certify_operator(r: OreOperator, t: OreOperator, oracle: CountTable) -> Certificate:
     """Run the reduction-chain decision procedure for (R f) = 0.
 
-    Verdicts:  certified when the remainder chain reached 0 and every base
-    sweep was all-zero;  refuted, with a concrete counterexample point for
-    R itself, when a base value is nonzero;  inconclusive-error when the
-    expected total-degree decrease of the chain fails (never silently
-    accepted).  Each chain element W is swept at level 0 on the box
-    0 <= i, j <= ord_Sn(W) only: ``check_base_cases`` shows by the light
-    cone that (W f)(0; i, j) vanishes everywhere else, so no wider sweep
-    could change the verdict or the first counterexample.
+    The chain steps from W = R to rem([T, W], T) = rem(T W, T) and reaches
+    0 within total_poly_deg(R) + 1 steps, by the module's argument.  Its
+    hypotheses on T (constant coefficients, leading coefficient 1 or -1)
+    are what ``ore.div_rem`` checks: any other T raises
+    UnsupportedDivisorError.
+
+    Verdicts: certified when the chain reached 0 and every base sweep was
+    all-zero; refuted, with a point where R f != 0, when a base value is
+    nonzero.  Each W is swept at level 0 on 0 <= i, j <= ord_Sn(W) only,
+    which ``check_base_cases`` shows is enough, by the light cone.
     """
     if r.is_zero():
         raise ValueError("candidate operator is zero; nothing to certify")
-    cert = Certificate(operator=r)
+    chain, base_checks = [], []
     w = r
-    level = 0
     while True:
+        level = len(chain)
         check = check_base_cases(w, oracle, level)
-        cert.base_checks.append(check)
+        base_checks.append(check)
         if not check.all_zero:
-            cert.verdict = REFUTED
-            cert.counterexample = _find_refutation(r, oracle, t, level, check.counterexample)
-            cert.detail = (
+            point = _find_refutation(r, oracle, t, level, check.counterexample)
+            detail = (
                 f"base case failed at chain level {level}, point {check.counterexample}; "
-                f"(R f) != 0 at {cert.counterexample}"
+                f"(R f) != 0 at {point}"
             )
-            return cert
-        u, v = ore.div_rem(t * w, t)
-        cert.chain.append(v)
-        if v.is_zero():
-            cert.verdict = CERTIFIED
-            return cert
-        if v.total_poly_deg() >= w.total_poly_deg():
-            cert.verdict = INCONCLUSIVE
-            cert.detail = (
-                f"remainder total degree {v.total_poly_deg()} did not drop "
-                f"below {w.total_poly_deg()} at chain level {level}"
-            )
-            return cert
-        w = v
-        level += 1
+            return Certificate(r, REFUTED, chain, base_checks, point, detail)
+        w = div_rem(t * w - w * t, t)[1]
+        chain.append(w)
+        if w.is_zero():
+            return Certificate(r, CERTIFIED, chain, base_checks)
 
 
 def evidence_check(r: OreOperator, oracle: CountTable, box: Box) -> bool:

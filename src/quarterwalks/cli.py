@@ -24,7 +24,7 @@ from dataclasses import asdict, dataclass, field
 import click
 
 from . import __version__
-from .certify import CERTIFIED, REFUTED, certify_operator
+from .certify import certify_operator
 from .closedform import CLOSED_FORMS, hypergeom_term, max_nonneg_root, prove_equality
 from .eliminate import (
     EliminationError,
@@ -284,9 +284,8 @@ def certify(steps, operator_file, out):
         "detail": cert.detail,
     }
     _dump(report, out)
-    if cert.verdict == CERTIFIED:
-        return
-    sys.exit(1 if cert.verdict == REFUTED else 2)
+    if not cert.certified:
+        sys.exit(1)
 
 
 @main.command()

@@ -17,13 +17,15 @@ the same annihilation claims, and that is the form in which an operator
 file is read.
 
 ``div_rem`` divides by an operator with constant coefficients and a unit
-leading coefficient (such as the transfer-recurrence operator of a walk
-family), so that the quotient stays integral; it is the workhorse of the
-certification algorithm.
+leading coefficient (such as the transfer operator of a walk family), so
+that the quotient stays integral.  It reduces the remainder in place, and
+each cancelled term touches only the divisor's other terms; it is the
+workhorse of the certification algorithm.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 import re
 from dataclasses import dataclass
@@ -356,18 +358,16 @@ def div_rem(x: OreOperator, t: OreOperator) -> tuple[OreOperator, OreOperator]:
     leading coefficient is 1 or -1 (every transfer operator has leading
     coefficient 1); any other divisor raises UnsupportedDivisorError.
 
-    Returns (u, v) with  x = u*t + v  exactly and no shift monomial of v
-    divisible, componentwise in exponents, by the leading monomial of t.
-    Each quotient term is a coefficient of the running remainder divided
-    by the unit lc(t), so u and v have integer coefficients.
-    Shift monomials are ordered lex (S_n exponent first, then S_i, then
-    S_j).  Lex is compatible with monomial multiplication, which is what
-    the argument needs: each round cancels the lex-largest divisible
-    monomial m of the running remainder by subtracting q S^(m - lm) t, and
-    every other monomial of that product is S^(m - lm) times a monomial of
-    t below lm, so it lies strictly below m.  The cancelled monomial thus
-    falls strictly from round to round, and lex is a well-order on N^3, so
-    the loop terminates.
+    Returns (u, v) with  x = u*t + v  exactly, u and v integral, and no
+    shift monomial of v divisible, componentwise in exponents, by the
+    leading monomial lm of t.  The remainder is one term map, reduced in
+    place: a divisible term a x^P S^m, the lex-largest left (S_n exponent
+    first, then S_i, then S_j), is cancelled by subtracting
+    (a / lc) x^P S^(m - lm) t.  As t's coefficients are constants, that
+    only changes the terms x^P S^(m - lm + s) for t's other monomials s,
+    each strictly below m, since lex is compatible with monomial
+    multiplication.  The cancelled monomial thus falls strictly from round
+    to round, and lex is a well-order on N^3, so the loop terminates.
     """
     if t.is_zero():
         raise UnsupportedDivisorError("division by the zero operator")
@@ -377,18 +377,23 @@ def div_rem(x: OreOperator, t: OreOperator) -> tuple[OreOperator, OreOperator]:
     lc = t._terms[(0, 0, 0) + lm]
     if lc not in (1, -1):
         raise UnsupportedDivisorError(f"divisor's leading coefficient {lc} is not 1 or -1")
-    u, v = OreOperator.zero(), x
-    while True:
-        divisible = [
-            key[3:] for key in v._terms if key[3] >= lm[0] and key[4] >= lm[1] and key[5] >= lm[2]
-        ]
-        if not divisible:
-            return u, v
-        m = max(divisible)
-        d = (m[0] - lm[0], m[1] - lm[1], m[2] - lm[2])
-        # q = v_m / lc on S^d, as lc = +-1
-        q = OreOperator._of({key[:3] + d: c * lc for key, c in v._terms.items() if key[3:] == m})
-        u, v = u + q, v - q * t
+    tail = [(key[3:], c) for key, c in t._terms.items() if key[3:] != lm]
+    u, v = {}, dict(x._terms)
+    heap = [(-key[3], -key[4], -key[5], key) for key in v]
+    heapq.heapify(heap)
+    while heap:
+        key = heapq.heappop(heap)[3]
+        if not v[key] or any(e < b for e, b in zip(key[3:], lm)):
+            continue
+        q = v.pop(key) * lc  # = v_key / lc, as lc = +-1
+        mono, d = key[:3], (key[3] - lm[0], key[4] - lm[1], key[5] - lm[2])
+        u[mono + d] = q
+        for (s4, s5, s6), c in tail:
+            k = mono + (d[0] + s4, d[1] + s5, d[2] + s6)
+            if k not in v:
+                heapq.heappush(heap, (-k[3], -k[4], -k[5], k))
+            v[k] = v.get(k, 0) - q * c
+    return OreOperator._of(u), OreOperator._of({key: c for key, c in v.items() if c})
 
 
 # ---------------------------------------------------------------------------

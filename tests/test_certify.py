@@ -10,6 +10,7 @@ from quarterwalks import (
     OreOperator,
     certify_operator,
     check_base_cases,
+    div_rem,
     evidence_check,
     parse_step_set,
     trivial_operator,
@@ -109,8 +110,6 @@ def test_level_zero_vanishes_off_the_base_box(steps):
 
 def test_constant_coefficient_remainder_is_zero(gessel_oracle):
     rng = random.Random(61)
-    from quarterwalks.ore import div_rem
-
     for _ in range(100):
         terms = {}
         for _ in range(rng.randint(1, 4)):
@@ -121,6 +120,25 @@ def test_constant_coefficient_remainder_is_zero(gessel_oracle):
             continue
         _, v = div_rem(T * w, T)
         assert v.is_zero()
+
+
+@pytest.mark.parametrize("steps", ["W,S,NE", "E,W,NE,SW", "E,W,N,S", "E,W,N,S,NE,NW,SE,SW"])
+def test_commutator_remainder_drops_degree(steps):
+    """rem(T W, T) = rem([T, W], T), and it is 0 or of lower total degree
+    than W: the argument by which every certification chain ends."""
+    t = trivial_operator(parse_step_set(steps))
+    rng = random.Random(steps)
+    for _ in range(60):
+        terms = {}
+        for _ in range(rng.randint(1, 4)):
+            key = tuple(rng.randint(0, 2) for _ in range(6))
+            terms[key] = terms.get(key, 0) + rng.randint(-5, 5)
+        w = OreOperator(terms)
+        if w.is_zero():
+            continue
+        v = div_rem(t * w, t)[1]
+        assert v == div_rem(t * w - w * t, t)[1], w
+        assert v.is_zero() or v.total_poly_deg() < w.total_poly_deg(), w
 
 
 def test_chain_degree_strictly_decreases(kreweras_certified, kreweras_oracle):
@@ -134,6 +152,9 @@ def test_chain_degree_strictly_decreases(kreweras_certified, kreweras_oracle):
         assert cert.certified
         degs = [op.total_poly_deg()] + [w.total_poly_deg() for w in cert.chain if not w.is_zero()]
         assert all(a > b for a, b in zip(degs, degs[1:]))
+        assert len(cert.chain) <= op.total_poly_deg() + 1
+        # each element is rem(T W, T) of the one before
+        assert cert.chain == [div_rem(tk * w, tk)[1] for w in [op] + cert.chain[:-1]]
         if len(cert.chain) > 1:
             saw_long_chain = True
     assert saw_long_chain, "expected at least one nontrivial reduction chain"

@@ -15,6 +15,7 @@ from quarterwalks import (
     div_rem,
     operator_from_json,
     operator_to_json,
+    parse_step_set,
     trivial_operator,
 )
 
@@ -180,13 +181,17 @@ def test_div_rem_examples():
 
 def test_div_rem_round_trip_random():
     rng = random.Random(41)
-    lm = T.leading_monomial()
-    for _ in range(100):
-        x = random_operator(rng, max_terms=4, max_shift=3)
-        u, v = div_rem(x, T)
-        assert u * T + v == x
-        for exp in v.support():
-            assert not all(exp[k] >= lm[k] for k in range(3))
+    for steps in ("W,S,NE", "E,W,NE,SW", "E,W,N,S", "E,W,N,S,NE,NW,SE,SW"):
+        transfer = trivial_operator(parse_step_set(steps))
+        # a leading coefficient of -1 is a unit of Z too
+        for t in (transfer, -transfer):
+            lm = t.leading_monomial()
+            for _ in range(50):
+                x = random_operator(rng, max_terms=4, max_shift=3, max_exp=3)
+                u, v = div_rem(x, t)
+                assert u * t + v == x
+                for exp in v.support():
+                    assert not all(exp[k] >= lm[k] for k in range(3))
 
 
 def test_div_rem_rejects_nonconstant_divisor():
