@@ -529,14 +529,16 @@ def filter_candidates(
     fresh_points: Sequence[tuple[int, int, int]],
 ) -> list[OreOperator]:
     """Materialize kernel vectors and keep those with zero residual on the
-    fresh points, normalized.
+    fresh points, normalized, each distinct operator once in the order it
+    is first found: normalizing removes the common monomial factor, so
+    kernel vectors W and n*W give the same operator.
 
     For the quasi-holonomic shape, a candidate whose coefficients all
     vanish at i = j = 0 is dropped: its restriction to the origin column
     is the empty recurrence, so it is not a quasi-holonomic operator in
     the useful sense, merely an i- or j-multiple of other annihilators.
     """
-    kept = []
+    kept = {}
     for vec in basis:
         op = template.materialize(vec)
         if op.is_zero():
@@ -544,8 +546,8 @@ def filter_candidates(
         if template.shape == "quasiholonomic" and op.substitute_zero(("i", "j")).is_zero():
             continue
         if all(op.apply_at(oracle, *pt) == 0 for pt in fresh_points):
-            kept.append(op.normalized())
-    return kept
+            kept[op.normalized()] = None
+    return list(kept)
 
 
 def guess_operators(

@@ -15,9 +15,11 @@ answers zero-extended queries (0 outside the quadrant, 0 beyond the light
 cone i > n or j > n), building deeper levels when a query reaches past
 them; ``cached_table`` keeps one such table per step set for the life of
 the process.  ``origin_sequence`` computes f(n; 0, 0) for n <= N with the
-same kernel, but at level n it sweeps only the cells that can still
-return to the origin in the N - n steps left, and holds two levels at a
-time.  ``trivial_operator`` builds the shift operator that encodes the
+same kernel, keeping at level n only the square max(i, j) <= min(n, N - n)
+where the table keeps the whole light cone: a unit step changes each
+coordinate by at most one, so no cell outside it can be back at the
+origin in the N - n steps left.  It holds two levels at a time.
+``trivial_operator`` builds the shift operator that encodes the
 one-step transfer recurrence of the family.
 """
 
@@ -141,8 +143,9 @@ def _coset_offsets(lattice: tuple[int, int, int]) -> tuple[int, list[int | None]
 def _slot_bytes(size: int, n: int) -> int:
     """Bytes per slot that hold every cell of level n of a walk with
     ``size`` steps.  A cell of level n is the sum of at most ``size`` cells
-    of level n-1, so by induction it is at most size**n, the partial sums
-    in pruned cells included, and a sum of shifted rows never carries."""
+    of level n-1, so by induction it is at most size**n, the sums in the
+    slots cut off past a kept square included, and a sum of shifted rows
+    never carries."""
     return ((size**n).bit_length() + 7) // 8
 
 
@@ -156,7 +159,7 @@ def _reslot(row: int, old: int, new: int) -> int:
 def _next_level(
     prev: list[int],
     steps: list[tuple[int, int]],
-    widths: list[int],
+    size: int,
     lattice: tuple[int, int, int],
     n: int,
     bits: int,
@@ -166,16 +169,17 @@ def _next_level(
     Both levels are held as packed rows: row i is one integer whose slot k,
     ``bits`` wide, holds f(i, j0 + k*stride), the k-th cell of the row on
     the coset of ``lattice`` (``_coset_offsets``, j0 = offsets[c]); a row
-    off the coset is 0.  Row ti of the new level keeps widths[ti] columns.
-    A walk into (ti, tj) arrives by a step (dx, dy) from (ti-dx, tj-dy),
-    which lies on the coset of level n-1 (each step keeps it), in a row
-    with offset j0'.  So slot k of the new row reads slot k + s of source
-    row ti-dx, s = (j0 - dy - j0') / stride, an integer in -1..1: the new
-    row is the sum over steps of the source rows shifted by s slots, and a
-    read left of column 0 is a zero shifted in.  Source rows past the end
-    of ``prev`` count as zero.  The slots never carry (``_slot_bytes``),
-    so the sum is exact cell by cell; it is masked to the kept slots only
-    when its bit length overflows them.
+    off the coset is 0.  The new level keeps the square [0, size)^2: rows
+    0..size-1, each cut to its cells in columns 0..size-1.  A walk into
+    (ti, tj) arrives by a step (dx, dy) from (ti-dx, tj-dy), which lies on
+    the coset of level n-1 (each step keeps it), in a row with offset j0'.
+    So slot k of the new row reads slot k + s of source row ti-dx,
+    s = (j0 - dy - j0') / stride, an integer in -1..1: the new row is the
+    sum over steps of the source rows shifted by s slots, and a read left
+    of column 0 is a zero shifted in.  Source rows past the end of ``prev``
+    count as zero.  The slots never carry (``_slot_bytes``), so the sum is
+    exact cell by cell; it is masked to the kept slots only when its bit
+    length overflows them.
     """
     alpha, _, d = lattice
     stride, offsets = _coset_offsets(lattice)
@@ -185,9 +189,10 @@ def _next_level(
         else None
         for c, j0 in enumerate(offsets)
     ]
+    kept = [len(range(j0, size, stride)) * bits if j0 is not None else 0 for j0 in offsets]
     rows = len(prev)
     cur = []
-    for ti, width in enumerate(widths):
+    for ti in range(size):
         c = (n + alpha * ti) % d
         total = 0
         if moves[c] is not None:
@@ -199,10 +204,9 @@ def _next_level(
                     if shift:
                         src = src >> shift if shift > 0 else src << -shift
                     total = total + src if total else src
-            kept = max(0, (width - offsets[c] + stride - 1) // stride) * bits
-            if total.bit_length() > kept:
+            if total.bit_length() > kept[c]:
                 # clears the bits from ``kept`` up, in fewer passes than a mask
-                total ^= total >> kept << kept
+                total ^= total >> kept[c] << kept[c]
         cur.append(total)
     return cur
 
@@ -213,17 +217,17 @@ def _sweep(
     level: list[int],
     slot: int,
     n: int,
-    widths: list[list[int]],
+    sizes: list[int] | range,
 ):
     """Run the kernel from packed level n, held in ``slot``-byte slots, to
-    level n + len(widths), level n+k keeping the row widths widths[k-1];
+    level n + len(sizes), level n+k keeping the square of side sizes[k-1];
     yield each new level with its slot bytes.  When level m needs more than
     the held slot (``_slot_bytes``), the held level is re-slotted once to
     the size of level min(2m, last), so the slots grow O(log last) times
     and are never more than about twice as wide as a level needs."""
     size = len(steps)
-    last = n + len(widths)
-    for n, keep in enumerate(widths, n + 1):
+    last = n + len(sizes)
+    for n, keep in enumerate(sizes, n + 1):
         if _slot_bytes(size, n) > slot:
             wider = _slot_bytes(size, min(2 * n, last))
             level = [_reslot(row, slot, wider) for row in level]
@@ -260,8 +264,6 @@ class CountTable:
     """
 
     def __init__(self, step_set: StepSet, n_max: int):
-        if n_max < 0:
-            raise ValueError("n_max must be >= 0")
         self.step_set = step_set
         self._lattice = step_lattice(step_set.sorted_steps())
         self.levels = [[[1]]]
@@ -272,9 +274,11 @@ class CountTable:
 
     def extend(self, n_max: int) -> "CountTable":
         """Build the levels up to n_max; levels already built are kept."""
-        widths = [[size] * size for size in range(self.n_max + 2, n_max + 2)]
+        if n_max < 0:
+            raise ValueError("n_max must be >= 0")
+        sizes = range(self.n_max + 2, n_max + 2)
         sweep = _sweep(
-            self.step_set.sorted_steps(), self._lattice, self._packed, self._slot, self.n_max, widths
+            self.step_set.sorted_steps(), self._lattice, self._packed, self._slot, self.n_max, sizes
         )
         for level, slot in sweep:
             self.n_max += 1
@@ -292,65 +296,23 @@ class CountTable:
         return self.levels[n][i][j]
 
 
-def _origin_widths(steps: list[tuple[int, int]], n_max: int) -> list[list[int]]:
-    """The kept row widths of levels 0..n_max in ``origin_sequence``.
-
-    Entry [n][i] is min(n + 1, 1 + the largest j such that (i, j) can walk
-    back to the origin in at most r = n_max - n steps without leaving the
-    quadrant), or 0 if no such j, for the rows i <= min(n, r); trailing
-    empty rows are dropped.  Row i of the reach set R_r is a bit mask over
-    j, and R_(r+1) adds every quadrant cell c with c + s in R_r for some
-    step s.  Each step lowers a coordinate by at most one, so R_r lies in
-    the box [0..r]^2.  Level n_max - r keeps the rows i <= min(r, n_max - r)
-    of R_r, and those are all that stage r computes: row i of R_(r+1)
-    reads rows i-1..i+1 of R_r, and stage r+1 computes rows up to
-    n_max - r - 1 only, so it reads no row past n_max - r.
-    """
-    reach = [1]
-    by_r = [[1]]
-    for r in range(1, n_max + 1):
-        size = len(reach)
-        grown = []
-        for i in range(min(r, n_max - r) + 1):
-            mask = reach[i] if i < size else 0
-            for dx, dy in steps:
-                k = i + dx
-                if 0 <= k < size:
-                    mask |= reach[k] >> dy if dy >= 0 else reach[k] << -dy
-            grown.append(mask)
-        reach = grown
-        by_r.append([mask.bit_length() for mask in reach])
-    out = []
-    for n in range(n_max + 1):
-        keep = [min(w, n + 1) for w in by_r[n_max - n][: n + 1]]
-        while keep and not keep[-1]:
-            keep.pop()
-        out.append(keep)
-    return out
-
-
 def origin_sequence(step_set: StepSet, n_max: int) -> list[int]:
-    """The sequence f(n; 0, 0) for n = 0..n_max, by a reach-pruned sweep.
+    """The sequence f(n; 0, 0) for n = 0..n_max, by a sweep whose level n
+    keeps only the square max(i, j) <= m(n) = min(n, n_max - n).
 
-    Level n keeps only a prefix of each row: the cells inside the light
-    cone from which the origin can still be reached in the n_max - n steps
-    that are left (``_origin_widths``).  Levels are held as the packed rows
-    of ``_next_level``, only the cells on the coset of ``step_lattice``,
-    and f(n; 0, 0) is slot 0 of row 0 when the origin is on the coset of
-    level n, n = 0 (mod d), and 0 otherwise.  Why the counts that matter
-    are exact, with d(c) the fewest quadrant steps from a cell c back to
-    the origin:
+    Levels are held as the packed rows of ``_next_level``, only the cells
+    on the coset of ``step_lattice``, and f(n; 0, 0) is slot 0 of row 0
+    when the origin is on the coset of level n, n = 0 (mod d), and 0
+    otherwise.  Why every kept count is exact:
 
-    - a cell at level n with d > n_max - n lies on no walk that is back at
-      the origin by level n_max, so it feeds no f(m; 0, 0) with m <= n_max;
-    - a predecessor c - s of a cell c at level n+1 with d(c) <= n_max-n-1
-      has d(c - s) <= d(c) + 1 <= n_max - n, so it is kept at level n, or
-      lies beyond the light cone, where the count is 0; by induction on n,
-      every cell with d <= n_max - n is kept and exact, the origin among
-      them at every level;
-    - a kept prefix is a superset of the cells with d <= n_max - n; the
-      extra cells may hold partial sums, but by the previous point they
-      never feed a cell with d <= n_max - n - 1;
+    - a unit step changes each coordinate by at most one, so a cell
+      (i, j) is at least max(i, j) steps from the origin; the square drops
+      only cells that cannot be back at the origin by level n_max, and
+      cells beyond the light cone i > n or j > n, where the count is 0;
+    - a predecessor c - s of a kept cell c of level n+1 has
+      max <= m(n+1) + 1 <= n_max - n, and its count is 0 if its max
+      exceeds n; so every nonzero predecessor is kept at level n, and by
+      induction on n every kept cell is exact, the origin among them;
     - each step keeps the coset, so a cell on it reads only cells on it,
       and a cell off it is 0 in the full table; leaving the cells off it
       at 0 unbuilt changes no cell on it.
@@ -361,7 +323,8 @@ def origin_sequence(step_set: StepSet, n_max: int) -> list[int]:
     lattice = step_lattice(steps)
     d = lattice[2]
     out = [1]
-    sweep = _sweep(steps, lattice, [1], 1, 0, _origin_widths(steps, n_max)[1:])
+    sizes = [min(n, n_max - n) + 1 for n in range(1, n_max + 1)]
+    sweep = _sweep(steps, lattice, [1], 1, 0, sizes)
     for n, (level, slot) in enumerate(sweep, 1):
         out.append(level[0] & ((1 << 8 * slot) - 1) if n % d == 0 else 0)
     return out

@@ -461,6 +461,15 @@ def test_filter_keeps_trivial_drops_accidental(gessel_oracle):
         [(1,)], const_tpl, gessel_oracle, plan.fresh_points
     )
     assert kept == []
+    # the diagonal walk's kernel holds vectors W and n*W, which normalize
+    # to one operator: it is kept once
+    diagonal = CountTable(parse_step_set("NE,NW,SE,SW"), 0)
+    tpl = build_template(Bounds(2, 2, 2, 3, 1, 1), "full")
+    plan = plan_points(tpl)
+    basis = nullspace(assemble_system(tpl, diagonal, plan.points))
+    ops = filter_candidates(basis, tpl, diagonal, plan.fresh_points)
+    assert len(basis) == 60
+    assert len(ops) == len(set(ops)) == 51
 
 
 def test_filter_drops_empty_basis(gessel_oracle):

@@ -21,7 +21,6 @@ from quarterwalks.ore import OreOperator
 from quarterwalks.walks import (
     DIRECTIONS,
     StepSet,
-    _origin_widths,
     _slot_bytes,
     _sweep,
     step_lattice,
@@ -200,44 +199,18 @@ def test_origin_sequence_closed_forms(kreweras_diagonal_500):
     assert kreweras_diagonal_500 == hypergeom_term("kreweras").sequence(500)
 
 
-def test_origin_widths_keep_every_returning_cell():
-    """The kept widths of level n are, row by row, 1 + the largest j whose
-    cell can return to the origin within n_max - n steps, capped at the
-    light cone; so every such cell is kept.  A return of at most n_max
-    steps from a cell of [0, n_max]^2 stays in [0, 2 n_max]^2, where the
-    search's distances are exact."""
+def test_return_distance_is_at_least_the_larger_coordinate():
+    """A unit step changes each coordinate by at most one, so a cell
+    (i, j) is at least max(i, j) steps from the origin: the square
+    max(i, j) <= min(n, n_max - n) that ``origin_sequence`` keeps at level
+    n holds every cell of the light cone that can still return.  The
+    search runs in [0, 29)^2, which holds every return of at most 14 steps
+    from a cell of [0, 14]^2; so there a distance up to 14 is exact, and a
+    larger one exceeds max(i, j) in any case."""
     for step_set in ALL_STEP_SETS:
-        steps = step_set.sorted_steps()
-        for n_max in (0, 1, 6, 14):
-            dist = return_distances(steps, 2 * n_max + 1)
-            widths = _origin_widths(steps, n_max)
-            assert len(widths) == n_max + 1
-            for n in range(n_max + 1):
-                want = [0] * (n + 1)
-                for (i, j), d in dist.items():
-                    if i <= n and d <= n_max - n:
-                        want[i] = max(want[i], min(j + 1, n + 1))
-                while want and not want[-1]:
-                    want.pop()
-                assert widths[n] == want, (step_set, n_max, n)
-                for (i, j), d in dist.items():
-                    if i <= n and j <= n and d <= n_max - n:
-                        assert i < len(widths[n]) and j < widths[n][i]
-
-
-def test_origin_widths_keep_kernel_slices_full():
-    """Every kept row is at most one column wider than each row it reads
-    at the level before: a cell's predecessors are kept (or lie at the
-    light cone), so the kept widths grow by at most one column a step."""
-    for step_set in ALL_STEP_SETS:
-        steps = step_set.sorted_steps()
-        for n_max in (1, 6, 30):
-            widths = _origin_widths(steps, n_max)
-            for n in range(1, n_max + 1):
-                for ti, width in enumerate(widths[n]):
-                    for dx, dy in steps:
-                        if 0 <= ti - dx < len(widths[n - 1]):
-                            assert width <= widths[n - 1][ti - dx] + 1, (step_set, n_max, n)
+        dist = return_distances(step_set.sorted_steps(), 29)
+        for (i, j), d in dist.items():
+            assert d >= max(i, j), (step_set, i, j)
 
 
 def test_origin_sequence_rejects_negative_n_max():
@@ -246,6 +219,10 @@ def test_origin_sequence_rejects_negative_n_max():
         origin_sequence(GESSEL, -1)
     with pytest.raises(ValueError, match="n_max must be >= 0"):
         CountTable(GESSEL, -1)
+    # the table's own check, on the path that finds it already built
+    cached_table(GESSEL, 2)
+    with pytest.raises(ValueError, match="n_max must be >= 0"):
+        cached_table(GESSEL, -1)
 
 
 def test_extend_matches_direct_build():
@@ -266,9 +243,9 @@ PAST_RESLOTS = [GESSEL, KREWERAS, parse_step_set("E,W,N,S,NE,NW,SE,SW"), parse_s
 
 
 def _slots_seen(steps, n_max):
-    """The slot bytes of levels 0..n_max of the packed sweep (widths do not
+    """The slot bytes of levels 0..n_max of the packed sweep (sizes do not
     enter the slot rule, so one cell a level is enough)."""
-    sweep = _sweep(steps, step_lattice(steps), [1], 1, 0, [[1]] * n_max)
+    sweep = _sweep(steps, step_lattice(steps), [1], 1, 0, [1] * n_max)
     return [1] + [slot for _, slot in sweep]
 
 
@@ -284,25 +261,29 @@ def test_packed_kernel_matches_scalar_oracle_past_reslots():
 
 def test_origin_levels_hold_returning_cells_in_kept_slots():
     """Each packed row of the origin sweep holds, in slot k, the scalar
-    oracle's count at the k-th coset column of the row wherever that cell
-    can still return to the origin, and nothing past its kept width."""
+    oracle's count at the k-th coset column of the row for every cell of
+    the kept square, every cell that can still return to the origin
+    among them, and nothing past the square."""
     for step_set in PAST_RESLOTS:
         steps = step_set.sorted_steps()
         alpha, beta, d = lattice = step_lattice(steps)
         n_max = 60
         dist = return_distances(steps, 2 * n_max + 1)
         levels = scalar_levels(steps, n_max)
-        widths = _origin_widths(steps, n_max)
-        sweep = _sweep(steps, lattice, [1], 1, 0, widths[1:])
+        sizes = [min(n, n_max - n) + 1 for n in range(n_max + 1)]
+        sweep = _sweep(steps, lattice, [1], 1, 0, sizes[1:])
         for n, (level, slot) in enumerate(sweep, 1):
             bits = 8 * slot
-            assert len(level) == len(widths[n])
+            size = sizes[n]
+            assert len(level) == size
+            for (i, j), dd in dist.items():
+                if i <= n and j <= n and dd <= n_max - n:
+                    assert i < size and j < size, (step_set, n, i, j)
             for i, row in enumerate(level):
-                cols = [j for j in range(widths[n][i]) if (n + alpha * i + beta * j) % d == 0]
+                cols = [j for j in range(size) if (n + alpha * i + beta * j) % d == 0]
                 assert row >> (len(cols) * bits) == 0, (step_set, n, i)
                 for k, j in enumerate(cols):
-                    if dist.get((i, j), n_max + 1) <= n_max - n:
-                        assert row >> (k * bits) & ((1 << bits) - 1) == levels[n][i][j]
+                    assert row >> (k * bits) & ((1 << bits) - 1) == levels[n][i][j]
 
 
 def test_slot_bytes_hold_every_count_and_reslot_logarithmically():
