@@ -10,11 +10,11 @@ the cells off it stay 0 unbuilt.  The kernel packs each row's coset cells
 into one integer, a fixed-width slot per cell (Kronecker substitution), so
 a step adds a whole shifted source row in one big-integer operation; the
 slots are sized so that no sum carries out of its slot (``_slot_bytes``).
-``CountTable`` unpacks every level into a plain (n+1) x (n+1) grid and
-answers zero-extended queries (0 outside the quadrant, 0 beyond the light
-cone i > n or j > n), building deeper levels when a query reaches past
-them; ``cached_table`` keeps one such table per step set for the life of
-the process.  ``origin_sequence`` computes f(n; 0, 0) for n <= N with the
+``CountTable`` keeps every level packed and decodes the one cell a query
+reads, zero-extended (0 outside the quadrant, 0 beyond the light cone
+i > n or j > n), building deeper levels when a query reaches past them;
+``cached_table`` keeps one such table per step set for the life of the
+process.  ``origin_sequence`` computes f(n; 0, 0) for n <= N with the
 same kernel, keeping at level n only the square max(i, j) <= min(n, N - n)
 where the table keeps the whole light cone: a unit step changes each
 coordinate by at most one, so no cell outside it can be back at the
@@ -26,9 +26,7 @@ one-step transfer recurrence of the family.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import repeat
 from math import gcd
-from struct import unpack
 
 from . import ore
 
@@ -236,64 +234,56 @@ def _sweep(
         yield level, slot
 
 
-def _unpack(level: list[int], slot: int, lattice: tuple[int, int, int], n: int) -> list[list[int]]:
-    """Packed level n, full width, as an (n+1) x (n+1) grid."""
-    alpha, _, d = lattice
-    stride, offsets = _coset_offsets(lattice)
-    grid = []
-    for i, row in enumerate(level):
-        cells = [0] * (n + 1)
-        j0 = offsets[(n + alpha * i) % d]
-        if j0 is not None:
-            count = len(range(j0, n + 1, stride))
-            data = row.to_bytes(count * slot, "little")
-            cells[j0::stride] = map(int.from_bytes, unpack(f"{slot}s" * count, data), repeat("little"))
-        grid.append(cells)
-    return grid
-
-
 class CountTable:
-    """The walk oracle: levels 0..n_max of exact counts f(n; i, j), level n
-    stored as an (n+1) x (n+1) grid.
+    """The walk oracle: levels 0..n_max of exact counts f(n; i, j), each
+    held as the kernel built it, full width: (packed rows, slot bytes).
 
-    ``value`` zero-extends the counts: 0 outside the quadrant and beyond
-    the light cone i > n or j > n.  A query inside the cone but past
-    ``n_max`` deepens the table in place to its level first, so the table
-    sizes itself to what its callers read; ``extend`` pre-builds levels.
-    The last level is also held packed, so the kernel extends it directly.
+    ``value`` decodes the one cell it reads and zero-extends the counts:
+    0 outside the quadrant, beyond the light cone i > n or j > n, and off
+    the coset.  A query inside the cone but past ``n_max`` deepens the
+    table in place to its level first, so the table sizes itself to what
+    its callers read; ``extend`` pre-builds levels.  ``levels`` is a
+    decoded copy, as (n+1) x (n+1) grids.
     """
 
     def __init__(self, step_set: StepSet, n_max: int):
         self.step_set = step_set
         self._lattice = step_lattice(step_set.sorted_steps())
-        self.levels = [[[1]]]
-        self.n_max = 0
-        self._packed = [1]
-        self._slot = 1
+        self._stride, self._offsets = _coset_offsets(self._lattice)
+        self._packed: list[tuple[list[int], int]] = [([1], 1)]
         self.extend(n_max)
+
+    @property
+    def n_max(self) -> int:
+        return len(self._packed) - 1
+
+    @property
+    def levels(self) -> list[list[list[int]]]:
+        sides = [range(n + 1) for n in range(self.n_max + 1)]
+        return [[[self.value(n, i, j) for j in side] for i in side] for n, side in enumerate(sides)]
 
     def extend(self, n_max: int) -> "CountTable":
         """Build the levels up to n_max; levels already built are kept."""
         if n_max < 0:
             raise ValueError("n_max must be >= 0")
+        rows, slot = self._packed[-1]
         sizes = range(self.n_max + 2, n_max + 2)
-        sweep = _sweep(
-            self.step_set.sorted_steps(), self._lattice, self._packed, self._slot, self.n_max, sizes
-        )
-        for level, slot in sweep:
-            self.n_max += 1
-            self.levels.append(_unpack(level, slot, self._lattice, self.n_max))
-            self._packed, self._slot = level, slot
+        steps = self.step_set.sorted_steps()
+        self._packed.extend(_sweep(steps, self._lattice, rows, slot, self.n_max, sizes))
         return self
 
     def value(self, n: int, i: int, j: int) -> int:
-        if n < 0 or i < 0 or j < 0:
+        if not (0 <= i <= n and 0 <= j <= n):
             return 0
-        if i > n or j > n:
-            return 0
-        if n > self.n_max:
+        if n >= len(self._packed):
             self.extend(n)
-        return self.levels[n][i][j]
+        alpha, _, d = self._lattice
+        # slot k holds column j0 + k*stride, 0 <= j0 < stride; no residue equals a None j0
+        k, r = divmod(j, self._stride)
+        if r != self._offsets[(n + alpha * i) % d]:
+            return 0
+        rows, slot = self._packed[n]
+        return rows[i] >> 8 * slot * k & ((1 << 8 * slot) - 1)
 
 
 def origin_sequence(step_set: StepSet, n_max: int) -> list[int]:

@@ -94,6 +94,10 @@ def test_oracle_zero_extension_and_range():
     assert oracle.value(16, 2, 4) == CountTable(GESSEL, 16).value(16, 2, 4)
     assert oracle.n_max == 16
     assert oracle.levels == CountTable(GESSEL, 16).levels
+    # ``levels`` is a decoded copy: writing into it leaves the counts alone
+    grid = oracle.levels[4]
+    grid[0][0] += 1
+    assert oracle.value(4, 0, 0) == 11
 
 
 def test_trivial_operator_gessel_display():
@@ -231,11 +235,11 @@ def test_extend_matches_direct_build():
     for step_set in (GESSEL, KREWERAS):
         for n_max in (11, 12, 13, 16, 28, 36, 40):
             table = CountTable(step_set, 10)
-            slot = table._slot
+            slot = table._packed[-1][1]
             assert table.extend(n_max) is table
             assert table.n_max == n_max
             assert table.levels == CountTable(step_set, n_max).levels
-            assert table._slot > slot or n_max < 16, (step_set, n_max)
+            assert table._packed[-1][1] > slot or n_max < 16, (step_set, n_max)
 
 
 # one step set of each kind, checked to n = 60, past at least three re-slots
