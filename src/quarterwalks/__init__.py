@@ -27,6 +27,7 @@ from .walks import (
     origin_sequence,
     parse_step_set,
     trivial_operator,
+    walk_count,
 )
 from .guess import (
     AnsatzTemplate,
@@ -122,4 +123,5 @@ __all__ = [
     "trivial_operator",
     "uni_from_json",
     "uni_to_json",
+    "walk_count",
 ]

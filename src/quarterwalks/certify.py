@@ -23,33 +23,35 @@ of R has at most total_poly_deg(R) + 1 elements.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .ore import Box, OreOperator, div_rem
+from .records import Record
 from .walks import CountTable
 
 CERTIFIED = "certified"
 REFUTED = "refuted"
 
 
-@dataclass
-class BaseCheck:
+class BaseCheck(Record):
     """One base-case sweep: operator index in the chain, box checked, outcome."""
 
-    chain_index: int
-    box: Box
-    all_zero: bool
-    counterexample: tuple[int, int, int] | None = None
+    __slots__ = ("chain_index", "box", "all_zero", "counterexample")
+
+    def __init__(
+        self, chain_index: int, box: Box, all_zero: bool,
+        counterexample: tuple[int, int, int] | None = None,
+    ):
+        self._init(chain_index, box, all_zero, counterexample)
 
 
-@dataclass
-class Certificate:
-    operator: OreOperator
-    verdict: str
-    chain: list[OreOperator]
-    base_checks: list[BaseCheck]
-    counterexample: tuple[int, int, int] | None = None
-    detail: str = ""
+class Certificate(Record):
+    __slots__ = ("operator", "verdict", "chain", "base_checks", "counterexample", "detail")
+
+    def __init__(
+        self, operator: OreOperator, verdict: str, chain: list[OreOperator],
+        base_checks: list[BaseCheck], counterexample: tuple[int, int, int] | None = None,
+        detail: str = "",
+    ):
+        self._init(operator, verdict, chain, base_checks, counterexample, detail)
 
     @property
     def certified(self) -> bool:

@@ -5,23 +5,24 @@ check-closed-form, import-recurrence.  Results go to stdout (or --out
 files) in machine-readable form; progress and diagnostics go to stderr.
 
 Exit codes: 0 = proved / found / valid, 1 = sound negative (refuted,
-nothing found, rejected import, failed elimination), 2 = error.  An
-operational error (bad input, malformed file, unsupported request, an
-elimination that cannot finish) prints one ``error: <message>`` line;
-only an unexpected exception adds its traceback, and both exit 2.
-Commands raise, and ``_MainGroup`` alone decides how an error is reported.
+nothing found, rejected import, failed elimination), 2 = error.  A usage
+error (an unknown option, a missing or malformed option value) prints
+argparse's usage message.  An operational error (bad input, malformed
+file, unsupported request, an elimination that cannot finish) prints one
+``error: <message>`` line; only an unexpected exception adds its
+traceback, and both exit 2.  Commands raise, and ``main`` alone decides
+how an error is reported.  Each command looks up the layer functions it
+calls (``cached_table``, ``nullspace``, ...) as globals of this module
+at call time, so a caller may rebind them here.
 """
 
 from __future__ import annotations
 
+import argparse
 import glob
 import json
 import os
 import sys
-import traceback
-from dataclasses import asdict, dataclass, field
-
-import click
 
 from . import __version__
 from .certify import certify_operator
@@ -45,6 +46,7 @@ from .guess import (
     plan_points,
 )
 from .ore import json_int, operator_from_json, operator_to_json
+from .records import Record
 from .walks import (
     CountTable,
     StepSet,
@@ -53,15 +55,14 @@ from .walks import (
     parse_step_set,
     table_to_json,
     trivial_operator,
+    walk_count,
 )
 
 _DEFAULT_BOUNDS = "deg_n=2,deg_i=2,deg_j=2,ord_sn=3,ord_si=1,ord_sj=1"
-_COUNT = click.IntRange(min=0)
-_CLOSED_FORM = click.Choice(sorted(CLOSED_FORMS))
 
 
 def _progress(msg: str):
-    click.echo(msg, err=True)
+    print(msg, file=sys.stderr)
 
 
 def parse_bounds(text: str) -> Bounds:
@@ -92,21 +93,23 @@ def parse_bounds(text: str) -> Bounds:
     return Bounds(**fields)
 
 
-@dataclass
-class PipelineConfig:
+class PipelineConfig(Record):
     """Effective options of a run; embedded verbatim in every artifact."""
 
-    steps: str
-    shape: str = "full"
-    bounds: list[str] = field(default_factory=list)
-    margin: int = 20
-    multiplier_bound: int | None = None
-    diag_limit: int = 500
-    closed_form: str | None = None
+    __slots__ = (
+        "steps", "shape", "bounds", "margin", "multiplier_bound", "diag_limit", "closed_form",
+    )
+
+    def __init__(
+        self, steps: str, shape: str = "full", bounds: list[str] | None = None, margin: int = 20,
+        multiplier_bound: int | None = None, diag_limit: int = 500, closed_form: str | None = None,
+    ):
+        bounds = [] if bounds is None else bounds
+        self._init(steps, shape, bounds, margin, multiplier_bound, diag_limit, closed_form)
 
 
 def _meta(config: PipelineConfig) -> dict:
-    return {"version": __version__, "config": asdict(config)}
+    return {"version": __version__, "config": {f: getattr(config, f) for f in config.__slots__}}
 
 
 def _dump(obj: dict, out: str | None):
@@ -114,56 +117,17 @@ def _dump(obj: dict, out: str | None):
     if out:
         with open(out, "w") as fh:
             fh.write(text + "\n")
-        click.echo(out)
+        print(out)
     else:
-        click.echo(text)
+        print(text)
 
 
-class _MainGroup(click.Group):
-    """The CLI's one error boundary: every uncaught non-click exception
-    exits 2, so that exit 1 stays reserved for sound negatives.
-
-    A ValueError (bad steps, bounds or template, a malformed file, an
-    unsupported divisor), an OSError (a path that cannot be read or
-    written), an EliminationError or a VerificationError is an operational
-    error and prints one ``error: <message>`` line; any other exception is
-    unexpected and prints its traceback first."""
-
-    def invoke(self, ctx):
-        try:
-            return super().invoke(ctx)
-        except (click.ClickException, click.exceptions.Exit, click.Abort):
-            raise
-        except (ValueError, OSError, EliminationError, VerificationError) as e:
-            msg = str(e)
-        except Exception as e:
-            click.echo(traceback.format_exc(), err=True)
-            msg = f"{type(e).__name__}: {e}"
-        click.echo(f"error: {msg}", err=True)
-        sys.exit(2)
-
-
-@click.group(cls=_MainGroup)
-def main():
-    """Quarter-plane walk counting, operator guessing, certification,
-    elimination, and closed-form proofs."""
-
-
-@main.command()
-@click.option("--steps", required=True, help="Comma-separated step names, e.g. E,W,NE,SW")
-@click.option("--n", type=int, required=True)
-@click.option("--i", type=int, required=True)
-@click.option("--j", type=int, required=True)
 def count(steps, n, i, j):
     """Print the exact number of n-step walks from the origin to (i, j);
     0 for a negative coordinate or a point beyond the light cone."""
-    click.echo(str(cached_table(parse_step_set(steps)).value(n, i, j)))
+    print(walk_count(parse_step_set(steps), n, i, j))
 
 
-@main.command()
-@click.option("--steps", required=True)
-@click.option("--n-max", type=_COUNT, required=True)
-@click.option("--out", default=None, help="Write the table JSON here instead of stdout.")
 def table(steps, n_max, out):
     """Export the count table to n = n-max as JSON (decimal-string entries,
     exact beyond 2^53)."""
@@ -172,9 +136,9 @@ def table(steps, n_max, out):
     if out:
         with open(out, "w") as fh:
             fh.write(text)
-        click.echo(out)
+        print(out)
     else:
-        click.echo(text)
+        print(text)
 
 
 def _run_guess(config: PipelineConfig):
@@ -201,12 +165,6 @@ def _run_guess(config: PipelineConfig):
     return candidates, oracle, trivial_operator(step_set)
 
 
-@main.command()
-@click.option("--steps", required=True)
-@click.option("--bounds", multiple=True, default=[_DEFAULT_BOUNDS], show_default=True)
-@click.option("--shape", type=click.Choice(["full", "quasiholonomic"]), default="full")
-@click.option("--margin", type=_COUNT, default=20, help="Extra sample points beyond the unknown count.")
-@click.option("--out", required=True, type=click.Path(), help="Directory for candidate JSON files.")
 def guess(steps, bounds, shape, margin, out):
     """Search an ansatz for annihilating operators; write candidates as JSON.
 
@@ -218,7 +176,9 @@ def guess(steps, bounds, shape, margin, out):
             f"{out} already holds candidate files ({len(stale)} candidate_*.json); "
             "remove them or choose another --out"
         )
-    config = PipelineConfig(steps=steps, shape=shape, bounds=list(bounds), margin=margin)
+    config = PipelineConfig(
+        steps=steps, shape=shape, bounds=bounds or [_DEFAULT_BOUNDS], margin=margin,
+    )
     candidates, _, _ = _run_guess(config)
     os.makedirs(out, exist_ok=True)
     for k, op in enumerate(candidates):
@@ -226,9 +186,9 @@ def guess(steps, bounds, shape, margin, out):
         path = os.path.join(out, f"candidate_{k:03d}.json")
         with open(path, "w") as fh:
             json.dump(payload, fh, indent=2, sort_keys=True)
-        click.echo(path)
+        print(path)
     if not candidates:
-        click.echo("no candidates", err=True)
+        print("no candidates", file=sys.stderr)
         sys.exit(1)
 
 
@@ -256,10 +216,6 @@ def _load(path: str, parse):
     return op
 
 
-@main.command()
-@click.option("--steps", required=True)
-@click.argument("operator_file", type=click.Path(exists=True))
-@click.option("--out", default=None, help="Write the certificate JSON here.")
 def certify(steps, operator_file, out):
     """Certify (or refute) that an operator annihilates the walk counts."""
     config = PipelineConfig(steps=steps)
@@ -288,12 +244,6 @@ def certify(steps, operator_file, out):
         sys.exit(1)
 
 
-@main.command()
-@click.option("--steps", required=True)
-@click.argument("operator_files", nargs=-1, required=True, type=click.Path(exists=True))
-@click.option("--multiplier-bound", type=_COUNT, default=None)
-@click.option("--diag-limit", type=_COUNT, default=500, show_default=True)
-@click.option("--out", default=None)
 def eliminate(steps, operator_files, multiplier_bound, diag_limit, out):
     """Combine certified annihilators into a pure recurrence in n for
     the origin-return counts."""
@@ -307,7 +257,7 @@ def eliminate(steps, operator_files, multiplier_bound, diag_limit, out):
     try:
         p = takayama_pipeline(ops, diagonal, multiplier_bound)
     except EliminationFailure as e:
-        click.echo(str(e), err=True)
+        print(e, file=sys.stderr)
         sys.exit(1)
     _dump({"meta": _meta(config), "operator": uni_to_json(p)}, out)
 
@@ -321,12 +271,6 @@ def _validate_recurrence(op: UniOperator, step_set: StepSet, n_check: int) -> in
     return op.first_failure(seq, range(n_check - op.order() + 1))
 
 
-@main.command("import-recurrence")
-@click.argument("recurrence_file", type=click.Path(exists=True))
-@click.option("--steps", required=True)
-@click.option("--n-check", type=_COUNT, default=200, show_default=True,
-              help="Length of the origin sequence the recurrence is checked against.")
-@click.option("--out", default=None)
 def import_recurrence(recurrence_file, steps, n_check, out):
     """Load an externally supplied recurrence, validate it against the
     counting oracle, and emit it in normalized form."""
@@ -336,14 +280,11 @@ def import_recurrence(recurrence_file, steps, n_check, out):
         raise ValueError("--n-check must exceed the recurrence order")
     bad = _validate_recurrence(op, parse_step_set(steps), n_check)
     if bad is not None:
-        click.echo(f"rejected: fails sequence check at n={bad}", err=True)
+        print(f"rejected: fails sequence check at n={bad}", file=sys.stderr)
         sys.exit(1)
     _dump({"meta": _meta(config), "operator": uni_to_json(op)}, out)
 
 
-@main.command("check-closed-form")
-@click.option("--closed-form", "which", type=_CLOSED_FORM, required=True)
-@click.option("--m-max", type=_COUNT, default=13, show_default=True)
 def check_closed_form(which, m_max):
     """Check the built-in closed form, its terms built from the ratio of
     its Pochhammer parameters, against the origin counts of its walks."""
@@ -352,27 +293,16 @@ def check_closed_form(which, m_max):
     pairs = zip(term.sequence(n_max), origin_sequence(step_set, n_max))
     bad = next((n for n, (value, count) in enumerate(pairs) if value != count), None)
     if bad is not None:
-        click.echo(f"mismatch at n={bad}", err=True)
+        print(f"mismatch at n={bad}", file=sys.stderr)
         sys.exit(1)
-    click.echo(f"closed form {which}: OK (values to n={n_max})")
+    print(f"closed form {which}: OK (values to n={n_max})")
 
 
-@main.command()
-@click.option("--steps", required=True)
-@click.option("--closed-form", "which", type=_CLOSED_FORM, required=True)
-@click.option("--import-recurrence", "import_file", type=click.Path(exists=True), default=None,
-              help="Skip guessing/elimination and use this recurrence for the proof.")
-@click.option("--bounds", multiple=True, default=[_DEFAULT_BOUNDS], show_default=True)
-@click.option("--shape", type=click.Choice(["full", "quasiholonomic"]), default="full")
-@click.option("--margin", type=_COUNT, default=20)
-@click.option("--multiplier-bound", type=_COUNT, default=None)
-@click.option("--diag-limit", type=_COUNT, default=500, show_default=True)
-@click.option("--out", default=None, help="Write the full report JSON here.")
 def prove(steps, which, import_file, bounds, shape, margin, multiplier_bound, diag_limit, out):
     """End-to-end proof: guess, certify, eliminate, and match the closed
     form; or validate an imported recurrence and do the final step only."""
     config = PipelineConfig(
-        steps=steps, shape=shape, bounds=list(bounds), margin=margin,
+        steps=steps, shape=shape, bounds=bounds or [_DEFAULT_BOUNDS], margin=margin,
         multiplier_bound=multiplier_bound, diag_limit=diag_limit, closed_form=which,
     )
     term = hypergeom_term(which)
@@ -436,6 +366,137 @@ def prove(steps, which, import_file, bounds, shape, margin, multiplier_bound, di
     _dump(report, out)
     if not verdict.proved:
         sys.exit(1)
+
+
+def _count(text: str) -> int:
+    """The type of an option that counts something: an integer >= 0."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"{value} is not in the range x>=0")
+    return value
+
+
+def _parser(prog: str) -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The command line and its parser per command name.  A command's
+    parser has the command function as its ``run`` default, called with
+    the parsed options as keywords.  No parser accepts an abbreviated
+    option.  A repeatable option (``--bounds``) parses to None when it is
+    never given, and the command applies its default then."""
+    parser = argparse.ArgumentParser(
+        prog=prog,
+        description="Quarter-plane walk counting, operator guessing, certification, "
+        "elimination, and closed-form proofs.",
+        allow_abbrev=False,
+    )
+    commands = parser.add_subparsers(metavar="COMMAND", required=True)
+
+    def command(run, name=None, steps=True):
+        doc = run.__doc__
+        sub = commands.add_parser(
+            name or run.__name__, help=doc.split(".")[0], description=doc, allow_abbrev=False,
+        )
+        sub.set_defaults(run=run)
+        if steps:
+            sub.add_argument(
+                "--steps", required=True, help="Comma-separated step names, e.g. E,W,NE,SW"
+            )
+        return sub
+
+    def guessing(sub):
+        sub.add_argument(
+            "--bounds", action="append",
+            help=f"Ansatz caps; repeat for more templates (default: {_DEFAULT_BOUNDS})",
+        )
+        sub.add_argument("--shape", choices=["full", "quasiholonomic"], default="full")
+        sub.add_argument("--margin", type=_count, default=20,
+                         help="Extra sample points beyond the unknown count (default: 20).")
+
+    def eliminating(sub):
+        sub.add_argument("--multiplier-bound", type=_count)
+        sub.add_argument("--diag-limit", type=_count, default=500, help="(default: 500)")
+
+    closed_form = sorted(CLOSED_FORMS)
+
+    sub = command(count)
+    for name in ("--n", "--i", "--j"):
+        sub.add_argument(name, type=int, required=True)
+
+    sub = command(table)
+    sub.add_argument("--n-max", type=_count, required=True)
+    sub.add_argument("--out", help="Write the table JSON here instead of stdout.")
+
+    sub = command(guess)
+    guessing(sub)
+    sub.add_argument("--out", required=True, help="Directory for candidate JSON files.")
+
+    sub = command(certify)
+    sub.add_argument("operator_file")
+    sub.add_argument("--out", help="Write the certificate JSON here.")
+
+    sub = command(eliminate)
+    sub.add_argument("operator_files", nargs="+")
+    eliminating(sub)
+    sub.add_argument("--out")
+
+    sub = command(import_recurrence, "import-recurrence")
+    sub.add_argument("recurrence_file")
+    sub.add_argument("--n-check", type=_count, default=200,
+                     help="Length of the origin sequence the recurrence is checked against "
+                     "(default: 200).")
+    sub.add_argument("--out")
+
+    sub = command(check_closed_form, "check-closed-form", steps=False)
+    sub.add_argument("--closed-form", dest="which", choices=closed_form, required=True)
+    sub.add_argument("--m-max", type=_count, default=13, help="(default: 13)")
+
+    sub = command(prove)
+    sub.add_argument("--closed-form", dest="which", choices=closed_form, required=True)
+    sub.add_argument("--import-recurrence", dest="import_file",
+                     help="Skip guessing/elimination and use this recurrence for the proof.")
+    guessing(sub)
+    eliminating(sub)
+    sub.add_argument("--out", help="Write the full report JSON here.")
+    return parser, commands.choices
+
+
+def main(args: list[str] | None = None, prog_name: str | None = None):
+    """Run one command; ``args`` defaults to ``sys.argv[1:]``.
+
+    This is the CLI's one error boundary: every exception a command raises
+    exits 2, so that exit 1 stays reserved for the sound negatives the
+    commands exit with themselves.  A usage error exits 2 from the parser.
+    A ValueError (bad steps, bounds or template, a malformed file, an
+    unsupported divisor), an OSError (a path that cannot be read or
+    written), an EliminationError or a VerificationError is an operational
+    error and prints one ``error: <message>`` line; any other exception is
+    unexpected and prints its traceback first."""
+    argv = sys.argv[1:] if args is None else list(args)
+    parser, commands = _parser(prog_name or "quarterwalks")
+    command = commands.get(argv[0]) if argv else None
+    if command is None:
+        if argv and argv[0].startswith("-") and argv[0] not in ("-h", "--help"):
+            # the top level has no options; parsing would take the value
+            # of an unknown one for the command's name
+            parser.error(f"unrecognized arguments: {argv[0]}")
+        parser.parse_args(argv)  # no command: prints the help or a usage error, and exits
+    # intermixed, so that positionals may follow options, as in
+    # eliminate a.json --diag-limit 40 b.json
+    opts = vars(command.parse_intermixed_args(argv[1:]))
+    run = opts.pop("run")
+    try:
+        return run(**opts)
+    except (ValueError, OSError, EliminationError, VerificationError) as e:
+        msg = str(e)
+    except Exception as e:
+        import traceback
+
+        print(traceback.format_exc(), file=sys.stderr)
+        msg = f"{type(e).__name__}: {e}"
+    print(f"error: {msg}", file=sys.stderr)
+    sys.exit(2)
 
 
 if __name__ == "__main__":

@@ -30,7 +30,6 @@ the recurrence alone would not propagate uniqueness.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -43,6 +42,7 @@ from .exactmath import (
     ipoly_scale,
     ipoly_shift_arg,
 )
+from .records import FrozenRecord, Record
 from .walks import GESSEL, KREWERAS, StepSet
 
 
@@ -58,8 +58,7 @@ def _den_product(params: Sequence[Fraction]) -> int:
     return math.prod(a.denominator for a in params)
 
 
-@dataclass(frozen=True)
-class HypergeomTerm:
+class HypergeomTerm(FrozenRecord):
     """An interlaced hypergeometric sequence in Pochhammer form.
 
     ``factor`` c, ``upper`` a_k and ``lower`` b_k are exact rationals
@@ -69,13 +68,13 @@ class HypergeomTerm:
     would make b undefined from some m on, so it is refused.
     """
 
-    factor: Fraction
-    upper: tuple[Fraction, ...]
-    lower: tuple[Fraction, ...]
-    period: int
-    residue: int
+    __slots__ = ("factor", "upper", "lower", "period", "residue")
 
-    def __post_init__(self):
+    def __init__(
+        self, factor: Fraction, upper: tuple[Fraction, ...], lower: tuple[Fraction, ...],
+        period: int, residue: int,
+    ):
+        self._init(factor, upper, lower, period, residue)
         if self.period < 1 or not (0 <= self.residue < self.period):
             raise ValueError("support pattern must have period >= 1, 0 <= residue < period")
         poles = [-b for b in self.lower if b.denominator == 1 and b <= 0]
@@ -239,12 +238,16 @@ def symbolic_satisfies(p: UniOperator, term: HypergeomTerm) -> bool:
 PROVED = "PROVED"
 
 
-@dataclass
-class EqualityVerdict:
-    status: str  # PROVED or FAILED(<reason>)
-    checked_initial_values: int = 0
-    singular_bound: int = -1
-    failing_index: int | None = None
+class EqualityVerdict(Record):
+    """The outcome of ``prove_equality``; ``status`` is PROVED or FAILED(<reason>)."""
+
+    __slots__ = ("status", "checked_initial_values", "singular_bound", "failing_index")
+
+    def __init__(
+        self, status: str, checked_initial_values: int = 0, singular_bound: int = -1,
+        failing_index: int | None = None,
+    ):
+        self._init(status, checked_initial_values, singular_bound, failing_index)
 
     @property
     def proved(self) -> bool:

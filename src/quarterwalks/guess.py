@@ -24,12 +24,12 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, field
 from itertools import compress, tee
 from operator import itemgetter, mul
 from typing import Iterator, Sequence
 
 from .ore import OreOperator
+from .records import FrozenRecord, Record
 
 Tuple6 = tuple[int, int, int, int, int, int]
 
@@ -38,18 +38,17 @@ class TemplateError(ValueError):
     """Raised for an ansatz with empty support or bad caps."""
 
 
-@dataclass(frozen=True)
-class Bounds:
+class Bounds(FrozenRecord):
     """Per-symbol caps for an ansatz: polynomial degrees in n, i, j and
     shift orders, plus an optional cap on the total polynomial degree."""
 
-    deg_n: int = 0
-    deg_i: int = 0
-    deg_j: int = 0
-    ord_sn: int = 0
-    ord_si: int = 0
-    ord_sj: int = 0
-    total_poly_deg: int | None = None
+    __slots__ = ("deg_n", "deg_i", "deg_j", "ord_sn", "ord_si", "ord_sj", "total_poly_deg")
+
+    def __init__(
+        self, deg_n: int = 0, deg_i: int = 0, deg_j: int = 0, ord_sn: int = 0, ord_si: int = 0,
+        ord_sj: int = 0, total_poly_deg: int | None = None,
+    ):
+        self._init(deg_n, deg_i, deg_j, ord_sn, ord_si, ord_sj, total_poly_deg)
 
     def validate(self):
         caps = (self.deg_n, self.deg_i, self.deg_j, self.ord_sn, self.ord_si, self.ord_sj)
@@ -59,14 +58,13 @@ class Bounds:
             raise TemplateError("total degree cap must be >= 0")
 
 
-@dataclass(frozen=True)
-class AnsatzTemplate:
+class AnsatzTemplate(FrozenRecord):
     """An ordered support of exponent 6-tuples (the unknown vector index)."""
 
-    support: tuple[Tuple6, ...]
-    shape: str = "custom"
+    __slots__ = ("support", "shape")
 
-    def __post_init__(self):
+    def __init__(self, support: tuple[Tuple6, ...], shape: str = "custom"):
+        self._init(support, shape)
         if not self.support:
             raise TemplateError("empty ansatz support")
         if len(set(self.support)) != len(self.support):
@@ -137,12 +135,16 @@ def template_from_support(support: Sequence[Tuple6]) -> AnsatzTemplate:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PointPlan:
+class PointPlan(FrozenRecord):
     """Deterministic sample grid plus disjoint fresh points for filtering."""
 
-    points: tuple[tuple[int, int, int], ...]
-    fresh_points: tuple[tuple[int, int, int], ...]
+    __slots__ = ("points", "fresh_points")
+
+    def __init__(
+        self, points: tuple[tuple[int, int, int], ...],
+        fresh_points: tuple[tuple[int, int, int], ...],
+    ):
+        self._init(points, fresh_points)
 
 
 def plan_points(template: AnsatzTemplate, margin: int = 20) -> PointPlan:
@@ -176,13 +178,15 @@ def plan_points(template: AnsatzTemplate, margin: int = 20) -> PointPlan:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class LinearSystem:
+class LinearSystem(Record):
     """Exact evaluation matrix: one row per point, one column per tuple."""
 
-    matrix: list[list[int]]
-    points: list[tuple[int, int, int]]
-    template: AnsatzTemplate = field(repr=False)
+    __slots__ = ("matrix", "points", "template")
+
+    def __init__(
+        self, matrix: list[list[int]], points: list[tuple[int, int, int]], template: AnsatzTemplate,
+    ):
+        self._init(matrix, points, template)
 
 
 def _gather(indices: Sequence[int]):

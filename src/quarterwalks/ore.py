@@ -28,8 +28,9 @@ from __future__ import annotations
 import heapq
 import math
 import re
-from dataclasses import dataclass
 from typing import Iterable, Mapping
+
+from .records import FrozenRecord
 
 Term = tuple[int, int, int, int, int, int]
 ShiftExp = tuple[int, int, int]
@@ -43,18 +44,17 @@ class UnsupportedDivisorError(ValueError):
     whose leading coefficient is 1 or -1."""
 
 
-@dataclass(frozen=True)
-class Degrees:
+class Degrees(FrozenRecord):
     """Per-symbol maxima of an operator; ``empty`` marks the zero operator."""
 
-    empty: bool
-    deg_n: int | None = None
-    deg_i: int | None = None
-    deg_j: int | None = None
-    ord_sn: int | None = None
-    ord_si: int | None = None
-    ord_sj: int | None = None
-    total_poly_deg: int | None = None
+    __slots__ = ("empty", "deg_n", "deg_i", "deg_j", "ord_sn", "ord_si", "ord_sj", "total_poly_deg")
+
+    def __init__(
+        self, empty: bool, deg_n: int | None = None, deg_i: int | None = None,
+        deg_j: int | None = None, ord_sn: int | None = None, ord_si: int | None = None,
+        ord_sj: int | None = None, total_poly_deg: int | None = None,
+    ):
+        self._init(empty, deg_n, deg_i, deg_j, ord_sn, ord_si, ord_sj, total_poly_deg)
 
 
 def _shift_first(key: Term) -> tuple[int, ...]:
@@ -332,13 +332,15 @@ def _coerce_op(x):
     return NotImplemented
 
 
-@dataclass(frozen=True)
-class Box:
+class Box(FrozenRecord):
     """Inclusive coordinate ranges for grid evaluation."""
 
-    n_range: tuple[int, int]
-    i_range: tuple[int, int]
-    j_range: tuple[int, int]
+    __slots__ = ("n_range", "i_range", "j_range")
+
+    def __init__(
+        self, n_range: tuple[int, int], i_range: tuple[int, int], j_range: tuple[int, int],
+    ):
+        self._init(n_range, i_range, j_range)
 
     @classmethod
     def cube(cls, n_max: int, ij_max: int | None = None, n_min: int = 0) -> "Box":

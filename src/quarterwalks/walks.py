@@ -18,17 +18,19 @@ process.  ``origin_sequence`` computes f(n; 0, 0) for n <= N with the
 same kernel, keeping at level n only the square max(i, j) <= min(n, N - n)
 where the table keeps the whole light cone: a unit step changes each
 coordinate by at most one, so no cell outside it can be back at the
-origin in the N - n steps left.  It holds two levels at a time.
+origin in the N - n steps left.  It holds two levels at a time, and so
+does ``walk_count``, which reads one count f(n; i, j) by the same kind of
+sweep.
 ``trivial_operator`` builds the shift operator that encodes the
 one-step transfer recurrence of the family.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 
 from . import ore
+from .records import FrozenRecord
 
 # The eight unit directions, in canonical listing order.
 DIRECTIONS = {
@@ -49,13 +51,13 @@ class StepSetParseError(ValueError):
     """Raised for an unknown, duplicate, or missing step token."""
 
 
-@dataclass(frozen=True)
-class StepSet:
+class StepSet(FrozenRecord):
     """A nonempty subset of the eight unit directions."""
 
-    steps: frozenset[tuple[int, int]]
+    __slots__ = ("steps",)
 
-    def __post_init__(self):
+    def __init__(self, steps: frozenset[tuple[int, int]]):
+        self._init(steps)
         if not self.steps:
             raise StepSetParseError("empty step set")
         for s in self.steps:
@@ -318,6 +320,35 @@ def origin_sequence(step_set: StepSet, n_max: int) -> list[int]:
     for n, (level, slot) in enumerate(sweep, 1):
         out.append(level[0] & ((1 << 8 * slot) - 1) if n % d == 0 else 0)
     return out
+
+
+def walk_count(step_set: StepSet, n: int, i: int, j: int) -> int:
+    """The one count f(n; i, j), zero-extended like ``CountTable.value``,
+    by a sweep whose level m keeps only the square
+    max(a, b) <= min(m, max(i, j) + n - m).
+
+    This is the argument of ``origin_sequence`` with the origin moved to
+    (i, j): a cell (a, b) that a unit-step walk can still take to (i, j)
+    in the n - m steps left has |a - i|, |b - j| <= n - m, so it lies in
+    the square, and a predecessor of a kept cell is kept or lies beyond
+    the light cone.  A cell off the coset of ``step_lattice`` is 0, so it
+    is answered without a sweep; on it, the count is slot j div stride of
+    row i.  The sweep holds two levels at a time."""
+    if not (0 <= i <= n and 0 <= j <= n):
+        return 0
+    steps = step_set.sorted_steps()
+    lattice = step_lattice(steps)
+    alpha, _, d = lattice
+    stride, offsets = _coset_offsets(lattice)
+    k, r = divmod(j, stride)
+    if r != offsets[(n + alpha * i) % d]:
+        return 0
+    reach = max(i, j) + n
+    sizes = [min(m, reach - m) + 1 for m in range(1, n + 1)]
+    rows, slot = [1], 1
+    for rows, slot in _sweep(steps, lattice, rows, slot, 0, sizes):
+        pass  # only the last level is read
+    return rows[i] >> 8 * slot * k & ((1 << 8 * slot) - 1)
 
 
 _TABLES: dict[StepSet, CountTable] = {}

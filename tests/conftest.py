@@ -1,3 +1,7 @@
+import contextlib
+import io
+from types import SimpleNamespace
+
 import pytest
 
 from quarterwalks import (
@@ -12,6 +16,35 @@ from quarterwalks import (
     takayama_pipeline,
     trivial_operator,
 )
+from quarterwalks.cli import main
+
+
+class _Tee(io.StringIO):
+    """A stream that also copies what it is given into ``shared``."""
+
+    def __init__(self, shared):
+        super().__init__()
+        self.shared = shared
+
+    def write(self, text):
+        self.shared.write(text)
+        return super().write(text)
+
+
+def run_cli(args):
+    """Run the CLI in-process on ``args``.  The result has the exit code,
+    ``output`` (stdout and stderr interleaved in the order written) and
+    ``stdout``.  An exception that escapes ``main`` is raised, not caught:
+    the CLI's own error boundary must turn every error into an exit code."""
+    output = io.StringIO()
+    out, err = _Tee(output), _Tee(output)
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            main(args, prog_name="quarterwalks")
+            code = 0
+        except SystemExit as e:
+            code = 0 if e.code is None else e.code
+    return SimpleNamespace(exit_code=code, output=output.getvalue(), stdout=out.getvalue())
 
 
 @pytest.fixture(scope="session")

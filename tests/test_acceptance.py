@@ -8,7 +8,7 @@ import random
 import time
 from fractions import Fraction
 
-from click.testing import CliRunner
+from conftest import run_cli
 
 from quarterwalks import (
     Bounds,
@@ -35,7 +35,6 @@ from quarterwalks import (
     uni_to_json,
 )
 from quarterwalks.certify import REFUTED
-from quarterwalks.cli import main as cli_main
 from quarterwalks.exactmath import ipoly_mul, ipoly_scale
 
 from naive_oracles import Applied, brute_force_counts, fraction_apply_at
@@ -140,9 +139,7 @@ def test_criterion_5_guessing_recovers_trivial_operator():
 
 def test_criterion_6_scaled_negative_result(tmp_path):
     with criterion(6, "quasi-holonomic Gessel search (ord<=2, deg<=2) finds nothing", 600):
-        runner = CliRunner()
-        result = runner.invoke(
-            cli_main,
+        result = run_cli(
             [
                 "guess", "--steps", "E,W,NE,SW", "--shape", "quasiholonomic",
                 "--bounds", "deg_n=2,deg_i=2,deg_j=2,ord_sn=2,ord_si=2,ord_sj=2,total=2",
@@ -160,10 +157,8 @@ def test_criterion_6_scaled_negative_result(tmp_path):
 
 def test_criterion_7_kreweras_end_to_end_proof(tmp_path):
     with criterion(7, "cmdProve Kreweras: guess, certify, eliminate, match closed form", 3600):
-        runner = CliRunner()
         report_path = str(tmp_path / "report.json")
-        result = runner.invoke(
-            cli_main,
+        result = run_cli(
             ["prove", "--steps", "W,S,NE", "--closed-form", "kreweras",
              "--diag-limit", "500", "--out", report_path],
         )
@@ -191,17 +186,14 @@ def test_criterion_8_gessel_import_path(tmp_path):
     with criterion(8, "external Gessel recurrence imports + proves the abstract's term", 60):
         # (a) an externally supplied recurrence file is validated and then
         # carries the equality proof
-        runner = CliRunner()
         rec_path = tmp_path / "gessel_rec.json"
         rec_path.write_text(json.dumps(uni_to_json(GESSEL_DIAGONAL_RECURRENCE)))
-        result = runner.invoke(
-            cli_main,
+        result = run_cli(
             ["import-recurrence", str(rec_path), "--steps", "E,W,NE,SW", "--n-check", "100"],
         )
         assert result.exit_code == 0, result.output
         report_path = str(tmp_path / "report.json")
-        result = runner.invoke(
-            cli_main,
+        result = run_cli(
             ["prove", "--steps", "E,W,NE,SW", "--closed-form", "gessel",
              "--import-recurrence", str(rec_path), "--diag-limit", "100",
              "--out", report_path],

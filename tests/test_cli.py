@@ -5,7 +5,7 @@ import sys
 from fractions import Fraction
 
 import pytest
-from click.testing import CliRunner
+from conftest import run_cli
 
 from quarterwalks import (
     CLOSED_FORMS,
@@ -19,19 +19,10 @@ from quarterwalks import (
     uni_from_json,
     uni_to_json,
 )
-from quarterwalks.cli import main, parse_bounds
+from quarterwalks.cli import _DEFAULT_BOUNDS, parse_bounds
 from quarterwalks.eliminate import EliminationError, VerificationError
 from quarterwalks.exactmath import ipoly_mul, ipoly_scale
 from quarterwalks.guess import Bounds, TemplateError
-
-
-@pytest.fixture()
-def runner():
-    return CliRunner()
-
-
-def invoke(runner, args, **kw):
-    return runner.invoke(main, args, catch_exceptions=False, **kw)
 
 
 def write_json(path, payload):
@@ -65,38 +56,38 @@ def test_parse_bounds_round_trip():
             parse_bounds(f"deg_n={value}")
 
 
-def test_count_values(runner):
-    r = invoke(runner, ["count", "--steps", "E,W,NE,SW", "--n", "4", "--i", "0", "--j", "0"])
+def test_count_values():
+    r = run_cli(["count", "--steps", "E,W,NE,SW", "--n", "4", "--i", "0", "--j", "0"])
     assert r.exit_code == 0 and r.output.strip() == "11"
-    r = invoke(runner, ["count", "--steps", "W,S,NE", "--n", "6", "--i", "0", "--j", "0"])
+    r = run_cli(["count", "--steps", "W,S,NE", "--n", "6", "--i", "0", "--j", "0"])
     assert r.exit_code == 0 and r.output.strip() == "16"
-    r = invoke(runner, ["count", "--steps", "E,W,NE,SW", "--n", "3", "--i", "0", "--j", "0"])
+    r = run_cli(["count", "--steps", "E,W,NE,SW", "--n", "3", "--i", "0", "--j", "0"])
     assert r.exit_code == 0 and r.output.strip() == "0"
     # negative coordinates stay legal and count no walks
     for n, i, j in ((-1, 0, 0), (4, -2, 0), (4, 0, -1)):
         coords = ["--n", str(n), "--i", str(i), "--j", str(j)]
-        r = invoke(runner, ["count", "--steps", "W,S,NE", *coords])
+        r = run_cli(["count", "--steps", "W,S,NE", *coords])
         assert r.exit_code == 0 and r.output.strip() == "0"
 
 
-def test_count_bad_steps_exits_2(runner):
-    r = runner.invoke(main, ["count", "--steps", "X", "--n", "1", "--i", "0", "--j", "0"])
+def test_count_bad_steps_exits_2():
+    r = run_cli(["count", "--steps", "X", "--n", "1", "--i", "0", "--j", "0"])
     assert r.exit_code == 2
 
 
-def test_table_prints_json(runner):
-    r = invoke(runner, ["table", "--steps", "W,S,NE", "--n-max", "6"])
+def test_table_prints_json():
+    r = run_cli(["table", "--steps", "W,S,NE", "--n-max", "6"])
     assert r.exit_code == 0
     data = json.loads(r.output)
     assert data["steps"] == "W,S,NE" and data["nMax"] == 6
     assert data["levels"][6][0][0] == "16"
 
 
-def test_removed_cache_option_exit_2(runner, tmp_path):
-    r = runner.invoke(main, ["--cache-dir", str(tmp_path), "count", "--steps", "W,S,NE",
-                             "--n", "3", "--i", "0", "--j", "0"])
+def test_removed_cache_option_exit_2(tmp_path):
+    r = run_cli(["--cache-dir", str(tmp_path), "count", "--steps", "W,S,NE",
+                 "--n", "3", "--i", "0", "--j", "0"])
     assert r.exit_code == 2
-    assert "No such option" in r.output
+    assert "unrecognized arguments" in r.output
 
 
 @pytest.mark.parametrize(
@@ -111,13 +102,13 @@ def test_removed_cache_option_exit_2(runner, tmp_path):
     ids=["guess-n-max", "eliminate-truncation", "prove-retry-cap", "certify-margin",
          "prove-certify-margin"],
 )
-def test_removed_sizing_options_exit_2(runner, tmp_path, args):
+def test_removed_sizing_options_exit_2(tmp_path, args):
     # the count table sizes itself on read, elimination keeps every
     # component, and the base-case box is fixed by the light cone
     op = write_json(tmp_path / "t.json", operator_to_json(trivial_operator(GESSEL)))
-    r = runner.invoke(main, [a.format(tmp=tmp_path, op=op) for a in args])
+    r = run_cli([a.format(tmp=tmp_path, op=op) for a in args])
     assert r.exit_code == 2
-    assert "No such option" in r.output
+    assert "unrecognized arguments" in r.output
 
 
 _PROVE_K = ["prove", "--steps", "W,S,NE", "--closed-form", "kreweras"]
@@ -139,19 +130,18 @@ _PROVE_K = ["prove", "--steps", "W,S,NE", "--closed-form", "kreweras"]
     ],
     ids=lambda v: v if isinstance(v, str) else v[0],
 )
-def test_negative_counts_are_usage_errors(runner, tmp_path, args, option):
+def test_negative_counts_are_usage_errors(tmp_path, args, option):
     op = write_json(tmp_path / "t.json", operator_to_json(trivial_operator(GESSEL)))
     rec = write_json(tmp_path / "rec.json", uni_to_json(PG))
-    r = runner.invoke(main, [a.format(tmp=tmp_path, op=op, rec=rec) for a in args])
+    r = run_cli([a.format(tmp=tmp_path, op=op, rec=rec) for a in args])
     assert r.exit_code == 2
     assert "Traceback" not in r.output
     assert option in r.output
 
 
-def test_guess_trivial_support_recovers_t(runner, tmp_path):
+def test_guess_trivial_support_recovers_t(tmp_path):
     out = tmp_path / "cands"
-    r = invoke(
-        runner,
+    r = run_cli(
         ["guess", "--steps", "E,W,NE,SW",
          "--bounds", "ord_sn=1,ord_si=2,ord_sj=2", "--out", str(out)],
     )
@@ -166,12 +156,11 @@ def test_guess_trivial_support_recovers_t(runner, tmp_path):
         assert p["meta"]["config"]["steps"] == "E,W,NE,SW"
 
 
-def test_guess_outputs_deterministic(runner, tmp_path):
+def test_guess_outputs_deterministic(tmp_path):
     outs = []
     for tag in ("a", "b"):
         out = tmp_path / tag
-        r = invoke(
-            runner,
+        r = run_cli(
             ["guess", "--steps", "E,W,NE,SW", "--bounds", "ord_sn=1,ord_si=2,ord_sj=2",
              "--out", str(out)],
         )
@@ -180,9 +169,8 @@ def test_guess_outputs_deterministic(runner, tmp_path):
     assert outs[0] == outs[1]
 
 
-def test_guess_negative_quasiholonomic_exit_1(runner, tmp_path):
-    r = runner.invoke(
-        main,
+def test_guess_negative_quasiholonomic_exit_1(tmp_path):
+    r = run_cli(
         ["guess", "--steps", "E,W,NE,SW", "--shape", "quasiholonomic",
          "--bounds", "deg_n=2,deg_i=2,deg_j=2,ord_sn=2,ord_si=2,ord_sj=2,total=2",
          "--out", str(tmp_path / "none")],
@@ -190,10 +178,9 @@ def test_guess_negative_quasiholonomic_exit_1(runner, tmp_path):
     assert r.exit_code == 1
 
 
-def test_guess_negative_pure_sn_quasiholonomic(runner, tmp_path):
+def test_guess_negative_pure_sn_quasiholonomic(tmp_path):
     # no low-order recurrence in n alone annihilates the whole array
-    r = runner.invoke(
-        main,
+    r = run_cli(
         ["guess", "--steps", "E,W,NE,SW", "--shape", "quasiholonomic",
          "--bounds", "deg_n=1,ord_sn=2", "--out", str(tmp_path / "none")],
     )
@@ -201,19 +188,18 @@ def test_guess_negative_pure_sn_quasiholonomic(runner, tmp_path):
     assert "no candidates" in r.output
 
 
-def test_guess_malformed_steps_exit_2(runner, tmp_path):
-    r = runner.invoke(
-        main, ["guess", "--steps", "E,,Q", "--bounds", "ord_sn=1", "--out", str(tmp_path)]
+def test_guess_malformed_steps_exit_2(tmp_path):
+    r = run_cli(
+        ["guess", "--steps", "E,,Q", "--bounds", "ord_sn=1", "--out", str(tmp_path)]
     )
     assert r.exit_code == 2
 
 
-def test_guess_refuses_out_holding_candidates(runner, tmp_path):
+def test_guess_refuses_out_holding_candidates(tmp_path):
     # an empty existing directory is accepted
     out = tmp_path / "cands"
     out.mkdir()
-    r = invoke(
-        runner,
+    r = run_cli(
         ["guess", "--steps", "E,W,NE,SW", "--bounds", "ord_sn=1,ord_si=2,ord_sj=2",
          "--out", str(out)],
     )
@@ -222,8 +208,7 @@ def test_guess_refuses_out_holding_candidates(runner, tmp_path):
     assert list(before) == ["candidate_000.json"]
     # a second run into it is refused before guessing, even one of
     # another step set that would find nothing, and deletes nothing
-    r = runner.invoke(
-        main,
+    r = run_cli(
         ["guess", "--steps", "W,S,NE", "--shape", "quasiholonomic",
          "--bounds", "deg_n=1,ord_sn=2", "--out", str(out)],
     )
@@ -235,26 +220,26 @@ def test_guess_refuses_out_holding_candidates(runner, tmp_path):
     assert {f: (out / f).read_bytes() for f in sorted(os.listdir(out))} == before
 
 
-def test_certify_trivial_and_refuted(runner, tmp_path):
+def test_certify_trivial_and_refuted(tmp_path):
     t = trivial_operator(GESSEL)
     t_file = write_json(tmp_path / "t.json", operator_to_json(t))
-    r = invoke(runner, ["certify", "--steps", "E,W,NE,SW", t_file])
+    r = run_cli(["certify", "--steps", "E,W,NE,SW", t_file])
     assert r.exit_code == 0
     assert '"verdict": "certified"' in r.output
 
     bad_file = write_json(tmp_path / "bad.json", operator_to_json(t + 1))
-    r = runner.invoke(main, ["certify", "--steps", "E,W,NE,SW", bad_file])
+    r = run_cli(["certify", "--steps", "E,W,NE,SW", bad_file])
     assert r.exit_code == 1
     report = json.loads(r.output)
     assert report["verdict"] == "refuted"
     assert report["counterexample"] == [0, 0, 0]
 
 
-def test_certify_writes_certificate_file(runner, tmp_path):
+def test_certify_writes_certificate_file(tmp_path):
     t = trivial_operator(GESSEL)
     t_file = write_json(tmp_path / "t.json", operator_to_json(t))
     out = str(tmp_path / "cert.json")
-    r = invoke(runner, ["certify", "--steps", "E,W,NE,SW", t_file, "--out", out])
+    r = run_cli(["certify", "--steps", "E,W,NE,SW", t_file, "--out", out])
     assert r.exit_code == 0
     cert = json.load(open(out))
     assert cert["verdict"] == "certified"
@@ -264,40 +249,40 @@ def test_certify_writes_certificate_file(runner, tmp_path):
     assert "certify_margin" not in cert["meta"]["config"]
 
 
-def test_certify_malformed_rational_exit_2(runner, tmp_path):
+def test_certify_malformed_rational_exit_2(tmp_path):
     data = operator_to_json(trivial_operator(GESSEL))
     data["terms"][0]["coeff"][0]["num"] = "not-a-number"
     path = write_json(tmp_path / "m.json", data)
-    r = runner.invoke(main, ["certify", "--steps", "E,W,NE,SW", path])
+    r = run_cli(["certify", "--steps", "E,W,NE,SW", path])
     assert r.exit_code == 2
 
 
-def test_eliminate_t_alone_fails_exit_1(runner, tmp_path):
+def test_eliminate_t_alone_fails_exit_1(tmp_path):
     t_file = write_json(tmp_path / "t.json", operator_to_json(trivial_operator(GESSEL)))
-    r = runner.invoke(
-        main, ["eliminate", "--steps", "E,W,NE,SW", t_file, "--diag-limit", "40"]
+    r = run_cli(
+        ["eliminate", "--steps", "E,W,NE,SW", t_file, "--diag-limit", "40"]
     )
     assert r.exit_code == 1
     assert "elimination failed" in r.output
 
 
-def test_import_recurrence_valid(runner, tmp_path):
+def test_import_recurrence_valid(tmp_path):
     path = write_json(tmp_path / "pg.json", uni_to_json(PG))
-    r = invoke(runner, ["import-recurrence", path, "--steps", "E,W,NE,SW", "--n-check", "60"])
+    r = run_cli(["import-recurrence", path, "--steps", "E,W,NE,SW", "--n-check", "60"])
     assert r.exit_code == 0
     data = json.loads(r.output)
     assert data["operator"] == uni_to_json(PG)
 
 
-def test_import_recurrence_rejected_exit_1(runner, tmp_path):
+def test_import_recurrence_rejected_exit_1(tmp_path):
     wrong = UniOperator({2: [40, 22, 3], 0: [-80, -128, -47]})
     path = write_json(tmp_path / "wrong.json", uni_to_json(wrong))
-    r = runner.invoke(main, ["import-recurrence", path, "--steps", "E,W,NE,SW", "--n-check", "60"])
+    r = run_cli(["import-recurrence", path, "--steps", "E,W,NE,SW", "--n-check", "60"])
     assert r.exit_code == 1
     assert "rejected: fails sequence check at n=" in r.output
 
 
-def test_import_recurrence_clears_rational_terms(runner, tmp_path):
+def test_import_recurrence_clears_rational_terms(tmp_path):
     # (3n+10)(n+4) / (2 (n+1)(3n+5)) Sn^2 - 8 is the Gessel recurrence
     # divided by 2 (n+1)(3n+5); it loads, validates and is written cleared
     rational = {
@@ -310,7 +295,7 @@ def test_import_recurrence_clears_rational_terms(runner, tmp_path):
         "cleared": uni_to_json(PG)["cleared"],
     }
     path = write_json(tmp_path / "rational.json", rational)
-    r = invoke(runner, ["import-recurrence", path, "--steps", "E,W,NE,SW", "--n-check", "60"])
+    r = run_cli(["import-recurrence", path, "--steps", "E,W,NE,SW", "--n-check", "60"])
     assert r.exit_code == 0
     assert json.loads(r.output)["operator"] == uni_to_json(PG)
 
@@ -320,7 +305,7 @@ def test_import_recurrence_clears_rational_terms(runner, tmp_path):
     [(["1"], ["0"]), (["1/0"], ["1"]), (["one"], ["1"])],
     ids=["zero-den", "div-by-zero", "not-a-number"],
 )
-def test_recurrence_with_bad_numbers_exit_2_one_line(runner, tmp_path, num, den):
+def test_recurrence_with_bad_numbers_exit_2_one_line(tmp_path, num, den):
     data = uni_to_json(PG)
     data["terms"][1].update(num=num, den=den)
     path = write_json(tmp_path / "bad.json", data)
@@ -329,58 +314,57 @@ def test_recurrence_with_bad_numbers_exit_2_one_line(runner, tmp_path, num, den)
         ["prove", "--steps", "E,W,NE,SW", "--closed-form", "gessel",
          "--import-recurrence", path, "--diag-limit", "40"],
     ):
-        r = runner.invoke(main, args)
+        r = run_cli(args)
         assert r.exit_code == 2
         assert "Traceback" not in r.output
         lines = r.output.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: term of power 2"), r.output
 
 
-def test_import_recurrence_truncated_json_exit_2(runner, tmp_path):
+def test_import_recurrence_truncated_json_exit_2(tmp_path):
     path = tmp_path / "trunc.json"
     path.write_text('{"var": "n", "shift": "Sn", "terms": [')
-    r = runner.invoke(main, ["import-recurrence", str(path), "--steps", "E,W,NE,SW"])
+    r = run_cli(["import-recurrence", str(path), "--steps", "E,W,NE,SW"])
     assert r.exit_code == 2
 
 
-def test_eliminate_writes_recurrence_of_origin_counts(runner, tmp_path, kreweras_certified):
+def test_eliminate_writes_recurrence_of_origin_counts(tmp_path, kreweras_certified):
     paths = [
         write_json(tmp_path / f"op{k}.json", operator_to_json(op))
         for k, op in enumerate(kreweras_certified)
     ]
     out = tmp_path / "p.json"
-    r = invoke(runner, ["eliminate", "--steps", "W,S,NE", *paths, "--multiplier-bound", "1",
-                        "--diag-limit", "200", "--out", str(out)])
+    r = run_cli(["eliminate", "--steps", "W,S,NE", *paths, "--multiplier-bound", "1",
+                 "--diag-limit", "200", "--out", str(out)])
     assert r.exit_code == 0, r.output
     p = uni_from_json(json.load(open(out))["operator"])
     assert p.order() >= 1
     assert p.first_failure(origin_sequence(KREWERAS, 200), range(201 - p.order())) is None
 
 
-def test_check_closed_form(runner):
+def test_check_closed_form():
     for which in ("gessel", "kreweras"):
-        r = invoke(runner, ["check-closed-form", "--closed-form", which, "--m-max", "8"])
+        r = run_cli(["check-closed-form", "--closed-form", which, "--m-max", "8"])
         assert r.exit_code == 0
         n_max = CLOSED_FORMS[which][1].period * 8
         assert r.output == f"closed form {which}: OK (values to n={n_max})\n"
 
 
-def test_check_closed_form_wrong_term_exit_1(runner, monkeypatch):
+def test_check_closed_form_wrong_term_exit_1(monkeypatch):
     # (2)_m replaced by (3)_m: b(1) = 4/3, not the 2 walks of length 2
     wrong = HypergeomTerm(
         Fraction(16), (Fraction(5, 6), Fraction(1, 2)), (Fraction(5, 3), Fraction(3)), 2, 0
     )
     monkeypatch.setitem(CLOSED_FORMS, "gessel", (GESSEL, wrong))
-    r = runner.invoke(main, ["check-closed-form", "--closed-form", "gessel", "--m-max", "8"])
+    r = run_cli(["check-closed-form", "--closed-form", "gessel", "--m-max", "8"])
     assert r.exit_code == 1
     assert r.output == "mismatch at n=2\n"
 
 
-def test_prove_gessel_with_import(runner, tmp_path):
+def test_prove_gessel_with_import(tmp_path):
     path = write_json(tmp_path / "pg.json", uni_to_json(PG))
     report_path = str(tmp_path / "report.json")
-    r = invoke(
-        runner,
+    r = run_cli(
         ["prove", "--steps", "E,W,NE,SW", "--closed-form", "gessel",
          "--import-recurrence", path, "--diag-limit", "80", "--out", report_path],
     )
@@ -393,12 +377,11 @@ def test_prove_gessel_with_import(runner, tmp_path):
     assert report["verdict"]["status"] == "PROVED"
 
 
-def test_prove_gessel_without_import_is_sound_negative(runner, tmp_path):
+def test_prove_gessel_without_import_is_sound_negative(tmp_path):
     # desk-scale bounds cannot crack the Gessel elimination; the command
     # must fail soundly (exit 1) rather than claim success
     report_path = str(tmp_path / "report.json")
-    r = runner.invoke(
-        main,
+    r = run_cli(
         ["prove", "--steps", "E,W,NE,SW", "--closed-form", "gessel",
          "--bounds", "ord_sn=1,ord_si=2,ord_sj=2", "--diag-limit", "40",
          "--out", report_path],
@@ -408,13 +391,13 @@ def test_prove_gessel_without_import_is_sound_negative(runner, tmp_path):
     assert report["status"].startswith("FAILED")
 
 
-def test_prove_import_of_wrong_recurrence_rejected(runner, tmp_path):
+def test_prove_import_of_wrong_recurrence_rejected(tmp_path):
     # PG with 15 for 16: (n+4)(3n+10) f(n+2) = 15 (3n+5)(n+1) f(n) fails at n = 0
     wrong = UniOperator({2: PG.cleared()[2], 0: ipoly_scale(ipoly_mul([5, 3], [1, 1]), -15)})
     path = write_json(tmp_path / "wrong.json", uni_to_json(wrong))
     report_path = tmp_path / "report.json"
-    r = runner.invoke(main, _GESSEL_IMPORT + [path, "--diag-limit", "40",
-                                              "--out", str(report_path)])
+    r = run_cli(_GESSEL_IMPORT + [path, "--diag-limit", "40",
+                                  "--out", str(report_path)])
     assert r.exit_code == 1
     report = json.load(open(report_path))
     assert report["status"] == "REJECTED(import fails sequence check at n=0)"
@@ -422,10 +405,9 @@ def test_prove_import_of_wrong_recurrence_rejected(runner, tmp_path):
     assert "verdict" not in report
 
 
-def test_prove_quasiholonomic_without_candidates_exit_1(runner, tmp_path):
+def test_prove_quasiholonomic_without_candidates_exit_1(tmp_path):
     report_path = tmp_path / "report.json"
-    r = runner.invoke(
-        main,
+    r = run_cli(
         ["prove", "--steps", "E,W,NE,SW", "--closed-form", "gessel",
          "--shape", "quasiholonomic", "--bounds", "deg_n=1,ord_sn=2", "--diag-limit", "40",
          "--out", str(report_path)],
@@ -436,13 +418,12 @@ def test_prove_quasiholonomic_without_candidates_exit_1(runner, tmp_path):
     assert report["candidates"] == 0
 
 
-def test_prove_import_order_not_below_diag_limit_exit_2(runner, tmp_path):
+def test_prove_import_order_not_below_diag_limit_exit_2(tmp_path):
     # an order-12 recurrence leaves no window to check in 10 terms
     rec = UniOperator({12: [1], 0: [-1]})
     path = write_json(tmp_path / "ord12.json", uni_to_json(rec))
     report_path = tmp_path / "report.json"
-    r = runner.invoke(
-        main,
+    r = run_cli(
         ["prove", "--steps", "E,W,NE,SW", "--closed-form", "gessel",
          "--import-recurrence", path, "--diag-limit", "10", "--out", str(report_path)],
     )
@@ -452,12 +433,11 @@ def test_prove_import_order_not_below_diag_limit_exit_2(runner, tmp_path):
     assert not report_path.exists()
 
 
-def test_import_recurrence_order_not_below_n_check_exit_2(runner, tmp_path):
+def test_import_recurrence_order_not_below_n_check_exit_2(tmp_path):
     rec = UniOperator({12: [1], 0: [-1]})
     path = write_json(tmp_path / "ord12.json", uni_to_json(rec))
     out_path = tmp_path / "out.json"
-    r = runner.invoke(
-        main,
+    r = run_cli(
         ["import-recurrence", path, "--steps", "E,W,NE,SW", "--n-check", "12",
          "--out", str(out_path)],
     )
@@ -513,7 +493,7 @@ def _one_error_line(r):
     "payload", ["not-json", "list", "operator-list", "no-terms", "zero", "zero-den", "duplicate"]
 )
 @pytest.mark.parametrize("command", list(_FILE_COMMANDS))
-def test_malformed_operator_file_exit_2_one_line(runner, tmp_path, command, payload):
+def test_malformed_operator_file_exit_2_one_line(tmp_path, command, payload):
     # the file reader rejects what is not JSON or not an operator object,
     # or holds a zero denominator or the zero operator, so every command
     # that reads one gives the same one-line error
@@ -524,7 +504,7 @@ def test_malformed_operator_file_exit_2_one_line(runner, tmp_path, command, payl
     else:
         data = {"list": [1, 2], "operator-list": {"operator": [1]}}.get(payload)
         path = write_json(tmp_path / "bad.json", data if data is not None else _malformed(kind, payload))
-    r = runner.invoke(main, [a.format(f=path) for a in args])
+    r = run_cli([a.format(f=path) for a in args])
     line = _one_error_line(r)
     assert path in line
     if payload == "not-json":
@@ -588,6 +568,21 @@ _OPERATIONAL_ERRORS = {
     "table-out-directory": (
         ["table", "--steps", "W,S,NE", "--n-max", "2", "--out", "{tmp}"], None, "{tmp}"
     ),
+    "certify-missing-file": (
+        ["certify", "--steps", "W,S,NE", "{tmp}/missing.json"], None, "{tmp}/missing.json"
+    ),
+    "eliminate-missing-file": (
+        ["eliminate", "--steps", "W,S,NE", "{op}", "{tmp}/missing.json"], None,
+        "{tmp}/missing.json",
+    ),
+    "import-recurrence-missing-file": (
+        ["import-recurrence", "{tmp}/missing.json", "--steps", "W,S,NE"], None,
+        "{tmp}/missing.json",
+    ),
+    "prove-import-missing-file": (
+        _GESSEL_IMPORT + ["{tmp}/missing.json", "--out", "{tmp}/report.json"], None,
+        "{tmp}/missing.json",
+    ),
     "eliminate-verification": (_ELIMINATE_40, VerificationError, "pipeline stopped"),
     "eliminate-elimination": (_ELIMINATE_40, EliminationError, "pipeline stopped"),
     "prove-verification": (_PROVE_40, VerificationError, "pipeline stopped"),
@@ -596,7 +591,7 @@ _OPERATIONAL_ERRORS = {
 
 
 @pytest.mark.parametrize("case", list(_OPERATIONAL_ERRORS))
-def test_operational_errors_exit_2_one_line(runner, tmp_path, monkeypatch, case):
+def test_operational_errors_exit_2_one_line(tmp_path, monkeypatch, case):
     # bad steps and paths that cannot be opened reach the error boundary
     # from every command, and so do the elimination's own errors, without
     # a traceback or a report
@@ -605,7 +600,7 @@ def test_operational_errors_exit_2_one_line(runner, tmp_path, monkeypatch, case)
         monkeypatch.setattr("quarterwalks.cli.takayama_pipeline", _raise(pipeline_error))
     op = write_json(tmp_path / "t.json", operator_to_json(trivial_operator(GESSEL)))
     rec = write_json(tmp_path / "rec.json", uni_to_json(PG))
-    r = runner.invoke(main, [a.format(tmp=tmp_path, op=op, rec=rec) for a in args])
+    r = run_cli([a.format(tmp=tmp_path, op=op, rec=rec) for a in args])
     line = _one_error_line(r)
     assert expected.format(tmp=tmp_path) in line
     if pipeline_error is not None:
@@ -614,13 +609,12 @@ def test_operational_errors_exit_2_one_line(runner, tmp_path, monkeypatch, case)
     assert not (tmp_path / "report.json").exists()
 
 
-def test_unexpected_exception_exits_2(runner, tmp_path, monkeypatch):
+def test_unexpected_exception_exits_2(tmp_path, monkeypatch):
     def broken(system):
         raise RuntimeError("solver blew up")
 
     monkeypatch.setattr("quarterwalks.cli.nullspace", broken)
-    r = runner.invoke(
-        main,
+    r = run_cli(
         ["guess", "--steps", "E,W,NE,SW", "--bounds", "ord_sn=1,ord_si=2,ord_sj=2",
          "--out", str(tmp_path / "cands")],
     )
@@ -628,14 +622,20 @@ def test_unexpected_exception_exits_2(runner, tmp_path, monkeypatch):
     assert "error: RuntimeError: solver blew up" in r.output
 
 
-def test_kernel_solve_leaves_numpy_unloaded(tmp_path):
-    """The kernel solver is pure Python: a guess that solves a nonempty
-    system and finds candidates loads no numpy module."""
+def _src_env():
+    """The environment with this checkout's package first on the path."""
     import quarterwalks
 
     env = dict(os.environ)
     src = os.path.dirname(os.path.dirname(quarterwalks.__file__))
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
+
+
+def test_kernel_solve_leaves_numpy_unloaded(tmp_path):
+    """The kernel solver is pure Python: a guess that solves a nonempty
+    system and finds candidates loads no numpy module."""
+    env = _src_env()
     out = tmp_path / "cands"
     code = (
         "import sys\n"
@@ -650,3 +650,109 @@ def test_kernel_solve_leaves_numpy_unloaded(tmp_path):
     assert run.returncode == 0, run.stderr
     assert run.stdout.strip().splitlines()[-1] == "[]"
     assert sorted(os.listdir(out)) == ["candidate_000.json"]
+
+
+def test_cli_import_loads_no_click_dataclasses_or_inspect():
+    """The CLI needs only the standard library, and its cold start none of
+    the heavy modules: ``import quarterwalks.cli`` in a fresh interpreter
+    adds neither click nor dataclasses nor inspect to what a bare
+    interpreter has loaded."""
+    code = "import sys\n{}\nprint(' '.join(sorted(sys.modules)))\n"
+
+    def loaded(statement):
+        run = subprocess.run([sys.executable, "-c", code.format(statement)], env=_src_env(),
+                             capture_output=True, text=True)
+        assert run.returncode == 0, run.stderr
+        return set(run.stdout.split())
+
+    bare, cli = loaded("pass"), loaded("import quarterwalks.cli")
+    assert "quarterwalks.cli" in cli
+    added = {name.split(".")[0] for name in cli - bare}
+    assert not added & {"click", "dataclasses", "inspect"}, sorted(added)
+
+
+def _module_run(args, cwd):
+    """``python -m quarterwalks.cli`` as the benchmark starts it."""
+    return subprocess.run([sys.executable, "-m", "quarterwalks.cli", *args], env=_src_env(),
+                          cwd=cwd, capture_output=True, text=True, timeout=120)
+
+
+def test_module_entry_exit_codes_and_streams(tmp_path):
+    # exit 0: the result on stdout, nothing on stderr
+    run = _module_run(["count", "--steps", "W,S,NE", "--n", "6", "--i", "0", "--j", "0"], tmp_path)
+    assert (run.returncode, run.stdout, run.stderr) == (0, "16\n", "")
+    # exit 1, a sound negative: progress and the verdict on stderr, no result
+    run = _module_run(["guess", "--steps", "E,W,NE,SW", "--shape", "quasiholonomic",
+                       "--bounds", "deg_n=1,ord_sn=2", "--out", str(tmp_path / "none")], tmp_path)
+    assert run.returncode == 1 and run.stdout == ""
+    lines = run.stderr.splitlines()
+    assert lines[0].startswith("template deg_n=1,ord_sn=2 (quasiholonomic): ")
+    assert lines[-1] == "no candidates"
+    # exit 2, an operational error: one error line on stderr
+    run = _module_run(["count", "--steps", "X", "--n", "1", "--i", "0", "--j", "0"], tmp_path)
+    assert run.returncode == 2 and run.stdout == ""
+    assert run.stderr.splitlines() == ["error: unknown step token: 'X'"]
+
+
+def _templates(r):
+    return [line for line in r.output.splitlines() if line.startswith("template ")]
+
+
+def test_bounds_repeats_and_defaults_only_when_never_given(tmp_path, monkeypatch):
+    first, second = "ord_sn=1,ord_si=2,ord_sj=2", "deg_n=1,ord_sn=1,ord_si=1,ord_sj=1"
+    r = run_cli(["guess", "--steps", "E,W,NE,SW", "--bounds", first, "--bounds", second,
+                 "--out", str(tmp_path / "two")])
+    assert r.exit_code == 0, r.output
+    assert [line.split(" (")[0] for line in _templates(r)] == [
+        f"template {first}", f"template {second}"
+    ]
+    payload = json.load(open(tmp_path / "two" / "candidate_000.json"))
+    assert payload["meta"]["config"]["bounds"] == [first, second]
+    # without --bounds only the default template runs; an empty kernel
+    # keeps the run short
+    monkeypatch.setattr("quarterwalks.cli.nullspace", lambda system: [])
+    r = run_cli(["guess", "--steps", "W,S,NE", "--out", str(tmp_path / "default")])
+    assert r.exit_code == 1
+    assert [line.split(" (")[0] for line in _templates(r)] == [f"template {_DEFAULT_BOUNDS}"]
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        _PROVE_K + ["--multiplier", "1"],
+        ["guess", "--steps", "W,S,NE", "--sha", "full", "--out", "{tmp}"],
+        ["eliminate", "--steps", "W,S,NE", "{op}", "--diag", "40"],
+    ],
+    ids=["prove-multiplier", "guess-sha", "eliminate-diag"],
+)
+def test_abbreviated_options_are_usage_errors(tmp_path, args):
+    op = write_json(tmp_path / "t.json", operator_to_json(trivial_operator(GESSEL)))
+    r = run_cli([a.format(tmp=tmp_path, op=op) for a in args])
+    assert r.exit_code == 2
+    assert "unrecognized arguments" in r.output
+    assert not _templates(r) and "Traceback" not in r.output
+
+
+def test_positionals_may_follow_options(tmp_path):
+    # the second operator file comes after an option, and is still read
+    good = write_json(tmp_path / "t.json", operator_to_json(trivial_operator(GESSEL)))
+    bad = write_json(tmp_path / "bad.json", [1, 2])
+    r = run_cli(["eliminate", "--steps", "E,W,NE,SW", good, "--diag-limit", "40", bad])
+    assert _one_error_line(r) == f"error: expected a JSON object, not list (in {bad})"
+
+
+@pytest.mark.parametrize(
+    "args, option",
+    [
+        (["guess", "--steps", "W,S,NE", "--shape", "bogus", "--out", "{tmp}"], "--shape"),
+        (_PROVE_K + ["--shape", "bogus"], "--shape"),
+        (["prove", "--steps", "W,S,NE", "--closed-form", "bogus"], "--closed-form"),
+        (["check-closed-form", "--closed-form", "bogus"], "--closed-form"),
+    ],
+    ids=["guess-shape", "prove-shape", "prove-closed-form", "check-closed-form"],
+)
+def test_bad_choices_are_usage_errors(tmp_path, args, option):
+    r = run_cli([a.format(tmp=tmp_path) for a in args])
+    assert r.exit_code == 2
+    assert f"argument {option}: invalid choice: 'bogus'" in r.output
+    assert "Traceback" not in r.output

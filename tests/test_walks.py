@@ -2,7 +2,7 @@ import json
 from itertools import combinations
 
 import pytest
-from click.testing import CliRunner
+from conftest import run_cli
 
 from quarterwalks import (
     GESSEL,
@@ -14,8 +14,8 @@ from quarterwalks import (
     origin_sequence,
     parse_step_set,
     trivial_operator,
+    walk_count,
 )
-from quarterwalks.cli import main
 from quarterwalks.closedform import hypergeom_term
 from quarterwalks.ore import OreOperator
 from quarterwalks.walks import (
@@ -150,6 +150,19 @@ def test_origin_sequence_streams_match_table():
         want = [table.value(n, 0, 0) for n in range(61)]
         for n_max in (0, 1, 2, 60):
             assert origin_sequence(step_set, n_max) == want[: n_max + 1], (step_set, n_max)
+
+
+@pytest.mark.parametrize(
+    "steps", ["E,W,N,S", "E,W,N,S,NE,NW,SE,SW", "E,W,NE,SW", "W,S,NE", "NE,NW,SE,SW"]
+)
+def test_walk_count_matches_table(steps):
+    # every cell to n = 25, with a border of negative and beyond-cone cells
+    step_set = parse_step_set(steps)
+    table = CountTable(step_set, 25)
+    for n in range(-1, 26):
+        for i in range(-1, n + 3):
+            for j in range(-1, n + 3):
+                assert walk_count(step_set, n, i, j) == table.value(n, i, j), (n, i, j)
 
 
 def _lattice_pairs(steps, d):
@@ -319,10 +332,7 @@ def test_table_json_round_trip_exact_over_2_53(tmp_path):
     # the table command's export, read back: decimal strings keep every
     # count exact where a JSON float would round
     out = tmp_path / "table.json"
-    r = CliRunner().invoke(
-        main, ["table", "--steps", "E,W,NE,SW", "--n-max", "40", "--out", str(out)],
-        catch_exceptions=False,
-    )
+    r = run_cli(["table", "--steps", "E,W,NE,SW", "--n-max", "40", "--out", str(out)])
     assert r.exit_code == 0 and r.output.strip() == str(out)
     data = json.loads(out.read_text())
     table = CountTable(GESSEL, 40)
