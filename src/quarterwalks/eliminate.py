@@ -66,7 +66,8 @@ class EliminationFailure(RuntimeError):
         self.attempts = [diag]
         super().__init__(
             f"elimination failed: no shift-free combination "
-            f"(vectors={diag['vectors']}, positions={diag['positions']})"
+            f"(vectors={diag['vectors']}, positions={diag['positions']}, "
+            f"sn_multiples={diag['sn_multiples']})"
         )
 
 
@@ -499,21 +500,64 @@ def generate_module(
     return vectors, False
 
 
+def _drop_sn_multiples(rows: list[Vector]) -> list[Vector]:
+    """The normalized rows without those that are S_n-power multiples of
+    another row, in their input order.
+
+    A row v with least S_n power m is keyed by w = S_n^(-m) v: every power
+    lowered by m and every polynomial p replaced by p(n - m), so that
+    v = S_n^m w exactly.  Of the rows with one key, the first with the
+    least m is kept; a row v with the same key as the kept u is
+    S_n^(m_v - m_u) u, already in the Q(n)[S_n]-span of u.  (The kept row
+    must have the least m: S_n^(-1) is not in Q(n)[S_n], so S_n u does not
+    span u.)  The key finds every such multiple among normalized rows:
+    n -> n + k is a ring automorphism of Z[n], so S_n^k u is primitive with
+    the leading coefficients of u, and ``_row_normalize`` maps any nonzero
+    Q(n)-multiple of S_n^k u to S_n^k u itself, whose key is u's.
+
+    So the Q(n)[S_n]-span is unchanged.  P is the unique primitive
+    generator, with positive leading coefficient, of the span's elements
+    supported on (0,0) alone, and the pivot positions are the leading
+    positions of the span's elements: neither can change, and the echelon
+    has fewer rows to reduce.
+    """
+    first: dict[tuple, tuple[int, int]] = {}
+    for index, row in enumerate(rows):
+        m = min(min(comp) for comp in row.values())
+        key = tuple(
+            sorted(
+                (pos, k - m, tuple(ipoly_shift_arg(p, -m)))
+                for pos, comp in row.items()
+                for k, p in comp.items()
+            )
+        )
+        if key not in first or m < first[key][0]:
+            first[key] = (m, index)
+    return [rows[index] for index in sorted(index for _, index in first.values())]
+
+
 def eliminate_shifts(vectors: Sequence[Vector]) -> tuple[Optional[UniOperator], dict]:
     """Echelonize and extract the pivot concentrated on component (0,0).
-    The vectors are read, never changed; zero vectors are skipped.
+    The vectors are read, never changed; zero vectors are skipped, and so
+    are rows that are S_n-power multiples of another row
+    (``_drop_sn_multiples``), which leaves the span and P unchanged.
 
     Returns (operator, diagnostics); the operator is None when no
-    shift-free combination exists in the span.
+    shift-free combination exists in the span.  ``vectors`` counts every
+    nonzero input row and ``positions`` the positions they use,
+    ``sn_multiples`` the rows dropped, and ``reductions`` the echelon
+    steps on the rows kept.
     """
     if not vectors:
         raise EliminationError("empty vector list")
     rows = [row for row in map(_row_normalize, vectors) if row]
     positions = sorted({p for r in rows for p in r}, key=pos_key)
-    pivots, reductions, normalized = _echelonize(rows)
+    kept = _drop_sn_multiples(rows)
+    pivots, reductions, normalized = _echelonize(kept)
     diag = {
         "vectors": len(rows),
         "positions": len(positions),
+        "sn_multiples": len(rows) - len(kept),
         "pivot_positions": sorted(pivots, key=pos_key),
         "reductions": reductions,
         "row_gcds": len(rows) + normalized,

@@ -156,40 +156,54 @@ def _reslot(row: int, old: int, new: int) -> int:
     return int.from_bytes(pad.join(data[k : k + old] for k in range(0, len(data), old)), "little")
 
 
-def _next_level(
-    prev: list[int],
+def _move_table(
     steps: list[tuple[int, int]],
-    size: int,
     lattice: tuple[int, int, int],
-    n: int,
+    offsets: list[int | None],
+    stride: int,
     bits: int,
-) -> list[int]:
-    """One step of the dynamic program: level n from level n-1.
-
-    Both levels are held as packed rows: row i is one integer whose slot k,
-    ``bits`` wide, holds f(i, j0 + k*stride), the k-th cell of the row on
-    the coset of ``lattice`` (``_coset_offsets``, j0 = offsets[c]); a row
-    off the coset is 0.  The new level keeps the square [0, size)^2: rows
-    0..size-1, each cut to its cells in columns 0..size-1.  A walk into
-    (ti, tj) arrives by a step (dx, dy) from (ti-dx, tj-dy), which lies on
-    the coset of level n-1 (each step keeps it), in a row with offset j0'.
-    So slot k of the new row reads slot k + s of source row ti-dx,
-    s = (j0 - dy - j0') / stride, an integer in -1..1: the new row is the
-    sum over steps of the source rows shifted by s slots, and a read left
-    of column 0 is a zero shifted in.  Source rows past the end of ``prev``
-    count as zero.  The slots never carry (``_slot_bytes``), so the sum is
-    exact cell by cell; it is masked to the kept slots only when its bit
-    length overflows them.
-    """
+) -> list[list[tuple[int, int]] | None]:
+    """The moves of ``_next_level``, per coset class c = n + alpha*ti
+    (mod d) of a new row ti: for each step (dx, dy), the source row offset
+    dx and the shift in bits that aligns the source row's slots with the
+    new row's; None for a class off the coset.  A walk into (ti, tj)
+    arrives by (dx, dy) from (ti-dx, tj-dy), which lies on the coset of
+    level n-1 (each step keeps it), in a row with offset j0'.  So slot k
+    of the new row, offset j0, reads slot k + s of the source row,
+    s = (j0 - dy - j0') / stride, an integer in -1..1, and the shift is
+    s * bits."""
     alpha, _, d = lattice
-    stride, offsets = _coset_offsets(lattice)
-    moves = [
+    return [
         [(dx, (j0 - dy - offsets[(c - 1 - alpha * dx) % d]) // stride * bits) for dx, dy in steps]
         if j0 is not None
         else None
         for c, j0 in enumerate(offsets)
     ]
-    kept = [len(range(j0, size, stride)) * bits if j0 is not None else 0 for j0 in offsets]
+
+
+def _next_level(
+    prev: list[int],
+    moves: list[list[tuple[int, int]] | None],
+    kept: list[int],
+    lattice: tuple[int, int, int],
+    n: int,
+    size: int,
+) -> list[int]:
+    """One step of the dynamic program: level n from level n-1.
+
+    Both levels are held as packed rows: row i is one integer whose slot k
+    holds f(i, j0 + k*stride), the k-th cell of the row on the coset of
+    ``lattice`` (``_coset_offsets``, j0 = offsets[c]); a row off the coset
+    is 0.  The new level keeps the square [0, size)^2: rows 0..size-1,
+    each cut to its cells in columns 0..size-1, the low kept[c] bits of a
+    row of coset class c.  The new row is the sum over its class's
+    ``moves`` of the source rows shifted by their slot offsets, and a read
+    left of column 0 is a zero shifted in.  Source rows past the end of
+    ``prev`` count as zero.  The slots never carry (``_slot_bytes``), so
+    the sum is exact cell by cell; it is masked to the kept slots only
+    when its bit length overflows them.
+    """
+    alpha, _, d = lattice
     rows = len(prev)
     cur = []
     for ti in range(size):
@@ -224,15 +238,21 @@ def _sweep(
     yield each new level with its slot bytes.  When level m needs more than
     the held slot (``_slot_bytes``), the held level is re-slotted once to
     the size of level min(2m, last), so the slots grow O(log last) times
-    and are never more than about twice as wide as a level needs."""
+    and are never more than about twice as wide as a level needs.  The
+    coset offsets are computed once, and the move table once per slot
+    width."""
     size = len(steps)
     last = n + len(sizes)
+    stride, offsets = _coset_offsets(lattice)
+    moves = _move_table(steps, lattice, offsets, stride, 8 * slot)
     for n, keep in enumerate(sizes, n + 1):
         if _slot_bytes(size, n) > slot:
             wider = _slot_bytes(size, min(2 * n, last))
             level = [_reslot(row, slot, wider) for row in level]
             slot = wider
-        level = _next_level(level, steps, keep, lattice, n, 8 * slot)
+            moves = _move_table(steps, lattice, offsets, stride, 8 * slot)
+        kept = [len(range(j0, keep, stride)) * 8 * slot if j0 is not None else 0 for j0 in offsets]
+        level = _next_level(level, moves, kept, lattice, n, keep)
         yield level, slot
 
 

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from quarterwalks import (
+    Bounds,
     EliminationError,
     EliminationFailure,
     GESSEL,
@@ -14,8 +15,11 @@ from quarterwalks import (
     OreOperator,
     UniOperator,
     VerificationError,
+    build_template,
+    certify_operator,
     eliminate_shifts,
     generate_module,
+    guess_operators,
     operator_from_json,
     origin_sequence,
     reduce_mod_ij,
@@ -34,6 +38,7 @@ from quarterwalks.exactmath import (
 )
 from naive_oracles import (
     _schoolbook_mul,
+    _shift_arg,
     fraction_cleared,
     fraction_divexact,
     fraction_monic_gcd,
@@ -490,6 +495,79 @@ def test_echelon_pivots_match_per_step_normalization_random():
     assert steps > 500
 
 
+def sn_multiple(vec, c, k):
+    """c(n) S_n^k vec, by the schoolbook oracles: the polynomial p at power
+    e becomes c(n) p(n + k) at power e + k."""
+    return {
+        pos: {e + k: _schoolbook_mul(c, _shift_arg(p, k)) for e, p in comp.items()}
+        for pos, comp in vec.items()
+    }
+
+
+def test_sn_multiples_leave_p_unchanged_random():
+    """Appending c(n) S_n^k copies of rows, exact duplicates among them,
+    leaves P as the reference echelon finds it on the rows before they
+    were added, and every copy is counted as dropped."""
+    rng = random.Random(123)
+    hits = 0
+    for _ in range(80):
+        vectors = random_module(rng)
+        want, _ = reference_echelon([row for row in map(_row_normalize, vectors) if row])
+        _, before = eliminate_shifts(vectors)
+        nonzero = [v for v in vectors if _row_normalize(v)]
+        copies = []
+        for _ in range(rng.randint(1, 4)):
+            vec = rng.choice(nonzero)
+            if rng.random() < 0.25:
+                copies.append(copy.deepcopy(vec))
+            else:
+                c = random_ipoly(rng, max_deg=2, max_coeff=9)
+                copies.append(sn_multiple(vec, c, rng.randint(0, 3)))
+        mixed = vectors + copies
+        rng.shuffle(mixed)
+        got, diag = eliminate_shifts(mixed)
+        assert diag["sn_multiples"] == before["sn_multiples"] + len(copies), vectors
+        assert diag["vectors"] == before["vectors"] + len(copies)
+        assert diag["pivot_positions"] == sorted(want, key=pos_key), vectors
+        if (0, 0) in want:
+            assert got == UniOperator(want[(0, 0)][(0, 0)]), vectors
+            hits += 1
+        else:
+            assert got is None, vectors
+    assert hits > 40
+
+
+@pytest.mark.parametrize("order", ["u first", "Sn*u first"])
+def test_sn_multiple_keeps_the_row_of_least_power(order):
+    """{u, S_n u} with u on (0,0) alone: u spans S_n u but not the other
+    way round, so P is u, whichever row comes first."""
+    u = {(0, 0): {1: [1, 2], 0: [-3, 5]}}
+    su = sn_multiple(u, [1], 1)
+    assert su == {(0, 0): {2: [3, 2], 1: [2, 5]}}
+    rows = [u, su] if order == "u first" else [su, u]
+    p, diag = eliminate_shifts(rows)
+    assert p == UniOperator(u[(0, 0)])
+    assert (diag["vectors"], diag["sn_multiples"], diag["reductions"]) == (2, 1, 0)
+
+
+def test_bench_bounds_module_drops_sn_multiples(kreweras_oracle):
+    """At the benchmark's Kreweras bounds each of the three order-3
+    annihilators is also guessed as S_n times itself: 12 of the 25 module
+    vectors are S_n-multiples, and the echelon takes 92 steps instead of
+    212 for the same P."""
+    t = trivial_operator(KREWERAS)
+    template = build_template(Bounds(2, 2, 2, 4, 1, 1, 2), "full")
+    candidates = guess_operators(template, kreweras_oracle)
+    certified = [c for c in candidates if certify_operator(c, t, kreweras_oracle).certified]
+    vectors, _ = generate_module([t] + certified, multiplier_bound=1)
+    p, diag = eliminate_shifts(vectors)
+    assert (diag["vectors"], diag["sn_multiples"], diag["reductions"]) == (25, 12, 92)
+    pivots, reductions, _ = eliminate._echelonize([_row_normalize(v) for v in vectors])
+    assert reductions == 212
+    assert p == UniOperator(pivots[(0, 0)][(0, 0)])
+    assert p.order() == 9
+
+
 def test_eliminate_shifts_counts_reductions_and_row_gcds(kreweras_certified, monkeypatch):
     """The full Kreweras module: 28 vectors, 524 reduction steps, and one
     row gcd per vector and per stored pivot (65), not one per step; the
@@ -504,6 +582,7 @@ def test_eliminate_shifts_counts_reductions_and_row_gcds(kreweras_certified, mon
     vectors, _ = generate_module(kreweras_certified)
     _, diag = eliminate_shifts(vectors)
     assert (diag["vectors"], diag["positions"]) == (28, 16)
+    assert diag["sn_multiples"] == 0
     assert (diag["reductions"], diag["row_gcds"]) == (524, 65)
     assert len(calls) == 65
 
