@@ -11,54 +11,70 @@ argparse's usage message.  An operational error (bad input, malformed
 file, unsupported request, an elimination that cannot finish) prints one
 ``error: <message>`` line; only an unexpected exception adds its
 traceback, and both exit 2.  Commands raise, and ``main`` alone decides
-how an error is reported.  Each command looks up the layer functions it
-calls (``cached_table``, ``nullspace``, ...) as globals of this module
-at call time, so a caller may rebind them here.
+how an error is reported.
+
+Importing this module loads no layer: each command, when it starts,
+imports the layer modules it calls and binds the names it uses from them
+(``cached_table``, ``nullspace``, ...) as globals of this module, where
+it looks them up at call time.  A name that is already bound is left as
+it is.  Reading a layer name from this module before a command has
+loaded it imports its layer (a module ``__getattr__``).  So a caller may
+read and rebind any of these names here, before or after the first
+command runs, and every later command calls the rebinding.
 """
 
 from __future__ import annotations
 
 import argparse
 import glob
+import importlib
 import json
 import os
 import sys
 
 from . import __version__
-from .certify import certify_operator
-from .closedform import CLOSED_FORMS, hypergeom_term, max_nonneg_root, prove_equality
-from .eliminate import (
-    EliminationError,
-    EliminationFailure,
-    UniOperator,
-    VerificationError,
-    takayama_pipeline,
-    uni_from_json,
-    uni_to_json,
-)
-from .guess import (
-    Bounds,
-    TemplateError,
-    assemble_system,
-    build_template,
-    filter_candidates,
-    nullspace,
-    plan_points,
-)
-from .ore import json_int, operator_from_json, operator_to_json
 from .records import Record
-from .walks import (
-    CountTable,
-    StepSet,
-    cached_table,
-    origin_sequence,
-    parse_step_set,
-    table_to_json,
-    trivial_operator,
-    walk_count,
-)
+
+# the names the commands call, by layer module; see ``_use``
+_LAYER_NAMES = {
+    "ore": ("json_int", "operator_from_json", "operator_to_json"),
+    "walks": (
+        "CountTable", "cached_table", "origin_sequence", "parse_step_set", "table_to_json",
+        "trivial_operator", "walk_count",
+    ),
+    "guess": (
+        "Bounds", "TemplateError", "assemble_system", "build_template", "filter_candidates",
+        "nullspace", "plan_points",
+    ),
+    "certify": ("certify_operator",),
+    "eliminate": ("EliminationFailure", "takayama_pipeline", "uni_from_json", "uni_to_json"),
+    "closedform": ("CLOSED_FORMS", "hypergeom_term", "max_nonneg_root", "prove_equality"),
+}
+
+# sorted(closedform.CLOSED_FORMS), kept here so that building the parser
+# loads no closed form; a test holds the two equal
+_CLOSED_FORM_NAMES = ("gessel", "kreweras")
 
 _DEFAULT_BOUNDS = "deg_n=2,deg_i=2,deg_j=2,ord_sn=3,ord_si=1,ord_sj=1"
+
+
+def _use(*modules: str):
+    """Import the layer ``modules`` and bind the names of ``_LAYER_NAMES``
+    from them as globals here, except a name that is already bound."""
+    scope = globals()
+    for module in modules:
+        layer = importlib.import_module(f"{__package__}.{module}")
+        for name in _LAYER_NAMES[module]:
+            scope.setdefault(name, getattr(layer, name))
+
+
+def __getattr__(name: str):
+    # a layer name read from outside before a command has loaded it
+    for module, names in _LAYER_NAMES.items():
+        if name in names:
+            _use(module)
+            return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _progress(msg: str):
@@ -69,6 +85,7 @@ def parse_bounds(text: str) -> Bounds:
     """Parse 'deg_n=2,deg_i=2,...,ord_sj=1[,total=4]' into Bounds; a key
     given twice (``total`` and ``total_poly_deg`` are one key) or a value
     that is not a decimal integer (``json_int``) raises TemplateError."""
+    _use("ore", "guess")
     fields = {}
     for item in text.split(","):
         item = item.strip()
@@ -125,12 +142,14 @@ def _dump(obj: dict, out: str | None):
 def count(steps, n, i, j):
     """Print the exact number of n-step walks from the origin to (i, j);
     0 for a negative coordinate or a point beyond the light cone."""
+    _use("walks")
     print(walk_count(parse_step_set(steps), n, i, j))
 
 
 def table(steps, n_max, out):
     """Export the count table to n = n-max as JSON (decimal-string entries,
     exact beyond 2^53)."""
+    _use("walks")
     tbl = CountTable(parse_step_set(steps), n_max)
     text = json.dumps(table_to_json(tbl), sort_keys=True)
     if out:
@@ -170,6 +189,7 @@ def guess(steps, bounds, shape, margin, out):
 
     An --out that already holds candidate files is refused before any
     guessing, so that the directory never mixes candidates of two runs."""
+    _use("ore", "walks", "guess")
     stale = glob.glob(os.path.join(glob.escape(out), "candidate_*.json"))
     if stale:
         raise ValueError(
@@ -218,6 +238,7 @@ def _load(path: str, parse):
 
 def certify(steps, operator_file, out):
     """Certify (or refute) that an operator annihilates the walk counts."""
+    _use("ore", "walks", "certify")
     config = PipelineConfig(steps=steps)
     step_set = parse_step_set(steps)
     op = _load(operator_file, operator_from_json)
@@ -247,6 +268,7 @@ def certify(steps, operator_file, out):
 def eliminate(steps, operator_files, multiplier_bound, diag_limit, out):
     """Combine certified annihilators into a pure recurrence in n for
     the origin-return counts."""
+    _use("ore", "walks", "eliminate")
     config = PipelineConfig(
         steps=steps, multiplier_bound=multiplier_bound, diag_limit=diag_limit,
     )
@@ -274,6 +296,7 @@ def _validate_recurrence(op: UniOperator, step_set: StepSet, n_check: int) -> in
 def import_recurrence(recurrence_file, steps, n_check, out):
     """Load an externally supplied recurrence, validate it against the
     counting oracle, and emit it in normalized form."""
+    _use("walks", "eliminate")
     config = PipelineConfig(steps=steps, diag_limit=n_check)
     op = _load(recurrence_file, uni_from_json)
     if op.order() >= n_check:
@@ -288,6 +311,7 @@ def import_recurrence(recurrence_file, steps, n_check, out):
 def check_closed_form(which, m_max):
     """Check the built-in closed form, its terms built from the ratio of
     its Pochhammer parameters, against the origin counts of its walks."""
+    _use("walks", "closedform")
     step_set, term = CLOSED_FORMS[which]
     n_max = term.period * m_max
     pairs = zip(term.sequence(n_max), origin_sequence(step_set, n_max))
@@ -301,6 +325,7 @@ def check_closed_form(which, m_max):
 def prove(steps, which, import_file, bounds, shape, margin, multiplier_bound, diag_limit, out):
     """End-to-end proof: guess, certify, eliminate, and match the closed
     form; or validate an imported recurrence and do the final step only."""
+    _use("walks", "eliminate", "closedform")
     config = PipelineConfig(
         steps=steps, shape=shape, bounds=bounds or [_DEFAULT_BOUNDS], margin=margin,
         multiplier_bound=multiplier_bound, diag_limit=diag_limit, closed_form=which,
@@ -321,6 +346,7 @@ def prove(steps, which, import_file, bounds, shape, margin, multiplier_bound, di
             _dump(report, out)
             sys.exit(1)
     else:
+        _use("guess", "certify")
         candidates, oracle, t = _run_guess(config)
         report["candidates"] = len(candidates)
         if not candidates:
@@ -418,8 +444,6 @@ def _parser(prog: str) -> tuple[argparse.ArgumentParser, dict[str, argparse.Argu
         sub.add_argument("--multiplier-bound", type=_count)
         sub.add_argument("--diag-limit", type=_count, default=500, help="(default: 500)")
 
-    closed_form = sorted(CLOSED_FORMS)
-
     sub = command(count)
     for name in ("--n", "--i", "--j"):
         sub.add_argument(name, type=int, required=True)
@@ -449,17 +473,27 @@ def _parser(prog: str) -> tuple[argparse.ArgumentParser, dict[str, argparse.Argu
     sub.add_argument("--out")
 
     sub = command(check_closed_form, "check-closed-form", steps=False)
-    sub.add_argument("--closed-form", dest="which", choices=closed_form, required=True)
+    sub.add_argument("--closed-form", dest="which", choices=_CLOSED_FORM_NAMES, required=True)
     sub.add_argument("--m-max", type=_count, default=13, help="(default: 13)")
 
     sub = command(prove)
-    sub.add_argument("--closed-form", dest="which", choices=closed_form, required=True)
+    sub.add_argument("--closed-form", dest="which", choices=_CLOSED_FORM_NAMES, required=True)
     sub.add_argument("--import-recurrence", dest="import_file",
                      help="Skip guessing/elimination and use this recurrence for the proof.")
     guessing(sub)
     eliminating(sub)
     sub.add_argument("--out", help="Write the full report JSON here.")
     return parser, commands.choices
+
+
+def _operational_errors() -> tuple[type[Exception], ...]:
+    """The exceptions that ``main`` reports in one line.  The elimination's
+    own two are named only once its module is loaded: before that no
+    command can have raised them."""
+    eliminate = sys.modules.get(f"{__package__}.eliminate")
+    if eliminate is None:
+        return (ValueError, OSError)
+    return (ValueError, OSError, eliminate.EliminationError, eliminate.VerificationError)
 
 
 def main(args: list[str] | None = None, prog_name: str | None = None):
@@ -488,7 +522,7 @@ def main(args: list[str] | None = None, prog_name: str | None = None):
     run = opts.pop("run")
     try:
         return run(**opts)
-    except (ValueError, OSError, EliminationError, VerificationError) as e:
+    except _operational_errors() as e:
         msg = str(e)
     except Exception as e:
         import traceback

@@ -31,9 +31,8 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from .eliminate import UniOperator
 from .exactmath import (
     ipoly_add,
     ipoly_compose_affine,
@@ -44,6 +43,9 @@ from .exactmath import (
 )
 from .records import FrozenRecord, Record
 from .walks import GESSEL, KREWERAS, StepSet
+
+if TYPE_CHECKING:
+    from .eliminate import UniOperator
 
 
 def _linear_product(params: Sequence[Fraction]) -> list[int]:

@@ -671,6 +671,85 @@ def test_cli_import_loads_no_click_dataclasses_or_inspect():
     assert not added & {"click", "dataclasses", "inspect"}, sorted(added)
 
 
+_LOADED_AT_EXIT = (
+    "import atexit, sys\n"
+    "atexit.register(lambda: print(' '.join(sorted(\n"
+    "    m for m in sys.modules if m.split('.')[0] == 'quarterwalks'))))\n"
+)
+_BASE = {"quarterwalks", "quarterwalks.cli", "quarterwalks.records"}
+
+
+@pytest.mark.parametrize(
+    "statement, loaded",
+    [
+        ("import quarterwalks", {"quarterwalks"}),
+        ("import quarterwalks.cli", _BASE),
+        ("from quarterwalks.cli import main\n"
+         "main(['guess', '--steps', 'E,W,NE,SW', '--bounds', 'ord_sn=1,ord_si=2,ord_sj=2',\n"
+         "      '--out', 'cands'])",
+         _BASE | {"quarterwalks.ore", "quarterwalks.walks", "quarterwalks.guess"}),
+        ("from quarterwalks.cli import main\n"
+         "main(['prove', '--steps', 'E,W,NE,SW', '--closed-form', 'gessel',\n"
+         "      '--import-recurrence', 'pg.json', '--diag-limit', '40'])",
+         _BASE | {"quarterwalks.ore", "quarterwalks.walks", "quarterwalks.exactmath",
+                  "quarterwalks.eliminate", "quarterwalks.closedform"}),
+    ],
+    ids=["package", "cli", "guess", "prove-import"],
+)
+def test_commands_load_only_their_layers(tmp_path, statement, loaded):
+    """Importing the package loads no submodule, importing the CLI only
+    ``records``, and a command only the layers it calls: a guess never
+    loads certification, elimination or the closed forms, and a proof
+    from an imported recurrence never loads guessing or certification.
+    Each case runs in a fresh interpreter and lists the modules at exit."""
+    write_json(tmp_path / "pg.json", uni_to_json(PG))
+    run = subprocess.run([sys.executable, "-c", _LOADED_AT_EXIT + statement], env=_src_env(),
+                         cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert set(run.stdout.splitlines()[-1].split()) == loaded
+
+
+def test_layer_rebound_before_first_use_is_called(tmp_path):
+    """A layer name read and rebound on the CLI module before any command
+    has loaded its layer, as the benchmark's span tracing does, stays
+    rebound: the command calls the replacement, and the rest of the layer's
+    names are still bound to the layer's own functions."""
+    code = (
+        "import quarterwalks.cli as cli\n"
+        "real = getattr(cli, 'nullspace')\n"
+        "import quarterwalks.guess as guess\n"
+        "assert real is guess.nullspace\n"
+        "calls = []\n"
+        "def traced(system):\n"
+        "    calls.append(system)\n"
+        "    return real(system)\n"
+        "setattr(cli, 'nullspace', traced)\n"
+        "cli.main(['guess', '--steps', 'E,W,NE,SW', '--bounds', 'ord_sn=1,ord_si=2,ord_sj=2',\n"
+        "          '--out', 'cands'])\n"
+        "assert cli.nullspace is traced and cli.assemble_system is guess.assemble_system\n"
+        "print(len(calls))\n"
+    )
+    run = subprocess.run([sys.executable, "-c", code], env=_src_env(), cwd=tmp_path,
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[-1] == "1"
+    assert sorted(os.listdir(tmp_path / "cands")) == ["candidate_000.json"]
+
+
+def test_unknown_cli_attribute_raises_attribute_error():
+    import quarterwalks.cli as cli
+
+    with pytest.raises(AttributeError, match="no_such_layer_name"):
+        cli.no_such_layer_name
+
+
+def test_closed_form_choices_are_the_built_in_closed_forms():
+    # the parser names the choices itself, so that building it loads no closed form
+    import quarterwalks.cli as cli
+
+    assert cli._CLOSED_FORM_NAMES == tuple(sorted(CLOSED_FORMS))
+
+
 def _module_run(args, cwd):
     """``python -m quarterwalks.cli`` as the benchmark starts it."""
     return subprocess.run([sys.executable, "-m", "quarterwalks.cli", *args], env=_src_env(),
