@@ -28,11 +28,11 @@ _EXPORTS = {
         "build_template filter_candidates guess_operators nullspace plan_points "
         "template_from_support",
         "certify": "Certificate certify_operator check_base_cases evidence_check",
-        "eliminate": "EliminationError EliminationFailure UniOperator VerificationError "
-        "eliminate_shifts generate_module reduce_mod_ij takayama_pipeline uni_from_json "
-        "uni_to_json",
+        "exactmath": "UniOperator uni_to_json",
+        "eliminate": "EliminationError EliminationFailure VerificationError eliminate_shifts "
+        "generate_module reduce_mod_ij takayama_pipeline",
         "closedform": "CLOSED_FORMS EqualityVerdict HypergeomTerm hypergeom_term "
-        "max_nonneg_root nonneg_integer_roots prove_equality symbolic_satisfies",
+        "max_nonneg_root nonneg_integer_roots prove_equality symbolic_satisfies uni_from_json",
     }.items()
     for name in names.split()
 }

@@ -21,23 +21,28 @@ it is.  Reading a layer name from this module before a command has
 loaded it imports its layer (a module ``__getattr__``).  So a caller may
 read and rebind any of these names here, before or after the first
 command runs, and every later command calls the rebinding.
+
+``main`` returns or raises ``SystemExit``, so that it can run in-process;
+``run_and_exit``, the command-line entry, calls it and skips the
+interpreter's teardown.
 """
 
 from __future__ import annotations
 
 import argparse
-import glob
+import atexit
 import importlib
 import json
 import os
 import sys
 
 from . import __version__
-from .records import Record
+from .records import Record, json_int
 
 # the names the commands call, by layer module; see ``_use``
 _LAYER_NAMES = {
-    "ore": ("json_int", "operator_from_json", "operator_to_json"),
+    "exactmath": ("uni_to_json",),
+    "ore": ("operator_from_json", "operator_to_json"),
     "walks": (
         "CountTable", "cached_table", "origin_sequence", "parse_step_set", "table_to_json",
         "trivial_operator", "walk_count",
@@ -47,8 +52,10 @@ _LAYER_NAMES = {
         "nullspace", "plan_points",
     ),
     "certify": ("certify_operator",),
-    "eliminate": ("EliminationFailure", "takayama_pipeline", "uni_from_json", "uni_to_json"),
-    "closedform": ("CLOSED_FORMS", "hypergeom_term", "max_nonneg_root", "prove_equality"),
+    "eliminate": ("EliminationFailure", "takayama_pipeline"),
+    "closedform": (
+        "CLOSED_FORMS", "hypergeom_term", "max_nonneg_root", "prove_equality", "uni_from_json",
+    ),
 }
 
 # sorted(closedform.CLOSED_FORMS), kept here so that building the parser
@@ -85,7 +92,7 @@ def parse_bounds(text: str) -> Bounds:
     """Parse 'deg_n=2,deg_i=2,...,ord_sj=1[,total=4]' into Bounds; a key
     given twice (``total`` and ``total_poly_deg`` are one key) or a value
     that is not a decimal integer (``json_int``) raises TemplateError."""
-    _use("ore", "guess")
+    _use("guess")
     fields = {}
     for item in text.split(","):
         item = item.strip()
@@ -189,6 +196,8 @@ def guess(steps, bounds, shape, margin, out):
 
     An --out that already holds candidate files is refused before any
     guessing, so that the directory never mixes candidates of two runs."""
+    import glob
+
     _use("ore", "walks", "guess")
     stale = glob.glob(os.path.join(glob.escape(out), "candidate_*.json"))
     if stale:
@@ -268,7 +277,7 @@ def certify(steps, operator_file, out):
 def eliminate(steps, operator_files, multiplier_bound, diag_limit, out):
     """Combine certified annihilators into a pure recurrence in n for
     the origin-return counts."""
-    _use("ore", "walks", "eliminate")
+    _use("ore", "walks", "exactmath", "eliminate")
     config = PipelineConfig(
         steps=steps, multiplier_bound=multiplier_bound, diag_limit=diag_limit,
     )
@@ -296,7 +305,7 @@ def _validate_recurrence(op: UniOperator, step_set: StepSet, n_check: int) -> in
 def import_recurrence(recurrence_file, steps, n_check, out):
     """Load an externally supplied recurrence, validate it against the
     counting oracle, and emit it in normalized form."""
-    _use("walks", "eliminate")
+    _use("walks", "exactmath", "closedform")
     config = PipelineConfig(steps=steps, diag_limit=n_check)
     op = _load(recurrence_file, uni_from_json)
     if op.order() >= n_check:
@@ -325,7 +334,7 @@ def check_closed_form(which, m_max):
 def prove(steps, which, import_file, bounds, shape, margin, multiplier_bound, diag_limit, out):
     """End-to-end proof: guess, certify, eliminate, and match the closed
     form; or validate an imported recurrence and do the final step only."""
-    _use("walks", "eliminate", "closedform")
+    _use("walks", "exactmath", "closedform")
     config = PipelineConfig(
         steps=steps, shape=shape, bounds=bounds or [_DEFAULT_BOUNDS], margin=margin,
         multiplier_bound=multiplier_bound, diag_limit=diag_limit, closed_form=which,
@@ -346,7 +355,7 @@ def prove(steps, which, import_file, bounds, shape, margin, multiplier_bound, di
             _dump(report, out)
             sys.exit(1)
     else:
-        _use("guess", "certify")
+        _use("guess", "certify", "eliminate")
         candidates, oracle, t = _run_guess(config)
         report["candidates"] = len(candidates)
         if not candidates:
@@ -533,5 +542,28 @@ def main(args: list[str] | None = None, prog_name: str | None = None):
     sys.exit(2)
 
 
+def run_and_exit():
+    """The command-line entry: run ``main`` and exit with the code the
+    interpreter would give its ``SystemExit``.  The ``atexit`` handlers run
+    and stdout and stderr are flushed, and then ``os._exit`` skips the
+    interpreter's teardown (every file is closed by its ``with`` block).
+    A failing flush, such as to a closed pipe, falls back to ``sys.exit``."""
+    try:
+        main()
+        code = None
+    except SystemExit as e:
+        code = e.code
+    if code is not None and not isinstance(code, int):
+        print(code, file=sys.stderr)
+        code = 1
+    atexit._run_exitfuncs()
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except Exception:
+        sys.exit(code)
+    os._exit(code or 0)
+
+
 if __name__ == "__main__":
-    main()
+    run_and_exit()

@@ -25,27 +25,32 @@ cleared, so a passing check is a proof, not a sampled plausibility.
 ``prove_equality`` combines that with enough initial values to pin the
 sequence past every nonnegative root of the leading coefficient, where
 the recurrence alone would not propagate uniqueness.
+
+``uni_from_json`` reads a recurrence file, whose terms may be rational,
+here beside the rational parameters: the integer modules never import
+``fractions``, and an imported recurrence needs no other layer.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 from .exactmath import (
+    UniOperator,
     ipoly_add,
     ipoly_compose_affine,
+    ipoly_divexact_poly,
     ipoly_eval,
+    ipoly_gcd_cofactors,
     ipoly_mul,
     ipoly_scale,
     ipoly_shift_arg,
+    ipoly_trim,
 )
-from .records import FrozenRecord, Record
+from .records import FrozenRecord, Record, json_int
 from .walks import GESSEL, KREWERAS, StepSet
-
-if TYPE_CHECKING:
-    from .eliminate import UniOperator
 
 
 def _linear_product(params: Sequence[Fraction]) -> list[int]:
@@ -280,3 +285,75 @@ def prove_equality(p: UniOperator, term: HypergeomTerm, oracle) -> EqualityVerdi
                 "FAILED(initial-values)", count, s, failing_index=n
             )
     return EqualityVerdict(PROVED, count, s)
+
+
+# ---------------------------------------------------------------------------
+# Reading a recurrence file (its writer is ``exactmath.uni_to_json``)
+# ---------------------------------------------------------------------------
+
+
+def _json_fraction(x) -> Fraction:
+    """A coefficient of a term: a JSON integer or a string such as "3/2";
+    a float or a bool raises ValueError instead of being read as its
+    binary value."""
+    if type(x) not in (int, str):
+        raise ValueError(f"expected an integer or a fraction string, not {x!r}")
+    return Fraction(x)
+
+
+def _json_term(entry: dict, k: int) -> tuple[list[int], list[int]]:
+    """One term num/den of an operator file as integer polynomials in
+    lowest terms over Z; (num, den) = ([], [1]) for a zero term."""
+    try:
+        num, den = ([_json_fraction(x) for x in entry[key]] for key in ("num", "den"))
+    except (ValueError, ZeroDivisionError) as e:
+        raise ValueError(f"term of power {k}: bad number ({e})") from None
+    scale = math.lcm(*(c.denominator for c in num + den))
+    num, den = ([c.numerator * (scale // c.denominator) for c in p] for p in (num, den))
+    num, den = ipoly_trim(num), ipoly_trim(den)
+    if not den:
+        raise ValueError(f"term of power {k}: zero denominator")
+    if not num:
+        return [], [1]
+    _, (num, den) = ipoly_gcd_cofactors([num, den])
+    return num, den
+
+
+def uni_from_json(data: dict) -> UniOperator:
+    """Read an operator file; the result is in its cleared form.
+
+    A term is a rational function num/den in n with rational
+    coefficients.  Each one is scaled to integer coefficients and reduced
+    to lowest terms, and then every term is multiplied by the lcm L of the
+    denominators over Z[n], so term k becomes num_k (L / den_k).  That is
+    left multiplication of the whole operator by L, a nonzero element of
+    Q(n), so the recurrence is unchanged.  A stated ``"cleared"`` form
+    must match the one computed and state each power once.  A malformed
+    number or a zero denominator raises ValueError naming the term's
+    power; the powers and the cleared coefficients are integer fields,
+    read by ``json_int``.
+    """
+    if data.get("var") != "n" or data.get("shift") != "Sn":
+        raise ValueError("unrecognized operator header")
+    reduced: dict[int, tuple[list[int], list[int]]] = {}
+    den_lcm = [1]
+    for entry in data["terms"]:
+        k = json_int(entry["power"])
+        if k in reduced:
+            raise ValueError(f"duplicate power {k}")
+        reduced[k] = num, den = _json_term(entry, k)
+        _, (_, den_new) = ipoly_gcd_cofactors([den_lcm, den])  # den / gcd(den_lcm, den)
+        den_lcm = ipoly_mul(den_lcm, den_new)
+    op = UniOperator(
+        {k: ipoly_mul(num, ipoly_divexact_poly(den_lcm, den)) for k, (num, den) in reduced.items()}
+    )
+    if "cleared" in data:
+        stated: dict[int, list[int]] = {}
+        for entry in data["cleared"]:
+            k = json_int(entry["power"])
+            if k in stated:
+                raise ValueError(f"duplicate cleared power {k}")
+            stated[k] = [json_int(c) for c in entry["coeffs"]]
+        if stated != op.cleared():
+            raise ValueError("cleared form does not match the rational terms")
+    return op

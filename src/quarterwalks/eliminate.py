@@ -28,23 +28,19 @@ position makes it the minimal-order such element of the module span.
 
 from __future__ import annotations
 
-import math
-from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
+from .closedform import uni_from_json  # re-exported, as are UniOperator and uni_to_json
 from .exactmath import (
     IPoly,
-    ipoly_content,
-    ipoly_divexact,
-    ipoly_divexact_poly,
-    ipoly_eval,
+    UniOperator,
     ipoly_gcd_cofactors,
     ipoly_mul,
     ipoly_shift_arg,
     ipoly_sub,
-    ipoly_trim,
+    uni_to_json,
 )
-from .ore import OreOperator, json_int
+from .ore import OreOperator
 
 Pos = tuple[int, int]
 # A module vector, which is also a row of the echelon: each position
@@ -73,186 +69,6 @@ class EliminationFailure(RuntimeError):
 
 class VerificationError(RuntimeError):
     """The eliminated operator failed its oracle re-verification."""
-
-
-# ---------------------------------------------------------------------------
-# Univariate shift operators over Z[n]
-# ---------------------------------------------------------------------------
-
-
-class UniOperator:
-    """An element of Z[n][S_n] that stands for the recurrence it defines: a
-    map from S_n powers to integer polynomials in n (``IPoly`` lists, low
-    degree first).
-
-    A nonzero factor in Q leaves a recurrence unchanged, so the terms are
-    stored in one form, the cleared one: zero polynomials dropped, divided
-    by their integer content, and signed so that the leading coefficient's
-    leading integer is positive.  An element of Q(n)[S_n] is represented
-    after clearing its denominators.  Equality therefore holds up to a
-    nonzero rational factor.  Instances are immutable."""
-
-    __slots__ = ("_terms",)
-
-    def __init__(self, terms: dict[int, IPoly] | None = None):
-        clean: dict[int, IPoly] = {}
-        for k, p in (terms or {}).items():
-            p = ipoly_trim(list(p))
-            if p:
-                if k < 0:
-                    raise ValueError("negative shift power")
-                clean[int(k)] = p
-        g = math.gcd(*(ipoly_content(p) for p in clean.values()))
-        if clean and clean[max(clean)][-1] < 0:
-            g = -g
-        self._terms = {k: ipoly_divexact(p, g) for k, p in clean.items()}
-
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def __bool__(self) -> bool:
-        return bool(self._terms)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, UniOperator):
-            return self._terms == other._terms
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(frozenset((k, tuple(p)) for k, p in self._terms.items()))
-
-    def order(self) -> int:
-        """Largest S_n power; -1 for the zero operator."""
-        return max(self._terms) if self._terms else -1
-
-    def cleared(self) -> dict[int, IPoly]:
-        """A copy of the terms, which the caller owns."""
-        return {k: list(p) for k, p in self._terms.items()}
-
-    def leading_cleared(self) -> IPoly:
-        return list(self._terms[self.order()]) if self._terms else []
-
-    def apply_to_sequence(self, seq: Sequence, n: int) -> int:
-        """Sum of cleared coefficients times sequence values at one index."""
-        total = 0
-        for k, p in self._terms.items():
-            total += ipoly_eval(p, n) * seq[n + k]
-        return total
-
-    def first_failure(self, seq: Sequence, n_range: Iterable[int]) -> int | None:
-        """The first n in the range where the recurrence does not hold on
-        the sequence, or None when it holds at every n.  The zero operator
-        holds on every sequence, so checking it would prove nothing and
-        raises ValueError instead."""
-        if self.is_zero():
-            raise ValueError("the zero operator annihilates every sequence")
-        return next((n for n in n_range if self.apply_to_sequence(seq, n) != 0), None)
-
-    def __repr__(self):
-        if not self._terms:
-            return "0"
-        parts = []
-        for k in sorted(self._terms, reverse=True):
-            cs = _ipoly_str(self._terms[k])
-            mono = f"Sn^{k}" if k > 1 else ("Sn" if k == 1 else "")
-            if "+" in cs or "- " in cs:
-                cs = f"({cs})"
-            parts.append(f"{cs}*{mono}" if mono else cs)
-        return " + ".join(parts)
-
-
-def _ipoly_str(p: list[int]) -> str:
-    parts = []
-    for k in range(len(p) - 1, -1, -1):
-        c = p[k]
-        if not c:
-            continue
-        if k == 0:
-            parts.append(f"{c}")
-        elif k == 1:
-            parts.append(f"{c}*n" if c != 1 else "n")
-        else:
-            parts.append(f"{c}*n^{k}" if c != 1 else f"n^{k}")
-    return " + ".join(parts).replace("+ -", "- ")
-
-
-def uni_to_json(op: UniOperator) -> dict:
-    """Serialize the terms twice: as fractions over the denominator 1, and
-    as the ``"cleared"`` integer form that readers check them against."""
-    items = sorted(op.cleared().items())
-    terms = [{"power": k, "num": [str(c) for c in p], "den": ["1"]} for k, p in items]
-    cleared = [{"power": k, "coeffs": [str(c) for c in p]} for k, p in items]
-    return {"var": "n", "shift": "Sn", "terms": terms, "cleared": cleared}
-
-
-def _json_fraction(x) -> Fraction:
-    """A coefficient of a term: a JSON integer or a string such as "3/2";
-    a float or a bool raises ValueError instead of being read as its
-    binary value."""
-    if type(x) not in (int, str):
-        raise ValueError(f"expected an integer or a fraction string, not {x!r}")
-    return Fraction(x)
-
-
-def _json_term(entry: dict, k: int) -> tuple[list[int], list[int]]:
-    """One term num/den of an operator file as integer polynomials in
-    lowest terms over Z; (num, den) = ([], [1]) for a zero term."""
-    try:
-        num, den = ([_json_fraction(x) for x in entry[key]] for key in ("num", "den"))
-    except (ValueError, ZeroDivisionError) as e:
-        raise ValueError(f"term of power {k}: bad number ({e})") from None
-    scale = math.lcm(*(c.denominator for c in num + den))
-    num, den = ([c.numerator * (scale // c.denominator) for c in p] for p in (num, den))
-    num, den = ipoly_trim(num), ipoly_trim(den)
-    if not den:
-        raise ValueError(f"term of power {k}: zero denominator")
-    if not num:
-        return [], [1]
-    _, (num, den) = ipoly_gcd_cofactors([num, den])
-    return num, den
-
-
-def uni_from_json(data: dict) -> UniOperator:
-    """Read an operator file; the result is in its cleared form.
-
-    A term is a rational function num/den in n with rational
-    coefficients.  Each one is scaled to integer coefficients and reduced
-    to lowest terms, and then every term is multiplied by the lcm L of the
-    denominators over Z[n], so term k becomes num_k (L / den_k).  That is
-    left multiplication of the whole operator by L, a nonzero element of
-    Q(n), so the recurrence is unchanged.  A stated ``"cleared"`` form
-    must match the one computed and state each power once.  A malformed
-    number or a zero denominator raises ValueError naming the term's
-    power; the powers and the cleared coefficients are integer fields,
-    read by ``json_int``.
-    """
-    if data.get("var") != "n" or data.get("shift") != "Sn":
-        raise ValueError("unrecognized operator header")
-    reduced: dict[int, tuple[list[int], list[int]]] = {}
-    den_lcm = [1]
-    for entry in data["terms"]:
-        k = json_int(entry["power"])
-        if k in reduced:
-            raise ValueError(f"duplicate power {k}")
-        reduced[k] = num, den = _json_term(entry, k)
-        _, (_, den_new) = ipoly_gcd_cofactors([den_lcm, den])  # den / gcd(den_lcm, den)
-        den_lcm = ipoly_mul(den_lcm, den_new)
-    op = UniOperator(
-        {
-            k: ipoly_mul(num, ipoly_divexact_poly(den_lcm, den))
-            for k, (num, den) in reduced.items()
-        }
-    )
-    if "cleared" in data:
-        stated: dict[int, list[int]] = {}
-        for entry in data["cleared"]:
-            k = json_int(entry["power"])
-            if k in stated:
-                raise ValueError(f"duplicate cleared power {k}")
-            stated[k] = [json_int(c) for c in entry["coeffs"]]
-        if stated != op.cleared():
-            raise ValueError("cleared form does not match the rational terms")
-    return op
 
 
 # ---------------------------------------------------------------------------

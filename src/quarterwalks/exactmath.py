@@ -1,4 +1,4 @@
-"""Exact arithmetic foundation: univariate polynomials over Z in n.
+"""Exact arithmetic foundation: polynomials over Z in n, and recurrences.
 
 Everything here is exact; there is no floating point anywhere in the
 pipeline.  A polynomial in n is a plain ``int`` coefficient list
@@ -9,11 +9,15 @@ division and gcd stay in Z[x] (integer long division, and the heuristic
 gcd GCDHEU, whose evaluation point grows until its candidate divides
 every input).  Nothing in this module uses ``Fraction``.  Polynomials in
 n, i, j are the shift-free elements of the operator algebra in ``ore``.
+
+``UniOperator`` is a recurrence, an element of Z[n][S_n]; ``uni_to_json``
+writes its file form (``closedform.uni_from_json`` reads it).
 """
 
 from __future__ import annotations
 
 import math
+from typing import Iterable, Sequence
 
 # ---------------------------------------------------------------------------
 # Integer-coefficient univariate polynomials as lists, for fraction-free work.
@@ -253,3 +257,113 @@ def ipoly_eval(a: IPoly, x: int) -> int:
     for c in reversed(a):
         acc = acc * x + c
     return acc
+
+
+# ---------------------------------------------------------------------------
+# Univariate shift operators over Z[n]
+# ---------------------------------------------------------------------------
+
+
+class UniOperator:
+    """An element of Z[n][S_n] that stands for the recurrence it defines: a
+    map from S_n powers to integer polynomials in n (``IPoly`` lists, low
+    degree first).
+
+    A nonzero factor in Q leaves a recurrence unchanged, so the terms are
+    stored in one form, the cleared one: zero polynomials dropped, divided
+    by their integer content, and signed so that the leading coefficient's
+    leading integer is positive.  An element of Q(n)[S_n] is represented
+    after clearing its denominators.  Equality therefore holds up to a
+    nonzero rational factor.  Instances are immutable."""
+
+    __slots__ = ("_terms",)
+
+    def __init__(self, terms: dict[int, IPoly] | None = None):
+        clean: dict[int, IPoly] = {}
+        for k, p in (terms or {}).items():
+            p = ipoly_trim(list(p))
+            if p:
+                if k < 0:
+                    raise ValueError("negative shift power")
+                clean[int(k)] = p
+        g = math.gcd(*(ipoly_content(p) for p in clean.values()))
+        if clean and clean[max(clean)][-1] < 0:
+            g = -g
+        self._terms = {k: ipoly_divexact(p, g) for k, p in clean.items()}
+
+    def is_zero(self) -> bool:
+        return not self._terms
+
+    def __bool__(self) -> bool:
+        return bool(self._terms)
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, UniOperator):
+            return self._terms == other._terms
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(frozenset((k, tuple(p)) for k, p in self._terms.items()))
+
+    def order(self) -> int:
+        """Largest S_n power; -1 for the zero operator."""
+        return max(self._terms) if self._terms else -1
+
+    def cleared(self) -> dict[int, IPoly]:
+        """A copy of the terms, which the caller owns."""
+        return {k: list(p) for k, p in self._terms.items()}
+
+    def leading_cleared(self) -> IPoly:
+        return list(self._terms[self.order()]) if self._terms else []
+
+    def apply_to_sequence(self, seq: Sequence, n: int) -> int:
+        """Sum of cleared coefficients times sequence values at one index."""
+        total = 0
+        for k, p in self._terms.items():
+            total += ipoly_eval(p, n) * seq[n + k]
+        return total
+
+    def first_failure(self, seq: Sequence, n_range: Iterable[int]) -> int | None:
+        """The first n in the range where the recurrence does not hold on
+        the sequence, or None when it holds at every n.  The zero operator
+        holds on every sequence, so checking it would prove nothing and
+        raises ValueError instead."""
+        if self.is_zero():
+            raise ValueError("the zero operator annihilates every sequence")
+        return next((n for n in n_range if self.apply_to_sequence(seq, n) != 0), None)
+
+    def __repr__(self):
+        if not self._terms:
+            return "0"
+        parts = []
+        for k in sorted(self._terms, reverse=True):
+            cs = _ipoly_str(self._terms[k])
+            mono = f"Sn^{k}" if k > 1 else ("Sn" if k == 1 else "")
+            if "+" in cs or "- " in cs:
+                cs = f"({cs})"
+            parts.append(f"{cs}*{mono}" if mono else cs)
+        return " + ".join(parts)
+
+
+def _ipoly_str(p: list[int]) -> str:
+    parts = []
+    for k in range(len(p) - 1, -1, -1):
+        c = p[k]
+        if not c:
+            continue
+        if k == 0:
+            parts.append(f"{c}")
+        elif k == 1:
+            parts.append(f"{c}*n" if c != 1 else "n")
+        else:
+            parts.append(f"{c}*n^{k}" if c != 1 else f"n^{k}")
+    return " + ".join(parts).replace("+ -", "- ")
+
+
+def uni_to_json(op: UniOperator) -> dict:
+    """Serialize the terms twice: as fractions over the denominator 1, and
+    as the ``"cleared"`` integer form that readers check them against."""
+    items = sorted(op.cleared().items())
+    terms = [{"power": k, "num": [str(c) for c in p], "den": ["1"]} for k, p in items]
+    cleared = [{"power": k, "coeffs": [str(c) for c in p]} for k, p in items]
+    return {"var": "n", "shift": "Sn", "terms": terms, "cleared": cleared}

@@ -27,10 +27,9 @@ from __future__ import annotations
 
 import heapq
 import math
-import re
 from typing import Iterable, Mapping
 
-from .records import FrozenRecord
+from .records import FrozenRecord, json_int
 
 Term = tuple[int, int, int, int, int, int]
 ShiftExp = tuple[int, int, int]
@@ -401,15 +400,6 @@ def div_rem(x: OreOperator, t: OreOperator) -> tuple[OreOperator, OreOperator]:
 # ---------------------------------------------------------------------------
 # JSON interchange (round-trips bit-exactly).
 # ---------------------------------------------------------------------------
-
-
-def json_int(x) -> int:
-    """An integer field of an operator file: a JSON integer, or a string of
-    decimal digits with an optional sign.  Anything else (a float, a bool,
-    "1.5", "1/2") raises ValueError instead of being truncated."""
-    if type(x) is int or (isinstance(x, str) and re.fullmatch(r"[+-]?[0-9]+", x)):
-        return int(x)
-    raise ValueError(f"expected an integer, not {x!r}")
 
 
 def operator_to_json(op: OreOperator) -> dict:

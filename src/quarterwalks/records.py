@@ -1,4 +1,4 @@
-"""Plain value records.
+"""Plain value records, and the integer reader of the file formats.
 
 A record names its fields in ``__slots__``, in the order of its
 constructor's parameters, and its ``__init__`` stores them with
@@ -7,9 +7,14 @@ their fields are equal in order.  A ``Record`` is mutable and so
 unhashable; a ``FrozenRecord`` refuses assignment after ``__init__`` and
 hashes by its fields.  Both copy and pickle by calling the constructor
 again on the fields, so validation in ``__init__`` runs again.
+
+``json_int`` reads an integer field of a file or a bounds value; every
+command loads this module, so none loads a layer only to read one.
 """
 
 from __future__ import annotations
+
+import re
 
 
 class Record:
@@ -46,3 +51,12 @@ class FrozenRecord(Record):
 
     def __delattr__(self, name):
         raise AttributeError(f"{type(self).__name__} is frozen: cannot delete {name!r}")
+
+
+def json_int(x) -> int:
+    """An integer field of an operator file: a JSON integer, or a string of
+    decimal digits with an optional sign.  Anything else (a float, a bool,
+    "1.5", "1/2") raises ValueError instead of being truncated."""
+    if type(x) is int or (isinstance(x, str) and re.fullmatch(r"[+-]?[0-9]+", x)):
+        return int(x)
+    raise ValueError(f"expected an integer, not {x!r}")

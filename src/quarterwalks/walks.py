@@ -28,9 +28,12 @@ one-step transfer recurrence of the family.
 from __future__ import annotations
 
 from math import gcd
+from typing import TYPE_CHECKING
 
-from . import ore
 from .records import FrozenRecord
+
+if TYPE_CHECKING:
+    from .ore import OreOperator
 
 # The eight unit directions, in canonical listing order.
 DIRECTIONS = {
@@ -385,7 +388,7 @@ def cached_table(step_set: StepSet, n_max: int = 0) -> CountTable:
     return table.extend(n_max)
 
 
-def trivial_operator(step_set: StepSet) -> "ore.OreOperator":
+def trivial_operator(step_set: StepSet) -> OreOperator:
     """The transfer-recurrence annihilator of the walk counts.
 
     With a = max(0, max dx) and b = max(0, max dy) over the steps, the
@@ -398,6 +401,8 @@ def trivial_operator(step_set: StepSet) -> "ore.OreOperator":
     quadrant are zero on both sides.  Omega contains the quadrant; off
     Omega, T f = 0 is not claimed.
     """
+    from .ore import OreOperator  # here: nothing else in this module needs the algebra
+
     steps = step_set.sorted_steps()
     a = max(0, max(dx for dx, _ in steps))
     b = max(0, max(dy for _, dy in steps))
@@ -405,7 +410,7 @@ def trivial_operator(step_set: StepSet) -> "ore.OreOperator":
     for dx, dy in steps:
         key = (0, 0, 0, 0, a - dx, b - dy)
         terms[key] = terms.get(key, 0) - 1
-    return ore.OreOperator(terms)
+    return OreOperator(terms)
 
 
 def table_to_json(table: CountTable) -> dict:

@@ -656,7 +656,7 @@ def test_cli_import_loads_no_click_dataclasses_or_inspect():
     """The CLI needs only the standard library, and its cold start none of
     the heavy modules: ``import quarterwalks.cli`` in a fresh interpreter
     adds neither click nor dataclasses nor inspect to what a bare
-    interpreter has loaded."""
+    interpreter has loaded, nor glob, which only ``guess`` uses."""
     code = "import sys\n{}\nprint(' '.join(sorted(sys.modules)))\n"
 
     def loaded(statement):
@@ -668,7 +668,7 @@ def test_cli_import_loads_no_click_dataclasses_or_inspect():
     bare, cli = loaded("pass"), loaded("import quarterwalks.cli")
     assert "quarterwalks.cli" in cli
     added = {name.split(".")[0] for name in cli - bare}
-    assert not added & {"click", "dataclasses", "inspect"}, sorted(added)
+    assert not added & {"click", "dataclasses", "inspect", "glob"}, sorted(added)
 
 
 _LOADED_AT_EXIT = (
@@ -691,22 +691,41 @@ _BASE = {"quarterwalks", "quarterwalks.cli", "quarterwalks.records"}
         ("from quarterwalks.cli import main\n"
          "main(['prove', '--steps', 'E,W,NE,SW', '--closed-form', 'gessel',\n"
          "      '--import-recurrence', 'pg.json', '--diag-limit', '40'])",
-         _BASE | {"quarterwalks.ore", "quarterwalks.walks", "quarterwalks.exactmath",
-                  "quarterwalks.eliminate", "quarterwalks.closedform"}),
+         _BASE | {"quarterwalks.walks", "quarterwalks.exactmath", "quarterwalks.closedform"}),
+        ("from quarterwalks.cli import main\n"
+         "main(['import-recurrence', 'pg.json', '--steps', 'E,W,NE,SW', '--n-check', '40'])",
+         _BASE | {"quarterwalks.walks", "quarterwalks.exactmath", "quarterwalks.closedform"}),
+        ("from quarterwalks.cli import main\n"
+         "main(['check-closed-form', '--closed-form', 'gessel', '--m-max', '5'])",
+         _BASE | {"quarterwalks.walks", "quarterwalks.exactmath", "quarterwalks.closedform"}),
     ],
-    ids=["package", "cli", "guess", "prove-import"],
+    ids=["package", "cli", "guess", "prove-import", "import-recurrence", "check-closed-form"],
 )
 def test_commands_load_only_their_layers(tmp_path, statement, loaded):
     """Importing the package loads no submodule, importing the CLI only
     ``records``, and a command only the layers it calls: a guess never
     loads certification, elimination or the closed forms, and a proof
-    from an imported recurrence never loads guessing or certification.
-    Each case runs in a fresh interpreter and lists the modules at exit."""
+    from an imported recurrence, like the commands that import or check a
+    recurrence, loads neither the operator algebra nor guessing,
+    certification or elimination.  Each case runs in a fresh interpreter
+    and lists the modules at exit."""
     write_json(tmp_path / "pg.json", uni_to_json(PG))
     run = subprocess.run([sys.executable, "-c", _LOADED_AT_EXIT + statement], env=_src_env(),
                          cwd=tmp_path, capture_output=True, text=True, timeout=120)
     assert run.returncode == 0, run.stderr
     assert set(run.stdout.splitlines()[-1].split()) == loaded
+
+
+def test_moved_names_are_reexported_as_the_same_objects():
+    # the recurrence and its file form left eliminate, and json_int left
+    # ore; both still export them, so callers that import them there (the
+    # benchmark's tracing wraps eliminate.UniOperator) see the same objects
+    from quarterwalks import closedform, eliminate, exactmath, ore, records
+
+    assert eliminate.UniOperator is exactmath.UniOperator
+    assert eliminate.uni_to_json is exactmath.uni_to_json
+    assert eliminate.uni_from_json is closedform.uni_from_json
+    assert ore.json_int is records.json_int
 
 
 def test_layer_rebound_before_first_use_is_called(tmp_path):
@@ -771,6 +790,116 @@ def test_module_entry_exit_codes_and_streams(tmp_path):
     run = _module_run(["count", "--steps", "X", "--n", "1", "--i", "0", "--j", "0"], tmp_path)
     assert run.returncode == 2 and run.stdout == ""
     assert run.stderr.splitlines() == ["error: unknown step token: 'X'"]
+
+
+def _entry_run(args, cwd, code=None):
+    """The command line in a fresh process, as ``python -m quarterwalks.cli``
+    or, given ``code``, as ``python -c code``, with stdout and stderr piped
+    and PYTHONUNBUFFERED removed, so that output the entry fails to flush
+    is lost."""
+    env = {k: v for k, v in _src_env().items() if k != "PYTHONUNBUFFERED"}
+    env["COLUMNS"] = "80"
+    head = ["-m", "quarterwalks.cli"] if code is None else ["-c", code]
+    return subprocess.run([sys.executable, *head, *args], env=env, cwd=cwd,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_entry_flushes_a_large_result_to_a_pipe(tmp_path):
+    run = _entry_run(["table", "--steps", "W,S,NE", "--n-max", "30"], tmp_path)
+    assert (run.returncode, run.stderr) == (0, "")
+    assert len(run.stdout) > 8192  # more than the stream's buffer holds
+    assert run.stdout.endswith("}\n")  # the newline print adds last
+    table = json.loads(run.stdout)
+    assert table["nMax"] == 30 and len(table["levels"]) == 31
+
+
+@pytest.mark.parametrize(
+    "args, code",
+    [(["--help"], 0), (["prove", "--help"], 0), (["--bogus"], 2), (["count", "--bogus"], 2),
+     (["prove", "--steps", "W,S,NE"], 2)],
+    ids=["help", "command-help", "top-level-option", "command-option", "missing-option"],
+)
+def test_entry_usage_output_is_the_parsers(tmp_path, monkeypatch, args, code):
+    # the whole help text, or argparse's usage and error lines, exactly as
+    # the parser writes them in-process
+    monkeypatch.setenv("COLUMNS", "80")
+    want = run_cli(args)
+    run = _entry_run(args, tmp_path)
+    assert run.returncode == want.exit_code == code
+    if code == 0:
+        assert (run.stdout, run.stderr) == (want.stdout, "")
+        assert run.stdout.startswith("usage: quarterwalks")
+    else:
+        assert (run.stdout, run.stderr) == ("", want.output)
+        assert run.stderr.splitlines()[-1].startswith("quarterwalks")
+        assert ": error: " in run.stderr.splitlines()[-1]
+
+
+def test_entry_prove_writes_the_whole_report(tmp_path):
+    rec = write_json(tmp_path / "pg.json", uni_to_json(PG))
+    out = str(tmp_path / "report.json")
+    run = _entry_run(["prove", "--steps", "E,W,NE,SW", "--closed-form", "gessel",
+                      "--import-recurrence", rec, "--diag-limit", "40", "--out", out], tmp_path)
+    assert (run.returncode, run.stdout, run.stderr) == (0, out + "\n", "")
+    with open(out) as fh:
+        text = fh.read()
+    assert text.endswith("}\n")
+    assert json.loads(text)["status"] == "PROVED"
+
+
+def test_entry_runs_atexit_handlers(tmp_path):
+    # a handler registered before the module runs as __main__, as a tool
+    # that wraps the CLI would register it, runs once, after the output
+    code = (
+        "import atexit, runpy, sys\n"
+        "atexit.register(print, 'handler ran')\n"
+        "sys.argv[0] = 'quarterwalks'\n"
+        "runpy.run_module('quarterwalks.cli', run_name='__main__')\n"
+    )
+    run = _entry_run(["count", "--steps", "W,S,NE", "--n", "6", "--i", "0", "--j", "0"],
+                     tmp_path, code)
+    assert (run.returncode, run.stdout, run.stderr) == (0, "16\nhandler ran\n", "")
+
+
+def _console_script():
+    """``module:function`` of the ``quarterwalks`` script in pyproject.toml."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "pyproject.toml")) as fh:
+        line = next(line for line in fh if line.startswith("quarterwalks = "))
+    return line.split("=", 1)[1].strip().strip('"').split(":")
+
+
+def test_console_script_matches_module_entry(tmp_path):
+    # the wrapper that pip writes for the script: sys.exit(function())
+    module, function = _console_script()
+    code = f"import sys\nfrom {module} import {function}\nsys.exit({function}())\n"
+    cases = [
+        ["count", "--steps", "W,S,NE", "--n", "6", "--i", "0", "--j", "0"],
+        ["guess", "--steps", "E,W,NE,SW", "--shape", "quasiholonomic",
+         "--bounds", "deg_n=1,ord_sn=2", "--out", str(tmp_path / "none")],
+        ["count", "--steps", "X", "--n", "1", "--i", "0", "--j", "0"],
+    ]
+    for args, code_want in zip(cases, (0, 1, 2)):
+        script, module_run = _entry_run(args, tmp_path, code), _entry_run(args, tmp_path)
+        assert script.returncode == module_run.returncode == code_want
+        assert (script.stdout, script.stderr) == (module_run.stdout, module_run.stderr)
+
+
+@pytest.mark.parametrize("value", ["None", "0", "1", "3", "True", "'stopped'", "[1, 2]"])
+def test_entry_exit_code_is_the_interpreters(tmp_path, value):
+    # whatever SystemExit carries, the process ends as the interpreter
+    # itself would end it: same code, same stderr
+    plain = _entry_run([], tmp_path, f"import sys\nsys.exit({value})\n")
+    code = (
+        "import sys\n"
+        "import quarterwalks.cli as cli\n"
+        f"cli.main = lambda: sys.exit({value})\n"
+        "cli.run_and_exit()\n"
+    )
+    entry = _entry_run([], tmp_path, code)
+    assert (entry.returncode, entry.stdout, entry.stderr) == (
+        plain.returncode, plain.stdout, plain.stderr
+    )
 
 
 def _templates(r):

@@ -8,7 +8,7 @@ import pytest
 
 from naive_oracles import Ones, fraction_apply_at, fraction_divexact, fraction_monic_gcd
 from quarterwalks import OreOperator, exactmath, reduce_mod_ij
-from quarterwalks.eliminate import _json_term
+from quarterwalks.closedform import _json_term
 from quarterwalks.exactmath import (
     ipoly_add,
     ipoly_compose_affine,
