@@ -23,7 +23,7 @@ of R has at most total_poly_deg(R) + 1 elements.
 
 from __future__ import annotations
 
-from .ore import Box, OreOperator, div_rem
+from .ore import Box, OreOperator, commutator, div_rem, first_nonzero
 from .records import Record
 from .walks import CountTable
 
@@ -71,7 +71,7 @@ def check_base_cases(w: OreOperator, oracle: CountTable, chain_index: int = 0) -
         raise ValueError("the zero operator has no base cases to check")
     bound = w.degrees().ord_sn
     box = Box((0, 0), (0, bound), (0, bound))
-    point = next((p for p in box.points() if w.apply_at(oracle, *p)), None)
+    point = first_nonzero(w, oracle, box.points())
     return BaseCheck(chain_index, box, point is None, point)
 
 
@@ -84,14 +84,13 @@ def _find_refutation(
     nonzero within m of the transfer operator's shift offsets of that
     point, so a bounded scan must succeed.
     """
-    dn, di, dj = (t.degrees().ord_sn, t.degrees().ord_si, t.degrees().ord_sj)
-    n0, i0, j0 = seed
-    for n in range(0, n0 + chain_index * dn + 1):
-        for i in range(0, i0 + chain_index * di + 1):
-            for j in range(0, j0 + chain_index * dj + 1):
-                if r.apply_at(oracle, n, i, j):
-                    return (n, i, j)
-    raise AssertionError("refutation seed did not propagate to the original operator")
+    d = t.degrees()
+    reach = zip(seed, (d.ord_sn, d.ord_si, d.ord_sj))
+    box = Box(*((0, s + chain_index * e) for s, e in reach))
+    point = first_nonzero(r, oracle, box.points())
+    if point is None:
+        raise AssertionError("refutation seed did not propagate to the original operator")
+    return point
 
 
 def certify_operator(r: OreOperator, t: OreOperator, oracle: CountTable) -> Certificate:
@@ -100,8 +99,8 @@ def certify_operator(r: OreOperator, t: OreOperator, oracle: CountTable) -> Cert
     The chain steps from W = R to rem([T, W], T) = rem(T W, T) and reaches
     0 within total_poly_deg(R) + 1 steps, by the module's argument.  Its
     hypotheses on T (constant coefficients, leading coefficient 1 or -1)
-    are what ``ore.div_rem`` checks: any other T raises
-    UnsupportedDivisorError.
+    are what ``ore.commutator`` and ``ore.div_rem`` check: any other T
+    raises UnsupportedDivisorError.
 
     Verdicts: certified when the chain reached 0 and every base sweep was
     all-zero; refuted, with a point where R f != 0, when a base value is
@@ -123,7 +122,7 @@ def certify_operator(r: OreOperator, t: OreOperator, oracle: CountTable) -> Cert
                 f"(R f) != 0 at {point}"
             )
             return Certificate(r, REFUTED, chain, base_checks, point, detail)
-        w = div_rem(t * w - w * t, t)[1]
+        w = div_rem(commutator(t, w), t)[1]
         chain.append(w)
         if w.is_zero():
             return Certificate(r, CERTIFIED, chain, base_checks)

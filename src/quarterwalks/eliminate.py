@@ -28,6 +28,7 @@ position makes it the minimal-order such element of the module span.
 
 from __future__ import annotations
 
+import math
 from typing import Optional, Sequence
 
 from .closedform import uni_from_json  # re-exported, as are UniOperator and uni_to_json
@@ -83,16 +84,24 @@ def pos_key(pos: Pos):
     return (1, pos[0] + pos[1], pos[0])
 
 
-def reduce_mod_ij(op: OreOperator) -> Vector:
-    """Reduction modulo the right ideal i*A + j*A: substitute i = j = 0 in
-    the left coefficients, that is keep the terms free of i and j, and
-    regroup them by the S_i, S_j exponents; the components lie in
-    Z[n][S_n] as the operator's coefficients do.  Every polynomial gets
-    its top coefficient from a nonzero term, so none is zero."""
-    comps: Vector = {}
+def reduce_mod_ij(op: OreOperator, a: int = 0, b: int = 0) -> Vector:
+    """Reduction of S_i^a S_j^b op modulo the right ideal i*A + j*A: set
+    i = j = 0 in the left coefficients of that multiple and group its
+    terms by position, the S_i, S_j exponents, into Z[n][S_n].  The
+    multiple is never formed: S_i^a S_j^b c n^dn i^di j^dj S^e is
+    c n^dn (i + a)^di (j + b)^dj S^(e + (0, a, b)), which leaves
+    c a^di b^dj n^dn (0^0 = 1) at position (e5 + a, e6 + b).  Sums that
+    cancel are dropped, so no polynomial is zero."""
+    sums: dict[tuple[int, int, int, int], int] = {}
     for (dn, di, dj, e4, e5, e6), c in op.terms.items():
-        if di == dj == 0:
-            poly = comps.setdefault((e5, e6), {}).setdefault(e4, [])
+        c *= a**di * b**dj
+        if c:
+            key = (e5 + a, e6 + b, e4, dn)
+            sums[key] = sums.get(key, 0) + c
+    comps: Vector = {}
+    for (p5, p6, e4, dn), c in sums.items():
+        if c:
+            poly = comps.setdefault((p5, p6), {}).setdefault(e4, [])
             poly.extend([0] * (dn + 1 - len(poly)))
             poly[dn] = c
     return comps
@@ -276,16 +285,6 @@ def _echelonize(rows: list[Vector]) -> tuple[dict[Pos, Vector], int, int]:
 # ---------------------------------------------------------------------------
 
 
-def _multiple_bounds(op: OreOperator, bound: Optional[int]) -> tuple[int, int]:
-    degs = op.degrees()
-    a = degs.deg_i
-    b = degs.deg_j
-    if bound is not None:
-        a = min(a, bound)
-        b = min(b, bound)
-    return a, b
-
-
 def generate_module(
     ops: Sequence[OreOperator], multiplier_bound: Optional[int] = None
 ) -> tuple[list[Vector], bool]:
@@ -301,14 +300,15 @@ def generate_module(
         raise EliminationError("no generators given")
     if multiplier_bound is not None and multiplier_bound < 0:
         raise ValueError("multiplier_bound must be >= 0")
+    cap = math.inf if multiplier_bound is None else multiplier_bound
     vectors: list[Vector] = []
     for op in ops:
         if op.is_zero():
             continue
-        a_max, b_max = _multiple_bounds(op, multiplier_bound)
-        for a in range(a_max + 1):
-            for b in range(b_max + 1):
-                vec = reduce_mod_ij(OreOperator({(0, 0, 0, 0, a, b): 1}) * op)
+        degs = op.degrees()
+        for a in range(min(degs.deg_i, cap) + 1):
+            for b in range(min(degs.deg_j, cap) + 1):
+                vec = reduce_mod_ij(op, a, b)
                 if vec:
                     vectors.append(vec)
     if not vectors:

@@ -8,8 +8,8 @@ coefficients; many points give a linear system whose right kernel holds
 every annihilator with that support.  An empty kernel is a proof that no
 such annihilator exists, because each row is a necessary condition.
 
-A row is assembled from one oracle read per distinct shift and one power
-product per distinct monomial, gathered into support order.  The kernel
+A row comes from ``ore.term_rows``: one oracle read per distinct shift
+and one power product per distinct monomial.  The kernel
 is computed multimodularly and checked exactly: the matrix is split into
 the blocks of its nonzero pattern, each block is row-reduced on its last
 min(rows, cols) rows modulo primes below 2^32 with every row packed into
@@ -25,10 +25,10 @@ from __future__ import annotations
 import math
 import struct
 from itertools import compress, tee
-from operator import itemgetter, mul
+from operator import mul
 from typing import Iterator, Sequence
 
-from .ore import OreOperator
+from .ore import Box, OreOperator, _gather, term_rows
 from .records import FrozenRecord, Record
 
 Tuple6 = tuple[int, int, int, int, int, int]
@@ -158,18 +158,8 @@ def plan_points(template: AnsatzTemplate, margin: int = 20) -> PointPlan:
     need = len(template) + margin
     per_level = (J + 1) ** 2
     N = J + 1 + max(4, -(-need // per_level))
-    points = [
-        (n, i, j)
-        for n in range(1, N + 1)
-        for i in range(J + 1)
-        for j in range(J + 1)
-    ]
-    fresh = [
-        (n, i, j)
-        for n in range(N + 1, N + 3)
-        for i in range(J + 1)
-        for j in range(J + 1)
-    ]
+    points = Box((1, N), (0, J), (0, J)).points()
+    fresh = Box((N + 1, N + 2), (0, J), (0, J)).points()
     return PointPlan(tuple(points), tuple(fresh))
 
 
@@ -189,34 +179,13 @@ class LinearSystem(Record):
         self._init(matrix, points, template)
 
 
-def _gather(indices: Sequence[int]):
-    """``itemgetter`` over `indices` that returns a tuple even for one index."""
-    if len(indices) == 1:
-        k = indices[0]
-        return lambda seq: (seq[k],)
-    return itemgetter(*indices)
-
-
 def assemble_system(
     template: AnsatzTemplate, oracle, points: Sequence[tuple[int, int, int]]
 ) -> LinearSystem:
     """The entry at point (n, i, j) and tuple (e1, ..., e6) is
-    n^e1 i^e2 j^e3 f(n + e4, i + e5, j + e6).  Per point, each distinct
-    shift is read from the oracle once and each distinct monomial is
-    computed once; the row is their products gathered in support order
-    (0^0 = 1 and 0^k = 0 give the zeros at i = 0 and j = 0)."""
-    support = template.support
-    shifts = sorted({t[3:] for t in support})
-    monomials = sorted({t[:3] for t in support})
-    shift_of = _gather([shifts.index(t[3:]) for t in support])
-    monomial_of = _gather([monomials.index(t[:3]) for t in support])
-    value = oracle.value
-    rows = []
-    for (n, i, j) in points:
-        values = [value(n + e4, i + e5, j + e6) for e4, e5, e6 in shifts]
-        powers = [n**e1 * i**e2 * j**e3 for e1, e2, e3 in monomials]
-        rows.append(list(map(mul, monomial_of(powers), shift_of(values))))
-    return LinearSystem(rows, list(points), template)
+    n^e1 i^e2 j^e3 f(n + e4, i + e5, j + e6): the term rows of
+    ``ore.term_rows`` over the template's support."""
+    return LinearSystem(list(term_rows(template.support, oracle, points)), list(points), template)
 
 
 # ---------------------------------------------------------------------------
@@ -535,7 +504,8 @@ def filter_candidates(
     """Materialize kernel vectors and keep those with zero residual on the
     fresh points, normalized, each distinct operator once in the order it
     is first found: normalizing removes the common monomial factor, so
-    kernel vectors W and n*W give the same operator.
+    kernel vectors W and n*W give the same operator.  The fresh points'
+    system is assembled once, when the first vector reaches that check.
 
     For the quasi-holonomic shape, a candidate whose coefficients all
     vanish at i = j = 0 is dropped: its restriction to the origin column
@@ -543,13 +513,16 @@ def filter_candidates(
     the useful sense, merely an i- or j-multiple of other annihilators.
     """
     kept = {}
+    fresh_rows = None
     for vec in basis:
         op = template.materialize(vec)
         if op.is_zero():
             continue
         if template.shape == "quasiholonomic" and op.substitute_zero(("i", "j")).is_zero():
             continue
-        if all(op.apply_at(oracle, *pt) == 0 for pt in fresh_points):
+        if fresh_rows is None:
+            fresh_rows = assemble_system(template, oracle, fresh_points).matrix
+        if _annihilates(fresh_rows, vec):
             kept[op.normalized()] = None
     return list(kept)
 

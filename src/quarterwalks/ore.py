@@ -20,19 +20,24 @@ file is read.
 leading coefficient (such as the transfer operator of a walk family), so
 that the quotient stays integral.  It reduces the remainder in place, and
 each cancelled term touches only the divisor's other terms; it is the
-workhorse of the certification algorithm.
+workhorse of the certification algorithm, together with ``commutator``:
+[T, W] for such a T, built without products.  ``evaluate`` is the one
+evaluator of operators on a counting oracle, over ``term_rows``.
 """
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
-from typing import Iterable, Mapping
+from operator import itemgetter, mul
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .records import FrozenRecord, json_int
 
 Term = tuple[int, int, int, int, int, int]
 ShiftExp = tuple[int, int, int]
+Point = tuple[int, int, int]
 
 VARS = ("n", "i", "j")
 SHIFTS = ("Sn", "Si", "Sj")
@@ -73,25 +78,34 @@ def _add_into(out: dict[Term, int], terms: Iterable[tuple[Term, int]]) -> dict[T
     return out
 
 
-def _binomial(d: int, a: int) -> list[tuple[int, int]]:
-    """(x + a)^d as (power of x, integer coefficient) pairs."""
+@functools.cache
+def _binomial(d: int, a: int) -> tuple[tuple[int, int], ...]:
+    """(x + a)^d as (power of x, integer coefficient) pairs; cached, since
+    few pairs (d, a) occur and the result is immutable."""
     if not a:
-        return [(d, 1)]
-    return [(t, math.comb(d, t) * a ** (d - t)) for t in range(d + 1)]
+        return ((d, 1),)
+    return tuple((t, math.comb(d, t) * a ** (d - t)) for t in range(d + 1))
 
 
-def _moved_past(terms: dict[Term, int], shift: ShiftExp) -> Iterable[tuple[Term, int]]:
+def _moved_past(
+    terms: dict[Term, int], shift: ShiftExp, commute: bool = False
+) -> Iterable[tuple[Term, int]]:
     """The terms of S^shift * op with S^shift written on the right:
     n, i, j are replaced by n + shift[0], i + shift[1], j + shift[2] and
     each monomial is expanded binomially (the shifts of ``terms`` are
-    kept; S^shift itself is not added)."""
+    kept; S^shift itself is not added).  With ``commute``, the terms of
+    S^shift op - op S^shift, where c S^e gives (c(x + shift) - c(x)) S^(e + shift)."""
     if not any(shift):
-        return terms.items()
+        return [] if commute else terms.items()
     out: dict[Term, int] = {}
     for (dn, di, dj, e4, e5, e6), c in terms.items():
+        if commute:
+            e4, e5, e6 = e4 + shift[0], e5 + shift[1], e6 + shift[2]
         for tn, cn in _binomial(dn, shift[0]):
             for ti, ci in _binomial(di, shift[1]):
                 for tj, cj in _binomial(dj, shift[2]):
+                    if commute and tn == dn and ti == di and tj == dj:
+                        continue
                     key = (tn, ti, tj, e4, e5, e6)
                     out[key] = out.get(key, 0) + c * cn * ci * cj
     return [(key, c) for key, c in out.items() if c]
@@ -285,22 +299,11 @@ class OreOperator:
     # -- action on the counting oracle ---------------------------------------
 
     def apply_at(self, oracle, n: int, i: int, j: int) -> int:
-        """Value of (this operator applied to the oracle) at one point; the
-        oracle is read only at shifts whose coefficient does not vanish
-        there."""
-        coeffs: dict[ShiftExp, int] = {}
-        for (dn, di, dj, e4, e5, e6), c in self._terms.items():
-            shift = (e4, e5, e6)
-            coeffs[shift] = coeffs.get(shift, 0) + c * n**dn * i**di * j**dj
-        return sum(
-            v * oracle.value(n + e4, i + e5, j + e6) for (e4, e5, e6), v in coeffs.items() if v
-        )
+        """(this operator applied to the oracle) at one point, by ``evaluate``."""
+        return next(evaluate([self], oracle, [(n, i, j)]))[0]
 
     def is_zero_on(self, oracle, box: "Box") -> bool:
-        for n, i, j in box.points():
-            if self.apply_at(oracle, n, i, j):
-                return False
-        return True
+        return first_nonzero(self, oracle, box.points()) is None
 
     def __repr__(self) -> str:
         if not self._terms:
@@ -352,6 +355,65 @@ class Box(FrozenRecord):
             for i in range(self.i_range[0], self.i_range[1] + 1):
                 for j in range(self.j_range[0], self.j_range[1] + 1):
                     yield (n, i, j)
+
+
+# ---------------------------------------------------------------------------
+# Evaluation on the counting oracle, and the commutator
+# ---------------------------------------------------------------------------
+
+
+def _gather(indices: Sequence[int]):
+    """``itemgetter`` over `indices` that returns a tuple for any number."""
+    if len(indices) == 1:
+        k = indices[0]
+        return lambda seq: (seq[k],)
+    return itemgetter(*indices) if indices else lambda seq: ()
+
+
+def term_rows(support: Sequence[Term], oracle, points: Iterable[Point]) -> Iterator[list[int]]:
+    """Per point, made when asked for, the row of n^e1 i^e2 j^e3 f(n + e4,
+    i + e5, j + e6) over the support's terms (e1, ..., e6): each distinct
+    shift and monomial is computed once per point (0^0 = 1), and each
+    distinct cell asked of ``oracle.value`` once per call."""
+    shifts = {s: k for k, s in enumerate(sorted({t[3:] for t in support}))}
+    monomials = {m: k for k, m in enumerate(sorted({t[:3] for t in support}))}
+    shift_of = _gather([shifts[t[3:]] for t in support])
+    monomial_of = _gather([monomials[t[:3]] for t in support])
+    value = functools.cache(oracle.value)
+    for n, i, j in points:
+        values = [value(n + e4, i + e5, j + e6) for e4, e5, e6 in shifts]
+        powers = [n**e1 * i**e2 * j**e3 for e1, e2, e3 in monomials]
+        yield list(map(mul, monomial_of(powers), shift_of(values)))
+
+
+def evaluate(ops: Sequence[OreOperator], oracle, points: Iterable[Point]) -> Iterator[list[int]]:
+    """Per point, in point order, the list of the values (op f)(n; i, j):
+    the term rows over the union of the supports times each operator's
+    coefficient vector, so each point and cell is read once for all."""
+    support = list(dict.fromkeys(key for op in ops for key in op._terms))
+    column = {key: c for c, key in enumerate(support)}
+    dots = [(_gather([column[key] for key in op._terms]), tuple(op._terms.values())) for op in ops]
+    for row in term_rows(support, oracle, points):
+        yield [sum(map(mul, gather(row), coeffs)) for gather, coeffs in dots]
+
+
+def first_nonzero(op: OreOperator, oracle, points: Iterable[Point]) -> Point | None:
+    """The first of the points where (op f) is nonzero, or None; reads no cell past it."""
+    points = list(points)
+    return next((pt for pt, (v,) in zip(points, evaluate([op], oracle, points)) if v), None)
+
+
+def commutator(t: OreOperator, w: OreOperator) -> OreOperator:
+    """[T, W] = T W - W T for T with constant coefficients (any other T
+    raises UnsupportedDivisorError, as in ``div_rem``), without either
+    product: for T = sum_k t_k S^k and W = sum_m c_m(x) S^m it is the sum
+    of t_k [S^k, c_m S^m] = t_k (c_m(x + k) - c_m(x)) S^(k+m)."""
+    if t.total_poly_deg() > 0:
+        raise UnsupportedDivisorError("divisor must have constant coefficients")
+    out: dict[Term, int] = {}
+    for (_, _, _, k4, k5, k6), tk in t._terms.items():
+        _add_into(out, ((key, tk * c) for key, c in _moved_past(w._terms, (k4, k5, k6), True)))
+    return OreOperator._of(out)
 
 
 def div_rem(x: OreOperator, t: OreOperator) -> tuple[OreOperator, OreOperator]:

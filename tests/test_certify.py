@@ -2,26 +2,32 @@ import random
 
 import pytest
 
+from naive_oracles import fraction_apply_at
 from quarterwalks import (
+    Bounds,
     Box,
     CountTable,
     GESSEL,
     KREWERAS,
     OreOperator,
+    build_template,
     certify_operator,
     check_base_cases,
     div_rem,
     evidence_check,
+    guess_operators,
     parse_step_set,
     trivial_operator,
 )
-from quarterwalks.certify import CERTIFIED, REFUTED
+from quarterwalks.certify import CERTIFIED, REFUTED, _find_refutation
+from quarterwalks.ore import commutator
 
 N = OreOperator.variable("n")
 I = OreOperator.variable("i")
 J = OreOperator.variable("j")
 T = trivial_operator(GESSEL)
 SN = OreOperator.shift("Sn")
+SJ2 = OreOperator.shift("Sj", 2)
 
 
 def test_certify_trivial_operator(gessel_oracle):
@@ -208,3 +214,67 @@ def test_refutation_from_deeper_chain_level(gessel_oracle):
     cert = certify_operator(bad, T, gessel_oracle)
     assert cert.verdict == REFUTED
     assert bad.apply_at(gessel_oracle, *cert.counterexample) != 0
+
+
+def _old_base_scan(w, oracle):
+    """check_base_cases' former loop, with Fraction sums."""
+    bound = w.degrees().ord_sn
+    box = Box((0, 0), (0, bound), (0, bound))
+    return next((p for p in box.points() if fraction_apply_at(w.terms, oracle, *p)), None)
+
+
+def _old_refutation_scan(r, oracle, t, chain_index, seed):
+    """The refutation scan's former loop, with Fraction sums; None where it
+    raised."""
+    d = t.degrees()
+    for n in range(0, seed[0] + chain_index * d.ord_sn + 1):
+        for i in range(0, seed[1] + chain_index * d.ord_si + 1):
+            for j in range(0, seed[2] + chain_index * d.ord_sj + 1):
+                if fraction_apply_at(r.terms, oracle, n, i, j):
+                    return (n, i, j)
+    return None
+
+
+@pytest.mark.parametrize(
+    "op",
+    [T + 1, N * SN * SJ2, N * OreOperator.shift("Si") * SJ2],
+    ids=["T+1", "n*Sn*Sj^2", "n*Si*Sj^2"],
+)
+def test_scans_find_the_points_of_the_old_loops(op, gessel_oracle):
+    cert = certify_operator(op, T, gessel_oracle)
+    for w, check in zip([op] + cert.chain, cert.base_checks):
+        assert check.counterexample == _old_base_scan(w, gessel_oracle)
+    found = 0
+    for chain_index in range(3):
+        for seed in Box((0, 0), (0, 2), (0, 2)).points():
+            want = _old_refutation_scan(op, gessel_oracle, T, chain_index, seed)
+            if want is None:
+                with pytest.raises(AssertionError, match="did not propagate"):
+                    _find_refutation(op, gessel_oracle, T, chain_index, seed)
+            else:
+                assert _find_refutation(op, gessel_oracle, T, chain_index, seed) == want
+                found += 1
+    assert found
+
+
+def _chain_steps(candidates, t, oracle):
+    """Every W whose commutator with T a certification chain takes."""
+    for r in candidates:
+        cert = certify_operator(r, t, oracle)
+        yield from ([r] + cert.chain)[: len(cert.chain)]
+
+
+def test_direct_commutator_on_every_chain_step(kreweras_certified, kreweras_oracle):
+    """[T, W] built directly equals T W - W T on every chain step of the
+    Kreweras and the diagonal-walk candidates at the default bounds (the
+    full Gessel template has no candidate there)."""
+    tk = trivial_operator(KREWERAS)
+    steps = list(_chain_steps(kreweras_certified[1:], tk, kreweras_oracle))
+    diagonal = parse_step_set("NE,NW,SE,SW")
+    td, oracle = trivial_operator(diagonal), CountTable(diagonal, 20)
+    candidates = guess_operators(build_template(Bounds(2, 2, 2, 3, 1, 1)), oracle)
+    more = list(_chain_steps(candidates, td, oracle))
+    assert (len(steps), len(candidates), len(more)) == (3, 51, 149)
+    for t, ws in ((tk, steps), (td, more)):
+        for w in ws:
+            assert commutator(t, w) == t * w - w * t, w

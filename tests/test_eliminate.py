@@ -139,6 +139,38 @@ def test_left_multiple_degeneracy():
         assert reduce_mod_ij(J * r) == {}
 
 
+def test_reduce_of_a_shift_multiple_forms_no_product():
+    """reduce_mod_ij(op, a, b) is the reduction of S_i^a S_j^b op, with
+    its positions and S_n powers in the same order."""
+    rng = random.Random(74)
+    for _ in range(200):
+        r = random_operator(rng, max_terms=6, max_exp=3)
+        for a in range(3):
+            for b in range(3):
+                want = reduce_mod_ij(OreOperator({(0, 0, 0, 0, a, b): 1}) * r)
+                assert repr(reduce_mod_ij(r, a, b)) == repr(want), (r, a, b)
+
+
+def _product_module(ops, bound=None):
+    """generate_module's vectors, each reduced from the product
+    S_i^a S_j^b op."""
+    cap = math.inf if bound is None else bound
+    rows = []
+    for op in filter(None, ops):
+        d = op.degrees()
+        for a in range(min(d.deg_i, cap) + 1):
+            for b in range(min(d.deg_j, cap) + 1):
+                rows.append(reduce_mod_ij(OreOperator({(0, 0, 0, 0, a, b): 1}) * op))
+    return list(filter(None, rows))
+
+
+@pytest.mark.parametrize("bound", [None, 0, 1])
+def test_generate_module_rows_match_the_product_form(bound, bench_generators, kreweras_certified):
+    for ops in (bench_generators, kreweras_certified):
+        vectors, _ = generate_module(ops, bound)
+        assert repr(vectors) == repr(_product_module(ops, bound))
+
+
 def test_generate_module_pure_generator():
     r = (N + 1) * OreOperator.shift("Sn", 2) + 3
     vectors, dropped = generate_module([r])
@@ -550,16 +582,22 @@ def test_sn_multiple_keeps_the_row_of_least_power(order):
     assert (diag["vectors"], diag["sn_multiples"], diag["reductions"]) == (2, 1, 0)
 
 
-def test_bench_bounds_module_drops_sn_multiples(kreweras_oracle):
+@pytest.fixture(scope="module")
+def bench_generators(kreweras_oracle):
+    """The transfer operator and the certified candidates at the benchmark's
+    Kreweras bounds."""
+    t = trivial_operator(KREWERAS)
+    template = build_template(Bounds(2, 2, 2, 4, 1, 1, 2), "full")
+    candidates = guess_operators(template, kreweras_oracle)
+    return [t] + [c for c in candidates if certify_operator(c, t, kreweras_oracle).certified]
+
+
+def test_bench_bounds_module_drops_sn_multiples(bench_generators):
     """At the benchmark's Kreweras bounds each of the three order-3
     annihilators is also guessed as S_n times itself: 12 of the 25 module
     vectors are S_n-multiples, and the echelon takes 92 steps instead of
     212 for the same P."""
-    t = trivial_operator(KREWERAS)
-    template = build_template(Bounds(2, 2, 2, 4, 1, 1, 2), "full")
-    candidates = guess_operators(template, kreweras_oracle)
-    certified = [c for c in candidates if certify_operator(c, t, kreweras_oracle).certified]
-    vectors, _ = generate_module([t] + certified, multiplier_bound=1)
+    vectors, _ = generate_module(bench_generators, multiplier_bound=1)
     p, diag = eliminate_shifts(vectors)
     assert (diag["vectors"], diag["sn_multiples"], diag["reductions"]) == (25, 12, 92)
     pivots, reductions, _ = eliminate._echelonize([_row_normalize(v) for v in vectors])

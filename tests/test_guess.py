@@ -25,6 +25,7 @@ from quarterwalks.cli import parse_bounds
 from quarterwalks.guess import _blocks, _kernel_mod, _primes, _ratrec, _vanishes_mod
 
 from naive_oracles import brute_force_counts, fraction_nullspace, modp_kernel
+from test_ore import ReadLog
 
 T = trivial_operator(GESSEL)
 T_SUPPORT = tuple(sorted(T.terms))
@@ -157,6 +158,49 @@ def test_benchmark_guessing_systems(
     assert len(basis) == kernel
     assert len(filter_candidates(basis, tpl, oracle, plan.fresh_points)) == kept
     assert calls and all(n <= width for n, width in calls)
+
+
+@pytest.mark.parametrize(
+    "steps, shape, bounds, assembled",
+    [
+        ("E,W,NE,SW", "quasiholonomic",
+         "deg_n=2,deg_i=2,deg_j=2,ord_sn=3,ord_si=2,ord_sj=2,total=2", 0),
+        ("W,S,NE", "full", "deg_n=2,deg_i=2,deg_j=2,ord_sn=4,ord_si=1,ord_sj=1,total=2", 1),
+    ],
+    ids=["gessel-qh-guess", "kreweras-prove"],
+)
+def test_filter_assembles_fresh_rows_once_and_only_when_needed(
+    monkeypatch, steps, shape, bounds, assembled
+):
+    """The fresh points' system is assembled once, when the first vector
+    reaches that check: on the Gessel quasi-holonomic system none does
+    (every kernel vector vanishes at i = j = 0), so no cell at the fresh
+    points' levels is read.  The candidates are those that vanish at
+    every fresh point, point by point."""
+    tpl = build_template(parse_bounds(bounds), shape)
+    plan = plan_points(tpl)
+    oracle = CountTable(parse_step_set(steps), 0)
+    basis = nullspace(assemble_system(tpl, oracle, plan.points))
+    calls = []
+
+    def counting(template, oracle, points):
+        calls.append(len(points))
+        return assemble_system(template, oracle, points)
+
+    monkeypatch.setattr(guess_module, "assemble_system", counting)
+    log = ReadLog(oracle)
+    kept = filter_candidates(basis, tpl, log, plan.fresh_points)
+    assert calls == [len(plan.fresh_points)] * assembled
+    fresh_level = min(n for n, _, _ in plan.fresh_points)
+    assert any(n >= fresh_level for n, _, _ in log.reads) == bool(assembled)
+    want = {}
+    for vec in basis:
+        op = tpl.materialize(vec)
+        if shape == "quasiholonomic" and op.substitute_zero(("i", "j")).is_zero():
+            continue
+        if all(op.apply_at(oracle, *pt) == 0 for pt in plan.fresh_points):
+            want[op.normalized()] = None
+    assert kept == list(want)
 
 
 def test_nullspace_trivial_cases():

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from naive_oracles import Applied, Ones, fraction_apply_at
+from quarterwalks.ore import commutator, evaluate, first_nonzero
 from quarterwalks import (
     GESSEL,
     Box,
@@ -165,6 +166,83 @@ def test_apply_at_matches_fraction_sum(gessel_oracle):
             pt = random_point(rng)
             want = fraction_apply_at(op.terms, PolynomialOracle(), *pt)
             assert op.apply_at(PolynomialOracle(), *pt) == want, (op, pt)
+
+
+class ZeroOracle:
+    def value(self, n, i, j):
+        return 0
+
+
+class ReadLog:
+    """An oracle that forwards to another and logs every cell it is asked for."""
+
+    def __init__(self, oracle):
+        self.oracle, self.reads = oracle, []
+
+    def value(self, n, i, j):
+        self.reads.append((n, i, j))
+        return self.oracle.value(n, i, j)
+
+
+def test_evaluate_matches_fraction_sum(gessel_oracle):
+    """Several operators at several points, against their Fraction sums on
+    four oracles; i = -1 and j = -1 occur, and every cell is asked of
+    ``oracle.value`` at most once per call."""
+    rng = random.Random(47)
+    oracles = [gessel_oracle, Ones(), PolynomialOracle(), ZeroOracle()]
+    for _ in range(40):
+        ops = [random_operator(rng, max_terms=5) for _ in range(rng.randint(1, 4))]
+        points = [(rng.randint(0, 9), rng.randint(-1, 7), rng.randint(-1, 7)) for _ in range(8)]
+        for oracle in oracles:
+            log = ReadLog(oracle)
+            got = list(evaluate(ops, log, points))
+            want = [[fraction_apply_at(op.terms, oracle, *pt) for op in ops] for pt in points]
+            assert got == want
+            assert len(log.reads) == len(set(log.reads))
+            assert [[op.apply_at(oracle, *pt) for op in ops] for pt in points] == got
+
+
+def test_evaluate_reads_cells_off_the_quadrant_through_the_oracle(gessel_oracle):
+    # a negative coordinate must read 0 from oracle.value, never wrap
+    # around to the end of a row of the table
+    x = SN + 3 * I * SJ + N * J
+    points = [(4, -1, 2), (4, 2, -1), (5, -1, -1), (3, 0, 1)]
+    log = ReadLog(gessel_oracle)
+    got = list(evaluate([x, SI, OreOperator.zero()], log, points))
+    want = [[fraction_apply_at(op.terms, gessel_oracle, *pt) for op in (x, SI)] for pt in points]
+    assert got == [row + [0] for row in want]
+    off = [c for c in log.reads if min(c) < 0]
+    assert off and all(gessel_oracle.value(*c) == 0 for c in off)
+    assert (5, -1, 2) in log.reads and (4, 2, 0) in log.reads
+    assert got[0][0] == 0 and got[1][0] == 3 * 2 * gessel_oracle.value(4, 2, 0)
+
+
+def test_first_nonzero_is_the_first_in_scan_order(gessel_oracle):
+    rng = random.Random(59)
+    for _ in range(60):
+        op = random_operator(rng, max_terms=4)
+        box = Box((0, rng.randint(0, 4)), (0, rng.randint(0, 4)), (0, rng.randint(0, 4)))
+        values = {p: fraction_apply_at(op.terms, gessel_oracle, *p) for p in box.points()}
+        want = next((p for p, v in values.items() if v), None)
+        log = ReadLog(gessel_oracle)
+        assert first_nonzero(op, log, box.points()) == want
+        assert op.is_zero_on(gessel_oracle, box) == (want is None)
+        # no cell is read for a point past the one found
+        points = list(box.points())
+        scanned = points[: points.index(want) + 1] if want else points
+        cells = {(n + a, i + b, j + c) for n, i, j in scanned for a, b, c in op.support()}
+        assert set(log.reads) <= cells
+
+
+def test_commutator_matches_products_on_random_operators():
+    rng = random.Random(67)
+    ts = [trivial_operator(parse_step_set(s)) for s in ("W,S,NE", "E,W,NE,SW", "E,W,NW,SE")]
+    for _ in range(150):
+        w = random_operator(rng, max_terms=5, max_shift=3, max_exp=3)
+        t = rng.choice(ts + [random_operator(rng, max_terms=4, max_exp=0)])
+        assert commutator(t, w) == t * w - w * t, (t, w)
+    with pytest.raises(UnsupportedDivisorError, match="constant coefficients"):
+        commutator(N * T, T)
 
 
 def test_div_rem_examples():
