@@ -14,13 +14,14 @@ traceback, and both exit 2.  Commands raise, and ``main`` alone decides
 how an error is reported.
 
 Importing this module loads no layer: each command, when it starts,
-imports the layer modules it calls and binds the names it uses from them
-(``cached_table``, ``nullspace``, ...) as globals of this module, where
-it looks them up at call time.  A name that is already bound is left as
-it is.  Reading a layer name from this module before a command has
-loaded it imports its layer (a module ``__getattr__``).  So a caller may
-read and rebind any of these names here, before or after the first
-command runs, and every later command calls the rebinding.
+imports the layer modules it calls and binds the names that
+``quarterwalks._EXPORTS`` maps to them (``cached_table``, ``nullspace``,
+...) as globals of this module, where it looks them up at call time.  A
+name that is already bound is left as it is.  Reading an export from
+this module before a command has loaded it imports its layer (a module
+``__getattr__``).  So a caller may read and rebind any of these names
+here, before or after the first command runs, and every later command
+calls the rebinding.
 
 ``main`` returns or raises ``SystemExit``, so that it can run in-process;
 ``run_and_exit``, the command-line entry, calls it and skips the
@@ -36,27 +37,8 @@ import json
 import os
 import sys
 
-from . import __version__
+from . import _EXPORTS, __version__
 from .records import Record, json_int
-
-# the names the commands call, by layer module; see ``_use``
-_LAYER_NAMES = {
-    "exactmath": ("uni_to_json",),
-    "ore": ("operator_from_json", "operator_to_json"),
-    "walks": (
-        "CountTable", "cached_table", "origin_sequence", "parse_step_set", "table_to_json",
-        "trivial_operator", "walk_count",
-    ),
-    "guess": (
-        "Bounds", "TemplateError", "assemble_system", "build_template", "filter_candidates",
-        "nullspace", "plan_points",
-    ),
-    "certify": ("certify_operator",),
-    "eliminate": ("EliminationFailure", "takayama_pipeline"),
-    "closedform": (
-        "CLOSED_FORMS", "hypergeom_term", "max_nonneg_root", "prove_equality", "uni_from_json",
-    ),
-}
 
 # sorted(closedform.CLOSED_FORMS), kept here so that building the parser
 # loads no closed form; a test holds the two equal
@@ -66,22 +48,22 @@ _DEFAULT_BOUNDS = "deg_n=2,deg_i=2,deg_j=2,ord_sn=3,ord_si=1,ord_sj=1"
 
 
 def _use(*modules: str):
-    """Import the layer ``modules`` and bind the names of ``_LAYER_NAMES``
-    from them as globals here, except a name that is already bound."""
+    """Import the layer ``modules`` and bind every export that
+    ``quarterwalks._EXPORTS`` maps to one of them as a global here, except
+    a name that is already bound."""
     scope = globals()
-    for module in modules:
-        layer = importlib.import_module(f"{__package__}.{module}")
-        for name in _LAYER_NAMES[module]:
-            scope.setdefault(name, getattr(layer, name))
+    layers = {m: importlib.import_module(f"{__package__}.{m}") for m in modules}
+    for name, module in _EXPORTS.items():
+        if module in layers:
+            scope.setdefault(name, getattr(layers[module], name))
 
 
 def __getattr__(name: str):
-    # a layer name read from outside before a command has loaded it
-    for module, names in _LAYER_NAMES.items():
-        if name in names:
-            _use(module)
-            return globals()[name]
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # a package export read from outside before a command has loaded it
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _use(_EXPORTS[name])
+    return globals()[name]
 
 
 def _progress(msg: str):
@@ -104,9 +86,7 @@ def parse_bounds(text: str) -> Bounds:
         key = key.strip()
         if key == "total":
             key = "total_poly_deg"
-        if key not in (
-            "deg_n", "deg_i", "deg_j", "ord_sn", "ord_si", "ord_sj", "total_poly_deg",
-        ):
+        if key not in Bounds.__slots__:
             raise TemplateError(f"unknown bounds key {key!r}")
         if key in fields:
             raise TemplateError(f"bounds key {key!r} given twice")
@@ -157,6 +137,8 @@ def table(steps, n_max, out):
     """Export the count table to n = n-max as JSON (decimal-string entries,
     exact beyond 2^53)."""
     _use("walks")
+    from .walks import table_to_json
+
     tbl = CountTable(parse_step_set(steps), n_max)
     text = json.dumps(table_to_json(tbl), sort_keys=True)
     if out:
@@ -293,13 +275,16 @@ def eliminate(steps, operator_files, multiplier_bound, diag_limit, out):
     _dump({"meta": _meta(config), "operator": uni_to_json(p)}, out)
 
 
-def _validate_recurrence(op: UniOperator, step_set: StepSet, n_check: int) -> int | None:
-    """Oracle gate for imported recurrences: the first n in 0..n_check at
-    which the recurrence fails on the origin sequence, or None.  Each
-    caller first requires an order below n_check, so that the check covers
-    at least one window, and names its own option when it is not."""
+def _imported(path: str, step_set: StepSet, n_check: int, option: str):
+    """The recurrence in the file ``path`` and the first n in
+    0 .. n_check - order at which it fails on the origin sequence of
+    ``step_set`` to n_check, or None.  An order at or above n_check, which
+    would leave no n to check, raises ValueError naming ``option``."""
+    op = _load(path, uni_from_json)
+    if op.order() >= n_check:
+        raise ValueError(f"{option} must exceed the recurrence order")
     seq = origin_sequence(step_set, n_check)
-    return op.first_failure(seq, range(n_check - op.order() + 1))
+    return op, op.first_failure(seq, range(n_check - op.order() + 1))
 
 
 def import_recurrence(recurrence_file, steps, n_check, out):
@@ -307,10 +292,7 @@ def import_recurrence(recurrence_file, steps, n_check, out):
     counting oracle, and emit it in normalized form."""
     _use("walks", "exactmath", "closedform")
     config = PipelineConfig(steps=steps, diag_limit=n_check)
-    op = _load(recurrence_file, uni_from_json)
-    if op.order() >= n_check:
-        raise ValueError("--n-check must exceed the recurrence order")
-    bad = _validate_recurrence(op, parse_step_set(steps), n_check)
+    op, bad = _imported(recurrence_file, parse_step_set(steps), n_check, "--n-check")
     if bad is not None:
         print(f"rejected: fails sequence check at n={bad}", file=sys.stderr)
         sys.exit(1)
@@ -344,10 +326,7 @@ def prove(steps, which, import_file, bounds, shape, margin, multiplier_bound, di
     step_set = parse_step_set(steps)
 
     if import_file:
-        p = _load(import_file, uni_from_json)
-        if p.order() >= diag_limit:
-            raise ValueError("--diag-limit must exceed the recurrence order")
-        bad = _validate_recurrence(p, step_set, diag_limit)
+        p, bad = _imported(import_file, step_set, diag_limit, "--diag-limit")
         report["recurrence_source"] = "imported"
         report["oracle_check"] = {"n_checked": diag_limit, "ok": bad is None, "failing_n": bad}
         if bad is not None:

@@ -345,10 +345,8 @@ class Box(FrozenRecord):
         self._init(n_range, i_range, j_range)
 
     @classmethod
-    def cube(cls, n_max: int, ij_max: int | None = None, n_min: int = 0) -> "Box":
-        if ij_max is None:
-            ij_max = n_max
-        return cls((n_min, n_max), (0, ij_max), (0, ij_max))
+    def cube(cls, n_max: int) -> "Box":
+        return cls((0, n_max), (0, n_max), (0, n_max))
 
     def points(self):
         for n in range(self.n_range[0], self.n_range[1] + 1):

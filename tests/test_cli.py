@@ -583,6 +583,15 @@ _OPERATIONAL_ERRORS = {
         _GESSEL_IMPORT + ["{tmp}/missing.json", "--out", "{tmp}/report.json"], None,
         "{tmp}/missing.json",
     ),
+    # both commands that read a recurrence parse --steps before the file
+    "import-recurrence-bad-steps-missing-file": (
+        ["import-recurrence", "{tmp}/missing.json", "--steps", "X"], None,
+        "error: unknown step token: 'X'",
+    ),
+    "prove-import-bad-steps-missing-file": (
+        ["prove", "--steps", "X", "--closed-form", "gessel",
+         "--import-recurrence", "{tmp}/missing.json"], None, "error: unknown step token: 'X'",
+    ),
     "eliminate-verification": (_ELIMINATE_40, VerificationError, "pipeline stopped"),
     "eliminate-elimination": (_ELIMINATE_40, EliminationError, "pipeline stopped"),
     "prove-verification": (_PROVE_40, VerificationError, "pipeline stopped"),
@@ -753,6 +762,22 @@ def test_layer_rebound_before_first_use_is_called(tmp_path):
     assert run.returncode == 0, run.stderr
     assert run.stdout.splitlines()[-1] == "1"
     assert sorted(os.listdir(tmp_path / "cands")) == ["candidate_000.json"]
+
+
+def test_every_package_export_reads_through_the_cli():
+    """Each of the package's exports read from the CLI module in a fresh
+    interpreter, before any command has run, is the package's own object."""
+    code = (
+        "import quarterwalks, quarterwalks.cli as cli\n"
+        "names = quarterwalks.__all__\n"
+        "through_cli = [getattr(cli, name) for name in names]\n"
+        "print(len(names), [n for n, v in zip(names, through_cli)\n"
+        "                   if v is not getattr(quarterwalks, n)])\n"
+    )
+    run = subprocess.run([sys.executable, "-c", code], env=_src_env(),
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[-1] == "50 []"
 
 
 def test_unknown_cli_attribute_raises_attribute_error():
