@@ -23,8 +23,9 @@ one rational-function identity per residue class and checks each one
 exactly, as a polynomial identity over Z once the denominators are
 cleared, so a passing check is a proof, not a sampled plausibility.
 ``prove_equality`` combines that with enough initial values to pin the
-sequence past every nonnegative root of the leading coefficient, where
-the recurrence alone would not propagate uniqueness.
+sequence past every nonnegative integer root of the leading coefficient
+(Hensel-lifted by ``nonneg_integer_roots``, with no bound on their size),
+where the recurrence alone would not propagate uniqueness.
 
 ``uni_from_json`` reads a recurrence file, whose terms may be rational,
 here beside the rational parameters: the integer modules never import
@@ -33,6 +34,7 @@ here beside the rational parameters: the integer modules never import
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 from typing import Sequence
@@ -135,55 +137,49 @@ def hypergeom_term(which: str) -> HypergeomTerm:
 # Integer root location
 # ---------------------------------------------------------------------------
 
-_ROOT_SCAN_LIMIT = 2_000_000
-
 
 def nonneg_integer_roots(p: Sequence[int]) -> list[int]:
-    """All nonnegative integer roots of an integer polynomial.
+    """All nonnegative integer roots of an integer polynomial, ascending.
 
-    Scale p = a_0 + ... + a_d x^d by -1 if needed so that a_d > 0, and let
-    B be the largest |a_k| over the negative coefficients.  For x > 0,
+    0 is a root when a_0 = 0, and the power of x is divided out.  Scale p
+    by -1 if needed so that a_d > 0, and let B be the largest |a_k| over
+    the negative coefficients.  For x >= 1 + B / a_d (so x > 1 and
+    B / (x - 1) <= a_d), p(x) >= a_d x^d - B (x^(d-1) + ... + 1)
+    = a_d x^d - B (x^d - 1)/(x - 1) >= a_d > 0: every positive root is at
+    most bound = 1 + B // a_d, and with no negative coefficient there is none.
 
-        p(x) >= a_d x^d - B (x^(d-1) + ... + 1) = a_d x^d - B (x^d - 1)/(x - 1),
-
-    so for x >= 1 + B / a_d (hence B / (x - 1) <= a_d)
-
-        p(x) >= a_d x^d - a_d (x^d - 1) = a_d > 0.
-
-    Every positive root is therefore below 1 + B / a_d, and an integer
-    scan of 1 .. 1 + B // a_d is exhaustive; with no negative coefficient
-    there is no positive root at all.  A cheap modular filter keeps the
-    scan fast.  Bounds beyond the scan limit are refused rather than
-    silently truncated.
+    q = p / gcd(p, p') has the roots of p, all simple, so disc(q) != 0; at
+    a prime m dividing neither lc(q) nor disc(q), q' is a unit at every
+    root of q mod m, so the search for the least prime m not dividing lc(q)
+    with that property ends.  Each such root has one lift to a root mod
+    M = m^e for every e (roots x = y (mod m) have q(x) - q(y) = (x - y) u,
+    u = q'(y) a unit mod m, so x = y (mod M)), and Newton's step
+    r - q(r) q'(r)^-1 (mod M^2) takes the lift mod M to the lift mod M^2.
+    Once M > bound, a root r in 1 .. bound is the lift of r mod m itself;
+    a lift in range is kept when p(r) = 0 exactly.
     """
-    p = list(p)
-    while p and p[-1] == 0:
-        p.pop()
+    p = ipoly_trim(list(p))
     if not p:
         raise ValueError("zero polynomial has every root")
     if p[-1] < 0:
         p = [-c for c in p]
-    roots = []
-    if p[0] == 0:
-        roots.append(0)
+    roots = [0] if p[0] == 0 else []
+    p = p[next(k for k, c in enumerate(p) if c) :]
     b = max((-c for c in p if c < 0), default=0)
     if not b:
         return roots
     bound = 1 + b // p[-1]
-    if bound > _ROOT_SCAN_LIMIT:
-        raise ValueError(f"root bound {bound} too large for exhaustive scan")
-    # Horner scan with a modular pre-check so candidates are rejected
-    # without big-integer work.
-    small = 2_147_483_629
-    pm = [c % small for c in p]
-    for m in range(1, bound + 1):
-        acc = 0
-        x = m % small
-        for c in reversed(pm):
-            acc = (acc * x + c) % small
-        if acc == 0 and ipoly_eval(p, m) == 0:
-            roots.append(m)
-    return roots
+    _, (q, _) = ipoly_gcd_cofactors([p, [k * c for k, c in enumerate(p)][1:]])
+    dq = [k * c for k, c in enumerate(q)][1:]
+    for mod in itertools.count(2):
+        if q[-1] % mod and all(mod % k for k in range(2, math.isqrt(mod) + 1)):
+            lifts = [r for r in range(mod) if ipoly_eval(q, r) % mod == 0]
+            if all(ipoly_eval(dq, r) % mod for r in lifts):
+                break
+    while mod <= bound:
+        mod *= mod
+        lifts = [(r - ipoly_eval(q, r) * pow(ipoly_eval(dq, r), -1, mod)) % mod for r in lifts]
+    return roots + sorted(r for r in lifts if 0 < r <= bound and ipoly_eval(p, r) == 0)
 
 
 def max_nonneg_root(p: Sequence[int]) -> int:

@@ -14,13 +14,10 @@ slots are sized so that no sum carries out of its slot (``_slot_bytes``).
 reads, zero-extended (0 outside the quadrant, 0 beyond the light cone
 i > n or j > n), building deeper levels when a query reaches past them;
 ``cached_table`` keeps one such table per step set for the life of the
-process.  ``origin_sequence`` computes f(n; 0, 0) for n <= N with the
-same kernel, keeping at level n only the square max(i, j) <= min(n, N - n)
-where the table keeps the whole light cone: a unit step changes each
-coordinate by at most one, so no cell outside it can be back at the
-origin in the N - n steps left.  It holds two levels at a time, and so
-does ``walk_count``, which reads one count f(n; i, j) by the same kind of
-sweep.
+process.  ``origin_sequence`` (f(n; 0, 0) for n <= N) and ``walk_count``
+(one count f(n; i, j)) run the same kernel as one ``_square_sweep``, which
+keeps at each level only the square of cells that can still reach a cell
+read, where the table keeps the whole light cone, and holds two levels.
 ``trivial_operator`` builds the shift operator that encodes the
 one-step transfer recurrence of the family.
 """
@@ -311,35 +308,39 @@ class CountTable:
         return rows[i] >> 8 * slot * k & ((1 << 8 * slot) - 1)
 
 
-def origin_sequence(step_set: StepSet, n_max: int) -> list[int]:
-    """The sequence f(n; 0, 0) for n = 0..n_max, by a sweep whose level n
-    keeps only the square max(i, j) <= m(n) = min(n, n_max - n).
+def _square_sweep(step_set: StepSet, n: int, reach: int):
+    """The step set's lattice, and the sweep from the origin to level n
+    whose level m keeps only the square max(a, b) <= min(m, reach - m).
 
-    Levels are held as the packed rows of ``_next_level``, only the cells
-    on the coset of ``step_lattice``, and f(n; 0, 0) is slot 0 of row 0
-    when the origin is on the coset of level n, n = 0 (mod d), and 0
-    otherwise.  Why every kept count is exact:
+    Every kept cell is exact, and a cell (i, j) of level n inside the light
+    cone is kept when max(i, j) + n <= reach:
 
-    - a unit step changes each coordinate by at most one, so a cell
-      (i, j) is at least max(i, j) steps from the origin; the square drops
-      only cells that cannot be back at the origin by level n_max, and
-      cells beyond the light cone i > n or j > n, where the count is 0;
-    - a predecessor c - s of a kept cell c of level n+1 has
-      max <= m(n+1) + 1 <= n_max - n, and its count is 0 if its max
-      exceeds n; so every nonzero predecessor is kept at level n, and by
-      induction on n every kept cell is exact, the origin among them;
-    - each step keeps the coset, so a cell on it reads only cells on it,
-      and a cell off it is 0 in the full table; leaving the cells off it
-      at 0 unbuilt changes no cell on it.
-    """
-    if n_max < 0:
-        raise ValueError("n_max must be >= 0")
+    - a unit step changes each coordinate by at most one, so a cell (a, b)
+      of level m that a walk can still take to (i, j) in the n - m steps
+      left has max(a, b) <= reach - m; the square drops only cells that
+      cannot, and cells beyond the light cone a > m or b > m, where the
+      count is 0;
+    - a predecessor c - s of a kept cell c of level m+1 has
+      max <= min(m+1, reach - m - 1) + 1 <= reach - m, and its count is 0
+      if its max exceeds m; so every nonzero predecessor is kept at level
+      m, and by induction on m every kept cell is exact;
+    - each step keeps the coset of ``step_lattice``, so a cell on it reads
+      only cells on it, and a cell off it is 0 in the full table; leaving
+      the cells off it at 0 unbuilt changes no cell on it."""
     steps = step_set.sorted_steps()
     lattice = step_lattice(steps)
-    d = lattice[2]
+    sizes = [min(m, reach - m) + 1 for m in range(1, n + 1)]
+    return lattice, _sweep(steps, lattice, [1], 1, 0, sizes)
+
+
+def origin_sequence(step_set: StepSet, n_max: int) -> list[int]:
+    """The sequence f(n; 0, 0) for n = 0..n_max, from one ``_square_sweep``
+    with reach n_max: slot 0 of row 0 when the origin is on the coset of
+    level n, n = 0 (mod d), and 0 otherwise."""
+    if n_max < 0:
+        raise ValueError("n_max must be >= 0")
+    (_, _, d), sweep = _square_sweep(step_set, n_max, n_max)
     out = [1]
-    sizes = [min(n, n_max - n) + 1 for n in range(1, n_max + 1)]
-    sweep = _sweep(steps, lattice, [1], 1, 0, sizes)
     for n, (level, slot) in enumerate(sweep, 1):
         out.append(level[0] & ((1 << 8 * slot) - 1) if n % d == 0 else 0)
     return out
@@ -347,29 +348,18 @@ def origin_sequence(step_set: StepSet, n_max: int) -> list[int]:
 
 def walk_count(step_set: StepSet, n: int, i: int, j: int) -> int:
     """The one count f(n; i, j), zero-extended like ``CountTable.value``,
-    by a sweep whose level m keeps only the square
-    max(a, b) <= min(m, max(i, j) + n - m).
-
-    This is the argument of ``origin_sequence`` with the origin moved to
-    (i, j): a cell (a, b) that a unit-step walk can still take to (i, j)
-    in the n - m steps left has |a - i|, |b - j| <= n - m, so it lies in
-    the square, and a predecessor of a kept cell is kept or lies beyond
-    the light cone.  A cell off the coset of ``step_lattice`` is 0, so it
-    is answered without a sweep; on it, the count is slot j div stride of
-    row i.  The sweep holds two levels at a time."""
+    read off one ``_square_sweep`` with reach max(i, j) + n.  A cell off
+    the coset of ``step_lattice`` is 0, so it is answered without a sweep."""
     if not (0 <= i <= n and 0 <= j <= n):
         return 0
-    steps = step_set.sorted_steps()
-    lattice = step_lattice(steps)
+    lattice, sweep = _square_sweep(step_set, n, max(i, j) + n)
     alpha, _, d = lattice
     stride, offsets = _coset_offsets(lattice)
     k, r = divmod(j, stride)
     if r != offsets[(n + alpha * i) % d]:
         return 0
-    reach = max(i, j) + n
-    sizes = [min(m, reach - m) + 1 for m in range(1, n + 1)]
     rows, slot = [1], 1
-    for rows, slot in _sweep(steps, lattice, rows, slot, 0, sizes):
+    for rows, slot in sweep:
         pass  # only the last level is read
     return rows[i] >> 8 * slot * k & ((1 << 8 * slot) - 1)
 

@@ -262,6 +262,15 @@ def test_nonneg_integer_roots():
     assert nonneg_integer_roots([-5]) == []
     # (2n+1)(n-2): the root 2 sits exactly at the scan end 1 + B // a_d = 1 + 3 // 2
     assert nonneg_integer_roots([-2, -3, 2]) == [2]
+    # (n-3)(n-5): both roots are 1 mod 2, a double root there, so the lift runs mod 3
+    assert nonneg_integer_roots([15, -8, 1]) == [3, 5]
+    # (n - 3,000,017)(2n + 1)(n^2 + 5): a root far past any integer scan
+    p = ipoly_mul(ipoly_mul([-3_000_017, 1], [1, 2]), [5, 0, 1])
+    assert nonneg_integer_roots(p) == [3_000_017]
+    # repeated roots, (n-7)^3 (n+2) and n^2 (n-4)^2: Newton's step needs the squarefree part
+    cube = ipoly_mul(ipoly_mul([-7, 1], [-7, 1]), [-7, 1])
+    assert nonneg_integer_roots(ipoly_mul(cube, [2, 1])) == [7]
+    assert nonneg_integer_roots(ipoly_mul([0, 0, 1], ipoly_mul([-4, 1], [-4, 1]))) == [0, 4]
 
 
 def test_nonneg_integer_roots_match_cauchy_scan():
@@ -272,6 +281,24 @@ def test_nonneg_integer_roots_match_cauchy_scan():
             p = ipoly_mul(p, [-rng.randint(-30, 60), 1])  # plant a root
         p = ipoly_mul(p, [rng.randint(-6, 6) for _ in range(rng.randint(0, 2))] + [1])
         assert nonneg_integer_roots(p) == cauchy_nonneg_integer_roots(p), p
+
+
+def test_nonneg_integer_roots_find_planted_roots():
+    # roots up to 10^12, some repeated, times cofactors whose coefficients
+    # are all positive: such a cofactor has no nonnegative root
+    rng = random.Random(32)
+    for _ in range(200):
+        planted = [
+            rng.choice([0, rng.randint(1, 40), rng.randint(1, 10**12)])
+            for _ in range(rng.randint(1, 4))
+        ]
+        planted += rng.choices(planted, k=rng.randint(0, 2))
+        p = [rng.choice([-1, 1])]
+        for r in planted:
+            p = ipoly_mul(p, [-r, 1])
+        for _ in range(rng.randint(0, 2)):
+            p = ipoly_mul(p, [rng.randint(1, 10**6) for _ in range(rng.randint(1, 4))])
+        assert nonneg_integer_roots(p) == sorted(set(planted)), p
 
 
 def test_prove_equality_builtins(gessel_oracle, kreweras_oracle):
