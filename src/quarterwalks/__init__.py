@@ -23,11 +23,12 @@ _EXPORTS = {
         "ore": "Box Degrees OreOperator UnsupportedDivisorError div_rem operator_from_json "
         "operator_to_json",
         "walks": "CountTable GESSEL KREWERAS StepSet StepSetParseError cached_table "
-        "origin_sequence parse_step_set trivial_operator walk_count",
+        "origin_sequence parse_step_set walk_count",
         "guess": "AnsatzTemplate Bounds LinearSystem TemplateError assemble_system "
         "build_template filter_candidates guess_operators nullspace plan_points "
         "template_from_support",
-        "certify": "Certificate certify_operator check_base_cases evidence_check",
+        "certify": "Certificate certify_operator check_base_cases evidence_check "
+        "trivial_operator",
         "exactmath": "UniOperator uni_to_json",
         "eliminate": "EliminationError EliminationFailure VerificationError eliminate_shifts "
         "generate_module reduce_mod_ij takayama_pipeline",

@@ -1,13 +1,13 @@
 """Rigorous certification that an operator annihilates the walk counts.
 
-The certificate rests on the transfer operator T of the step set, which
-annihilates the counts by construction.  To decide whether a candidate R
-annihilates them too, it is enough to know that (T R) f = 0 together with
-finitely many base cases at n = 0: T propagates the vanishing of R f from
-one level to the next.  Checking (T R) f = 0 reduces, by division with
-remainder T R = U T + V, to checking V f = 0, and so on down a chain of
-remainders that ends at 0.  What remains is a finite set of exact
-evaluations.
+The certificate rests on the transfer operator T of the step set
+(``trivial_operator``), which annihilates the counts by construction.  To
+decide whether a candidate R annihilates them too, it is enough to know
+that (T R) f = 0 together with finitely many base cases at n = 0: T
+propagates the vanishing of R f from one level to the next.  Checking
+(T R) f = 0 reduces, by division with remainder T R = U T + V, to
+checking V f = 0, and so on down a chain of remainders that ends at 0.
+What remains is a finite set of exact evaluations.
 
 The chain ends by a theorem.  T has constant coefficients and leading
 coefficient 1 or -1 (``ore.div_rem`` refuses any other divisor).  So
@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from .ore import Box, OreOperator, commutator, div_rem, first_nonzero
 from .records import Record
-from .walks import CountTable
+from .walks import CountTable, StepSet
 
 CERTIFIED = "certified"
 REFUTED = "refuted"
@@ -56,6 +56,29 @@ class Certificate(Record):
     @property
     def certified(self) -> bool:
         return self.verdict == CERTIFIED
+
+
+def trivial_operator(step_set: StepSet) -> OreOperator:
+    """The transfer-recurrence annihilator of the walk counts.
+
+    With a = max(0, max dx) and b = max(0, max dy) over the steps, the
+    operator is  S_n S_i^a S_j^b - sum over steps of S_i^(a-dx) S_j^(b-dy);
+    all exponents are nonnegative by the choice of a and b.  Applied to the
+    zero-extended counts it vanishes for n >= 0 on
+    Omega = {i >= -a, j >= -b}, the set where its leading term
+    f(n+1; i+a, j+b) reads a cell of the quadrant: every walk into that
+    cell arrives by one of the steps, and contributions from outside the
+    quadrant are zero on both sides.  Omega contains the quadrant; off
+    Omega, T f = 0 is not claimed.
+    """
+    steps = step_set.sorted_steps()
+    a = max(0, max(dx for dx, _ in steps))
+    b = max(0, max(dy for _, dy in steps))
+    terms = {(0, 0, 0, 1, a, b): 1}
+    for dx, dy in steps:
+        key = (0, 0, 0, 0, a - dx, b - dy)
+        terms[key] = terms.get(key, 0) - 1
+    return OreOperator(terms)
 
 
 def check_base_cases(w: OreOperator, oracle: CountTable, chain_index: int = 0) -> BaseCheck:

@@ -38,7 +38,7 @@ import os
 import sys
 
 from . import _EXPORTS, __version__
-from .records import Record, json_int
+from .records import json_int
 
 # sorted(closedform.CLOSED_FORMS), kept here so that building the parser
 # loads no closed form; a test holds the two equal
@@ -97,23 +97,17 @@ def parse_bounds(text: str) -> Bounds:
     return Bounds(**fields)
 
 
-class PipelineConfig(Record):
-    """Effective options of a run; embedded verbatim in every artifact."""
-
-    __slots__ = (
-        "steps", "shape", "bounds", "margin", "multiplier_bound", "diag_limit", "closed_form",
-    )
-
-    def __init__(
-        self, steps: str, shape: str = "full", bounds: list[str] | None = None, margin: int = 20,
-        multiplier_bound: int | None = None, diag_limit: int = 500, closed_form: str | None = None,
-    ):
-        bounds = [] if bounds is None else bounds
-        self._init(steps, shape, bounds, margin, multiplier_bound, diag_limit, closed_form)
-
-
-def _meta(config: PipelineConfig) -> dict:
-    return {"version": __version__, "config": {f: getattr(config, f) for f in config.__slots__}}
+def _meta(
+    steps: str, shape: str = "full", bounds=(), margin: int = 20,
+    multiplier_bound: int | None = None, diag_limit: int = 500, closed_form: str | None = None,
+) -> dict:
+    """The header of every artifact: the package version and the run's
+    effective options, each written as the command applied it."""
+    config = {
+        "steps": steps, "shape": shape, "bounds": list(bounds), "margin": margin,
+        "multiplier_bound": multiplier_bound, "diag_limit": diag_limit, "closed_form": closed_form,
+    }
+    return {"version": __version__, "config": config}
 
 
 def _dump(obj: dict, out: str | None):
@@ -149,18 +143,16 @@ def table(steps, n_max, out):
         print(text)
 
 
-def _run_guess(config: PipelineConfig):
-    """Shared guessing round; returns (candidates, oracle, trivial op)."""
-    step_set = parse_step_set(config.steps)
+def _run_guess(steps: str, bounds: list[str], shape: str, margin: int):
+    """Shared guessing round, one template per ``bounds`` text; returns
+    (candidates, oracle)."""
     candidates = []
-    oracle = cached_table(step_set)
-    for btext in config.bounds:
-        bounds = parse_bounds(btext)
-        template = build_template(bounds, config.shape)
-        plan = plan_points(template, config.margin)
+    oracle = cached_table(parse_step_set(steps))
+    for btext in bounds:
+        template = build_template(parse_bounds(btext), shape)
+        plan = plan_points(template, margin)
         _progress(
-            f"template {btext} ({config.shape}): {len(template)} unknowns, "
-            f"{len(plan.points)} points"
+            f"template {btext} ({shape}): {len(template)} unknowns, {len(plan.points)} points"
         )
         system = assemble_system(template, oracle, plan.points)
         basis = nullspace(system)
@@ -170,7 +162,7 @@ def _run_guess(config: PipelineConfig):
         for op in found:
             if op not in candidates:
                 candidates.append(op)
-    return candidates, oracle, trivial_operator(step_set)
+    return candidates, oracle
 
 
 def guess(steps, bounds, shape, margin, out):
@@ -187,13 +179,11 @@ def guess(steps, bounds, shape, margin, out):
             f"{out} already holds candidate files ({len(stale)} candidate_*.json); "
             "remove them or choose another --out"
         )
-    config = PipelineConfig(
-        steps=steps, shape=shape, bounds=bounds or [_DEFAULT_BOUNDS], margin=margin,
-    )
-    candidates, _, _ = _run_guess(config)
+    bounds = bounds or [_DEFAULT_BOUNDS]
+    candidates, _ = _run_guess(steps, bounds, shape, margin)
     os.makedirs(out, exist_ok=True)
     for k, op in enumerate(candidates):
-        payload = {"meta": _meta(config), "operator": operator_to_json(op)}
+        payload = {"meta": _meta(steps, shape, bounds, margin), "operator": operator_to_json(op)}
         path = os.path.join(out, f"candidate_{k:03d}.json")
         with open(path, "w") as fh:
             json.dump(payload, fh, indent=2, sort_keys=True)
@@ -230,13 +220,12 @@ def _load(path: str, parse):
 def certify(steps, operator_file, out):
     """Certify (or refute) that an operator annihilates the walk counts."""
     _use("ore", "walks", "certify")
-    config = PipelineConfig(steps=steps)
     step_set = parse_step_set(steps)
     op = _load(operator_file, operator_from_json)
     oracle = cached_table(step_set)
     cert = certify_operator(op, trivial_operator(step_set), oracle)
     report = {
-        "meta": _meta(config),
+        "meta": _meta(steps),
         "verdict": cert.verdict,
         "chain": [operator_to_json(w) for w in cert.chain],
         "base_checks": [
@@ -260,9 +249,6 @@ def eliminate(steps, operator_files, multiplier_bound, diag_limit, out):
     """Combine certified annihilators into a pure recurrence in n for
     the origin-return counts."""
     _use("ore", "walks", "exactmath", "eliminate")
-    config = PipelineConfig(
-        steps=steps, multiplier_bound=multiplier_bound, diag_limit=diag_limit,
-    )
     step_set = parse_step_set(steps)
     ops = [_load(p, operator_from_json) for p in operator_files]
     _progress(f"streaming origin sequence to n = {diag_limit}")
@@ -272,7 +258,8 @@ def eliminate(steps, operator_files, multiplier_bound, diag_limit, out):
     except EliminationFailure as e:
         print(e, file=sys.stderr)
         sys.exit(1)
-    _dump({"meta": _meta(config), "operator": uni_to_json(p)}, out)
+    meta = _meta(steps, multiplier_bound=multiplier_bound, diag_limit=diag_limit)
+    _dump({"meta": meta, "operator": uni_to_json(p)}, out)
 
 
 def _imported(path: str, step_set: StepSet, n_check: int, option: str):
@@ -291,12 +278,11 @@ def import_recurrence(recurrence_file, steps, n_check, out):
     """Load an externally supplied recurrence, validate it against the
     counting oracle, and emit it in normalized form."""
     _use("walks", "exactmath", "closedform")
-    config = PipelineConfig(steps=steps, diag_limit=n_check)
     op, bad = _imported(recurrence_file, parse_step_set(steps), n_check, "--n-check")
     if bad is not None:
         print(f"rejected: fails sequence check at n={bad}", file=sys.stderr)
         sys.exit(1)
-    _dump({"meta": _meta(config), "operator": uni_to_json(op)}, out)
+    _dump({"meta": _meta(steps, diag_limit=n_check), "operator": uni_to_json(op)}, out)
 
 
 def check_closed_form(which, m_max):
@@ -317,12 +303,10 @@ def prove(steps, which, import_file, bounds, shape, margin, multiplier_bound, di
     """End-to-end proof: guess, certify, eliminate, and match the closed
     form; or validate an imported recurrence and do the final step only."""
     _use("walks", "exactmath", "closedform")
-    config = PipelineConfig(
-        steps=steps, shape=shape, bounds=bounds or [_DEFAULT_BOUNDS], margin=margin,
-        multiplier_bound=multiplier_bound, diag_limit=diag_limit, closed_form=which,
-    )
+    bounds = bounds or [_DEFAULT_BOUNDS]
+    meta = _meta(steps, shape, bounds, margin, multiplier_bound, diag_limit, which)
     term = hypergeom_term(which)
-    report: dict = {"meta": _meta(config), "closed_form": which}
+    report: dict = {"meta": meta, "closed_form": which}
     step_set = parse_step_set(steps)
 
     if import_file:
@@ -335,12 +319,13 @@ def prove(steps, which, import_file, bounds, shape, margin, multiplier_bound, di
             sys.exit(1)
     else:
         _use("guess", "certify", "eliminate")
-        candidates, oracle, t = _run_guess(config)
+        candidates, oracle = _run_guess(steps, bounds, shape, margin)
         report["candidates"] = len(candidates)
         if not candidates:
             report["status"] = "FAILED(no candidates)"
             _dump(report, out)
             sys.exit(1)
+        t = trivial_operator(step_set)
         certified = []
         for op in candidates:
             cert = certify_operator(op, t, oracle)

@@ -24,6 +24,10 @@ Q(n)[S_n] under a position-over-term order that ranks every component
 other than (0,0) above (0,0): a surviving pivot whose leading position is
 (0,0) is supported on (0,0) alone, and the Euclidean reduction at each
 position makes it the minimal-order such element of the module span.
+
+Elimination builds on ``ore`` and ``exactmath`` only: P is an
+``exactmath.UniOperator``, whose file form ``exactmath.uni_to_json``
+writes and ``closedform.uni_from_json`` reads.
 """
 
 from __future__ import annotations
@@ -31,7 +35,6 @@ from __future__ import annotations
 import math
 from typing import Optional, Sequence
 
-from .closedform import uni_from_json  # re-exported, as are UniOperator and uni_to_json
 from .exactmath import (
     IPoly,
     UniOperator,
@@ -39,7 +42,6 @@ from .exactmath import (
     ipoly_mul,
     ipoly_shift_arg,
     ipoly_sub,
-    uni_to_json,
 )
 from .ore import OreOperator
 

@@ -145,6 +145,11 @@ def _gcdheu(polys: list[IPoly]) -> tuple[IPoly, list[IPoly]]:
     the symmetric base-xi digits of gamma are exactly the coefficients of
     +-c g, and P = g divides every input and is accepted.  xi grows every
     round, so the loop ends.
+
+    The gcd comes out with a positive leading coefficient without a sign
+    flip: gamma > 0, so the top digit of G, at xi^k, is positive (the
+    digits below it sum to less than xi^k in modulus), and dividing by the
+    positive content keeps it so.
     """
     m = min(max(abs(c) for c in a) for a in polys)
     # xi = 2^bits, so that evaluation and digit extraction are shifts; the
@@ -171,8 +176,6 @@ def _gcdheu(polys: list[IPoly]) -> tuple[IPoly, list[IPoly]]:
         if len(h) == 1:
             return [1], [list(a) for a in polys]
         h = ipoly_divexact(h, ipoly_content(h))
-        if h[-1] < 0:
-            h = [-c for c in h]
         quotients = []
         for a in polys:
             q = _ipoly_quotient(a, h)

@@ -104,7 +104,11 @@ def quasiholonomic_ok(t: Tuple6) -> bool:
 
 
 def build_template(bounds: Bounds, shape: str = "full") -> AnsatzTemplate:
-    """Enumerate the exponent tuples within the caps and shape restriction."""
+    """Enumerate the exponent tuples within the caps and shape restriction.
+
+    The support is never empty (``AnsatzTemplate`` would refuse it):
+    validated caps admit the all-zero tuple, and the quasi-holonomic filter
+    keeps it, as it has no S_i or S_j."""
     bounds.validate()
     if shape not in ("full", "quasiholonomic"):
         raise TemplateError(f"unknown ansatz shape {shape!r}")
@@ -121,8 +125,6 @@ def build_template(bounds: Bounds, shape: str = "full") -> AnsatzTemplate:
                             if shape == "quasiholonomic" and not quasiholonomic_ok(t):
                                 continue
                             support.append(t)
-    if not support:
-        raise TemplateError("caps and shape leave an empty support")
     return AnsatzTemplate(tuple(support), shape)
 
 

@@ -322,7 +322,9 @@ class OreOperator:
             if len(monos) > 1:
                 cs = f"({cs})"
             mono = _power_product(SHIFTS, shift)
-            parts.append(f"{cs}*{mono}" if mono else cs)
+            if mono:  # a unit coefficient prints as its sign
+                cs = cs[:-1] if cs in ("1", "-1") else f"{cs}*"
+            parts.append(cs + mono)
         return " + ".join(parts).replace("+ -", "- ")
 
 

@@ -18,19 +18,15 @@ process.  ``origin_sequence`` (f(n; 0, 0) for n <= N) and ``walk_count``
 (one count f(n; i, j)) run the same kernel as one ``_square_sweep``, which
 keeps at each level only the square of cells that can still reach a cell
 read, where the table keeps the whole light cone, and holds two levels.
-``trivial_operator`` builds the shift operator that encodes the
-one-step transfer recurrence of the family.
+The module imports only ``records``; the transfer operator of a step
+set is built in ``certify``, whose argument rests on it.
 """
 
 from __future__ import annotations
 
 from math import gcd
-from typing import TYPE_CHECKING
 
 from .records import FrozenRecord
-
-if TYPE_CHECKING:
-    from .ore import OreOperator
 
 # The eight unit directions, in canonical listing order.
 DIRECTIONS = {
@@ -376,31 +372,6 @@ def cached_table(step_set: StepSet, n_max: int = 0) -> CountTable:
     if table is None:
         table = _TABLES[step_set] = CountTable(step_set, n_max)
     return table.extend(n_max)
-
-
-def trivial_operator(step_set: StepSet) -> OreOperator:
-    """The transfer-recurrence annihilator of the walk counts.
-
-    With a = max(0, max dx) and b = max(0, max dy) over the steps, the
-    operator is  S_n S_i^a S_j^b - sum over steps of S_i^(a-dx) S_j^(b-dy);
-    all exponents are nonnegative by the choice of a and b.  Applied to the
-    zero-extended counts it vanishes for n >= 0 on
-    Omega = {i >= -a, j >= -b}, the set where its leading term
-    f(n+1; i+a, j+b) reads a cell of the quadrant: every walk into that
-    cell arrives by one of the steps, and contributions from outside the
-    quadrant are zero on both sides.  Omega contains the quadrant; off
-    Omega, T f = 0 is not claimed.
-    """
-    from .ore import OreOperator  # here: nothing else in this module needs the algebra
-
-    steps = step_set.sorted_steps()
-    a = max(0, max(dx for dx, _ in steps))
-    b = max(0, max(dy for _, dy in steps))
-    terms = {(0, 0, 0, 1, a, b): 1}
-    for dx, dy in steps:
-        key = (0, 0, 0, 0, a - dx, b - dy)
-        terms[key] = terms.get(key, 0) - 1
-    return OreOperator(terms)
 
 
 def table_to_json(table: CountTable) -> dict:

@@ -10,6 +10,7 @@ from conftest import run_cli
 from quarterwalks import (
     CLOSED_FORMS,
     GESSEL,
+    Certificate,
     KREWERAS,
     HypergeomTerm,
     UniOperator,
@@ -18,8 +19,9 @@ from quarterwalks import (
     trivial_operator,
     uni_from_json,
     uni_to_json,
+    __version__,
 )
-from quarterwalks.cli import _DEFAULT_BOUNDS, parse_bounds
+from quarterwalks.cli import _DEFAULT_BOUNDS, _meta, parse_bounds
 from quarterwalks.eliminate import EliminationError, VerificationError
 from quarterwalks.exactmath import ipoly_mul, ipoly_scale
 from quarterwalks.guess import Bounds, TemplateError
@@ -342,6 +344,39 @@ def test_eliminate_writes_recurrence_of_origin_counts(tmp_path, kreweras_certifi
     assert p.first_failure(origin_sequence(KREWERAS, 200), range(201 - p.order())) is None
 
 
+def test_reports_record_every_option_in_their_header(tmp_path, kreweras_certified):
+    """The ``meta.config`` header of a report names every option: the
+    command's own as given, the rest at their defaults, and a bounds list
+    of its own."""
+    defaults = {"shape": "full", "bounds": [], "margin": 20, "multiplier_bound": None,
+                "diag_limit": 500, "closed_form": None}
+    t_file = write_json(tmp_path / "t.json", operator_to_json(kreweras_certified[0]))
+    r = run_cli(["certify", "--steps", "W,S,NE", t_file])
+    assert r.exit_code == 0, r.output
+    assert json.loads(r.stdout)["meta"]["config"] == {**defaults, "steps": "W,S,NE"}
+
+    paths = [write_json(tmp_path / f"op{k}.json", operator_to_json(op))
+             for k, op in enumerate(kreweras_certified)]
+    r = run_cli(["eliminate", "--steps", "W,S,NE", *paths, "--multiplier-bound", "1",
+                 "--diag-limit", "200"])
+    assert r.exit_code == 0, r.output
+    config = json.loads(r.stdout)["meta"]["config"]
+    assert config == {**defaults, "steps": "W,S,NE", "multiplier_bound": 1, "diag_limit": 200}
+
+    rec = write_json(tmp_path / "pg.json", uni_to_json(PG))
+    r = run_cli(["import-recurrence", rec, "--steps", "E,W,NE,SW", "--n-check", "60"])
+    assert r.exit_code == 0, r.output
+    assert json.loads(r.stdout)["meta"] == {
+        "version": __version__, "config": {**defaults, "steps": "E,W,NE,SW", "diag_limit": 60},
+    }
+
+    bounds = ["ord_sn=1"]
+    first, second = _meta("W,S,NE", bounds=bounds), _meta("W,S,NE", bounds=bounds)
+    assert first == second and first["config"]["bounds"] == bounds
+    assert first["config"]["bounds"] is not bounds
+    assert first["config"]["bounds"] is not second["config"]["bounds"]
+
+
 def test_check_closed_form():
     for which in ("gessel", "kreweras"):
         r = run_cli(["check-closed-form", "--closed-form", which, "--m-max", "8"])
@@ -416,6 +451,42 @@ def test_prove_quasiholonomic_without_candidates_exit_1(tmp_path):
     report = json.load(open(report_path))
     assert report["status"] == "FAILED(no candidates)"
     assert report["candidates"] == 0
+
+
+def test_prove_with_every_candidate_refuted_exit_1(tmp_path, monkeypatch):
+    # certification rebound on the CLI module to refute every candidate
+    def refute(op, t, oracle):
+        return Certificate(op, "refuted", [], [], (0, 0, 0), "refuted for the test")
+
+    monkeypatch.setattr("quarterwalks.cli.certify_operator", refute)
+    report_path = tmp_path / "report.json"
+    r = run_cli(
+        ["prove", "--steps", "E,W,NE,SW", "--closed-form", "gessel",
+         "--bounds", "ord_sn=1,ord_si=2,ord_sj=2", "--diag-limit", "40",
+         "--out", str(report_path)],
+    )
+    assert r.exit_code == 1
+    report = json.load(open(report_path))
+    assert report["status"] == "FAILED(no certified operators)"
+    assert report["candidates"] >= 1 and report["certified"] == 0
+    assert "recurrence" not in report and "verdict" not in report
+
+
+def test_prove_closed_form_not_satisfying_the_recurrence_exit_1(tmp_path):
+    # the Kreweras recurrence holds on the Kreweras counts, so the import
+    # is accepted, but the Gessel closed form does not satisfy it
+    kreweras = UniOperator(
+        {3: ipoly_mul([6, 1], [9, 2]), 0: ipoly_scale(ipoly_mul([1, 1], [2, 1]), -54)}
+    )
+    path = write_json(tmp_path / "pk.json", uni_to_json(kreweras))
+    report_path = tmp_path / "report.json"
+    r = run_cli(["prove", "--steps", "W,S,NE", "--closed-form", "gessel",
+                 "--import-recurrence", path, "--diag-limit", "60", "--out", str(report_path)])
+    assert r.exit_code == 1
+    report = json.load(open(report_path))
+    assert report["oracle_check"] == {"n_checked": 60, "ok": True, "failing_n": None}
+    assert report["status"] == "FAILED(symbolic-recurrence)"
+    assert report["verdict"]["status"] == "FAILED(symbolic-recurrence)"
 
 
 def test_prove_import_order_not_below_diag_limit_exit_2(tmp_path):
@@ -686,6 +757,9 @@ _LOADED_AT_EXIT = (
     "    m for m in sys.modules if m.split('.')[0] == 'quarterwalks'))))\n"
 )
 _BASE = {"quarterwalks", "quarterwalks.cli", "quarterwalks.records"}
+# the transfer operator's file, which the statement writes itself, so that
+# the fresh interpreter loads no layer to make it
+_GESSEL_T_FILE = json.dumps(operator_to_json(trivial_operator(GESSEL)))
 
 
 @pytest.mark.parametrize(
@@ -707,8 +781,17 @@ _BASE = {"quarterwalks", "quarterwalks.cli", "quarterwalks.records"}
         ("from quarterwalks.cli import main\n"
          "main(['check-closed-form', '--closed-form', 'gessel', '--m-max', '5'])",
          _BASE | {"quarterwalks.walks", "quarterwalks.exactmath", "quarterwalks.closedform"}),
+        (f"open('t.json', 'w').write({_GESSEL_T_FILE!r})\n"
+         "from quarterwalks.cli import main\n"
+         "try:\n"
+         "    main(['eliminate', '--steps', 'E,W,NE,SW', 't.json', '--diag-limit', '40'])\n"
+         "except SystemExit as e:\n"
+         "    assert e.code == 1  # T alone leaves no shift-free combination\n",
+         _BASE | {"quarterwalks.ore", "quarterwalks.walks", "quarterwalks.exactmath",
+                  "quarterwalks.eliminate"}),
     ],
-    ids=["package", "cli", "guess", "prove-import", "import-recurrence", "check-closed-form"],
+    ids=["package", "cli", "guess", "prove-import", "import-recurrence", "check-closed-form",
+         "eliminate"],
 )
 def test_commands_load_only_their_layers(tmp_path, statement, loaded):
     """Importing the package loads no submodule, importing the CLI only
@@ -726,14 +809,12 @@ def test_commands_load_only_their_layers(tmp_path, statement, loaded):
 
 
 def test_moved_names_are_reexported_as_the_same_objects():
-    # the recurrence and its file form left eliminate, and json_int left
-    # ore; both still export them, so callers that import them there (the
-    # benchmark's tracing wraps eliminate.UniOperator) see the same objects
-    from quarterwalks import closedform, eliminate, exactmath, ore, records
+    # the recurrence left eliminate, and json_int left ore; both modules
+    # still use them, so callers that import them there (the benchmark's
+    # tracing wraps eliminate.UniOperator) see the same objects
+    from quarterwalks import eliminate, exactmath, ore, records
 
     assert eliminate.UniOperator is exactmath.UniOperator
-    assert eliminate.uni_to_json is exactmath.uni_to_json
-    assert eliminate.uni_from_json is closedform.uni_from_json
     assert ore.json_int is records.json_int
 
 

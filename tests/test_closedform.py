@@ -310,6 +310,12 @@ def test_prove_equality_builtins(gessel_oracle, kreweras_oracle):
     assert v.proved and v.checked_initial_values == 2
 
 
+def test_prove_equality_of_zero_operator_fails(gessel_oracle):
+    # the zero operator annihilates every sequence, so it proves nothing
+    verdict = prove_equality(UniOperator({}), hypergeom_term("gessel"), gessel_oracle)
+    assert verdict.status == "FAILED(zero-operator)" and not verdict.proved
+
+
 def test_prove_equality_extends_past_singular_indices(kreweras_oracle):
     # scale the recurrence so its leading coefficient vanishes at n = 4:
     # uniqueness needs initial values through order + 4

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from naive_oracles import Ones, fraction_apply_at, fraction_divexact, fraction_monic_gcd
-from quarterwalks import OreOperator, exactmath, reduce_mod_ij
+from quarterwalks import OreOperator, UniOperator, exactmath, reduce_mod_ij
 from quarterwalks.closedform import _json_term
 from quarterwalks.exactmath import (
     ipoly_add,
@@ -345,3 +345,12 @@ def test_ipoly_compose_affine_matches_evaluation():
             assert ipoly_eval(c, x) == ipoly_eval(p, scale * x + shift)
             assert ipoly_eval(s, x) == ipoly_eval(p, x + shift)
         assert not c or c[-1] != 0
+
+
+def test_uni_operator_repr():
+    # the Gessel recurrence (n+4)(3n+10) S_n^2 - 16 (n+1)(3n+5)
+    pg = UniOperator({2: [40, 22, 3], 0: [-80, -128, -48]})
+    assert repr(pg) == "(3*n^2 + 22*n + 40)*Sn^2 + (-48*n^2 - 128*n - 80)"
+    assert repr(UniOperator({1: [0, 1], 0: [5]})) == "n*Sn + 5"
+    assert repr(UniOperator({3: [0, 0, 2]})) == "n^2*Sn^3"  # held in cleared form
+    assert repr(UniOperator({})) == "0"

@@ -77,6 +77,15 @@ def test_noncommutativity_witness():
     assert SN * N - N * SN == SN
 
 
+def test_repr_prints_unit_coefficients_as_signs():
+    assert repr(T) == "SnSiSj - Si^2Sj^2 - Si^2Sj - Sj - 1"
+    assert repr(SN * N) == "(n + 1)*Sn"
+    assert repr(1 - SN) == "-Sn + 1"
+    assert repr(2 * SI - 3 * N * SJ) == "2*Si - 3*n*Sj"
+    assert repr(I * (SI - 1)) == "i*Si - i"
+    assert repr(OreOperator.zero()) == "0"
+
+
 def test_commutation_general_shift_powers():
     # S_x^e p = p(x + e) S_x^e, checked against the reference application
     # S_x^e (p f) at rational points, and the product stays a polynomial

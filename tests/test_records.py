@@ -21,7 +21,6 @@ from quarterwalks import (
     trivial_operator,
 )
 from quarterwalks.certify import BaseCheck
-from quarterwalks.cli import PipelineConfig
 from quarterwalks.guess import PointPlan
 
 BOX = Box((0, 0), (0, 1), (0, 1))
@@ -43,7 +42,6 @@ MUTABLE = [
      "detail", "changed"),
     (LinearSystem([[1, 0]], [(1, 0, 0)], TEMPLATE), "matrix", [[0, 1]]),
     (EqualityVerdict("PROVED", 3, 1), "failing_index", 2),
-    (PipelineConfig("W,S,NE", bounds=["ord_sn=1"]), "margin", 5),
 ]
 
 
@@ -80,8 +78,3 @@ def test_records_equal_only_within_their_class_and_keep_defaults():
     assert BaseCheck(1, BOX, False).counterexample is None
     cert = Certificate(trivial_operator(KREWERAS), "refuted", [], [])
     assert (cert.counterexample, cert.detail, cert.certified) == (None, "", False)
-    # each config gets its own bounds list
-    first, second = PipelineConfig("W,S,NE"), PipelineConfig("W,S,NE")
-    assert first.bounds == [] and first.bounds is not second.bounds
-    assert (first.shape, first.margin, first.diag_limit) == ("full", 20, 500)
-    assert (first.multiplier_bound, first.closed_form) == (None, None)
