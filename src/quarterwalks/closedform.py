@@ -173,13 +173,25 @@ def nonneg_integer_roots(p: Sequence[int]) -> list[int]:
     dq = [k * c for k, c in enumerate(q)][1:]
     for mod in itertools.count(2):
         if q[-1] % mod and all(mod % k for k in range(2, math.isqrt(mod) + 1)):
-            lifts = [r for r in range(mod) if ipoly_eval(q, r) % mod == 0]
-            if all(ipoly_eval(dq, r) % mod for r in lifts):
+            qm, dqm = [c % mod for c in q], [c % mod for c in dq]
+            lifts = [r for r in range(mod) if _eval_mod(qm, r, mod) == 0]
+            if all(_eval_mod(dqm, r, mod) for r in lifts):
                 break
     while mod <= bound:
         mod *= mod
-        lifts = [(r - ipoly_eval(q, r) * pow(ipoly_eval(dq, r), -1, mod)) % mod for r in lifts]
+        qm, dqm = [c % mod for c in q], [c % mod for c in dq]
+        lifts = [(r - _eval_mod(qm, r, mod) * pow(_eval_mod(dqm, r, mod), -1, mod)) % mod for r in lifts]
     return roots + sorted(r for r in lifts if 0 < r <= bound and ipoly_eval(p, r) == 0)
+
+
+def _eval_mod(a: Sequence[int], x: int, mod: int) -> int:
+    """a(x) mod ``mod`` by Horner's rule, reduced at every step: with x
+    and the coefficients reduced mod ``mod``, no intermediate reaches
+    mod**2."""
+    acc = 0
+    for c in reversed(a):
+        acc = (acc * x + c) % mod
+    return acc
 
 
 def max_nonneg_root(p: Sequence[int]) -> int:

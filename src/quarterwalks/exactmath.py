@@ -344,8 +344,10 @@ class UniOperator:
             mono = f"Sn^{k}" if k > 1 else ("Sn" if k == 1 else "")
             if "+" in cs or "- " in cs:
                 cs = f"({cs})"
-            parts.append(f"{cs}*{mono}" if mono else cs)
-        return " + ".join(parts)
+            if mono:  # a unit coefficient prints as its sign
+                cs = cs[:-1] if cs in ("1", "-1") else f"{cs}*"
+            parts.append(cs + mono)
+        return " + ".join(parts).replace("+ -", "- ")
 
 
 def _ipoly_str(p: list[int]) -> str:
@@ -356,10 +358,9 @@ def _ipoly_str(p: list[int]) -> str:
             continue
         if k == 0:
             parts.append(f"{c}")
-        elif k == 1:
-            parts.append(f"{c}*n" if c != 1 else "n")
-        else:
-            parts.append(f"{c}*n^{k}" if c != 1 else f"n^{k}")
+        else:  # a unit coefficient prints as its sign
+            mono = "n" if k == 1 else f"n^{k}"
+            parts.append(("" if c == 1 else "-" if c == -1 else f"{c}*") + mono)
     return " + ".join(parts).replace("+ -", "- ")
 
 

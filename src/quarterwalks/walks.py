@@ -8,8 +8,10 @@ residue lattice (``step_lattice``): each step keeps n + alpha*i + beta*j
 fixed mod d, so every nonzero count lies on the coset of the origin, and
 the cells off it stay 0 unbuilt.  The kernel packs each row's coset cells
 into one integer, a fixed-width slot per cell (Kronecker substitution), so
-a step adds a whole shifted source row in one big-integer operation; the
-slots are sized so that no sum carries out of its slot (``_slot_bytes``).
+a step adds a whole shifted source row in one big-integer operation; a
+slot is the fewest 64-bit words that hold every count of its level, so no
+sum carries out of its slot (``_slot_bytes``), and it widens a word at a
+time by strided word copies (``_reslot``).
 ``CountTable`` keeps every level packed and decodes the one cell a query
 reads, zero-extended (0 outside the quadrant, 0 beyond the light cone
 i > n or j > n), building deeper levels when a query reaches past them;
@@ -138,18 +140,25 @@ def _coset_offsets(lattice: tuple[int, int, int]) -> tuple[int, list[int | None]
 
 def _slot_bytes(size: int, n: int) -> int:
     """Bytes per slot that hold every cell of level n of a walk with
-    ``size`` steps.  A cell of level n is the sum of at most ``size`` cells
-    of level n-1, so by induction it is at most size**n, the sums in the
-    slots cut off past a kept square included, and a sum of shifted rows
-    never carries."""
-    return ((size**n).bit_length() + 7) // 8
+    ``size`` steps, in whole 64-bit words.  A cell of level n is the sum
+    of at most ``size`` cells of level n-1, so by induction it is at most
+    size**n, the sums in the slots cut off past a kept square included,
+    and a sum of shifted rows never carries."""
+    return ((size**n).bit_length() + 63) // 64 * 8
 
 
 def _reslot(row: int, old: int, new: int) -> int:
-    """A packed row with each slot widened from ``old`` to ``new`` bytes."""
-    data = row.to_bytes(-(-row.bit_length() // (8 * old)) * old, "little")
-    pad = bytes(new - old)
-    return int.from_bytes(pad.join(data[k : k + old] for k in range(0, len(data), old)), "little")
+    """A packed row with each slot widened from ``old`` to ``new`` bytes,
+    both whole words: word w of every old slot is copied, in one strided
+    copy, to word w of the new slot.  Words are copied, never read as
+    values, so byte order does not matter."""
+    k = -(-row.bit_length() // (8 * old))
+    out = bytearray(new * k)
+    src = memoryview(row.to_bytes(old * k, "little")).cast("Q")
+    dst = memoryview(out).cast("Q")
+    for w in range(old // 8):
+        dst[w :: new // 8] = src[w :: old // 8]
+    return int.from_bytes(out, "little")
 
 
 def _move_table(
@@ -231,19 +240,17 @@ def _sweep(
 ):
     """Run the kernel from packed level n, held in ``slot``-byte slots, to
     level n + len(sizes), level n+k keeping the square of side sizes[k-1];
-    yield each new level with its slot bytes.  When level m needs more than
-    the held slot (``_slot_bytes``), the held level is re-slotted once to
-    the size of level min(2m, last), so the slots grow O(log last) times
-    and are never more than about twice as wide as a level needs.  The
+    yield each new level with its slot bytes.  When level m needs another
+    word (``_slot_bytes``), the held level is re-slotted to exactly the
+    words level m needs, so a slot is never a word wider than its level
+    needs, and the sweep re-slots once per word boundary it crosses.  The
     coset offsets are computed once, and the move table once per slot
     width."""
     size = len(steps)
-    last = n + len(sizes)
     stride, offsets = _coset_offsets(lattice)
     moves = _move_table(steps, lattice, offsets, stride, 8 * slot)
     for n, keep in enumerate(sizes, n + 1):
-        if _slot_bytes(size, n) > slot:
-            wider = _slot_bytes(size, min(2 * n, last))
+        if (wider := _slot_bytes(size, n)) > slot:
             level = [_reslot(row, slot, wider) for row in level]
             slot = wider
             moves = _move_table(steps, lattice, offsets, stride, 8 * slot)
@@ -268,7 +275,7 @@ class CountTable:
         self.step_set = step_set
         self._lattice = step_lattice(step_set.sorted_steps())
         self._stride, self._offsets = _coset_offsets(self._lattice)
-        self._packed: list[tuple[list[int], int]] = [([1], 1)]
+        self._packed: list[tuple[list[int], int]] = [([1], 8)]
         self.extend(n_max)
 
     @property
@@ -326,7 +333,7 @@ def _square_sweep(step_set: StepSet, n: int, reach: int):
     steps = step_set.sorted_steps()
     lattice = step_lattice(steps)
     sizes = [min(m, reach - m) + 1 for m in range(1, n + 1)]
-    return lattice, _sweep(steps, lattice, [1], 1, 0, sizes)
+    return lattice, _sweep(steps, lattice, [1], 8, 0, sizes)
 
 
 def origin_sequence(step_set: StepSet, n_max: int) -> list[int]:
@@ -354,7 +361,7 @@ def walk_count(step_set: StepSet, n: int, i: int, j: int) -> int:
     k, r = divmod(j, stride)
     if r != offsets[(n + alpha * i) % d]:
         return 0
-    rows, slot = [1], 1
+    rows, slot = [1], 8
     for rows, slot in sweep:
         pass  # only the last level is read
     return rows[i] >> 8 * slot * k & ((1 << 8 * slot) - 1)

@@ -2,8 +2,9 @@
 
 These stay independent of the library's production code paths: the walk
 counter enumerates every step sequence, the level oracle moves every cell
-of the full grid one step at a time, the distance oracle is a plain
-breadth-first search over cells, the nullspace oracle is plain
+of the full grid one step at a time, a packed row is re-slotted one slot
+at a time, the distance oracle is a plain breadth-first search over
+cells, the nullspace oracle is plain
 Gaussian elimination over Fraction, polynomial division and gcd are
 schoolbook division and Euclid over Fraction, the echelon row step
 multiplies by the whole leading polynomials, operator and
@@ -62,6 +63,14 @@ def scalar_levels(steps, n_max):
                             cur[ti][tj] += v
         levels.append(cur)
     return levels
+
+
+def bytewise_reslot(row, old, new):
+    """A packed row with each ``old``-byte slot widened to ``new`` bytes:
+    one bytes slice per slot, joined with ``new - old`` zero bytes."""
+    data = row.to_bytes(-(-row.bit_length() // (8 * old)) * old, "little")
+    pad = bytes(new - old)
+    return int.from_bytes(pad.join(data[k : k + old] for k in range(0, len(data), old)), "little")
 
 
 def return_distances(steps, size):

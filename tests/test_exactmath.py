@@ -354,3 +354,6 @@ def test_uni_operator_repr():
     assert repr(UniOperator({1: [0, 1], 0: [5]})) == "n*Sn + 5"
     assert repr(UniOperator({3: [0, 0, 2]})) == "n^2*Sn^3"  # held in cleared form
     assert repr(UniOperator({})) == "0"
+    # a unit coefficient prints as its sign, and a negative term joins with " - "
+    assert repr(UniOperator({1: [1], 0: [-1]})) == "Sn - 1"
+    assert repr(UniOperator({2: [1], 1: [0, -1], 0: [3]})) == "Sn^2 - n*Sn + 3"

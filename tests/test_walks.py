@@ -1,4 +1,5 @@
 import json
+import random
 from itertools import combinations
 
 import pytest
@@ -21,6 +22,7 @@ from quarterwalks.ore import OreOperator
 from quarterwalks.walks import (
     DIRECTIONS,
     StepSet,
+    _reslot,
     _slot_bytes,
     _sweep,
     step_lattice,
@@ -29,6 +31,7 @@ from quarterwalks.walks import (
 from naive_oracles import (
     brute_force_counts,
     brute_force_value,
+    bytewise_reslot,
     return_distances,
     scalar_levels,
 )
@@ -243,37 +246,42 @@ def test_origin_sequence_rejects_negative_n_max():
 
 
 def test_extend_matches_direct_build():
-    # from n = 10 up to and across the first re-slot past it (n = 12 for
-    # Gessel, n = 16 for Kreweras) and the next ones
-    for step_set in (GESSEL, KREWERAS):
-        for n_max in (11, 12, 13, 16, 28, 36, 40):
+    # from n = 10 up to, onto and across the first word boundary past it
+    # (level 32 of Gessel and level 41 of Kreweras need a second word)
+    for step_set, boundary in ((GESSEL, 32), (KREWERAS, 41)):
+        for n_max in (11, boundary - 1, boundary, boundary + 1, boundary + 8):
             table = CountTable(step_set, 10)
             slot = table._packed[-1][1]
             assert table.extend(n_max) is table
             assert table.n_max == n_max
             assert table.levels == CountTable(step_set, n_max).levels
-            assert table._packed[-1][1] > slot or n_max < 16, (step_set, n_max)
+            assert (table._packed[-1][1] > slot) == (n_max >= boundary), (step_set, n_max)
 
 
-# one step set of each kind, checked to n = 60, past at least three re-slots
-PAST_RESLOTS = [GESSEL, KREWERAS, parse_step_set("E,W,N,S,NE,NW,SE,SW"), parse_step_set("NE,SW")]
+# one step set of each kind, with a depth past its third word boundary
+PAST_RESLOTS = {
+    GESSEL: 96,
+    KREWERAS: 122,
+    parse_step_set("E,W,N,S,NE,NW,SE,SW"): 64,
+    parse_step_set("NE,SW"): 192,
+}
 
 
 def _slots_seen(steps, n_max):
     """The slot bytes of levels 0..n_max of the packed sweep (sizes do not
     enter the slot rule, so one cell a level is enough)."""
-    sweep = _sweep(steps, step_lattice(steps), [1], 1, 0, [1] * n_max)
-    return [1] + [slot for _, slot in sweep]
+    sweep = _sweep(steps, step_lattice(steps), [1], 8, 0, [1] * n_max)
+    return [8] + [slot for _, slot in sweep]
 
 
 def test_packed_kernel_matches_scalar_oracle_past_reslots():
-    for step_set in PAST_RESLOTS:
+    for step_set, depth in PAST_RESLOTS.items():
         steps = step_set.sorted_steps()
-        slots = _slots_seen(steps, 60)
+        slots = _slots_seen(steps, depth)
         assert sum(a != b for a, b in zip(slots, slots[1:])) >= 3, step_set
-        levels = scalar_levels(steps, 60)
-        assert origin_sequence(step_set, 60) == [level[0][0] for level in levels], step_set
-        assert CountTable(step_set, 60).levels == levels, step_set
+        levels = scalar_levels(steps, depth)
+        assert origin_sequence(step_set, depth) == [level[0][0] for level in levels], step_set
+        assert CountTable(step_set, depth).levels == levels, step_set
 
 
 def test_origin_levels_hold_returning_cells_in_kept_slots():
@@ -288,7 +296,7 @@ def test_origin_levels_hold_returning_cells_in_kept_slots():
         dist = return_distances(steps, 2 * n_max + 1)
         levels = scalar_levels(steps, n_max)
         sizes = [min(n, n_max - n) + 1 for n in range(n_max + 1)]
-        sweep = _sweep(steps, lattice, [1], 1, 0, sizes[1:])
+        sweep = _sweep(steps, lattice, [1], 8, 0, sizes[1:])
         for n, (level, slot) in enumerate(sweep, 1):
             bits = 8 * slot
             size = sizes[n]
@@ -303,18 +311,42 @@ def test_origin_levels_hold_returning_cells_in_kept_slots():
                     assert row >> (k * bits) & ((1 << bits) - 1) == levels[n][i][j]
 
 
-def test_slot_bytes_hold_every_count_and_reslot_logarithmically():
-    """A slot of b bytes holds every count of level n, which is at most
-    |S|^n, with no byte to spare; the sweep to n = 500 re-slots at most
-    log2(500) times for every step-set size."""
+def test_slot_bytes_hold_every_count_and_reslot_once_per_word():
+    """A slot of b bytes, whole 64-bit words, holds every count of level
+    n, which is at most |S|^n, with no word to spare; every level of the
+    sweep to n = 500 is held in exactly that slot, so the sweep re-slots
+    once per word boundary it crosses."""
     directions = list(DIRECTIONS.values())
     for size in range(1, 9):
         for n in range(601):
             need = (size**n).bit_length()
-            assert 8 * _slot_bytes(size, n) >= need > 8 * (_slot_bytes(size, n) - 1), (size, n)
+            assert 8 * _slot_bytes(size, n) >= need > 8 * (_slot_bytes(size, n) - 8), (size, n)
         slots = _slots_seen(directions[:size], 500)
-        assert all(slot >= _slot_bytes(size, n) for n, slot in enumerate(slots)), size
-        assert sum(a != b for a, b in zip(slots, slots[1:])) <= (500).bit_length(), size
+        assert slots == [_slot_bytes(size, n) for n in range(501)], size
+        reslots = sum(a != b for a, b in zip(slots, slots[1:]))
+        assert reslots == _slot_bytes(size, 500) // 8 - 1, size
+
+
+def test_reslot_matches_bytewise_reference():
+    """``_reslot`` copies words where the reference joins one bytes slice
+    per slot; both must give the row whose slot k holds the old slot k."""
+    for size in range(1, 9):
+        for n in range(601):
+            assert _slot_bytes(size, n) % 8 == 0, (size, n)
+    rng = random.Random(34)
+    assert _reslot(0, 8, 16) == 0
+    for old_words, new_words in ((1, 2), (1, 5), (2, 3), (3, 7), (4, 5)):
+        old, new = 8 * old_words, 8 * new_words
+        for _ in range(40):
+            k = rng.randint(1, 12)
+            slots = [rng.getrandbits(rng.randint(0, 8 * old)) for _ in range(k)]
+            zeros = rng.randint(0, k - 1)  # rows whose top slots are zero
+            slots[k - zeros :] = [0] * zeros
+            row = sum(v << 8 * old * s for s, v in enumerate(slots))
+            wide = sum(v << 8 * new * s for s, v in enumerate(slots))
+            assert _reslot(row, old, new) == bytewise_reslot(row, old, new) == wide
+        top = (1 << 8 * old) - 1
+        assert _reslot(top, old, new) == bytewise_reslot(top, old, new) == top
 
 
 def test_cached_table_reuses_and_extends():
