@@ -287,7 +287,9 @@ def import_recurrence(recurrence_file, steps, n_check, out):
 
 def check_closed_form(which, m_max):
     """Check the built-in closed form, its terms built from the ratio of
-    its Pochhammer parameters, against the origin counts of its walks."""
+    its Pochhammer parameters, against the origin counts of its walks.
+    The check runs to m = m_max >= 1, past n = 0, where the term and the
+    count are both 1 for every closed form."""
     _use("walks", "closedform")
     step_set, term = CLOSED_FORMS[which]
     n_max = term.period * m_max
@@ -378,6 +380,15 @@ def _count(text: str) -> int:
     return value
 
 
+def _positive(text: str) -> int:
+    """The type of an option that needs at least one of what it counts:
+    an integer >= 1."""
+    value = _count(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{value} is not in the range x>=1")
+    return value
+
+
 def _parser(prog: str) -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
     """The command line and its parser per command name.  A command's
     parser has the command function as its ``run`` default, called with
@@ -447,7 +458,7 @@ def _parser(prog: str) -> tuple[argparse.ArgumentParser, dict[str, argparse.Argu
 
     sub = command(check_closed_form, "check-closed-form", steps=False)
     sub.add_argument("--closed-form", dest="which", choices=_CLOSED_FORM_NAMES, required=True)
-    sub.add_argument("--m-max", type=_count, default=13, help="(default: 13)")
+    sub.add_argument("--m-max", type=_positive, default=13, help="(default: 13)")
 
     sub = command(prove)
     sub.add_argument("--closed-form", dest="which", choices=_CLOSED_FORM_NAMES, required=True)

@@ -11,7 +11,12 @@ into one integer, a fixed-width slot per cell (Kronecker substitution), so
 a step adds a whole shifted source row in one big-integer operation; a
 slot is the fewest 64-bit words that hold every count of its level, so no
 sum carries out of its slot (``_slot_bytes``), and it widens a word at a
-time by strided word copies (``_reslot``).
+time by strided word copies (``_reslot``).  The steps are grouped by dx,
+and a shape of dy offsets that two or more dx groups have is built once
+per source row, as a product of shifted rows, and read by each group
+through one shift (``_move_table``): Gessel's step polynomial
+x + 1/x + xy + 1/(xy) is (1 + y)(x + 1/(xy)), so its new row costs four
+big-integer passes where one move per step takes five.
 ``CountTable`` keeps every level packed and decodes the one cell a query
 reads, zero-extended (0 outside the quadrant, 0 beyond the light cone
 i > n or j > n), building deeper levels when a query reaches past them;
@@ -167,28 +172,72 @@ def _move_table(
     offsets: list[int | None],
     stride: int,
     bits: int,
-) -> list[list[tuple[int, int]] | None]:
-    """The moves of ``_next_level``, per coset class c = n + alpha*ti
-    (mod d) of a new row ti: for each step (dx, dy), the source row offset
-    dx and the shift in bits that aligns the source row's slots with the
-    new row's; None for a class off the coset.  A walk into (ti, tj)
-    arrives by (dx, dy) from (ti-dx, tj-dy), which lies on the coset of
-    level n-1 (each step keeps it), in a row with offset j0'.  So slot k
-    of the new row, offset j0, reads slot k + s of the source row,
-    s = (j0 - dy - j0') / stride, an integer in -1..1, and the shift is
-    s * bits."""
+    width: int,
+) -> tuple[int, list[list[int]], list[list[tuple[int, int]] | None]]:
+    """(width, products, moves) of ``_next_level`` for slots of ``bits``
+    bits and source blocks of ``width`` entries.
+
+    A walk into (ti, tj) arrives by (dx, dy) from (ti-dx, tj-dy), which
+    lies on the coset of level n-1 (each step keeps it), in a row with
+    offset j0'.  So slot k of the new row, offset j0 = offsets[c] for its
+    coset class c = n + alpha*ti (mod d), reads slot k + s of the source
+    row, s = (j0 - dy - j0') / stride, an integer in -1..1: the direct
+    move of (dx, dy) shifts the source row by s * bits.
+
+    The moves of one dx read the same source row.  With D their dys and
+    lo = min D, the shape of the group is e_dy = (dy - lo) / stride for
+    dy in D, integers because every dy of D takes the same source class
+    to the same new class.  The group's product of a source row shifts
+    the row left by e_dy slots for each dy and adds, so no slot is
+    dropped, and the group reads it shifted by sigma = s of its lo move.
+    Slot k then reads source slot k + sigma - e_dy for each dy, which is
+    the direct move of dy, whose s is sigma - e_dy; a read below slot 0
+    is 0 on both paths, for sigma of either sign, as e_dy >= 0.  A
+    product slot holds at most |D| cells of level n-1, at most |S|^n, so
+    ``_slot_bytes`` still holds and no slot carries.  A shape of more
+    than one dy that two or more dx groups have is built once per source
+    row and read by each of them (Gessel: (1 + y)(x + 1/(x y)), shape
+    (0, 1)); every other group keeps its direct moves.
+
+    ``products`` holds, per shared shape, its left shifts in bits past
+    the first.  ``moves`` holds, per class c, one (at, shift in bits) per
+    move, None for a class off the coset: the move reads entry ti + at of
+    the level's sources, block b (0 the level itself, b >= 1 its b-th
+    product) of ``width`` entries holding source row pi at 1 + pi, so
+    at = b * width + 1 - dx.  The moves are listed by falling dx, so row 0
+    reads the zero before a block while its sum is still 0."""
     alpha, _, d = lattice
-    return [
-        [(dx, (j0 - dy - offsets[(c - 1 - alpha * dx) % d]) // stride * bits) for dx, dy in steps]
+    groups: dict[int, list[int]] = {}
+    for dx, dy in sorted(steps, reverse=True):
+        groups.setdefault(dx, []).append(dy)
+    shapes = {
+        dx: tuple(sorted((dy - min(dys)) // stride for dy in dys)) for dx, dys in groups.items()
+    }
+    listed = list(shapes.values())
+    shared = [e for e in dict.fromkeys(listed) if len(e) > 1 and listed.count(e) > 1]
+    # per dx: the block it reads, and the dys of its moves (only lo for a product)
+    reads = {
+        dx: ((shared.index(shapes[dx]) + 1) * width, [min(dys)])
+        if shapes[dx] in shared
+        else (0, dys)
+        for dx, dys in groups.items()
+    }
+    moves = [
+        [
+            (block + 1 - dx, (j0 - dy - offsets[(c - 1 - alpha * dx) % d]) // stride * bits)
+            for dx, (block, dys) in reads.items()
+            for dy in dys
+        ]
         if j0 is not None
         else None
         for c, j0 in enumerate(offsets)
     ]
+    return width, [[e * bits for e in shape[1:]] for shape in shared], moves
 
 
 def _next_level(
     prev: list[int],
-    moves: list[list[tuple[int, int]] | None],
+    table: tuple[int, list[list[int]], list[list[tuple[int, int]] | None]],
     kept: list[int],
     lattice: tuple[int, int, int],
     n: int,
@@ -201,28 +250,42 @@ def _next_level(
     ``lattice`` (``_coset_offsets``, j0 = offsets[c]); a row off the coset
     is 0.  The new level keeps the square [0, size)^2: rows 0..size-1,
     each cut to its cells in columns 0..size-1, the low kept[c] bits of a
-    row of coset class c.  The new row is the sum over its class's
-    ``moves`` of the source rows shifted by their slot offsets, and a read
-    left of column 0 is a zero shifted in.  Source rows past the end of
-    ``prev`` count as zero.  The slots never carry (``_slot_bytes``), so
-    the sum is exact cell by cell; it is masked to the kept slots only
-    when its bit length overflows them.
+    row of coset class c.
+
+    The level first lays out its sources as blocks of the move ``table``'s
+    width (``_move_table``): the rows of ``prev``, then each shared
+    product of the table, built once per source row as plain adds of
+    left-shifted rows, each block with a zero before row 0 and zeros
+    past its last row.  The new row is the sum over its class's moves of
+    the source entries shifted by their slot offsets, so a source row
+    above or below ``prev`` reads as zero, and a read left of column 0 is
+    a zero shifted in.  The slots never carry (``_slot_bytes``), so the
+    sum is exact cell by cell, the same integer as the sum of the direct
+    moves; it is masked to the kept slots only when its bit length
+    overflows them.  Gessel's row t is P(t-1) + (P(t+1) >> slot) with
+    P(r) = row r + (row r << slot): four big-integer passes a row, where
+    the direct moves take five.
     """
     alpha, _, d = lattice
-    rows = len(prev)
+    width, products, moves = table
+    pad = [0] * (width - 1 - len(prev))
+    sources = [0, *prev, *pad]
+    for first, *rest in products:
+        product = [row + (row << first) for row in prev]
+        for e in rest:
+            product = [p + (row << e) for p, row in zip(product, prev)]
+        sources += [0, *product, *pad]
     cur = []
     for ti in range(size):
         c = (n + alpha * ti) % d
         total = 0
         if moves[c] is not None:
-            for dx, shift in moves[c]:
-                pi = ti - dx
-                if 0 <= pi < rows:
-                    # a shift by 0, or an add to 0, would copy the whole row
-                    src = prev[pi]
-                    if shift:
-                        src = src >> shift if shift > 0 else src << -shift
-                    total = total + src if total else src
+            for at, shift in moves[c]:
+                # a shift by 0, or an add to 0, would copy the whole row
+                src = sources[ti + at]
+                if shift:
+                    src = src >> shift if shift > 0 else src << -shift
+                total = total + src if total else src
             if total.bit_length() > kept[c]:
                 # clears the bits from ``kept`` up, in fewer passes than a mask
                 total ^= total >> kept[c] << kept[c]
@@ -242,20 +305,24 @@ def _sweep(
     level n + len(sizes), level n+k keeping the square of side sizes[k-1];
     yield each new level with its slot bytes.  When level m needs another
     word (``_slot_bytes``), the held level is re-slotted to exactly the
-    words level m needs, so a slot is never a word wider than its level
-    needs, and the sweep re-slots once per word boundary it crosses.  The
-    coset offsets are computed once, and the move table once per slot
-    width."""
+    words level m needs, a zero row (off the coset) carried over as 0, so
+    a slot is never a word wider than its level needs, and the sweep
+    re-slots once per word boundary it crosses.  The coset offsets are
+    computed once, and the move table, with its shared products of the
+    steps grouped by dx, once per slot width.  A new row ti reads source
+    rows ti-1..ti+1, so blocks of max(rows, sizes) + 2 entries hold every
+    row a level reads, with the zero before row 0."""
     size = len(steps)
     stride, offsets = _coset_offsets(lattice)
-    moves = _move_table(steps, lattice, offsets, stride, 8 * slot)
+    width = max([len(level), *sizes]) + 2
+    table = _move_table(steps, lattice, offsets, stride, 8 * slot, width)
     for n, keep in enumerate(sizes, n + 1):
         if (wider := _slot_bytes(size, n)) > slot:
-            level = [_reslot(row, slot, wider) for row in level]
+            level = [_reslot(row, slot, wider) if row else 0 for row in level]
             slot = wider
-            moves = _move_table(steps, lattice, offsets, stride, 8 * slot)
+            table = _move_table(steps, lattice, offsets, stride, 8 * slot, width)
         kept = [len(range(j0, keep, stride)) * 8 * slot if j0 is not None else 0 for j0 in offsets]
-        level = _next_level(level, moves, kept, lattice, n, keep)
+        level = _next_level(level, table, kept, lattice, n, keep)
         yield level, slot
 
 

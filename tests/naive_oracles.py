@@ -2,7 +2,8 @@
 
 These stay independent of the library's production code paths: the walk
 counter enumerates every step sequence, the level oracle moves every cell
-of the full grid one step at a time, a packed row is re-slotted one slot
+of the full grid one step at a time, the packed-row kernel adds one
+shifted source row per step, a packed row is re-slotted one slot
 at a time, the distance oracle is a plain breadth-first search over
 cells, the nullspace oracle is plain
 Gaussian elimination over Fraction, polynomial division and gcd are
@@ -71,6 +72,51 @@ def bytewise_reslot(row, old, new):
     data = row.to_bytes(-(-row.bit_length() // (8 * old)) * old, "little")
     pad = bytes(new - old)
     return int.from_bytes(pad.join(data[k : k + old] for k in range(0, len(data), old)), "little")
+
+
+def per_move_sweep(steps, lattice, level, slot, n, sizes):
+    """The packed-row sweep of ``walks._sweep`` with one move per step:
+    each new row is the sum over the steps (dx, dy) of source row i - dx
+    shifted by its slot offset, rows outside the source level skipped.
+    The slots are the same whole 64-bit words, re-slotted by
+    ``bytewise_reslot``; yields (level, slot bytes) like ``_sweep``."""
+    alpha, beta, d = lattice
+    g = gcd(beta, d)
+    stride = d // g
+    inverse = pow(beta // g, -1, stride)
+    offsets = [-(c // g) * inverse % stride if c % g == 0 else None for c in range(d)]
+
+    def moves(bits):
+        return [
+            [
+                (dx, (j0 - dy - offsets[(c - 1 - alpha * dx) % d]) // stride * bits)
+                for dx, dy in steps
+            ]
+            if j0 is not None
+            else None
+            for c, j0 in enumerate(offsets)
+        ]
+
+    table = moves(8 * slot)
+    for n, size in enumerate(sizes, n + 1):
+        wider = ((len(steps) ** n).bit_length() + 63) // 64 * 8
+        if wider > slot:
+            level = [bytewise_reslot(row, slot, wider) for row in level]
+            slot = wider
+            table = moves(8 * slot)
+        cur = []
+        for ti in range(size):
+            c = (n + alpha * ti) % d
+            total = 0
+            if table[c] is not None:
+                for dx, shift in table[c]:
+                    if 0 <= ti - dx < len(level):
+                        src = level[ti - dx]
+                        total += src >> shift if shift >= 0 else src << -shift
+                total &= (1 << len(range(offsets[c], size, stride)) * 8 * slot) - 1
+            cur.append(total)
+        level = cur
+        yield level, slot
 
 
 def return_distances(steps, size):

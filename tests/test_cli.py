@@ -128,6 +128,9 @@ _PROVE_K = ["prove", "--steps", "W,S,NE", "--closed-form", "kreweras"]
         (_PROVE_K + ["--diag-limit", "-1"], "--diag-limit"),
         (["import-recurrence", "{rec}", "--steps", "W,S,NE", "--n-check", "-1"], "--n-check"),
         (["check-closed-form", "--closed-form", "kreweras", "--m-max", "-1"], "--m-max"),
+        # m = 0 compares only n = 0, where every term and count is 1
+        pytest.param(["check-closed-form", "--closed-form", "gessel", "--m-max", "0"], "--m-max",
+                     id="check-closed-form---m-max-0"),
         (["table", "--steps", "W,S,NE", "--n-max", "-1"], "--n-max"),
     ],
     ids=lambda v: v if isinstance(v, str) else v[0],

@@ -22,6 +22,8 @@ from quarterwalks.ore import OreOperator
 from quarterwalks.walks import (
     DIRECTIONS,
     StepSet,
+    _coset_offsets,
+    _move_table,
     _reslot,
     _slot_bytes,
     _sweep,
@@ -32,6 +34,7 @@ from naive_oracles import (
     brute_force_counts,
     brute_force_value,
     bytewise_reslot,
+    per_move_sweep,
     return_distances,
     scalar_levels,
 )
@@ -347,6 +350,44 @@ def test_reslot_matches_bytewise_reference():
             assert _reslot(row, old, new) == bytewise_reslot(row, old, new) == wide
         top = (1 << 8 * old) - 1
         assert _reslot(top, old, new) == bytewise_reslot(top, old, new) == top
+
+
+# the shapes of dy offsets, in slots, whose product the kernel shares
+SHARED_SHAPES = {
+    GESSEL: [(0, 1)],
+    parse_step_set("NE,NW,SE,SW"): [(0, 1)],  # diagonal
+    parse_step_set("E,W,NW,SE"): [(0, 1)],  # Gouyou-Beauchamps
+    parse_step_set("E,W,N,S,NE,NW,SE,SW"): [(0, 1, 2)],  # king
+    KREWERAS: [],
+    parse_step_set("E,W,N,S"): [],  # simple
+}
+
+
+def _shared_shapes(steps):
+    lattice = step_lattice(steps)
+    stride, offsets = _coset_offsets(lattice)
+    _, products, _ = _move_table(steps, lattice, offsets, stride, 1, 1)
+    return [(0, *shifts) for shifts in products]
+
+
+def test_factored_kernel_matches_per_move_reference():
+    """Reading each shared product of the steps grouped by dx gives the
+    same packed levels and slot bytes as one move per step, for all 255
+    step sets: on a growing sweep one level past the first word boundary,
+    on a shrinking origin sweep, and on a seeded sweep of random sizes,
+    which reads rows above and below the source level."""
+    for step_set, shapes in SHARED_SHAPES.items():
+        assert _shared_shapes(step_set.sorted_steps()) == shapes, step_set
+    assert sum(bool(_shared_shapes(s.sorted_steps())) for s in ALL_STEP_SETS) == 38
+    rng = random.Random(35)
+    for step_set in ALL_STEP_SETS:
+        steps = step_set.sorted_steps()
+        lattice = step_lattice(steps)
+        boundary = next((n for n in range(1, 80) if _slot_bytes(len(steps), n) > 8), 8)
+        origin = [min(m, 30 - m) + 1 for m in range(1, 31)]
+        for sizes in (range(2, boundary + 3), origin, [rng.randint(1, 12) for _ in range(12)]):
+            got = list(_sweep(steps, lattice, [1], 8, 0, sizes))
+            assert got == list(per_move_sweep(steps, lattice, [1], 8, 0, sizes)), step_set
 
 
 def test_cached_table_reuses_and_extends():
