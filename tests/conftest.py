@@ -33,8 +33,8 @@ class _Tee(io.StringIO):
 
 def run_cli(args):
     """Run the CLI in-process on ``args``.  The result has the exit code,
-    ``output`` (stdout and stderr interleaved in the order written) and
-    ``stdout``.  An exception that escapes ``main`` is raised, not caught:
+    ``output`` (stdout and stderr interleaved in the order written),
+    ``stdout`` and ``stderr``.  An exception that escapes ``main`` is raised, not caught:
     the CLI's own error boundary must turn every error into an exit code."""
     output = io.StringIO()
     out, err = _Tee(output), _Tee(output)
@@ -44,7 +44,9 @@ def run_cli(args):
             code = 0
         except SystemExit as e:
             code = 0 if e.code is None else e.code
-    return SimpleNamespace(exit_code=code, output=output.getvalue(), stdout=out.getvalue())
+    return SimpleNamespace(
+        exit_code=code, output=output.getvalue(), stdout=out.getvalue(), stderr=err.getvalue()
+    )
 
 
 @pytest.fixture(scope="session")
