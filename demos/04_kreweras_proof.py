@@ -6,7 +6,8 @@
    P(n, S_n) for the origin-return counts (mandatorily re-verified
    against the first 500 terms),
 4. prove the closed form: P is satisfied symbolically by the interlaced
-   hypergeometric term, and enough initial values agree.
+   hypergeometric term, and enough initial values of the origin sequence
+   that P was re-verified on agree.
 
 The same architecture proves the Gessel closed form once the published
 order-32 recurrence is supplied as an import file; the elimination that
@@ -53,7 +54,7 @@ print("eliminated recurrence, order", P.order(), "(re-verified on n <= 500):")
 print(" ", P)
 
 print("== 4. closed form ==")
-verdict = prove_equality(P, term, oracle)
+verdict = prove_equality(P, term, diagonal)
 print("symbolic recurrence check + initial values ->", verdict.status)
 print(f"(initial values checked: {verdict.checked_initial_values};",
       f"singular bound: {verdict.singular_bound})")

@@ -263,22 +263,23 @@ def eliminate(steps, operator_files, multiplier_bound, diag_limit, out):
 
 
 def _imported(path: str, step_set: StepSet, n_check: int, option: str):
-    """The recurrence in the file ``path`` and the first n in
+    """The recurrence in the file ``path``, the first n in
     0 .. n_check - order at which it fails on the origin sequence of
-    ``step_set`` to n_check, or None.  An order at or above n_check, which
-    would leave no n to check, raises ValueError naming ``option``."""
+    ``step_set`` to n_check, or None, and that sequence.  An order at or
+    above n_check, which would leave no n to check, raises ValueError
+    naming ``option``."""
     op = _load(path, uni_from_json)
     if op.order() >= n_check:
         raise ValueError(f"{option} must exceed the recurrence order")
     seq = origin_sequence(step_set, n_check)
-    return op, op.first_failure(seq, range(n_check - op.order() + 1))
+    return op, op.first_failure(seq, range(n_check - op.order() + 1)), seq
 
 
 def import_recurrence(recurrence_file, steps, n_check, out):
     """Load an externally supplied recurrence, validate it against the
     counting oracle, and emit it in normalized form."""
     _use("walks", "exactmath", "closedform")
-    op, bad = _imported(recurrence_file, parse_step_set(steps), n_check, "--n-check")
+    op, bad, _ = _imported(recurrence_file, parse_step_set(steps), n_check, "--n-check")
     if bad is not None:
         print(f"rejected: fails sequence check at n={bad}", file=sys.stderr)
         sys.exit(1)
@@ -301,9 +302,19 @@ def check_closed_form(which, m_max):
     print(f"closed form {which}: OK (values to n={n_max})")
 
 
+def _fail(report: dict, out: str | None, status: str, **fields):
+    """End ``prove`` in a negative: write ``report`` with ``status`` and
+    ``fields`` added, and exit 1."""
+    report.update(fields, status=status)
+    _dump(report, out)
+    sys.exit(1)
+
+
 def prove(steps, which, import_file, bounds, shape, margin, multiplier_bound, diag_limit, out):
     """End-to-end proof: guess, certify, eliminate, and match the closed
-    form; or validate an imported recurrence and do the final step only."""
+    form; or validate an imported recurrence and do the final step only.
+    Every f(n; 0, 0) read is from the origin sequence that the recurrence
+    was checked on, extended when the initial values reach past it."""
     _use("walks", "exactmath", "closedform")
     bounds = bounds or [_DEFAULT_BOUNDS]
     meta = _meta(steps, shape, bounds, margin, multiplier_bound, diag_limit, which)
@@ -312,51 +323,38 @@ def prove(steps, which, import_file, bounds, shape, margin, multiplier_bound, di
     step_set = parse_step_set(steps)
 
     if import_file:
-        p, bad = _imported(import_file, step_set, diag_limit, "--diag-limit")
+        p, bad, origin = _imported(import_file, step_set, diag_limit, "--diag-limit")
         report["recurrence_source"] = "imported"
         report["oracle_check"] = {"n_checked": diag_limit, "ok": bad is None, "failing_n": bad}
         if bad is not None:
-            report["status"] = f"REJECTED(import fails sequence check at n={bad})"
-            _dump(report, out)
-            sys.exit(1)
+            _fail(report, out, f"REJECTED(import fails sequence check at n={bad})")
     else:
         _use("guess", "certify", "eliminate")
         candidates, oracle = _run_guess(steps, bounds, shape, margin)
         report["candidates"] = len(candidates)
         if not candidates:
-            report["status"] = "FAILED(no candidates)"
-            _dump(report, out)
-            sys.exit(1)
+            _fail(report, out, "FAILED(no candidates)")
         t = trivial_operator(step_set)
-        certified = []
-        for op in candidates:
-            cert = certify_operator(op, t, oracle)
-            if cert.certified:
-                certified.append(op)
+        certified = [op for op in candidates if certify_operator(op, t, oracle).certified]
         _progress(f"{len(certified)} of {len(candidates)} candidates certified")
         report["certified"] = len(certified)
         if not certified:
-            report["status"] = "FAILED(no certified operators)"
-            _dump(report, out)
-            sys.exit(1)
+            _fail(report, out, "FAILED(no certified operators)")
         if t not in certified:
             certified.insert(0, t)
         _progress(f"streaming origin sequence to n = {diag_limit}")
-        diagonal = origin_sequence(step_set, diag_limit)
+        origin = origin_sequence(step_set, diag_limit)
         try:
-            p = takayama_pipeline(certified, diagonal, multiplier_bound)
+            p = takayama_pipeline(certified, origin, multiplier_bound)
         except EliminationFailure as e:
-            report["status"] = "FAILED(elimination)"
-            report["attempts"] = e.attempts
-            _dump(report, out)
-            sys.exit(1)
+            _fail(report, out, "FAILED(elimination)", attempts=e.attempts)
         report["recurrence_source"] = "pipeline"
         report["reverified_to_n"] = diag_limit
     report["recurrence"] = uni_to_json(p)
-    singular = max_nonneg_root(p.leading_cleared())
-    need = p.order() + max(singular, 0) + 1
-    oracle = cached_table(step_set, need)
-    verdict = prove_equality(p, term, oracle)
+    need = p.order() + max_nonneg_root(p.leading_cleared())
+    if need >= len(origin):
+        origin = origin_sequence(step_set, need)
+    verdict = prove_equality(p, term, origin)
     report["verdict"] = {
         "status": verdict.status,
         "initial_values_checked": verdict.checked_initial_values,

@@ -269,29 +269,30 @@ class EqualityVerdict(Record):
         return self.status == PROVED
 
 
-def prove_equality(p: UniOperator, term: HypergeomTerm, oracle) -> EqualityVerdict:
+def prove_equality(p: UniOperator, term: HypergeomTerm, origin: Sequence[int]) -> EqualityVerdict:
     """Decide closed form == counting sequence from a shared recurrence.
 
-    PROVED requires (a) the exact symbolic check that the term satisfies P
-    and (b) matching initial values for n = 0 .. order(P) + s, where s is
-    the largest nonnegative integer root of P's leading cleared coefficient
-    (-1 if none): past n = s the leading coefficient cannot vanish, so the
+    ``origin`` is the counting sequence from n = 0 on, f(n; 0, 0) at index
+    n, as ``walks.origin_sequence`` gives it.  PROVED requires (a) the
+    exact symbolic check that the term satisfies P and (b) matching
+    initial values for n = 0 .. order(P) + s, where s is the largest
+    nonnegative integer root of P's leading cleared coefficient (-1 if
+    none): past n = s the leading coefficient cannot vanish, so the
     recurrence propagates the equality from the checked segment to all n.
+    An ``origin`` shorter than order(P) + s + 1 values raises ValueError.
     """
     if p.is_zero():
         return EqualityVerdict("FAILED(zero-operator)")
+    s = max_nonneg_root(p.leading_cleared())
+    count = p.order() + s + 1  # s = -1 when the leading coefficient never vanishes
+    if len(origin) < count:
+        raise ValueError(f"{count} initial values needed, the origin sequence has {len(origin)}")
     if not symbolic_satisfies(p, term):
         return EqualityVerdict("FAILED(symbolic-recurrence)")
-    order = p.order()
-    s = max_nonneg_root(p.leading_cleared())
-    upper = order + s  # s = -1 when the leading coefficient never vanishes
-    count = upper + 1
-    closed = term.sequence(upper) if upper >= 0 else []
-    for n in range(count):
-        if closed[n] != oracle.value(n, 0, 0):
-            return EqualityVerdict(
-                "FAILED(initial-values)", count, s, failing_index=n
-            )
+    closed = term.sequence(count - 1)
+    bad = next((n for n in range(count) if closed[n] != origin[n]), None)
+    if bad is not None:
+        return EqualityVerdict("FAILED(initial-values)", count, s, failing_index=bad)
     return EqualityVerdict(PROVED, count, s)
 
 

@@ -8,15 +8,23 @@ residue lattice (``step_lattice``): each step keeps n + alpha*i + beta*j
 fixed mod d, so every nonzero count lies on the coset of the origin, and
 the cells off it stay 0 unbuilt.  The kernel packs each row's coset cells
 into one integer, a fixed-width slot per cell (Kronecker substitution), so
-a step adds a whole shifted source row in one big-integer operation; a
-slot is the fewest 64-bit words that hold every count of its level, so no
-sum carries out of its slot (``_slot_bytes``), and it widens a word at a
-time by strided word copies (``_reslot``).  The steps are grouped by dx,
-and a shape of dy offsets that two or more dx groups have is built once
-per source row, as a product of shifted rows, and read by each group
-through one shift (``_move_table``): Gessel's step polynomial
-x + 1/x + xy + 1/(xy) is (1 + y)(x + 1/(xy)), so its new row costs four
+a step adds a whole shifted source row in one big-integer operation.  The
+steps are grouped by dx, and a shape of dy offsets that two or more dx
+groups have is built once per source row, as a product of shifted rows,
+and read by each group through one shift (``_move_table``): Gessel's step
+polynomial x + 1/x + xy + 1/(xy) is (1 + y)(x + 1/(xy)), so its row t is
+P(t-1) + (P(t+1) >> slot) with P(r) = row r + (row r << slot), four
 big-integer passes where one move per step takes five.
+
+No slot carries, so every sum is exact.  A cell of level n sums at most
+|S| cells of level n-1, one per step, so by induction it is at most |S|^n,
+and so is every other sum a slot holds: a cell of a level cut past a kept
+square sums fewer, and a product slot at most |D| <= |S| cells of level
+n-1, D the dys of its dx group.  A slot of level n is the fewest 64-bit
+words that hold |S|^n (``_slot_bytes``), widened a word at a time by
+strided word copies (``_reslot``) at the level that first needs the word,
+so a sum of shifted rows is, cell by cell, the sum of the direct moves.
+
 ``CountTable`` keeps every level packed and decodes the one cell a query
 reads, zero-extended (0 outside the quadrant, 0 beyond the light cone
 i > n or j > n), building deeper levels when a query reaches past them;
@@ -145,10 +153,8 @@ def _coset_offsets(lattice: tuple[int, int, int]) -> tuple[int, list[int | None]
 
 def _slot_bytes(size: int, n: int) -> int:
     """Bytes per slot that hold every cell of level n of a walk with
-    ``size`` steps, in whole 64-bit words.  A cell of level n is the sum
-    of at most ``size`` cells of level n-1, so by induction it is at most
-    size**n, the sums in the slots cut off past a kept square included,
-    and a sum of shifted rows never carries."""
+    ``size`` steps, in whole 64-bit words: the bound size**n of the
+    module's no-carry argument."""
     return ((size**n).bit_length() + 63) // 64 * 8
 
 
@@ -192,9 +198,8 @@ def _move_table(
     dropped, and the group reads it shifted by sigma = s of its lo move.
     Slot k then reads source slot k + sigma - e_dy for each dy, which is
     the direct move of dy, whose s is sigma - e_dy; a read below slot 0
-    is 0 on both paths, for sigma of either sign, as e_dy >= 0.  A
-    product slot holds at most |D| cells of level n-1, at most |S|^n, so
-    ``_slot_bytes`` still holds and no slot carries.  A shape of more
+    is 0 on both paths, for sigma of either sign, as e_dy >= 0; no
+    product slot carries (the module's no-carry argument).  A shape of more
     than one dy that two or more dx groups have is built once per source
     row and read by each of them (Gessel: (1 + y)(x + 1/(x y)), shape
     (0, 1)); every other group keeps its direct moves.
@@ -259,12 +264,9 @@ def _next_level(
     past its last row.  The new row is the sum over its class's moves of
     the source entries shifted by their slot offsets, so a source row
     above or below ``prev`` reads as zero, and a read left of column 0 is
-    a zero shifted in.  The slots never carry (``_slot_bytes``), so the
-    sum is exact cell by cell, the same integer as the sum of the direct
-    moves; it is masked to the kept slots only when its bit length
-    overflows them.  Gessel's row t is P(t-1) + (P(t+1) >> slot) with
-    P(r) = row r + (row r << slot): four big-integer passes a row, where
-    the direct moves take five.
+    a zero shifted in.  The sum is exact cell by cell (the module's
+    no-carry argument); it is masked to the kept slots only when its bit
+    length overflows them.
     """
     alpha, _, d = lattice
     width, products, moves = table
@@ -305,13 +307,13 @@ def _sweep(
     level n + len(sizes), level n+k keeping the square of side sizes[k-1];
     yield each new level with its slot bytes.  When level m needs another
     word (``_slot_bytes``), the held level is re-slotted to exactly the
-    words level m needs, a zero row (off the coset) carried over as 0, so
-    a slot is never a word wider than its level needs, and the sweep
-    re-slots once per word boundary it crosses.  The coset offsets are
-    computed once, and the move table, with its shared products of the
-    steps grouped by dx, once per slot width.  A new row ti reads source
-    rows ti-1..ti+1, so blocks of max(rows, sizes) + 2 entries hold every
-    row a level reads, with the zero before row 0."""
+    words level m needs (the module's no-carry argument), a zero row (off
+    the coset) carried over as 0, once per word boundary the sweep
+    crosses.  The coset offsets are computed once, and the move table,
+    with its shared products of the steps grouped by dx, once per slot
+    width.  A new row ti reads source rows ti-1..ti+1, so blocks of
+    max(rows, sizes) + 2 entries hold every row a level reads, with the
+    zero before row 0."""
     size = len(steps)
     stride, offsets = _coset_offsets(lattice)
     width = max([len(level), *sizes]) + 2

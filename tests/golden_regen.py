@@ -124,7 +124,6 @@ def stored(name: str) -> dict[str, str]:
 
 
 def main():
-    sys.path.insert(0, HERE)
     work = tempfile.mkdtemp(prefix="golden-")
     cwd = os.getcwd()
     os.chdir(work)

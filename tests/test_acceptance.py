@@ -27,6 +27,7 @@ from quarterwalks import (
     hypergeom_term,
     nullspace,
     assemble_system,
+    origin_sequence,
     plan_points,
     prove_equality,
     reduce_mod_ij,
@@ -207,8 +208,7 @@ def test_criterion_8_gessel_import_path(tmp_path):
             16, (Fraction(5, 6), Fraction(1, 2)), (Fraction(5, 3), 2)
         )
         assert (term.period, term.residue) == (2, 0)
-        oracle = CountTable(GESSEL, 8)
-        verdict = prove_equality(GESSEL_DIAGONAL_RECURRENCE, term, oracle)
+        verdict = prove_equality(GESSEL_DIAGONAL_RECURRENCE, term, origin_sequence(GESSEL, 8))
         assert verdict.proved
 
 

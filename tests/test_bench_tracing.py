@@ -40,7 +40,7 @@ def test_tracer_sees_every_prove_layer(tmp_path):
          "--import-recurrence", str(rec), "--diag-limit", "30"],
     )
     names = {s["name"] for s in spans}
-    for name in ("walks.cached_table", "walks.origin_sequence",
+    for name in ("walks.origin_sequence",
                  "closedform.max_nonneg_root", "closedform.prove_equality"):
         assert name in names
 

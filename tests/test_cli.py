@@ -11,6 +11,7 @@ from quarterwalks import (
     CLOSED_FORMS,
     GESSEL,
     Certificate,
+    CountTable,
     KREWERAS,
     HypergeomTerm,
     UniOperator,
@@ -413,6 +414,35 @@ def test_prove_gessel_with_import(tmp_path):
     assert report["meta"]["version"]
     assert report["meta"]["config"]["closed_form"] == "gessel"
     assert report["verdict"]["status"] == "PROVED"
+
+
+def test_large_root_import_reads_initial_values_from_the_origin_sequence(tmp_path, monkeypatch):
+    # (n - 250) PG needs f(n; 0, 0) for n <= 252: within the checked
+    # sequence at --diag-limit 300, past it at 100; no count table is
+    # built or deepened at either limit
+    scaled = UniOperator({k: ipoly_mul([-250, 1], c) for k, c in PG.cleared().items()})
+    path = write_json(tmp_path / "scaled.json", uni_to_json(scaled))
+    extend, extended = CountTable.extend, []
+
+    def recording(table, n_max):
+        extended.append(n_max)
+        return extend(table, n_max)
+
+    monkeypatch.setattr(CountTable, "extend", recording)
+    for limit in ("300", "100"):
+        report_path = tmp_path / f"report_{limit}.json"
+        r = run_cli(
+            ["prove", "--steps", "E,W,NE,SW", "--closed-form", "gessel",
+             "--import-recurrence", path, "--diag-limit", limit, "--out", str(report_path)],
+        )
+        assert r.exit_code == 0, r.output
+        report = json.loads(report_path.read_text())
+        assert report["status"] == "PROVED"
+        assert report["verdict"] == {
+            "status": "PROVED", "initial_values_checked": 253, "singular_bound": 250,
+            "failing_index": None,
+        }
+    assert extended == []
 
 
 def test_prove_gessel_without_import_is_sound_negative(tmp_path):

@@ -13,6 +13,7 @@ from quarterwalks import (
     hypergeom_term,
     max_nonneg_root,
     nonneg_integer_roots,
+    origin_sequence,
     prove_equality,
     symbolic_satisfies,
 )
@@ -301,42 +302,55 @@ def test_nonneg_integer_roots_find_planted_roots():
         assert nonneg_integer_roots(p) == sorted(set(planted)), p
 
 
-def test_prove_equality_builtins(gessel_oracle, kreweras_oracle):
+KREWERAS_ORIGIN = origin_sequence(KREWERAS, 45)
+GESSEL_ORIGIN = origin_sequence(GESSEL, 45)
+
+
+def test_prove_equality_builtins():
     k = hypergeom_term("kreweras")
     g = hypergeom_term("gessel")
-    v = prove_equality(P0, k, kreweras_oracle)
+    v = prove_equality(P0, k, KREWERAS_ORIGIN)
     assert v.proved and v.checked_initial_values == 3
-    v = prove_equality(PG, g, gessel_oracle)
+    v = prove_equality(PG, g, GESSEL_ORIGIN)
     assert v.proved and v.checked_initial_values == 2
 
 
-def test_prove_equality_of_zero_operator_fails(gessel_oracle):
+def test_prove_equality_of_zero_operator_fails():
     # the zero operator annihilates every sequence, so it proves nothing
-    verdict = prove_equality(UniOperator({}), hypergeom_term("gessel"), gessel_oracle)
+    verdict = prove_equality(UniOperator({}), hypergeom_term("gessel"), GESSEL_ORIGIN)
     assert verdict.status == "FAILED(zero-operator)" and not verdict.proved
 
 
-def test_prove_equality_extends_past_singular_indices(kreweras_oracle):
+def test_prove_equality_extends_past_singular_indices():
     # scale the recurrence so its leading coefficient vanishes at n = 4:
     # uniqueness needs initial values through order + 4
     k = hypergeom_term("kreweras")
     scaled = left_multiple(UniOperator({0: [-4, 1]}), P0)
-    v = prove_equality(scaled, k, kreweras_oracle)
+    v = prove_equality(scaled, k, KREWERAS_ORIGIN)
     assert v.proved
     assert v.singular_bound == 4
     assert v.checked_initial_values == 3 + 4 + 1
 
 
-def test_prove_equality_failure_modes(kreweras_oracle):
+def test_prove_equality_failure_modes():
     k = hypergeom_term("kreweras")
-
-    class Tweaked:
-        def value(self, n, i, j):
-            return kreweras_oracle.value(n, i, j) + (1 if n == 1 else 0)
-
-    v = prove_equality(P0, k, Tweaked())
+    tweaked = list(KREWERAS_ORIGIN)
+    tweaked[1] += 1
+    v = prove_equality(P0, k, tweaked)
     assert v.status == "FAILED(initial-values)"
     assert v.failing_index == 1
     wrong = UniOperator({3: [1], 0: [-1]})
-    v = prove_equality(wrong, k, kreweras_oracle)
+    v = prove_equality(wrong, k, KREWERAS_ORIGIN)
     assert v.status == "FAILED(symbolic-recurrence)"
+
+
+def test_prove_equality_refuses_a_short_origin_sequence():
+    # the recurrence scaled by (n - 4) needs f(n; 0, 0) for n = 0 .. 7:
+    # one value fewer is a caller's error, never a verdict
+    k = hypergeom_term("kreweras")
+    scaled = left_multiple(UniOperator({0: [-4, 1]}), P0)
+    assert prove_equality(scaled, k, KREWERAS_ORIGIN[:8]).proved
+    with pytest.raises(ValueError, match="8 initial values needed, the origin sequence has 7"):
+        prove_equality(scaled, k, KREWERAS_ORIGIN[:7])
+    with pytest.raises(ValueError, match="3 initial values needed"):
+        prove_equality(P0, k, KREWERAS_ORIGIN[:2])

@@ -10,12 +10,12 @@ from golden_regen import GOLDEN, RUNS, replay, stored
 
 def test_cli_outputs_match_the_goldens(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    outputs = replay(str(tmp_path))
-    changed = [
-        f"{name}/{path}"
-        for name, files in outputs.items()
-        for path in sorted(files.keys() | stored(name).keys())
-        if files.get(path) != stored(name).get(path)
-    ]
+    changed = []
+    for name, files in replay(str(tmp_path)).items():
+        golden = stored(name)
+        changed += [
+            f"{name}/{path}" for path in sorted(files.keys() | golden.keys())
+            if files.get(path) != golden.get(path)
+        ]
     assert not changed, f"outputs differ from tests/golden/: {changed}"
     assert set(os.listdir(GOLDEN)) == {"inputs", *(name for name, _ in RUNS)}
