@@ -12,6 +12,7 @@ from quarterwalks import (
     OreOperator,
     CountTable,
     div_rem,
+    evidence_check,
     trivial_operator,
 )
 
@@ -35,7 +36,7 @@ print()
 T = trivial_operator(GESSEL)
 print("Gessel transfer operator T =", T)
 oracle = CountTable(GESSEL, 13)
-print("T annihilates the counts on n,i,j <= 12:", T.is_zero_on(oracle, Box.cube(12)))
+print("T annihilates the counts on n,i,j <= 12:", evidence_check(T, oracle, Box.cube(12)))
 print()
 
 # --- division with remainder ----------------------------------------------------

@@ -17,6 +17,7 @@ from quarterwalks import (
     trivial_operator,
 )
 from quarterwalks.certify import REFUTED
+from quarterwalks.ore import evaluate
 
 oracle = CountTable(GESSEL, 30)
 T = trivial_operator(GESSEL)
@@ -44,6 +45,6 @@ for op in candidates:
 bad = T + 1
 cert = certify_operator(bad, T, oracle)
 print()
-residual = bad.apply_at(oracle, *cert.counterexample)
+(residual,) = next(evaluate([bad], oracle, [cert.counterexample]))
 print("T + 1 ->", cert.verdict, "at", cert.counterexample, "where the residual is", residual)
 assert cert.verdict == REFUTED and residual != 0

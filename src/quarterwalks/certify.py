@@ -152,10 +152,11 @@ def certify_operator(r: OreOperator, t: OreOperator, oracle: CountTable) -> Cert
 
 
 def evidence_check(r: OreOperator, oracle: CountTable, box: Box) -> bool:
-    """Defense-in-depth numeric sweep: (R f) identically zero on the box.
+    """Defense-in-depth numeric sweep: (R f) identically zero on the box,
+    the zero check ``ore.first_nonzero`` under its public name.
 
     Not part of the certificate logic; certified operators are expected to
     pass this on boxes disjoint from the base-case sweeps.
     """
-    return r.is_zero_on(oracle, box)
+    return first_nonzero(r, oracle, box.points()) is None
 

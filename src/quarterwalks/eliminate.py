@@ -394,10 +394,11 @@ def takayama_pipeline(
     """generate_module + eliminate_shifts, then the mandatory
     re-verification of the result against the origin-return sequence.
 
-    ``diagonal`` must hold f(n; 0, 0) for n = 0..N with N at least the
-    order of the result; the operator is checked on every window the
-    sequence covers before being returned.  No pivot on (0,0) raises
-    EliminationFailure.  Every component was kept, so a P found is an
+    ``diagonal`` must hold f(n; 0, 0) for n = 0..N with N above the
+    order of the result, so that it covers at least two windows (the
+    horizon ``cli`` demands of an imported recurrence too); the operator
+    is checked on every window before being returned.  No pivot on (0,0)
+    raises EliminationFailure.  Every component was kept, so a P found is an
     element of the module the generators span, and one that fails the
     check is a fault, raised as VerificationError.
     """
@@ -406,10 +407,8 @@ def takayama_pipeline(
     if result is None:
         raise EliminationFailure(diag)
     order = result.order()
-    if order >= len(diagonal):
-        raise VerificationError(
-            f"diagonal sequence too short: need at least {order + 1} values"
-        )
+    if len(diagonal) <= order + 1:
+        raise VerificationError(f"diagonal sequence too short: need at least {order + 2} values")
     bad = result.first_failure(diagonal, range(0, len(diagonal) - order))
     if bad is not None:
         raise VerificationError(f"eliminated operator fails the origin sequence at n={bad}")

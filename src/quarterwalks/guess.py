@@ -28,7 +28,7 @@ from itertools import compress, tee
 from operator import mul
 from typing import Iterator, Sequence
 
-from .ore import Box, OreOperator, _gather, term_rows
+from .ore import Box, OreOperator, _gather, evaluate, term_rows
 from .records import FrozenRecord, Record
 
 Tuple6 = tuple[int, int, int, int, int, int]
@@ -506,26 +506,22 @@ def filter_candidates(
     """Materialize kernel vectors and keep those with zero residual on the
     fresh points, normalized, each distinct operator once in the order it
     is first found: normalizing removes the common monomial factor, so
-    kernel vectors W and n*W give the same operator.  The fresh points'
-    system is assembled once, when the first vector reaches that check.
+    kernel vectors W and n*W give the same operator.  The fresh points are
+    read in one ``evaluate`` call over the operators that pass the tests
+    below, so only the cells of their shifts are read.
 
-    For the quasi-holonomic shape, a candidate whose coefficients all
-    vanish at i = j = 0 is dropped: its restriction to the origin column
-    is the empty recurrence, so it is not a quasi-holonomic operator in
-    the useful sense, merely an i- or j-multiple of other annihilators.
+    A zero vector is dropped.  For the quasi-holonomic shape, so is a
+    candidate whose coefficients all vanish at i = j = 0: its restriction
+    to the origin column is the empty recurrence, so it is not a
+    quasi-holonomic operator in the useful sense, merely an i- or
+    j-multiple of other annihilators.
     """
-    kept = {}
-    fresh_rows = None
-    for vec in basis:
-        op = template.materialize(vec)
-        if op.is_zero():
-            continue
-        if template.shape == "quasiholonomic" and op.substitute_zero(("i", "j")).is_zero():
-            continue
-        if fresh_rows is None:
-            fresh_rows = assemble_system(template, oracle, fresh_points).matrix
-        if _annihilates(fresh_rows, vec):
-            kept[op.normalized()] = None
+    ops = [
+        op for op in map(template.materialize, basis)
+        if op and (template.shape != "quasiholonomic" or op.substitute_zero(("i", "j")))
+    ]
+    nonzero = {k for row in evaluate(ops, oracle, fresh_points) for k, v in enumerate(row) if v}
+    kept = {op.normalized(): None for k, op in enumerate(ops) if k not in nonzero}
     return list(kept)
 
 

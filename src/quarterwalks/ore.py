@@ -22,7 +22,9 @@ that the quotient stays integral.  It reduces the remainder in place, and
 each cancelled term touches only the divisor's other terms; it is the
 workhorse of the certification algorithm, together with ``commutator``:
 [T, W] for such a T, built without products.  ``evaluate`` is the one
-evaluator of operators on a counting oracle, over ``term_rows``.
+evaluator of operators on a counting oracle, over ``term_rows``, and
+``first_nonzero`` the zero check built on it; an operator has no action
+of its own, so guessing, certification and evidence all read cells here.
 """
 
 from __future__ import annotations
@@ -295,15 +297,6 @@ class OreOperator:
                 for (dn, di, dj, e4, e5, e6), c in self._terms.items()
             }
         )
-
-    # -- action on the counting oracle ---------------------------------------
-
-    def apply_at(self, oracle, n: int, i: int, j: int) -> int:
-        """(this operator applied to the oracle) at one point, by ``evaluate``."""
-        return next(evaluate([self], oracle, [(n, i, j)]))[0]
-
-    def is_zero_on(self, oracle, box: "Box") -> bool:
-        return first_nonzero(self, oracle, box.points()) is None
 
     def __repr__(self) -> str:
         if not self._terms:

@@ -65,6 +65,11 @@ RUNS = [
     ("kreweras-eliminate",
      ["eliminate", "--steps", "W,S,NE", *_CANDIDATES, "--diag-limit", "100",
       "--out", "recurrence.json"]),
+    # the same P has order 6: seven values check it on one window only,
+    # and the run is refused
+    ("kreweras-eliminate-diag-6",
+     ["eliminate", "--steps", "W,S,NE", *_CANDIDATES, "--diag-limit", "6",
+      "--out", "recurrence-6.json"]),
     ("count", ["count", "--steps", "E,W,NE,SW", "--n", "12", "--i", "2", "--j", "4"]),
     ("table", ["table", "--steps", "W,S,NE", "--n-max", "8"]),
     ("check-closed-form-gessel", ["check-closed-form", "--closed-form", "gessel"]),

@@ -549,6 +549,39 @@ def test_import_recurrence_order_not_below_n_check_exit_2(tmp_path):
     assert not out_path.exists()
 
 
+_KREWERAS_CANDIDATES = [
+    os.path.join(os.path.dirname(__file__), "golden", "kreweras-guess", "files", "candidates",
+                 f"candidate_{k:03d}.json")
+    for k in range(3)
+]
+
+
+def test_every_branch_demands_two_windows_of_the_recurrence(tmp_path):
+    """The candidates of the default Kreweras bounds eliminate to an
+    order-6 P.  The origin sequence to --diag-limit 6 checks it on one
+    window only, n = 0: ``eliminate`` and both branches of ``prove``
+    refuse that horizon, and all three proceed at 7."""
+    rec = tmp_path / "p.json"
+    eliminate = ["eliminate", "--steps", "W,S,NE", *_KREWERAS_CANDIDATES, "--out", str(rec)]
+    r = run_cli(eliminate + ["--diag-limit", "6"])
+    assert _one_error_line(r) == "error: diagonal sequence too short: need at least 8 values"
+    assert not rec.exists()
+    assert run_cli(eliminate + ["--diag-limit", "7"]).exit_code == 0
+    assert uni_from_json(json.load(open(rec))["operator"]).order() == 6
+    for branch, refusal in (
+        ([], "error: diagonal sequence too short: need at least 8 values"),
+        (["--import-recurrence", str(rec)], "error: --diag-limit must exceed the recurrence order"),
+    ):
+        report = tmp_path / "report.json"
+        prove = _PROVE_K + branch + ["--out", str(report)]
+        assert _one_error_line(run_cli(prove + ["--diag-limit", "6"])) == refusal
+        assert not report.exists()
+        r = run_cli(prove + ["--diag-limit", "7"])
+        assert r.exit_code == 0, r.output
+        assert json.load(open(report))["status"] == "PROVED"
+        report.unlink()
+
+
 _GESSEL_IMPORT = ["prove", "--steps", "E,W,NE,SW", "--closed-form", "gessel",
                   "--import-recurrence"]
 

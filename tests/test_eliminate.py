@@ -294,8 +294,11 @@ def test_pipeline_reverifies_the_eliminated_operator():
     assert takayama_pipeline([r], [1, 2, 4, 8]).cleared() == {1: [1], 0: [-2]}
     with pytest.raises(VerificationError, match="fails the origin sequence at n=2"):
         takayama_pipeline([r], [1, 2, 4, 9])
-    with pytest.raises(VerificationError, match="too short"):
-        takayama_pipeline([r], [1])
+    # the sequence must cover two windows of the order-1 P, as an
+    # imported recurrence's must
+    for short in ([1], [1, 2]):
+        with pytest.raises(VerificationError, match="too short: need at least 3 values"):
+            takayama_pipeline([r], short)
 
 
 def test_kreweras_pipeline_end_to_end(kreweras_diagonal_500, kreweras_p_500):

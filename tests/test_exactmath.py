@@ -19,17 +19,14 @@ from quarterwalks.exactmath import (
     ipoly_mul,
     ipoly_shift_arg,
 )
+from quarterwalks.ore import evaluate
 
 # Polynomials in n, i, j are the shift-free operators of ``ore``; their
-# ring, evaluation and canonical-form tests live here beside Z[n]'s.
+# ring, evaluation and canonical-form tests live here beside Z[n]'s.  A
+# polynomial's value at a point is ``evaluate`` on the oracle ``Ones``.
 N = OreOperator.variable("n")
 I = OreOperator.variable("i")
 J = OreOperator.variable("j")
-
-
-def value(p, n, i, j):
-    """The value of a shift-free operator's polynomial at a point."""
-    return p.apply_at(Ones(), n, i, j)
 
 
 def random_poly(rng, max_terms=4, max_exp=3, max_coeff=9):
@@ -56,9 +53,9 @@ def test_mixed_product_single_term():
 
 
 def test_eval_examples():
-    assert value(N * N + 2 * N + 1, 2, 0, 0) == 9
-    assert value(I * J, 0, 0, 5) == 0
-    assert value(N + I + J, 3, 1, 2) == 6
+    assert list(evaluate([N * N + 2 * N + 1], Ones(), [(2, 0, 0)])) == [[9]]
+    assert list(evaluate([I * J], Ones(), [(0, 0, 5)])) == [[0]]
+    assert list(evaluate([N + I + J], Ones(), [(3, 1, 2)])) == [[6]]
 
 
 def test_substitute_shift_examples():
@@ -80,7 +77,7 @@ def test_substitute_shift_round_trip():
             pt = [rng.randint(-5, 5) for _ in range(3)]
             lower = list(pt)
             lower[k] -= 1
-            assert value(q, *lower) == value(p, *pt)
+            assert list(evaluate([q], Ones(), [lower])) == list(evaluate([p], Ones(), [pt]))
 
 
 def test_ring_axioms_random():
@@ -97,8 +94,8 @@ def test_eval_commutes_with_arithmetic():
     for _ in range(100):
         a, b = random_poly(rng), random_poly(rng)
         pt = (rng.randint(-5, 5), rng.randint(-5, 5), rng.randint(-5, 5))
-        assert value(a * b, *pt) == value(a, *pt) * value(b, *pt)
-        assert value(a + b, *pt) == value(a, *pt) + value(b, *pt)
+        product, total, a_value, b_value = next(evaluate([a * b, a + b, a, b], Ones(), [pt]))
+        assert product == a_value * b_value and total == a_value + b_value
 
 
 def random_wide_poly(rng, max_terms=5, max_exp=3):
@@ -117,10 +114,10 @@ def test_eval_matches_fraction_sum():
     for _ in range(300):
         p = random_wide_poly(rng)
         pt = tuple(rng.randint(-6, 9) for _ in range(3))
-        got = value(p, *pt)
+        (got,) = next(evaluate([p], Ones(), [pt]))
         assert type(got) is int and got == fraction_apply_at(p.terms, Ones(), *pt), (p, pt)
         pt = tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(3))
-        assert value(p, *pt) == fraction_apply_at(p.terms, Ones(), *pt), (p, pt)
+        assert next(evaluate([p], Ones(), [pt])) == [fraction_apply_at(p.terms, Ones(), *pt)]
 
 
 def test_evaluated_poly_equals_and_hashes_like_fresh_copy():
@@ -130,9 +127,10 @@ def test_evaluated_poly_equals_and_hashes_like_fresh_copy():
         fresh = OreOperator(p.terms)
         hashed = OreOperator(p.terms)
         hash(hashed)
-        value(p, 2, 3, 5)
+        list(evaluate([p], Ones(), [(2, 3, 5)]))
         assert p == fresh and hash(p) == hash(fresh)
-        assert value(hashed, 1, -2, 3) == value(fresh, 1, -2, 3)
+        got, want = next(evaluate([hashed, fresh], Ones(), [(1, -2, 3)]))
+        assert got == want
         assert hashed == p and hash(hashed) == hash(p)
         assert len({p, fresh, hashed}) == 1
 

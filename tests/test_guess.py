@@ -12,6 +12,7 @@ from quarterwalks import (
     TemplateError,
     build_template,
     assemble_system,
+    evidence_check,
     filter_candidates,
     guess_operators,
     nullspace,
@@ -23,6 +24,7 @@ from quarterwalks import (
 from quarterwalks import guess as guess_module
 from quarterwalks.cli import parse_bounds
 from quarterwalks.guess import _blocks, _kernel_mod, _primes, _ratrec, _vanishes_mod
+from quarterwalks.ore import evaluate, first_nonzero
 
 from naive_oracles import brute_force_counts, fraction_nullspace, modp_kernel
 from test_ore import ReadLog
@@ -161,44 +163,50 @@ def test_benchmark_guessing_systems(
 
 
 @pytest.mark.parametrize(
-    "steps, shape, bounds, assembled",
+    "steps, shape, bounds, checked",
     [
         ("E,W,NE,SW", "quasiholonomic",
          "deg_n=2,deg_i=2,deg_j=2,ord_sn=3,ord_si=2,ord_sj=2,total=2", 0),
-        ("W,S,NE", "full", "deg_n=2,deg_i=2,deg_j=2,ord_sn=4,ord_si=1,ord_sj=1,total=2", 1),
+        ("W,S,NE", "full", "deg_n=2,deg_i=2,deg_j=2,ord_sn=4,ord_si=1,ord_sj=1,total=2", 6),
+        ("E,W,NE,SW", "full", "ord_sn=1,ord_si=2,ord_sj=2", 1),
     ],
-    ids=["gessel-qh-guess", "kreweras-prove"],
+    ids=["gessel-qh-guess", "kreweras-prove", "gessel-transfer"],
 )
 def test_filter_assembles_fresh_rows_once_and_only_when_needed(
-    monkeypatch, steps, shape, bounds, assembled
+    monkeypatch, steps, shape, bounds, checked
 ):
-    """The fresh points' system is assembled once, when the first vector
-    reaches that check: on the Gessel quasi-holonomic system none does
-    (every kernel vector vanishes at i = j = 0), so no cell at the fresh
-    points' levels is read.  The candidates are those that vanish at
-    every fresh point, point by point."""
+    """The fresh points are read in one ``evaluate`` call over the
+    candidates that pass the zero and quasi-holonomic tests, and only the
+    cells of those candidates' shifts are read: on the Gessel
+    quasi-holonomic system no vector passes (every kernel vector vanishes
+    at i = j = 0), so no cell at the fresh points' levels is read, and
+    Gessel's transfer operator reads 5 of its template's 18 shifts.  The
+    candidates are those that vanish at every fresh point."""
     tpl = build_template(parse_bounds(bounds), shape)
     plan = plan_points(tpl)
     oracle = CountTable(parse_step_set(steps), 0)
     basis = nullspace(assemble_system(tpl, oracle, plan.points))
     calls = []
 
-    def counting(template, oracle, points):
-        calls.append(len(points))
-        return assemble_system(template, oracle, points)
+    def counting(ops, oracle, points):
+        calls.append((len(ops), len(points)))
+        return evaluate(ops, oracle, points)
 
-    monkeypatch.setattr(guess_module, "assemble_system", counting)
+    monkeypatch.setattr(guess_module, "evaluate", counting)
     log = ReadLog(oracle)
     kept = filter_candidates(basis, tpl, log, plan.fresh_points)
-    assert calls == [len(plan.fresh_points)] * assembled
+    assert calls == [(checked, len(plan.fresh_points))]
     fresh_level = min(n for n, _, _ in plan.fresh_points)
-    assert any(n >= fresh_level for n, _, _ in log.reads) == bool(assembled)
+    assert any(n >= fresh_level for n, _, _ in log.reads) == bool(checked)
+    ops = [tpl.materialize(vec) for vec in basis]
+    if shape == "quasiholonomic":
+        ops = [op for op in ops if not op.substitute_zero(("i", "j")).is_zero()]
+    shifts = {s for op in ops for s in op.support()}
+    cells = {(n + a, i + b, j + c) for n, i, j in plan.fresh_points for a, b, c in shifts}
+    assert len(log.reads) == len(cells) and set(log.reads) == cells
     want = {}
-    for vec in basis:
-        op = tpl.materialize(vec)
-        if shape == "quasiholonomic" and op.substitute_zero(("i", "j")).is_zero():
-            continue
-        if all(op.apply_at(oracle, *pt) == 0 for pt in plan.fresh_points):
+    for op in ops:
+        if first_nonzero(op, oracle, plan.fresh_points) is None:
             want[op.normalized()] = None
     assert kept == list(want)
 
@@ -527,7 +535,7 @@ def test_guessed_candidates_annihilate_on_disjoint_box(gessel_oracle):
     ops = guess_operators(tpl, gessel_oracle)
     assert ops
     for op in ops:
-        assert op.is_zero_on(gessel_oracle, Box((16, 22), (0, 6), (0, 6)))
+        assert evidence_check(op, gessel_oracle, Box((16, 22), (0, 6), (0, 6)))
 
 
 def test_guess_from_depth_zero_table_matches_prebuilt(gessel_oracle, kreweras_oracle):

@@ -1,7 +1,8 @@
 """The package's modules import one another in one direction only, down
 the pipeline: records < walks, ore, exactmath < guess, certify,
 eliminate, closedform < cli.  Every import statement counts, including
-one inside a function or under ``TYPE_CHECKING``."""
+one inside a function or under ``TYPE_CHECKING``.  And one evaluator
+applies operators to the counting oracle: ``ore.evaluate``."""
 
 import ast
 import os
@@ -76,3 +77,47 @@ def test_imports_point_down_the_layers(module):
             assert module == "cli", f"{module} imports the package root"
         else:
             assert RANK[target] < RANK[module], f"{module} imports {target}"
+
+
+def called_names(node: ast.AST) -> set[str]:
+    """The names called anywhere under ``node``: ``f(...)`` and
+    ``x.f(...)`` both give f."""
+    names = set()
+    for call in ast.walk(node):
+        if isinstance(call, ast.Call) and isinstance(call.func, ast.Name):
+            names.add(call.func.id)
+        elif isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute):
+            names.add(call.func.attr)
+    return names
+
+
+def test_call_scan_finds_both_forms():
+    source = "def f(op):\n    def g():\n        return ore.evaluate([op])\n    return term_rows(g())\n"
+    assert called_names(ast.parse(source)) == {"evaluate", "term_rows", "g"}
+
+
+def test_one_evaluator():
+    """Only ``ore.evaluate`` (under ``first_nonzero``) and the guessing
+    system's ``assemble_system`` read rows of an operator's terms from the
+    oracle (``term_rows``); ``filter_candidates`` reads its fresh points
+    through ``evaluate``, not a second system; and no class gives an
+    operator an evaluation of its own."""
+    row_readers, methods, functions = set(), set(), {}
+    for name in sorted(os.listdir(PACKAGE_DIR)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(PACKAGE_DIR, name)) as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef):
+                function = f"{name[:-3]}.{node.name}"
+                functions[function] = called_names(node)
+                if "term_rows" in functions[function]:
+                    row_readers.add(function)
+            elif isinstance(node, ast.ClassDef):
+                methods |= {f.name for f in node.body if isinstance(f, ast.FunctionDef)}
+    assert row_readers == {"ore.evaluate", "guess.assemble_system"}
+    assert "evaluate" in functions["ore.first_nonzero"]
+    called = functions["guess.filter_candidates"]
+    assert "evaluate" in called and not called & {"assemble_system", "_annihilates"}
+    assert not methods & {"apply_at", "is_zero_on"}

@@ -14,6 +14,7 @@ from quarterwalks import (
     OreOperator,
     UnsupportedDivisorError,
     div_rem,
+    evidence_check,
     operator_from_json,
     operator_to_json,
     parse_step_set,
@@ -102,7 +103,7 @@ def test_commutation_general_shift_powers():
         assert all(key[3:] == s.leading_monomial() for key in product.terms)
         pt = random_point(rng)
         want = fraction_apply_at(s.terms, Applied(p.terms, oracle), *pt)
-        assert product.apply_at(oracle, *pt) == want
+        assert next(evaluate([product], oracle, [pt])) == [want]
 
 
 def test_product_matches_composition_reference():
@@ -127,11 +128,12 @@ def test_associativity_random():
 
 
 def test_apply_examples(gessel_oracle):
-    assert T.is_zero_on(gessel_oracle, Box.cube(10))
+    assert first_nonzero(T, gessel_oracle, Box.cube(10).points()) is None
+    points = list(Box((0, 3), (0, 3), (0, 3)).points())
     identity = OreOperator.const(1)
-    for pt in Box((0, 3), (0, 3), (0, 3)).points():
-        assert identity.apply_at(gessel_oracle, *pt) == gessel_oracle.value(*pt)
-    assert SN.apply_at(gessel_oracle, 1, 0, 0) == 2  # f(2;0,0)
+    got = list(evaluate([identity], gessel_oracle, points))
+    assert got == [[gessel_oracle.value(*pt)] for pt in points]
+    assert list(evaluate([SN], gessel_oracle, [(1, 0, 0)])) == [[2]]  # f(2;0,0)
 
 
 def test_apply_linearity(gessel_oracle):
@@ -142,13 +144,10 @@ def test_apply_linearity(gessel_oracle):
         r1, r2 = random_operator(rng), random_operator(rng)
         a, b = random_poly(rng), random_poly(rng)
         combo = a * r1 + b * r2
-        for pt in [(2, 1, 1), (4, 0, 2), (6, 3, 0)]:
-            lhs = combo.apply_at(gessel_oracle, *pt)
-            a_value, b_value = a.apply_at(Ones(), *pt), b.apply_at(Ones(), *pt)
-            rhs = a_value * r1.apply_at(gessel_oracle, *pt) + b_value * r2.apply_at(
-                gessel_oracle, *pt
-            )
-            assert lhs == rhs
+        points = [(2, 1, 1), (4, 0, 2), (6, 3, 0)]
+        values = evaluate([combo, r1, r2], gessel_oracle, points)
+        for (lhs, v1, v2), (a_value, b_value) in zip(values, evaluate([a, b], Ones(), points)):
+            assert lhs == a_value * v1 + b_value * v2
 
 
 class PolynomialOracle:
@@ -158,7 +157,9 @@ class PolynomialOracle:
         return (3 * n - 5 * i + 7 * j) ** 2 + n * i * j + 1
 
 
-def test_apply_at_matches_fraction_sum(gessel_oracle):
+def test_evaluate_wide_coefficients_matches_fraction_sum(gessel_oracle):
+    # coefficients up to 2^40: an int at integer points of the counts,
+    # and the Fraction sum at rational points of a polynomial oracle
     from test_exactmath import random_wide_poly
 
     rng = random.Random(37)
@@ -167,14 +168,13 @@ def test_apply_at_matches_fraction_sum(gessel_oracle):
         for _ in range(rng.randint(1, 4)):
             shift = OreOperator({(0, 0, 0) + tuple(rng.randint(0, 2) for _ in range(3)): 1})
             op += random_wide_poly(rng, max_exp=2) * shift
-        for _ in range(3):
-            pt = tuple(rng.randint(0, 8) for _ in range(3))
-            value = op.apply_at(gessel_oracle, *pt)
+        points = [tuple(rng.randint(0, 8) for _ in range(3)) for _ in range(3)]
+        for pt, (value,) in zip(points, evaluate([op], gessel_oracle, points)):
             assert type(value) is int
             assert value == fraction_apply_at(op.terms, gessel_oracle, *pt), (op, pt)
-            pt = random_point(rng)
-            want = fraction_apply_at(op.terms, PolynomialOracle(), *pt)
-            assert op.apply_at(PolynomialOracle(), *pt) == want, (op, pt)
+        points = [random_point(rng) for _ in range(3)]
+        want = [[fraction_apply_at(op.terms, PolynomialOracle(), *pt)] for pt in points]
+        assert list(evaluate([op], PolynomialOracle(), points)) == want, op
 
 
 class ZeroOracle:
@@ -208,7 +208,9 @@ def test_evaluate_matches_fraction_sum(gessel_oracle):
             want = [[fraction_apply_at(op.terms, oracle, *pt) for op in ops] for pt in points]
             assert got == want
             assert len(log.reads) == len(set(log.reads))
-            assert [[op.apply_at(oracle, *pt) for op in ops] for pt in points] == got
+            # each operator alone gives its column of the joint evaluation
+            alone = [[v for v, in evaluate([op], oracle, points)] for op in ops]
+            assert alone == [list(column) for column in zip(*got)]
 
 
 def test_evaluate_reads_cells_off_the_quadrant_through_the_oracle(gessel_oracle):
@@ -235,7 +237,7 @@ def test_first_nonzero_is_the_first_in_scan_order(gessel_oracle):
         want = next((p for p, v in values.items() if v), None)
         log = ReadLog(gessel_oracle)
         assert first_nonzero(op, log, box.points()) == want
-        assert op.is_zero_on(gessel_oracle, box) == (want is None)
+        assert evidence_check(op, gessel_oracle, box) == (want is None)
         # no cell is read for a point past the one found
         points = list(box.points())
         scanned = points[: points.index(want) + 1] if want else points
@@ -295,11 +297,12 @@ def test_apply_beyond_table_deepens_it():
     # T reads level n + 1; a fresh table, since the fixture is shared
     oracle = CountTable(GESSEL, 10)
     deep = CountTable(GESSEL, 12)
-    for i in range(4):
-        assert T.apply_at(oracle, 10, i, 0) == T.apply_at(deep, 10, i, 0) == 0
+    points = [(10, i, 0) for i in range(4)]
+    assert list(evaluate([T], oracle, points)) == list(evaluate([T], deep, points)) == [[0]] * 4
     assert oracle.n_max == 11
     x = (N + 1) * OreOperator.shift("Sn", 2) + I * SI * SJ
-    assert x.apply_at(oracle, 10, 1, 1) == x.apply_at(deep, 10, 1, 1) != 0
+    got, want = (list(evaluate([x], o, [(10, 1, 1)])) for o in (oracle, deep))
+    assert got == want != [[0]]
     assert oracle.n_max == 12
 
 
@@ -308,7 +311,7 @@ def test_left_ideal_closure(gessel_oracle):
     for _ in range(10):
         x = random_operator(rng, max_terms=3, max_shift=2)
         xt = x * T
-        assert xt.is_zero_on(gessel_oracle, Box.cube(8))
+        assert first_nonzero(xt, gessel_oracle, Box.cube(8).points()) is None
 
 
 def test_substitute_zero_examples():
