@@ -37,13 +37,13 @@ print()
 # --- certification ------------------------------------------------------------
 
 for op in candidates:
-    cert = certify_operator(op, T, oracle)
+    cert = certify_operator(op, oracle)
     print("verdict:", cert.verdict, "| chain length:", len(cert.chain),
           "| base sweeps:", len(cert.base_checks))
 
 # a wrong operator is refuted with a concrete counterexample point
 bad = T + 1
-cert = certify_operator(bad, T, oracle)
+cert = certify_operator(bad, oracle)
 print()
 (residual,) = next(evaluate([bad], oracle, [cert.counterexample]))
 print("T + 1 ->", cert.verdict, "at", cert.counterexample, "where the residual is", residual)

@@ -42,7 +42,7 @@ print(f"{len(candidates)} candidates (exact kernel: mod-p reduction, lifted and 
 print("== 2. certification ==")
 generators = [T]
 for op in candidates:
-    cert = certify_operator(op, T, oracle)
+    cert = certify_operator(op, oracle)
     print("  verdict:", cert.verdict)
     if cert.certified:
         generators.append(op)

@@ -1,13 +1,14 @@
 """Rigorous certification that an operator annihilates the walk counts.
 
-The certificate rests on the transfer operator T of the step set
-(``trivial_operator``), which annihilates the counts by construction.  To
-decide whether a candidate R annihilates them too, it is enough to know
-that (T R) f = 0 together with finitely many base cases at n = 0: T
-propagates the vanishing of R f from one level to the next.  Checking
-(T R) f = 0 reduces, by division with remainder T R = U T + V, to
-checking V f = 0, and so on down a chain of remainders that ends at 0.
-What remains is a finite set of exact evaluations.
+The certificate rests on the transfer operator T of the table's own
+walks (``trivial_operator``, which ``certify_operator`` calls), and T
+annihilates the counts by construction.  To decide whether a candidate R
+annihilates them too, it is enough to know that (T R) f = 0 together
+with finitely many base cases at n = 0: T propagates the vanishing of
+R f from one level to the next.  Checking (T R) f = 0 reduces, by
+division with remainder T R = U T + V, to checking V f = 0, and so on
+down a chain of remainders that ends at 0.  What remains is a finite set
+of exact evaluations.
 
 The chain ends by a theorem.  T has constant coefficients and leading
 coefficient 1 or -1 (``ore.div_rem`` refuses any other divisor).  So
@@ -116,14 +117,16 @@ def _find_refutation(
     return point
 
 
-def certify_operator(r: OreOperator, t: OreOperator, oracle: CountTable) -> Certificate:
-    """Run the reduction-chain decision procedure for (R f) = 0.
+def certify_operator(r: OreOperator, oracle: CountTable) -> Certificate:
+    """Run the reduction-chain decision procedure for (R f) = 0 on the
+    counts f of ``oracle``.
 
-    The chain steps from W = R to rem([T, W], T) = rem(T W, T) and reaches
-    0 within total_poly_deg(R) + 1 steps, by the module's argument.  Its
+    T is ``trivial_operator(oracle.step_set)``, never a caller's: the
+    chain argument needs T f = 0 on the table's own walks.  The chain
+    steps from W = R to rem([T, W], T) = rem(T W, T) and reaches 0 within
+    total_poly_deg(R) + 1 steps, by the module's argument, whose
     hypotheses on T (constant coefficients, leading coefficient 1 or -1)
-    are what ``ore.commutator`` and ``ore.div_rem`` check: any other T
-    raises UnsupportedDivisorError.
+    every transfer operator meets.
 
     Verdicts: certified when the chain reached 0 and every base sweep was
     all-zero; refuted, with a point where R f != 0, when a base value is
@@ -132,6 +135,7 @@ def certify_operator(r: OreOperator, t: OreOperator, oracle: CountTable) -> Cert
     """
     if r.is_zero():
         raise ValueError("candidate operator is zero; nothing to certify")
+    t = trivial_operator(oracle.step_set)
     chain, base_checks = [], []
     w = r
     while True:

@@ -223,7 +223,7 @@ def certify(steps, operator_file, out):
     step_set = parse_step_set(steps)
     op = _load(operator_file, operator_from_json)
     oracle = cached_table(step_set)
-    cert = certify_operator(op, trivial_operator(step_set), oracle)
+    cert = certify_operator(op, oracle)
     report = {
         "meta": _meta(steps),
         "verdict": cert.verdict,
@@ -262,24 +262,21 @@ def eliminate(steps, operator_files, multiplier_bound, diag_limit, out):
     _dump({"meta": meta, "operator": uni_to_json(p)}, out)
 
 
-def _imported(path: str, step_set: StepSet, n_check: int, option: str):
-    """The recurrence in the file ``path``, the first n in
-    0 .. n_check - order at which it fails on the origin sequence of
-    ``step_set`` to n_check, or None, and that sequence.  An order at or
-    above n_check, which would leave no n to check, raises ValueError
-    naming ``option``."""
+def _imported(path: str, step_set: StepSet, n_check: int):
+    """The recurrence in the file ``path``, the first n at which it fails
+    on the origin sequence of ``step_set`` to n_check, or None, and that
+    sequence.  ``UniOperator.first_failure`` checks every window and
+    raises ValueError when n_check leaves fewer than two."""
     op = _load(path, uni_from_json)
-    if op.order() >= n_check:
-        raise ValueError(f"{option} must exceed the recurrence order")
     seq = origin_sequence(step_set, n_check)
-    return op, op.first_failure(seq, range(n_check - op.order() + 1)), seq
+    return op, op.first_failure(seq), seq
 
 
 def import_recurrence(recurrence_file, steps, n_check, out):
     """Load an externally supplied recurrence, validate it against the
     counting oracle, and emit it in normalized form."""
     _use("walks", "exactmath", "closedform")
-    op, bad, _ = _imported(recurrence_file, parse_step_set(steps), n_check, "--n-check")
+    op, bad, _ = _imported(recurrence_file, parse_step_set(steps), n_check)
     if bad is not None:
         print(f"rejected: fails sequence check at n={bad}", file=sys.stderr)
         sys.exit(1)
@@ -323,7 +320,7 @@ def prove(steps, which, import_file, bounds, shape, margin, multiplier_bound, di
     step_set = parse_step_set(steps)
 
     if import_file:
-        p, bad, origin = _imported(import_file, step_set, diag_limit, "--diag-limit")
+        p, bad, origin = _imported(import_file, step_set, diag_limit)
         report["recurrence_source"] = "imported"
         report["oracle_check"] = {"n_checked": diag_limit, "ok": bad is None, "failing_n": bad}
         if bad is not None:
@@ -334,12 +331,12 @@ def prove(steps, which, import_file, bounds, shape, margin, multiplier_bound, di
         report["candidates"] = len(candidates)
         if not candidates:
             _fail(report, out, "FAILED(no candidates)")
-        t = trivial_operator(step_set)
-        certified = [op for op in candidates if certify_operator(op, t, oracle).certified]
+        certified = [op for op in candidates if certify_operator(op, oracle).certified]
         _progress(f"{len(certified)} of {len(candidates)} candidates certified")
         report["certified"] = len(certified)
         if not certified:
             _fail(report, out, "FAILED(no certified operators)")
+        t = trivial_operator(step_set)
         if t not in certified:
             certified.insert(0, t)
         _progress(f"streaming origin sequence to n = {diag_limit}")

@@ -71,7 +71,7 @@ class EliminationFailure(RuntimeError):
 
 
 class VerificationError(RuntimeError):
-    """The eliminated operator failed its oracle re-verification."""
+    """The eliminated operator fails a window of the origin sequence."""
 
 
 # ---------------------------------------------------------------------------
@@ -391,25 +391,17 @@ def takayama_pipeline(
     diagonal: Sequence[int],
     multiplier_bound: Optional[int] = None,
 ) -> UniOperator:
-    """generate_module + eliminate_shifts, then the mandatory
-    re-verification of the result against the origin-return sequence.
-
-    ``diagonal`` must hold f(n; 0, 0) for n = 0..N with N above the
-    order of the result, so that it covers at least two windows (the
-    horizon ``cli`` demands of an imported recurrence too); the operator
-    is checked on every window before being returned.  No pivot on (0,0)
-    raises EliminationFailure.  Every component was kept, so a P found is an
-    element of the module the generators span, and one that fails the
-    check is a fault, raised as VerificationError.
-    """
+    """generate_module + eliminate_shifts, then the mandatory check of the
+    result on every window of ``diagonal``, f(n; 0, 0) for n = 0..N, by
+    ``UniOperator.first_failure`` (ValueError if N leaves fewer than two).
+    No pivot on (0,0) raises EliminationFailure.  Every component was kept,
+    so a P found is an element of the module the generators span, and one
+    that fails a window is a fault, raised as VerificationError."""
     vectors, _ = generate_module(ops, multiplier_bound)
     result, diag = eliminate_shifts(vectors)
     if result is None:
         raise EliminationFailure(diag)
-    order = result.order()
-    if len(diagonal) <= order + 1:
-        raise VerificationError(f"diagonal sequence too short: need at least {order + 2} values")
-    bad = result.first_failure(diagonal, range(0, len(diagonal) - order))
+    bad = result.first_failure(diagonal)
     if bad is not None:
         raise VerificationError(f"eliminated operator fails the origin sequence at n={bad}")
     return result

@@ -17,7 +17,7 @@ writes its file form (``closedform.uni_from_json`` reads it).
 from __future__ import annotations
 
 import math
-from typing import Iterable, Sequence
+from typing import Sequence
 
 # ---------------------------------------------------------------------------
 # Integer-coefficient univariate polynomials as lists, for fraction-free work.
@@ -326,14 +326,18 @@ class UniOperator:
             total += ipoly_eval(p, n) * seq[n + k]
         return total
 
-    def first_failure(self, seq: Sequence, n_range: Iterable[int]) -> int | None:
-        """The first n in the range where the recurrence does not hold on
-        the sequence, or None when it holds at every n.  The zero operator
-        holds on every sequence, so checking it would prove nothing and
-        raises ValueError instead."""
+    def first_failure(self, seq: Sequence) -> int | None:
+        """The first window n = 0 .. len(seq) - 1 - order at which the
+        recurrence fails on ``seq``, or None.  This is the one horizon
+        rule: a ``seq`` of fewer than two windows raises ValueError, and so
+        does the zero operator, which holds on every sequence."""
         if self.is_zero():
             raise ValueError("the zero operator annihilates every sequence")
-        return next((n for n in n_range if self.apply_to_sequence(seq, n) != 0), None)
+        order, last = self.order(), len(seq) - 1
+        if last <= order:
+            raise ValueError(f"f(n; 0, 0) to n = {last} checks the order-{order} recurrence "
+                             f"on fewer than two windows; need n >= {order + 1}")
+        return next((n for n in range(last - order + 1) if self.apply_to_sequence(seq, n)), None)
 
     def __repr__(self):
         if not self._terms:

@@ -63,7 +63,7 @@ def probe(steps):
     elements = longest = certified = 0
     mismatches = []
     for r in candidates:
-        cert = certify_operator(r, t, oracle)
+        cert = certify_operator(r, oracle)
         certified += cert.certified
         elements += len(cert.chain)
         longest = max(longest, len(cert.chain))

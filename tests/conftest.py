@@ -69,7 +69,7 @@ def kreweras_certified(kreweras_oracle):
     t = trivial_operator(KREWERAS)
     template = build_template(Bounds(2, 2, 2, 3, 1, 1), "full")
     candidates = guess_operators(template, kreweras_oracle)
-    certified = [c for c in candidates if certify_operator(c, t, kreweras_oracle).certified]
+    certified = [c for c in candidates if certify_operator(c, kreweras_oracle).certified]
     assert certified, "expected guessed Kreweras annihilators"
     return [t] + certified
 

@@ -70,6 +70,12 @@ RUNS = [
     ("kreweras-eliminate-diag-6",
      ["eliminate", "--steps", "W,S,NE", *_CANDIDATES, "--diag-limit", "6",
       "--out", "recurrence-6.json"]),
+    # and every other entry point that checks P refuses it with the same line
+    ("kreweras-prove-import-diag-6",
+     ["prove", "--steps", "W,S,NE", "--closed-form", "kreweras",
+      "--import-recurrence", "recurrence.json", "--diag-limit", "6"]),
+    ("kreweras-import-recurrence-n-check-6",
+     ["import-recurrence", "recurrence.json", "--steps", "W,S,NE", "--n-check", "6"]),
     ("count", ["count", "--steps", "E,W,NE,SW", "--n", "12", "--i", "2", "--j", "4"]),
     ("table", ["table", "--steps", "W,S,NE", "--n-max", "8"]),
     ("check-closed-form-gessel", ["check-closed-form", "--closed-form", "gessel"]),

@@ -109,10 +109,10 @@ def test_criterion_4_certification_soundness():
             t = trivial_operator(step_set)
             certified_ops = [t, n_poly * t, sn * t]
             for op in certified_ops:
-                cert = certify_operator(op, t, oracle)
+                cert = certify_operator(op, oracle)
                 assert cert.certified
                 assert evidence_check(op, oracle, box)
-            cert = certify_operator(t + 1, t, oracle)
+            cert = certify_operator(t + 1, oracle)
             assert cert.verdict == REFUTED
             assert cert.counterexample == (0, 0, 0)
 

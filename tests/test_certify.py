@@ -31,7 +31,7 @@ SJ2 = OreOperator.shift("Sj", 2)
 
 
 def test_certify_trivial_operator(gessel_oracle):
-    cert = certify_operator(T, T, gessel_oracle)
+    cert = certify_operator(T, gessel_oracle)
     assert cert.verdict == CERTIFIED
     assert cert.chain == [OreOperator.zero()]
     assert all(b.all_zero for b in cert.base_checks)
@@ -41,12 +41,12 @@ def test_certify_trivial_operator(gessel_oracle):
 
 def test_certify_left_multiples(gessel_oracle):
     for x in (SN, N):
-        cert = certify_operator(x * T, T, gessel_oracle)
+        cert = certify_operator(x * T, gessel_oracle)
         assert cert.certified
 
 
 def test_refute_t_plus_one(gessel_oracle):
-    cert = certify_operator(T + 1, T, gessel_oracle)
+    cert = certify_operator(T + 1, gessel_oracle)
     assert cert.verdict == REFUTED
     assert cert.counterexample == (0, 0, 0)
     # the reported point is re-checkable by direct application
@@ -55,13 +55,13 @@ def test_refute_t_plus_one(gessel_oracle):
 
 def test_certify_kreweras_family(kreweras_oracle):
     tk = trivial_operator(KREWERAS)
-    assert certify_operator(tk, tk, kreweras_oracle).certified
-    assert certify_operator(tk + 1, tk, kreweras_oracle).verdict == REFUTED
+    assert certify_operator(tk, kreweras_oracle).certified
+    assert certify_operator(tk + 1, kreweras_oracle).verdict == REFUTED
 
 
 def test_zero_operator_rejected(gessel_oracle):
     with pytest.raises(ValueError):
-        certify_operator(OreOperator.zero(), T, gessel_oracle)
+        certify_operator(OreOperator.zero(), gessel_oracle)
 
 
 def test_base_cases_examples(gessel_oracle):
@@ -154,7 +154,7 @@ def test_chain_degree_strictly_decreases(kreweras_certified, kreweras_oracle):
     scaled = [N * N * op for op in kreweras_certified]
     saw_long_chain = False
     for op in kreweras_certified + scaled:
-        cert = certify_operator(op, tk, kreweras_oracle)
+        cert = certify_operator(op, kreweras_oracle)
         assert cert.certified
         degs = [op.total_poly_deg()] + [w.total_poly_deg() for w in cert.chain if not w.is_zero()]
         assert all(a > b for a, b in zip(degs, degs[1:]))
@@ -169,7 +169,7 @@ def test_chain_degree_strictly_decreases(kreweras_certified, kreweras_oracle):
 def test_certified_pass_evidence_on_disjoint_box(gessel_oracle, kreweras_certified, kreweras_oracle):
     box = Box((1, 15), (0, 8), (0, 8))
     for op in (T, SN * T, N * T):
-        assert certify_operator(op, T, gessel_oracle).certified
+        assert certify_operator(op, gessel_oracle).certified
         assert evidence_check(op, gessel_oracle, box)
     for op in kreweras_certified:
         assert evidence_check(op, kreweras_oracle, box)
@@ -184,8 +184,8 @@ def test_certificates_independent_of_table_depth(kreweras_certified):
     shallow, deep = CountTable(KREWERAS, 0), CountTable(KREWERAS, 45)
     verdicts = set()
     for op in kreweras_certified + perturbed:
-        want = certify_operator(op, tk, deep)
-        got = certify_operator(op, tk, shallow)
+        want = certify_operator(op, deep)
+        got = certify_operator(op, shallow)
         assert (got.verdict, got.chain, got.base_checks, got.counterexample) == (
             want.verdict, want.chain, want.base_checks, want.counterexample
         ), op
@@ -211,7 +211,7 @@ def test_refutation_from_deeper_chain_level(gessel_oracle):
     # its chain exposes the defect and the reported counterexample is a
     # genuine point where the operator itself does not vanish.
     bad = I * (T + 1)
-    cert = certify_operator(bad, T, gessel_oracle)
+    cert = certify_operator(bad, gessel_oracle)
     assert cert.verdict == REFUTED
     assert first_nonzero(bad, gessel_oracle, [cert.counterexample]) == cert.counterexample
 
@@ -241,7 +241,7 @@ def _old_refutation_scan(r, oracle, t, chain_index, seed):
     ids=["T+1", "n*Sn*Sj^2", "n*Si*Sj^2"],
 )
 def test_scans_find_the_points_of_the_old_loops(op, gessel_oracle):
-    cert = certify_operator(op, T, gessel_oracle)
+    cert = certify_operator(op, gessel_oracle)
     for w, check in zip([op] + cert.chain, cert.base_checks):
         assert check.counterexample == _old_base_scan(w, gessel_oracle)
     found = 0
@@ -257,10 +257,10 @@ def test_scans_find_the_points_of_the_old_loops(op, gessel_oracle):
     assert found
 
 
-def _chain_steps(candidates, t, oracle):
+def _chain_steps(candidates, oracle):
     """Every W whose commutator with T a certification chain takes."""
     for r in candidates:
-        cert = certify_operator(r, t, oracle)
+        cert = certify_operator(r, oracle)
         yield from ([r] + cert.chain)[: len(cert.chain)]
 
 
@@ -269,11 +269,11 @@ def test_direct_commutator_on_every_chain_step(kreweras_certified, kreweras_orac
     Kreweras and the diagonal-walk candidates at the default bounds (the
     full Gessel template has no candidate there)."""
     tk = trivial_operator(KREWERAS)
-    steps = list(_chain_steps(kreweras_certified[1:], tk, kreweras_oracle))
+    steps = list(_chain_steps(kreweras_certified[1:], kreweras_oracle))
     diagonal = parse_step_set("NE,NW,SE,SW")
     td, oracle = trivial_operator(diagonal), CountTable(diagonal, 20)
     candidates = guess_operators(build_template(Bounds(2, 2, 2, 3, 1, 1)), oracle)
-    more = list(_chain_steps(candidates, td, oracle))
+    more = list(_chain_steps(candidates, oracle))
     assert (len(steps), len(candidates), len(more)) == (3, 51, 149)
     for t, ws in ((tk, steps), (td, more)):
         for w in ws:

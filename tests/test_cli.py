@@ -345,7 +345,7 @@ def test_eliminate_writes_recurrence_of_origin_counts(tmp_path, kreweras_certifi
     assert r.exit_code == 0, r.output
     p = uni_from_json(json.load(open(out))["operator"])
     assert p.order() >= 1
-    assert p.first_failure(origin_sequence(KREWERAS, 200), range(201 - p.order())) is None
+    assert p.first_failure(origin_sequence(KREWERAS, 200)) is None
 
 
 def test_reports_record_every_option_in_their_header(tmp_path, kreweras_certified):
@@ -488,7 +488,7 @@ def test_prove_quasiholonomic_without_candidates_exit_1(tmp_path):
 
 def test_prove_with_every_candidate_refuted_exit_1(tmp_path, monkeypatch):
     # certification rebound on the CLI module to refute every candidate
-    def refute(op, t, oracle):
+    def refute(op, oracle):
         return Certificate(op, "refuted", [], [], (0, 0, 0), "refuted for the test")
 
     monkeypatch.setattr("quarterwalks.cli.certify_operator", refute)
@@ -532,8 +532,10 @@ def test_prove_import_order_not_below_diag_limit_exit_2(tmp_path):
          "--import-recurrence", path, "--diag-limit", "10", "--out", str(report_path)],
     )
     assert r.exit_code == 2
-    # the message names prove's own option
-    assert "error: --diag-limit must exceed the recurrence order" in r.output
+    assert (
+        "error: f(n; 0, 0) to n = 10 checks the order-12 recurrence on fewer than two windows; "
+        "need n >= 13"
+    ) in r.output
     assert not report_path.exists()
 
 
@@ -545,7 +547,10 @@ def test_import_recurrence_order_not_below_n_check_exit_2(tmp_path):
         ["import-recurrence", path, "--steps", "E,W,NE,SW", "--n-check", "12",
          "--out", str(out_path)],
     )
-    assert _one_error_line(r) == "error: --n-check must exceed the recurrence order"
+    assert _one_error_line(r) == (
+        "error: f(n; 0, 0) to n = 12 checks the order-12 recurrence on fewer than two windows; "
+        "need n >= 13"
+    )
     assert not out_path.exists()
 
 
@@ -556,30 +561,37 @@ _KREWERAS_CANDIDATES = [
 ]
 
 
+_KREWERAS_DIAG_6 = (
+    "error: f(n; 0, 0) to n = 6 checks the order-6 recurrence on fewer than two windows; "
+    "need n >= 7"
+)
+
+
 def test_every_branch_demands_two_windows_of_the_recurrence(tmp_path):
     """The candidates of the default Kreweras bounds eliminate to an
     order-6 P.  The origin sequence to --diag-limit 6 checks it on one
-    window only, n = 0: ``eliminate`` and both branches of ``prove``
-    refuse that horizon, and all three proceed at 7."""
+    window only, n = 0: ``eliminate``, both branches of ``prove`` and
+    ``import-recurrence`` refuse that horizon with one message, and all
+    of them proceed at 7."""
     rec = tmp_path / "p.json"
     eliminate = ["eliminate", "--steps", "W,S,NE", *_KREWERAS_CANDIDATES, "--out", str(rec)]
     r = run_cli(eliminate + ["--diag-limit", "6"])
-    assert _one_error_line(r) == "error: diagonal sequence too short: need at least 8 values"
+    assert _one_error_line(r) == _KREWERAS_DIAG_6
     assert not rec.exists()
     assert run_cli(eliminate + ["--diag-limit", "7"]).exit_code == 0
     assert uni_from_json(json.load(open(rec))["operator"]).order() == 6
-    for branch, refusal in (
-        ([], "error: diagonal sequence too short: need at least 8 values"),
-        (["--import-recurrence", str(rec)], "error: --diag-limit must exceed the recurrence order"),
-    ):
+    for branch in ([], ["--import-recurrence", str(rec)]):
         report = tmp_path / "report.json"
         prove = _PROVE_K + branch + ["--out", str(report)]
-        assert _one_error_line(run_cli(prove + ["--diag-limit", "6"])) == refusal
+        assert _one_error_line(run_cli(prove + ["--diag-limit", "6"])) == _KREWERAS_DIAG_6
         assert not report.exists()
         r = run_cli(prove + ["--diag-limit", "7"])
         assert r.exit_code == 0, r.output
         assert json.load(open(report))["status"] == "PROVED"
         report.unlink()
+    check = ["import-recurrence", str(rec), "--steps", "W,S,NE", "--n-check"]
+    assert _one_error_line(run_cli(check + ["6"])) == _KREWERAS_DIAG_6
+    assert run_cli(check + ["7"]).exit_code == 0
 
 
 _GESSEL_IMPORT = ["prove", "--steps", "E,W,NE,SW", "--closed-form", "gessel",

@@ -158,33 +158,71 @@ def test_interlaced_sequence_pattern():
     assert HypergeomTerm(Fraction(2), (), (), 3, 1).sequence(7) == [0, 1, 0, 0, 2, 0, 0, 4]
 
 
-def test_check_recurrence_first_order_on_base_sequence():
-    den = ipoly_mul([2, 1], [3, 2])  # (m+2)(2m+3)
+def _kreweras_first_order():
+    """(m+2)(2m+3) S_m - 6(3m+1)(3m+2), the first-order recurrence of the
+    m-th Kreweras origin count."""
+    den = ipoly_mul([2, 1], [3, 2])
     num = ipoly_scale(ipoly_mul([1, 3], [2, 3]), -6)
-    p = UniOperator({1: den, 0: num})
+    return UniOperator({1: den, 0: num})
+
+
+def test_check_recurrence_first_order_on_base_sequence():
+    p = _kreweras_first_order()
     seq = [kreweras_comb(m) for m in range(202)]
-    assert p.first_failure(seq, range(201)) is None
+    assert p.first_failure(seq) is None
     shifted = seq[1:]
-    assert p.first_failure(shifted, range(195)) is not None
+    assert p.first_failure(shifted) is not None
 
 
 def test_first_failure_names_first_failing_n():
-    den = ipoly_mul([2, 1], [3, 2])
-    num = ipoly_scale(ipoly_mul([1, 3], [2, 3]), -6)
-    p = UniOperator({1: den, 0: num})
+    p = _kreweras_first_order()
     seq = [kreweras_comb(m) for m in range(40)]
-    assert p.first_failure(seq, range(39)) is None
+    assert p.first_failure(seq) is None
+    seq[30] += 1
+    assert p.first_failure(seq) == 29
+    # the window at n = 16 is the first to read seq[17]; the one at
+    # n = 29 still fails, and the first is named
     seq[17] += 1
-    # the window at n = 16 is the first to read seq[17]
-    assert p.first_failure(seq, range(39)) == 16
-    assert p.first_failure(seq, range(17, 39)) == 17
-    assert p.first_failure(seq, range(18, 39)) is None
+    assert p.first_failure(seq) == 16
+
+
+def test_first_failure_refuses_fewer_than_two_windows(monkeypatch):
+    """``len(seq) == order + 1`` leaves one window and raises; one value
+    more checks exactly the windows n = 0 and n = 1."""
+    p = _kreweras_first_order()
+    seq = [kreweras_comb(m) for m in range(3)]
+    with pytest.raises(ValueError) as exc:
+        p.first_failure(seq[:2])
+    assert str(exc.value) == (
+        "f(n; 0, 0) to n = 1 checks the order-1 recurrence on fewer than two windows; "
+        "need n >= 2"
+    )
+    checked = []
+    apply = UniOperator.apply_to_sequence
+    monkeypatch.setattr(
+        UniOperator, "apply_to_sequence", lambda op, s, n: checked.append(n) or apply(op, s, n)
+    )
+    assert p.first_failure(seq) is None
+    assert checked == [0, 1]
+    seq[2] += 1
+    assert p.first_failure(seq) == 1
+
+
+def test_first_failure_reports_a_defect_in_the_last_value():
+    """The last window, n = len(seq) - 1 - order, reads the last value."""
+    for p, seq in (
+        (_kreweras_first_order(), [kreweras_comb(m) for m in range(31)]),
+        (P0, origin_sequence(KREWERAS, 30)),
+    ):
+        assert p.first_failure(seq) is None
+        seq[-1] += 1
+        assert p.first_failure(seq) == len(seq) - 1 - p.order()
 
 
 def test_check_recurrence_zero_operator_warns():
     # a check of the zero operator would pass on any sequence, so it is refused
     with pytest.raises(ValueError, match="zero operator"):
-        UniOperator().first_failure([1, 2, 3], range(2))
+        UniOperator().first_failure([1, 2, 3])
 
 
 def test_symbolic_satisfies_builtins():
@@ -243,7 +281,7 @@ def test_symbolic_agrees_with_numeric_windows():
                 }
             )
         symbolic = symbolic_satisfies(p, k)
-        numeric = p.first_failure(seq, range(250 - p.order())) is None
+        numeric = p.first_failure(seq) is None
         if symbolic:
             true_count += 1
             assert numeric

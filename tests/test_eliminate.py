@@ -295,19 +295,23 @@ def test_pipeline_reverifies_the_eliminated_operator():
     with pytest.raises(VerificationError, match="fails the origin sequence at n=2"):
         takayama_pipeline([r], [1, 2, 4, 9])
     # the sequence must cover two windows of the order-1 P, as an
-    # imported recurrence's must
+    # imported recurrence's must: ``first_failure`` refuses it
     for short in ([1], [1, 2]):
-        with pytest.raises(VerificationError, match="too short: need at least 3 values"):
+        with pytest.raises(ValueError) as exc:
             takayama_pipeline([r], short)
+        assert str(exc.value) == (
+            f"f(n; 0, 0) to n = {len(short) - 1} checks the order-1 recurrence "
+            "on fewer than two windows; need n >= 2"
+        )
 
 
 def test_kreweras_pipeline_end_to_end(kreweras_diagonal_500, kreweras_p_500):
     diagonal, p = kreweras_diagonal_500, kreweras_p_500
     assert p.order() >= 3
-    assert p.first_failure(diagonal, range(0, 501 - p.order())) is None
+    assert p.first_failure(diagonal) is None
     # independent check against the closed-form recurrence's solutions:
     # P0 annihilates the same sequence
-    assert P0.first_failure(diagonal, range(0, 498)) is None
+    assert P0.first_failure(diagonal) is None
 
 
 def test_eliminate_shifts_leaves_its_vectors_unchanged(kreweras_certified):
@@ -592,7 +596,7 @@ def bench_generators(kreweras_oracle):
     t = trivial_operator(KREWERAS)
     template = build_template(Bounds(2, 2, 2, 4, 1, 1, 2), "full")
     candidates = guess_operators(template, kreweras_oracle)
-    return [t] + [c for c in candidates if certify_operator(c, t, kreweras_oracle).certified]
+    return [t] + [c for c in candidates if certify_operator(c, kreweras_oracle).certified]
 
 
 def test_bench_bounds_module_drops_sn_multiples(bench_generators):

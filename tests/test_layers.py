@@ -2,7 +2,8 @@
 the pipeline: records < walks, ore, exactmath < guess, certify,
 eliminate, closedform < cli.  Every import statement counts, including
 one inside a function or under ``TYPE_CHECKING``.  And one evaluator
-applies operators to the counting oracle: ``ore.evaluate``."""
+applies operators to the counting oracle, ``ore.evaluate``, as one check
+applies a recurrence to a sequence, ``UniOperator.first_failure``."""
 
 import ast
 import os
@@ -79,6 +80,17 @@ def test_imports_point_down_the_layers(module):
             assert RANK[target] < RANK[module], f"{module} imports {target}"
 
 
+def call_sites(node: ast.AST, name: str) -> set[tuple[int, int]]:
+    """(line, column) of every call of ``name`` anywhere under ``node``:
+    ``name(...)`` and ``x.name(...)`` both count."""
+    return {
+        (call.lineno, call.col_offset)
+        for call in ast.walk(node)
+        if isinstance(call, ast.Call)
+        and name in (getattr(call.func, "id", None), getattr(call.func, "attr", None))
+    }
+
+
 def called_names(node: ast.AST) -> set[str]:
     """The names called anywhere under ``node``: ``f(...)`` and
     ``x.f(...)`` both give f."""
@@ -91,9 +103,19 @@ def called_names(node: ast.AST) -> set[str]:
     return names
 
 
+def package_trees():
+    """(module name, parsed source) of every module of the package."""
+    for name in sorted(os.listdir(PACKAGE_DIR)):
+        if name.endswith(".py"):
+            with open(os.path.join(PACKAGE_DIR, name)) as fh:
+                yield name[:-3], ast.parse(fh.read())
+
+
 def test_call_scan_finds_both_forms():
     source = "def f(op):\n    def g():\n        return ore.evaluate([op])\n    return term_rows(g())\n"
     assert called_names(ast.parse(source)) == {"evaluate", "term_rows", "g"}
+    assert call_sites(ast.parse(source), "evaluate") == {(3, 15)}
+    assert call_sites(ast.parse("g(x)\nx.g(y)\ng.h()\n"), "g") == {(1, 0), (2, 0)}
 
 
 def test_one_evaluator():
@@ -103,14 +125,10 @@ def test_one_evaluator():
     through ``evaluate``, not a second system; and no class gives an
     operator an evaluation of its own."""
     row_readers, methods, functions = set(), set(), {}
-    for name in sorted(os.listdir(PACKAGE_DIR)):
-        if not name.endswith(".py"):
-            continue
-        with open(os.path.join(PACKAGE_DIR, name)) as fh:
-            tree = ast.parse(fh.read())
+    for module, tree in package_trees():
         for node in ast.walk(tree):
             if isinstance(node, ast.FunctionDef):
-                function = f"{name[:-3]}.{node.name}"
+                function = f"{module}.{node.name}"
                 functions[function] = called_names(node)
                 if "term_rows" in functions[function]:
                     row_readers.add(function)
@@ -121,3 +139,20 @@ def test_one_evaluator():
     called = functions["guess.filter_candidates"]
     assert "evaluate" in called and not called & {"assemble_system", "_annihilates"}
     assert not methods & {"apply_at", "is_zero_on"}
+
+
+def test_one_sequence_check():
+    """Only ``UniOperator.first_failure``, the one home of the two-window
+    horizon rule, applies a recurrence to a sequence: every call of
+    ``apply_to_sequence`` in the package is inside it."""
+    everywhere, inside = set(), set()
+    for module, tree in package_trees():
+        everywhere |= {(module, *site) for site in call_sites(tree, "apply_to_sequence")}
+        for cls in ast.walk(tree):
+            if isinstance(cls, ast.ClassDef) and cls.name == "UniOperator":
+                for method in cls.body:
+                    if isinstance(method, ast.FunctionDef) and method.name == "first_failure":
+                        inside |= {
+                            (module, *site) for site in call_sites(method, "apply_to_sequence")
+                        }
+    assert inside and everywhere == inside
