@@ -20,20 +20,19 @@ __version__ = "0.1.0"
 _EXPORTS = {
     name: module
     for module, names in {
-        "ore": "Box Degrees OreOperator UnsupportedDivisorError div_rem operator_from_json "
+        "ore": "Bounds Box OreOperator UnsupportedDivisorError div_rem operator_from_json "
         "operator_to_json",
         "walks": "CountTable GESSEL KREWERAS StepSet StepSetParseError cached_table "
         "origin_sequence parse_step_set walk_count",
-        "guess": "AnsatzTemplate Bounds LinearSystem TemplateError assemble_system "
-        "build_template filter_candidates guess_operators nullspace plan_points "
-        "template_from_support",
+        "guess": "AnsatzTemplate LinearSystem TemplateError assemble_system build_template "
+        "filter_candidates guess_operators nullspace plan_points template_from_support",
         "certify": "Certificate certify_operator check_base_cases evidence_check "
         "trivial_operator",
-        "exactmath": "UniOperator uni_to_json",
+        "exactmath": "UniOperator uni_from_json uni_to_json",
         "eliminate": "EliminationError EliminationFailure VerificationError eliminate_shifts "
         "generate_module reduce_mod_ij takayama_pipeline",
         "closedform": "CLOSED_FORMS EqualityVerdict HypergeomTerm hypergeom_term "
-        "max_nonneg_root nonneg_integer_roots prove_equality symbolic_satisfies uni_from_json",
+        "max_nonneg_root nonneg_integer_roots prove_equality symbolic_satisfies",
     }.items()
     for name in names.split()
 }

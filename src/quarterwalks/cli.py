@@ -74,7 +74,7 @@ def parse_bounds(text: str) -> Bounds:
     """Parse 'deg_n=2,deg_i=2,...,ord_sj=1[,total=4]' into Bounds; a key
     given twice (``total`` and ``total_poly_deg`` are one key) or a value
     that is not a decimal integer (``json_int``) raises TemplateError."""
-    _use("guess")
+    _use("ore", "guess")
     fields = {}
     for item in text.split(","):
         item = item.strip()
@@ -275,7 +275,7 @@ def _imported(path: str, step_set: StepSet, n_check: int):
 def import_recurrence(recurrence_file, steps, n_check, out):
     """Load an externally supplied recurrence, validate it against the
     counting oracle, and emit it in normalized form."""
-    _use("walks", "exactmath", "closedform")
+    _use("walks", "exactmath")
     op, bad, _ = _imported(recurrence_file, parse_step_set(steps), n_check)
     if bad is not None:
         print(f"rejected: fails sequence check at n={bad}", file=sys.stderr)
@@ -291,8 +291,7 @@ def check_closed_form(which, m_max):
     _use("walks", "closedform")
     step_set, term = CLOSED_FORMS[which]
     n_max = term.period * m_max
-    pairs = zip(term.sequence(n_max), origin_sequence(step_set, n_max))
-    bad = next((n for n, (value, count) in enumerate(pairs) if value != count), None)
+    bad = term.first_mismatch(origin_sequence(step_set, n_max))
     if bad is not None:
         print(f"mismatch at n={bad}", file=sys.stderr)
         sys.exit(1)
@@ -364,24 +363,21 @@ def prove(steps, which, import_file, bounds, shape, margin, multiplier_bound, di
         sys.exit(1)
 
 
-def _count(text: str) -> int:
-    """The type of an option that counts something: an integer >= 0."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"{value} is not in the range x>=0")
-    return value
+def _integer(low: int | None = None):
+    """The type of an integer option, at least ``low`` when one is given:
+    decimal digits with an optional sign, as ``json_int`` reads them, so
+    "1_0", " 5" and fullwidth digits are usage errors."""
 
+    def parse(text: str) -> int:
+        try:
+            value = json_int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
+        if low is not None and value < low:
+            raise argparse.ArgumentTypeError(f"{value} is not in the range x>={low}")
+        return value
 
-def _positive(text: str) -> int:
-    """The type of an option that needs at least one of what it counts:
-    an integer >= 1."""
-    value = _count(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"{value} is not in the range x>=1")
-    return value
+    return parse
 
 
 def _parser(prog: str) -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
@@ -416,19 +412,19 @@ def _parser(prog: str) -> tuple[argparse.ArgumentParser, dict[str, argparse.Argu
             help=f"Ansatz caps; repeat for more templates (default: {_DEFAULT_BOUNDS})",
         )
         sub.add_argument("--shape", choices=["full", "quasiholonomic"], default="full")
-        sub.add_argument("--margin", type=_count, default=20,
+        sub.add_argument("--margin", type=_integer(0), default=20,
                          help="Extra sample points beyond the unknown count (default: 20).")
 
     def eliminating(sub):
-        sub.add_argument("--multiplier-bound", type=_count)
-        sub.add_argument("--diag-limit", type=_count, default=500, help="(default: 500)")
+        sub.add_argument("--multiplier-bound", type=_integer(0))
+        sub.add_argument("--diag-limit", type=_integer(0), default=500, help="(default: 500)")
 
     sub = command(count)
     for name in ("--n", "--i", "--j"):
-        sub.add_argument(name, type=int, required=True)
+        sub.add_argument(name, type=_integer(), required=True)
 
     sub = command(table)
-    sub.add_argument("--n-max", type=_count, required=True)
+    sub.add_argument("--n-max", type=_integer(0), required=True)
     sub.add_argument("--out", help="Write the table JSON here instead of stdout.")
 
     sub = command(guess)
@@ -446,14 +442,14 @@ def _parser(prog: str) -> tuple[argparse.ArgumentParser, dict[str, argparse.Argu
 
     sub = command(import_recurrence, "import-recurrence")
     sub.add_argument("recurrence_file")
-    sub.add_argument("--n-check", type=_count, default=200,
+    sub.add_argument("--n-check", type=_integer(0), default=200,
                      help="Length of the origin sequence the recurrence is checked against "
                      "(default: 200).")
     sub.add_argument("--out")
 
     sub = command(check_closed_form, "check-closed-form", steps=False)
     sub.add_argument("--closed-form", dest="which", choices=_CLOSED_FORM_NAMES, required=True)
-    sub.add_argument("--m-max", type=_positive, default=13, help="(default: 13)")
+    sub.add_argument("--m-max", type=_integer(1), default=13, help="(default: 13)")
 
     sub = command(prove)
     sub.add_argument("--closed-form", dest="which", choices=_CLOSED_FORM_NAMES, required=True)

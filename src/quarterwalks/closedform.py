@@ -25,11 +25,8 @@ cleared, so a passing check is a proof, not a sampled plausibility.
 ``prove_equality`` combines that with enough initial values to pin the
 sequence past every nonnegative integer root of the leading coefficient
 (Hensel-lifted by ``nonneg_integer_roots``, with no bound on their size),
-where the recurrence alone would not propagate uniqueness.
-
-``uni_from_json`` reads a recurrence file, whose terms may be rational,
-here beside the rational parameters: the integer modules never import
-``fractions``, and an imported recurrence needs no other layer.
+where the recurrence alone would not propagate uniqueness.  This module
+holds only the closed forms and the proof, and alone imports ``fractions``.
 """
 
 from __future__ import annotations
@@ -43,7 +40,6 @@ from .exactmath import (
     UniOperator,
     ipoly_add,
     ipoly_compose_affine,
-    ipoly_divexact_poly,
     ipoly_eval,
     ipoly_gcd_cofactors,
     ipoly_mul,
@@ -51,7 +47,7 @@ from .exactmath import (
     ipoly_shift_arg,
     ipoly_trim,
 )
-from .records import FrozenRecord, Record, json_int
+from .records import FrozenRecord, Record
 from .walks import GESSEL, KREWERAS, StepSet
 
 
@@ -113,6 +109,11 @@ class HypergeomTerm(FrozenRecord):
             out[n] = b
             b *= Fraction(ipoly_eval(num, m), ipoly_eval(den, m))
         return out
+
+    def first_mismatch(self, counts: Sequence[int]) -> int | None:
+        """The first n at which g(n) differs from counts[n], or None."""
+        pairs = zip(self.sequence(len(counts) - 1), counts)
+        return next((n for n, (value, count) in enumerate(pairs) if value != count), None)
 
 
 # name -> (step set, origin-return counts of its walks in Pochhammer form)
@@ -289,80 +290,7 @@ def prove_equality(p: UniOperator, term: HypergeomTerm, origin: Sequence[int]) -
         raise ValueError(f"{count} initial values needed, the origin sequence has {len(origin)}")
     if not symbolic_satisfies(p, term):
         return EqualityVerdict("FAILED(symbolic-recurrence)")
-    closed = term.sequence(count - 1)
-    bad = next((n for n in range(count) if closed[n] != origin[n]), None)
+    bad = term.first_mismatch(origin[:count])
     if bad is not None:
         return EqualityVerdict("FAILED(initial-values)", count, s, failing_index=bad)
     return EqualityVerdict(PROVED, count, s)
-
-
-# ---------------------------------------------------------------------------
-# Reading a recurrence file (its writer is ``exactmath.uni_to_json``)
-# ---------------------------------------------------------------------------
-
-
-def _json_fraction(x) -> Fraction:
-    """A coefficient of a term: a JSON integer or a string such as "3/2";
-    a float or a bool raises ValueError instead of being read as its
-    binary value."""
-    if type(x) not in (int, str):
-        raise ValueError(f"expected an integer or a fraction string, not {x!r}")
-    return Fraction(x)
-
-
-def _json_term(entry: dict, k: int) -> tuple[list[int], list[int]]:
-    """One term num/den of an operator file as integer polynomials in
-    lowest terms over Z; (num, den) = ([], [1]) for a zero term."""
-    try:
-        num, den = ([_json_fraction(x) for x in entry[key]] for key in ("num", "den"))
-    except (ValueError, ZeroDivisionError) as e:
-        raise ValueError(f"term of power {k}: bad number ({e})") from None
-    scale = math.lcm(*(c.denominator for c in num + den))
-    num, den = ([c.numerator * (scale // c.denominator) for c in p] for p in (num, den))
-    num, den = ipoly_trim(num), ipoly_trim(den)
-    if not den:
-        raise ValueError(f"term of power {k}: zero denominator")
-    if not num:
-        return [], [1]
-    _, (num, den) = ipoly_gcd_cofactors([num, den])
-    return num, den
-
-
-def uni_from_json(data: dict) -> UniOperator:
-    """Read an operator file; the result is in its cleared form.
-
-    A term is a rational function num/den in n with rational
-    coefficients.  Each one is scaled to integer coefficients and reduced
-    to lowest terms, and then every term is multiplied by the lcm L of the
-    denominators over Z[n], so term k becomes num_k (L / den_k).  That is
-    left multiplication of the whole operator by L, a nonzero element of
-    Q(n), so the recurrence is unchanged.  A stated ``"cleared"`` form
-    must match the one computed and state each power once.  A malformed
-    number or a zero denominator raises ValueError naming the term's
-    power; the powers and the cleared coefficients are integer fields,
-    read by ``json_int``.
-    """
-    if data.get("var") != "n" or data.get("shift") != "Sn":
-        raise ValueError("unrecognized operator header")
-    reduced: dict[int, tuple[list[int], list[int]]] = {}
-    den_lcm = [1]
-    for entry in data["terms"]:
-        k = json_int(entry["power"])
-        if k in reduced:
-            raise ValueError(f"duplicate power {k}")
-        reduced[k] = num, den = _json_term(entry, k)
-        _, (_, den_new) = ipoly_gcd_cofactors([den_lcm, den])  # den / gcd(den_lcm, den)
-        den_lcm = ipoly_mul(den_lcm, den_new)
-    op = UniOperator(
-        {k: ipoly_mul(num, ipoly_divexact_poly(den_lcm, den)) for k, (num, den) in reduced.items()}
-    )
-    if "cleared" in data:
-        stated: dict[int, list[int]] = {}
-        for entry in data["cleared"]:
-            k = json_int(entry["power"])
-            if k in stated:
-                raise ValueError(f"duplicate cleared power {k}")
-            stated[k] = [json_int(c) for c in entry["coeffs"]]
-        if stated != op.cleared():
-            raise ValueError("cleared form does not match the rational terms")
-    return op

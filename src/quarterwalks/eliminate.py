@@ -27,7 +27,7 @@ position makes it the minimal-order such element of the module span.
 
 Elimination builds on ``ore`` and ``exactmath`` only: P is an
 ``exactmath.UniOperator``, whose file form ``exactmath.uni_to_json``
-writes and ``closedform.uni_from_json`` reads.
+writes and ``exactmath.uni_from_json`` reads.
 """
 
 from __future__ import annotations

@@ -10,14 +10,18 @@ gcd GCDHEU, whose evaluation point grows until its candidate divides
 every input).  Nothing in this module uses ``Fraction``.  Polynomials in
 n, i, j are the shift-free elements of the operator algebra in ``ore``.
 
-``UniOperator`` is a recurrence, an element of Z[n][S_n]; ``uni_to_json``
-writes its file form (``closedform.uni_from_json`` reads it).
+``UniOperator`` is a recurrence, an element of Z[n][S_n].  Its file form
+is written by ``uni_to_json`` and read, beside it, by ``uni_from_json``:
+every number of the file, each half of a term entry "a/b" too, goes
+through ``records.json_int``, so an imported recurrence needs no other layer.
 """
 
 from __future__ import annotations
 
 import math
 from typing import Sequence
+
+from .records import json_int
 
 # ---------------------------------------------------------------------------
 # Integer-coefficient univariate polynomials as lists, for fraction-free work.
@@ -288,7 +292,7 @@ class UniOperator:
             if p:
                 if k < 0:
                     raise ValueError("negative shift power")
-                clean[int(k)] = p
+                clean[k] = p
         g = math.gcd(*(ipoly_content(p) for p in clean.values()))
         if clean and clean[max(clean)][-1] < 0:
             g = -g
@@ -375,3 +379,73 @@ def uni_to_json(op: UniOperator) -> dict:
     terms = [{"power": k, "num": [str(c) for c in p], "den": ["1"]} for k, p in items]
     cleared = [{"power": k, "coeffs": [str(c) for c in p]} for k, p in items]
     return {"var": "n", "shift": "Sn", "terms": terms, "cleared": cleared}
+
+
+def _json_ratio(x) -> tuple[int, int]:
+    """A number of a term as (a, b), b > 0: a JSON integer or a
+    ``json_int`` string over b = 1, or a string "a/b" of a ``json_int``
+    string a and ASCII digits b.  Anything else raises ValueError."""
+    if type(x) is not str or "/" not in x:
+        return json_int(x), 1
+    a, _, b = x.partition("/")
+    den = json_int(b) if b.isascii() and b.isdigit() else 0
+    if not den:
+        raise ValueError(f"expected a denominator of ASCII digits above 0 in {x!r}")
+    return json_int(a), den
+
+
+def _json_term(entry: dict, k: int) -> tuple[IPoly, IPoly]:
+    """One term num/den of an operator file as integer polynomials in
+    lowest terms over Z; (num, den) = ([], [1]) for a zero term."""
+    try:
+        num, den = ([_json_ratio(x) for x in entry[key]] for key in ("num", "den"))
+    except ValueError as e:
+        raise ValueError(f"term of power {k}: bad number ({e})") from None
+    scale = math.lcm(*(b for _, b in num + den))
+    num, den = (ipoly_trim([a * (scale // b) for a, b in p]) for p in (num, den))
+    if not den:
+        raise ValueError(f"term of power {k}: zero denominator")
+    if not num:
+        return [], [1]
+    _, (num, den) = ipoly_gcd_cofactors([num, den])
+    return num, den
+
+
+def uni_from_json(data: dict) -> UniOperator:
+    """Read an operator file; the result is in its cleared form.
+
+    A term is a rational function num/den in n with rational
+    coefficients (``_json_ratio``).  Each one is scaled to integer
+    coefficients and reduced to lowest terms, and then every term is
+    multiplied by the lcm L of the denominators over Z[n], so term k
+    becomes num_k (L / den_k).  That is left multiplication of the whole
+    operator by L, a nonzero element of Q(n), so the recurrence is
+    unchanged.  A stated ``"cleared"`` form must match the one computed
+    and state each power once.  A malformed number or a zero denominator
+    raises ValueError naming the term's power; the powers and the cleared
+    coefficients are integer fields, read by ``json_int``.
+    """
+    if data.get("var") != "n" or data.get("shift") != "Sn":
+        raise ValueError("unrecognized operator header")
+    reduced: dict[int, tuple[IPoly, IPoly]] = {}
+    den_lcm = [1]
+    for entry in data["terms"]:
+        k = json_int(entry["power"])
+        if k in reduced:
+            raise ValueError(f"duplicate power {k}")
+        reduced[k] = num, den = _json_term(entry, k)
+        _, (_, den_new) = ipoly_gcd_cofactors([den_lcm, den])  # den / gcd(den_lcm, den)
+        den_lcm = ipoly_mul(den_lcm, den_new)
+    op = UniOperator(
+        {k: ipoly_mul(num, ipoly_divexact_poly(den_lcm, den)) for k, (num, den) in reduced.items()}
+    )
+    if "cleared" in data:
+        stated: dict[int, IPoly] = {}
+        for entry in data["cleared"]:
+            k = json_int(entry["power"])
+            if k in stated:
+                raise ValueError(f"duplicate cleared power {k}")
+            stated[k] = [json_int(c) for c in entry["coeffs"]]
+        if stated != op.cleared():
+            raise ValueError("cleared form does not match the rational terms")
+    return op

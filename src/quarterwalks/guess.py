@@ -28,7 +28,7 @@ from itertools import compress, tee
 from operator import mul
 from typing import Iterator, Sequence
 
-from .ore import Box, OreOperator, _gather, evaluate, term_rows
+from .ore import Bounds, Box, OreOperator, _gather, evaluate, term_rows
 from .records import FrozenRecord, Record
 
 Tuple6 = tuple[int, int, int, int, int, int]
@@ -36,26 +36,6 @@ Tuple6 = tuple[int, int, int, int, int, int]
 
 class TemplateError(ValueError):
     """Raised for an ansatz with empty support or bad caps."""
-
-
-class Bounds(FrozenRecord):
-    """Per-symbol caps for an ansatz: polynomial degrees in n, i, j and
-    shift orders, plus an optional cap on the total polynomial degree."""
-
-    __slots__ = ("deg_n", "deg_i", "deg_j", "ord_sn", "ord_si", "ord_sj", "total_poly_deg")
-
-    def __init__(
-        self, deg_n: int = 0, deg_i: int = 0, deg_j: int = 0, ord_sn: int = 0, ord_si: int = 0,
-        ord_sj: int = 0, total_poly_deg: int | None = None,
-    ):
-        self._init(deg_n, deg_i, deg_j, ord_sn, ord_si, ord_sj, total_poly_deg)
-
-    def validate(self):
-        caps = (self.deg_n, self.deg_i, self.deg_j, self.ord_sn, self.ord_si, self.ord_sj)
-        if any(c < 0 for c in caps):
-            raise TemplateError("all caps must be >= 0")
-        if self.total_poly_deg is not None and self.total_poly_deg < 0:
-            raise TemplateError("total degree cap must be >= 0")
 
 
 class AnsatzTemplate(FrozenRecord):
@@ -72,20 +52,6 @@ class AnsatzTemplate(FrozenRecord):
 
     def __len__(self):
         return len(self.support)
-
-    def max_shift(self) -> tuple[int, int, int]:
-        return (
-            max(t[3] for t in self.support),
-            max(t[4] for t in self.support),
-            max(t[5] for t in self.support),
-        )
-
-    def max_degrees(self) -> tuple[int, int, int]:
-        return (
-            max(t[0] for t in self.support),
-            max(t[1] for t in self.support),
-            max(t[2] for t in self.support),
-        )
 
     def materialize(self, vector: Sequence[int]) -> OreOperator:
         """Turn an integer coefficient vector over the support into an
@@ -106,10 +72,15 @@ def quasiholonomic_ok(t: Tuple6) -> bool:
 def build_template(bounds: Bounds, shape: str = "full") -> AnsatzTemplate:
     """Enumerate the exponent tuples within the caps and shape restriction.
 
-    The support is never empty (``AnsatzTemplate`` would refuse it):
-    validated caps admit the all-zero tuple, and the quasi-holonomic filter
-    keeps it, as it has no S_i or S_j."""
-    bounds.validate()
+    A negative cap raises TemplateError.  The support is never empty
+    (``AnsatzTemplate`` would refuse it): caps of at least 0 admit the
+    all-zero tuple, and the quasi-holonomic filter keeps it, as it has no
+    S_i or S_j."""
+    caps = (bounds.deg_n, bounds.deg_i, bounds.deg_j, bounds.ord_sn, bounds.ord_si, bounds.ord_sj)
+    if any(c < 0 for c in caps):
+        raise TemplateError("all caps must be >= 0")
+    if bounds.total_poly_deg is not None and bounds.total_poly_deg < 0:
+        raise TemplateError("total degree cap must be >= 0")
     if shape not in ("full", "quasiholonomic"):
         raise TemplateError(f"unknown ansatz shape {shape!r}")
     support = []
@@ -153,10 +124,9 @@ def plan_points(template: AnsatzTemplate, margin: int = 20) -> PointPlan:
     """Grid n in [1, N], i, j in [0, J] with at least len(template) + margin
     points whose n is not below i and j (rows sampled at i > n or j > n are
     mostly forced zeros and carry little information, so they are not
-    counted against the quota)."""
-    _, si, sj = template.max_shift()
-    dn, di, dj = template.max_degrees()
-    J = max(si, sj, di, dj) + 2
+    counted against the quota).  J is 2 above the largest degree in i or j
+    and order in S_i or S_j over the support."""
+    J = max(max(t[1], t[2], t[4], t[5]) for t in template.support) + 2
     need = len(template) + margin
     per_level = (J + 1) ** 2
     N = J + 1 + max(4, -(-need // per_level))

@@ -50,17 +50,19 @@ class UnsupportedDivisorError(ValueError):
     whose leading coefficient is 1 or -1."""
 
 
-class Degrees(FrozenRecord):
-    """Per-symbol maxima of an operator; ``empty`` marks the zero operator."""
+class Bounds(FrozenRecord):
+    """Per-symbol caps: polynomial degrees in n, i, j and shift orders,
+    plus an optional cap on the total polynomial degree.  They bound an
+    ansatz (``guess.build_template``, which refuses a negative cap), and
+    ``OreOperator.degrees`` gives the smallest ones that hold an operator."""
 
-    __slots__ = ("empty", "deg_n", "deg_i", "deg_j", "ord_sn", "ord_si", "ord_sj", "total_poly_deg")
+    __slots__ = ("deg_n", "deg_i", "deg_j", "ord_sn", "ord_si", "ord_sj", "total_poly_deg")
 
     def __init__(
-        self, empty: bool, deg_n: int | None = None, deg_i: int | None = None,
-        deg_j: int | None = None, ord_sn: int | None = None, ord_si: int | None = None,
-        ord_sj: int | None = None, total_poly_deg: int | None = None,
+        self, deg_n: int = 0, deg_i: int = 0, deg_j: int = 0, ord_sn: int = 0, ord_si: int = 0,
+        ord_sj: int = 0, total_poly_deg: int | None = None,
     ):
-        self._init(empty, deg_n, deg_i, deg_j, ord_sn, ord_si, ord_sj, total_poly_deg)
+        self._init(deg_n, deg_i, deg_j, ord_sn, ord_si, ord_sj, total_poly_deg)
 
 
 def _shift_first(key: Term) -> tuple[int, ...]:
@@ -206,11 +208,13 @@ class OreOperator:
             raise ValueError("zero operator has no leading monomial")
         return max(key[3:] for key in self._terms)
 
-    def degrees(self) -> Degrees:
+    def degrees(self) -> Bounds:
+        """The smallest ``Bounds`` whose template holds the operator: each
+        exponent's maximum over the terms, and the total polynomial degree.
+        The zero operator raises ValueError, as in ``leading_monomial``."""
         if not self._terms:
-            return Degrees(empty=True)
-        maxima = (max(key[k] for key in self._terms) for k in range(6))
-        return Degrees(False, *maxima, total_poly_deg=self.total_poly_deg())
+            raise ValueError("zero operator has no degrees")
+        return Bounds(*map(max, zip(*self._terms)), self.total_poly_deg())
 
     def total_poly_deg(self) -> int:
         """Max total degree in n, i, j over the terms; -1 for zero."""

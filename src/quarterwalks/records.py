@@ -8,7 +8,8 @@ unhashable; a ``FrozenRecord`` refuses assignment after ``__init__`` and
 hashes by its fields.  Both copy and pickle by calling the constructor
 again on the fields, so validation in ``__init__`` runs again.
 
-``json_int`` reads an integer field of a file or a bounds value; every
+``json_int`` reads an integer field of a file, a bounds value or an
+integer option; it is the package's one ``int()`` of a text.  Every
 command loads this module, so none loads a layer only to read one.
 """
 

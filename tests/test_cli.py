@@ -145,6 +145,42 @@ def test_negative_counts_are_usage_errors(tmp_path, args, option):
     assert option in r.output
 
 
+@pytest.mark.parametrize(
+    "args, bad",
+    [
+        (["count", "--steps", "W,S,NE", "--n", "５", "--i", "0", "--j", "0"], "５"),
+        (["count", "--steps", "W,S,NE", "--n", "3", "--i", " 1", "--j", "0"], " 1"),
+        (["eliminate", "--steps", "W,S,NE", "{op}", "--diag-limit", "1_0"], "1_0"),
+        (_PROVE_K + ["--diag-limit", "1_0"], "1_0"),
+        (["import-recurrence", "{rec}", "--steps", "W,S,NE", "--n-check", "40 "], "40 "),
+        (["check-closed-form", "--closed-form", "kreweras", "--m-max", "+٣"], "+٣"),
+    ],
+    ids=["count-fullwidth", "count-space", "eliminate-separator", "prove-separator",
+         "import-recurrence-space", "check-closed-form-arabic-indic"],
+)
+def test_integer_options_take_decimal_digits_only(tmp_path, args, bad):
+    # int() takes every one of these
+    op = write_json(tmp_path / "t.json", operator_to_json(trivial_operator(GESSEL)))
+    rec = write_json(tmp_path / "rec.json", uni_to_json(PG))
+    r = run_cli([a.format(op=op, rec=rec) for a in args])
+    assert r.exit_code == 2
+    assert "Traceback" not in r.output
+    assert f"{bad!r} is not an integer" in r.stderr
+
+
+@pytest.mark.parametrize("entry", ["1e3", "1_0", "1.5", " 3/2", "3/+2", "1/0"])
+def test_import_refuses_a_bad_term_entry_in_one_line(tmp_path, entry):
+    data = uni_to_json(PG)
+    data["terms"][0]["num"][0] = entry
+    del data["cleared"]
+    rec = write_json(tmp_path / "rec.json", data)
+    r = run_cli(["import-recurrence", rec, "--steps", "E,W,NE,SW", "--n-check", "40"])
+    power = data["terms"][0]["power"]
+    assert r.exit_code == 2
+    assert r.stderr.startswith(f"error: term of power {power}: bad number (")
+    assert r.stderr.count("\n") == 1
+
+
 def test_guess_trivial_support_recovers_t(tmp_path):
     out = tmp_path / "cands"
     r = run_cli(
@@ -855,7 +891,7 @@ _GESSEL_T_FILE = json.dumps(operator_to_json(trivial_operator(GESSEL)))
          _BASE | {"quarterwalks.walks", "quarterwalks.exactmath", "quarterwalks.closedform"}),
         ("from quarterwalks.cli import main\n"
          "main(['import-recurrence', 'pg.json', '--steps', 'E,W,NE,SW', '--n-check', '40'])",
-         _BASE | {"quarterwalks.walks", "quarterwalks.exactmath", "quarterwalks.closedform"}),
+         _BASE | {"quarterwalks.walks", "quarterwalks.exactmath"}),
         ("from quarterwalks.cli import main\n"
          "main(['check-closed-form', '--closed-form', 'gessel', '--m-max', '5'])",
          _BASE | {"quarterwalks.walks", "quarterwalks.exactmath", "quarterwalks.closedform"}),
@@ -936,7 +972,7 @@ def test_every_package_export_reads_through_the_cli():
     run = subprocess.run([sys.executable, "-c", code], env=_src_env(),
                          capture_output=True, text=True, timeout=120)
     assert run.returncode == 0, run.stderr
-    assert run.stdout.splitlines()[-1] == "50 []"
+    assert run.stdout.splitlines()[-1] == "49 []"
 
 
 def test_unknown_cli_attribute_raises_attribute_error():

@@ -158,6 +158,14 @@ def test_interlaced_sequence_pattern():
     assert HypergeomTerm(Fraction(2), (), (), 3, 1).sequence(7) == [0, 1, 0, 0, 2, 0, 0, 4]
 
 
+def test_first_mismatch_reads_every_count_given():
+    g = hypergeom_term("gessel")
+    assert g.first_mismatch([1, 0, 2, 0, 11]) is None
+    assert g.first_mismatch([1, 0, 2, 1, 11]) == 3
+    assert g.first_mismatch([1, 0, 2, 0, 11, 0, 85, 0, 782, 0, 8005]) == 10
+    assert g.first_mismatch([]) is None
+
+
 def _kreweras_first_order():
     """(m+2)(2m+3) S_m - 6(3m+1)(3m+2), the first-order recurrence of the
     m-th Kreweras origin count."""

@@ -8,8 +8,8 @@ import pytest
 
 from naive_oracles import Ones, fraction_apply_at, fraction_divexact, fraction_monic_gcd
 from quarterwalks import OreOperator, UniOperator, exactmath, reduce_mod_ij
-from quarterwalks.closedform import _json_term
 from quarterwalks.exactmath import (
+    _json_term,
     ipoly_add,
     ipoly_compose_affine,
     ipoly_content,
@@ -210,6 +210,31 @@ def test_rat_normalize_zero_numerator():
     # 0/(n+3) = 0/1
     assert lowest_terms([], [3, 1]) == ([], [1])
     assert _json_term({"num": ["0"], "den": ["3", "1"]}, 2) == ([], [1])
+
+
+def one_entry_file(entry):
+    """The recurrence Sn + x, whose term of power 0 is the single entry x."""
+    return {"var": "n", "shift": "Sn", "terms": [
+        {"power": 1, "num": ["1"], "den": ["1"]}, {"power": 0, "num": [entry], "den": ["1"]},
+    ]}
+
+
+@pytest.mark.parametrize("entry", ["1e3", "1_0", "1.5", " 3/2", "3/+2", "1/0", "½"])
+def test_term_entry_outside_the_grammar_is_refused(entry):
+    # a term entry is a JSON integer, a json_int string, or "a/b" with a a
+    # json_int string and b ASCII digits above 0
+    with pytest.raises(ValueError, match=r"^term of power 0: bad number \("):
+        exactmath.uni_from_json(one_entry_file(entry))
+
+
+@pytest.mark.parametrize(
+    "entry, a, b",
+    [(7, 7, 1), ("7", 7, 1), ("-7", -7, 1), ("+7", 7, 1), ("3/2", 3, 2), ("-3/2", -3, 2),
+     ("6/4", 3, 2), ("-0/5", 0, 1)],
+)
+def test_term_entry_a_over_b_is_read(entry, a, b):
+    # Sn + a/b clears to b Sn + a
+    assert exactmath.uni_from_json(one_entry_file(entry)) == UniOperator({1: [b], 0: [a]})
 
 
 # ---------------------------------------------------------------------------

@@ -76,7 +76,7 @@ CHECKS = {
         ValueError, "bad exponent triple [0, 0]",
     ),
     "bounds-negative-total": (
-        lambda: Bounds(total_poly_deg=-1).validate(), TemplateError,
+        lambda: build_template(Bounds(total_poly_deg=-1)), TemplateError,
         "total degree cap must be >= 0",
     ),
     "template-duplicate": (

@@ -3,7 +3,9 @@ the pipeline: records < walks, ore, exactmath < guess, certify,
 eliminate, closedform < cli.  Every import statement counts, including
 one inside a function or under ``TYPE_CHECKING``.  And one evaluator
 applies operators to the counting oracle, ``ore.evaluate``, as one check
-applies a recurrence to a sequence, ``UniOperator.first_failure``."""
+applies a recurrence to a sequence, ``UniOperator.first_failure``, one
+function parses integers, ``records.json_int``, and one module reads and
+writes the recurrence file, ``exactmath``."""
 
 import ast
 import os
@@ -156,3 +158,42 @@ def test_one_sequence_check():
                             (module, *site) for site in call_sites(method, "apply_to_sequence")
                         }
     assert inside and everywhere == inside
+
+
+def test_one_integer_reader():
+    """Every ``int(...)`` call in the package is inside ``records.json_int``,
+    so no reader or option takes "1_0", " 5" or fullwidth digits."""
+    everywhere, inside = set(), set()
+    for module, tree in package_trees():
+        everywhere |= {(module, *site) for site in call_sites(tree, "int")}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and node.name == "json_int":
+                inside |= {(module, *site) for site in call_sites(node, "int")}
+    assert {module for module, _, _ in inside} == {"records"}
+    assert everywhere == inside
+
+
+def test_only_closedform_imports_fractions():
+    importers = set()
+    for module, tree in package_trees():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.split(".")[0] == "fractions" for name in names):
+                importers.add(module)
+    assert importers == {"closedform"}
+
+
+def test_recurrence_file_reader_beside_its_writer():
+    """``uni_from_json`` and ``uni_to_json`` are defined in one module."""
+    homes = {
+        (node.name, module)
+        for module, tree in package_trees()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name in ("uni_from_json", "uni_to_json")
+    }
+    assert homes == {("uni_from_json", "exactmath"), ("uni_to_json", "exactmath")}

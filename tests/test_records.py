@@ -15,7 +15,6 @@ from quarterwalks import (
     Bounds,
     Box,
     Certificate,
-    Degrees,
     EqualityVerdict,
     LinearSystem,
     trivial_operator,
@@ -31,7 +30,6 @@ FROZEN = [
     (Bounds(deg_n=1, total_poly_deg=3), "deg_n", 2),
     (BOX, "n_range", (0, 1)),
     (KREWERAS, "steps", frozenset({(1, 0)})),
-    (Degrees(False, 1, 2, 3, 4, 5, 6, 7), "ord_sn", 0),
     (TEMPLATE, "shape", "custom"),
     (PointPlan(((1, 0, 0),), ((2, 0, 0),)), "points", ()),
     (CLOSED_FORMS["gessel"][1], "period", 3),
@@ -72,8 +70,7 @@ def test_plain_records_are_mutable_and_unhashable(record, name, other):
 def test_records_equal_only_within_their_class_and_keep_defaults():
     assert Bounds() == Bounds(0, 0, 0, 0, 0, 0, None)
     assert Bounds(deg_n=1) != Bounds(deg_i=1)
-    assert Bounds() != Degrees(True) and Bounds() != (0, 0, 0, 0, 0, 0, None)
-    assert Degrees(True) == Degrees(True, None, None, None, None, None, None, None)
+    assert Bounds() != (0, 0, 0, 0, 0, 0, None)
     assert EqualityVerdict("PROVED") == EqualityVerdict("PROVED", 0, -1, None)
     assert BaseCheck(1, BOX, False).counterexample is None
     cert = Certificate(trivial_operator(KREWERAS), "refuted", [], [])
